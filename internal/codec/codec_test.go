@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,38 @@ func TestIndicesGammaRoundTrip(t *testing.T) {
 				t.Fatalf("%v: got %v", idx, got)
 			}
 		}
+	}
+}
+
+// TestIndicesGammaDecodeReservesOnce: a cold decode allocates its index slots
+// in one piece, and a header count the buffer cannot hold (every gamma code
+// is at least a bit) fails without reserving anything.
+func TestIndicesGammaDecodeReservesOnce(t *testing.T) {
+	idx := make([]int, 5000)
+	for i := range idx {
+		idx[i] = 3 * i
+	}
+	buf, err := EncodeIndicesGamma(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := DecodeIndicesGamma(buf, len(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		// One for the slots; the race detector's build moves the bit reader to
+		// the heap as well. Append-doubling to 5000 took over a dozen.
+		t.Fatalf("cold decode of %d indices took %v allocations, want the slots reserved once", len(idx), allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeIndicesGamma(buf[:8], 1<<22); err == nil {
+		t.Fatal("forged count decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<16 {
+		t.Fatalf("forged count of %d allocated %d bytes for an 8-byte buffer", 1<<22, grown)
 	}
 }
 

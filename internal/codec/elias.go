@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // WriteEliasGamma appends the Elias gamma code of v (v >= 1) to w:
@@ -77,8 +78,14 @@ func DecodeIndicesGamma(buf []byte, count int) ([]int, error) {
 // AppendDecodeIndicesGamma is DecodeIndicesGamma appending into dst, for
 // callers that reuse index scratch across payloads.
 func AppendDecodeIndicesGamma(dst []int, buf []byte, count int) ([]int, error) {
-	if count == 0 {
+	if count <= 0 {
 		return dst, nil
+	}
+	// Reserve the slots once instead of append-doubling. Every gamma code is
+	// at least one bit, so a count the buffer cannot hold is corrupt and
+	// reserves nothing: a forged header cannot force a large allocation.
+	if count <= 8*len(buf) {
+		dst = slices.Grow(dst, count)
 	}
 	r := BitReader{buf: buf}
 	prev := -1

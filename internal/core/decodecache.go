@@ -115,6 +115,35 @@ func (c *DecodeCache) InvalidateSender(sender int) {
 	c.mu.Unlock()
 }
 
+// Reset drops every cached payload of every sender — the synchronous
+// engine's end-of-round call. A round's payloads are never acquired again
+// once its aggregation phase is over, so the cache holds one round and the
+// retired entries' decode buffers stay warm on the free list for the next.
+// Memory hygiene, like InvalidateSender.
+func (c *DecodeCache) Reset() {
+	c.mu.Lock()
+	for sender, entries := range c.slots {
+		for i, e := range entries {
+			c.retireLocked(e)
+			entries[i] = nil
+		}
+		c.slots[sender] = entries[:0]
+	}
+	c.mu.Unlock()
+}
+
+// Len returns the number of live entries: payloads a new acquire can still
+// find (retired entries awaiting their last release do not count).
+func (c *DecodeCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, entries := range c.slots {
+		n += len(entries)
+	}
+	return n
+}
+
 // Stats returns the lifetime hit/miss counters. Counts may vary slightly
 // with parallelism (concurrent first acquires race for the miss), so they
 // are telemetry, never part of determinism comparisons.

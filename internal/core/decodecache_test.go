@@ -171,6 +171,49 @@ func TestDecodeCacheInvalidateSender(t *testing.T) {
 	}
 }
 
+// TestDecodeCacheReset: a reset retires every sender's entries at once —
+// released ones land on the free list with their decode buffers, a held one
+// stays valid until its release — and the next round's payloads miss into the
+// recycled entries.
+func TestDecodeCacheReset(t *testing.T) {
+	dc := &DecodeCache{}
+	first := testPayload(t, 32, 1)
+	a := dc.acquire(1, first)
+	b := dc.acquire(2, testPayload(t, 32, 2))
+	dc.release(a)
+	if dc.Len() != 2 {
+		t.Fatalf("%d live entries before reset, want 2", dc.Len())
+	}
+
+	dc.Reset()
+	if dc.Len() != 0 {
+		t.Fatalf("%d live entries after reset, want 0", dc.Len())
+	}
+	if len(dc.free) != 1 {
+		t.Fatalf("free list holds %d entries, want the 1 released", len(dc.free))
+	}
+	if !floatsBitEqual(b.sv.Values, decodeRef(t, testPayload(t, 32, 2)).Values) {
+		t.Fatal("held entry reset out from under its holder")
+	}
+	dc.release(b)
+	if len(dc.free) != 2 {
+		t.Fatal("held entry not recycled at its last release")
+	}
+
+	// The same buffer after a reset is a miss, served from a recycled entry.
+	again := dc.acquire(1, first)
+	if again != a && again != b {
+		t.Fatal("post-reset miss did not reuse a recycled entry")
+	}
+	if !floatsBitEqual(again.sv.Values, decodeRef(t, first).Values) {
+		t.Fatal("recycled entry decoded to stale values")
+	}
+	if h, m := dc.Stats(); h != 0 || m != 3 {
+		t.Fatalf("stats (%d hits, %d misses), want (0, 3)", h, m)
+	}
+	dc.release(again)
+}
+
 // TestDecodeCacheConcurrentDecodeOnce: many goroutines acquiring the same
 // buffer get one decode (the ready channel publishes it) and every acquirer
 // observes the same values — the fan-out case the cache exists for.

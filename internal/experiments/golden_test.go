@@ -1,0 +1,71 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// goldenRow is what one micro synchronous run at seed 1 must reproduce: the
+// byte ledger and simulated clock exactly, the final test metrics to 1e-12.
+type goldenRow struct {
+	dataset string
+	algo    Algo
+
+	total, model, meta int64
+	simTime            float64
+	loss, acc          float64
+}
+
+// goldenRows were recorded at the parent of the decode-once engine change
+// (per-recipient decoding), so that change and every later deletion or
+// refactor of a fast path has to reproduce the same numbers. A legitimate
+// numeric change (new default, new codec) re-records the rows: the failure
+// message prints the measured row as a Go literal.
+var goldenRows = []goldenRow{
+	{"cifar10", AlgoFull, 1606008, 1593528, 12480, 0.39109503999999989, 0.68410599075406109, 0.87187500000000007},
+	{"cifar10", AlgoRandom, 654720, 638400, 16320, 0.38154719999999981, 1.0353291662533923, 0.68750000000000011},
+	{"cifar10", AlgoJWINS, 574448, 521080, 53368, 0.38640800000000003, 0.79481701171753483, 0.78125},
+	{"cifar10", AlgoChoco, 387668, 330020, 57648, 0.37892192000000002, 1.0446581285352117, 0.65312499999999996},
+	{"movielens", AlgoFull, 1255824, 1243344, 12480, 0.31283072000000006, 0.49342673418058008, 0.5546875},
+	{"movielens", AlgoRandom, 506880, 490560, 16320, 0.30506880000000008, 0.50196355984681651, 0.55937499999999996},
+	{"movielens", AlgoJWINS, 443816, 402756, 41060, 0.30887392000000002, 0.49899287223952843, 0.56406250000000002},
+	{"movielens", AlgoChoco, 314056, 267616, 46440, 0.30315551999999996, 0.5044281380255029, 0.53593750000000007},
+}
+
+// TestGoldenRows pins the reproduction's numbers (ROADMAP "(e)"): micro
+// synchronous runs of the four table-1 algorithms on the workload's own round
+// budget, exactly as Table1 runs them.
+func TestGoldenRows(t *testing.T) {
+	const tol = 1e-12
+	for _, want := range goldenRows {
+		want := want
+		t.Run(want.dataset+"/"+string(want.algo), func(t *testing.T) {
+			w, err := NewWorkload(want.dataset, Micro, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(RunSpec{Workload: w, Algo: AlgoSpec{Kind: want.algo}, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenRow{
+				want.dataset, want.algo,
+				res.TotalBytes, res.ModelBytes, res.MetaBytes,
+				res.SimTime, res.FinalLoss, res.FinalAccuracy,
+			}
+			if got.total != want.total || got.model != want.model || got.meta != want.meta ||
+				math.Abs(got.simTime-want.simTime) > tol ||
+				math.Abs(got.loss-want.loss) > tol || math.Abs(got.acc-want.acc) > tol {
+				t.Fatalf("golden row moved:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+}
+
+// String renders the row as the Go literal goldenRows holds.
+func (r goldenRow) String() string {
+	algo := map[Algo]string{AlgoFull: "AlgoFull", AlgoRandom: "AlgoRandom", AlgoJWINS: "AlgoJWINS", AlgoChoco: "AlgoChoco"}[r.algo]
+	return fmt.Sprintf("{%q, %s, %d, %d, %d, %.17g, %.17g, %.17g},",
+		r.dataset, algo, r.total, r.model, r.meta, r.simTime, r.loss, r.acc)
+}

@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/codec"
@@ -214,8 +215,12 @@ func TestAggregateBatchRecordReplayCross(t *testing.T) {
 
 // TestDecodeCacheEngineParity: the fleet-shared decoded-payload cache must be
 // purely an allocation/compute optimization — a run with the cache must match
-// a NoDecodeCache run event for event, row for row, under heterogeneity,
-// churn, drops, and both batch pipelines, at serial and parallel dispatch.
+// a per-recipient-decode run event for event, row for row, under
+// heterogeneity, churn, drops, and both batch pipelines, at serial and
+// parallel dispatch. The reference fleet is wrapped in per-recipient
+// probeNodes, which keep the cache from its nodes (and, being no
+// *core.JWINSNode, read NaN for MeanAlpha and take the per-node compute path:
+// the batch pipelines are pinned to that path by their own parity tests).
 func TestDecodeCacheEngineParity(t *testing.T) {
 	muts := []struct {
 		name string
@@ -232,18 +237,19 @@ func TestDecodeCacheEngineParity(t *testing.T) {
 			cfg.FaultSeed = 3
 		}},
 	}
+	dropAlpha := func(r capturedRun) capturedRun {
+		for i := range r.result.Rounds {
+			r.result.Rounds[i].MeanAlpha = math.NaN()
+		}
+		return r
+	}
 	for _, tc := range muts {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, p := range parallelismLevels() {
-				off := captureAsyncRun(t, 16, 10, p, func(cfg *AsyncConfig) {
-					if tc.mut != nil {
-						tc.mut(cfg)
-					}
-					cfg.NoDecodeCache = true
-				})
+				off := captureAsyncRunOn(t, 16, 10, p, tc.mut, perRecipientFleet)
 				on := captureAsyncRun(t, 16, 10, p, tc.mut)
-				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, on, p)
+				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, dropAlpha(on), p)
 			}
 		})
 	}

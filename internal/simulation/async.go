@@ -236,13 +236,6 @@ type AsyncConfig struct {
 	// unless this is set (differential tests and benchmarks set it so the
 	// batched code paths run regardless of host shape).
 	ShareBatchForce bool
-	// NoDecodeCache disables the fleet-shared decoded-payload cache that
-	// otherwise lets every broadcast payload be entropy-decoded once instead
-	// of once per recipient. Identity-keyed and invalidated on churn/epoch
-	// rotation, the cache never changes results (decoding is a pure function
-	// of the payload bytes) — the knob exists for differential tests and
-	// perf comparisons.
-	NoDecodeCache bool
 	// OnEvent, if set, observes every processed event in order — the
 	// deterministic event trace.
 	OnEvent func(Event)
@@ -429,9 +422,9 @@ type asyncRun struct {
 	aggDue   float64
 	aggCtxs  aggCtxPool
 
-	// dcache is the fleet-shared decoded-payload cache (nil when disabled):
-	// each broadcast payload is entropy-decoded once, by its first
-	// aggregating recipient, and served by identity to the rest.
+	// dcache is the fleet-shared decoded-payload cache: each broadcast
+	// payload is entropy-decoded once, by its first aggregating recipient,
+	// and served by identity to the rest.
 	dcache *core.DecodeCache
 
 	// per-iteration training-loss accumulators for row emission
@@ -528,21 +521,15 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		aggIdx:       make([]int, n),
 		aggDue:       math.Inf(1),
 		evalSamp:     newEvalSampler(n, cfg.Config),
+		dcache:       &core.DecodeCache{},
 	}
 	for i := range r.aggIdx {
 		r.aggIdx[i] = -1
 	}
-	if !cfg.NoDecodeCache {
-		// One decode per broadcast payload fleet-wide: every node whose
-		// aggregate path supports the cache shares this one. Attached per
-		// run so reused fleets never serve a previous run's buffers.
-		r.dcache = &core.DecodeCache{}
-		for _, nd := range e.Nodes {
-			if u, ok := nd.(core.DecodeCacheUser); ok {
-				u.SetDecodeCache(r.dcache)
-			}
-		}
-	}
+	// Registered before the pool's close, so it runs after it: no worker
+	// still reads an entry when the nodes let go of the cache.
+	setDecodeCache(e.Nodes, r.dcache)
+	defer setDecodeCache(e.Nodes, nil)
 	if bp, ok := policy.(BoundedStalenessPolicy); ok {
 		r.curTau = bp.Tau
 	}
@@ -720,14 +707,12 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		r.res.TimeToTarget = r.now
 	}
 	if r.tel != nil {
-		if r.dcache != nil {
-			// Fold the decode cache's counters in before the snapshot. Hit/miss
-			// totals depend on pool interleaving, so they are telemetry only —
-			// never part of a determinism comparison.
-			h, m := r.dcache.Stats()
-			r.tel.decodeHits.Add(h)
-			r.tel.decodeMisses.Add(m)
-		}
+		// Fold the decode cache's counters in before the snapshot. Hit/miss
+		// totals depend on pool interleaving, so they are telemetry only —
+		// never part of a determinism comparison.
+		h, m := r.dcache.Stats()
+		r.tel.decodeHits.Add(h)
+		r.tel.decodeMisses.Add(m)
 		r.res.Telemetry = r.tel.Snapshot()
 	}
 	return r.res, nil
@@ -1011,14 +996,12 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 			}
 		}
 	}
-	if r.dcache != nil {
-		// A sender the rotation fully disconnected has no recipients left for
-		// its cached decodes; drop them (hygiene — identity keying already
-		// rules out stale hits).
-		for j := range r.nodes {
-			if gNew.Degree(j) == 0 {
-				r.dcache.InvalidateSender(j)
-			}
+	// A sender the rotation fully disconnected has no recipients left for
+	// its cached decodes; drop them (hygiene — identity keying already
+	// rules out stale hits).
+	for j := range r.nodes {
+		if gNew.Degree(j) == 0 {
+			r.dcache.InvalidateSender(j)
 		}
 	}
 
@@ -1569,11 +1552,9 @@ func (r *asyncRun) onLeave(i int) error {
 	st.waiting = false
 	st.deadlineFired = false
 	r.topo.SetLive(i, false)
-	if r.dcache != nil {
-		// Hygiene, not correctness: entries are identity-keyed, so dropping
-		// the leaver's cached decodes just releases memory sooner.
-		r.dcache.InvalidateSender(i)
-	}
+	// Hygiene, not correctness: entries are identity-keyed, so dropping
+	// the leaver's cached decodes just releases memory sooner.
+	r.dcache.InvalidateSender(i)
 	// Departure can unblock waiting neighbors and lower the row floor.
 	return r.recheckAll()
 }

@@ -1,0 +1,253 @@
+package simulation
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/core"
+	"repro/internal/topology"
+	"repro/internal/vec"
+)
+
+// deliveryProbe observes what a fleet of probeNodes is handed: payloads
+// delivered, distinct (round, sender) broadcasts among them, and — in the
+// cached arm — the live entry count of the cache the engine attached.
+type deliveryProbe struct {
+	mu         sync.Mutex
+	deliveries int64
+	broadcasts map[[2]int]bool
+	cache      *core.DecodeCache
+	attached   bool
+	maxLive    int
+}
+
+// probeNode wraps every node of both arms of the decode-cache parity tests,
+// so the two differ in exactly one thing: whether SetDecodeCache reaches the
+// node. The cache has no off switch; a perRecipient probeNode is the
+// reference arm: it swallows the call, so the wrapped node decodes every
+// payload it receives into its own scratch. It forwards LocalStepCount so the
+// time model is unchanged; the engines' *core.JWINSNode assertions fail on it,
+// so MeanAlpha reads NaN and the async batch pipelines pass it by.
+type probeNode struct {
+	core.Node
+	p            *deliveryProbe
+	perRecipient bool
+}
+
+// probeFleet wraps nodes in probeNodes reporting to one new probe.
+func probeFleet(nodes []core.Node, perRecipient bool) ([]core.Node, *deliveryProbe) {
+	p := &deliveryProbe{broadcasts: map[[2]int]bool{}}
+	out := make([]core.Node, len(nodes))
+	for i, nd := range nodes {
+		out[i] = &probeNode{Node: nd, p: p, perRecipient: perRecipient}
+	}
+	return out, p
+}
+
+// perRecipientFleet is the reference arm for tests that need no probe.
+func perRecipientFleet(nodes []core.Node) []core.Node {
+	out, _ := probeFleet(nodes, true)
+	return out
+}
+
+func (n *probeNode) LocalStepCount() int { return localSteps(n.Node) }
+
+func (n *probeNode) SetDecodeCache(c *core.DecodeCache) {
+	if n.perRecipient {
+		return
+	}
+	n.p.mu.Lock()
+	n.p.cache = c
+	n.p.attached = n.p.attached || c != nil
+	n.p.mu.Unlock()
+	if u, ok := n.Node.(core.DecodeCacheUser); ok {
+		u.SetDecodeCache(c)
+	}
+}
+
+func (n *probeNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
+	err := n.Node.Aggregate(round, w, msgs)
+	n.p.mu.Lock()
+	defer n.p.mu.Unlock()
+	n.p.deliveries += int64(len(msgs))
+	for from := range msgs {
+		n.p.broadcasts[[2]int{round, from}] = true
+	}
+	if n.p.cache != nil {
+		n.p.maxLive = max(n.p.maxLive, n.p.cache.Len())
+	}
+	return err
+}
+
+// TestSyncDecodeOnceParity: the synchronous engine's fleet-shared decode
+// cache must be invisible in the results. For every algorithm, codec,
+// parallelism level and delivery pattern (clean, drops + offline nodes,
+// per-round re-randomized graph), a run whose nodes share the cache matches
+// the per-recipient-decode reference bit for bit — rows, byte ledger, final
+// metrics and every node's final parameters — while decoding each delivered
+// broadcast exactly once and never holding more than one round of entries.
+func TestSyncDecodeOnceParity(t *testing.T) {
+	const (
+		n      = 8
+		rounds = 6
+	)
+	algos := []struct {
+		name string
+		kind algo
+	}{
+		{"full-sharing", algoFull},
+		{"jwins", algoJWINS},
+		{"random-sampling", algoRandom},
+		{"choco", algoChoco},
+	}
+	codecs := []struct {
+		name string
+		fc   codec.FloatCodec
+	}{
+		{"flate32", codec.PlaneFlate32{}},
+		{"raw32", codec.Raw32{}},
+	}
+	deliveries := []struct {
+		name    string
+		dynamic bool
+		cfg     Config
+	}{
+		{"clean", false, Config{}},
+		{"drops+offline", false, Config{DropProb: 0.1, OfflineProb: 0.1, FaultSeed: 3}},
+		{"dynamic", true, Config{}},
+	}
+
+	type outcome struct {
+		res    *Result
+		params [][]float64
+		probe  *deliveryProbe
+		cached bool // the fleet's nodes can use the cache at all (CHOCO cannot)
+	}
+	run := func(t *testing.T, kind algo, fc codec.FloatCodec, p int, dynamic bool, base Config, perRecipient bool) outcome {
+		t.Helper()
+		ds, parts := buildTask(t, n, 42)
+		inner := buildNodesWithCodec(t, kind, ds, parts, 7, func(int) codec.FloatCodec { return fc })
+		nodes, probe := probeFleet(inner, perRecipient)
+		var provider topology.Provider
+		if dynamic {
+			provider = topology.NewDynamic(n, 4, vec.NewRNG(35))
+		} else {
+			g, err := topology.Regular(n, 4, vec.NewRNG(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			provider = topology.NewStatic(g)
+		}
+		cfg := base
+		cfg.Rounds, cfg.EvalEvery, cfg.Parallelism = rounds, 3, p
+		eng := &Engine{Nodes: nodes, Topology: provider, TestSet: ds, Config: cfg}
+		eng.OnRound = func(rm RoundMetrics) {
+			if probe.cache != nil && probe.cache.Len() != 0 {
+				t.Errorf("round %d: %d cache entries outlive the round", rm.Round, probe.cache.Len())
+			}
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{res: res, probe: probe}
+		for _, nd := range inner {
+			params := make([]float64, nd.Model().ParamCount())
+			nd.Model().CopyParams(params)
+			out.params = append(out.params, params)
+			_, ok := nd.(core.DecodeCacheUser)
+			out.cached = out.cached || ok
+		}
+		return out
+	}
+
+	for _, al := range algos {
+		for _, cd := range codecs {
+			for _, dl := range deliveries {
+				for _, p := range parallelismLevels() {
+					al, cd, dl, p := al, cd, dl, p
+					t.Run(fmt.Sprintf("%s/%s/%s/p%d", al.name, cd.name, dl.name, p), func(t *testing.T) {
+						ref := run(t, al.kind, cd.fc, p, dl.dynamic, dl.cfg, true)
+						got := run(t, al.kind, cd.fc, p, dl.dynamic, dl.cfg, false)
+						assertSyncResultsIdentical(t, ref.res, got.res)
+						for i := range ref.params {
+							for k := range ref.params[i] {
+								if math.Float64bits(ref.params[i][k]) != math.Float64bits(got.params[i][k]) {
+									t.Fatalf("node %d parameter %d differs: cached %v, per-recipient %v",
+										i, k, got.params[i][k], ref.params[i][k])
+								}
+							}
+						}
+
+						// Both arms ran the same schedule; only the cached arm
+						// was handed a cache, and it let go of it at the end.
+						if ref.probe.deliveries != got.probe.deliveries || len(ref.probe.broadcasts) != len(got.probe.broadcasts) {
+							t.Fatalf("arms delivered differently: %d/%d payloads, %d/%d broadcasts",
+								ref.probe.deliveries, got.probe.deliveries, len(ref.probe.broadcasts), len(got.probe.broadcasts))
+						}
+						if ref.probe.attached || !got.probe.attached {
+							t.Fatalf("cache attached: reference %v, cached arm %v", ref.probe.attached, got.probe.attached)
+						}
+						if got.probe.cache != nil {
+							t.Fatal("engine did not detach the cache when Run returned")
+						}
+
+						if dl.cfg.DropProb == 0 && len(got.probe.broadcasts) != n*rounds {
+							t.Fatalf("%d broadcasts delivered, want every node every round (%d)", len(got.probe.broadcasts), n*rounds)
+						}
+
+						// One decode per delivered broadcast, a hit for every
+						// further recipient, and at most one entry per sender.
+						wantMisses := int64(len(got.probe.broadcasts))
+						wantHits := got.probe.deliveries - wantMisses
+						if !got.cached {
+							wantMisses, wantHits = 0, 0
+						}
+						snap := got.res.Telemetry
+						if snap == nil {
+							t.Fatal("sync run left no telemetry snapshot")
+						}
+						if h, m := snap.Counter(MetricDecodeHits), snap.Counter(MetricDecodeMisses); h != wantHits || m != wantMisses {
+							t.Fatalf("decode cache (%d hits, %d misses), want (%d, %d) for %d deliveries of %d broadcasts",
+								h, m, wantHits, wantMisses, got.probe.deliveries, len(got.probe.broadcasts))
+						}
+						if got.cached && wantHits == 0 {
+							t.Fatal("no payload reached a second recipient: the matrix does not exercise the cache")
+						}
+						if got.probe.maxLive > n {
+							t.Fatalf("%d live cache entries during a round, want at most %d (one per sender)", got.probe.maxLive, n)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// assertSyncResultsIdentical compares everything a synchronous run reports
+// except Telemetry (observational) bit for bit.
+func assertSyncResultsIdentical(t *testing.T, a, b *Result) {
+	t.Helper()
+	if a.TotalBytes != b.TotalBytes || a.ModelBytes != b.ModelBytes || a.MetaBytes != b.MetaBytes {
+		t.Fatalf("ledger (%d,%d,%d) != reference (%d,%d,%d)",
+			b.TotalBytes, b.ModelBytes, b.MetaBytes, a.TotalBytes, a.ModelBytes, a.MetaBytes)
+	}
+	if a.SimTime != b.SimTime || !sameFloat(a.FinalLoss, b.FinalLoss) || !sameFloat(a.FinalAccuracy, b.FinalAccuracy) {
+		t.Fatalf("final (sim %v, loss %v, acc %v) != reference (%v, %v, %v)",
+			b.SimTime, b.FinalLoss, b.FinalAccuracy, a.SimTime, a.FinalLoss, a.FinalAccuracy)
+	}
+	if len(a.Rounds) != len(b.Rounds) {
+		t.Fatalf("%d rows, reference has %d", len(b.Rounds), len(a.Rounds))
+	}
+	for i := range a.Rounds {
+		ra, rb := a.Rounds[i], b.Rounds[i]
+		if ra.CumTotalBytes != rb.CumTotalBytes || ra.CumModelBytes != rb.CumModelBytes || ra.CumMetaBytes != rb.CumMetaBytes ||
+			ra.SimTime != rb.SimTime || !sameFloat(ra.TrainLoss, rb.TrainLoss) || !sameFloat(ra.TestLoss, rb.TestLoss) ||
+			!sameFloat(ra.TestAcc, rb.TestAcc) || !sameFloat(ra.MeanAlpha, rb.MeanAlpha) {
+			t.Fatalf("row %d differs:\n got  %+v\n want %+v", i, rb, ra)
+		}
+	}
+}

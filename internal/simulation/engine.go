@@ -186,10 +186,13 @@ type Result struct {
 	SpectralGapMean float64
 	SpectralGapMin  float64
 	TurnoverMean    float64
-	// Telemetry is the end-of-run metrics snapshot when AsyncConfig.Telemetry
-	// was set (nil otherwise). Observational only: values like the speculation
-	// hit rate may differ across parallelism levels even though every other
-	// Result field is bit-identical, so determinism comparisons skip it.
+	// Telemetry is the end-of-run metrics snapshot: everything the registry
+	// holds when AsyncConfig.Telemetry was set (nil otherwise) under the async
+	// engine, the decode cache's MetricDecodeHits/MetricDecodeMisses counters
+	// alone under the synchronous engine. Observational only: values like the
+	// speculation hit rate may differ across parallelism levels even though
+	// every other Result field is bit-identical, so determinism comparisons
+	// skip it.
 	Telemetry *metrics.Snapshot
 }
 
@@ -224,6 +227,11 @@ func (e *Engine) Run() (*Result, error) {
 	res := &Result{RoundsToTarget: -1}
 	var ledger byteLedger
 	simTime := 0.0
+
+	// Detached after the pool closes: no worker still reads an entry.
+	dcache := &core.DecodeCache{}
+	setDecodeCache(e.Nodes, dcache)
+	defer setDecodeCache(e.Nodes, nil)
 
 	pool := newComputePool(cfg.Parallelism)
 	defer pool.close()
@@ -330,6 +338,9 @@ func (e *Engine) Run() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		// A synchronous round has no staleness: nobody acquires this round's
+		// payloads again, so the cache never holds more than one round.
+		dcache.Reset()
 
 		// Simulated clock: compute is parallel across nodes; the round's
 		// communication is bounded by the busiest uplink.
@@ -375,6 +386,10 @@ func (e *Engine) Run() (*Result, error) {
 		res.BytesToTarget = ledger.total
 		res.TimeToTarget = simTime
 	}
+	hits, misses := dcache.Stats()
+	res.Telemetry = &metrics.Snapshot{Counters: map[string]int64{
+		MetricDecodeHits: hits, MetricDecodeMisses: misses,
+	}}
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/vec"
 )
@@ -41,8 +42,18 @@ type capturedRun struct {
 
 func captureAsyncRun(t *testing.T, nodes int, rounds int, parallelism int, mut func(*AsyncConfig)) capturedRun {
 	t.Helper()
+	return captureAsyncRunOn(t, nodes, rounds, parallelism, mut, nil)
+}
+
+// captureAsyncRunOn is captureAsyncRun with the fleet passed through wrap
+// (when non-nil) before the engine sees it.
+func captureAsyncRunOn(t *testing.T, nodes int, rounds int, parallelism int, mut func(*AsyncConfig), wrap func([]core.Node) []core.Node) capturedRun {
+	t.Helper()
 	ds, parts := buildTask(t, nodes, 42)
 	fleet := buildNodes(t, algoJWINS, ds, parts, 7)
+	if wrap != nil {
+		fleet = wrap(fleet)
+	}
 	g, err := topology.Regular(nodes, 4, vec.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)

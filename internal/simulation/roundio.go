@@ -45,6 +45,19 @@ func trainShare(nd core.Node, round int) (loss float64, payload []byte, bd codec
 	return loss, payload, bd, err
 }
 
+// setDecodeCache points every node whose aggregate path can share decoded
+// payloads at c: one decode per broadcast fleet-wide instead of one per
+// recipient. Both engines attach a fresh cache per run (a reused fleet never
+// serves a previous run's buffers) and detach it (nil) when the run returns,
+// so a fleet that outlives the run does not pin the last decoded buffers.
+func setDecodeCache(nodes []core.Node, c *core.DecodeCache) {
+	for _, nd := range nodes {
+		if u, ok := nd.(core.DecodeCacheUser); ok {
+			u.SetDecodeCache(c)
+		}
+	}
+}
+
 // evalSampler produces the rotating subsets of sampled evaluation
 // (Config.EvalSample). Rows score successive windows of a per-cycle random
 // permutation: window w of cycle c covers perm_c[w*s : (w+1)*s], the window
