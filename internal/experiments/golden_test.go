@@ -31,6 +31,14 @@ var goldenRows = []goldenRow{
 	{"movielens", AlgoRandom, 506880, 490560, 16320, 0.30506880000000008, 0.50196355984681651, 0.55937499999999996},
 	{"movielens", AlgoJWINS, 443816, 402756, 41060, 0.30887392000000002, 0.49899287223952843, 0.56406250000000002},
 	{"movielens", AlgoChoco, 314056, 267616, 46440, 0.30315551999999996, 0.5044281380255029, 0.53593750000000007},
+	// Recorded at the parent of the blocked convolution kernels (the
+	// per-tap-tested Conv2D loops): the LEAF-CNN workloads (InC = 1, OutC !=
+	// InC, no GroupNorm) and the fig8 ablation arms.
+	{"femnist", AlgoJWINS, 997968, 916736, 81232, 0.39483647999999999, 0.75106588160089749, 0.89249999999999996},
+	{"celeba", AlgoJWINS, 816056, 749972, 66084, 0.31595967999999997, 0.021311729217857973, 1},
+	{"cifar10", AlgoJWINSNoWavelet, 572996, 519380, 53616, 0.38634143999999992, 0.82791854206757487, 0.765625},
+	{"cifar10", AlgoJWINSNoAccum, 570144, 520856, 49288, 0.38636863999999999, 0.48546522975466988, 0.90624999999999989},
+	{"cifar10", AlgoJWINSNoCutoff, 662912, 594240, 68672, 0.38164288000000002, 0.64961026749484552, 0.85312500000000002},
 }
 
 // TestGoldenRows pins the reproduction's numbers (ROADMAP "(e)"): micro
@@ -65,7 +73,10 @@ func TestGoldenRows(t *testing.T) {
 
 // String renders the row as the Go literal goldenRows holds.
 func (r goldenRow) String() string {
-	algo := map[Algo]string{AlgoFull: "AlgoFull", AlgoRandom: "AlgoRandom", AlgoJWINS: "AlgoJWINS", AlgoChoco: "AlgoChoco"}[r.algo]
+	algo := map[Algo]string{
+		AlgoFull: "AlgoFull", AlgoRandom: "AlgoRandom", AlgoJWINS: "AlgoJWINS", AlgoChoco: "AlgoChoco",
+		AlgoJWINSNoWavelet: "AlgoJWINSNoWavelet", AlgoJWINSNoAccum: "AlgoJWINSNoAccum", AlgoJWINSNoCutoff: "AlgoJWINSNoCutoff",
+	}[r.algo]
 	return fmt.Sprintf("{%q, %s, %d, %d, %d, %.17g, %.17g, %.17g},",
 		r.dataset, algo, r.total, r.model, r.meta, r.simTime, r.loss, r.acc)
 }

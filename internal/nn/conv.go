@@ -44,6 +44,13 @@ func NewConv2D(inC, outC, k, pad int, rng *vec.RNG) *Conv2D {
 func (c *Conv2D) OutSize(s int) int { return s + 2*c.Pad - c.K + 1 }
 
 // Forward implements Layer. x must be [N, InC, H, W].
+//
+// Every output pixel receives the additions the textbook loop gives it, in
+// the same order: per input channel a sum s over the window's in-range taps
+// in (ky, kx) order starting from zero, then out += s channel by channel,
+// then the bias. The kernels below only change which pixels are in flight
+// together, so results are bit-identical to that loop (kept as the oracle in
+// conv_ref_test.go).
 func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N, %d, H, W], got %v", c.InC, x.Shape))
@@ -55,39 +62,27 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 		panic(fmt.Sprintf("nn: Conv2D output size %dx%d not positive", oh, ow))
 	}
 	y := c.out.ensureZero(n, c.OutC, oh, ow)
-	k := c.K
+	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
+	hw, ohw, kk := h*w, oh*ow, c.K*c.K
 	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.B.Data[oc]
-			out := y.Data[((ni*c.OutC)+oc)*oh*ow:][: oh*ow : oh*ow]
+		xs := x.Data[ni*c.InC*hw:][:c.InC*hw]
+		ys := y.Data[ni*c.OutC*ohw:][:c.OutC*ohw]
+		// Four output channels at a time share every input load and give
+		// each pixel four independent sums; the tail goes one by one.
+		oc := 0
+		for ; oc+4 <= c.OutC; oc += 4 {
 			for ic := 0; ic < c.InC; ic++ {
-				in := x.Data[((ni*c.InC)+ic)*h*w:][: h*w : h*w]
-				ker := c.W.Data[((oc*c.InC)+ic)*k*k:][: k*k : k*k]
-				for oy := 0; oy < oh; oy++ {
-					iy0 := oy - c.Pad
-					for ox := 0; ox < ow; ox++ {
-						ix0 := ox - c.Pad
-						var s float64
-						for ky := 0; ky < k; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							rowIn := in[iy*w:]
-							rowK := ker[ky*k:]
-							for kx := 0; kx < k; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								s += rowIn[ix] * rowK[kx]
-							}
-						}
-						out[oy*ow+ox] += s
-					}
-				}
+				g.forward4(ys[oc*ohw:][:4*ohw], xs[ic*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:], c.InC*kk)
 			}
+		}
+		for ; oc < c.OutC; oc++ {
+			for ic := 0; ic < c.InC; ic++ {
+				g.forward1(ys[oc*ohw:][:ohw], xs[ic*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk])
+			}
+		}
+		for oc, bias := range c.B.Data {
 			if bias != 0 {
+				out := ys[oc*ohw:][:ohw]
 				for i := range out {
 					out[i] += bias
 				}
@@ -98,51 +93,298 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 }
 
 // Backward implements Layer.
+//
+// As in Forward, only the traversal differs from the textbook loop: every
+// dx element still receives its terms in (oc, oy, ox) order, every W.Grad
+// entry in (sample, oy, ox) order, exact-zero output gradients are still
+// skipped, and no product with a padding zero is ever formed.
 func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 	x := c.x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := grad.Shape[2], grad.Shape[3]
-	k := c.K
 	dx := c.dx.ensureZero(n, c.InC, h, w)
+	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
+	hw, ohw, kk := h*w, oh*ow, c.K*c.K
 	for ni := 0; ni < n; ni++ {
 		for oc := 0; oc < c.OutC; oc++ {
-			g := grad.Data[((ni*c.OutC)+oc)*oh*ow:][: oh*ow : oh*ow]
-			for i := range g {
-				c.B.Grad[oc] += g[i]
+			gr := grad.Data[(ni*c.OutC+oc)*ohw:][:ohw]
+			b := c.B.Grad[oc]
+			for _, v := range gr {
+				b += v
 			}
+			c.B.Grad[oc] = b
 			for ic := 0; ic < c.InC; ic++ {
-				in := x.Data[((ni*c.InC)+ic)*h*w:][: h*w : h*w]
-				dIn := dx.Data[((ni*c.InC)+ic)*h*w:][: h*w : h*w]
-				ker := c.W.Data[((oc*c.InC)+ic)*k*k:][: k*k : k*k]
-				dKer := c.W.Grad[((oc*c.InC)+ic)*k*k:][: k*k : k*k]
-				for oy := 0; oy < oh; oy++ {
-					iy0 := oy - c.Pad
-					for ox := 0; ox < ow; ox++ {
-						gv := g[oy*ow+ox]
-						if gv == 0 {
-							continue
-						}
-						ix0 := ox - c.Pad
-						for ky := 0; ky < k; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < k; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								dKer[ky*k+kx] += gv * in[iy*w+ix]
-								dIn[iy*w+ix] += gv * ker[ky*k+kx]
-							}
-						}
-					}
-				}
+				g.backward(gr,
+					x.Data[(ni*c.InC+ic)*hw:][:hw], dx.Data[(ni*c.InC+ic)*hw:][:hw],
+					c.W.Data[(oc*c.InC+ic)*kk:][:kk], c.W.Grad[(oc*c.InC+ic)*kk:][:kk])
 			}
 		}
 	}
 	return dx
+}
+
+// convGeom is the shape of one stride-1 plane convolution: an h×w input
+// plane, a k×k kernel, symmetric zero padding pad, an oh×ow output plane.
+type convGeom struct {
+	h, w, oh, ow, k, pad int
+}
+
+// span returns the half-open range of t in [0, n) for which off+t lies in
+// [0, size). With off = o-pad and n = k it is the part of output coordinate
+// o's window that falls inside the plane: the clamp is computed once per row
+// or pixel where the textbook loop tests every tap. The range is empty
+// (hi <= lo) when the window lies wholly in the padding.
+func span(off, size, n int) (lo, hi int) {
+	lo, hi = -off, size-off
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
+}
+
+// forward4 adds the correlation of one input plane with four kernels into
+// four adjacent output planes (out holds them back to back; the kernels
+// start stride apart in ker). The four sums of a pixel are independent
+// floating-point chains fed by the same input loads.
+func (g *convGeom) forward4(out, in, ker []float64, stride int) {
+	k, w, ohw := g.k, g.w, g.oh*g.ow
+	kk := k * k
+	o0, o1, o2, o3 := out[:ohw], out[ohw:][:ohw], out[2*ohw:][:ohw], out[3*ohw:][:ohw]
+	w0, w1, w2, w3 := ker[:kk], ker[stride:][:kk], ker[2*stride:][:kk], ker[3*stride:][:kk]
+	// The unrolled 5-tap rows below read the four kernels interleaved, tap
+	// by tap, from one packed copy: one slice per kernel row instead of four.
+	var kw [100]float64
+	if k == 5 {
+		for i := 0; i < 25; i++ {
+			kw[4*i], kw[4*i+1], kw[4*i+2], kw[4*i+3] = w0[i], w1[i], w2[i], w3[i]
+		}
+	}
+	for oy := 0; oy < g.oh; oy++ {
+		ky0, ky1 := span(oy-g.pad, g.h, g.k)
+		for ox := 0; ox < g.ow; ox++ {
+			kx0, kx1 := span(ox-g.pad, g.w, g.k)
+			nx := kx1 - kx0
+			var s0, s1, s2, s3 float64
+			if k == 5 && nx == 5 {
+				for ky := ky0; ky < ky1; ky++ {
+					r := in[(oy-g.pad+ky)*w+ox-g.pad:][:5]
+					q := kw[ky*20:][:20]
+					r0, r1, r2, r3, r4 := r[0], r[1], r[2], r[3], r[4]
+					s0 += r0 * q[0]
+					s1 += r0 * q[1]
+					s2 += r0 * q[2]
+					s3 += r0 * q[3]
+					s0 += r1 * q[4]
+					s1 += r1 * q[5]
+					s2 += r1 * q[6]
+					s3 += r1 * q[7]
+					s0 += r2 * q[8]
+					s1 += r2 * q[9]
+					s2 += r2 * q[10]
+					s3 += r2 * q[11]
+					s0 += r3 * q[12]
+					s1 += r3 * q[13]
+					s2 += r3 * q[14]
+					s3 += r3 * q[15]
+					s0 += r4 * q[16]
+					s1 += r4 * q[17]
+					s2 += r4 * q[18]
+					s3 += r4 * q[19]
+				}
+			} else if nx > 0 {
+				for ky := ky0; ky < ky1; ky++ {
+					r := in[(oy-g.pad+ky)*w+ox-g.pad+kx0:][:nx]
+					at := ky*k + kx0
+					a, b, c, d := w0[at:][:nx], w1[at:][:nx], w2[at:][:nx], w3[at:][:nx]
+					for i, v := range r {
+						s0 += v * a[i]
+						s1 += v * b[i]
+						s2 += v * c[i]
+						s3 += v * d[i]
+					}
+				}
+			}
+			p := oy*g.ow + ox
+			o0[p] += s0
+			o1[p] += s1
+			o2[p] += s2
+			o3[p] += s3
+		}
+	}
+}
+
+// forward1 is forward4 for a single output plane: the channels left over
+// when OutC is not a multiple of four.
+func (g *convGeom) forward1(out, in, ker []float64) {
+	k, w := g.k, g.w
+	for oy := 0; oy < g.oh; oy++ {
+		ky0, ky1 := span(oy-g.pad, g.h, g.k)
+		for ox := 0; ox < g.ow; ox++ {
+			kx0, kx1 := span(ox-g.pad, g.w, g.k)
+			var s float64
+			if nx := kx1 - kx0; nx > 0 {
+				for ky := ky0; ky < ky1; ky++ {
+					r := in[(oy-g.pad+ky)*w+ox-g.pad+kx0:][:nx]
+					a := ker[ky*k+kx0:][:nx]
+					for i, v := range r {
+						s += v * a[i]
+					}
+				}
+			}
+			out[oy*g.ow+ox] += s
+		}
+	}
+}
+
+// backward scatters one output-gradient plane gr through one kernel: the
+// input-gradient plane dIn gains gr⋆ker and the kernel gradient dKer gains
+// gr⋆in.
+func (g *convGeom) backward(gr, in, dIn, ker, dKer []float64) {
+	if g.k == 5 {
+		g.kernelGrad5(gr, in, dKer)
+		g.inputGrad5(gr, dIn, ker)
+		return
+	}
+	k, w, ow := g.k, g.w, g.ow
+	for oy := 0; oy < g.oh; oy++ {
+		ky0, ky1 := span(oy-g.pad, g.h, g.k)
+		for ox := 0; ox < ow; ox++ {
+			gv := gr[oy*ow+ox]
+			if gv == 0 {
+				continue
+			}
+			kx0, kx1 := span(ox-g.pad, w, g.k)
+			nx := kx1 - kx0
+			if nx <= 0 {
+				continue
+			}
+			for ky := ky0; ky < ky1; ky++ {
+				at := (oy-g.pad+ky)*w + ox - g.pad + kx0
+				r, d := in[at:][:nx], dIn[at:][:nx]
+				a, da := ker[ky*k+kx0:][:nx], dKer[ky*k+kx0:][:nx]
+				for i, v := range r {
+					da[i] += gv * v
+					d[i] += gv * a[i]
+				}
+			}
+		}
+	}
+}
+
+// kernelGrad5 is the kernel-gradient half of backward for a 5×5 kernel. One
+// kernel row at a time, its five gradients stay in registers over every
+// output row that reaches it, so each still collects its terms in (oy, ox)
+// order while five independent chains advance per output gradient. Columns
+// whose window crosses the edge of the input row test each tap; the test is
+// the bounds check the load needs anyway.
+func (g *convGeom) kernelGrad5(gr, in, dKer []float64) {
+	w, ow, pad := g.w, g.ow, g.pad
+	for ky := 0; ky < 5; ky++ {
+		dk := dKer[ky*5:][:5]
+		a0, a1, a2, a3, a4 := dk[0], dk[1], dk[2], dk[3], dk[4]
+		// Output rows oy whose input row oy-pad+ky exists.
+		oy0, oy1 := span(ky-pad, g.h, g.oh)
+		for oy := oy0; oy < oy1; oy++ {
+			gRow, inRow := gr[oy*ow:][:ow], in[(oy-pad+ky)*w:][:w]
+			for ox, gv := range gRow {
+				if gv == 0 {
+					continue
+				}
+				ix := ox - pad
+				if ix >= 0 && ix+5 <= len(inRow) {
+					r := inRow[ix : ix+5]
+					a0 += gv * r[0]
+					a1 += gv * r[1]
+					a2 += gv * r[2]
+					a3 += gv * r[3]
+					a4 += gv * r[4]
+					continue
+				}
+				if i := ix; uint(i) < uint(len(inRow)) {
+					a0 += gv * inRow[i]
+				}
+				if i := ix + 1; uint(i) < uint(len(inRow)) {
+					a1 += gv * inRow[i]
+				}
+				if i := ix + 2; uint(i) < uint(len(inRow)) {
+					a2 += gv * inRow[i]
+				}
+				if i := ix + 3; uint(i) < uint(len(inRow)) {
+					a3 += gv * inRow[i]
+				}
+				if i := ix + 4; uint(i) < uint(len(inRow)) {
+					a4 += gv * inRow[i]
+				}
+			}
+		}
+		dk[0], dk[1], dk[2], dk[3], dk[4] = a0, a1, a2, a3, a4
+	}
+}
+
+// inputGrad5 is the input-gradient half of backward for a 5×5 kernel. It
+// walks (oy, ky, ox) where the textbook loop walks (oy, ox, ky); an input
+// pixel meets one ky per oy, so it still collects its terms in (oy, ox)
+// order. Along a row the five input gradients an output gradient touches
+// slide through registers, one column per step. Where the window hangs over
+// the edge of the row the registers hold stand-ins that are never stored, so
+// the border needs no path of its own and no real element sees an extra term.
+func (g *convGeom) inputGrad5(gr, dIn, ker []float64) {
+	w, ow, pad := g.w, g.ow, g.pad
+	for oy := 0; oy < g.oh; oy++ {
+		gRow := gr[oy*ow:][:ow]
+		ky0, ky1 := span(oy-g.pad, g.h, g.k)
+		for ky := ky0; ky < ky1; ky++ {
+			dRow := dIn[(oy-pad+ky)*w:][:w]
+			kr := ker[ky*5:][:5]
+			k0, k1, k2, k3, k4 := kr[0], kr[1], kr[2], kr[3], kr[4]
+			// d0..d4 are the gradients of input columns ox-pad .. ox-pad+4.
+			var d0, d1, d2, d3 float64
+			if i := -pad; uint(i) < uint(len(dRow)) {
+				d0 = dRow[i]
+			}
+			if i := 1 - pad; uint(i) < uint(len(dRow)) {
+				d1 = dRow[i]
+			}
+			if i := 2 - pad; uint(i) < uint(len(dRow)) {
+				d2 = dRow[i]
+			}
+			if i := 3 - pad; uint(i) < uint(len(dRow)) {
+				d3 = dRow[i]
+			}
+			for ox, gv := range gRow {
+				var d4 float64
+				if i := ox - pad + 4; uint(i) < uint(len(dRow)) {
+					d4 = dRow[i]
+				}
+				if gv != 0 {
+					d0 += gv * k0
+					d1 += gv * k1
+					d2 += gv * k2
+					d3 += gv * k3
+					d4 += gv * k4
+				}
+				if i := ox - pad; uint(i) < uint(len(dRow)) {
+					dRow[i] = d0
+				}
+				d0, d1, d2, d3 = d1, d2, d3, d4
+			}
+			if i := ow - pad; uint(i) < uint(len(dRow)) {
+				dRow[i] = d0
+			}
+			if i := ow - pad + 1; uint(i) < uint(len(dRow)) {
+				dRow[i] = d1
+			}
+			if i := ow - pad + 2; uint(i) < uint(len(dRow)) {
+				dRow[i] = d2
+			}
+			if i := ow - pad + 3; uint(i) < uint(len(dRow)) {
+				dRow[i] = d3
+			}
+		}
+	}
 }
 
 // Params implements Layer.
@@ -191,8 +433,12 @@ func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
 			arg := m.argmax[((ni*cdim)+ci)*oh*ow:][: oh*ow : oh*ow]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
+					// Start from the window's first element, not -Inf: a
+					// window that is all NaN (a diverged model) or all -Inf
+					// then still has an argmax inside it for Backward, and
+					// the NaN propagates. The first maximum wins either way.
+					first := oy*m.K*w + ox*m.K
+					best, bestIdx := in[first], base+first
 					for ky := 0; ky < m.K; ky++ {
 						iy := oy*m.K + ky
 						for kx := 0; kx < m.K; kx++ {

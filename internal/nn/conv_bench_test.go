@@ -1,0 +1,132 @@
+package nn
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/vec"
+)
+
+// convBenchShapes are the convolutions the image workloads run: the two
+// GN-LeNet layers at the cifar Small scale and the first layer at the
+// paper's width.
+var convBenchShapes = []struct {
+	inC, outC, size int
+}{
+	{3, 8, 16},
+	{8, 8, 8},
+	{3, 32, 32},
+}
+
+// benchConvArms runs fn once per shape and arm: "ref" is the reference loops
+// of conv_ref_test.go, "new" the kernels, over equal weights and inputs in
+// the same process, so the pair is a within-run A/B.
+func benchConvArms(b *testing.B, fn func(b *testing.B, l Layer, x, grad *Tensor)) {
+	const batch = 8
+	for _, s := range convBenchShapes {
+		for _, arm := range []string{"ref", "new"} {
+			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.inC, s.outC, s.size, s.size, arm), func(b *testing.B) {
+				rng := vec.NewRNG(41)
+				c := NewConv2D(s.inC, s.outC, 5, 2, rng)
+				var l Layer = c
+				if arm == "ref" {
+					l = refConv2D{c}
+				}
+				x := NewTensor(batch, s.inC, s.size, s.size)
+				grad := NewTensor(batch, s.outC, s.size, s.size)
+				fillNormal(x.Data, rng)
+				fillNormal(grad.Data, rng)
+				fn(b, l, x, grad)
+			})
+		}
+	}
+}
+
+func BenchmarkConv2DForward(b *testing.B) {
+	benchConvArms(b, func(b *testing.B, l Layer, x, _ *Tensor) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Forward(x, true)
+		}
+	})
+}
+
+func BenchmarkConv2DBackward(b *testing.B) {
+	benchConvArms(b, func(b *testing.B, l Layer, x, grad *Tensor) {
+		l.Forward(x, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Backward(grad)
+		}
+	})
+}
+
+// benchGNLeNetArms builds GN-LeNet at the cifar Small shape with the kernels
+// ("new") and with the reference convolution ("ref") and hands fn a batch.
+func benchGNLeNetArms(b *testing.B, batch int, fn func(b *testing.B, m *Classifier, x *Tensor, y []float64)) {
+	build := func() *Classifier {
+		return NewGNLeNet(ModelConfig{Channels: 3, Height: 16, Width: 16, Classes: 10, WidthScale: 4}, vec.NewRNG(42))
+	}
+	for _, arm := range []string{"ref", "new"} {
+		b.Run(arm, func(b *testing.B) {
+			m := build()
+			if arm == "ref" {
+				m = referenceTwin(build)
+			}
+			rng := vec.NewRNG(43)
+			x := NewTensor(batch, 3, 16, 16)
+			y := make([]float64, batch)
+			fillNormal(x.Data, rng)
+			for i := range y {
+				y[i] = float64(rng.Intn(10))
+			}
+			fn(b, m, x, y)
+		})
+	}
+}
+
+// BenchmarkGNLeNetTrainBatch is one SGD step of the cifar-jwins workload's
+// model on its batch of 8.
+func BenchmarkGNLeNetTrainBatch(b *testing.B) {
+	benchGNLeNetArms(b, 8, func(b *testing.B, m *Classifier, x *Tensor, y []float64) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.TrainBatch(x, y, 0.05)
+		}
+	})
+}
+
+// BenchmarkGNLeNetEvalBatch is one evaluation batch of 32.
+func BenchmarkGNLeNetEvalBatch(b *testing.B) {
+	benchGNLeNetArms(b, 32, func(b *testing.B, m *Classifier, x *Tensor, y []float64) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.EvalBatch(x, y)
+		}
+	})
+}
+
+// TestConv2DAllocationFree pins the kernels' steady state: once the scratch
+// tensors exist, neither direction allocates.
+func TestConv2DAllocationFree(t *testing.T) {
+	rng := vec.NewRNG(44)
+	for _, s := range convBenchShapes[:2] {
+		c := NewConv2D(s.inC, s.outC, 5, 2, rng)
+		x := NewTensor(4, s.inC, s.size, s.size)
+		grad := NewTensor(4, s.outC, s.size, s.size)
+		fillNormal(x.Data, rng)
+		fillNormal(grad.Data, rng)
+		c.Forward(x, true)
+		c.Backward(grad)
+		if a := testing.AllocsPerRun(10, func() { c.Forward(x, true) }); a != 0 {
+			t.Errorf("%d->%d@%d: Forward allocates %v times per call", s.inC, s.outC, s.size, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { c.Backward(grad) }); a != 0 {
+			t.Errorf("%d->%d@%d: Backward allocates %v times per call", s.inC, s.outC, s.size, a)
+		}
+	}
+}

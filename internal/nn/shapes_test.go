@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/vec"
@@ -28,6 +29,34 @@ func TestMaxPoolValidation(t *testing.T) {
 	mustPanic(t, func() { p.Forward(NewTensor(1, 1, 5, 4), true) }) // 5 not divisible
 	mustPanic(t, func() { p.Forward(NewTensor(2, 3), true) })       // wrong rank
 	mustPanic(t, func() { NewMaxPool2D(0) })
+}
+
+// TestMaxPoolNonFiniteWindow: a window that is all NaN or all -Inf (a diverged
+// model) must not leave Backward without an argmax. The value propagates and
+// the gradient lands inside the window.
+func TestMaxPoolNonFiniteWindow(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		p := NewMaxPool2D(2)
+		// Two windows side by side: the left one non-finite, the right finite.
+		x := FromData([]float64{
+			v, v, 1, 4,
+			v, v, 3, 2,
+		}, 1, 1, 2, 4)
+		y := p.Forward(x, true)
+		if got := y.Data[0]; !(math.IsNaN(v) && math.IsNaN(got)) && got != v {
+			t.Fatalf("window of %v pooled to %v", v, got)
+		}
+		if y.Data[1] != 4 {
+			t.Fatalf("finite window pooled to %v, want 4", y.Data[1])
+		}
+		dx := p.Backward(FromData([]float64{5, 7}, 1, 1, 1, 2))
+		want := []float64{5, 0, 0, 7, 0, 0, 0, 0}
+		for i := range want {
+			if dx.Data[i] != want[i] {
+				t.Fatalf("window of %v: dx = %v, want %v", v, dx.Data, want)
+			}
+		}
+	}
 }
 
 func TestGroupNormValidation(t *testing.T) {

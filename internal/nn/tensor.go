@@ -89,7 +89,9 @@ func (s *tscratch) ensure(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("nn: non-positive tensor dimension in %v", shape))
+			// Format a copy: handing shape itself to fmt would make every
+			// caller's variadic slice escape to the heap.
+			panic(fmt.Sprintf("nn: non-positive tensor dimension in %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
