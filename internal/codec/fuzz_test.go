@@ -40,6 +40,12 @@ func FuzzDecodeSparseInto(f *testing.F) {
 	for _, buf := range fuzzSeedPayloads(f) {
 		f.Add(buf)
 	}
+	// The encoder above writes literal-only Huffman blocks that end at the
+	// plane boundary; payloads of the parent commit's encoder keep the other
+	// shape in the corpus — LZ matches and one dynamic block across planes.
+	for _, p := range parentFlate32Payloads {
+		f.Add(mustHex(f, p.hex))
+	}
 	// A few structurally corrupt mutants to steer early coverage.
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 255, 255, 255, 255, 255, 255, 255, 255})

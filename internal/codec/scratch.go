@@ -80,12 +80,12 @@ func getByteBuf(n int) *[]byte {
 
 func putByteBuf(p *[]byte) { byteBufPool.Put(p) }
 
-// flateWriterPool recycles DEFLATE compressors: flate.NewWriter allocates
-// hundreds of kilobytes of window state per call.
+// flateWriterPool recycles PlaneFlate32's Huffman-only DEFLATE writers:
+// flate.NewWriter allocates the 64 KB block window and the coder per call.
 var flateWriterPool = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	fw, err := flate.NewWriter(io.Discard, flate.HuffmanOnly)
 	if err != nil {
-		panic(err) // BestSpeed is a valid level; unreachable
+		panic(err) // HuffmanOnly is a valid level; unreachable
 	}
 	return fw
 }}

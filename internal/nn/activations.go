@@ -21,14 +21,18 @@ func (r *ReLU) Forward(x *Tensor, _ bool) *Tensor {
 		r.mask = make([]bool, len(y.Data))
 	}
 	r.mask = r.mask[:len(y.Data)]
+	mask, out := r.mask, y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			y.Data[i] = v
-		} else {
-			r.mask[i] = false
-			y.Data[i] = 0
+		// The sign of an activation is a coin flip, so the selection is
+		// done on the bit pattern rather than with a branch to mispredict:
+		// v where v > 0, +0 everywhere else (negatives, -0 and NaN).
+		pos := v > 0
+		var keep uint64
+		if pos {
+			keep = ^uint64(0)
 		}
+		mask[i] = pos
+		out[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 	return y
 }

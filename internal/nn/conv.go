@@ -98,11 +98,23 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 // dx element still receives its terms in (oc, oy, ox) order, every W.Grad
 // entry in (sample, oy, ox) order, exact-zero output gradients are still
 // skipped, and no product with a padding zero is ever formed.
-func (c *Conv2D) Backward(grad *Tensor) *Tensor {
+func (c *Conv2D) Backward(grad *Tensor) *Tensor { return c.backward(grad, true) }
+
+// backwardParams implements paramBackward. The 5×5 kernels compute the two
+// halves of the backward pass apart, so the input half is simply not run;
+// other kernel sizes scatter both in one loop and keep doing so.
+func (c *Conv2D) backwardParams(grad *Tensor) { c.backward(grad, c.K != 5) }
+
+// backward accumulates W.Grad and B.Grad and, when wantDX is set, computes
+// and returns the input gradient; without it the result is nil.
+func (c *Conv2D) backward(grad *Tensor, wantDX bool) *Tensor {
 	x := c.x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := grad.Shape[2], grad.Shape[3]
-	dx := c.dx.ensureZero(n, c.InC, h, w)
+	var dx *Tensor
+	if wantDX {
+		dx = c.dx.ensureZero(n, c.InC, h, w)
+	}
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
 	hw, ohw, kk := h*w, oh*ow, c.K*c.K
 	for ni := 0; ni < n; ni++ {
@@ -114,9 +126,12 @@ func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 			}
 			c.B.Grad[oc] = b
 			for ic := 0; ic < c.InC; ic++ {
-				g.backward(gr,
-					x.Data[(ni*c.InC+ic)*hw:][:hw], dx.Data[(ni*c.InC+ic)*hw:][:hw],
-					c.W.Data[(oc*c.InC+ic)*kk:][:kk], c.W.Grad[(oc*c.InC+ic)*kk:][:kk])
+				xs, dk := x.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Grad[(oc*c.InC+ic)*kk:][:kk]
+				if !wantDX {
+					g.kernelGrad5(gr, xs, dk)
+					continue
+				}
+				g.backward(gr, xs, dx.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk], dk)
 			}
 		}
 	}
@@ -431,6 +446,30 @@ func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
 			base := ((ni * cdim) + ci) * h * w
 			out := y.Data[((ni*cdim)+ci)*oh*ow:][: oh*ow : oh*ow]
 			arg := m.argmax[((ni*cdim)+ci)*oh*ow:][: oh*ow : oh*ow]
+			if m.K == 2 {
+				// The window every model here pools with: the loop below
+				// with its four taps written out, in the same scan order
+				// from the same first element.
+				for oy := 0; oy < oh; oy++ {
+					r0, r1 := in[2*oy*w:][:w], in[(2*oy+1)*w:][:w]
+					o, a := out[oy*ow:][:ow], arg[oy*ow:][:ow]
+					at := base + 2*oy*w
+					for ox := range o {
+						best, bestIdx := r0[2*ox], at+2*ox
+						if v := r0[2*ox+1]; v > best {
+							best, bestIdx = v, at+2*ox+1
+						}
+						if v := r1[2*ox]; v > best {
+							best, bestIdx = v, at+w+2*ox
+						}
+						if v := r1[2*ox+1]; v > best {
+							best, bestIdx = v, at+w+2*ox+1
+						}
+						o[ox], a[ox] = best, bestIdx
+					}
+				}
+				continue
+			}
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					// Start from the window's first element, not -Inf: a

@@ -40,6 +40,30 @@ func (s *Sequential) Backward(grad *Tensor) *Tensor {
 	return grad
 }
 
+// paramBackward is a Layer that can accumulate its parameter gradients without
+// computing the gradient with respect to its input.
+type paramBackward interface {
+	backwardParams(grad *Tensor)
+}
+
+// backwardParams is Backward for callers that do not read the gradient with
+// respect to the network input (a training step): the first layer is asked
+// for its parameter gradients only, when it can tell the two apart. Parameter
+// gradients are exactly Backward's.
+func (s *Sequential) backwardParams(grad *Tensor) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if len(s.Layers) == 0 {
+		return
+	}
+	if first, ok := s.Layers[0].(paramBackward); ok {
+		first.backwardParams(grad)
+		return
+	}
+	s.Layers[0].Backward(grad)
+}
+
 // Params returns all parameters in deterministic layer order.
 func (s *Sequential) Params() []*Param { return s.params }
 

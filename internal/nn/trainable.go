@@ -88,7 +88,7 @@ func (c *Classifier) TrainBatch(x *Tensor, y []float64, lr float64) float64 {
 		c.gradView.Shape = append(c.gradView.Shape[:0], out.Shape...)
 		grad = &c.gradView
 	}
-	c.Net.Backward(grad)
+	c.Net.backwardParams(grad)
 	c.opt.Step(lr, c.Net.Params())
 	return loss
 }
