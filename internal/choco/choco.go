@@ -21,6 +21,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/sparsify"
 	"repro/internal/topology"
+	"repro/internal/vec"
 )
 
 // Config parameterizes CHOCO-SGD.
@@ -34,7 +35,8 @@ type Config struct {
 	FloatCodec codec.FloatCodec
 }
 
-// Node is one CHOCO-SGD participant. It implements core.Node.
+// Node is one CHOCO-SGD participant. It implements core.Node. Its vectors are
+// the algorithm's state; per-call buffers come from a core.Scratch.
 type Node struct {
 	id     int
 	model  nn.Trainable
@@ -42,11 +44,10 @@ type Node struct {
 	opts   core.TrainOpts
 	cfg    Config
 
-	dim    int
-	params []float64 // x^(t+1/2) after local training
-	xhat   []float64 // x̂_i: own public replica
-	s      []float64 // Σ_j w_ij x̂_j over the (fixed) neighborhood
-	qSelf  []float64 // scratch: own quantized difference
+	dim   int
+	xhat  []float64 // x̂_i: own public replica
+	s     []float64 // Σ_j w_ij x̂_j over the (fixed) neighborhood
+	qSelf []float64 // q_i: own quantized difference, from Share to Aggregate
 }
 
 var _ core.Node = (*Node)(nil)
@@ -73,7 +74,6 @@ func New(id int, model nn.Trainable, loader *datasets.Loader, opts core.TrainOpt
 		opts:   opts,
 		cfg:    cfg,
 		dim:    dim,
-		params: make([]float64, dim),
 		xhat:   make([]float64, dim),
 		s:      make([]float64, dim),
 		qSelf:  make([]float64, dim),
@@ -102,30 +102,29 @@ func (n *Node) LocalTrain() float64 {
 // Share implements core.Node: q_i = TopK(x^(t+1/2) - x̂_i) with gamma-coded
 // index metadata.
 func (n *Node) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	n.model.CopyParams(n.params)
-	diff := make([]float64, n.dim)
-	for i := range diff {
-		diff[i] = n.params[i] - n.xhat[i]
-	}
+	sc := core.AcquireScratch()
+	defer sc.Release()
+	n.model.CopyParams(vec.Grow(&sc.Params, n.dim))
+	diff := vec.Grow(&sc.DeltaPar, n.dim)
+	vec.DiffInto(diff, sc.Params, n.xhat)
 	k := int(n.cfg.Fraction * float64(n.dim))
 	if k < 1 {
 		k = 1
 	}
-	var sv codec.SparseVector
+	sv := codec.SparseVector{Dim: n.dim}
 	mode := codec.IndexGamma
 	if k >= n.dim {
 		mode = codec.IndexDense
-		sv = codec.SparseVector{Dim: n.dim, Values: diff}
+		sv.Values = diff
 		copy(n.qSelf, diff)
 	} else {
-		idx := sparsify.TopKIndices(diff, k)
-		sv = codec.SparseVector{Dim: n.dim, Indices: idx, Values: sparsify.Gather(diff, idx)}
-		for i := range n.qSelf {
-			n.qSelf[i] = 0
-		}
-		sparsify.Scatter(n.qSelf, idx, sv.Values)
+		sv.Indices = sparsify.TopKIndicesWith(&sc.TopK, diff, k)
+		sc.Vals = sparsify.AppendGather(sc.Vals[:0], diff, sv.Indices)
+		sv.Values = sc.Vals
+		clear(n.qSelf)
+		sparsify.Scatter(n.qSelf, sv.Indices, sv.Values)
 	}
-	buf, bd, err := codec.EncodeSparse(sv, mode, n.cfg.FloatCodec)
+	buf, bd, err := codec.EncodeSparseWith(&sc.Enc, sv, mode, n.cfg.FloatCodec)
 	if err != nil {
 		return nil, bd, fmt.Errorf("choco: encoding payload: %w", err)
 	}
@@ -172,10 +171,15 @@ func (n *Node) Aggregate(round int, w topology.Weights, msgs map[int][]byte) err
 	for i, q := range n.qSelf {
 		n.xhat[i] += q
 	}
-	// x <- x^(t+1/2) + γ (s - x̂).
-	for i := range n.params {
-		n.params[i] += n.cfg.Gamma * (n.s[i] - n.xhat[i])
+	// x <- x^(t+1/2) + γ (s - x̂); the model still holds x^(t+1/2), the engines
+	// train only right before sharing.
+	sc := core.AcquireScratch()
+	defer sc.Release()
+	params := vec.Grow(&sc.Params, n.dim)
+	n.model.CopyParams(params)
+	for i := range params {
+		params[i] += n.cfg.Gamma * (n.s[i] - n.xhat[i])
 	}
-	n.model.SetParams(n.params)
+	n.model.SetParams(params)
 	return nil
 }

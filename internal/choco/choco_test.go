@@ -201,3 +201,31 @@ func TestChocoRejectsUnknownSender(t *testing.T) {
 		t.Fatal("expected error for unknown sender")
 	}
 }
+
+// TestChocoShareAllocationCeiling holds CHOCO's Share to the ceiling
+// TestJWINSHotPathAllocationFree sets for JWINS: with a warm working set and
+// the raw32 codec, the difference vector, the top-k selection, the gathered
+// values and the encode intermediates all live in the call's core.Scratch,
+// and the returned payload is the one allocation.
+func TestChocoShareAllocationCeiling(t *testing.T) {
+	const dim = 20_000
+	params := make([]float64, dim)
+	r := vec.NewRNG(1)
+	for i := range params {
+		params[i] = r.NormFloat64()
+	}
+	node, err := New(0, &stubModel{params: params}, testLoader(t), core.TrainOpts{LR: 0.1, LocalSteps: 1},
+		Config{Fraction: 0.2, Gamma: 0.6, FloatCodec: codec.Raw32{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := func() {
+		if _, _, err := node.Share(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	share()
+	if allocs := testing.AllocsPerRun(30, share); allocs > 1 {
+		t.Fatalf("Share allocates %v per op with a warm working set, want 1 (the payload)", allocs)
+	}
+}

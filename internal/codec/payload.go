@@ -93,10 +93,12 @@ func (b *ByteBreakdown) Add(o ByteBreakdown) {
 }
 
 // EncodeScratch holds the reusable intermediate buffers of EncodeSparseWith.
-// The zero value is ready; each owner (one per node) amortizes the value and
-// index encoding scratch across every round of a run. The returned payload
-// itself is always freshly allocated — payloads outlive the call (inboxes,
-// rejoin caches, in-flight messages), so only the intermediates are reused.
+// The zero value is ready; each owner (one per running call, shared by the
+// fleet) amortizes the value and index encoding scratch across every round of
+// a run, whatever the size of the last payload staged in it. The returned
+// payload itself is always freshly allocated — payloads outlive the call
+// (inboxes, rejoin caches, in-flight messages), so only the intermediates are
+// reused.
 type EncodeScratch struct {
 	vals []byte
 	idx  []byte

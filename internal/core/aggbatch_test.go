@@ -166,9 +166,9 @@ func TestAggregateBatchPlanChecks(t *testing.T) {
 }
 
 // TestAggregateBatchAllocationBudget holds the batched aggregate to the
-// engine's per-event ceiling: with warm scratch, the raw32 codec, and a
-// shared decode cache, a batched aggregate must allocate no more per node
-// than the per-node path's amortized scratch growth.
+// per-node path's budget: with warm working sets, the raw32 codec, and a
+// shared decode cache, a batched aggregate allocates nothing but the cache's
+// per-payload bookkeeping.
 func TestAggregateBatchAllocationBudget(t *testing.T) {
 	const (
 		batch = 8
@@ -243,7 +243,7 @@ func TestAggregateBatchAllocationBudget(t *testing.T) {
 	}
 	perAgg := aggAllocs / runs / batch
 	t.Logf("batched aggregate: %.2f allocs/aggregate (batch %d)", perAgg, batch)
-	if perAgg > 4 {
-		t.Fatalf("batched aggregate allocates %.2f per node, engine ceiling is 4", perAgg)
+	if perAgg > 1 {
+		t.Fatalf("batched aggregate allocates %.2f per node, want <= 1 (cache bookkeeping only)", perAgg)
 	}
 }

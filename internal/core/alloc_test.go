@@ -35,7 +35,7 @@ func allocPair(t *testing.T, dim int, fc codec.FloatCodec) (*JWINSNode, *JWINSNo
 }
 
 // TestJWINSHotPathAllocationFree is the zero-allocation acceptance guard: with
-// warm per-node scratch and the raw32 codec (no compress/flate internals),
+// a warm working set and the raw32 codec (no compress/flate internals),
 // Aggregate must not allocate at all, and Share must allocate only the
 // returned payload (payloads outlive the call, so that one allocation is
 // irreducible by design).
@@ -63,7 +63,8 @@ func TestJWINSHotPathAllocationFree(t *testing.T) {
 		round++
 	})
 	// The randomized cut-off resizes the payload every round, so allow the
-	// payload allocation plus an occasional scratch growth.
+	// payload allocation plus an occasional growth of the working set or of
+	// the node's k-sized index copy.
 	if shareAllocs > 3 {
 		t.Fatalf("Share allocates %v per op with warm scratch, want <= 3 (payload only)", shareAllocs)
 	}
@@ -80,7 +81,7 @@ func TestJWINSHotPathAllocationFree(t *testing.T) {
 
 // TestJWINSBandAdaptiveShareAllocationBudget extends the hot-path guard to
 // the band-adaptive selection path: its per-band masses, the selection set,
-// and the merged index list all live in per-node scratch, so a warm
+// and the merged index list all live in the call's Scratch, so a warm
 // band-adaptive Share must cost no more than the default path — the payload
 // plus occasional scratch growth.
 func TestJWINSBandAdaptiveShareAllocationBudget(t *testing.T) {

@@ -12,16 +12,12 @@ import (
 )
 
 // FullSharingNode is standard D-PSGD: every round the whole parameter vector
-// is exchanged and averaged with Metropolis-Hastings weights.
+// is exchanged and averaged with Metropolis-Hastings weights. It carries no
+// state beyond the model: both calls run in a Scratch.
 type FullSharingNode struct {
 	baseNode
-	fc     codec.FloatCodec
-	dim    int
-	params []float64
-	newPar []float64
-	wsum   []float64
-	dec    decodeScratch
-	enc    codec.EncodeScratch
+	fc  codec.FloatCodec
+	dim int
 }
 
 var _ Node = (*FullSharingNode)(nil)
@@ -34,38 +30,40 @@ func NewFullSharing(id int, model nn.Trainable, loader *datasets.Loader, opts Tr
 	if fc == nil {
 		fc = codec.PlaneFlate32{}
 	}
-	dim := model.ParamCount()
 	return &FullSharingNode{
 		baseNode: baseNode{id: id, model: model, loader: loader, opts: opts},
 		fc:       fc,
-		dim:      dim,
-		params:   make([]float64, dim),
-		newPar:   make([]float64, dim),
-		wsum:     make([]float64, dim),
+		dim:      model.ParamCount(),
 	}, nil
 }
 
 // Share implements Node: the dense parameter vector.
 func (n *FullSharingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	n.model.CopyParams(n.params)
-	sv := codec.SparseVector{Dim: n.dim, Values: n.params}
-	return encodeSparsePayloadWith(&n.enc, sv, codec.IndexDense, n.fc)
+	s := AcquireScratch()
+	defer s.Release()
+	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
+	sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
+	return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexDense, n.fc)
 }
-
-// SetDecodeCache attaches the fleet-shared decoded-payload cache.
-func (n *FullSharingNode) SetDecodeCache(c *DecodeCache) { n.dec.cache = c }
 
 // Aggregate implements Node: the classic weighted average
 // x_i <- w_ii x_i + sum_j w_ij x_j.
 func (n *FullSharingNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
-	decoded, err := n.dec.decodeAll(n.dim, w, msgs)
-	if err != nil {
-		n.dec.releaseHeld()
+	return n.averageModel(w, msgs)
+}
+
+// averageModel is the parameter-domain Aggregate of both baselines: the
+// per-parameter weighted average of the node's own model (unchanged since
+// Share — the engines train only right before sharing) and the providers of
+// each parameter, installed as the new model.
+func (b *baseNode) averageModel(w topology.Weights, msgs map[int][]byte) error {
+	s := AcquireScratch()
+	defer s.Release()
+	b.model.CopyParams(vec.Grow(&s.Params, b.model.ParamCount()))
+	if err := s.merge(b.cache, s.Params, w, msgs); err != nil {
 		return err
 	}
-	partialAverage(n.params, w.Self, decoded, n.newPar, n.wsum)
-	n.dec.releaseHeld()
-	n.model.SetParams(n.newPar)
+	b.model.SetParams(s.avg)
 	return nil
 }
 
@@ -78,12 +76,6 @@ type RandomSamplingNode struct {
 	fraction float64
 	rng      *vec.RNG
 	dim      int
-	params   []float64
-	newPar   []float64
-	wsum     []float64
-	vals     []float64
-	dec      decodeScratch
-	enc      codec.EncodeScratch
 }
 
 var _ Node = (*RandomSamplingNode)(nil)
@@ -100,53 +92,40 @@ func NewRandomSampling(id int, model nn.Trainable, loader *datasets.Loader, opts
 	if fc == nil {
 		fc = codec.PlaneFlate32{}
 	}
-	dim := model.ParamCount()
 	return &RandomSamplingNode{
 		baseNode: baseNode{id: id, model: model, loader: loader, opts: opts},
 		fc:       fc,
 		fraction: fraction,
 		rng:      rng,
-		dim:      dim,
-		params:   make([]float64, dim),
-		newPar:   make([]float64, dim),
-		wsum:     make([]float64, dim),
+		dim:      model.ParamCount(),
 	}, nil
 }
 
 // Share implements Node: seed-described random subset of raw parameters.
 func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	n.model.CopyParams(n.params)
+	s := AcquireScratch()
+	defer s.Release()
+	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
 	k := int(n.fraction * float64(n.dim))
 	if k < 1 {
 		k = 1
 	}
 	if k >= n.dim {
-		sv := codec.SparseVector{Dim: n.dim, Values: n.params}
-		return encodeSparsePayloadWith(&n.enc, sv, codec.IndexDense, n.fc)
+		sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
+		return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexDense, n.fc)
 	}
 	seed := n.rng.Uint64()
 	indices := codec.SeededIndices(seed, n.dim, k)
-	n.vals = sparsify.AppendGather(n.vals[:0], n.params, indices)
+	s.Vals = sparsify.AppendGather(s.Vals[:0], s.Params, indices)
 	sv := codec.SparseVector{
 		Dim:    n.dim,
 		Seed:   seed,
-		Values: n.vals,
+		Values: s.Vals,
 	}
-	return encodeSparsePayloadWith(&n.enc, sv, codec.IndexSeed, n.fc)
+	return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexSeed, n.fc)
 }
-
-// SetDecodeCache attaches the fleet-shared decoded-payload cache.
-func (n *RandomSamplingNode) SetDecodeCache(c *DecodeCache) { n.dec.cache = c }
 
 // Aggregate implements Node: per-parameter weighted average over providers.
 func (n *RandomSamplingNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
-	decoded, err := n.dec.decodeAll(n.dim, w, msgs)
-	if err != nil {
-		n.dec.releaseHeld()
-		return err
-	}
-	partialAverage(n.params, w.Self, decoded, n.newPar, n.wsum)
-	n.dec.releaseHeld()
-	n.model.SetParams(n.newPar)
-	return nil
+	return n.averageModel(w, msgs)
 }

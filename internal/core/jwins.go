@@ -68,48 +68,31 @@ func DefaultJWINSConfig() JWINSConfig {
 	}
 }
 
-// JWINSNode implements Algorithm 1 of the paper.
+// JWINSNode implements Algorithm 1 of the paper. Its fields are the state the
+// algorithm's equations carry from one call to the next; every other buffer
+// a call needs comes from the Scratch the call runs in.
 type JWINSNode struct {
 	baseNode
-	cfg       JWINSConfig
-	transform dwt.Transform
-	rng       *vec.RNG
+	cfg  JWINSConfig
+	plan *dwt.Plan // nil under DisableWavelet: coefficients are the parameters
+	rng  *vec.RNG
 
-	dim        int       // flat parameter dimension
-	coeffDim   int       // coefficient vector dimension
-	acc        []float64 // V: accumulated importance scores (coeff domain)
-	params     []float64 // scratch: current parameters x^(t,tau)
-	startPar   []float64 // x^(t,0)
-	curCoeffs  []float64 // DWT(x^(t,tau)), computed in Share
-	newCoeffs  []float64 // scratch for the averaged coefficients
-	wsum       []float64 // scratch for present-weight sums
-	lastShared []int     // indices shared this round (aliases topk scratch)
+	dim       int       // flat parameter dimension
+	coeffDim  int       // coefficient vector dimension
+	acc       []float64 // V: accumulated importance scores (coeff domain)
+	startPar  []float64 // x^(t,0)
+	curCoeffs []float64 // DWT(x^(t,tau)), computed in Share, averaged in Aggregate
 
-	// Reusable hot-path scratch: Share and Aggregate run every simulated
-	// round on every node, so they must not allocate in steady state.
-	deltaPar    []float64 // x^(t,tau) - x^(t,0)
-	deltaCoeff  []float64 // DWT of the delta
-	newParams   []float64 // inverse-transformed averaged parameters
-	installed   []float64 // DWT of the installed parameters (eq. 4)
-	startCoeffs []float64 // DWT of x^(t,0) (literal eq. 4 only, lazy)
-	sharedVals  []float64 // gathered coefficient values for the payload
-	topk        sparsify.TopKScratch
-	dec         decodeScratch
-	enc         codec.EncodeScratch
-
-	// Band-adaptive selection scratch (BandAdaptive only): per-band masses,
-	// the cross-band selection set, and the sorted result, reused per call so
-	// the band path matches the flat path's zero steady-state allocations.
-	bandMasses []float64
-	bandSel    map[int]bool
-	bandOut    []int
+	// lastShared is the node's own copy of the indices shared this round,
+	// sized to the round's k (never to coeffDim): a full share (k == coeffDim)
+	// sets fullShare and leaves it empty — every coefficient goes out as a
+	// dense payload and Aggregate clears all of V.
+	lastShared []int
+	fullShare  bool
 
 	// LastAlpha records the cut-off sampled in the most recent Share call
 	// (instrumented for the Figure 3 experiment).
 	LastAlpha float64
-	// lastK is the budget derived from LastAlpha in the most recent
-	// shareSelect, carried to shareEncode's dense-vs-sparse decision.
-	lastK int
 }
 
 var _ Node = (*JWINSNode)(nil)
@@ -127,10 +110,9 @@ func NewJWINS(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 		cfg.FloatCodec = codec.PlaneFlate32{}
 	}
 	dim := model.ParamCount()
-	var transform dwt.Transform
-	if cfg.DisableWavelet {
-		transform = dwt.Identity{N: dim}
-	} else {
+	cd := dim
+	var plan *dwt.Plan
+	if !cfg.DisableWavelet {
 		if cfg.Wavelet == "" {
 			cfg.Wavelet = "sym2"
 		}
@@ -141,30 +123,21 @@ func NewJWINS(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 		if err != nil {
 			return nil, err
 		}
-		tr, err := dwt.NewTransformer(dim, w, cfg.Levels)
-		if err != nil {
+		if plan, err = dwt.PlanFor(dim, w, cfg.Levels); err != nil {
 			return nil, err
 		}
-		transform = tr
+		cd = plan.CoeffLen()
 	}
-	cd := transform.CoeffLen()
 	n := &JWINSNode{
-		baseNode:   baseNode{id: id, model: model, loader: loader, opts: opts},
-		cfg:        cfg,
-		transform:  transform,
-		rng:        rng,
-		dim:        dim,
-		coeffDim:   cd,
-		acc:        make([]float64, cd),
-		params:     make([]float64, dim),
-		startPar:   make([]float64, dim),
-		curCoeffs:  make([]float64, cd),
-		newCoeffs:  make([]float64, cd),
-		wsum:       make([]float64, cd),
-		deltaPar:   make([]float64, dim),
-		deltaCoeff: make([]float64, cd),
-		newParams:  make([]float64, dim),
-		installed:  make([]float64, cd),
+		baseNode:  baseNode{id: id, model: model, loader: loader, opts: opts},
+		cfg:       cfg,
+		plan:      plan,
+		rng:       rng,
+		dim:       dim,
+		coeffDim:  cd,
+		acc:       make([]float64, cd),
+		startPar:  make([]float64, dim),
+		curCoeffs: make([]float64, cd),
 	}
 	model.CopyParams(n.startPar)
 	return n, nil
@@ -176,6 +149,16 @@ func (n *JWINSNode) CoeffDim() int { return n.coeffDim }
 // Accumulator returns the live importance-score vector V (read-only use).
 func (n *JWINSNode) Accumulator() []float64 { return n.acc }
 
+// forward writes the coefficients of x into out, running the plan's DWT in
+// the call's scratch (the identity under DisableWavelet).
+func (n *JWINSNode) forward(s *Scratch, x, out []float64) {
+	if n.plan == nil {
+		copy(out, x)
+		return
+	}
+	n.plan.Forward(x, out, &s.dwt)
+}
+
 // Share implements lines 5-8 of Algorithm 1: accumulate the wavelet-domain
 // model change, sample the cut-off, select TopK of the accumulated scores,
 // and encode the selected coefficients of DWT(x^(t,tau)) with compressed
@@ -186,34 +169,36 @@ func (n *JWINSNode) Accumulator() []float64 { return n.acc }
 // stages for a batch of nodes through one shared plan; the per-node order of
 // operations here is the reference the batch path must match bit for bit.
 func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	n.sharePrep()
-	n.transform.Forward(n.deltaPar, n.deltaCoeff)
-	n.shareSelect()
+	s := AcquireScratch()
+	defer s.Release()
+	n.sharePrep(s)
+	n.forward(s, s.DeltaPar, vec.Grow(&s.deltaCoeff, n.coeffDim))
+	n.shareSelect(s)
 	// Share DWT(x^(t,tau))[I] with compressed indices (line 8).
-	n.transform.Forward(n.params, n.curCoeffs)
-	return n.shareEncode()
+	n.forward(s, s.Params, n.curCoeffs)
+	return n.shareEncode(s)
 }
 
 // sharePrep snapshots the model and computes the round's parameter change
-// x^(t,tau) - x^(t,0) into deltaPar.
-func (n *JWINSNode) sharePrep() {
-	n.model.CopyParams(n.params)
-	vec.DiffInto(n.deltaPar, n.params, n.startPar)
+// x^(t,tau) - x^(t,0) into DeltaPar.
+func (n *JWINSNode) sharePrep(s *Scratch) {
+	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
+	vec.DiffInto(vec.Grow(&s.DeltaPar, n.dim), s.Params, n.startPar)
 }
 
-// shareSelect folds deltaCoeff — which must already hold DWT(deltaPar) —
+// shareSelect folds deltaCoeff — which must already hold DWT(DeltaPar) —
 // into the accumulator (eq. 3), samples the randomized cut-off (line 6), and
 // selects the round's index set (line 7).
-func (n *JWINSNode) shareSelect() {
+func (n *JWINSNode) shareSelect(s *Scratch) {
 	// V' = V + DWT(x^(t,tau) - x^(t,0))   (eq. 3)
 	switch {
 	case n.cfg.DisableAccumulation:
-		copy(n.acc, n.deltaCoeff)
+		copy(n.acc, s.deltaCoeff)
 	case n.cfg.AccumulationDecay > 0 && n.cfg.AccumulationDecay < 1:
 		vec.Scale(n.acc, n.cfg.AccumulationDecay)
-		vec.Add(n.acc, n.deltaCoeff)
+		vec.Add(n.acc, s.deltaCoeff)
 	default:
-		vec.Add(n.acc, n.deltaCoeff)
+		vec.Add(n.acc, s.deltaCoeff)
 	}
 
 	// Randomized cut-off (line 6).
@@ -226,33 +211,40 @@ func (n *JWINSNode) shareSelect() {
 	if k < 1 {
 		k = 1
 	}
-	if k > n.coeffDim {
-		k = n.coeffDim
-	}
-	n.lastK = k
 
 	// TopK over accumulated importance (line 7), optionally split per band.
-	if n.cfg.BandAdaptive {
-		n.lastShared = n.bandAdaptiveTopK(k)
-	} else {
-		n.lastShared = sparsify.TopKIndicesWith(&n.topk, n.acc, k)
+	// A full share has nothing to rank: it sends and resets every coefficient.
+	n.lastShared = n.lastShared[:0]
+	n.fullShare = k >= n.coeffDim
+	if n.fullShare {
+		return
 	}
+	var sel []int
+	if n.cfg.BandAdaptive {
+		sel = n.bandAdaptiveTopK(s, k)
+	} else {
+		sel = sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
+	}
+	if cap(n.lastShared) < k {
+		n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
+	}
+	n.lastShared = append(n.lastShared, sel...)
 }
 
 // shareEncode gathers and encodes the selected coefficients of curCoeffs —
-// which must already hold DWT(params).
-func (n *JWINSNode) shareEncode() ([]byte, codec.ByteBreakdown, error) {
+// which must already hold DWT(Params).
+func (n *JWINSNode) shareEncode(s *Scratch) ([]byte, codec.ByteBreakdown, error) {
 	sv := codec.SparseVector{Dim: n.coeffDim}
 	mode := codec.IndexGamma
-	if n.lastK == n.coeffDim {
-		mode = codec.IndexDense // full share: skip index metadata entirely
+	if n.fullShare {
+		mode = codec.IndexDense // skip index metadata entirely
 		sv.Values = n.curCoeffs
 	} else {
 		sv.Indices = n.lastShared
-		n.sharedVals = sparsify.AppendGather(n.sharedVals[:0], n.curCoeffs, n.lastShared)
-		sv.Values = n.sharedVals
+		s.Vals = sparsify.AppendGather(s.Vals[:0], n.curCoeffs, n.lastShared)
+		sv.Values = s.Vals
 	}
-	return encodeSparsePayloadWith(&n.enc, sv, mode, n.cfg.FloatCodec)
+	return encodeSparsePayloadWith(&s.Enc, sv, mode, n.cfg.FloatCodec)
 }
 
 // Aggregate implements lines 9-12 of Algorithm 1: average the received
@@ -265,69 +257,64 @@ func (n *JWINSNode) shareEncode() ([]byte, codec.ByteBreakdown, error) {
 // shared plan; the per-node order of operations here is the reference the
 // batch path must match bit for bit.
 func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
-	if err := n.aggMerge(w, msgs); err != nil {
+	s := AcquireScratch()
+	defer s.Release()
+	if err := n.aggMerge(s, w, msgs); err != nil {
 		return err
 	}
-	n.transform.Inverse(n.newCoeffs, n.newParams)
-	n.aggInstall()
+	if n.plan == nil {
+		copy(vec.Grow(&s.newParams, n.dim), s.avg)
+	} else {
+		n.plan.Inverse(s.avg, vec.Grow(&s.newParams, n.dim), &s.dwt)
+	}
+	n.aggInstall(s)
 	if !n.cfg.DisableAccumulation {
 		// Fold in the round's remaining model change (eq. 4).
-		n.transform.Forward(n.newParams, n.installed)
+		n.forward(s, s.newParams, vec.Grow(&s.installed, n.coeffDim))
 	}
-	n.aggFold()
+	n.aggFold(s)
 	return nil
 }
 
-// SetDecodeCache attaches the fleet-shared decoded-payload cache; aggMerge
-// then serves neighbor decodes from it instead of decoding per recipient.
-func (n *JWINSNode) SetDecodeCache(c *DecodeCache) { n.dec.cache = c }
-
-// aggMerge decodes the neighbor payloads (once fleet-wide when a
-// DecodeCache is attached) and computes the weight-normalized partial
-// average into newCoeffs (lines 9-10).
-func (n *JWINSNode) aggMerge(w topology.Weights, msgs map[int][]byte) error {
-	decoded, err := n.dec.decodeAll(n.coeffDim, w, msgs)
-	if err != nil {
-		n.dec.releaseHeld()
-		return err
-	}
-	partialAverage(n.curCoeffs, w.Self, decoded, n.newCoeffs, n.wsum)
-	n.dec.releaseHeld()
-	return nil
+// aggMerge computes the weight-normalized partial average of curCoeffs and
+// the neighbor payloads into avg (lines 9-10).
+func (n *JWINSNode) aggMerge(s *Scratch, w topology.Weights, msgs map[int][]byte) error {
+	return s.merge(n.cache, n.curCoeffs, w, msgs)
 }
 
 // aggInstall installs the reconstructed model — newParams must already hold
-// the inverse transform of newCoeffs — and resets V for the coefficients
-// just shared (line 12, first half).
-func (n *JWINSNode) aggInstall() {
-	n.model.SetParams(n.newParams)
-	if !n.cfg.DisableAccumulation {
-		for _, idx := range n.lastShared {
-			n.acc[idx] = 0
-		}
+// the inverse transform of avg — and resets V for the coefficients just
+// shared (line 12, first half).
+func (n *JWINSNode) aggInstall(s *Scratch) {
+	n.model.SetParams(s.newParams)
+	if n.cfg.DisableAccumulation {
+		return
+	}
+	if n.fullShare {
+		clear(n.acc)
+	}
+	for _, idx := range n.lastShared {
+		n.acc[idx] = 0
 	}
 }
 
 // aggFold folds the round's remaining change into the accumulator —
 // installed must already hold DWT(newParams) when accumulation is on — and
 // advances the round baseline x^(t+1,0).
-func (n *JWINSNode) aggFold() {
+func (n *JWINSNode) aggFold(s *Scratch) {
 	if !n.cfg.DisableAccumulation {
+		// V += DWT(x^(t+1,0)) - DWT(x^(t,tau)), or - DWT(x^(t,0)) under the
+		// literal reading of eq. 4.
+		from := n.curCoeffs
 		if n.cfg.AccumulateLiteralEq4 {
-			if n.startCoeffs == nil {
-				n.startCoeffs = make([]float64, n.coeffDim)
-			}
-			n.transform.Forward(n.startPar, n.startCoeffs)
-			for k := range n.acc {
-				n.acc[k] += n.installed[k] - n.startCoeffs[k]
-			}
-		} else {
-			for k := range n.acc {
-				n.acc[k] += n.installed[k] - n.curCoeffs[k]
-			}
+			from = vec.Grow(&s.startCoeffs, n.coeffDim)
+			n.forward(s, n.startPar, from)
+		}
+		for k := range n.acc {
+			n.acc[k] += s.installed[k] - from[k]
 		}
 	}
-	copy(n.startPar, n.newParams)
+	copy(n.startPar, s.newParams)
 }
 
 // bandAdaptiveTopK distributes the budget k over wavelet sub-bands
@@ -335,38 +322,37 @@ func (n *JWINSNode) aggFold() {
 // inside each band. Bands whose share rounds to zero still contribute their
 // single largest coefficient when mass is non-zero, and any remainder is
 // filled from the globally best unselected coefficients.
-// Every call runs through per-node scratch (bandMasses, bandSel, bandOut,
+// Every call runs through the call's scratch (bandMasses, bandSel, bandOut,
 // the shared top-k scratch): the band path is on the share hot path for
 // band-adaptive fleets and must stay allocation-free in steady state. Each
 // top-k call's result is consumed before the next reuses the scratch; the
-// returned slice stays valid until the next selection, like the flat path.
-func (n *JWINSNode) bandAdaptiveTopK(k int) []int {
-	tr, ok := n.transform.(*dwt.Transformer)
-	if !ok {
-		return sparsify.TopKIndicesWith(&n.topk, n.acc, k)
+// returned slice stays valid until the scratch's next selection.
+func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, k int) []int {
+	if n.plan == nil {
+		return sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
 	}
-	bands := tr.Bands()
-	n.bandMasses = n.bandMasses[:0]
+	bands := n.plan.Bands()
+	s.bandMasses = s.bandMasses[:0]
 	var total float64
 	for _, b := range bands {
 		var m float64
 		for _, v := range n.acc[b.Offset : b.Offset+b.Len] {
 			m += math.Abs(v)
 		}
-		n.bandMasses = append(n.bandMasses, m)
+		s.bandMasses = append(s.bandMasses, m)
 		total += m
 	}
 	if total == 0 {
-		return sparsify.TopKIndicesWith(&n.topk, n.acc, k)
+		return sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
 	}
-	if n.bandSel == nil {
-		n.bandSel = make(map[int]bool, k)
+	if s.bandSel == nil {
+		s.bandSel = make(map[int]bool, k)
 	}
-	clear(n.bandSel)
-	selected := n.bandSel
+	clear(s.bandSel)
+	selected := s.bandSel
 	for bi, b := range bands {
-		kb := int(math.Round(float64(k) * n.bandMasses[bi] / total))
-		if kb == 0 && n.bandMasses[bi] > 0 {
+		kb := int(math.Round(float64(k) * s.bandMasses[bi] / total))
+		if kb == 0 && s.bandMasses[bi] > 0 {
 			kb = 1
 		}
 		if kb > b.Len {
@@ -375,7 +361,7 @@ func (n *JWINSNode) bandAdaptiveTopK(k int) []int {
 		if kb == 0 {
 			continue
 		}
-		local := sparsify.TopKIndicesWith(&n.topk, n.acc[b.Offset:b.Offset+b.Len], kb)
+		local := sparsify.TopKIndicesWith(&s.TopK, n.acc[b.Offset:b.Offset+b.Len], kb)
 		for _, li := range local {
 			if len(selected) >= k {
 				break
@@ -385,19 +371,19 @@ func (n *JWINSNode) bandAdaptiveTopK(k int) []int {
 	}
 	// Fill any remainder from the global ranking.
 	if len(selected) < k {
-		for _, idx := range sparsify.TopKIndicesWith(&n.topk, n.acc, k+len(selected)) {
+		for _, idx := range sparsify.TopKIndicesWith(&s.TopK, n.acc, k+len(selected)) {
 			if len(selected) >= k {
 				break
 			}
 			selected[idx] = true
 		}
 	}
-	n.bandOut = n.bandOut[:0]
+	s.bandOut = s.bandOut[:0]
 	for idx := range selected {
-		n.bandOut = append(n.bandOut, idx)
+		s.bandOut = append(s.bandOut, idx)
 	}
-	sort.Ints(n.bandOut)
-	return n.bandOut
+	sort.Ints(s.bandOut)
+	return s.bandOut
 }
 
 // encodeSparsePayloadWith wraps codec.EncodeSparseWith — the node's reusable

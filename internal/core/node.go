@@ -53,16 +53,21 @@ func (o TrainOpts) validate() error {
 }
 
 // baseNode carries the state every algorithm shares: the model, the local
-// data loader, and the training options.
+// data loader, the training options, and the fleet's decode cache.
 type baseNode struct {
 	id     int
 	model  nn.Trainable
 	loader *datasets.Loader
 	opts   TrainOpts
+	cache  *DecodeCache
 }
 
 func (b *baseNode) ID() int             { return b.id }
 func (b *baseNode) Model() nn.Trainable { return b.model }
+
+// SetDecodeCache attaches the fleet-shared decoded-payload cache; Aggregate
+// then serves neighbor decodes from it instead of decoding per recipient.
+func (b *baseNode) SetDecodeCache(c *DecodeCache) { b.cache = c }
 
 // LocalStepCount reports tau; the simulation's time model uses it.
 func (b *baseNode) LocalStepCount() int { return b.opts.LocalSteps }
@@ -117,29 +122,30 @@ type decodedMsg struct {
 	weight float64
 }
 
-// decodeScratch holds one node's reusable payload-decoding state: the sorted
-// sender list and one sparse-vector slot per neighbor, so steady-state
-// aggregation decodes every payload into warm buffers. Each node owns one;
-// it is not safe for concurrent use (nodes are single-threaded by the
-// engines' per-node task chains). With a DecodeCache attached, slots alias
-// shared cache entries instead of decoding locally; held tracks the entries
-// to release once the aggregate no longer reads them.
+// decodeScratch holds the reusable payload-decoding state of one Aggregate
+// call: the sorted sender list and one sparse-vector slot per neighbor, so
+// steady-state aggregation decodes every payload into warm buffers. It is
+// part of the call's Scratch and not safe for concurrent use. With a
+// DecodeCache, slots alias shared cache entries instead of decoding locally;
+// held tracks the entries to release once the aggregate no longer reads them.
 type decodeScratch struct {
 	senders []int
 	msgs    []decodedMsg
-	cache   *DecodeCache
 	held    []*cacheEntry
 }
 
-// releaseHeld returns every cache entry acquired by the last decodeAll. Call
-// it as soon as the decoded vectors are no longer read (after the partial
-// average); safe to call when no cache is attached or nothing is held.
-func (d *decodeScratch) releaseHeld() {
+// releaseHeld returns every entry the last decodeAll acquired from cache.
+// Call it as soon as the decoded vectors are no longer read (after the
+// partial average); safe to call when cache is nil or nothing is held.
+func (d *decodeScratch) releaseHeld(cache *DecodeCache) {
 	for i, e := range d.held {
-		d.cache.release(e)
+		cache.release(e)
 		d.held[i] = nil
 	}
 	d.held = d.held[:0]
+	for i := range d.msgs {
+		d.msgs[i].sv = codec.SparseVector{} // a recycled scratch must not pin cache entries
+	}
 }
 
 // decodeAll decodes neighbor payloads and attaches mixing weights, erroring
@@ -148,8 +154,9 @@ func (d *decodeScratch) releaseHeld() {
 // handles them with a full-vector pass). Senders are processed in increasing
 // id order so floating-point accumulation is bit-for-bit reproducible across
 // runs (map iteration order is not). The returned slice and its sparse
-// vectors are owned by the scratch and valid until its next use.
-func (d *decodeScratch) decodeAll(dim int, w topology.Weights, msgs map[int][]byte) ([]decodedMsg, error) {
+// vectors are owned by the scratch and valid until its next use. A non-nil
+// cache serves the decodes; the caller must releaseHeld on it afterwards.
+func (d *decodeScratch) decodeAll(cache *DecodeCache, dim int, w topology.Weights, msgs map[int][]byte) ([]decodedMsg, error) {
 	d.senders = d.senders[:0]
 	for from := range msgs {
 		d.senders = append(d.senders, from)
@@ -167,10 +174,10 @@ func (d *decodeScratch) decodeAll(dim int, w topology.Weights, msgs map[int][]by
 		}
 		m := &out[slot]
 		m.weight = weight
-		if d.cache != nil && len(buf) > 0 {
-			e := d.cache.acquire(from, buf)
+		if cache != nil && len(buf) > 0 {
+			e := cache.acquire(from, buf)
 			if e.err != nil {
-				d.cache.release(e)
+				cache.release(e)
 				return nil, fmt.Errorf("core: payload from %d: %w", from, e.err)
 			}
 			d.held = append(d.held, e)

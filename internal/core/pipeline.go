@@ -6,36 +6,51 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dwt"
 	"repro/internal/topology"
+	"repro/internal/vec"
 )
 
 // SharePlan returns the immutable DWT plan backing this node's transform, or
 // nil when the transform is not plan-backed (the DisableWavelet ablation's
-// Identity). Nodes returning the same *Plan can run through one SharePipeline
+// identity). Nodes returning the same *Plan can run through one SharePipeline
 // batch.
-func (n *JWINSNode) SharePlan() *dwt.Plan {
-	if tr, ok := n.transform.(*dwt.Transformer); ok {
-		return tr.Plan()
+func (n *JWINSNode) SharePlan() *dwt.Plan { return n.plan }
+
+// batchSets is what both pipelines reuse across calls: the slot lists of a
+// batch's working sets and of the batched transforms' inputs and outputs. A
+// batch holds one Scratch per member for its whole duration, because every
+// member's stage outputs stay live until its last stage has run.
+type batchSets struct {
+	sets []*Scratch
+	ins  [][]float64
+	outs [][]float64
+}
+
+func (b *batchSets) acquire(n int) {
+	for len(b.sets) < n {
+		b.sets = append(b.sets, AcquireScratch())
 	}
-	return nil
+}
+
+func (b *batchSets) release() {
+	for i, s := range b.sets {
+		s.Release()
+		b.sets[i] = nil
+	}
+	b.sets = b.sets[:0]
 }
 
 // SharePipeline runs the share phase of a batch of JWINS nodes through their
 // fleet-shared DWT plan: stage by stage — model snapshot and delta, batched
 // forward transform of the deltas, accumulator update + cut-off + top-k,
-// batched forward transform of the current parameters, gather + encode —
-// with one set of batch scratch instead of per-node ping-pong buffers.
+// batched forward transform of the current parameters, gather + encode.
 //
 // Every per-node observable (accumulator, selected indices, LastAlpha,
 // encoded payload, RNG stream) is bit-identical to calling Share on each
 // node in order: the stages are literally the same methods the per-node path
 // runs, nodes are independent, and the batched transform is bit-identical to
 // the looped one (see dwt's differential tests). A SharePipeline reuses its
-// scratch across calls and is NOT safe for concurrent use.
-type SharePipeline struct {
-	scratch dwt.Scratch
-	ins     [][]float64
-	outs    [][]float64
-}
+// slot lists across calls and is NOT safe for concurrent use.
+type SharePipeline struct{ batchSets }
 
 // ShareBatch runs the share phase for all nodes, which must share one
 // non-nil plan, writing each node's payload and byte breakdown into
@@ -59,32 +74,37 @@ func (p *SharePipeline) ShareBatch(nodes []*JWINSNode, payloads [][]byte, bds []
 		}
 	}
 
+	p.acquire(len(nodes))
+	defer p.release()
+	scratch := &p.sets[0].dwt
+
 	// Stage 1: snapshot models and form parameter deltas.
 	p.ins, p.outs = p.ins[:0], p.outs[:0]
-	for _, n := range nodes {
-		n.sharePrep()
-		p.ins = append(p.ins, n.deltaPar)
-		p.outs = append(p.outs, n.deltaCoeff)
+	for i, n := range nodes {
+		s := p.sets[i]
+		n.sharePrep(s)
+		p.ins = append(p.ins, s.DeltaPar)
+		p.outs = append(p.outs, vec.Grow(&s.deltaCoeff, n.coeffDim))
 	}
 	// Stage 2: one batched pass turns every node's delta into coefficients.
-	plan.ForwardBatch(p.ins, p.outs, &p.scratch)
+	plan.ForwardBatch(p.ins, p.outs, scratch)
 
 	// Stage 3: accumulate, sample cut-offs, select indices (per-node RNGs).
-	for _, n := range nodes {
-		n.shareSelect()
+	for i, n := range nodes {
+		n.shareSelect(p.sets[i])
 	}
 
 	// Stage 4: batched forward of the current parameters.
 	p.ins, p.outs = p.ins[:0], p.outs[:0]
-	for _, n := range nodes {
-		p.ins = append(p.ins, n.params)
+	for i, n := range nodes {
+		p.ins = append(p.ins, p.sets[i].Params)
 		p.outs = append(p.outs, n.curCoeffs)
 	}
-	plan.ForwardBatch(p.ins, p.outs, &p.scratch)
+	plan.ForwardBatch(p.ins, p.outs, scratch)
 
 	// Stage 5: gather and encode each node's payload.
 	for i, n := range nodes {
-		payload, bd, err := n.shareEncode()
+		payload, bd, err := n.shareEncode(p.sets[i])
 		if err != nil {
 			return err
 		}
@@ -97,20 +117,15 @@ func (p *SharePipeline) ShareBatch(nodes []*JWINSNode, payloads [][]byte, bds []
 // the aggregate phase of a batch of plan-sharing JWINS nodes runs stage by
 // stage — decode-or-cache-hit + partial average, batched inverse transform,
 // model install + accumulator reset, batched forward transform for the
-// eq.-4 update, accumulator fold — through one shared plan and one set of
-// batch scratch.
+// eq.-4 update, accumulator fold — through one shared plan.
 //
 // The stages are literally the same methods the per-node Aggregate runs, in
 // the same per-node order, and the batched transforms are bit-identical to
 // the looped ones (dwt's differential tests), so every per-node observable
 // — installed model, accumulator, startPar baseline — matches calling
 // Aggregate on each node in batch order bit for bit. An AggregatePipeline
-// reuses its scratch across calls and is NOT safe for concurrent use.
-type AggregatePipeline struct {
-	scratch dwt.Scratch
-	ins     [][]float64
-	outs    [][]float64
-}
+// reuses its slot lists across calls and is NOT safe for concurrent use.
+type AggregatePipeline struct{ batchSets }
 
 // AggregateBatch runs the aggregate phase for all nodes, which must share
 // one non-nil plan; ws[i] and msgs[i] are node i's mixing weights and
@@ -134,41 +149,47 @@ func (p *AggregatePipeline) AggregateBatch(nodes []*JWINSNode, ws []topology.Wei
 		}
 	}
 
+	p.acquire(len(nodes))
+	defer p.release()
+	scratch := &p.sets[0].dwt
+
 	// Stage 1: decode (once fleet-wide under a DecodeCache) and partial-average.
 	for i, n := range nodes {
-		if err := n.aggMerge(ws[i], msgs[i]); err != nil {
+		if err := n.aggMerge(p.sets[i], ws[i], msgs[i]); err != nil {
 			return err
 		}
 	}
 
 	// Stage 2: one batched inverse pass reconstructs every node's parameters.
 	p.ins, p.outs = p.ins[:0], p.outs[:0]
-	for _, n := range nodes {
-		p.ins = append(p.ins, n.newCoeffs)
-		p.outs = append(p.outs, n.newParams)
+	for i, n := range nodes {
+		s := p.sets[i]
+		p.ins = append(p.ins, s.avg)
+		p.outs = append(p.outs, vec.Grow(&s.newParams, n.dim))
 	}
-	plan.InverseBatch(p.ins, p.outs, &p.scratch)
+	plan.InverseBatch(p.ins, p.outs, scratch)
 
 	// Stage 3: install models and reset the shared accumulator entries.
-	for _, n := range nodes {
-		n.aggInstall()
+	for i, n := range nodes {
+		n.aggInstall(p.sets[i])
 	}
 
 	// Stage 4: batched forward of the installed parameters (eq. 4), for the
 	// accumulation-enabled nodes only.
 	p.ins, p.outs = p.ins[:0], p.outs[:0]
-	for _, n := range nodes {
+	for i, n := range nodes {
 		if n.cfg.DisableAccumulation {
 			continue
 		}
-		p.ins = append(p.ins, n.newParams)
-		p.outs = append(p.outs, n.installed)
+		s := p.sets[i]
+		p.ins = append(p.ins, s.newParams)
+		p.outs = append(p.outs, vec.Grow(&s.installed, n.coeffDim))
 	}
-	plan.ForwardBatch(p.ins, p.outs, &p.scratch)
+	plan.ForwardBatch(p.ins, p.outs, scratch)
 
 	// Stage 5: fold accumulators and advance the round baselines.
-	for _, n := range nodes {
-		n.aggFold()
+	for i, n := range nodes {
+		n.aggFold(p.sets[i])
 	}
 	return nil
 }

@@ -166,10 +166,10 @@ func TestShareBatchPlanChecks(t *testing.T) {
 	}
 }
 
-// TestShareBatchAllocationBudget holds the batch path to the engine's
-// per-event allocation ceiling (<= 4 allocs/event, internal/perf): with warm
-// scratch and the raw32 codec, a batched share must allocate no more per
-// node than the per-node path — the payload, plus amortized scratch growth.
+// TestShareBatchAllocationBudget holds the batch path to the per-node path's
+// budget, well inside the engine's per-event ceiling (<= 4 allocs/event,
+// internal/perf): with warm working sets and the raw32 codec, the batched share
+// itself allocates its payload and nothing else.
 func TestShareBatchAllocationBudget(t *testing.T) {
 	const (
 		batch = 8
@@ -189,11 +189,15 @@ func TestShareBatchAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm()
-	warm()
+	// Warm the working sets, and let every node's k-sized index copy reach
+	// the largest partial cut-off.
+	for i := 0; i < 16; i++ {
+		warm()
+	}
 	perShare := testing.AllocsPerRun(20, warm) / batch
 	t.Logf("batched share: %.2f allocs/share (batch %d)", perShare, batch)
-	if perShare > 4 {
-		t.Fatalf("batched share allocates %.2f per node, engine ceiling is 4", perShare)
+	// Measured 2.00: the payload, and the RNG perturb makes per node.
+	if perShare > 3 {
+		t.Fatalf("batched share allocates %.2f per node, want <= 3", perShare)
 	}
 }

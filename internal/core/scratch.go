@@ -1,0 +1,95 @@
+package core
+
+import (
+	"sync"
+
+	"repro/internal/codec"
+	"repro/internal/dwt"
+	"repro/internal/sparsify"
+	"repro/internal/topology"
+	"repro/internal/vec"
+)
+
+// Scratch is the working set of one running Share or Aggregate call: every
+// buffer whose contents are dead once the call returns. Nodes keep only what
+// their algorithm's equations carry from one call to the next; a call takes
+// a Scratch with AcquireScratch, runs in it, and releases it, so a fleet
+// holds as many working sets as it ever ran calls at once (the engines'
+// Parallelism, +1 for the event loop, times the batch width while a
+// SharePipeline/AggregatePipeline batch is in flight) instead of one per
+// node.
+//
+// A recycled Scratch keeps its last user's values, and users differ in
+// dimension and algorithm: every buffer is sized with vec.Grow (or resliced
+// to zero and appended to) where it is written, and is written in full
+// before it is read. The exported fields are the part CHOCO's Share, in
+// internal/choco, runs through.
+type Scratch struct {
+	Params      []float64 // model snapshot x^(t,tau)
+	DeltaPar    []float64 // x^(t,tau) - x^(t,0)
+	deltaCoeff  []float64 // DWT of DeltaPar
+	avg         []float64 // weight-normalized average of own and received vectors
+	wsum        []float64 // present-weight sums behind avg
+	newParams   []float64 // inverse transform of avg
+	installed   []float64 // DWT of the installed parameters (eq. 4)
+	startCoeffs []float64 // DWT of x^(t,0) (literal eq. 4 only)
+
+	Vals []float64 // gathered values for the payload
+	TopK sparsify.TopKScratch
+	Enc  codec.EncodeScratch
+	dwt  dwt.Scratch
+	dec  decodeScratch
+
+	// Band-adaptive selection (BandAdaptive only): per-band masses, the
+	// cross-band selection set, and the sorted result.
+	bandMasses []float64
+	bandSel    map[int]bool
+	bandOut    []int
+}
+
+// scratchList is the free list behind AcquireScratch, shared by every fleet
+// in the process. It is a mutex-guarded list and not a sync.Pool because a
+// GC must not empty it: the zero-allocation ceilings and the number of live
+// working sets would stop being deterministic.
+var scratchList struct {
+	mu   sync.Mutex
+	free []*Scratch
+}
+
+// AcquireScratch takes a working set off the free list — the most recently
+// released one, whose buffers are the likeliest to still be in cache — or
+// makes an empty one when every existing set is in use. The caller must
+// Release it when its call returns.
+func AcquireScratch() *Scratch {
+	l := &scratchList
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return &Scratch{}
+	}
+	s := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return s
+}
+
+// Release returns s to the free list; the caller must not use it afterwards.
+func (s *Scratch) Release() {
+	l := &scratchList
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, s)
+}
+
+// merge decodes the neighbor payloads (once fleet-wide when cache is
+// non-nil) and writes the weight-normalized partial average of own and the
+// decoded vectors into s.avg.
+func (s *Scratch) merge(cache *DecodeCache, own []float64, w topology.Weights, msgs map[int][]byte) error {
+	decoded, err := s.dec.decodeAll(cache, len(own), w, msgs)
+	if err == nil {
+		partialAverage(own, w.Self, decoded, vec.Grow(&s.avg, len(own)), vec.Grow(&s.wsum, len(own)))
+	}
+	s.dec.releaseHeld(cache)
+	return err
+}

@@ -134,9 +134,10 @@ func (p *Plan) detailSlot(flat []float64, lvl int) []float64 {
 
 // Scratch holds the reusable ping-pong buffers a plan's transforms run in.
 // Buffers grow lazily on first use, so holding a Scratch costs nothing until
-// a transform actually runs. A Scratch serializes the transforms that run in
-// it and is therefore NOT safe for concurrent use; a batch pipeline or a
-// single node owns one.
+// a transform actually runs, and may be handed from plan to plan of any
+// size: every transform writes what it reads, padding included. A Scratch
+// serializes the transforms that run in it and is therefore NOT safe for
+// concurrent use; one running call (or one Transformer) owns it at a time.
 type Scratch struct {
 	a, b []float64
 }

@@ -1,9 +1,10 @@
 package dwt
 
 // Transform maps a flat parameter vector to a flat coefficient vector and
-// back. JWINS ranks, shares, and averages in the coefficient domain; the
-// ablation "JWINS without wavelet" swaps in Identity, which degenerates the
-// algorithm to plain TopK sparsification in the parameter domain.
+// back. JWINS ranks, shares, and averages in the coefficient domain; with
+// Identity in its place an algorithm degenerates to plain sparsification in
+// the parameter domain (the Figure 2 comparison; JWINS nodes themselves hold
+// a Plan, or none for the "JWINS without wavelet" ablation).
 type Transform interface {
 	// CoeffLen returns the length of the coefficient vector.
 	CoeffLen() int
@@ -28,8 +29,9 @@ type Band struct {
 // length. The immutable layout (filter bank, padding, band table) lives in a
 // memoized Plan shared across every transformer with the same
 // (dim, wavelet, levels); only the lazily-grown scratch buffers are per
-// instance. A Transformer is therefore cheap to construct in a fleet but NOT
-// safe for concurrent use; each DL node owns its own instance.
+// instance, which makes a Transformer NOT safe for concurrent use. It is the
+// convenience form for a single caller (experiments, probes); DL nodes hold
+// the Plan and run Plan.Forward/Inverse in their call's shared Scratch.
 type Transformer struct {
 	plan    *Plan
 	scratch Scratch
@@ -79,9 +81,8 @@ func (t *Transformer) Inverse(coeffs, out []float64) {
 	t.plan.Inverse(coeffs, out, &t.scratch)
 }
 
-// Identity is a Transform that passes vectors through unchanged. It backs the
-// "JWINS without wavelet" ablation and the random-sampling baseline, which
-// operate directly in the parameter domain.
+// Identity is a Transform that passes vectors through unchanged: the
+// parameter-domain arm of the Figure 2 reconstruction comparison.
 type Identity struct{ N int }
 
 var _ Transform = Identity{}

@@ -80,7 +80,7 @@ type aggEntry struct {
 }
 
 // aggBatchCtx is the reusable state of one in-flight batched aggregate:
-// the pipeline (with its batch scratch), members, dependency futures, and
+// the pipeline (with its slot lists), members, dependency futures, and
 // the per-member weight/payload slices AggregateBatch consumes. Acquired on
 // the event loop at flush time, released by the pool worker, so the free
 // list is mutex-guarded.

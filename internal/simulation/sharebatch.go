@@ -45,7 +45,7 @@ type specEntry struct {
 }
 
 // shareBatchCtx is the reusable state of one in-flight batched dispatch: the
-// pipeline (with its batch scratch), the member list, the dependency futures,
+// pipeline (with its slot lists), the member list, the dependency futures,
 // and the result slices ShareBatch fills. A context is acquired on the event
 // loop at flush time and released by the pool worker after the results have
 // been copied into the members' trainTask slots, so the free list is

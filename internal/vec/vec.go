@@ -16,6 +16,18 @@ func Clone(x []float64) []float64 {
 	return out
 }
 
+// Grow reslices *buf to length n, reallocating only when its capacity is
+// short, and returns it. Contents are unspecified (a recycled buffer keeps
+// its last user's values), so the caller must write every element before
+// reading any.
+func Grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // Zero sets every element of x to 0.
 func Zero(x []float64) {
 	for i := range x {
