@@ -27,8 +27,8 @@
 //     (every queued node's next train-done time bounds aggDue, so the
 //     train-done commit — speculative or inline-fallback — always finds
 //     its aggregate on tails[i]);
-//   - at the top of drain(), which covers evaluation rows (they read every
-//     model), error paths, and the end of the run;
+//   - at the top of drain(), which covers evaluation rows (they read
+//     models), error paths, and the end of the run;
 //   - at the top of onJoin, the one churn path that re-dispatches work for
 //     a node outside the aggregate→scheduleTrain flow.
 //

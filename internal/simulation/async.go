@@ -363,7 +363,7 @@ type asyncRun struct {
 	turnSum     float64
 	turnCount   int
 	epochCount  int
-	liveBuf     []bool               // scratch live mask for the spectral-gap restriction
+	liveBuf     []bool               // scratch live mask (see liveMask)
 	slem        topology.SLEMScratch // reused power-iteration buffers
 
 	// boxPool recycles per-sender inbox maps freed when an epoch rotation
@@ -427,16 +427,22 @@ type asyncRun struct {
 	// and served by identity to the rest.
 	dcache *core.DecodeCache
 
-	// per-iteration training-loss accumulators for row emission
+	// per-iteration training-loss accumulators for row emission; liveAt[k]
+	// counts the live nodes whose completed-iteration count is k, which is
+	// what the emission floor is read from (see minLiveIter).
 	lossSum   []float64
 	lossCount []int
+	liveAt    []int
 	emitted   int
 	res       *Result
 	stop      bool
 
 	// evalSamp drives sampled rotating evaluation (nil = exact); its subsets
 	// depend only on config + row index, so rows stay parallelism-invariant.
+	// evalCap marks the fixed subset of EvalNodes-capped exact evaluation
+	// (nil = every node). Speculation asks both who a row will read.
 	evalSamp *evalSampler
+	evalCap  []bool
 
 	// meshPending buffers mesh messages drained out of order, keyed by
 	// receiver then sender (FIFO per sender).
@@ -503,6 +509,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		nodes:        make([]asyncNode, n),
 		lossSum:      make([]float64, cfg.Rounds),
 		lossCount:    make([]int, cfg.Rounds),
+		liveAt:       make([]int, cfg.Rounds+1),
 		res:          &Result{RoundsToTarget: -1},
 		rec:          cfg.Record,
 		replay:       cfg.Replay,
@@ -525,6 +532,13 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	}
 	for i := range r.aggIdx {
 		r.aggIdx[i] = -1
+	}
+	r.liveAt[0] = n
+	if capped := evalCapSubset(n, cfg.Config); r.evalSamp == nil && capped != nil {
+		r.evalCap = make([]bool, n)
+		for _, i := range capped {
+			r.evalCap[i] = true
+		}
 	}
 	// Registered before the pool's close, so it runs after it: no worker
 	// still reads an entry when the nodes let go of the cache.
@@ -572,13 +586,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		if rn := r.replay.Header().Nodes; rn != n {
 			return nil, fmt.Errorf("simulation: replay trace has %d nodes, engine has %d", rn, n)
 		}
-		if err := r.validateReplayEpochs(); err != nil {
-			return nil, err
-		}
-		if err := r.validateReplayPolicy(); err != nil {
-			return nil, err
-		}
-		if err := r.validateReplayEval(); err != nil {
+		if err := r.validateReplay(); err != nil {
 			return nil, err
 		}
 	}
@@ -784,6 +792,17 @@ func (r *asyncRun) graph() (*topology.Graph, []topology.Weights) {
 	return r.topo.Round(r.epoch)
 }
 
+// liveMask fills and returns the scratch mask of currently live nodes.
+func (r *asyncRun) liveMask() []bool {
+	if r.liveBuf == nil {
+		r.liveBuf = make([]bool, len(r.nodes))
+	}
+	for i := range r.nodes {
+		r.liveBuf[i] = r.nodes[i].live
+	}
+	return r.liveBuf
+}
+
 // mixingSampled reports whether the spectral gap is computed for the given
 // epoch under the MixingEvery cadence.
 func (r *asyncRun) mixingSampled(epoch int) bool {
@@ -797,101 +816,64 @@ func (r *asyncRun) mixingSampled(epoch int) bool {
 	return epoch%k == 0
 }
 
-// validateReplayEpochs rejects replay configurations that cannot reproduce
-// the recorded rotation schedule, before any event is processed.
-func (r *asyncRun) validateReplayEpochs() error {
-	if s := r.replay.Header().Meta["epoch_sec"]; s != "" {
-		rec, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("%w: trace epoch_sec %q: %v", ErrReplayConfig, s, err)
-		}
-		if rec != r.epochSec {
-			return fmt.Errorf("%w: trace was recorded with epoch length %gs, engine topology uses %gs", ErrReplayConfig, rec, r.epochSec)
-		}
-	}
+// validateReplay rejects, before any event is processed, a replay whose
+// engine configuration cannot reproduce the recording: the rotation schedule
+// (epoch length), the aggregation policy and its parameters (they shape the
+// schedule — deadline events, waiting decisions — so a mismatch would stall
+// or silently diverge), and the evaluation schedule (it never shapes events
+// but does shape the emitted rows, and a replay claims row parity). Every
+// value is compared only when the recording carries it: traces without a
+// policy header (hand-built) skip the policy checks, traces without eval
+// meta (recorded exact, or predating the sampler) the evaluation ones.
+func (r *asyncRun) validateReplay() error {
+	h := r.replay.Header()
 	if len(r.replay.Epochs()) > 0 && r.epochSec <= 0 {
 		return fmt.Errorf("%w: trace carries topology-rotation events but the engine topology never rotates; wrap it in a topology.EpochProvider with the recorded epoch length", ErrReplayConfig)
 	}
-	return nil
-}
-
-// validateReplayPolicy rejects a replay whose aggregation policy differs from
-// the recording's: the policy shapes the schedule (deadline events, waiting
-// decisions), so a mismatch would stall or silently diverge. Traces without a
-// policy header (hand-built) skip the check; parameters are compared only
-// when the recording carries them in Meta.
-func (r *asyncRun) validateReplayPolicy() error {
-	h := r.replay.Header()
-	if h.Policy == "" {
-		return nil
+	// Key and the engine's value, formatted as the recorders format it.
+	checks := [][2]string{
+		{"epoch_sec", fmt.Sprint(r.epochSec)},
+		{"eval_sample", fmt.Sprint(r.cfg.EvalSample)},
+		{"eval_rotate", fmt.Sprint(r.cfg.EvalRotate)},
 	}
-	if h.Policy != r.policy.Name() {
-		return fmt.Errorf("%w: trace was recorded under the %q policy, engine runs %q", ErrReplayConfig, h.Policy, r.policy.Name())
+	if h.Policy != "" {
+		if h.Policy != r.policy.Name() {
+			return fmt.Errorf("%w: trace was recorded under the %q policy, engine runs %q", ErrReplayConfig, h.Policy, r.policy.Name())
+		}
+		switch p := r.policy.(type) {
+		case BoundedStalenessPolicy:
+			checks = append(checks, [2]string{"policy_k", fmt.Sprint(p.K)},
+				[2]string{"policy_tau", fmt.Sprint(p.Tau)}, [2]string{"policy_adaptive", fmt.Sprint(p.AdaptiveTau)})
+		case DeadlinePolicy:
+			checks = append(checks, [2]string{"policy_deadline_factor", fmt.Sprint(p.Factor)})
+		}
 	}
-	checkInt := func(key string, got int) error {
-		s := h.Meta[key]
+	for _, c := range checks {
+		s := h.Meta[c[0]]
 		if s == "" {
-			return nil
+			continue
 		}
-		rec, err := strconv.Atoi(s)
+		// Compared as numbers: "0.050" and "0.05" are the same epoch length.
+		rec, err := metaNumber(s)
 		if err != nil {
-			return fmt.Errorf("%w: trace %s %q: %v", ErrReplayConfig, key, s, err)
+			return fmt.Errorf("%w: trace %s %q: %v", ErrReplayConfig, c[0], s, err)
 		}
-		if rec != got {
-			return fmt.Errorf("%w: trace was recorded with %s=%d, engine uses %d", ErrReplayConfig, key, rec, got)
-		}
-		return nil
-	}
-	switch p := r.policy.(type) {
-	case BoundedStalenessPolicy:
-		if err := checkInt("policy_k", p.K); err != nil {
-			return err
-		}
-		if err := checkInt("policy_tau", p.Tau); err != nil {
-			return err
-		}
-		if s := h.Meta["policy_adaptive"]; s != "" && (s == "true") != p.AdaptiveTau {
-			return fmt.Errorf("%w: trace was recorded with policy_adaptive=%s, engine uses %v", ErrReplayConfig, s, p.AdaptiveTau)
-		}
-	case DeadlinePolicy:
-		if s := h.Meta["policy_deadline_factor"]; s != "" {
-			rec, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return fmt.Errorf("%w: trace policy_deadline_factor %q: %v", ErrReplayConfig, s, err)
-			}
-			if rec != p.Factor {
-				return fmt.Errorf("%w: trace was recorded with deadline factor %g, engine uses %g", ErrReplayConfig, rec, p.Factor)
-			}
+		if got, _ := metaNumber(c[1]); rec != got {
+			return fmt.Errorf("%w: trace was recorded with %s=%s, engine uses %s", ErrReplayConfig, c[0], s, c[1])
 		}
 	}
 	return nil
 }
 
-// validateReplayEval rejects a replay whose evaluation schedule differs from
-// the recording's. Sampled evaluation never shapes the event schedule, but it
-// does shape the emitted rows, so a replay claiming row parity must score the
-// same subsets. Traces without eval meta (recorded exact, or predating the
-// sampler) skip the check.
-func (r *asyncRun) validateReplayEval() error {
-	h := r.replay.Header()
-	checkInt := func(key string, got int) error {
-		s := h.Meta[key]
-		if s == "" {
-			return nil
-		}
-		rec, err := strconv.Atoi(s)
-		if err != nil {
-			return fmt.Errorf("%w: trace %s %q: %v", ErrReplayConfig, key, s, err)
-		}
-		if rec != got {
-			return fmt.Errorf("%w: trace was recorded with %s=%d, engine uses %d", ErrReplayConfig, key, rec, got)
-		}
-		return nil
+// metaNumber reads a header-meta value: a number, or a boolean as 0/1.
+func metaNumber(s string) (float64, error) {
+	switch s {
+	case "true":
+		return 1, nil
+	case "false":
+		return 0, nil
 	}
-	if err := checkInt("eval_sample", r.cfg.EvalSample); err != nil {
-		return err
-	}
-	return checkInt("eval_rotate", r.cfg.EvalRotate)
+	return strconv.ParseFloat(s, 64)
 }
 
 // pushNextReplayEpoch schedules the next recorded rotation. It is called at
@@ -936,13 +918,7 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 	// is O(edges) and always reported.
 	r.epochCount++
 	if r.mixingSampled(r.epoch) {
-		if r.liveBuf == nil {
-			r.liveBuf = make([]bool, len(r.nodes))
-		}
-		for i := range r.nodes {
-			r.liveBuf[i] = r.nodes[i].live
-		}
-		r.curGap = r.slem.SpectralGap(gNew, wNew, r.liveBuf)
+		r.curGap = r.slem.SpectralGap(gNew, wNew, r.liveMask())
 		r.gapSum += r.curGap
 		r.gapCount++
 		if math.IsNaN(r.gapMin) || r.curGap < r.gapMin {
@@ -1074,27 +1050,40 @@ func (r *asyncRun) drain() error {
 //   - a pending leave/join for node i at or before t would supersede the
 //     event, and serial execution then never trains (the node's model,
 //     loader, and RNG must stay untouched);
-//   - an evaluation row at index < the train's iteration could be emitted
-//     while the task is in flight, and evaluation reads every node's model.
-//     Rows at or above the iteration cannot fire first: they need the node
-//     itself to advance, which needs this train to commit.
+//   - an evaluation row below the train's iteration that scores node i could
+//     be emitted while the task is in flight, and would read a model the
+//     serial schedule has not trained yet. Exact evaluation scores everyone;
+//     sampled and capped evaluation only their subset, and a row that does
+//     not read the node cannot observe its train. Rows at or above the
+//     iteration cannot fire first: they need the node itself to advance,
+//     which needs this train to commit.
 func (r *asyncRun) specSafe(i int, t float64) bool {
 	if pend := r.churnPending[i]; len(pend) > 0 && pend[0] <= t {
 		return false
 	}
-	return r.nodes[i].iter <= r.nextEvalRow()
+	for k := r.emitted; k < r.nodes[i].iter; k++ {
+		if r.evalRow(k) && r.evalReads(k, i) {
+			return false
+		}
+	}
+	return true
 }
 
-// nextEvalRow returns the smallest not-yet-emitted row index that will
-// trigger an evaluation (the EvalEvery cadence or the final row).
-func (r *asyncRun) nextEvalRow() int {
-	e := r.cfg.EvalEvery
-	k := r.emitted
-	next := (k/e+1)*e - 1
-	if last := r.cfg.Rounds - 1; last < next {
-		next = last
+// evalRow reports whether row k triggers an evaluation (the EvalEvery
+// cadence or the final row).
+func (r *asyncRun) evalRow(k int) bool {
+	return k%r.cfg.EvalEvery == r.cfg.EvalEvery-1 || k == r.cfg.Rounds-1
+}
+
+// evalReads reports whether evaluation row k scores node i's model.
+func (r *asyncRun) evalReads(k, i int) bool {
+	switch {
+	case r.evalSamp != nil:
+		return r.evalSamp.samples(k, i)
+	case r.evalCap != nil:
+		return r.evalCap[i]
 	}
-	return next
+	return true
 }
 
 // push assigns the next sequence number and enqueues ev.
@@ -1197,8 +1186,8 @@ func (r *asyncRun) onTrainDone(ev *Event) error {
 			r.tel.specHits.Inc()
 		}
 	} else {
-		// Speculation was unsafe (churn or eval window): run inline, after any
-		// still-running aggregate of this node.
+		// Speculation was unsafe (churn, or an evaluation row that scores this
+		// node): run inline, after any still-running aggregate of this node.
 		if r.tel != nil {
 			r.tel.specMisses.Inc()
 		}
@@ -1530,7 +1519,9 @@ func (r *asyncRun) aggregate(i int) error {
 			}
 		}
 	}
+	r.liveAt[st.iter]--
 	st.iter++
+	r.liveAt[st.iter]++
 	if err := r.emitRows(); err != nil {
 		return err
 	}
@@ -1551,12 +1542,14 @@ func (r *asyncRun) onLeave(i int) error {
 	st.gen++
 	st.waiting = false
 	st.deadlineFired = false
+	r.liveAt[st.iter]--
+	g, _ := r.graph() // the leaver's row, before it empties
 	r.topo.SetLive(i, false)
 	// Hygiene, not correctness: entries are identity-keyed, so dropping
 	// the leaver's cached decodes just releases memory sooner.
 	r.dcache.InvalidateSender(i)
-	// Departure can unblock waiting neighbors and lower the row floor.
-	return r.recheckAll()
+	// Departure can unblock waiting neighbors and raise the row floor.
+	return r.recheck(g.Neighbors(i))
 }
 
 // onJoin brings a node back: it keeps its (stale) model, fast-forwards to
@@ -1580,6 +1573,7 @@ func (r *asyncRun) onJoin(i int) error {
 	if st.iter < r.emitted {
 		st.iter = r.emitted
 	}
+	r.liveAt[st.iter]++
 	// Anything buffered before the departure is stale connectivity. The
 	// bookkeeping maps are cleared in place and inner boxes recycled, not
 	// re-allocated: churn at 1024-node scale must not grow the heap.
@@ -1608,20 +1602,34 @@ func (r *asyncRun) onJoin(i int) error {
 	if st.iter < r.cfg.Rounds && !r.stop {
 		r.scheduleTrain(i)
 	}
-	return r.recheckAll()
+	return r.recheck(g.Neighbors(i))
 }
 
-// recheckAll re-evaluates every waiting node's readiness and the emission
-// floor after a live-set change.
+// recheck re-evaluates the emission floor and the readiness of the waiting
+// nodes among nodes (ascending) after one node left or joined: only the rows
+// of its neighbors changed, and a waiting node whose row, mailbox and
+// deadline stand was not ready when last checked and is not ready now.
+func (r *asyncRun) recheck(nodes []int) error {
+	if err := r.emitRows(); err != nil {
+		return err
+	}
+	for _, i := range nodes {
+		if err := r.checkReady(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recheckAll is recheck over the whole fleet, for epoch boundaries, where
+// every row changes.
 func (r *asyncRun) recheckAll() error {
 	if err := r.emitRows(); err != nil {
 		return err
 	}
 	for i := range r.nodes {
-		if r.nodes[i].waiting {
-			if err := r.checkReady(i); err != nil {
-				return err
-			}
+		if err := r.checkReady(i); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1687,10 +1695,10 @@ func (r *asyncRun) emitRows() error {
 		if r.lossCount[k] > 0 {
 			rm.TrainLoss = r.lossSum[k] / float64(r.lossCount[k])
 		}
-		if k%r.cfg.EvalEvery == r.cfg.EvalEvery-1 || k == r.cfg.Rounds-1 {
-			// Synchronization point: evaluation reads every model, so every
-			// chain must land. Speculation safety guarantees no train task
-			// from the serial future is in flight here.
+		if r.evalRow(k) {
+			// Synchronization point: every chain must land before models are
+			// read. Speculation safety guarantees that no node this row
+			// scores has a train from the serial future among them.
 			if err := r.drain(); err != nil {
 				return err
 			}
@@ -1699,13 +1707,7 @@ func (r *asyncRun) emitRows() error {
 				// Sampled rows skip offline nodes (they contribute NaN); the
 				// exact path keeps its historical all-nodes semantics, so the
 				// live mask only exists when sampling is on.
-				if r.liveBuf == nil {
-					r.liveBuf = make([]bool, len(r.nodes))
-				}
-				for i := range r.nodes {
-					r.liveBuf[i] = r.nodes[i].live
-				}
-				live = r.liveBuf
+				live = r.liveMask()
 			}
 			loss, acc := evaluateNodesOn(r.pool, r.eng.Nodes, r.eng.TestSet, r.cfg.Config, subset, live)
 			rm.TestLoss, rm.TestAcc = loss, acc
@@ -1730,22 +1732,16 @@ func (r *asyncRun) emitRows() error {
 }
 
 // minLiveIter is the lowest completed iteration among live nodes, or the
-// full budget when nobody is live (dead nodes cannot hold rows back forever;
-// rows resume when someone rejoins behind the floor).
+// emitted count when nobody is live (dead nodes cannot hold rows back
+// forever; rows resume when someone rejoins behind the floor). No live node
+// is ever behind the emitted rows — a joiner fast-forwards to them — so the
+// walk over liveAt starts there and, rows being emitted up to the floor
+// after every change, ends on its first step or two.
 func (r *asyncRun) minLiveIter() int {
-	min := r.cfg.Rounds
-	any := false
-	for i := range r.nodes {
-		if !r.nodes[i].live {
-			continue
-		}
-		any = true
-		if r.nodes[i].iter < min {
-			min = r.nodes[i].iter
+	for k := r.emitted; k < len(r.liveAt); k++ {
+		if r.liveAt[k] > 0 {
+			return k
 		}
 	}
-	if !any {
-		return r.emitted // freeze the floor while everyone is away
-	}
-	return min
+	return r.emitted // freeze the floor while everyone is away
 }

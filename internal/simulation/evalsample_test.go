@@ -256,3 +256,34 @@ func TestReplayValidatesEvalSchedule(t *testing.T) {
 		t.Fatalf("legacy trace without eval meta rejected: %v", err)
 	}
 }
+
+// TestEvalSamplerMembership: samples(round, node) is subsetFor(round)
+// membership for every node — across windows, the wrapped last window and
+// cycle changes — and asking about rows cycles ahead leaves the subset a
+// caller of subsetFor still holds (emitRows, across its drain) untouched.
+func TestEvalSamplerMembership(t *testing.T) {
+	cfg := Config{EvalSample: 3, EvalEvery: 2, EvalRotate: 2, EvalSeed: 5}
+	cfg.setDefaults()
+	const n = 10
+	s, ref := newEvalSampler(n, cfg), newEvalSampler(n, cfg)
+	for round := 0; round < 80; round++ {
+		held := s.subsetFor(round)
+		want := append([]int(nil), held...)
+		for ahead := 0; ahead < 40; ahead += 13 {
+			in := map[int]bool{}
+			for _, i := range ref.subsetFor(round + ahead) {
+				in[i] = true
+			}
+			for node := 0; node < n; node++ {
+				if got := s.samples(round+ahead, node); got != in[node] {
+					t.Fatalf("samples(%d, %d) = %v, subsetFor says %v", round+ahead, node, got, in[node])
+				}
+			}
+		}
+		for i := range want {
+			if held[i] != want[i] {
+				t.Fatalf("round %d: membership queries rewrote the held subset: %v, was %v", round, held, want)
+			}
+		}
+	}
+}

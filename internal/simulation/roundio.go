@@ -73,6 +73,15 @@ type evalSampler struct {
 	cycle  int
 	perm   []int
 	subset []int
+	// member is the cache of samples, apart from perm and subset so that a
+	// question about a future row never touches the subset a caller of
+	// subsetFor still holds: at[node] is node's position in cycle's
+	// permutation. Two slots, by cycle parity, for queries that straddle a
+	// cycle boundary.
+	member [2]struct {
+		cycle int
+		at    []int
+	}
 }
 
 // newEvalSampler returns nil (sampling off) unless cfg.EvalSample is set and
@@ -84,6 +93,38 @@ func newEvalSampler(n int, cfg Config) *evalSampler {
 	return &evalSampler{n: n, cfg: cfg, cycle: -1}
 }
 
+// window maps a row to its permutation cycle and its window's offset in that
+// permutation. It steps by the eval ordinal (round/EvalEvery), not the raw
+// round: eval rows land every EvalEvery rounds, and stepping by round would
+// skip windows between them, breaking the coverage bound.
+func (s *evalSampler) window(round int) (cycle, start int) {
+	sz := s.cfg.EvalSample
+	windows := (s.n + sz - 1) / sz
+	step := (round / s.cfg.EvalEvery) / s.cfg.EvalRotate
+	return step / windows, step % windows * sz
+}
+
+func (s *evalSampler) permOf(cycle int) []int {
+	return vec.NewRNG(s.cfg.EvalSeed ^ evalSeedSalt ^ uint64(cycle)*0x9e3779b97f4a7c15).Perm(s.n)
+}
+
+// samples reports whether subsetFor(round) contains node.
+func (s *evalSampler) samples(round, node int) bool {
+	cycle, start := s.window(round)
+	m := &s.member[cycle&1]
+	if m.at == nil || m.cycle != cycle {
+		if m.at == nil {
+			m.at = make([]int, s.n)
+		}
+		for k, i := range s.permOf(cycle) {
+			m.at[i] = k
+		}
+		m.cycle = cycle
+	}
+	// The window covers positions start .. start+EvalSample-1, wrapping.
+	return (m.at[node]-start+s.n)%s.n < s.cfg.EvalSample
+}
+
 // subsetFor returns the sampled node indices for the row emitted at round, or
 // nil when sampling is off (nil receiver). Valid for every round — alpha
 // summaries reuse the subset on non-eval rows. The returned slice is reused
@@ -92,27 +133,29 @@ func (s *evalSampler) subsetFor(round int) []int {
 	if s == nil {
 		return nil
 	}
-	sz := s.cfg.EvalSample
-	windows := (s.n + sz - 1) / sz
-	// Step by the eval ordinal (round/EvalEvery), not the raw round: eval
-	// rows land every EvalEvery rounds, and stepping by round would skip
-	// windows between them, breaking the coverage bound.
-	step := (round / s.cfg.EvalEvery) / s.cfg.EvalRotate
-	cycle, win := step/windows, step%windows
+	cycle, start := s.window(round)
 	if cycle != s.cycle {
-		rng := vec.NewRNG(s.cfg.EvalSeed ^ evalSeedSalt ^ uint64(cycle)*0x9e3779b97f4a7c15)
-		s.perm = rng.Perm(s.n)
-		s.cycle = cycle
+		s.perm, s.cycle = s.permOf(cycle), cycle
 	}
 	if s.subset == nil {
-		s.subset = make([]int, sz)
+		s.subset = make([]int, s.cfg.EvalSample)
 	}
 	for i := range s.subset {
 		// The last window wraps to the permutation's head; s < n keeps the
 		// wrapped entries distinct from the window's own.
-		s.subset[i] = s.perm[(win*sz+i)%s.n]
+		s.subset[i] = s.perm[(start+i)%s.n]
 	}
 	return s.subset
+}
+
+// evalCapSubset returns the seeded uniform subset that exact evaluation is
+// capped to when cfg.EvalNodes is set below the fleet size — fixed for the
+// run — or nil when every node is scored.
+func evalCapSubset(n int, cfg Config) []int {
+	if cfg.EvalNodes <= 0 || cfg.EvalNodes >= n {
+		return nil
+	}
+	return vec.NewRNG(cfg.EvalSeed ^ evalSeedSalt).SampleWithoutReplacement(n, cfg.EvalNodes)
 }
 
 // evaluateNodesOn returns mean test loss and accuracy fanned out on the given
@@ -126,11 +169,7 @@ func (s *evalSampler) subsetFor(round int) []int {
 func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Dataset, cfg Config, subset []int, live []bool) (loss, acc float64) {
 	if subset == nil {
 		live = nil
-		n := len(nodes)
-		if cfg.EvalNodes > 0 && cfg.EvalNodes < n {
-			rng := vec.NewRNG(cfg.EvalSeed ^ evalSeedSalt)
-			subset = rng.SampleWithoutReplacement(n, cfg.EvalNodes)
-		}
+		subset = evalCapSubset(len(nodes), cfg)
 	}
 	k := len(nodes)
 	if subset != nil {

@@ -14,9 +14,10 @@
 // Deferral is safe under exactly the per-node speculation predicate
 // (specSafe): between enqueue and flush nothing on the serial schedule may
 // read or write a queued node's state — churn before the train-done time is
-// excluded at enqueue, evaluation rows below the node's iteration cannot be
-// emitted while it holds the floor, and the node's own next aggregate needs
-// this very train-done to be processed first. Flushing therefore happens at
+// excluded at enqueue, and so is any unemitted evaluation row that scores
+// the node (rows at or above its iteration cannot be emitted while it holds
+// the floor, and a row that does not score it never reads it); the node's
+// own next aggregate needs this very train-done to be processed first. Flushing therefore happens at
 // three points, all before any member's commit: when the queue reaches the
 // configured batch size, once after the schedule is seeded, and in the event
 // loop before processing any event at or after the earliest queued member's

@@ -22,7 +22,7 @@ import (
 // this interface.
 type LiveProvider interface {
 	Provider
-	// SetLive flips one node's liveness, invalidating cached subgraphs.
+	// SetLive flips one node's liveness; the next Round reflects it.
 	SetLive(node int, alive bool)
 	// Live reports whether node is currently live.
 	Live(node int) bool
@@ -54,8 +54,8 @@ func NewSeededDynamic(n, d int, seed uint64) *SeededDynamic {
 }
 
 // Round implements Provider. Mixing weights are built lazily: the
-// EpochProvider path only needs the graph (it recomputes weights on the
-// live-induced subgraph), so rotations skip the full-graph weight pass.
+// EpochProvider path only needs the graph (it weights the live-induced
+// subgraph), so rotations skip the full-graph weight pass.
 func (s *SeededDynamic) Round(t int) (*Graph, []Weights) {
 	g := s.Graph(t)
 	if s.cachedW == nil {
@@ -83,13 +83,14 @@ func (s *SeededDynamic) Graph(t int) *Graph {
 }
 
 // EpochProvider rotates a base Provider on simulated-time epochs and filters
-// every epoch's graph to the currently live nodes, recomputing
-// Metropolis-Hastings weights on the induced subgraph (Masked semantics).
-// Round takes an *epoch index*, not a synchronous round number; EpochAt maps
-// simulated time to that index. The cache is keyed by (epoch, liveVersion),
-// so a SetLive racing an epoch boundary — churn processed at the same
-// simulated instant the graph rotates — always invalidates correctly
-// whichever of the two queries comes first.
+// every epoch's graph to the currently live nodes, with Metropolis-Hastings
+// weights of the induced subgraph (Masked semantics). Round takes an *epoch
+// index*, not a synchronous round number; EpochAt maps simulated time to
+// that index. The live view is keyed by (epoch, liveVersion), so a SetLive
+// racing an epoch boundary — churn processed at the same simulated instant
+// the graph rotates — is always seen whichever of the two queries comes
+// first: within an epoch it is patched in, across a boundary the new epoch's
+// graph is induced from the current flags.
 type EpochProvider struct {
 	// Base yields the unfiltered graph per epoch index: Static repeats one
 	// graph (only liveness changes across epochs), SeededDynamic
@@ -99,16 +100,12 @@ type EpochProvider struct {
 	// a single epoch spanning the whole run.
 	EpochSec float64
 
-	liveSet
-	cachedEpoch int
-	cachedVer   int
-	cachedG     *Graph
-	cachedW     []Weights
+	liveView
 }
 
 // NewEpochProvider builds an epoch provider over n nodes, all initially live.
 func NewEpochProvider(base Provider, n int, epochSec float64) *EpochProvider {
-	return &EpochProvider{Base: base, EpochSec: epochSec, liveSet: newLiveSet(n), cachedEpoch: -1, cachedVer: -1}
+	return &EpochProvider{Base: base, EpochSec: epochSec, liveView: newLiveView(n)}
 }
 
 // EpochAt maps a simulated timestamp to its epoch index.
@@ -120,37 +117,41 @@ func (p *EpochProvider) EpochAt(t float64) int {
 }
 
 // graphOnly is satisfied by bases that can serve a round's graph without
-// building mixing weights (SeededDynamic); EpochProvider always recomputes
-// weights on the live-induced subgraph, so the base's weights are dead work.
+// building mixing weights (SeededDynamic); EpochProvider weights the
+// live-induced subgraph itself, so the base's weights are dead work.
 type graphOnly interface {
 	Graph(t int) *Graph
 }
 
 // Round implements Provider over the live-induced subgraph of epoch e.
 func (p *EpochProvider) Round(e int) (*Graph, []Weights) {
-	if e == p.cachedEpoch && p.liveVersion == p.cachedVer {
-		return p.cachedG, p.cachedW
+	g, w, ok := p.view(e)
+	if !ok {
+		var base *Graph
+		if gp, isGraphOnly := p.Base.(graphOnly); isGraphOnly {
+			base = gp.Graph(e)
+		} else {
+			base, _ = p.Base.Round(e)
+		}
+		g, w = p.rebuild(e, base)
 	}
-	var base *Graph
-	if gp, ok := p.Base.(graphOnly); ok {
-		base = gp.Graph(e)
-	} else {
-		base, _ = p.Base.Round(e)
-	}
-	g := Induced(base, p.live)
-	p.cachedG, p.cachedW = g, MetropolisHastings(g)
-	p.cachedEpoch, p.cachedVer = e, p.liveVersion
-	return p.cachedG, p.cachedW
+	return g, w
 }
 
-// SLEMScratch holds the power-iteration work buffers of MixingSLEM so
-// repeated gap computations (one per epoch on a 1024-node run) reuse them
-// instead of allocating four O(n) arrays each time. The zero value is ready;
-// a scratch is not safe for concurrent use.
+// SLEMScratch holds the work buffers of MixingSLEM — the flattened matrix
+// and the power-iteration vectors — so repeated gap computations (one per
+// sampled epoch on a 2048-node run) reuse them instead of allocating O(n·d)
+// each time. The zero value is ready; a scratch is not safe for concurrent
+// use.
 type SLEMScratch struct {
 	idx  []int
 	pos  []int
 	x, y []float64
+	// The live-restricted matrix in compressed rows: row k's terms are
+	// val[e]·x[col[e]] for e in [off[k], off[k+1]), self weight first, then
+	// the live neighbors in adjacency order.
+	off, col []int
+	val      []float64
 }
 
 // MixingSLEM returns the second-largest eigenvalue modulus of the mixing
@@ -199,6 +200,20 @@ func (s *SLEMScratch) MixingSLEM(g *Graph, w []Weights, live []bool) float64 {
 		s.y = make([]float64, m)
 	}
 	x, y := s.x[:m], s.y[:m]
+	// Flatten once: 400 iterations then read three arrays instead of hashing
+	// into w[i].Neighbor per edge. Terms keep their order, so the estimate
+	// keeps its bits.
+	off, col, val := append(s.off[:0], 0), s.col[:0], s.val[:0]
+	for k, i := range idx {
+		col, val = append(col, k), append(val, w[i].Self)
+		for _, j := range g.Adj[i] {
+			if live == nil || (j < len(live) && live[j]) {
+				col, val = append(col, pos[j]), append(val, w[i].Neighbor[j])
+			}
+		}
+		off = append(off, len(col))
+	}
+	s.off, s.col, s.val = off, col, val
 	// Deterministic non-uniform start vector, already roughly mean-free.
 	rng := vec.NewRNG(0x6d6978) // "mix"
 	for k := range x {
@@ -230,12 +245,11 @@ func (s *SLEMScratch) MixingSLEM(g *Graph, w []Weights, live []bool) float64 {
 	est := 0.0
 	for iter := 0; iter < 400; iter++ {
 		// y = W x over the live-restricted rows.
-		for k, i := range idx {
-			v := w[i].Self * x[k]
-			for _, j := range g.Adj[i] {
-				if live == nil || (j < len(live) && live[j]) {
-					v += w[i].Neighbor[j] * x[pos[j]]
-				}
+		for k := range y {
+			e, end := off[k], off[k+1]
+			v := val[e] * x[col[e]]
+			for e++; e < end; e++ {
+				v += val[e] * x[col[e]]
 			}
 			y[k] = v
 		}

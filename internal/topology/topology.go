@@ -6,6 +6,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -163,14 +164,27 @@ func Regular(n, d int, rng *vec.RNG) (*Graph, error) {
 	if d < 2 && n > 2 {
 		return nil, fmt.Errorf("topology: degree %d cannot form a connected graph over %d nodes", d, n)
 	}
+	// Edge membership lives in the adjacency rows themselves (d entries each,
+	// unsorted while swapping, carved from one array): a scan of two short
+	// rows answers what a hashed edge set would, at any n.
+	flat := make([]int, n*d)
+	g := &Graph{N: n, Adj: make([][]int, n)}
+	for i := range g.Adj {
+		g.Adj[i] = flat[i*d : i*d : (i+1)*d]
+	}
 	edges := circulantEdges(n, d)
+	kept := edges[:0]
+	for _, e := range edges {
+		if !slices.Contains(g.Adj[e[0]], e[1]) {
+			g.Adj[e[0]] = append(g.Adj[e[0]], e[1])
+			g.Adj[e[1]] = append(g.Adj[e[1]], e[0])
+			kept = append(kept, e)
+		}
+	}
+	edges = kept
 	// Randomize with double-edge swaps: pick edges (a,b), (c,e); rewire to
 	// (a,c), (b,e) when the result stays simple. ~10 swaps per edge mixes well.
 	attempts := 10 * len(edges)
-	edgeSet := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
-		edgeSet[e] = true
-	}
 	for t := 0; t < attempts; t++ {
 		i := rng.Intn(len(edges))
 		j := rng.Intn(len(edges))
@@ -187,16 +201,20 @@ func Regular(n, d int, rng *vec.RNG) (*Graph, error) {
 			continue
 		}
 		n1, n2 := normEdge(a, c), normEdge(b, e)
-		if edgeSet[n1] || edgeSet[n2] || n1 == n2 {
+		if slices.Contains(g.Adj[a], c) || slices.Contains(g.Adj[b], e) || n1 == n2 {
 			continue
 		}
-		delete(edgeSet, edges[i])
-		delete(edgeSet, edges[j])
-		edgeSet[n1] = true
-		edgeSet[n2] = true
+		// An accepted swap has four distinct endpoints: a == e or b == c would
+		// have made one of the new edges an existing one.
+		g.Adj[a][slices.Index(g.Adj[a], b)] = c
+		g.Adj[b][slices.Index(g.Adj[b], a)] = e
+		g.Adj[c][slices.Index(g.Adj[c], e)] = a
+		g.Adj[e][slices.Index(g.Adj[e], c)] = b
 		edges[i], edges[j] = n1, n2
 	}
-	g := graphFromEdges(n, edges)
+	for i := range g.Adj {
+		sortInts(g.Adj[i])
+	}
 	if !g.Connected() {
 		// Extremely unlikely starting from a connected circulant with simple
 		// swap acceptance, but regenerate deterministically if it happens.
@@ -210,8 +228,9 @@ func Regular(n, d int, rng *vec.RNG) (*Graph, error) {
 	return g, nil
 }
 
-// circulantEdges builds the edge list of the circulant graph C_n(1..d/2)
-// plus the antipodal matching when d is odd (n must then be even).
+// circulantEdges lists the edges of the circulant graph C_n(1..d/2) plus the
+// antipodal matching when d is odd (n must then be even), each normalized;
+// Regular drops the repeats as it inserts them.
 func circulantEdges(n, d int) [][2]int {
 	var edges [][2]int
 	for k := 1; k <= d/2; k++ {
@@ -229,19 +248,7 @@ func circulantEdges(n, d int) [][2]int {
 			edges = append(edges, normEdge(i, i+n/2))
 		}
 	}
-	return dedupeEdges(edges)
-}
-
-func dedupeEdges(edges [][2]int) [][2]int {
-	seen := make(map[[2]int]bool, len(edges))
-	out := edges[:0]
-	for _, e := range edges {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	return out
+	return edges
 }
 
 func normEdge(a, b int) [2]int {
@@ -249,18 +256,6 @@ func normEdge(a, b int) [2]int {
 		a, b = b, a
 	}
 	return [2]int{a, b}
-}
-
-func graphFromEdges(n int, edges [][2]int) *Graph {
-	g := &Graph{N: n, Adj: make([][]int, n)}
-	for _, e := range edges {
-		g.Adj[e[0]] = append(g.Adj[e[0]], e[1])
-		g.Adj[e[1]] = append(g.Adj[e[1]], e[0])
-	}
-	for i := range g.Adj {
-		sortInts(g.Adj[i])
-	}
-	return g
 }
 
 func sortInts(a []int) {
@@ -278,18 +273,24 @@ func sortInts(a []int) {
 // the paper's D-PSGD.
 func MetropolisHastings(g *Graph) []Weights {
 	out := make([]Weights, g.N)
-	for i := 0; i < g.N; i++ {
-		w := Weights{Neighbor: make(map[int]float64, g.Degree(i))}
-		var sum float64
-		for _, j := range g.Adj[i] {
-			wij := 1.0 / (1.0 + float64(maxInt(g.Degree(i), g.Degree(j))))
-			w.Neighbor[j] = wij
-			sum += wij
-		}
-		w.Self = 1 - sum
-		out[i] = w
+	for i := range out {
+		out[i] = mhRow(g, i)
 	}
 	return out
+}
+
+// mhRow builds node i's Metropolis-Hastings row — the one definition behind
+// MetropolisHastings and the live-view patch.
+func mhRow(g *Graph, i int) Weights {
+	w := Weights{Neighbor: make(map[int]float64, g.Degree(i))}
+	var sum float64
+	for _, j := range g.Adj[i] {
+		wij := 1.0 / (1.0 + float64(maxInt(g.Degree(i), g.Degree(j))))
+		w.Neighbor[j] = wij
+		sum += wij
+	}
+	w.Self = 1 - sum
+	return w
 }
 
 // Weights is one node's mixing row: its self weight and one weight per
@@ -333,55 +334,75 @@ func (s *Static) Round(int) (*Graph, []Weights) { return s.G, s.W }
 // active communication graph as nodes leave and rejoin mid-run.
 func Induced(g *Graph, live []bool) *Graph {
 	out := &Graph{N: g.N, Adj: make([][]int, g.N)}
-	for i := 0; i < g.N; i++ {
-		if i < len(live) && !live[i] {
-			continue
-		}
-		adj := make([]int, 0, len(g.Adj[i]))
-		for _, j := range g.Adj[i] {
-			if j >= len(live) || live[j] {
-				adj = append(adj, j)
-			}
-		}
-		out.Adj[i] = adj
+	for i := range out.Adj {
+		out.Adj[i] = inducedRow(g, live, i)
 	}
 	return out
 }
 
-// liveSet is the liveness bitmap shared by the live-filtering providers
-// (Masked, EpochProvider): per-node flags plus a version counter bumped on
-// every effective change, which the providers key their subgraph caches on.
-// A SetLive racing a round/epoch query in either order therefore always
-// invalidates correctly.
-type liveSet struct {
-	live        []bool
-	liveVersion int
+// inducedRow builds node i's row of Induced(g, live): nil for a dead node,
+// its live neighbors (possibly none) otherwise. Like mhRow it is the one
+// definition behind the full build and the live-view patch.
+func inducedRow(g *Graph, live []bool, i int) []int {
+	if i < len(live) && !live[i] {
+		return nil
+	}
+	adj := make([]int, 0, len(g.Adj[i]))
+	for _, j := range g.Adj[i] {
+		if j >= len(live) || live[j] {
+			adj = append(adj, j)
+		}
+	}
+	return adj
 }
 
-func newLiveSet(n int) liveSet {
+// liveView is the live-filtering state shared by Masked and EpochProvider:
+// the liveness flags, the live-induced subgraph and Metropolis-Hastings
+// weights of the base graph last asked for, and the nodes that flipped since
+// that pair was built. A flip does not discard the pair: the next query of
+// the same base graph patches the flip's neighborhood into a copy of the row
+// headers (see patch), so a churn event costs its neighborhood, not the
+// fleet. Graphs and weight rows are never written after they are returned,
+// which the engines' pool workers rely on.
+type liveView struct {
+	live []bool
+	// liveVersion counts effective liveness changes; the cached pair is
+	// current while cachedVer matches it, so a SetLive racing a round/epoch
+	// query in either order is always seen.
+	liveVersion int
+	flipped     []int
+
+	key, cachedVer int // base-graph index (round or epoch) and version of g, w
+	base, g        *Graph
+	w              []Weights
+}
+
+func newLiveView(n int) liveView {
 	live := make([]bool, n)
 	for i := range live {
 		live[i] = true
 	}
-	return liveSet{live: live}
+	return liveView{live: live, key: -1}
 }
 
-// SetLive flips one node's liveness, invalidating cached subgraphs.
-func (s *liveSet) SetLive(node int, alive bool) {
-	if s.live[node] == alive {
+// SetLive flips one node's liveness; the next query patches the node's
+// neighborhood into the cached subgraph.
+func (v *liveView) SetLive(node int, alive bool) {
+	if v.live[node] == alive {
 		return
 	}
-	s.live[node] = alive
-	s.liveVersion++
+	v.live[node] = alive
+	v.liveVersion++
+	v.flipped = append(v.flipped, node)
 }
 
 // Live reports whether node is currently live.
-func (s *liveSet) Live(node int) bool { return s.live[node] }
+func (v *liveView) Live(node int) bool { return v.live[node] }
 
 // NumLive counts the live nodes.
-func (s *liveSet) NumLive() int {
+func (v *liveView) NumLive() int {
 	n := 0
-	for _, a := range s.live {
+	for _, a := range v.live {
 		if a {
 			n++
 		}
@@ -390,46 +411,105 @@ func (s *liveSet) NumLive() int {
 }
 
 // ResetLive marks every node live again (the start-of-run state).
-func (s *liveSet) ResetLive() {
-	for i := range s.live {
-		if !s.live[i] {
-			s.live[i] = true
-			s.liveVersion++
+func (v *liveView) ResetLive() {
+	for i, a := range v.live {
+		if !a {
+			v.SetLive(i, true)
 		}
 	}
 }
 
+// view returns the live-induced pair of base graph key, patched for the
+// flips since it was built; ok is false when another base graph is cached
+// and the caller must fetch key's and rebuild.
+func (v *liveView) view(key int) (g *Graph, w []Weights, ok bool) {
+	if key != v.key || v.g == nil {
+		return nil, nil, false
+	}
+	if v.cachedVer != v.liveVersion {
+		if 8*len(v.flipped) > v.g.N {
+			// Past a fraction of the fleet (ResetLive after heavy churn) the
+			// patch would touch most rows anyway.
+			v.rebuild(key, v.base)
+		} else {
+			v.patch()
+		}
+	}
+	return v.g, v.w, true
+}
+
+// rebuild induces and weights base from scratch and caches the pair as key's.
+func (v *liveView) rebuild(key int, base *Graph) (*Graph, []Weights) {
+	v.base, v.g = base, Induced(base, v.live)
+	v.w = MetropolisHastings(v.g)
+	v.key, v.cachedVer, v.flipped = key, v.liveVersion, v.flipped[:0]
+	return v.g, v.w
+}
+
+// patch replaces the cached pair with one that shares every row a flip
+// cannot reach: adjacency is rebuilt for the flipped nodes and their
+// base-graph neighbors, weights for those and, one hop further, wherever a
+// changed degree changes some max(deg_i, deg_j) — through the inducedRow and
+// mhRow that build every row of a fresh pair. Overlapping neighborhoods may
+// build a row twice; it is the same row.
+func (v *liveView) patch() {
+	old := v.g
+	g := &Graph{N: old.N, Adj: append([][]int(nil), old.Adj...)}
+	w := append([]Weights(nil), v.w...)
+	rows := v.flipped
+	for _, f := range v.flipped {
+		rows = append(rows, v.base.Adj[f]...)
+	}
+	for _, i := range rows {
+		g.Adj[i] = inducedRow(v.base, v.live, i)
+	}
+	for _, i := range rows {
+		w[i] = mhRow(g, i)
+		for _, j := range g.Adj[i] {
+			if mhRowMoved(old, g, j) {
+				w[j] = mhRow(g, j)
+			}
+		}
+	}
+	v.g, v.w = g, w
+	v.cachedVer, v.flipped = v.liveVersion, rows[:0]
+}
+
+// mhRowMoved reports whether node i's weights differ between old and g, for
+// a node whose own adjacency does not.
+func mhRowMoved(old, g *Graph, i int) bool {
+	di := g.Degree(i)
+	for _, j := range g.Adj[i] {
+		if maxInt(di, old.Degree(j)) != maxInt(di, g.Degree(j)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Masked wraps a Provider and restricts every round's graph to the currently
-// live nodes, recomputing Metropolis-Hastings weights on the induced
-// subgraph. Rows of dead nodes are empty with Self == 1, so a rejoining node
-// that has not yet re-earned edges simply keeps its own model.
+// live nodes, with Metropolis-Hastings weights of the induced subgraph. Rows
+// of dead nodes are empty with Self == 1, so a rejoining node that has not
+// yet re-earned edges simply keeps its own model.
 type Masked struct {
 	Base Provider
 
-	liveSet
-	// cache keyed by (round, liveVersion) so repeated queries within an epoch
-	// don't rebuild the induced graph.
-	cachedRound int
-	cachedVer   int
-	cachedG     *Graph
-	cachedW     []Weights
+	liveView
 }
 
 // NewMasked builds a masked provider with all n nodes initially live.
 func NewMasked(base Provider, n int) *Masked {
-	return &Masked{Base: base, liveSet: newLiveSet(n), cachedRound: -1, cachedVer: -1}
+	return &Masked{Base: base, liveView: newLiveView(n)}
 }
 
 // Round implements Provider over the live-induced subgraph.
 func (m *Masked) Round(t int) (*Graph, []Weights) {
-	if t == m.cachedRound && m.liveVersion == m.cachedVer {
-		return m.cachedG, m.cachedW
+	g, w, ok := m.view(t)
+	if !ok {
+		base, _ := m.Base.Round(t)
+		g, w = m.rebuild(t, base)
 	}
-	base, _ := m.Base.Round(t)
-	g := Induced(base, m.live)
-	m.cachedG, m.cachedW = g, MetropolisHastings(g)
-	m.cachedRound, m.cachedVer = t, m.liveVersion
-	return m.cachedG, m.cachedW
+	return g, w
 }
 
 // Dynamic regenerates a random d-regular graph every round, modelling the

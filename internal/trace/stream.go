@@ -44,7 +44,7 @@ type StreamRecorder struct {
 	closed           bool
 	err              error
 
-	scratch [binary.MaxVarintLen64]byte
+	buf []byte // one event's binary encoding, reused by every Record
 }
 
 var (
@@ -65,6 +65,7 @@ func NewStreamRecorder(w io.Writer, h Header, bin bool) (*StreamRecorder, error)
 	s := &StreamRecorder{
 		bw:     bufio.NewWriter(w),
 		binary: bin,
+		buf:    make([]byte, 0, maxBinaryEventLen),
 		h:      h,
 		prev:   math.Inf(-1),
 		rounds: -1,
@@ -119,14 +120,13 @@ func (s *StreamRecorder) Record(ev Event) {
 		return
 	}
 	if s.binary {
-		putUvarint := func(v uint64) error {
-			n := binary.PutUvarint(s.scratch[:], v)
-			_, err := s.bw.Write(s.scratch[:n])
-			return err
-		}
-		s.err = writeBinaryEvent(s.bw, putUvarint, &ev)
+		s.buf = appendBinaryEvent(s.buf[:0], &ev)
+		_, s.err = s.bw.Write(s.buf)
 	} else {
-		s.err = s.enc.Encode(&ev)
+		// Encode takes an interface: hand it a copy, so that ev itself stays
+		// on the stack on the binary path.
+		jev := ev
+		s.err = s.enc.Encode(&jev)
 	}
 	if s.err == nil {
 		s.count++
@@ -165,12 +165,7 @@ func (s *StreamRecorder) Close() error {
 	s.closed = true
 	if s.err == nil {
 		if s.binary {
-			if err := s.bw.WriteByte(0); err != nil {
-				s.err = err
-			} else {
-				n := binary.PutUvarint(s.scratch[:], uint64(s.count))
-				_, s.err = s.bw.Write(s.scratch[:n])
-			}
+			_, s.err = s.bw.Write(appendBinaryEnd(s.buf[:0], s.count))
 		} else {
 			s.err = s.enc.Encode(footer{End: true, Events: s.count})
 		}

@@ -332,3 +332,31 @@ func TestCompareReadersMatchesCompare(t *testing.T) {
 		t.Fatalf("streaming diff %+v differs from %+v", got, want)
 	}
 }
+
+// TestStreamRecorderRecordAllocationFree: the async engine calls Record for
+// every send, arrival and aggregation — about a million times on a 2048-node
+// run — so the binary path must not allocate: no closure, no escaping event,
+// no per-event buffer.
+func TestStreamRecorderRecordAllocationFree(t *testing.T) {
+	src := sampleTrace()
+	sr, err := NewStreamRecorder(io.Discard, src.Header, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Monotone timestamps forever: replay the sample's kinds at one instant.
+	evs := append([]Event(nil), src.Events...)
+	for i := range evs {
+		evs[i].Time = 1
+	}
+	k := 0
+	avg := testing.AllocsPerRun(1000, func() {
+		sr.Record(evs[k%len(evs)])
+		k++
+	})
+	if err := sr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("Record allocates %.2f times per event in the binary format, want 0", avg)
+	}
+}

@@ -60,22 +60,14 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	if _, _, err := writeBinaryHeader(bw, t.Header); err != nil {
 		return err
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
+	buf := make([]byte, 0, maxBinaryEventLen)
 	for i := range t.Events {
-		if err := writeBinaryEvent(bw, putUvarint, &t.Events[i]); err != nil {
+		buf = appendBinaryEvent(buf[:0], &t.Events[i])
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
-	// End marker: kind 0 followed by the event count.
-	if err := bw.WriteByte(0); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Events))); err != nil {
+	if _, err := bw.Write(appendBinaryEnd(buf[:0], len(t.Events))); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -107,39 +99,37 @@ func writeBinaryHeader(bw *bufio.Writer, h Header) (jsonOff, jsonLen int64, err 
 	return int64(len(binaryMagic) + 1 + n), int64(len(hdr)), nil
 }
 
-func writeBinaryEvent(bw *bufio.Writer, putUvarint func(uint64) error, ev *Event) error {
-	if err := bw.WriteByte(byte(ev.Kind)); err != nil {
-		return err
-	}
+// maxBinaryEventLen bounds one encoded event: kind, flags, the timestamp,
+// eight varints and the aggregate record's mean lag.
+const maxBinaryEventLen = 2 + 8 + 8*binary.MaxVarintLen64 + 8
+
+// appendBinaryEvent appends ev's binary encoding to dst. Encoding into a
+// caller-owned buffer (one Write per event) is what keeps
+// StreamRecorder.Record allocation-free.
+func appendBinaryEvent(dst []byte, ev *Event) []byte {
 	var flags byte
 	if ev.Dropped {
 		flags |= 1
 	}
-	if err := bw.WriteByte(flags); err != nil {
-		return err
-	}
-	var tb [8]byte
-	binary.LittleEndian.PutUint64(tb[:], math.Float64bits(ev.Time))
-	if _, err := bw.Write(tb[:]); err != nil {
-		return err
-	}
+	dst = append(dst, byte(ev.Kind), flags)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.Time))
 	// Peer is shifted by one so -1 ("none") packs as a single zero byte.
-	for _, v := range []uint64{
+	for _, v := range [...]uint64{
 		uint64(ev.Node), uint64(ev.Peer + 1), uint64(ev.Iter),
 		uint64(ev.Bytes), uint64(ev.ModelBytes), uint64(ev.MetaBytes),
 		uint64(ev.LagMax), uint64(ev.LagN),
 	} {
-		if err := putUvarint(v); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, v)
 	}
 	if ev.Kind == KindAggregate {
-		binary.LittleEndian.PutUint64(tb[:], math.Float64bits(ev.LagMean))
-		if _, err := bw.Write(tb[:]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.LagMean))
 	}
-	return nil
+	return dst
+}
+
+// appendBinaryEnd appends the end marker: kind 0 followed by the event count.
+func appendBinaryEnd(dst []byte, events int) []byte {
+	return binary.AppendUvarint(append(dst, 0), uint64(events))
 }
 
 // WriteFile writes t to path, choosing the encoding by extension: BinaryExt
