@@ -16,8 +16,9 @@ type Conv2D struct {
 	W         *Param
 	B         *Param
 
-	x       *Tensor
-	out, dx tscratch
+	x        *Tensor
+	out, dx  tscratch
+	pk, tile tscratch // the vector path's packed kernels and its sums
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -48,9 +49,10 @@ func (c *Conv2D) OutSize(s int) int { return s + 2*c.Pad - c.K + 1 }
 // Every output pixel receives the additions the textbook loop gives it, in
 // the same order: per input channel a sum s over the window's in-range taps
 // in (ky, kx) order starting from zero, then out += s channel by channel,
-// then the bias. The kernels below only change which pixels are in flight
-// together, so results are bit-identical to that loop (kept as the oracle in
-// conv_ref_test.go).
+// then the bias. The kernels only change which sums are in flight together,
+// so results are bit-identical to that loop (the oracle in conv_ref_test.go)
+// on both paths: forwardLanes takes the 5×5 channel quads where the CPU has
+// AVX2 (conv_amd64.go), forward4/forward1 everything else and everywhere else.
 func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N, %d, H, W], got %v", c.InC, x.Shape))
@@ -64,12 +66,13 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 	y := c.out.ensureZero(n, c.OutC, oh, ow)
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
 	hw, ohw, kk := h*w, oh*ow, c.K*c.K
+	lanes := c.forwardLanes(&g, x.Data, y.Data, n)
 	for ni := 0; ni < n; ni++ {
 		xs := x.Data[ni*c.InC*hw:][:c.InC*hw]
 		ys := y.Data[ni*c.OutC*ohw:][:c.OutC*ohw]
 		// Four output channels at a time share every input load and give
 		// each pixel four independent sums; the tail goes one by one.
-		oc := 0
+		oc := lanes
 		for ; oc+4 <= c.OutC; oc += 4 {
 			for ic := 0; ic < c.InC; ic++ {
 				g.forward4(ys[oc*ohw:][:4*ohw], xs[ic*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:], c.InC*kk)

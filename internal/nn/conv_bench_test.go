@@ -18,14 +18,26 @@ var convBenchShapes = []struct {
 	{3, 32, 32},
 }
 
-// benchConvArms runs fn once per shape and arm: "ref" is the reference loops
-// of conv_ref_test.go, "new" the kernels, over equal weights and inputs in
-// the same process, so the pair is a within-run A/B.
+// benchArms are the arms of every convolution benchmark, over equal weights
+// and inputs in the same process, so they are a within-run A/B: "ref" is the
+// reference loops of conv_ref_test.go, "portable" the Go kernels, "new" what
+// this CPU selects (the vector path where it has AVX2, else "portable" again).
+var benchArms = []string{"ref", "portable", "new"}
+
+// portableArm turns the vector path off for the "portable" arm and returns
+// the call that puts it back.
+func portableArm(arm string) (restore func()) {
+	setVectorPath(arm != "portable" && cpuAVX2)
+	return func() { setVectorPath(cpuAVX2) }
+}
+
+// benchConvArms runs fn once per shape and arm.
 func benchConvArms(b *testing.B, fn func(b *testing.B, l Layer, x, grad *Tensor)) {
 	const batch = 8
 	for _, s := range convBenchShapes {
-		for _, arm := range []string{"ref", "new"} {
+		for _, arm := range benchArms {
 			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.inC, s.outC, s.size, s.size, arm), func(b *testing.B) {
+				defer portableArm(arm)()
 				rng := vec.NewRNG(41)
 				c := NewConv2D(s.inC, s.outC, 5, 2, rng)
 				var l Layer = c
@@ -63,14 +75,15 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	})
 }
 
-// benchGNLeNetArms builds GN-LeNet at the cifar Small shape with the kernels
-// ("new") and with the reference convolution ("ref") and hands fn a batch.
+// benchGNLeNetArms builds GN-LeNet at the cifar Small shape once per arm (the
+// reference convolution for "ref") and hands fn a batch.
 func benchGNLeNetArms(b *testing.B, batch int, fn func(b *testing.B, m *Classifier, x *Tensor, y []float64)) {
 	build := func() *Classifier {
 		return NewGNLeNet(ModelConfig{Channels: 3, Height: 16, Width: 16, Classes: 10, WidthScale: 4}, vec.NewRNG(42))
 	}
-	for _, arm := range []string{"ref", "new"} {
+	for _, arm := range benchArms {
 		b.Run(arm, func(b *testing.B) {
+			defer portableArm(arm)()
 			m := build()
 			if arm == "ref" {
 				m = referenceTwin(build)
@@ -111,22 +124,24 @@ func BenchmarkGNLeNetEvalBatch(b *testing.B) {
 }
 
 // TestConv2DAllocationFree pins the kernels' steady state: once the scratch
-// tensors exist, neither direction allocates.
+// tensors exist, neither direction allocates on either path.
 func TestConv2DAllocationFree(t *testing.T) {
-	rng := vec.NewRNG(44)
-	for _, s := range convBenchShapes[:2] {
-		c := NewConv2D(s.inC, s.outC, 5, 2, rng)
-		x := NewTensor(4, s.inC, s.size, s.size)
-		grad := NewTensor(4, s.outC, s.size, s.size)
-		fillNormal(x.Data, rng)
-		fillNormal(grad.Data, rng)
-		c.Forward(x, true)
-		c.Backward(grad)
-		if a := testing.AllocsPerRun(10, func() { c.Forward(x, true) }); a != 0 {
-			t.Errorf("%d->%d@%d: Forward allocates %v times per call", s.inC, s.outC, s.size, a)
+	forEachConvPath(t, func(t *testing.T) {
+		rng := vec.NewRNG(44)
+		for _, s := range convBenchShapes[:2] {
+			c := NewConv2D(s.inC, s.outC, 5, 2, rng)
+			x := NewTensor(4, s.inC, s.size, s.size)
+			grad := NewTensor(4, s.outC, s.size, s.size)
+			fillNormal(x.Data, rng)
+			fillNormal(grad.Data, rng)
+			c.Forward(x, true)
+			c.Backward(grad)
+			if a := testing.AllocsPerRun(10, func() { c.Forward(x, true) }); a != 0 {
+				t.Errorf("%d->%d@%d: Forward allocates %v times per call", s.inC, s.outC, s.size, a)
+			}
+			if a := testing.AllocsPerRun(10, func() { c.Backward(grad) }); a != 0 {
+				t.Errorf("%d->%d@%d: Backward allocates %v times per call", s.inC, s.outC, s.size, a)
+			}
 		}
-		if a := testing.AllocsPerRun(10, func() { c.Backward(grad) }); a != 0 {
-			t.Errorf("%d->%d@%d: Backward allocates %v times per call", s.inC, s.outC, s.size, a)
-		}
-	}
+	})
 }

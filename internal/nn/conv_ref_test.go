@@ -126,6 +126,38 @@ type convCase struct {
 	seed              uint64
 	// nonFinite plants a NaN and an Inf in both the weights and the input.
 	nonFinite bool
+	// edges plants -0, Inf and NaN in the corner pixels and border columns of
+	// every input plane, where the vector path runs its partial-window tiles.
+	edges bool
+}
+
+// plantEdges overwrites each h×w plane's four corners and the middle of its
+// first and last column with -0, ±Inf and NaN, rotating from plane to plane.
+func plantEdges(x []float64, h, w int) {
+	special := []float64{math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Copysign(0, -1), math.Inf(-1)}
+	at := []int{0, w - 1, (h - 1) * w, h*w - 1, h / 2 * w, h/2*w + w - 1}
+	for p := 0; p*h*w < len(x); p++ {
+		for i, off := range at {
+			x[p*h*w+off] = special[(p+i)%len(special)]
+		}
+	}
+}
+
+// forEachConvPath runs fn as a "vector" and a "portable" subtest: the first
+// with Forward's 4-lane path on (skipped where the CPU or the build has
+// none), the second with it off, so both answer to the same oracle.
+func forEachConvPath(t *testing.T, fn func(t *testing.T)) {
+	defer setVectorPath(cpuAVX2)
+	for _, path := range []string{"vector", "portable"} {
+		path := path
+		t.Run(path, func(t *testing.T) {
+			if path == "vector" && !cpuAVX2 {
+				t.Skip("no AVX2 path on this CPU or in this build")
+			}
+			setVectorPath(path == "vector")
+			fn(t)
+		})
+	}
 }
 
 func (cc convCase) String() string {
@@ -209,6 +241,9 @@ func checkConvParity(t testing.TB, cc convCase) {
 			x.Data[rng.Intn(len(x.Data))] = math.NaN()
 			x.Data[rng.Intn(len(x.Data))] = math.Inf(-1)
 		}
+		if cc.edges {
+			plantEdges(x.Data, cc.h, cc.w)
+		}
 		y, yRef := got.Forward(x, true), want.Forward(x, true)
 		if !y.SameShape(yRef) {
 			t.Fatalf("%v pass %d: output shape %v, reference %v", cc, pass, y.Shape, yRef.Shape)
@@ -229,6 +264,36 @@ func checkConvParity(t testing.TB, cc convCase) {
 			t.Fatalf("%v pass %d: B.Grad[%d] = %v, reference %v", cc, pass, i, got.B.Grad[i], want.B.Grad[i])
 		}
 	}
+}
+
+// vectorTileCases reaches every tile class of the vector path (5×5 only).
+func vectorTileCases() []convCase {
+	var cases []convCase
+	// Input channels in quads and as a remainder of one to three, one to
+	// three output quads with and without a tail, on a plane with H != W.
+	for _, inC := range []int{1, 3, 4, 5, 8, 9} {
+		for _, outC := range []int{4, 6, 8, 12} {
+			cases = append(cases, convCase{inC: inC, outC: outC, k: 5, pad: 2, n: 2, h: 7, w: 9})
+		}
+	}
+	// One to nine interior columns and rows (every tile remainder), every
+	// other one with non-finite values in the border columns and corners.
+	for w := 5; w <= 13; w++ {
+		cases = append(cases, convCase{inC: 5, outC: 4, k: 5, pad: 2, n: 1, h: 18 - w, w: w, edges: w%2 == 0})
+	}
+	// Planes narrower or lower than the kernel, and every padding from none
+	// to windows that lie wholly outside the plane. Their sums must stay +0;
+	// the tile starts there, like the output, so no -0 can have been left in
+	// it and none needs seeding here.
+	for _, hw := range [][2]int{{3, 9}, {9, 3}, {4, 4}, {1, 6}, {6, 7}} {
+		for _, pad := range []int{0, 2, 4, 5, 6} {
+			cc := convCase{inC: 5, outC: 8, k: 5, pad: pad, n: 1, h: hw[0], w: hw[1], edges: pad != 2}
+			if cc.valid() {
+				cases = append(cases, cc)
+			}
+		}
+	}
+	return cases
 }
 
 // TestConv2DMatchesReference holds the kernels to the reference loops over a
@@ -273,12 +338,13 @@ func TestConv2DMatchesReference(t *testing.T) {
 	for pad := 0; pad < 5; pad++ {
 		cases = append(cases, convCase{inC: 1, outC: 5, k: 5, pad: pad, n: 1, h: 7, w: 10})
 	}
+	cases = append(cases, vectorTileCases()...)
 	for i := range cases {
 		cases[i].seed = uint64(1000 + i)
 	}
 	rng := vec.NewRNG(13)
 	ks := []int{1, 3, 5, 7}
-	for len(cases) < 200 {
+	for n := len(cases) + 164; len(cases) < n; {
 		k := ks[rng.Intn(len(ks))]
 		cc := convCase{
 			inC: 1 + rng.Intn(8), outC: 1 + rng.Intn(8), k: k, pad: rng.Intn(k),
@@ -293,8 +359,12 @@ func TestConv2DMatchesReference(t *testing.T) {
 		if !cc.valid() {
 			t.Fatalf("%v: table case has no output", cc)
 		}
-		checkConvParity(t, cc)
 	}
+	forEachConvPath(t, func(t *testing.T) {
+		for _, cc := range cases {
+			checkConvParity(t, cc)
+		}
+	})
 }
 
 // FuzzConv2DParity draws the shape from the fuzzer's bytes and everything
@@ -309,18 +379,27 @@ func FuzzConv2DParity(f *testing.F) {
 	f.Add(uint8(3), uint8(6), uint8(2), uint8(4), uint8(2), uint8(6), uint8(5), uint64(0x8000000000000007))
 	// Found by the fuzzer: NaNs of different payloads meet in one sum (see firstBitDiff).
 	f.Add(uint8(0), uint8(6), uint8(2), uint8(4), uint8(2), uint8(6), uint8(5), uint64(0x8000000000000007))
+	// The vector path's tile classes: channel quads with a remainder, output
+	// quads with a tail, tile remainders, planes smaller than the kernel,
+	// windows wholly in the padding, non-finite border columns and corners.
+	f.Add(uint8(4), uint8(7), uint8(2), uint8(2), uint8(1), uint8(8), uint8(10), uint64(8))
+	f.Add(uint8(8), uint8(11), uint8(2), uint8(2), uint8(0), uint8(6), uint8(12), uint64(0x4000000000000009))
+	f.Add(uint8(2), uint8(5), uint8(2), uint8(5), uint8(0), uint8(2), uint8(8), uint64(0x400000000000000a))
+	f.Add(uint8(7), uint8(3), uint8(2), uint8(6), uint8(1), uint8(5), uint8(3), uint64(11))
+	f.Add(uint8(0), uint8(7), uint8(2), uint8(0), uint8(2), uint8(17), uint8(6), uint64(0xc00000000000000c))
 	f.Fuzz(func(t *testing.T, inC, outC, kSel, pad, n, h, w uint8, seed uint64) {
 		k := 1 + 2*int(kSel%4)
 		cc := convCase{
-			inC: 1 + int(inC%8), outC: 1 + int(outC%8), k: k, pad: int(pad) % k,
+			inC: 1 + int(inC%12), outC: 1 + int(outC%12), k: k, pad: int(pad) % (k + 2),
 			n: 1 + int(n%3), h: 1 + int(h%18), w: 1 + int(w%18),
-			// The top bit of the seed asks for a NaN and an Inf.
-			seed: seed, nonFinite: seed>>63 == 1,
+			// The top bit of the seed asks for a NaN and an Inf anywhere, the
+			// next one for non-finite border columns and corners.
+			seed: seed, nonFinite: seed>>63 == 1, edges: seed>>62&1 == 1,
 		}
 		if !cc.valid() {
 			t.Skip()
 		}
-		checkConvParity(t, cc)
+		forEachConvPath(t, func(t *testing.T) { checkConvParity(t, cc) })
 	})
 }
 
@@ -352,37 +431,39 @@ func TestConvModelsBitStable(t *testing.T) {
 	for _, m := range models {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			build := func() *Classifier { return m.build(m.cfg, vec.NewRNG(31)) }
-			got, want := build(), referenceTwin(build)
-			rng := vec.NewRNG(32)
-			const batch = 8
-			x := NewTensor(batch, m.cfg.Channels, m.cfg.Height, m.cfg.Width)
-			y := make([]float64, batch)
-			draw := func() {
-				fillNormal(x.Data, rng)
-				for i := range y {
-					y[i] = float64(rng.Intn(m.cfg.Classes))
+			forEachConvPath(t, func(t *testing.T) {
+				build := func() *Classifier { return m.build(m.cfg, vec.NewRNG(31)) }
+				got, want := build(), referenceTwin(build)
+				rng := vec.NewRNG(32)
+				const batch = 8
+				x := NewTensor(batch, m.cfg.Channels, m.cfg.Height, m.cfg.Width)
+				y := make([]float64, batch)
+				draw := func() {
+					fillNormal(x.Data, rng)
+					for i := range y {
+						y[i] = float64(rng.Intn(m.cfg.Classes))
+					}
 				}
-			}
-			for step := 0; step < 20; step++ {
+				for step := 0; step < 20; step++ {
+					draw()
+					a, b := got.TrainBatch(x, y, 0.05), want.TrainBatch(x, y, 0.05)
+					if math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("step %d: loss %v, reference %v", step, a, b)
+					}
+				}
 				draw()
-				a, b := got.TrainBatch(x, y, 0.05), want.TrainBatch(x, y, 0.05)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("step %d: loss %v, reference %v", step, a, b)
+				la, ca, na := got.EvalBatch(x, y)
+				lb, cb, nb := want.EvalBatch(x, y)
+				if math.Float64bits(la) != math.Float64bits(lb) || ca != cb || na != nb {
+					t.Fatalf("eval: loss %v correct %d/%d, reference %v %d/%d", la, ca, na, lb, cb, nb)
 				}
-			}
-			draw()
-			la, ca, na := got.EvalBatch(x, y)
-			lb, cb, nb := want.EvalBatch(x, y)
-			if math.Float64bits(la) != math.Float64bits(lb) || ca != cb || na != nb {
-				t.Fatalf("eval: loss %v correct %d/%d, reference %v %d/%d", la, ca, na, lb, cb, nb)
-			}
-			pa, pb := make([]float64, got.ParamCount()), make([]float64, want.ParamCount())
-			got.CopyParams(pa)
-			want.CopyParams(pb)
-			if i := firstBitDiff(pa, pb); i >= 0 {
-				t.Fatalf("param %d = %v, reference %v", i, pa[i], pb[i])
-			}
+				pa, pb := make([]float64, got.ParamCount()), make([]float64, want.ParamCount())
+				got.CopyParams(pa)
+				want.CopyParams(pb)
+				if i := firstBitDiff(pa, pb); i >= 0 {
+					t.Fatalf("param %d = %v, reference %v", i, pa[i], pb[i])
+				}
+			})
 		})
 	}
 }

@@ -127,17 +127,19 @@ type MatrixFactorization struct {
 
 var _ Trainable = (*MatrixFactorization)(nil)
 
-// NewMatrixFactorization builds an MF model with N(0, 0.1) embeddings.
+// NewMatrixFactorization builds an MF model with N(0, 0.1) embeddings. Its
+// blocks carry no Grad: TrainBatch applies every sample's update in place.
 func NewMatrixFactorization(users, items, k int, rng interface{ NormFloat64() float64 }) *MatrixFactorization {
+	block := func(name string, n int) *Param { return &Param{Name: name, Data: make([]float64, n)} }
 	m := &MatrixFactorization{
 		Users:      users,
 		Items:      items,
 		K:          k,
-		UserEmb:    newParam("mf.user_emb", users*k),
-		ItemEmb:    newParam("mf.item_emb", items*k),
-		UserBias:   newParam("mf.user_bias", users),
-		ItemBias:   newParam("mf.item_bias", items),
-		GlobalBias: newParam("mf.global_bias", 1),
+		UserEmb:    block("mf.user_emb", users*k),
+		ItemEmb:    block("mf.item_emb", items*k),
+		UserBias:   block("mf.user_bias", users),
+		ItemBias:   block("mf.item_bias", items),
+		GlobalBias: block("mf.global_bias", 1),
 	}
 	for i := range m.UserEmb.Data {
 		m.UserEmb.Data[i] = rng.NormFloat64() * 0.1
@@ -161,9 +163,6 @@ func (m *MatrixFactorization) CopyParams(dst []float64) { copyParamsOut(dst, m.p
 
 // SetParams implements Trainable.
 func (m *MatrixFactorization) SetParams(src []float64) { copyParamsIn(src, m.params, m.count) }
-
-// Params returns the parameter blocks (for optimizer access in tests).
-func (m *MatrixFactorization) Params() []*Param { return m.params }
 
 func (m *MatrixFactorization) predict(u, it int) float64 {
 	pu := m.UserEmb.Data[u*m.K : (u+1)*m.K]

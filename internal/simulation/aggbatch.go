@@ -130,7 +130,7 @@ func (p *aggCtxPool) put(c *aggBatchCtx) {
 // submitAggregate dispatches node i's aggregate on the pool — the per-node
 // reference path; the batched path below must be bit-identical to it.
 func (r *asyncRun) submitAggregate(i, iter int, wi topology.Weights, msgs map[int][]byte) {
-	r.tails[i] = r.pool.submit(r.tails[i], func() error {
+	r.tails[i] = r.pool.submit(r.tails[i], i, func() error {
 		err := r.eng.Nodes[i].Aggregate(iter, wi, msgs)
 		r.msgsPool.put(msgs)
 		if err != nil {

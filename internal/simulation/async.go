@@ -1148,7 +1148,7 @@ func (r *asyncRun) scheduleTrain(i int) {
 func (r *asyncRun) dispatchSpec(i, iter int) {
 	tt := &r.trainTasks[i]
 	tt.loss, tt.payload, tt.bd = 0, nil, codec.ByteBreakdown{}
-	tt.fut = r.pool.submit(r.tails[i], func() error {
+	tt.fut = r.pool.submit(r.tails[i], i, func() error {
 		loss, payload, bd, err := trainShare(r.eng.Nodes[i], iter)
 		if err != nil {
 			return fmt.Errorf("node %d share: %w", i, err)
@@ -1194,9 +1194,11 @@ func (r *asyncRun) onTrainDone(ev *Event) error {
 		if err := r.tails[i].wait(); err != nil {
 			return err
 		}
-		var err error
-		loss, payload, bd, err = trainShare(r.eng.Nodes[i], st.iter)
-		if err != nil {
+		// Under the pool's panic recovery, like the dispatch it stands in for.
+		if err := runTask(i, func() (err error) {
+			loss, payload, bd, err = trainShare(r.eng.Nodes[i], st.iter)
+			return err
+		}); err != nil {
 			return fmt.Errorf("node %d share: %w", i, err)
 		}
 	}
@@ -1709,7 +1711,10 @@ func (r *asyncRun) emitRows() error {
 				// live mask only exists when sampling is on.
 				live = r.liveMask()
 			}
-			loss, acc := evaluateNodesOn(r.pool, r.eng.Nodes, r.eng.TestSet, r.cfg.Config, subset, live)
+			loss, acc, err := evaluateNodesOn(r.pool, r.eng.Nodes, r.eng.TestSet, r.cfg.Config, subset, live)
+			if err != nil {
+				return err
+			}
 			rm.TestLoss, rm.TestAcc = loss, acc
 			r.res.FinalAccuracy, r.res.FinalLoss = acc, loss
 			if r.cfg.TargetAccuracy > 0 && acc >= r.cfg.TargetAccuracy && r.res.RoundsToTarget < 0 {

@@ -363,7 +363,10 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		if round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1 {
-			loss, acc := evaluateNodesOn(pool, e.Nodes, e.TestSet, cfg, subset, nil)
+			loss, acc, err := evaluateNodesOn(pool, e.Nodes, e.TestSet, cfg, subset, nil)
+			if err != nil {
+				return nil, err
+			}
 			rm.TestLoss, rm.TestAcc = loss, acc
 			res.FinalAccuracy, res.FinalLoss = acc, loss
 			if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy && res.RoundsToTarget < 0 {

@@ -137,14 +137,14 @@ func TestSampledEvalOfflineNaN(t *testing.T) {
 	subset := []int{0, 1, 2}
 	live := make([]bool, n)
 
-	loss, acc := evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
+	loss, acc, _ := evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
 	if !math.IsNaN(loss) || !math.IsNaN(acc) {
 		t.Fatalf("all-offline subset produced (%v, %v), want NaN", loss, acc)
 	}
 
 	live[1] = true
-	loss, acc = evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
-	wantLoss, wantAcc := evaluateNodesOn(pool, nodes, ds, cfg, []int{1}, nil)
+	loss, acc, _ = evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
+	wantLoss, wantAcc, _ := evaluateNodesOn(pool, nodes, ds, cfg, []int{1}, nil)
 	if loss != wantLoss || acc != wantAcc {
 		t.Fatalf("single live node: got (%v, %v), want node 1 alone (%v, %v)", loss, acc, wantLoss, wantAcc)
 	}

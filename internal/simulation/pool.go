@@ -13,10 +13,41 @@
 package simulation
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/metrics"
 )
+
+// TaskPanicError is a panic in a pool task, recovered into that task's error:
+// it reaches the engine through the task's future (or forEach's lowest-index
+// rule) like any error a task returns, so Run closes the pool and returns it
+// instead of taking the process down from a worker goroutine.
+type TaskPanicError struct {
+	// Task is the id the task was submitted under: the node for the engines'
+	// per-node tasks, forEach's index, -1 for a batch of nodes.
+	Task  int
+	Value any    // what the task panicked with
+	Stack []byte // the stack of the panicking goroutine
+}
+
+func (e *TaskPanicError) Error() string {
+	return fmt.Sprintf("simulation: task %d panicked: %v\n%s", e.Task, e.Value, e.Stack)
+}
+
+// recoverTask is deferred, once, around every task body, pooled or inline.
+func recoverTask(err *error, task int) {
+	if v := recover(); v != nil {
+		*err = &TaskPanicError{Task: task, Value: v, Stack: debug.Stack()}
+	}
+}
+
+// runTask runs fn on the calling goroutine with a panic turned into its error.
+func runTask(task int, fn func() error) (err error) {
+	defer recoverTask(&err, task)
+	return fn()
+}
 
 // future is the completion handle of one submitted task. The zero value is
 // not usable; tasks create their futures through computePool.submit.
@@ -91,8 +122,9 @@ func (p *computePool) close() {
 
 // submit schedules fn to run after prev completes (prev may be nil) and
 // returns its future. If prev failed, fn is skipped and the error propagates
-// to the new future, so a node's chain stops at its first failure.
-func (p *computePool) submit(prev *future, fn func() error) *future {
+// to the new future, so a node's chain stops at its first failure. task names
+// fn in a TaskPanicError.
+func (p *computePool) submit(prev *future, task int, fn func() error) *future {
 	if p.tasks == nil {
 		// Inline mode: prev is always complete here because every earlier
 		// submission ran inline too, so its error (if any) can propagate by
@@ -103,7 +135,7 @@ func (p *computePool) submit(prev *future, fn func() error) *future {
 		if prev != nil && prev.err != nil {
 			return prev
 		}
-		if err := fn(); err != nil {
+		if err := runTask(task, fn); err != nil {
 			return &future{ch: closedFutureCh, err: err}
 		}
 		return doneFuture
@@ -120,7 +152,7 @@ func (p *computePool) submit(prev *future, fn func() error) *future {
 				return
 			}
 		}
-		f.err = fn()
+		f.err = runTask(task, fn)
 		close(f.ch)
 	}
 	if prev == nil {
@@ -153,7 +185,7 @@ func (p *computePool) submitBatch(prevs []*future, fn func() error) *future {
 				return prev
 			}
 		}
-		if err := fn(); err != nil {
+		if err := runTask(-1, fn); err != nil {
 			return &future{ch: closedFutureCh, err: err}
 		}
 		return doneFuture
@@ -173,7 +205,7 @@ func (p *computePool) submitBatch(prevs []*future, fn func() error) *future {
 				return
 			}
 		}
-		f.err = fn()
+		f.err = runTask(-1, fn)
 		close(f.ch)
 	}
 	// As in submit: dependency waits happen on a shim goroutine so a pool
@@ -224,9 +256,13 @@ func (p *msgsPool) put(m map[int][]byte) {
 // forEach runs fn(i) for i in [0, n) on the pool and returns the
 // lowest-index error (deterministic, unlike first-error-wins collection).
 func (p *computePool) forEach(n int, fn func(i int) error) error {
+	run := func(i int) (err error) {
+		defer recoverTask(&err, i)
+		return fn(i)
+	}
 	if p.tasks == nil || n <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := run(i); err != nil {
 				return err
 			}
 		}
@@ -238,8 +274,8 @@ func (p *computePool) forEach(n int, fn func(i int) error) error {
 	for i := 0; i < n; i++ {
 		i := i
 		p.tasks <- func() {
-			defer wg.Done()
-			errs[i] = fn(i)
+			errs[i] = run(i)
+			wg.Done()
 		}
 	}
 	wg.Wait()

@@ -7,6 +7,8 @@
 package simulation
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/codec"
@@ -166,7 +168,7 @@ func evalCapSubset(n int, cfg Config) []int {
 // caps it, over a seeded uniform k-subset fixed for the run; exact paths
 // ignore live, preserving the historical behavior of scoring offline nodes'
 // retained models.
-func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Dataset, cfg Config, subset []int, live []bool) (loss, acc float64) {
+func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Dataset, cfg Config, subset []int, live []bool) (loss, acc float64, err error) {
 	if subset == nil {
 		live = nil
 		subset = evalCapSubset(len(nodes), cfg)
@@ -177,7 +179,7 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 	}
 	lossSum := make([]float64, k)
 	accSum := make([]float64, k)
-	_ = p.forEach(k, func(i int) error {
+	err = p.forEach(k, func(i int) error {
 		j := i
 		if subset != nil {
 			j = subset[i]
@@ -190,7 +192,17 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 		lossSum[i], accSum[i] = l, a
 		return nil
 	})
-	return mean(lossSum), mean(accSum)
+	// Evaluation returns no error of its own: this one is a panic in a model,
+	// and its task index says which.
+	var pe *TaskPanicError
+	if errors.As(err, &pe) {
+		j := pe.Task
+		if subset != nil {
+			j = subset[j]
+		}
+		err = fmt.Errorf("node %d evaluate: %w", j, err)
+	}
+	return mean(lossSum), mean(accSum), err
 }
 
 // evaluateNodes is evaluateNodesOn with a transient pool, for callers outside
@@ -198,7 +210,13 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 func evaluateNodes(nodes []core.Node, testSet *datasets.Dataset, cfg Config) (loss, acc float64) {
 	p := newComputePool(cfg.Parallelism)
 	defer p.close()
-	return evaluateNodesOn(p, nodes, testSet, cfg, newEvalSampler(len(nodes), cfg).subsetFor(0), nil)
+	loss, acc, err := evaluateNodesOn(p, nodes, testSet, cfg, newEvalSampler(len(nodes), cfg).subsetFor(0), nil)
+	if err != nil {
+		// A model panicked and there is no error result to carry it: raise
+		// it again, on the caller's goroutine.
+		panic(err)
+	}
+	return loss, acc
 }
 
 // meanAlphaOf averages LastAlpha over JWINS nodes (NaN if none) — the
