@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/nn"
 	"repro/internal/perf"
 )
 
@@ -104,6 +105,8 @@ func run() error {
 		}()
 	}
 
+	// Timings from two hosts compare only if they ran the same kernels.
+	fmt.Printf("jwins-bench: conv=%s\n", nn.ConvPath())
 	if *benchJSON != "" {
 		return runBenchSuite(*benchJSON, *benchQuick)
 	}

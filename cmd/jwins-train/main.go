@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/simulation"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -183,8 +184,8 @@ func run() error {
 		fmt.Printf("telemetry: http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr())
 	}
 
-	fmt.Printf("dataset=%s algo=%s nodes=%d degree=%d params=%d rounds=%d\n",
-		w.Name, *algo, w.Nodes, w.Degree, w.NewModel(vec.NewRNG(*seed)).ParamCount(), pick(*rounds, w.Rounds))
+	fmt.Printf("dataset=%s algo=%s nodes=%d degree=%d params=%d rounds=%d conv=%s\n",
+		w.Name, *algo, w.Nodes, w.Degree, w.NewModel(vec.NewRNG(*seed)).ParamCount(), pick(*rounds, w.Rounds), nn.ConvPath())
 	fmt.Printf("%-7s %-11s %-10s %-9s %-13s %-10s\n",
 		"round", "train-loss", "test-loss", "test-acc", "sent-total", "sim-time")
 

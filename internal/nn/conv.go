@@ -18,7 +18,8 @@ type Conv2D struct {
 
 	x        *Tensor
 	out, dx  tscratch
-	pk, tile tscratch // the vector path's packed kernels and its sums
+	pk, tile tscratch // the vector path's packed kernels (Backward: W.Grad) and its lane tile
+	kin, dxt tscratch // its kernels packed for dx and dx's lane tile
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -39,6 +40,16 @@ func NewConv2D(inC, outC, k, pad int, rng *vec.RNG) *Conv2D {
 		c.W.Data[i] = (2*rng.Float64() - 1) * bound
 	}
 	return c
+}
+
+// ConvPath names the kernels 5×5 convolutions run on in this process: "avx2"
+// (the 4-lane assembly routines) or "portable" (the Go kernels). The CPU and
+// the build decide; the bits are the same, the run times are not.
+func ConvPath() string {
+	if haveAVX2 {
+		return "avx2"
+	}
+	return "portable"
 }
 
 // OutSize returns the spatial output size for input size s.
@@ -100,7 +111,8 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 // As in Forward, only the traversal differs from the textbook loop: every
 // dx element still receives its terms in (oc, oy, ox) order, every W.Grad
 // entry in (sample, oy, ox) order, exact-zero output gradients are still
-// skipped, and no product with a padding zero is ever formed.
+// skipped, and no product with a padding zero is ever formed. backwardLanes
+// takes 5×5 channel quads where the CPU has AVX2, each lane the same chain.
 func (c *Conv2D) Backward(grad *Tensor) *Tensor { return c.backward(grad, true) }
 
 // backwardParams implements paramBackward. The 5×5 kernels compute the two
@@ -120,6 +132,8 @@ func (c *Conv2D) backward(grad *Tensor, wantDX bool) *Tensor {
 	}
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
 	hw, ohw, kk := h*w, oh*ow, c.K*c.K
+	// The vector path's share: W.Grad of ocDone output channels, dx of icDone input channels.
+	ocDone, icDone := c.backwardLanes(&g, x, grad, dx)
 	for ni := 0; ni < n; ni++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			gr := grad.Data[(ni*c.OutC+oc)*ohw:][:ohw]
@@ -130,11 +144,15 @@ func (c *Conv2D) backward(grad *Tensor, wantDX bool) *Tensor {
 			c.B.Grad[oc] = b
 			for ic := 0; ic < c.InC; ic++ {
 				xs, dk := x.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Grad[(oc*c.InC+ic)*kk:][:kk]
-				if !wantDX {
+				needDK, needDX := oc >= ocDone, wantDX && ic >= icDone
+				switch {
+				case needDK && needDX:
+					g.backward(gr, xs, dx.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk], dk)
+				case needDK:
 					g.kernelGrad5(gr, xs, dk)
-					continue
+				case needDX:
+					g.inputGrad5(gr, dx.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk])
 				}
-				g.backward(gr, xs, dx.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk], dk)
 			}
 		}
 	}

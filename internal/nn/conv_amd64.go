@@ -2,8 +2,10 @@
 
 package nn
 
-// haveAVX2 selects Forward's 4-lane path. The CPU and the OS decide it, once,
-// and nothing else does; the tests flip it to hold both paths to one oracle.
+import "slices"
+
+// haveAVX2 selects the 4-lane path. The CPU and the OS decide it, once, and
+// nothing else does; the tests flip it to hold both paths to one oracle.
 var haveAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -21,16 +23,8 @@ func (c *Conv2D) forwardLanes(g *convGeom, x, y []float64, n int) int {
 	if !haveAVX2 || c.K != 5 || quads == 0 {
 		return 0
 	}
-	// Kernels as [quad][ic][tap][lane]: one vector load per tap.
 	pk, t := c.pk.ensure(quads, c.InC, 25, 4).Data, c.tile.ensure(ohw, 4).Data
-	for o := 0; o < 4*quads; o++ {
-		for ic := 0; ic < c.InC; ic++ {
-			dst := pk[(o/4*c.InC+ic)*100+o%4:]
-			for i, v := range c.W.Data[(o*c.InC+ic)*25:][:25] {
-				dst[4*i] = v
-			}
-		}
-	}
+	c.packQuads(pk, c.W.Data, false)
 	for ni := 0; ni < n; ni++ {
 		for q := 0; q < quads; q++ {
 			clear(t)
@@ -50,6 +44,24 @@ func (c *Conv2D) forwardLanes(g *convGeom, x, y []float64, n int) int {
 		}
 	}
 	return 4 * quads
+}
+
+// packQuads copies the [oc][ic][tap] weights or gradients w of the output
+// channel quads into pk as [quad][ic][tap][lane], one vector load per tap, or
+// back out of it when unpack is set.
+func (c *Conv2D) packQuads(pk, w []float64, unpack bool) {
+	for o := 0; o < c.OutC/4*4; o++ {
+		for ic := 0; ic < c.InC; ic++ {
+			lanes, plain := pk[(o/4*c.InC+ic)*100+o%4:], w[(o*c.InC+ic)*25:][:25]
+			for i := range plain {
+				if unpack {
+					plain[i] = lanes[4*i]
+				} else {
+					lanes[4*i] = plain[i]
+				}
+			}
+		}
+	}
 }
 
 // lanePlanes adds chans (4 or 1) input planes to the tile, as runs of pixels
@@ -108,4 +120,105 @@ func (g *convGeom) sum4(t []float64, tStride, nt int, in []float64, inStride int
 	in = in[:(tiles-1)*inNext+3*inStride+(rows-1)*g.w+cols]
 	kw = kw[:3*kwStride+((rows-1)*5+cols)*4]
 	convSum4(&t[0], tStride, nt, &in[0], inStride, g.w, &kw[0], kwStride, rows, cols, tiles, tNext, inNext)
+}
+
+//go:noescape
+func convKernelGrad4(acc *float64, n int, gt *float64, gtPitch int, in *float64, inStride, inPitch int, taps *int, sparse bool)
+
+//go:noescape
+func convInputGrad4(d *float64, dPitch int, gr *float64, oh, ow int, kw *float64, h, pad int)
+
+// backwardLanes is backward's vector path, for 5×5 kernels: it returns how
+// many leading output channels have their W.Grad and how many leading input
+// channels their dx (wanted unless dx is nil); the portable kernels take the rest.
+func (c *Conv2D) backwardLanes(g *convGeom, x, grad, dx *Tensor) (ocDone, icDone int) {
+	if !haveAVX2 || c.K != 5 {
+		return 0, 0
+	}
+	return c.kernelGradLanes(g, x.Data, grad.Data, x.Shape[0]), c.inputGradLanes(g, grad.Data, dx, x.Shape[0])
+}
+
+// kernelGradLanes accumulates W.Grad for the output channel quads: four
+// adjacent output channels are the lanes, as in forwardLanes, so a first
+// layer's three input channels are no obstacle. The gradients sit in pk, in
+// its layout, for the whole call, every entry collecting kernelGrad5's terms in
+// (sample, oy, ox) order; a quad's planes are interleaved into tile per sample.
+func (c *Conv2D) kernelGradLanes(g *convGeom, x, grad []float64, n int) int {
+	quads, hw, ohw := c.OutC/4, g.h*g.w, g.oh*g.ow
+	// With under three input channels half the routine's streams idle; if the
+	// gradients are sparse too (LEAF-CNN's first layer) kernelGrad5 is faster.
+	if quads == 0 || c.InC < 3 && slices.Contains(grad, 0) {
+		return 0
+	}
+	dk, t := c.pk.ensure(quads, c.InC, 25, 4).Data, c.tile.ensure(ohw, 4).Data
+	c.packQuads(dk, c.W.Grad, false)
+	// Per tap {offset in t, offset in the input plane, rows, cols}: the output
+	// pixels whose window has the tap inside the plane, so none meets padding.
+	var taps [100]int
+	for i := 0; i < 25; i++ {
+		oy0, oy1 := span(i/5-g.pad, g.h, g.oh)
+		ox0, ox1 := span(i%5-g.pad, g.w, g.ow)
+		if oy1 > oy0 && ox1 > ox0 {
+			copy(taps[4*i:], []int{(oy0*g.ow + ox0) * 4, (oy0-g.pad+i/5)*g.w + ox0 - g.pad + i%5, oy1 - oy0, ox1 - ox0})
+		}
+	}
+	for ni := 0; ni < n; ni++ {
+		for q := 0; q < quads; q++ {
+			sparse := false // set by an exact zero; without one (under GroupNorm) no lane is ever skipped
+			for l := 0; l < 4; l++ {
+				for p, v := range grad[(ni*c.OutC+4*q+l)*ohw:][:ohw] {
+					t[4*p+l] = v
+					sparse = sparse || v == 0
+				}
+			}
+			for ic := 0; ic < c.InC; ic += 4 {
+				// Slice before taking addresses: a wrong geometry panics here.
+				nc := min(4, c.InC-ic)
+				acc, in := dk[(q*c.InC+ic)*100:][:nc*100], x[(ni*c.InC+ic)*hw:][:nc*hw]
+				convKernelGrad4(&acc[0], nc, &t[0], 4*g.ow, &in[0], hw, g.w, &taps[0], sparse)
+			}
+		}
+	}
+	c.packQuads(dk, c.W.Grad, true)
+	return 4 * quads
+}
+
+// inputGradLanes computes dx for the input channel quads. Here four adjacent
+// input channels are the lanes: a dx element takes its terms in (oc, oy, ox)
+// order, so the output channels run one after the other. A quad's dx planes
+// collect from +0, as dx does, in the lane-interleaved tile dxt, whose rows of
+// ow+4 columns have room for the stand-ins inputGrad5 keeps in registers.
+func (c *Conv2D) inputGradLanes(g *convGeom, grad []float64, dx *Tensor, n int) int {
+	quads, ohw, w2 := c.InC/4, g.oh*g.ow, g.ow+4
+	if dx == nil || quads == 0 {
+		return 0
+	}
+	// Kernels as [oc][quad][tap][lane].
+	kin, d := c.kin.ensure(c.OutC, quads, 25, 4).Data, c.dxt.ensure(g.h, w2, 4).Data
+	for oc := 0; oc < c.OutC; oc++ {
+		for ic := 0; ic < 4*quads; ic++ {
+			dst := kin[(oc*quads+ic/4)*100+ic%4:]
+			for i, v := range c.W.Data[(oc*c.InC+ic)*25:][:25] {
+				dst[4*i] = v
+			}
+		}
+	}
+	for ni := 0; ni < n; ni++ {
+		for q := 0; q < quads; q++ {
+			clear(d)
+			for oc := 0; oc < c.OutC; oc++ {
+				gr, kw := grad[(ni*c.OutC+oc)*ohw:][:ohw], kin[(oc*quads+q)*100:][:100]
+				convInputGrad4(&d[0], 4*w2, &gr[0], g.oh, g.ow, &kw[0], g.h, g.pad)
+			}
+			for l := 0; l < 4; l++ {
+				for iy := 0; iy < g.h; iy++ {
+					row, src := dx.Data[((ni*c.InC+4*q+l)*g.h+iy)*g.w:][:g.w], d[(iy*w2+g.pad)*4+l:]
+					for ix := range row {
+						row[ix] = src[4*ix]
+					}
+				}
+			}
+		}
+	}
+	return 4 * quads
 }

@@ -5,5 +5,5 @@ package nn
 // cpuAVX2 is what the CPU selected, read before any test flips the path.
 var cpuAVX2 = haveAVX2
 
-// setVectorPath turns Forward's 4-lane path on or off (see forEachConvPath).
+// setVectorPath turns the 4-lane path on or off (see forEachConvPath).
 func setVectorPath(on bool) { haveAVX2 = on }

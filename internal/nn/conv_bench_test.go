@@ -7,15 +7,21 @@ import (
 	"repro/internal/vec"
 )
 
+type convShape struct{ inC, outC, size int }
+
 // convBenchShapes are the convolutions the image workloads run: the two
 // GN-LeNet layers at the cifar Small scale and the first layer at the
 // paper's width.
-var convBenchShapes = []struct {
-	inC, outC, size int
-}{
+var convBenchShapes = []convShape{
 	{3, 8, 16},
 	{8, 8, 8},
 	{3, 32, 32},
+}
+
+// leafBenchShapes are LEAF-CNN's two layers at the femnist Small scale.
+var leafBenchShapes = []convShape{
+	{1, 8, 16},
+	{8, 16, 8},
 }
 
 // benchArms are the arms of every convolution benchmark, over equal weights
@@ -32,9 +38,9 @@ func portableArm(arm string) (restore func()) {
 }
 
 // benchConvArms runs fn once per shape and arm.
-func benchConvArms(b *testing.B, fn func(b *testing.B, l Layer, x, grad *Tensor)) {
+func benchConvArms(b *testing.B, shapes []convShape, fn func(b *testing.B, l Layer, x, grad *Tensor)) {
 	const batch = 8
-	for _, s := range convBenchShapes {
+	for _, s := range shapes {
 		for _, arm := range benchArms {
 			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.inC, s.outC, s.size, s.size, arm), func(b *testing.B) {
 				defer portableArm(arm)()
@@ -55,7 +61,7 @@ func benchConvArms(b *testing.B, fn func(b *testing.B, l Layer, x, grad *Tensor)
 }
 
 func BenchmarkConv2DForward(b *testing.B) {
-	benchConvArms(b, func(b *testing.B, l Layer, x, _ *Tensor) {
+	benchConvArms(b, convBenchShapes, func(b *testing.B, l Layer, x, _ *Tensor) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -64,14 +70,51 @@ func BenchmarkConv2DForward(b *testing.B) {
 	})
 }
 
+// timeBackward times l.Backward(grad) after one Forward.
+func timeBackward(b *testing.B, l Layer, x, grad *Tensor) {
+	l.Forward(x, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Backward(grad)
+	}
+}
+
 func BenchmarkConv2DBackward(b *testing.B) {
-	benchConvArms(b, func(b *testing.B, l Layer, x, grad *Tensor) {
+	benchConvArms(b, convBenchShapes, timeBackward)
+}
+
+// BenchmarkConv2DKernelGrad times the half of the backward pass a training
+// step runs on its first layer: backwardParams, the parameter gradients
+// without the input gradient. The reference has no such half and runs both.
+func BenchmarkConv2DKernelGrad(b *testing.B) {
+	benchConvArms(b, convBenchShapes, func(b *testing.B, l Layer, x, grad *Tensor) {
 		l.Forward(x, true)
+		half := func(g *Tensor) { l.Backward(g) }
+		if c, ok := l.(*Conv2D); ok {
+			half = c.backwardParams
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l.Backward(grad)
+			half(grad)
 		}
+	})
+}
+
+// BenchmarkConv2DBackwardSparse is Backward where the lanes have least to
+// gain: LEAF-CNN puts ReLU and a 2×2 max-pool behind each convolution, so at
+// most one output gradient in four is not an exact zero (one in eight here),
+// and the portable kernels skip a zero for five taps at a time.
+func BenchmarkConv2DBackwardSparse(b *testing.B) {
+	benchConvArms(b, leafBenchShapes, func(b *testing.B, l Layer, x, grad *Tensor) {
+		rng := vec.NewRNG(45)
+		for i := range grad.Data {
+			if rng.Intn(8) != 0 {
+				grad.Data[i] = 0
+			}
+		}
+		timeBackward(b, l, x, grad)
 	})
 }
 
@@ -124,7 +167,8 @@ func BenchmarkGNLeNetEvalBatch(b *testing.B) {
 }
 
 // TestConv2DAllocationFree pins the kernels' steady state: once the scratch
-// tensors exist, neither direction allocates on either path.
+// tensors exist, neither direction allocates on either path, nor does the
+// training step's half of the backward pass.
 func TestConv2DAllocationFree(t *testing.T) {
 	forEachConvPath(t, func(t *testing.T) {
 		rng := vec.NewRNG(44)
@@ -141,6 +185,9 @@ func TestConv2DAllocationFree(t *testing.T) {
 			}
 			if a := testing.AllocsPerRun(10, func() { c.Backward(grad) }); a != 0 {
 				t.Errorf("%d->%d@%d: Backward allocates %v times per call", s.inC, s.outC, s.size, a)
+			}
+			if a := testing.AllocsPerRun(10, func() { c.backwardParams(grad) }); a != 0 {
+				t.Errorf("%d->%d@%d: backwardParams allocates %v times per call", s.inC, s.outC, s.size, a)
 			}
 		}
 	})

@@ -35,36 +35,66 @@ func guarded(t *testing.T, n int, atEnd bool) []float64 {
 }
 
 // TestConvKernelStaysInBounds runs every tile class of the vector path with
-// the three buffers the assembly routine addresses (the input planes, the
-// packed kernels and the sum tile) flush against a guard page, first the
-// page after them and then the page before. The parity tests would miss an
-// over-read that lands in mapped heap and does not change a sum; here it
-// kills the process.
+// every buffer an assembly routine addresses flush against a guard page,
+// first the page after it and then the page before: for Forward the input
+// planes, the packed kernels and the sum tile; for Backward the input planes
+// again, the output gradient, W.Grad, dx, and the scratch the two routines
+// own (W.Grad in lanes and the gradient quad, which live in Forward's two
+// buffers, the kernels packed for dx and dx's tile with its stand-in
+// columns). The parity tests would miss an access that lands in mapped heap
+// and changes no result; here it kills the process.
 func TestConvKernelStaysInBounds(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 path on this CPU")
 	}
 	for _, atEnd := range []bool{true, false} {
+		// scratch hands s a guarded buffer of exactly n values (none for 0).
+		scratch := func(s *tscratch, n int) []float64 {
+			if n == 0 {
+				return nil
+			}
+			buf := guarded(t, n, atEnd)
+			s.t.Data = buf[:0]
+			return buf
+		}
+		kept := func(s *tscratch, buf []float64) bool {
+			return buf == nil || unsafe.SliceData(s.t.Data) == unsafe.SliceData(buf)
+		}
 		for i, cc := range vectorTileCases() {
 			rng := vec.NewRNG(uint64(2000 + i))
 			c := NewConv2D(cc.inC, cc.outC, cc.k, cc.pad, rng)
 			fillSigned(c.W.Data, rng)
 			fillSigned(c.B.Data, rng)
+			c.W.Grad = guarded(t, len(c.W.Grad), atEnd)
+			fillSigned(c.W.Grad, rng)
 			x := &Tensor{Shape: []int{cc.n, cc.inC, cc.h, cc.w}, Data: guarded(t, cc.n*cc.inC*cc.h*cc.w, atEnd)}
 			fillSigned(x.Data, rng)
 			if cc.edges {
 				plantEdges(x.Data, cc.h, cc.w)
 			}
-			pk := guarded(t, cc.outC/4*cc.inC*100, atEnd)
-			tile := guarded(t, c.OutSize(cc.h)*c.OutSize(cc.w)*4, atEnd)
-			c.pk.t.Data, c.tile.t.Data = pk[:0], tile[:0]
-			y := c.Forward(x, false)
-			if &c.pk.t.Data[0] != &pk[0] || &c.tile.t.Data[0] != &tile[0] {
-				t.Fatalf("%v: Forward replaced the guarded buffers", cc)
+			oh, ow := c.OutSize(cc.h), c.OutSize(cc.w)
+			pk := scratch(&c.pk, cc.outC/4*cc.inC*100)
+			tile := scratch(&c.tile, oh*ow*4)
+			kin := scratch(&c.kin, cc.outC*(cc.inC/4)*100)
+			dxt := scratch(&c.dxt, cc.h*(ow+4)*4)
+			dxBuf := scratch(&c.dx, len(x.Data))
+			want := refConv2D{twinConv(c)}
+
+			y, yRef := c.Forward(x, false), want.Forward(x, false)
+			if i := firstBitDiff(y.Data, yRef.Data); i >= 0 {
+				t.Fatalf("%v: y[%d] = %v, reference %v", cc, i, y.Data[i], yRef.Data[i])
 			}
-			want := refConv2D{&Conv2D{InC: cc.inC, OutC: cc.outC, K: cc.k, Pad: cc.pad, W: c.W, B: c.B}}.Forward(x, false)
-			if i := firstBitDiff(y.Data, want.Data); i >= 0 {
-				t.Fatalf("%v: y[%d] = %v, reference %v", cc, i, y.Data[i], want.Data[i])
+			grad := &Tensor{Shape: y.Shape, Data: guarded(t, len(y.Data), atEnd)}
+			cc.fillGrad(grad.Data, rng)
+			dx, dxRef := c.Backward(grad), want.Backward(grad)
+			if i := firstBitDiff(dx.Data, dxRef.Data); i >= 0 {
+				t.Fatalf("%v: dx[%d] = %v, reference %v", cc, i, dx.Data[i], dxRef.Data[i])
+			}
+			if i := firstBitDiff(c.W.Grad, want.W.Grad); i >= 0 {
+				t.Fatalf("%v: W.Grad[%d] = %v, reference %v", cc, i, c.W.Grad[i], want.W.Grad[i])
+			}
+			if !kept(&c.pk, pk) || !kept(&c.tile, tile) || !kept(&c.kin, kin) || !kept(&c.dxt, dxt) || !kept(&c.dx, dxBuf) {
+				t.Fatalf("%v: the layer replaced a guarded buffer", cc)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
@@ -129,6 +130,28 @@ type convCase struct {
 	// edges plants -0, Inf and NaN in the corner pixels and border columns of
 	// every input plane, where the vector path runs its partial-window tiles.
 	edges bool
+	// denseGrad leaves no exact zero in the output gradient (the vector path
+	// then runs its loop without the per-lane skip); zeroPlanes makes whole
+	// gradient planes ±0, some lanes of a quad and not others, and all of the
+	// last sample. Otherwise one gradient in eight is a zero of either sign.
+	denseGrad, zeroPlanes bool
+}
+
+// fillGrad draws the output gradient of a case: n·outC planes.
+func (cc convCase) fillGrad(grad []float64, rng *vec.RNG) {
+	fillSigned(grad, rng)
+	planes := cc.n * cc.outC
+	ohw := len(grad) / planes
+	for p := 0; p < planes; p++ {
+		for i := range grad[p*ohw:][:ohw] {
+			switch at := p*ohw + i; {
+			case cc.denseGrad && grad[at] == 0:
+				grad[at] = 0.5
+			case cc.zeroPlanes && (p%2 == 1 || p >= planes-cc.outC):
+				grad[at] = math.Copysign(0, float64(1-2*(i%2)))
+			}
+		}
+	}
 }
 
 // plantEdges overwrites each h×w plane's four corners and the middle of its
@@ -144,8 +167,9 @@ func plantEdges(x []float64, h, w int) {
 }
 
 // forEachConvPath runs fn as a "vector" and a "portable" subtest: the first
-// with Forward's 4-lane path on (skipped where the CPU or the build has
-// none), the second with it off, so both answer to the same oracle.
+// with the 4-lane path of Forward and Backward on (skipped where the CPU or
+// the build has none), the second with it off, so both answer to the same
+// oracle.
 func forEachConvPath(t *testing.T, fn func(t *testing.T)) {
 	defer setVectorPath(cpuAVX2)
 	for _, path := range []string{"vector", "portable"} {
@@ -158,6 +182,19 @@ func forEachConvPath(t *testing.T, fn func(t *testing.T)) {
 			fn(t)
 		})
 	}
+}
+
+// TestConvPath: what a run prints about its kernels is what it runs.
+func TestConvPath(t *testing.T) {
+	forEachConvPath(t, func(t *testing.T) {
+		want := "portable"
+		if strings.HasSuffix(t.Name(), "/vector") {
+			want = "avx2"
+		}
+		if got := ConvPath(); got != want {
+			t.Fatalf("ConvPath() = %q, want %q", got, want)
+		}
+	})
 }
 
 func (cc convCase) String() string {
@@ -213,11 +250,23 @@ func firstBitDiff(a, b []float64) int {
 	return -1
 }
 
+// twinConv returns a layer of c's shape over copies of its parameters and
+// gradients, with scratch of its own.
+func twinConv(c *Conv2D) *Conv2D {
+	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, Pad: c.Pad,
+		W: &Param{Data: append([]float64(nil), c.W.Data...), Grad: append([]float64(nil), c.W.Grad...)},
+		B: &Param{Data: append([]float64(nil), c.B.Data...), Grad: append([]float64(nil), c.B.Grad...)},
+	}
+}
+
 // checkConvParity runs two forward+backward passes through the kernels and
 // through the reference on identical state and compares y, dx, W.Grad and
-// B.Grad by bit pattern. The gradient accumulators start non-zero and are not
-// cleared between the passes, so accumulation across samples and across
-// calls is covered.
+// B.Grad by bit pattern. The gradient accumulators start non-zero (with -0
+// among them) and are not cleared between the passes, so accumulation across
+// samples and across calls is covered. dx has no such seed to take: every
+// call clears it, and the vector path's tile starts from +0 like it. A third
+// layer runs the training step's half, backwardParams, to the same W.Grad
+// and B.Grad.
 func checkConvParity(t testing.TB, cc convCase) {
 	t.Helper()
 	rng := vec.NewRNG(cc.seed)
@@ -230,10 +279,7 @@ func checkConvParity(t testing.TB, cc convCase) {
 		got.W.Data[rng.Intn(len(got.W.Data))] = math.NaN()
 		got.W.Data[rng.Intn(len(got.W.Data))] = math.Inf(1)
 	}
-	want := refConv2D{&Conv2D{InC: cc.inC, OutC: cc.outC, K: cc.k, Pad: cc.pad,
-		W: &Param{Data: append([]float64(nil), got.W.Data...), Grad: append([]float64(nil), got.W.Grad...)},
-		B: &Param{Data: append([]float64(nil), got.B.Data...), Grad: append([]float64(nil), got.B.Grad...)},
-	}}
+	want, half := refConv2D{twinConv(got)}, twinConv(got)
 	for pass := 0; pass < 2; pass++ {
 		x := NewTensor(cc.n, cc.inC, cc.h, cc.w)
 		fillSigned(x.Data, rng)
@@ -252,8 +298,10 @@ func checkConvParity(t testing.TB, cc convCase) {
 			t.Fatalf("%v pass %d: y[%d] = %v, reference %v", cc, pass, i, y.Data[i], yRef.Data[i])
 		}
 		grad := NewTensor(y.Shape...)
-		fillSigned(grad.Data, rng)
+		cc.fillGrad(grad.Data, rng)
 		dx, dxRef := got.Backward(grad), want.Backward(grad)
+		half.Forward(x, true)
+		half.backwardParams(grad)
 		if i := firstBitDiff(dx.Data, dxRef.Data); i >= 0 {
 			t.Fatalf("%v pass %d: dx[%d] = %v, reference %v", cc, pass, i, dx.Data[i], dxRef.Data[i])
 		}
@@ -263,6 +311,12 @@ func checkConvParity(t testing.TB, cc convCase) {
 		if i := firstBitDiff(got.B.Grad, want.B.Grad); i >= 0 {
 			t.Fatalf("%v pass %d: B.Grad[%d] = %v, reference %v", cc, pass, i, got.B.Grad[i], want.B.Grad[i])
 		}
+		if i := firstBitDiff(half.W.Grad, want.W.Grad); i >= 0 {
+			t.Fatalf("%v pass %d: backwardParams W.Grad[%d] = %v, reference %v", cc, pass, i, half.W.Grad[i], want.W.Grad[i])
+		}
+		if i := firstBitDiff(half.B.Grad, want.B.Grad); i >= 0 {
+			t.Fatalf("%v pass %d: backwardParams B.Grad[%d] = %v, reference %v", cc, pass, i, half.B.Grad[i], want.B.Grad[i])
+		}
 	}
 }
 
@@ -271,9 +325,17 @@ func vectorTileCases() []convCase {
 	var cases []convCase
 	// Input channels in quads and as a remainder of one to three, one to
 	// three output quads with and without a tail, on a plane with H != W.
+	// Backward takes output channels in quads for W.Grad and input channels in
+	// quads for dx, so the same sweep covers its tails. One case in three has
+	// NaN and ±Inf among weights and inputs, which a zero gradient in one lane
+	// of a vector must not meet while its neighbours' do; one in three has no
+	// zero gradient; and a second round has gradient planes that are all zero.
 	for _, inC := range []int{1, 3, 4, 5, 8, 9} {
 		for _, outC := range []int{4, 6, 8, 12} {
-			cases = append(cases, convCase{inC: inC, outC: outC, k: 5, pad: 2, n: 2, h: 7, w: 9})
+			i := len(cases)
+			cases = append(cases,
+				convCase{inC: inC, outC: outC, k: 5, pad: 2, n: 2, h: 7, w: 9, nonFinite: i%3 == 1, denseGrad: i%3 == 2},
+				convCase{inC: inC, outC: outC, k: 5, pad: 2, n: 2, h: 6, w: 5, nonFinite: i%4 == 0, zeroPlanes: true})
 		}
 	}
 	// One to nine interior columns and rows (every tile remainder), every
@@ -286,8 +348,8 @@ func vectorTileCases() []convCase {
 	// the tile starts there, like the output, so no -0 can have been left in
 	// it and none needs seeding here.
 	for _, hw := range [][2]int{{3, 9}, {9, 3}, {4, 4}, {1, 6}, {6, 7}} {
-		for _, pad := range []int{0, 2, 4, 5, 6} {
-			cc := convCase{inC: 5, outC: 8, k: 5, pad: pad, n: 1, h: hw[0], w: hw[1], edges: pad != 2}
+		for pad := 0; pad <= 6; pad++ {
+			cc := convCase{inC: 5, outC: 8, k: 5, pad: pad, n: 1, h: hw[0], w: hw[1], edges: pad != 2, denseGrad: pad%3 == 0}
 			if cc.valid() {
 				cases = append(cases, cc)
 			}
@@ -387,14 +449,20 @@ func FuzzConv2DParity(f *testing.F) {
 	f.Add(uint8(2), uint8(5), uint8(2), uint8(5), uint8(0), uint8(2), uint8(8), uint64(0x400000000000000a))
 	f.Add(uint8(7), uint8(3), uint8(2), uint8(6), uint8(1), uint8(5), uint8(3), uint64(11))
 	f.Add(uint8(0), uint8(7), uint8(2), uint8(0), uint8(2), uint8(17), uint8(6), uint64(0xc00000000000000c))
+	// Backward's: a first layer's three channels without a zero gradient, quads
+	// on both sides with whole planes of zeros next to non-finite values.
+	f.Add(uint8(2), uint8(7), uint8(2), uint8(2), uint8(1), uint8(15), uint8(15), uint64(0x200000000000000d))
+	f.Add(uint8(8), uint8(9), uint8(2), uint8(3), uint8(2), uint8(7), uint8(4), uint64(0x900000000000000e))
 	f.Fuzz(func(t *testing.T, inC, outC, kSel, pad, n, h, w uint8, seed uint64) {
 		k := 1 + 2*int(kSel%4)
 		cc := convCase{
 			inC: 1 + int(inC%12), outC: 1 + int(outC%12), k: k, pad: int(pad) % (k + 2),
 			n: 1 + int(n%3), h: 1 + int(h%18), w: 1 + int(w%18),
 			// The top bit of the seed asks for a NaN and an Inf anywhere, the
-			// next one for non-finite border columns and corners.
+			// next one for non-finite border columns and corners, the two
+			// after it for gradients without a zero and with planes of them.
 			seed: seed, nonFinite: seed>>63 == 1, edges: seed>>62&1 == 1,
+			denseGrad: seed>>61&1 == 1, zeroPlanes: seed>>60&1 == 1,
 		}
 		if !cc.valid() {
 			t.Skip()

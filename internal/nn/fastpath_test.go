@@ -46,25 +46,27 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		},
 		"empty": func() (*Sequential, *Tensor) { return NewSequential(), NewTensor(2, 3) },
 	}
-	for name, build := range builds {
-		full, x := build()
-		params, _ := build()
-		rng := vec.NewRNG(9)
-		for pass := 0; pass < 2; pass++ { // the second pass adds to the first's gradients
-			fillSigned(x.Data, rng)
-			out := full.Forward(x, true)
-			params.Forward(x, true)
-			grad := NewTensor(out.Shape...)
-			fillSigned(grad.Data, rng)
-			if dx := full.Backward(grad); !sameShape(dx.Shape, x.Shape) {
-				t.Fatalf("%s: Backward returned shape %v, input is %v", name, dx.Shape, x.Shape)
-			}
-			params.backwardParams(grad)
-			if i := firstBitDiff(paramGrads(params.Params()), paramGrads(full.Params())); i >= 0 {
-				t.Fatalf("%s pass %d: parameter gradient %d differs from Backward's", name, pass, i)
+	forEachConvPath(t, func(t *testing.T) {
+		for name, build := range builds {
+			full, x := build()
+			params, _ := build()
+			rng := vec.NewRNG(9)
+			for pass := 0; pass < 2; pass++ { // the second pass adds to the first's gradients
+				fillSigned(x.Data, rng)
+				out := full.Forward(x, true)
+				params.Forward(x, true)
+				grad := NewTensor(out.Shape...)
+				fillSigned(grad.Data, rng)
+				if dx := full.Backward(grad); !sameShape(dx.Shape, x.Shape) {
+					t.Fatalf("%s: Backward returned shape %v, input is %v", name, dx.Shape, x.Shape)
+				}
+				params.backwardParams(grad)
+				if i := firstBitDiff(paramGrads(params.Params()), paramGrads(full.Params())); i >= 0 {
+					t.Fatalf("%s pass %d: parameter gradient %d differs from Backward's", name, pass, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 func sameShape(a, b []int) bool {
