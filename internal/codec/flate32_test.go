@@ -4,32 +4,25 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
 )
 
-// refPlaneFlate32 is the encoder PlaneFlate32 had before it dropped the LZ
-// pass: all four planes through one pooled flate.BestSpeed writer as a single
-// stream. It survives only here, as the oracle the Huffman-only encoder is
-// held to (same plane bytes, never more output on real payloads) and as the
-// `ref` arm of the benchmarks; its decoder is PlaneFlate32.DecodeInto, which
-// did not change.
-type refPlaneFlate32 struct{}
+// stdPlaneFlate32 is PlaneFlate32 as it was before it wrote or read any block
+// itself: every plane through compress/flate's Huffman-only writer, every
+// payload through its reader. It survives only here, as the oracle — the
+// encoder is held to its bytes, the inflater to its bytes and its verdicts —
+// and as the `std` arm of the benchmarks.
+type stdPlaneFlate32 struct{}
 
-var refFlateWriterPool = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err)
-	}
-	return fw
-}}
-
-// transposePlanes fills planes (4 bytes per value) with what both encoders
+// transposePlanes fills planes (4 bytes per value) with what the encoders
 // deflate: byte k of every float32, most significant first, plane after plane.
 func transposePlanes(planes []byte, values []float64) {
 	n := len(values)
@@ -42,29 +35,64 @@ func transposePlanes(planes []byte, values []float64) {
 	}
 }
 
-func (refPlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
-	pp := getByteBuf(4 * len(values))
+func (stdPlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
+	n := len(values)
+	pp := getByteBuf(4 * n)
 	defer putByteBuf(pp)
 	planes := *pp
-	transposePlanes(planes, values)
-	sw := sliceWriter{b: dst}
-	fw := refFlateWriterPool.Get().(*flate.Writer)
-	defer refFlateWriterPool.Put(fw)
-	fw.Reset(&sw)
-	if _, err := fw.Write(planes); err != nil {
-		return dst, err
+	for i, v := range values {
+		b := math.Float32bits(float32(v))
+		planes[i] = byte(b >> 24)
+		planes[n+i] = byte(b >> 16)
+		planes[2*n+i] = byte(b >> 8)
+		planes[3*n+i] = byte(b)
 	}
-	if err := fw.Close(); err != nil {
-		return dst, err
+	sw := sliceWriter{b: dst}
+	fw := flateWriterPool.Get().(*flate.Writer)
+	defer flateWriterPool.Put(fw)
+	fw.Reset(&sw)
+	_, err := fw.Write(planes[:n])
+	if err == nil {
+		err = fw.Flush() // plane 0's blocks end here
+	}
+	if err == nil {
+		_, err = fw.Write(planes[n:])
+	}
+	if err == nil {
+		err = fw.Close()
+	}
+	if err != nil {
+		return dst, fmt.Errorf("codec: flate encode: %w", err)
 	}
 	return sw.b, nil
 }
 
-// Payloads EncodeSparse produced at the parent commit (flate32 values, one per
-// index mode): 48 values cycling through 0.5, -1.25, 3.75, 0, -0.0625, 2,
-// 0.0078125, -17, so every plane has period 8 and the stream is one dynamic
-// block with LZ matches that covers all four planes — the shape this encoder
-// no longer writes and the decoder must keep reading.
+func (stdPlaneFlate32) DecodeInto(buf []byte, out []float64) error {
+	count := len(out)
+	pp := getByteBuf(4 * count)
+	defer putByteBuf(pp)
+	planes := *pp
+	fr := getFlateReader(buf)
+	_, err := io.ReadFull(fr.fr, planes)
+	putFlateReader(fr)
+	if err != nil {
+		return fmt.Errorf("codec: flate read: %w", ErrCorrupt)
+	}
+	n := count
+	for i := range out {
+		b := uint32(planes[i])<<24 | uint32(planes[n+i])<<16 |
+			uint32(planes[2*n+i])<<8 | uint32(planes[3*n+i])
+		out[i] = float64(math.Float32frombits(b))
+	}
+	return nil
+}
+
+// Payloads EncodeSparse produced before PR 15, when flate32 still ran an LZ
+// pass (flate32 values, one per index mode): 48 values cycling through 0.5,
+// -1.25, 3.75, 0, -0.0625, 2, 0.0078125, -17, so every plane has period 8 and
+// the stream is one dynamic block with LZ matches that covers all four planes —
+// the shape no encoder here writes any more, inflateLiterals must decline and
+// the decoder must keep reading.
 var parentFlate32Payloads = []struct {
 	name    string
 	hex     string
@@ -145,34 +173,53 @@ func topKGathered(v []float64, k int) []float64 {
 	return out
 }
 
-// TestPlaneFlate32MatchesReference: wire compatibility, new to old, and the
-// size claim. On weight-like vectors the stream inflates through a bare
-// compress/flate reader — no pooled state, nothing of this package — to
-// exactly the plane bytes the reference encoder deflates, and is never longer
-// than the reference's output from 64 values up (the flush's sync marker and
-// the second block header cost at most 10 bytes below that).
-func TestPlaneFlate32MatchesReference(t *testing.T) {
-	cases := []struct {
-		name string
-		vals []float64
-	}{
-		{"gauss-6", gaussianValues(6, 0.05, 21)},
-		{"gauss-63", gaussianValues(63, 0.05, 22)},
-		{"gauss-64", gaussianValues(64, 0.05, 23)},
-		{"gauss-700", gaussianValues(700, 0.05, 24)},
-		{"gauss-3552", gaussianValues(3552, 0.05, 25)},
-		{"gauss-45221", gaussianValues(45221, 0.05, 26)},
-		{"heavy-tailed-45221", heavyTailedValues(45221, 27)},
-		{"topk-14000-of-45221", topKGathered(heavyTailedValues(45221, 28), 14000)},
+// flate32Cases are the inputs the encoder and the inflater are held to the
+// oracle on: every size at which something changes (n = 3 552: the first codes
+// longer than the lookup table; 21 845 | 21 846: one | two mantissa chunks;
+// 65 535 | 65 536: one | two blocks of plane 0) times five kinds of values,
+// plus a movielens top-k share. weights marks the kinds whose mantissa bytes
+// look random, which is what the direct stored blocks are for.
+func flate32Cases() []flate32Case {
+	specials := []float64{math.Inf(1), math.Inf(-1), float64(math.Float32frombits(0x7fc00001)),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat32, 1e-46, 1e39, -0.0173}
+	cases := []flate32Case{{"topk-14000-of-45221", topKGathered(heavyTailedValues(45221, 28), 14000), true}}
+	for i, n := range []int{0, 1, 6, 63, 64, 700, 3552, 14000, 21845, 21846, 45221, 65535, 65536, 200000} {
+		zeros, constant, cycle := make([]float64, n), make([]float64, n), make([]float64, n)
+		for j := range cycle {
+			constant[j], cycle[j] = 0.0421, specials[j%len(specials)]
+		}
+		cases = append(cases,
+			flate32Case{fmt.Sprintf("gauss-%d", n), gaussianValues(n, 0.05, uint64(100+i)), true},
+			flate32Case{fmt.Sprintf("heavy-tailed-%d", n), heavyTailedValues(n, uint64(200+i)), true},
+			flate32Case{fmt.Sprintf("zeros-%d", n), zeros, false},
+			flate32Case{fmt.Sprintf("constant-%d", n), constant, false},
+			flate32Case{fmt.Sprintf("specials-%d", n), cycle, false})
 	}
-	for _, c := range cases {
+	return cases
+}
+
+type flate32Case struct {
+	name    string
+	vals    []float64
+	weights bool
+}
+
+// TestPlaneFlate32MatchesReference: same bytes. Whatever AppendEncode writes
+// itself, the payload is the one compress/flate alone would have written, so
+// it inflates through a bare flate reader — no pooled state, nothing of this
+// package — to the plane bytes, and decodes to the float32 bit patterns.
+func TestPlaneFlate32MatchesReference(t *testing.T) {
+	for _, c := range flate32Cases() {
 		got, err := PlaneFlate32{}.Encode(c.vals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		ref, err := refPlaneFlate32{}.AppendEncode(nil, c.vals)
+		std, err := stdPlaneFlate32{}.AppendEncode(nil, c.vals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, std) {
+			t.Fatalf("%s: %d bytes differ from compress/flate's %d", c.name, len(got), len(std))
 		}
 		inflated, err := io.ReadAll(flate.NewReader(bytes.NewReader(got)))
 		if err != nil {
@@ -181,27 +228,72 @@ func TestPlaneFlate32MatchesReference(t *testing.T) {
 		planes := make([]byte, 4*len(c.vals))
 		transposePlanes(planes, c.vals)
 		if !bytes.Equal(inflated, planes) {
-			t.Fatalf("%s: stream does not inflate to the reference's plane bytes", c.name)
+			t.Fatalf("%s: stream does not inflate to the plane bytes", c.name)
 		}
-		slack := 0
-		if len(c.vals) < 64 {
-			slack = 10
-		}
-		if len(got) > len(ref)+slack {
-			t.Fatalf("%s: %d bytes, reference %d (+%d allowed)", c.name, len(got), len(ref), slack)
-		}
-		// The reference's own stream still decodes through the unchanged decoder.
 		back := make([]float64, len(c.vals))
-		if err := (PlaneFlate32{}).DecodeInto(ref, back); err != nil {
-			t.Fatalf("%s: decode of reference stream: %v", c.name, err)
+		if err := (PlaneFlate32{}).DecodeInto(got, back); err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
 		}
 		for i, v := range c.vals {
-			if back[i] != float64(float32(v)) {
-				t.Fatalf("%s: reference stream value %d: %v, want %v", c.name, i, back[i], float64(float32(v)))
+			if math.Float32bits(float32(back[i])) != math.Float32bits(float32(v)) {
+				t.Fatalf("%s: value %d: %v, want %v", c.name, i, back[i], float64(float32(v)))
 			}
 		}
-		t.Logf("%s: %d bytes vs reference %d (%.3f / %.3f of raw)", c.name, len(got), len(ref),
-			float64(len(got))/float64(4*len(c.vals)), float64(len(ref))/float64(4*len(c.vals)))
+	}
+}
+
+// TestFlate32FastPathTaken: the traffic takes the paths written for it, so a
+// silent fall-back to compress/flate fails here instead of in a benchmark.
+// Every payload the encoder writes is inflated by inflateLiterals, every
+// mantissa chunk of 4 KB or more of a weight-like vector is stored directly
+// (that is, storesForSure vouches for it and for every chunk before it), and
+// the LZ payloads of old encoders are declined, not misread.
+func TestFlate32FastPathTaken(t *testing.T) {
+	for _, c := range flate32Cases() {
+		buf, err := PlaneFlate32{}.Encode(c.vals)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n := len(c.vals)
+		want, got := make([]byte, 4*n), make([]byte, 4*n)
+		transposePlanes(want, c.vals)
+		if !inflateLiterals(buf, got) {
+			t.Fatalf("%s: inflateLiterals declined the encoder's own stream", c.name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: inflateLiterals inflates to other bytes", c.name)
+		}
+		direct := c.weights
+		for rest := want[n:]; direct && len(rest) > 0; {
+			chunk := rest[:min(len(rest), maxStored)]
+			direct = storesForSure(chunk)
+			if !direct && len(chunk) >= 4096 {
+				t.Fatalf("%s: a %d-byte mantissa chunk goes through the writer", c.name, len(chunk))
+			}
+			rest = rest[len(chunk):]
+		}
+	}
+	for _, p := range parentFlate32Payloads {
+		payload := mustHex(t, p.hex)
+		if values := payload[len(payload)-42:]; inflateLiterals(values, make([]byte, 4*48)) {
+			t.Fatalf("%s: inflateLiterals accepted a stream with LZ matches", p.name)
+		}
+	}
+}
+
+// TestFlate32DecodeErrorNamesCause: a value section that ends early and one
+// that is not DEFLATE are both ErrCorrupt, and the message says which.
+func TestFlate32DecodeErrorNamesCause(t *testing.T) {
+	buf, err := PlaneFlate32{}.Encode(gaussianValues(700, 0.05, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := append([]byte{0x07}, buf...) // block type 3
+	for cause, in := range map[string][]byte{"unexpected EOF": buf[:len(buf)/2], "corrupt input": malformed} {
+		err := PlaneFlate32{}.DecodeInto(in, make([]float64, 700))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), cause) {
+			t.Fatalf("want ErrCorrupt naming %q, got %v", cause, err)
+		}
 	}
 }
 
@@ -275,16 +367,14 @@ func flateBenchInputs() []struct {
 	}
 }
 
-// flateBenchArms: the parent encoder (`ref`) and the Huffman-only one (`new`),
-// run over the same values in one process.
-var flateBenchArms = []struct {
-	name string
-	enc  FloatAppender
-}{{"ref", refPlaneFlate32{}}, {"new", PlaneFlate32{}}}
-
+// The benchmarks run compress/flate alone (`std`) and the codec (`new`) over
+// the same values and the same payload — the bytes are equal — in one process.
 func BenchmarkPlaneFlate32Encode(b *testing.B) {
 	for _, in := range flateBenchInputs() {
-		for _, arm := range flateBenchArms {
+		for _, arm := range []struct {
+			name string
+			enc  FloatAppender
+		}{{"std", stdPlaneFlate32{}}, {"new", PlaneFlate32{}}} {
 			b.Run(in.name+"/"+arm.name, func(b *testing.B) {
 				buf, err := arm.enc.AppendEncode(nil, in.vals)
 				if err != nil {
@@ -304,14 +394,14 @@ func BenchmarkPlaneFlate32Encode(b *testing.B) {
 	}
 }
 
-// BenchmarkPlaneFlate32Decode inflates the stream each encoder wrote through
-// the one decoder: the `ref` stream has LZ matches and Huffman-coded mantissa
-// blocks, the `new` one literal-only Huffman blocks and stored mantissa planes.
 func BenchmarkPlaneFlate32Decode(b *testing.B) {
 	for _, in := range flateBenchInputs() {
-		for _, arm := range flateBenchArms {
+		for _, arm := range []struct {
+			name string
+			dec  FloatDecoderInto
+		}{{"std", stdPlaneFlate32{}}, {"new", PlaneFlate32{}}} {
 			b.Run(in.name+"/"+arm.name, func(b *testing.B) {
-				buf, err := arm.enc.AppendEncode(nil, in.vals)
+				buf, err := PlaneFlate32{}.Encode(in.vals)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +410,7 @@ func BenchmarkPlaneFlate32Decode(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := (PlaneFlate32{}).DecodeInto(buf, out); err != nil {
+					if err := arm.dec.DecodeInto(buf, out); err != nil {
 						b.Fatal(err)
 					}
 				}

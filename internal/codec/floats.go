@@ -111,8 +111,15 @@ func (c PlaneFlate32) Encode(values []float64) ([]byte, error) {
 	return c.AppendEncode(nil, values)
 }
 
+// maxStored: the longest stored block; the Huffman-only writer cuts its input there.
+const maxStored = 65535
+
 // AppendEncode implements FloatAppender with pooled plane scratch and a
-// pooled DEFLATE writer (flate.NewWriter allocates its window per call).
+// pooled DEFLATE writer (flate.NewWriter allocates its window per call). The
+// writer codes plane 0. It would then build a Huffman code for every 64 KB of
+// mantissa bytes and store them all the same: chunks storesForSure vouches for
+// are appended as stored blocks directly, and the writer takes over again from
+// the first it cannot vouch for. The bytes are the writer's own either way.
 func (PlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
 	n := len(values)
 	pp := getByteBuf(4 * n)
@@ -131,18 +138,51 @@ func (PlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
 	fw.Reset(&sw)
 	_, err := fw.Write(planes[:n])
 	if err == nil {
-		err = fw.Flush() // plane 0's blocks end here
+		// plane 0's blocks end here, on a byte boundary, and sw has them all
+		err = fw.Flush()
 	}
-	if err == nil {
-		_, err = fw.Write(planes[n:])
+	rest := planes[n:]
+	for err == nil && len(rest) > 0 {
+		chunk := rest[:min(len(rest), maxStored)]
+		if !storesForSure(chunk) {
+			break
+		}
+		sw.b = append(sw.b, 0, byte(len(chunk)), byte(len(chunk)>>8), ^byte(len(chunk)), ^byte(len(chunk)>>8))
+		sw.b = append(sw.b, chunk...)
+		rest = rest[len(chunk):]
 	}
-	if err == nil {
-		err = fw.Close()
+	if err == nil && len(rest) == 0 {
+		sw.b = append(sw.b, 1, 0, 0, 0xff, 0xff) // what Close writes: an empty final stored block
+	} else if err == nil {
+		if _, err = fw.Write(rest); err == nil {
+			err = fw.Close()
+		}
 	}
 	if err != nil {
 		return dst, fmt.Errorf("codec: flate encode: %w", err)
 	}
 	return sw.b, nil
+}
+
+// storesForSure reports whether compress/flate's Huffman-only writer is
+// certain to store chunk (at most maxStored bytes). It stores iff (len+5)*8 <
+// size + size>>4, size being the bits of the dynamic block it built. No prefix
+// code beats the entropy of the byte histogram, which is at least the
+// collision entropy -log2(sum p^2) — one logarithm instead of 256 — so that,
+// less 64 bits against rounding, stands in for size. Mantissa bytes pass from
+// about 1 KB up; zeros, a constant vector and tiny chunks go through the writer.
+func storesForSure(chunk []byte) bool {
+	var hist [256]uint32
+	for _, b := range chunk {
+		hist[b]++
+	}
+	var squares uint64
+	for _, c := range hist {
+		squares += uint64(c) * uint64(c)
+	}
+	n := float64(len(chunk))
+	size := int(n*(2*math.Log2(n)-math.Log2(float64(squares)))) - 64
+	return (len(chunk)+5)*8 < size+size>>4
 }
 
 // Decode implements FloatCodec.
@@ -154,17 +194,21 @@ func (c PlaneFlate32) Decode(buf []byte, count int) ([]float64, error) {
 	return out, nil
 }
 
-// DecodeInto implements FloatDecoderInto with a pooled inflater.
+// DecodeInto implements FloatDecoderInto. What inflateLiterals declines — the
+// LZ payloads of older encoders, corrupt input — goes through a pooled
+// compress/flate reader from the start, which decides.
 func (PlaneFlate32) DecodeInto(buf []byte, out []float64) error {
 	count := len(out)
 	pp := getByteBuf(4 * count)
 	defer putByteBuf(pp)
 	planes := *pp
-	fr := getFlateReader(buf)
-	_, err := io.ReadFull(fr.fr, planes)
-	putFlateReader(fr)
-	if err != nil {
-		return fmt.Errorf("codec: flate read: %w", ErrCorrupt)
+	if !inflateLiterals(buf, planes) {
+		fr := getFlateReader(buf)
+		_, err := io.ReadFull(fr.fr, planes)
+		putFlateReader(fr)
+		if err != nil {
+			return fmt.Errorf("codec: flate read: %v: %w", err, ErrCorrupt)
+		}
 	}
 	n := count
 	for i := range out {

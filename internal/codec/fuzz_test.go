@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"io"
 	"testing"
 )
 
@@ -40,9 +43,10 @@ func FuzzDecodeSparseInto(f *testing.F) {
 	for _, buf := range fuzzSeedPayloads(f) {
 		f.Add(buf)
 	}
-	// The encoder above writes literal-only Huffman blocks that end at the
-	// plane boundary; payloads of the parent commit's encoder keep the other
-	// shape in the corpus — LZ matches and one dynamic block across planes.
+	// The encoder above writes literal-only Huffman blocks and stored blocks,
+	// which inflateLiterals reads; payloads of the pre-PR-15 encoder keep the
+	// other shape in the corpus — LZ matches and one dynamic block across
+	// planes — which it declines and compress/flate reads.
 	for _, p := range parentFlate32Payloads {
 		f.Add(mustHex(f, p.hex))
 	}
@@ -83,6 +87,57 @@ func FuzzDecodeSparseInto(f *testing.F) {
 				}
 				prev = idx
 			}
+		}
+	})
+}
+
+// FuzzInflateLiterals is differential: whenever inflateLiterals accepts a
+// stream, io.ReadFull over a bare compress/flate reader succeeds with the same
+// bytes. It may decline anything; DecodeInto then asks compress/flate. n is
+// the number of values, so 4n plane bytes are asked for.
+func FuzzInflateLiterals(f *testing.F) {
+	add := func(stream []byte, n int) {
+		f.Add(stream, uint16(min(n, 1<<16-1)))
+	}
+	for _, c := range flate32Cases() {
+		if n := len(c.vals); n <= 700 || n == 3552 || n == 14000 || n == 45221 || (n == 200000 && c.weights) {
+			stream, err := PlaneFlate32{}.Encode(c.vals) // 3552: codes longer than the table; 200000: plane 0 in four blocks
+			if err != nil {
+				f.Fatal(err)
+			}
+			add(stream, n)
+			if c.name == "gauss-700" { // cut at every block boundary: after plane 0, the sync marker, the stored block
+				for _, tail := range []int{5, 5 + 2100, 5 + 2105, 5 + 2110} {
+					add(stream[:len(stream)-tail], n)
+				}
+				add(append(stream, 0xde, 0xad), n) // bytes after the final block
+				mismatch := bytes.Clone(stream)
+				mismatch[len(mismatch)-5-2100-2]++ // NLEN of the stored block
+				add(mismatch, n)
+			}
+		}
+	}
+	for _, p := range parentFlate32Payloads {
+		payload := mustHex(f, p.hex)
+		add(payload[len(payload)-42:], 48)
+	}
+	var fixed bytes.Buffer
+	fw, _ := flate.NewWriter(&fixed, flate.BestSpeed) // a short input deflates to one fixed-Huffman block
+	fw.Write([]byte("fixed block."))
+	fw.Close()
+	add(fixed.Bytes(), 3)
+	add(nil, 0)
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		got := make([]byte, 4*int(n))
+		if !inflateLiterals(data, got) {
+			return
+		}
+		want := make([]byte, len(got))
+		if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(data)), want); err != nil {
+			t.Fatalf("inflateLiterals accepted a stream compress/flate rejects: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("inflateLiterals and compress/flate inflate to different bytes")
 		}
 	})
 }

@@ -87,29 +87,67 @@ func (b *baseNode) LocalTrain() float64 {
 // domain): each coefficient is averaged over the nodes that provided it,
 // normalized by the sum of the weights actually present. own is the node's
 // full coefficient vector; out receives the averaged vector (may alias own's
-// backing array only if callers no longer need own). Dense payloads (nil
-// Indices) take a branch-free full-vector pass instead of materializing an
-// explicit [0, Dim) index set.
-func partialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out, wsum []float64) {
-	for k := range out {
-		out[k] = selfWeight * own[k]
-		wsum[k] = selfWeight
+// backing array only if callers no longer need own). The vector is walked
+// once, in blocks that stay in L1, and a coefficient collects its terms in
+// sender order whatever the block size: dense payloads (nil Indices) add to
+// every coefficient, sparse ones keep a cursor into their increasing Indices.
+// When every message is dense the weight sum is one number for all of them.
+func partialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out []float64) {
+	allDense, total := true, selfWeight
+	for i := range msgs {
+		m := &msgs[i]
+		m.next = 0
+		m.dense = m.sv.Indices == nil && len(m.sv.Values) == len(out)
+		allDense = allDense && m.dense
+		total += m.weight
 	}
-	for _, m := range msgs {
-		if m.sv.Indices == nil {
-			for k, v := range m.sv.Values {
-				out[k] += m.weight * v
-				wsum[k] += m.weight
+	var wsum [1024]float64
+	for k := range wsum {
+		wsum[k] = total // rewritten per block unless allDense
+	}
+	for lo := 0; lo < len(out); lo += len(wsum) {
+		hi := min(lo+len(wsum), len(out))
+		o, ws := out[lo:hi], wsum[:hi-lo]
+		for k, v := range own[lo:hi] {
+			o[k] = selfWeight * v
+		}
+		if !allDense {
+			for k := range ws {
+				ws[k] = selfWeight
 			}
-			continue
 		}
-		for pos, idx := range m.sv.Indices {
-			out[idx] += m.weight * m.sv.Values[pos]
-			wsum[idx] += m.weight
+		for i := 0; i < len(msgs); i++ {
+			m := &msgs[i]
+			if allDense && i+4 <= len(msgs) { // four at a time: the coefficient stays in a register
+				a, b := m.sv.Values[lo:hi][:len(o)], msgs[i+1].sv.Values[lo:hi][:len(o)]
+				c, d := msgs[i+2].sv.Values[lo:hi][:len(o)], msgs[i+3].sv.Values[lo:hi][:len(o)]
+				wa, wb, wc, wd := m.weight, msgs[i+1].weight, msgs[i+2].weight, msgs[i+3].weight
+				for k := range o {
+					o[k] = o[k] + wa*a[k] + wb*b[k] + wc*c[k] + wd*d[k]
+				}
+				i += 3
+			} else if m.dense {
+				for k, v := range m.sv.Values[lo:hi] {
+					o[k] += m.weight * v
+				}
+				if !allDense {
+					for k := range ws {
+						ws[k] += m.weight
+					}
+				}
+			} else {
+				idx, p := m.sv.Indices, m.next
+				for ; p < len(idx) && idx[p] < hi; p++ {
+					k := idx[p] - lo
+					o[k] += m.weight * m.sv.Values[p]
+					ws[k] += m.weight
+				}
+				m.next = p
+			}
 		}
-	}
-	for k := range out {
-		out[k] /= wsum[k]
+		for k := range o {
+			o[k] /= ws[k]
+		}
 	}
 }
 
@@ -120,6 +158,8 @@ type decodedMsg struct {
 	sv     codec.SparseVector
 	own    codec.SparseVector
 	weight float64
+	dense  bool // partialAverage's: sv has a value for every coefficient
+	next   int  // partialAverage's cursor into sv.Indices
 }
 
 // decodeScratch holds the reusable payload-decoding state of one Aggregate
@@ -151,7 +191,7 @@ func (d *decodeScratch) releaseHeld(cache *DecodeCache) {
 // decodeAll decodes neighbor payloads and attaches mixing weights, erroring
 // on senders missing from the weight row (a topology/delivery bug) and on
 // dimension mismatches. Dense payloads keep nil Indices (partialAverage
-// handles them with a full-vector pass). Senders are processed in increasing
+// adds them to every coefficient). Senders are processed in increasing
 // id order so floating-point accumulation is bit-for-bit reproducible across
 // runs (map iteration order is not). The returned slice and its sparse
 // vectors are owned by the scratch and valid until its next use. A non-nil

@@ -29,7 +29,6 @@ type Scratch struct {
 	DeltaPar    []float64 // x^(t,tau) - x^(t,0)
 	deltaCoeff  []float64 // DWT of DeltaPar
 	avg         []float64 // weight-normalized average of own and received vectors
-	wsum        []float64 // present-weight sums behind avg
 	newParams   []float64 // inverse transform of avg
 	installed   []float64 // DWT of the installed parameters (eq. 4)
 	startCoeffs []float64 // DWT of x^(t,0) (literal eq. 4 only)
@@ -88,7 +87,7 @@ func (s *Scratch) Release() {
 func (s *Scratch) merge(cache *DecodeCache, own []float64, w topology.Weights, msgs map[int][]byte) error {
 	decoded, err := s.dec.decodeAll(cache, len(own), w, msgs)
 	if err == nil {
-		partialAverage(own, w.Self, decoded, vec.Grow(&s.avg, len(own)), vec.Grow(&s.wsum, len(own)))
+		partialAverage(own, w.Self, decoded, vec.Grow(&s.avg, len(own)))
 	}
 	s.dec.releaseHeld(cache)
 	return err

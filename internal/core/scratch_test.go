@@ -18,7 +18,7 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.Params, s.DeltaPar, s.deltaCoeff, s.avg, s.wsum, s.newParams,
+			s.Params, s.DeltaPar, s.deltaCoeff, s.avg, s.newParams,
 			s.installed, s.startCoeffs, s.Vals, s.bandMasses,
 		} {
 			buf = buf[:cap(buf)]
