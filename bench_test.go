@@ -10,14 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/dwt"
 	"repro/internal/experiments"
 	"repro/internal/fourier"
 	"repro/internal/nn"
 	"repro/internal/perf"
 	"repro/internal/sparsify"
-	"repro/internal/topology"
 	"repro/internal/vec"
 )
 
@@ -413,39 +411,6 @@ func BenchmarkJWINSShare(b *testing.B) {
 	}
 }
 
-// BenchmarkJWINSShareBatch is BenchmarkJWINSShare through the batched
-// pipeline: one op runs a SharePipeline batch of 8 plan-sharing
-// 100k-parameter nodes, and the reported ns/share compares directly against
-// BenchmarkJWINSShare's ns/op (the batched path's acceptance bar is >= 30%
-// under it). Per-node observables stay bit-identical to looped Share calls —
-// this measures the same work, scheduled better.
-func BenchmarkJWINSShareBatch(b *testing.B) {
-	const width = 8
-	for _, v := range microCodecVariants() {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			nodes, err := perf.JWINSBatchNodes(100_000, width, v.fc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pipe := &core.SharePipeline{}
-			payloads := make([][]byte, width)
-			bds := make([]codec.ByteBreakdown, width)
-			if err := pipe.ShareBatch(nodes, payloads, bds); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pipe.ShareBatch(nodes, payloads, bds); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/share")
-		})
-	}
-}
-
 // BenchmarkJWINSAggregate isolates the aggregate half (decode, partial
 // average, inverse DWT, accumulator fold) by re-merging a fixed payload.
 func BenchmarkJWINSAggregate(b *testing.B) {
@@ -475,55 +440,6 @@ func BenchmarkJWINSAggregate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkJWINSAggregateBatch is BenchmarkJWINSAggregate through the batched
-// pipeline: one op runs an AggregatePipeline batch of 8 plan-sharing
-// 100k-parameter recipients merging the SAME broadcast payload through a
-// fleet-shared DecodeCache, and the reported ns/aggregate compares directly
-// against BenchmarkJWINSAggregate's ns/op (acceptance bar: >= 30% under it).
-// The sender's cache line is invalidated each op, so every op pays one real
-// decode plus seven cache hits — the fan-out steady state, not a pre-decoded
-// freebie. Per-node observables stay bit-identical to looped Aggregate calls.
-func BenchmarkJWINSAggregateBatch(b *testing.B) {
-	const width = 8
-	for _, v := range microCodecVariants() {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			nodes, err := perf.JWINSBatchNodes(100_000, width+1, v.fc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sender, recips := nodes[width], nodes[:width]
-			dc := &core.DecodeCache{}
-			for _, n := range recips {
-				n.SetDecodeCache(dc)
-			}
-			payload, _, err := sender.Share(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws := make([]topology.Weights, width)
-			msgs := make([]map[int][]byte, width)
-			for i := range recips {
-				ws[i] = topology.Weights{Self: 0.5, Neighbor: map[int]float64{width: 0.5}}
-				msgs[i] = map[int][]byte{width: payload}
-			}
-			pipe := &core.AggregatePipeline{}
-			if err := pipe.AggregateBatch(recips, ws, msgs); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dc.InvalidateSender(width)
-				if err := pipe.AggregateBatch(recips, ws, msgs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/aggregate")
 		})
 	}
 }

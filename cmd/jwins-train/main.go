@@ -69,7 +69,6 @@ func run() error {
 
 		// Event-driven scheduler (async engine).
 		async          = flag.Bool("async", false, "use the event-driven scheduler instead of synchronous rounds")
-		gossip         = flag.Bool("gossip", false, "async: aggregate freshest payloads immediately instead of the local barrier (shorthand for -policy gossip)")
 		policyName     = flag.String("policy", "", "async: aggregation policy: barrier, gossip, bounded, or deadline (empty = barrier)")
 		staleK         = flag.Int("stale-k", 0, "async -policy bounded: aggregate once this many live-neighbor payloads arrived (0 = half the node degree)")
 		staleTau       = flag.Int("stale-tau", 2, "async -policy bounded: max tolerated iteration lag before waiting")
@@ -87,7 +86,7 @@ func run() error {
 	flag.Parse()
 
 	tf := trainFlags{
-		Async: *async, Gossip: *gossip, Policy: *policyName,
+		Async: *async, Policy: *policyName,
 		StaleK: *staleK, StaleTau: *staleTau, DeadlineFactor: *deadlineFactor,
 		Churn: *churnFrac, ComputeSpread: *computeSpread, BwSpread: *bwSpread,
 		LatencySpread: *latencySpread, TraceOut: *traceOut,
@@ -146,10 +145,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	headerPolicy := policy
-	if *gossip {
-		headerPolicy = simulation.GossipPolicy{}
-	}
 
 	// The schedule streams to disk as it executes (bounded buffers), so
 	// recording 1024-node runs does not hold O(events) in memory. Closing
@@ -159,7 +154,7 @@ func run() error {
 	if *traceOut != "" {
 		recorder, err = trace.NewStreamRecorderFile(*traceOut, experiments.WithEvalSchedule(
 			experiments.TraceHeaderForPolicy(
-				w, experiments.Algo(*algo), *rounds, *seed, headerPolicy, *async && *dynamic, effEpochSec),
+				w, experiments.Algo(*algo), *rounds, *seed, policy, *async && *dynamic, effEpochSec),
 			*evalSample, *evalRotate))
 		if err != nil {
 			return err
@@ -201,7 +196,6 @@ func run() error {
 		EvalRotate:     *evalRotate,
 		Seed:           *seed,
 		Async:          *async,
-		Gossip:         *gossip,
 		Policy:         policy,
 		ChurnFraction:  *churnFrac,
 		MixingEvery:    *mixingEvery,
@@ -240,8 +234,8 @@ func run() error {
 		fmt.Printf("staleness: mean %.3f, max %.0f, p95 %.3f iterations\n",
 			res.StaleMean, res.StaleMax, res.StaleP95)
 		polName := trace.PolicyBarrier
-		if headerPolicy != nil {
-			polName = headerPolicy.Name()
+		if policy != nil {
+			polName = policy.Name()
 		}
 		fmt.Printf("policy: %s, eff neighbors mean %.2f, drop rate %.2f%%, late drops %d\n",
 			polName, res.EffNeighborsMean, res.DropRate*100, res.LateDrops)
@@ -285,7 +279,7 @@ var errBadFlag = errors.New("invalid flag")
 // trainFlags carries the scheduler-facing flag values through validation,
 // keeping the rejection rules testable without a flag.FlagSet.
 type trainFlags struct {
-	Async, Gossip  bool
+	Async          bool
 	Policy         string
 	StaleK         int
 	StaleTau       int
@@ -309,8 +303,6 @@ type trainFlags struct {
 func (f trainFlags) validate() error {
 	if !f.Async {
 		switch {
-		case f.Gossip:
-			return fmt.Errorf("%w: -gossip requires -async (the synchronous engine has a single blocking aggregation policy)", errBadFlag)
 		case f.Policy != "":
 			return fmt.Errorf("%w: -policy requires -async (aggregation policies only exist under the event-driven scheduler)", errBadFlag)
 		case f.Churn != 0:
@@ -329,9 +321,6 @@ func (f trainFlags) validate() error {
 	case "", trace.PolicyBarrier, trace.PolicyGossip, trace.PolicyBounded, trace.PolicyDeadline:
 	default:
 		return fmt.Errorf("%w: -policy %q unknown (want barrier, gossip, bounded, or deadline)", errBadFlag, f.Policy)
-	}
-	if f.Gossip && f.Policy != "" {
-		return fmt.Errorf("%w: -gossip and -policy conflict; -gossip is shorthand for -policy gossip", errBadFlag)
 	}
 	if f.StaleK < 0 {
 		return fmt.Errorf("%w: -stale-k must be >= 0 (0 = half the node degree), got %d", errBadFlag, f.StaleK)

@@ -18,7 +18,7 @@ func TestValidateFlagsRejections(t *testing.T) {
 		name string
 		mut  func(*trainFlags)
 	}{
-		{"gossip-without-async", func(f *trainFlags) { f.Async = false; f.Gossip = true }},
+		{"gossip-without-async", func(f *trainFlags) { f.Async = false; f.Policy = "gossip" }},
 		{"policy-without-async", func(f *trainFlags) { f.Async = false; f.Policy = "bounded" }},
 		{"churn-without-async", func(f *trainFlags) { f.Async = false; f.Churn = 0.2 }},
 		{"spread-without-async", func(f *trainFlags) { f.Async = false; f.ComputeSpread = 0.5 }},
@@ -26,7 +26,9 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"epoch-without-async", func(f *trainFlags) { f.Async = false; f.EpochSec = 0.5 }},
 		{"mixing-without-async", func(f *trainFlags) { f.Async = false; f.MixingEvery = 2 }},
 		{"unknown-policy", func(f *trainFlags) { f.Policy = "quorum" }},
-		{"gossip-and-policy", func(f *trainFlags) { f.Gossip = true; f.Policy = "bounded" }},
+		// -policy names exactly one policy: gossip combined with another is
+		// not a policy the engine knows.
+		{"gossip-and-policy", func(f *trainFlags) { f.Policy = "gossip,bounded" }},
 		{"negative-stale-k", func(f *trainFlags) { f.Policy = "bounded"; f.StaleK = -1 }},
 		{"negative-stale-tau", func(f *trainFlags) { f.Policy = "bounded"; f.StaleTau = -1 }},
 		{"zero-deadline-factor", func(f *trainFlags) { f.Policy = "deadline"; f.DeadlineFactor = 0 }},
@@ -57,7 +59,7 @@ func TestValidateFlagsAccepts(t *testing.T) {
 	}{
 		{"sync-defaults", func(f *trainFlags) { f.Async = false }},
 		{"async-defaults", func(f *trainFlags) {}},
-		{"gossip", func(f *trainFlags) { f.Gossip = true }},
+		{"gossip", func(f *trainFlags) { f.Policy = "gossip" }},
 		{"policy-barrier", func(f *trainFlags) { f.Policy = "barrier" }},
 		{"policy-bounded", func(f *trainFlags) { f.Policy = "bounded"; f.StaleK = 3 }},
 		{"policy-deadline", func(f *trainFlags) { f.Policy = "deadline"; f.DeadlineFactor = 2 }},

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +93,84 @@ func FuzzDecodeSparseInto(f *testing.F) {
 	})
 }
 
+// literalBlock hand-builds one final dynamic block whose literal code is 'A'
+// and end-of-block, one bit each, followed by "AAAA" and end-of-block. Its
+// lone distance code has length distLen, 1 or 2; at 2 the code is incomplete,
+// and compress/flate rejects the header although no symbol ever uses it.
+func literalBlock(distLen uint) []byte {
+	var (
+		buf []byte
+		nb  uint
+	)
+	put := func(v, n uint) { // n bits of v, least significant first
+		for ; n > 0; n-- {
+			if nb%8 == 0 {
+				buf = append(buf, 0)
+			}
+			buf[len(buf)-1] |= byte(v&1) << (nb % 8)
+			v >>= 1
+			nb++
+		}
+	}
+	code := func(c, l uint) { // a Huffman code, most significant bit first
+		for ; l > 0; l-- {
+			put(c>>(l-1), 1)
+		}
+	}
+	put(1, 1)  // final
+	put(2, 2)  // dynamic
+	put(0, 5)  // HLIT: 257 literal/length codes
+	put(0, 5)  // HDIST: one distance code
+	put(14, 4) // HCLEN: 18 code-length code lengths, codeOrder up to symbol 1
+	var clens [19]uint
+	clens[18], clens[1], clens[2] = 1, 2, 2 // codes 0, 10, 11
+	for _, sym := range codeOrder[:18] {
+		put(clens[sym], 3)
+	}
+	code(0, 1) // 65 zeros: literals 0..64
+	put(65-11, 7)
+	code(2, 2) // 'A': length 1
+	code(0, 1) // 190 zeros: literals 66..255
+	put(138-11, 7)
+	code(0, 1)
+	put(52-11, 7)
+	code(2, 2)         // end-of-block: length 1
+	code(distLen+1, 2) // the distance code
+	for i := 0; i < 4; i++ {
+		code(0, 1) // 'A'
+	}
+	code(1, 1)               // end-of-block
+	return append(buf, 0, 0) // every symbol then has maxCodeLen bits behind it
+}
+
+// TestInflateLiteralsDeclinesIncompleteDistanceCode: a distance code no
+// symbol uses still has to be one compress/flate accepts, so inflateLiterals
+// declines literalBlock(2) and DecodeInto returns compress/flate's verdict.
+func TestInflateLiteralsDeclinesIncompleteDistanceCode(t *testing.T) {
+	block := literalBlock(2)
+	if inflateLiterals(block, make([]byte, 4)) {
+		t.Fatal("inflateLiterals accepted a block whose distance code is incomplete")
+	}
+	_, flateErr := io.ReadFull(flate.NewReader(bytes.NewReader(block)), make([]byte, 4))
+	var corrupt flate.CorruptInputError
+	if !errors.As(flateErr, &corrupt) {
+		t.Fatalf("compress/flate read the block: %v", flateErr)
+	}
+	err := PlaneFlate32{}.DecodeInto(block, make([]float64, 1))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), flateErr.Error()) {
+		t.Fatalf("DecodeInto = %v, want ErrCorrupt carrying %q", err, flateErr)
+	}
+	// With a distance code of length 1 the same block is read by both.
+	valid := literalBlock(1)
+	got, want := make([]byte, 4), make([]byte, 4)
+	if !inflateLiterals(valid, got) {
+		t.Fatal("inflateLiterals declined the block with a one-bit distance code")
+	}
+	if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(valid)), want); err != nil || string(got) != "AAAA" || string(want) != "AAAA" {
+		t.Fatalf("inflated %q and %q (%v), want AAAA from both", got, want, err)
+	}
+}
+
 // FuzzInflateLiterals is differential: whenever inflateLiterals accepts a
 // stream, io.ReadFull over a bare compress/flate reader succeeds with the same
 // bytes. It may decline anything; DecodeInto then asks compress/flate. n is
@@ -127,6 +207,7 @@ func FuzzInflateLiterals(f *testing.F) {
 	fw.Close()
 	add(fixed.Bytes(), 3)
 	add(nil, 0)
+	add(literalBlock(2), 1) // declined only for its unused, incomplete distance code
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		got := make([]byte, 4*int(n))
 		if !inflateLiterals(data, got) {

@@ -19,7 +19,7 @@ func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch) {
 	cfg.BandAdaptive = true
 	cfg.DisableWavelet = disableWavelet
 	cfg.FloatCodec = codec.Raw32{}
-	nodes := pipelineFleet(t, 1, 16, cfg)
+	nodes := jwinsFleet(t, 1, 16, cfg)
 	n := nodes[0]
 	if n.CoeffDim() != 16 {
 		t.Fatalf("coeffDim %d, want 16", n.CoeffDim())

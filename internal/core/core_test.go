@@ -42,6 +42,42 @@ func stubLoader(t *testing.T, ds *datasets.Dataset) *datasets.Loader {
 	return datasets.NewLoader(ds, []int{0, 1, 2, 3}, 2, vec.NewRNG(2))
 }
 
+// jwinsFleet builds n identical-shape JWINS nodes on stub models with
+// deterministic per-node parameters and RNG seeds, so two calls produce two
+// fleets whose nodes are bit-identical pair-wise.
+func jwinsFleet(t *testing.T, n, dim int, cfg JWINSConfig) []*JWINSNode {
+	t.Helper()
+	ds := tinyDataset(t)
+	loader := stubLoader(t, ds)
+	opts := TrainOpts{LR: 0.1, LocalSteps: 1}
+	nodes := make([]*JWINSNode, n)
+	for i := range nodes {
+		params := make([]float64, dim)
+		r := vec.NewRNG(uint64(100 + i))
+		for j := range params {
+			params[j] = r.NormFloat64()
+		}
+		node, err := NewJWINS(i, &stubModel{params: params}, loader, opts, cfg, vec.NewRNG(uint64(500+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	return nodes
+}
+
+func floatsBitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAlphaDistributions(t *testing.T) {
 	d := DefaultAlphas()
 	if err := d.Validate(); err != nil {

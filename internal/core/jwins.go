@@ -163,33 +163,13 @@ func (n *JWINSNode) forward(s *Scratch, x, out []float64) {
 // model change, sample the cut-off, select TopK of the accumulated scores,
 // and encode the selected coefficients of DWT(x^(t,tau)) with compressed
 // index metadata.
-//
-// The body is split into stages (sharePrep, shareSelect, shareEncode, with
-// the two forward transforms between them) so SharePipeline can run the same
-// stages for a batch of nodes through one shared plan; the per-node order of
-// operations here is the reference the batch path must match bit for bit.
 func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	s := AcquireScratch()
 	defer s.Release()
-	n.sharePrep(s)
-	n.forward(s, s.DeltaPar, vec.Grow(&s.deltaCoeff, n.coeffDim))
-	n.shareSelect(s)
-	// Share DWT(x^(t,tau))[I] with compressed indices (line 8).
-	n.forward(s, s.Params, n.curCoeffs)
-	return n.shareEncode(s)
-}
-
-// sharePrep snapshots the model and computes the round's parameter change
-// x^(t,tau) - x^(t,0) into DeltaPar.
-func (n *JWINSNode) sharePrep(s *Scratch) {
 	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
 	vec.DiffInto(vec.Grow(&s.DeltaPar, n.dim), s.Params, n.startPar)
-}
+	n.forward(s, s.DeltaPar, vec.Grow(&s.deltaCoeff, n.coeffDim))
 
-// shareSelect folds deltaCoeff — which must already hold DWT(DeltaPar) —
-// into the accumulator (eq. 3), samples the randomized cut-off (line 6), and
-// selects the round's index set (line 7).
-func (n *JWINSNode) shareSelect(s *Scratch) {
 	// V' = V + DWT(x^(t,tau) - x^(t,0))   (eq. 3)
 	switch {
 	case n.cfg.DisableAccumulation:
@@ -216,24 +196,21 @@ func (n *JWINSNode) shareSelect(s *Scratch) {
 	// A full share has nothing to rank: it sends and resets every coefficient.
 	n.lastShared = n.lastShared[:0]
 	n.fullShare = k >= n.coeffDim
-	if n.fullShare {
-		return
+	if !n.fullShare {
+		var sel []int
+		if n.cfg.BandAdaptive {
+			sel = n.bandAdaptiveTopK(s, k)
+		} else {
+			sel = sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
+		}
+		if cap(n.lastShared) < k {
+			n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
+		}
+		n.lastShared = append(n.lastShared, sel...)
 	}
-	var sel []int
-	if n.cfg.BandAdaptive {
-		sel = n.bandAdaptiveTopK(s, k)
-	} else {
-		sel = sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
-	}
-	if cap(n.lastShared) < k {
-		n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
-	}
-	n.lastShared = append(n.lastShared, sel...)
-}
 
-// shareEncode gathers and encodes the selected coefficients of curCoeffs —
-// which must already hold DWT(Params).
-func (n *JWINSNode) shareEncode(s *Scratch) ([]byte, codec.ByteBreakdown, error) {
+	// Share DWT(x^(t,tau))[I] with compressed indices (line 8).
+	n.forward(s, s.Params, n.curCoeffs)
 	sv := codec.SparseVector{Dim: n.coeffDim}
 	mode := codec.IndexGamma
 	if n.fullShare {
@@ -250,16 +227,10 @@ func (n *JWINSNode) shareEncode(s *Scratch) ([]byte, codec.ByteBreakdown, error)
 // Aggregate implements lines 9-12 of Algorithm 1: average the received
 // partial wavelet vectors with the node's own coefficients (per-coefficient,
 // weight-normalized), invert the transform, and update the accumulator.
-//
-// Like Share, the body is split into stages (aggMerge, the inverse
-// transform, aggInstall, the eq.-4 forward transform, aggFold) so
-// AggregatePipeline can run the same stages for a batch of nodes through one
-// shared plan; the per-node order of operations here is the reference the
-// batch path must match bit for bit.
 func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
 	s := AcquireScratch()
 	defer s.Release()
-	if err := n.aggMerge(s, w, msgs); err != nil {
+	if err := s.merge(n.cache, n.curCoeffs, w, msgs); err != nil {
 		return err
 	}
 	if n.plan == nil {
@@ -267,44 +238,18 @@ func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 	} else {
 		n.plan.Inverse(s.avg, vec.Grow(&s.newParams, n.dim), &s.dwt)
 	}
-	n.aggInstall(s)
-	if !n.cfg.DisableAccumulation {
-		// Fold in the round's remaining model change (eq. 4).
-		n.forward(s, s.newParams, vec.Grow(&s.installed, n.coeffDim))
-	}
-	n.aggFold(s)
-	return nil
-}
-
-// aggMerge computes the weight-normalized partial average of curCoeffs and
-// the neighbor payloads into avg (lines 9-10).
-func (n *JWINSNode) aggMerge(s *Scratch, w topology.Weights, msgs map[int][]byte) error {
-	return s.merge(n.cache, n.curCoeffs, w, msgs)
-}
-
-// aggInstall installs the reconstructed model — newParams must already hold
-// the inverse transform of avg — and resets V for the coefficients just
-// shared (line 12, first half).
-func (n *JWINSNode) aggInstall(s *Scratch) {
 	n.model.SetParams(s.newParams)
-	if n.cfg.DisableAccumulation {
-		return
-	}
-	if n.fullShare {
-		clear(n.acc)
-	}
-	for _, idx := range n.lastShared {
-		n.acc[idx] = 0
-	}
-}
-
-// aggFold folds the round's remaining change into the accumulator —
-// installed must already hold DWT(newParams) when accumulation is on — and
-// advances the round baseline x^(t+1,0).
-func (n *JWINSNode) aggFold(s *Scratch) {
 	if !n.cfg.DisableAccumulation {
-		// V += DWT(x^(t+1,0)) - DWT(x^(t,tau)), or - DWT(x^(t,0)) under the
-		// literal reading of eq. 4.
+		// Reset V for the coefficients just shared (line 12), then fold in the
+		// round's remaining model change (eq. 4): V += DWT(x^(t+1,0)) -
+		// DWT(x^(t,tau)), or - DWT(x^(t,0)) under the literal reading.
+		if n.fullShare {
+			clear(n.acc)
+		}
+		for _, idx := range n.lastShared {
+			n.acc[idx] = 0
+		}
+		n.forward(s, s.newParams, vec.Grow(&s.installed, n.coeffDim))
 		from := n.curCoeffs
 		if n.cfg.AccumulateLiteralEq4 {
 			from = vec.Grow(&s.startCoeffs, n.coeffDim)
@@ -315,6 +260,7 @@ func (n *JWINSNode) aggFold(s *Scratch) {
 		}
 	}
 	copy(n.startPar, s.newParams)
+	return nil
 }
 
 // bandAdaptiveTopK distributes the budget k over wavelet sub-bands

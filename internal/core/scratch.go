@@ -15,9 +15,7 @@ import (
 // their algorithm's equations carry from one call to the next; a call takes
 // a Scratch with AcquireScratch, runs in it, and releases it, so a fleet
 // holds as many working sets as it ever ran calls at once (the engines'
-// Parallelism, +1 for the event loop, times the batch width while a
-// SharePipeline/AggregatePipeline batch is in flight) instead of one per
-// node.
+// Parallelism, +1 for the event loop) instead of one per node.
 //
 // A recycled Scratch keeps its last user's values, and users differ in
 // dimension and algorithm: every buffer is sized with vec.Grow (or resliced

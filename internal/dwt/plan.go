@@ -213,33 +213,6 @@ func (p *Plan) Inverse(coeffs, out []float64, s *Scratch) {
 	copy(out, cur[:p.n])
 }
 
-// ForwardBatch transforms a batch of same-shape signals in one pass: the
-// filter taps, padding layout, and ping-pong scratch are set up once and each
-// signal's level cascade completes while its intermediate bands are still
-// cache-resident. (Blocking over signals, not levels, is deliberate: for the
-// large vectors JWINS shares, a level-major sweep would evict every
-// intermediate band between levels.) Bit-identical to calling Forward on each
-// pair in order.
-func (p *Plan) ForwardBatch(xs, outs [][]float64, s *Scratch) {
-	if len(xs) != len(outs) {
-		panic(fmt.Sprintf("dwt: ForwardBatch size mismatch: %d inputs, %d outputs", len(xs), len(outs)))
-	}
-	for i := range xs {
-		p.Forward(xs[i], outs[i], s)
-	}
-}
-
-// InverseBatch reconstructs a batch of signals from their coefficient
-// vectors. Bit-identical to calling Inverse on each pair in order.
-func (p *Plan) InverseBatch(coeffs, outs [][]float64, s *Scratch) {
-	if len(coeffs) != len(outs) {
-		panic(fmt.Sprintf("dwt: InverseBatch size mismatch: %d inputs, %d outputs", len(coeffs), len(outs)))
-	}
-	for i := range coeffs {
-		p.Inverse(coeffs[i], outs[i], s)
-	}
-}
-
 // analyzeLevel is the plan-path analysis kernel: the wrap-free main region is
 // split from the wrapped tail so the hot loop carries no index branches, with
 // the 4-tap bank (sym2/db2, the paper's default) fully unrolled. Each output

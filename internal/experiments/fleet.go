@@ -184,14 +184,10 @@ type RunSpec struct {
 	// Async switches to the event-driven scheduler; Rounds becomes the
 	// per-node iteration budget.
 	Async bool
-	// Gossip selects the non-blocking aggregation policy (async only).
-	// Shorthand for Policy: simulation.GossipPolicy{}; setting both is a
-	// configuration error.
-	Gossip bool
 	// Policy selects the async aggregation policy (async only): nil defaults
-	// to the full barrier (or gossip when Gossip is set); see
-	// simulation.BoundedStalenessPolicy and simulation.DeadlinePolicy for the
-	// semi-async middle ground.
+	// to the full barrier; see simulation.GossipPolicy for the non-blocking
+	// policy and simulation.BoundedStalenessPolicy and
+	// simulation.DeadlinePolicy for the semi-async middle ground.
 	Policy simulation.AggregationPolicy
 	// Het draws per-node compute/bandwidth/latency profiles (async only).
 	Het simulation.Heterogeneity
@@ -308,7 +304,7 @@ func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 		if spec.Telemetry != nil {
 			return nil, fmt.Errorf("%w: engine telemetry instruments the Async event loop (the synchronous engine has no queue, pool, or policy waits to observe)", ErrUnsupportedSpec)
 		}
-		if spec.Policy != nil || spec.Gossip {
+		if spec.Policy != nil {
 			return nil, fmt.Errorf("%w: aggregation policies belong to the Async engine (the synchronous engine is a global barrier by construction)", ErrUnsupportedSpec)
 		}
 		if spec.EpochSec > 0 {
@@ -325,7 +321,7 @@ func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 	}
 
 	acfg := simulation.AsyncConfig{
-		Config: cfg, Het: spec.Het, Gossip: spec.Gossip, Policy: spec.Policy,
+		Config: cfg, Het: spec.Het, Policy: spec.Policy,
 		Record: spec.Recorder, Replay: spec.Replay,
 		MixingEvery: spec.MixingEvery, Telemetry: spec.Telemetry,
 	}

@@ -3,10 +3,7 @@ package perf
 import (
 	"testing"
 
-	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/simulation"
-	"repro/internal/topology"
 )
 
 // schedulerAllocCeiling is the committed per-event allocation budget of the
@@ -93,97 +90,6 @@ func TestFleetConstructionAllocBudget(t *testing.T) {
 	if lazyPerNode >= eagerPerNode {
 		t.Fatalf("lazy construction (%.2f allocs/node) no cheaper than eager (%.2f): copy-on-write is not deferring model builds",
 			lazyPerNode, eagerPerNode)
-	}
-}
-
-// shareBatchAllocCeiling is the committed per-share allocation budget of the
-// batched pipeline. Each share inherently allocates its freshly encoded
-// payload (retained by neighbors, so it cannot be pooled); everything else
-// runs in the batch's working sets. Measured 1.00 allocs/share on go1.24.
-const shareBatchAllocCeiling = 2.0
-
-// TestShareBatchAllocationBudget guards the batched share pipeline's
-// steady-state allocation rate: a warm SharePipeline over 8 plan-sharing
-// 100k-parameter nodes must stay under the committed per-share ceiling.
-func TestShareBatchAllocationBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement is timing-insensitive but not free")
-	}
-	const width = 8
-	nodes, err := JWINSBatchNodes(100_000, width, codec.Raw32{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := &core.SharePipeline{}
-	payloads := make([][]byte, width)
-	bds := make([]codec.ByteBreakdown, width)
-	// Warm the working sets, and let every node's k-sized index copy reach
-	// the largest partial cut-off (it regrows only when a larger k is drawn).
-	for i := 0; i < 16; i++ {
-		if err := pipe.ShareBatch(nodes, payloads, bds); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perShare := testing.AllocsPerRun(10, func() {
-		if err := pipe.ShareBatch(nodes, payloads, bds); err != nil {
-			t.Fatal(err)
-		}
-	}) / width
-	t.Logf("batched share: %.2f allocs/share over a width-%d batch", perShare, width)
-	if perShare > shareBatchAllocCeiling {
-		t.Fatalf("batched share allocates %.2f/share, ceiling is %.1f", perShare, shareBatchAllocCeiling)
-	}
-}
-
-// aggregateBatchAllocCeiling is the committed per-aggregate allocation budget
-// of the batched pipeline: with warm scratch, the raw32 codec, and a shared
-// decode cache, the steady state is fully pooled — the only allocations are
-// the cache's once-per-payload ready channel and slot bookkeeping, amortized
-// over the fan-out. Measured 0.25 allocs/aggregate on go1.24; the ceiling
-// leaves headroom for runtime map-rehash noise only.
-const aggregateBatchAllocCeiling = 0.5
-
-// TestAggregateBatchAllocationBudget guards the batched aggregate pipeline's
-// steady-state allocation rate: a warm AggregatePipeline over 8 plan-sharing
-// 100k-parameter recipients of one broadcast payload must stay under the
-// committed per-aggregate ceiling, decode cache on.
-func TestAggregateBatchAllocationBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement is timing-insensitive but not free")
-	}
-	const width = 8
-	nodes, err := JWINSBatchNodes(100_000, width+1, codec.Raw32{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender, recips := nodes[width], nodes[:width]
-	dc := &core.DecodeCache{}
-	for _, n := range recips {
-		n.SetDecodeCache(dc)
-	}
-	payload, _, err := sender.Share(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := make([]topology.Weights, width)
-	msgs := make([]map[int][]byte, width)
-	for i := range recips {
-		ws[i] = topology.Weights{Self: 0.5, Neighbor: map[int]float64{width: 0.5}}
-		msgs[i] = map[int][]byte{width: payload}
-	}
-	pipe := &core.AggregatePipeline{}
-	warm := func() {
-		dc.InvalidateSender(width)
-		if err := pipe.AggregateBatch(recips, ws, msgs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm()
-	warm()
-	perAgg := testing.AllocsPerRun(10, warm) / width
-	t.Logf("batched aggregate: %.2f allocs/aggregate over a width-%d batch", perAgg, width)
-	if perAgg > aggregateBatchAllocCeiling {
-		t.Fatalf("batched aggregate allocates %.2f/aggregate, ceiling is %.1f", perAgg, aggregateBatchAllocCeiling)
 	}
 }
 

@@ -167,10 +167,8 @@ func scaleFleet(n int, lazy bool) ([]core.Node, *datasets.Dataset, topology.Prov
 
 // ScaleFleetJWINS builds an n-node JWINS raw32 fleet on the same lean scale
 // task, partitions, and RNG discipline as ScaleFleet (lazy copy-on-write
-// models included). Every node's transformer resolves to the one cached DWT
-// plan for the model dimension, so the fleet is share-batchable end to end —
-// the fixture of the engine-asyncjwins rows that measure the batched share
-// pipeline inside a full scheduler run.
+// models included) — the fixture of the engine-asyncjwins rows, which put
+// the JWINS share/aggregate path inside a full scheduler run.
 func ScaleFleetJWINS(n int) ([]core.Node, *datasets.Dataset, topology.Provider, error) {
 	fix, err := scaleFixtureFor(n)
 	if err != nil {
@@ -205,13 +203,9 @@ func ScaleFleetJWINS(n int) ([]core.Node, *datasets.Dataset, topology.Provider, 
 	return nodes, fix.ds, topology.NewStatic(g), nil
 }
 
-// RunAsyncScaleJWINS is RunAsyncScale over a JWINS fleet with the batch
-// widths set: shareBatch/aggregateBatch 0 run the per-node reference
-// dispatch, >= 2 fold chained dispatches into batched SharePipeline /
-// AggregatePipeline runs. Schedules are bit-identical either way; only the
-// compute cost differs. Batching is forced on so single-core benchmark hosts
-// measure the batched path rather than the GOMAXPROCS gate.
-func RunAsyncScaleJWINS(n, parallelism, evalSample, shareBatch, aggregateBatch int) (int64, error) {
+// RunAsyncScaleJWINS is RunAsyncScale over a JWINS fleet (evalSample > 0
+// scores a seeded rotating subset, else the seeded 8-node cap).
+func RunAsyncScaleJWINS(n, parallelism, evalSample int) (int64, error) {
 	nodes, ds, topo, err := ScaleFleetJWINS(n)
 	if err != nil {
 		return 0, err
@@ -227,46 +221,15 @@ func RunAsyncScaleJWINS(n, parallelism, evalSample, shareBatch, aggregateBatch i
 	eng := &simulation.AsyncEngine{
 		Nodes: nodes, Topology: topo, TestSet: ds,
 		Config: simulation.AsyncConfig{
-			Config:          cfg,
-			Het:             simulation.Heterogeneity{ComputeSpread: 0.3, Seed: Seed},
-			ShareBatch:      shareBatch,
-			AggregateBatch:  aggregateBatch,
-			ShareBatchForce: true,
-			OnEvent:         func(simulation.Event) { events++ },
+			Config:  cfg,
+			Het:     simulation.Heterogeneity{ComputeSpread: 0.3, Seed: Seed},
+			OnEvent: func(simulation.Event) { events++ },
 		},
 	}
 	if _, err := eng.Run(); err != nil {
 		return 0, err
 	}
 	return events, nil
-}
-
-// JWINSBatchNodes builds n JWINS nodes over dim-parameter flat models; the
-// plan cache hands every node the same *dwt.Plan, so the slice drops straight
-// into core.SharePipeline.ShareBatch. The fixture of the share-batch
-// micro-benchmarks and the batched allocation budget test.
-func JWINSBatchNodes(dim, n int, fc codec.FloatCodec) ([]*core.JWINSNode, error) {
-	rng := vec.NewRNG(3)
-	ds, err := datasets.SyntheticImages(datasets.ImageConfig{
-		Classes: 2, Channels: 1, Height: 4, Width: 4, TrainPerClass: 4, TestPerClass: 2,
-	}, rng)
-	if err != nil {
-		return nil, err
-	}
-	loader := datasets.NewLoader(ds, []int{0, 1, 2, 3}, 2, rng.Split())
-	opts := core.TrainOpts{LR: 0.1, LocalSteps: 1}
-	cfg := core.DefaultJWINSConfig()
-	if fc != nil {
-		cfg.FloatCodec = fc
-	}
-	nodes := make([]*core.JWINSNode, n)
-	for i := range nodes {
-		nodes[i], err = core.NewJWINS(i, NewFlatModel(randomParams(dim, uint64(i+1))), loader, opts, cfg, rng.Split())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
 }
 
 // ScaleEvalSample is the rotating eval subset size of the 1024/4096-node

@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/simulation"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -50,30 +48,13 @@ func Suite() ([]Bench, error) {
 		// scores the full fleet exactly vs a 64-node rotating sample; the
 		// ns/op delta is the per-row evaluation cost the sample removes.
 		{"engine-async1024-evalexact-p1", func() (int64, error) { return RunAsyncScale(1024, 1, -1) }},
-		// Share-batch bracket: identical JWINS runs except the batched arm
-		// folds chained speculative dispatches into SharePipeline batches of
-		// 8. Schedules are bit-identical (the parity suites enforce it), so
-		// the ns/op delta is purely the batched compute win.
+		// The same scale tiers over a JWINS fleet: DWT, top-k selection and
+		// the sparse codec join the scheduler on the measured path.
 		{"engine-asyncjwins1024-p1", func() (int64, error) {
-			return RunAsyncScaleJWINS(1024, 1, ScaleEvalSample, 0, 0)
-		}},
-		{"engine-asyncjwins1024-p1-b8", func() (int64, error) {
-			return RunAsyncScaleJWINS(1024, 1, ScaleEvalSample, 8, 0)
+			return RunAsyncScaleJWINS(1024, 1, ScaleEvalSample)
 		}},
 		{"engine-asyncjwins4096-p1", func() (int64, error) {
-			return RunAsyncScaleJWINS(4096, 1, ScaleEvalSample, 0, 0)
-		}},
-		{"engine-asyncjwins4096-p1-b8", func() (int64, error) {
-			return RunAsyncScaleJWINS(4096, 1, ScaleEvalSample, 8, 0)
-		}},
-		// Aggregate-batch bracket: the b8a8 arms run both pipelines — batched
-		// shares AND batched aggregates with the fleet-shared decode cache —
-		// against the b8 share-only rows above.
-		{"engine-asyncjwins1024-p1-b8a8", func() (int64, error) {
-			return RunAsyncScaleJWINS(1024, 1, ScaleEvalSample, 8, 8)
-		}},
-		{"engine-asyncjwins4096-p1-b8a8", func() (int64, error) {
-			return RunAsyncScaleJWINS(4096, 1, ScaleEvalSample, 8, 8)
+			return RunAsyncScaleJWINS(4096, 1, ScaleEvalSample)
 		}},
 		// Fleet-construction bracket: build-only, no run. Lazy is the
 		// copy-on-write default; eager builds every layer graph up front.
@@ -137,81 +118,7 @@ func microPair(suffix string, fc codec.FloatCodec) ([]Bench, error) {
 	aggregate := Bench{"jwins-aggregate-100k" + suffix, func() (int64, error) {
 		return 0, a.Aggregate(round, wA, msgsA)
 	}}
-	benches := []Bench{share, aggregate}
-	batch, err := microShareBatch(suffix, fc)
-	if err != nil {
-		return nil, err
-	}
-	aggBatch, err := microAggregateBatch(suffix, fc)
-	if err != nil {
-		return nil, err
-	}
-	return append(benches, batch, aggBatch), nil
-}
-
-// microShareBatch is the batched counterpart of the jwins-share row: one op
-// runs a SharePipeline batch of 8 plan-sharing 100k-parameter nodes, so its
-// ns/op divided by 8 compares directly against jwins-share-100k ns/op.
-func microShareBatch(suffix string, fc codec.FloatCodec) (Bench, error) {
-	const (
-		dim   = 100_000
-		width = 8
-	)
-	nodes, err := JWINSBatchNodes(dim, width, fc)
-	if err != nil {
-		return Bench{}, err
-	}
-	pipe := &core.SharePipeline{}
-	payloads := make([][]byte, width)
-	bds := make([]codec.ByteBreakdown, width)
-	if err := pipe.ShareBatch(nodes, payloads, bds); err != nil { // warm the scratch
-		return Bench{}, err
-	}
-	return Bench{fmt.Sprintf("jwins-sharebatch%d-100k%s", width, suffix), func() (int64, error) {
-		return 0, pipe.ShareBatch(nodes, payloads, bds)
-	}}, nil
-}
-
-// microAggregateBatch is the batched counterpart of the jwins-aggregate row:
-// one op runs an AggregatePipeline batch of 8 plan-sharing 100k-parameter
-// recipients that all merge the SAME sender payload through a fleet-shared
-// DecodeCache, so its ns/op divided by 8 compares directly against
-// jwins-aggregate-100k ns/op. The sender's cache line is invalidated at the
-// top of each op so every op pays exactly one decode plus seven cache hits —
-// the steady-state cost of one broadcast fanned out to eight recipients,
-// never a fully pre-decoded freebie.
-func microAggregateBatch(suffix string, fc codec.FloatCodec) (Bench, error) {
-	const (
-		dim   = 100_000
-		width = 8
-	)
-	nodes, err := JWINSBatchNodes(dim, width+1, fc)
-	if err != nil {
-		return Bench{}, err
-	}
-	sender, recips := nodes[width], nodes[:width]
-	dc := &core.DecodeCache{}
-	for _, n := range recips {
-		n.SetDecodeCache(dc)
-	}
-	payload, _, err := sender.Share(0)
-	if err != nil {
-		return Bench{}, err
-	}
-	ws := make([]topology.Weights, width)
-	msgs := make([]map[int][]byte, width)
-	for i := range recips {
-		ws[i] = topology.Weights{Self: 0.5, Neighbor: map[int]float64{width: 0.5}}
-		msgs[i] = map[int][]byte{width: payload}
-	}
-	pipe := &core.AggregatePipeline{}
-	if err := pipe.AggregateBatch(recips, ws, msgs); err != nil { // warm the scratch
-		return Bench{}, err
-	}
-	return Bench{fmt.Sprintf("jwins-aggregatebatch%d-100k%s", width, suffix), func() (int64, error) {
-		dc.InvalidateSender(width)
-		return 0, pipe.AggregateBatch(recips, ws, msgs)
-	}}, nil
+	return []Bench{share, aggregate}, nil
 }
 
 // Report is the schema of a BENCH_*.json artifact.

@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 
@@ -198,12 +197,8 @@ type AsyncConfig struct {
 	Het Heterogeneity
 	// Churn is the leave/join trace (see GenerateChurn).
 	Churn []ChurnEvent
-	// Gossip switches from the local-barrier policy to immediate freshest-
-	// payload aggregation. Shorthand for Policy: GossipPolicy{}; setting both
-	// Gossip and Policy is a configuration error.
-	Gossip bool
 	// Policy selects the aggregation policy (see policy.go). Nil defaults to
-	// BarrierPolicy (or GossipPolicy when Gossip is set).
+	// BarrierPolicy.
 	Policy AggregationPolicy
 	// MixingEvery samples the spectral-gap computation, which is O(n·d) per
 	// power iteration and would otherwise sit on the 1024-node critical path
@@ -213,29 +208,6 @@ type AsyncConfig struct {
 	// aggregates cover sampled epochs only. Neighbor turnover (O(edges)) is
 	// always reported.
 	MixingEvery int
-	// ShareBatch batches the speculative train+share dispatches of
-	// plan-sharing JWINS nodes: up to ShareBatch queued dispatches become one
-	// pooled task running a single core.SharePipeline pass (one cache-blocked
-	// DWT sweep over all members' deltas instead of per-node cascades). 0 or
-	// 1 runs the per-node reference path. Only compute is batched — each
-	// member's result still commits at its own train-done event, so results
-	// are bit-identical either way (see sharebatch.go).
-	ShareBatch int
-	// AggregateBatch is ShareBatch's mirror for the aggregate half: up to
-	// AggregateBatch pool-dispatched aggregates of plan-sharing JWINS nodes
-	// become one core.AggregatePipeline pass (one decode-or-cache-hit sweep,
-	// one batched inverse DWT, one batched accumulator forward). 0 or 1 runs
-	// the per-node reference path. Only compute is batched — staleness
-	// accounting, trace records, inbox cleanup, and iteration advances stay
-	// at the aggregate event, so results are bit-identical either way (see
-	// aggbatch.go).
-	AggregateBatch int
-	// ShareBatchForce overrides the single-core gate on both batch knobs:
-	// with GOMAXPROCS=1 deferred dispatch cannot overlap anything and costs
-	// a measured 1–5% wall, so ShareBatch/AggregateBatch auto-disable there
-	// unless this is set (differential tests and benchmarks set it so the
-	// batched code paths run regardless of host shape).
-	ShareBatchForce bool
 	// OnEvent, if set, observes every processed event in order — the
 	// deterministic event trace.
 	OnEvent func(Event)
@@ -400,28 +372,6 @@ type asyncRun struct {
 	// event could fire before the speculated train-done commits.
 	churnPending [][]float64
 
-	// Share-batch state (cfg.ShareBatch >= 2): eligible speculative
-	// dispatches are deferred into specQueue and flushed as grouped
-	// SharePipeline tasks — when the queue reaches the batch size, once after
-	// the schedule is seeded, and always before processing an event at or
-	// after specDue (the earliest queued train-done time), which keeps every
-	// commit point exactly where the serial schedule has it. See sharebatch.go.
-	specQueue []specEntry
-	specDue   float64
-	ctxPool   batchCtxPool
-
-	// Aggregate-batch state (cfg.AggregateBatch >= 2): eligible aggregates
-	// (and the speculative train each would have dispatched) are deferred
-	// into aggQueue and flushed as grouped AggregatePipeline tasks — when
-	// the queue reaches the batch size, before processing any event at or
-	// after aggDue (every queued node's next train-done time bounds it), at
-	// the top of drain, and at onJoin. aggIdx[i] is node i's queue position
-	// (-1 when not queued). See aggbatch.go.
-	aggQueue []aggEntry
-	aggIdx   []int
-	aggDue   float64
-	aggCtxs  aggCtxPool
-
 	// dcache is the fleet-shared decoded-payload cache: each broadcast
 	// payload is entropy-decoded once, by its first aggregating recipient,
 	// and served by identity to the rest.
@@ -469,11 +419,6 @@ type asyncRun struct {
 func (e *AsyncEngine) Run() (*Result, error) {
 	cfg := e.Config
 	cfg.setDefaults()
-	// Single-core gate: deferred batch dispatch only pays off when the pool
-	// can overlap it (see gatedBatchWidth).
-	gmp := runtime.GOMAXPROCS(0)
-	cfg.ShareBatch = gatedBatchWidth(cfg.ShareBatch, cfg.ShareBatchForce, gmp)
-	cfg.AggregateBatch = gatedBatchWidth(cfg.AggregateBatch, cfg.ShareBatchForce, gmp)
 	n := len(e.Nodes)
 	if n == 0 {
 		return nil, fmt.Errorf("simulation: no nodes")
@@ -490,13 +435,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		if cfg.Gossip {
-			policy = GossipPolicy{}
-		} else {
-			policy = BarrierPolicy{}
-		}
-	} else if cfg.Gossip {
-		return nil, fmt.Errorf("%w: both Gossip and Policy are set; use Policy alone", ErrPolicyConfig)
+		policy = BarrierPolicy{}
 	}
 	if err := policy.validate(); err != nil {
 		return nil, err
@@ -524,14 +463,8 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		alphas:       make([]float64, n),
 		isJWINS:      make([]bool, n),
 		churnPending: make([][]float64, n),
-		specDue:      math.Inf(1),
-		aggIdx:       make([]int, n),
-		aggDue:       math.Inf(1),
 		evalSamp:     newEvalSampler(n, cfg.Config),
 		dcache:       &core.DecodeCache{},
-	}
-	for i := range r.aggIdx {
-		r.aggIdx[i] = -1
 	}
 	r.liveAt[0] = n
 	if capped := evalCapSubset(n, cfg.Config); r.evalSamp == nil && capped != nil {
@@ -640,9 +573,6 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	for i := 0; i < n; i++ {
 		r.scheduleTrain(i)
 	}
-	// Flush the partial seed batch so its compute overlaps the schedule from
-	// the start instead of waiting for the event loop's first due check.
-	r.flushSpec()
 	if r.replay != nil {
 		// The recorded leave/join sequence is the churn schedule.
 		for _, ev := range r.replay.Churn() {
@@ -732,21 +662,6 @@ func (r *asyncRun) eventLoop() error {
 	for r.queue.Len() > 0 && !r.stop {
 		ev := r.queue.pop()
 		r.now = ev.Time
-		// A deferred aggregate must be on its node's tail before the node's
-		// next train-done commits (deferTrain folds every queued node's next
-		// train-done time into aggDue); flush first — it may enqueue the
-		// members' deferred speculative trains, which the spec check below
-		// then picks up in the same pass.
-		if len(r.aggQueue) > 0 && ev.Time >= r.aggDue {
-			r.flushAgg()
-		}
-		// A queued speculative dispatch must be in flight before its own
-		// train-done commits; flushing at the first event at or after the
-		// earliest queued train-done time guarantees that (and never changes
-		// results — dispatching earlier is always safe).
-		if len(r.specQueue) > 0 && ev.Time >= r.specDue {
-			r.flushSpec()
-		}
 		if r.tel != nil {
 			// Depth at pop, inclusive of the event just taken.
 			r.tel.queueDepth.Observe(float64(r.queue.Len() + 1))
@@ -1026,13 +941,6 @@ func (r *asyncRun) popChurn(i int) {
 // lowest-node-index error. It must run before Run returns so no pool worker
 // keeps mutating node state after the caller regains control.
 func (r *asyncRun) drain() error {
-	// Deferred aggregates (and the speculative trains deferred with them)
-	// must be in flight before the barrier: drain precedes evaluation rows,
-	// error returns, and the end of the run, all of which read node state.
-	r.flushAgg()
-	if len(r.specQueue) > 0 {
-		r.flushSpec()
-	}
 	var first error
 	for i := range r.tails {
 		if err := r.tails[i].wait(); err != nil && first == nil {
@@ -1122,29 +1030,13 @@ func (r *asyncRun) scheduleTrain(i int) {
 	// node's trainTask slot is reusable here: its previous result was
 	// committed at the preceding train-done event (commit precedes the
 	// aggregate that led to this scheduleTrain).
-	if r.aggIdx[i] >= 0 {
-		// The aggregate this train chains on is still queued: defer the
-		// dispatch into the same queue entry so it chains on the batched
-		// future at flush time (see aggbatch.go).
-		r.deferTrain(i, st.iter, t, r.specSafe(i, t))
-		return
-	}
 	if r.specSafe(i, t) {
-		if r.cfg.ShareBatch >= 2 {
-			if jn, ok := r.eng.Nodes[i].(*core.JWINSNode); ok {
-				if plan := jn.SharePlan(); plan != nil {
-					r.enqueueSpec(i, st.iter, t, jn, plan)
-					return
-				}
-			}
-		}
 		r.dispatchSpec(i, st.iter)
 	}
 }
 
 // dispatchSpec submits node i's speculative train+share for iteration iter
-// on the pool — the per-node reference path (see scheduleTrain); the batched
-// path in sharebatch.go must be bit-identical to it.
+// on the pool, chained after the node's previous task (see scheduleTrain).
 func (r *asyncRun) dispatchSpec(i, iter int) {
 	tt := &r.trainTasks[i]
 	tt.loss, tt.payload, tt.bd = 0, nil, codec.ByteBreakdown{}
@@ -1468,9 +1360,7 @@ func (r *asyncRun) aggregate(i int) error {
 	// evaluation and Run's exit wait for every chain. The worker returns the
 	// msgs map to the pool once Aggregate has consumed it — map identity
 	// cannot affect results because nodes sort senders before merging.
-	if !r.enqueueAgg(i, st.iter, w[i], msgs) {
-		r.submitAggregate(i, st.iter, w[i], msgs)
-	}
+	r.submitAggregate(i, st.iter, w[i], msgs)
 	r.stale.add(st.iter, lags)
 	if r.tel != nil {
 		r.tel.aggregations.Inc()
@@ -1533,6 +1423,19 @@ func (r *asyncRun) aggregate(i int) error {
 	return nil
 }
 
+// submitAggregate dispatches node i's aggregate for iteration iter on the
+// pool, chained after the node's previous task.
+func (r *asyncRun) submitAggregate(i, iter int, wi topology.Weights, msgs map[int][]byte) {
+	r.tails[i] = r.pool.submit(r.tails[i], i, func() error {
+		err := r.eng.Nodes[i].Aggregate(iter, wi, msgs)
+		r.msgsPool.put(msgs)
+		if err != nil {
+			return fmt.Errorf("node %d aggregate: %w", i, err)
+		}
+		return nil
+	})
+}
+
 // onLeave takes a node offline: its pending work is invalidated, the live
 // subgraph shrinks, and neighbors blocked on it are re-checked.
 func (r *asyncRun) onLeave(i int) error {
@@ -1560,10 +1463,6 @@ func (r *asyncRun) onLeave(i int) error {
 // while it was away — without it, a joiner and a waiting neighbor could each
 // block on a message the other will never resend), and starts training.
 func (r *asyncRun) onJoin(i int) error {
-	// onJoin re-dispatches work (the joiner's train, neighbor re-sends)
-	// outside the aggregate→scheduleTrain flow; a queued aggregate for the
-	// joiner must be on its tail before anything new chains after it.
-	r.flushAgg()
 	st := &r.nodes[i]
 	if st.live {
 		return nil

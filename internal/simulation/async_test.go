@@ -148,7 +148,7 @@ func TestAsyncChurnJWINSSurvives(t *testing.T) {
 // still converge on the degenerate (homogeneous) task.
 func TestAsyncGossipLearns(t *testing.T) {
 	res := runAsync(t, algoFull, 30, func(cfg *AsyncConfig) {
-		cfg.Gossip = true
+		cfg.Policy = GossipPolicy{}
 		cfg.Het = Heterogeneity{ComputeSpread: 0.5, Seed: 21}
 	})
 	if res.FinalAccuracy < 0.5 {

@@ -6,11 +6,50 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/choco"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/nn"
 	"repro/internal/topology"
 	"repro/internal/vec"
 )
+
+// buildNodesWithCodec mirrors buildNodes but injects a per-node float codec —
+// per node because stateful codecs (QSGD's call counter) must not be shared
+// across nodes, or encode order would leak into the payload bytes.
+func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64, fc func(i int) codec.FloatCodec) []core.Node {
+	t.Helper()
+	opts := core.TrainOpts{LR: 0.05, LocalSteps: 2}
+	rootRNG := vec.NewRNG(seed)
+	var nodes []core.Node
+	for i := range parts {
+		nodeRNG := rootRNG.Split()
+		model := nn.NewMLP(64, 24, 4, nodeRNG)
+		loader := datasets.NewLoader(ds, parts[i], 8, nodeRNG.Split())
+		var (
+			n   core.Node
+			err error
+		)
+		switch kind {
+		case algoFull:
+			n, err = core.NewFullSharing(i, model, loader, opts, fc(i))
+		case algoRandom:
+			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, fc(i), nodeRNG.Split())
+		case algoJWINS:
+			cfg := core.DefaultJWINSConfig()
+			cfg.FloatCodec = fc(i)
+			n, err = core.NewJWINS(i, model, loader, opts, cfg, nodeRNG.Split())
+		case algoChoco:
+			n, err = choco.New(i, model, loader, opts, choco.Config{Fraction: 0.2, Gamma: 0.2, FloatCodec: fc(i)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes
+}
 
 // deliveryProbe observes what a fleet of probeNodes is handed: payloads
 // delivered, distinct (round, sender) broadcasts among them, and — in the
@@ -30,7 +69,7 @@ type deliveryProbe struct {
 // reference arm: it swallows the call, so the wrapped node decodes every
 // payload it receives into its own scratch. It forwards LocalStepCount so the
 // time model is unchanged; the engines' *core.JWINSNode assertions fail on it,
-// so MeanAlpha reads NaN and the async batch pipelines pass it by.
+// so MeanAlpha reads NaN.
 type probeNode struct {
 	core.Node
 	p            *deliveryProbe
@@ -224,6 +263,43 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeCacheEngineParity: the fleet-shared decoded-payload cache must be
+// purely an allocation/compute optimization — a run with the cache must match
+// a per-recipient-decode run event for event, row for row, under
+// heterogeneity, churn and drops, at serial and parallel dispatch. The
+// reference fleet is wrapped in per-recipient probeNodes, which keep the
+// cache from their nodes (and, being no *core.JWINSNode, read NaN for
+// MeanAlpha).
+func TestDecodeCacheEngineParity(t *testing.T) {
+	muts := []struct {
+		name string
+		mut  func(*AsyncConfig)
+	}{
+		{"plain", nil},
+		{"churn-drops", func(cfg *AsyncConfig) {
+			cfg.Het = Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, Seed: 5}
+			cfg.Churn = GenerateChurn(16, 0.25, 0.02, 0.2, 0.1, 77)
+			cfg.DropProb = 0.1
+			cfg.FaultSeed = 3
+		}},
+	}
+	dropAlpha := func(r capturedRun) capturedRun {
+		for i := range r.result.Rounds {
+			r.result.Rounds[i].MeanAlpha = math.NaN()
+		}
+		return r
+	}
+	for _, tc := range muts {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range parallelismLevels() {
+				off := captureAsyncRunOn(t, 16, 10, p, tc.mut, perRecipientFleet)
+				on := captureAsyncRun(t, 16, 10, p, tc.mut)
+				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, dropAlpha(on), p)
+			}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func TestAsyncFaultMatrix(t *testing.T) {
 		churn    float64 // fraction of nodes cycling out and back
 		compute  float64 // lognormal sigma on per-step compute time
 		drop     float64 // per-message drop probability
-		gossip   bool
+		policy   AggregationPolicy
 		minAcc   float64 // 0 = only require completion
 		wantRows int
 	}{
@@ -115,7 +115,7 @@ func TestAsyncFaultMatrix(t *testing.T) {
 		{name: "jwins/stragglers", kind: algoJWINS, compute: 1.2, minAcc: 0.5, wantRows: rounds},
 		{name: "jwins/churn+stragglers+drops", kind: algoJWINS, churn: 0.25, compute: 0.8, drop: 0.1, minAcc: 0.45, wantRows: rounds},
 		{name: "full/churn", kind: algoFull, churn: 0.25, minAcc: 0.5, wantRows: rounds},
-		{name: "full/gossip-stragglers", kind: algoFull, compute: 0.8, gossip: true, minAcc: 0.45, wantRows: rounds},
+		{name: "full/gossip-stragglers", kind: algoFull, compute: 0.8, policy: GossipPolicy{}, minAcc: 0.45, wantRows: rounds},
 		{name: "choco/churn-completes", kind: algoChoco, churn: 0.25, minAcc: 0, wantRows: rounds},
 	}
 	for _, tc := range cases {
@@ -130,7 +130,7 @@ func TestAsyncFaultMatrix(t *testing.T) {
 				}
 				cfg.DropProb = tc.drop
 				cfg.FaultSeed = 23
-				cfg.Gossip = tc.gossip
+				cfg.Policy = tc.policy
 			})
 			if len(res.Rounds) != tc.wantRows {
 				t.Fatalf("completed %d/%d rows", len(res.Rounds), tc.wantRows)

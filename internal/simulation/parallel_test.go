@@ -171,7 +171,7 @@ func TestAsyncParallelismInvariance(t *testing.T) {
 // (train tasks of ahead-of-floor nodes must not run before an evaluation).
 func TestAsyncParallelismInvarianceGossip(t *testing.T) {
 	mut := func(cfg *AsyncConfig) {
-		cfg.Gossip = true
+		cfg.Policy = GossipPolicy{}
 		cfg.Het = Heterogeneity{ComputeSpread: 0.8, BandwidthSpread: 0.3, Seed: 21}
 		cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.3, 0.1, 13)
 	}

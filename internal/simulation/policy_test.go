@@ -88,18 +88,10 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// TestPolicyConfigRejected: Run must refuse ambiguous or invalid policy
-// configuration instead of guessing.
+// TestPolicyConfigRejected: Run must refuse invalid policy configuration
+// instead of guessing.
 func TestPolicyConfigRejected(t *testing.T) {
 	eng := asyncEngineFor(t, algoFull, 4, func(cfg *AsyncConfig) {
-		cfg.Gossip = true
-		cfg.Policy = BarrierPolicy{}
-	})
-	if _, err := eng.Run(); !errors.Is(err, ErrPolicyConfig) {
-		t.Fatalf("Gossip+Policy: got %v, want ErrPolicyConfig", err)
-	}
-
-	eng = asyncEngineFor(t, algoFull, 4, func(cfg *AsyncConfig) {
 		cfg.Policy = BoundedStalenessPolicy{K: 0, Tau: 2}
 	})
 	if _, err := eng.Run(); !errors.Is(err, ErrPolicyConfig) {

@@ -26,7 +26,7 @@ import (
 // instead of taking the process down from a worker goroutine.
 type TaskPanicError struct {
 	// Task is the id the task was submitted under: the node for the engines'
-	// per-node tasks, forEach's index, -1 for a batch of nodes.
+	// per-node tasks, forEach's index.
 	Task  int
 	Value any    // what the task panicked with
 	Stack []byte // the stack of the panicking goroutine
@@ -163,59 +163,6 @@ func (p *computePool) submit(prev *future, task int, fn func() error) *future {
 	// worker is never parked on a future it cannot help complete.
 	go func() {
 		<-prev.ch
-		p.tasks <- run
-	}()
-	return f
-}
-
-// submitBatch schedules fn to run after every future in prevs completes and
-// returns one future shared by the whole batch. If any dependency failed, fn
-// is skipped and the first (lowest-index) error propagates — an error aborts
-// the run anyway, so per-member error attribution is not needed. prevs must
-// stay unmodified until the returned future completes.
-func (p *computePool) submitBatch(prevs []*future, fn func() error) *future {
-	if p.tasks == nil {
-		// Inline mode: every dependency already ran inline, so its error (if
-		// any) is final and can be returned directly.
-		if p.telInline != nil {
-			p.telInline.Inc()
-		}
-		for _, prev := range prevs {
-			if prev != nil && prev.err != nil {
-				return prev
-			}
-		}
-		if err := runTask(-1, fn); err != nil {
-			return &future{ch: closedFutureCh, err: err}
-		}
-		return doneFuture
-	}
-	if p.telPooled != nil {
-		p.telPooled.Inc()
-	}
-	f := &future{ch: make(chan struct{})}
-	run := func() {
-		for _, prev := range prevs {
-			if prev == nil {
-				continue
-			}
-			if err := prev.wait(); err != nil {
-				f.err = err
-				close(f.ch)
-				return
-			}
-		}
-		f.err = runTask(-1, fn)
-		close(f.ch)
-	}
-	// As in submit: dependency waits happen on a shim goroutine so a pool
-	// worker is never parked on futures it cannot help complete.
-	go func() {
-		for _, prev := range prevs {
-			if prev != nil {
-				<-prev.ch
-			}
-		}
 		p.tasks <- run
 	}()
 	return f

@@ -20,9 +20,6 @@ func recordedRun(t *testing.T, rounds int, mut func(*AsyncConfig)) (*trace.Trace
 			mut(cfg)
 		}
 		policy := trace.PolicyBarrier
-		if cfg.Gossip {
-			policy = trace.PolicyGossip
-		}
 		meta := map[string]string{}
 		if cfg.Policy != nil {
 			policy = cfg.Policy.Name()
@@ -63,7 +60,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 			cfg.FaultSeed = 3
 		}},
 		{"gossip-het", func(cfg *AsyncConfig) {
-			cfg.Gossip = true
+			cfg.Policy = GossipPolicy{}
 			cfg.Het = Heterogeneity{ComputeSpread: 0.6, BandwidthSpread: 0.4, Seed: 21}
 		}},
 		{"bounded-het-churn", func(cfg *AsyncConfig) {
@@ -261,7 +258,7 @@ func TestStalenessMetrics(t *testing.T) {
 	}
 
 	gossip := runAsync(t, algoFull, 20, func(cfg *AsyncConfig) {
-		cfg.Gossip = true
+		cfg.Policy = GossipPolicy{}
 		cfg.Het = Heterogeneity{ComputeSpread: 1.2, Seed: 7}
 	})
 	if gossip.StaleMax <= 0 {

@@ -121,7 +121,7 @@ func keysOf[V any](m map[string]V) []string {
 func TestTelemetryGossipPolicyLabel(t *testing.T) {
 	tel := NewTelemetry()
 	runAsync(t, algoJWINS, 6, func(cfg *AsyncConfig) {
-		cfg.Gossip = true
+		cfg.Policy = GossipPolicy{}
 		cfg.Telemetry = tel
 	})
 	s := tel.Snapshot()
