@@ -16,6 +16,11 @@ type Conv2D struct {
 	W         *Param
 	B         *Param
 
+	*convState
+}
+
+// convState is a Conv2D's call state.
+type convState struct {
 	x        *Tensor
 	out, dx  tscratch
 	pk, tile tscratch // the vector path's packed kernels (Backward: W.Grad) and its lane tile
@@ -23,6 +28,8 @@ type Conv2D struct {
 }
 
 var _ Layer = (*Conv2D)(nil)
+
+func (c *Conv2D) attach(w *workspace) { c.convState = takeState[convState](w) }
 
 // NewConv2D builds a convolution layer with He-uniform initialization.
 func NewConv2D(inC, outC, k, pad int, rng *vec.RNG) *Conv2D {
@@ -68,7 +75,7 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N, %d, H, W], got %v", c.InC, x.Shape))
 	}
-	c.x = x
+	own(&c.convState).x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.OutSize(h), c.OutSize(w)
 	if oh <= 0 || ow <= 0 {
@@ -430,12 +437,19 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 type MaxPool2D struct {
 	K int // window size == stride
 
+	*poolState
+}
+
+// poolState is a MaxPool2D's call state.
+type poolState struct {
 	argmax  []int
 	inShape []int
 	out, dx tscratch
 }
 
 var _ Layer = (*MaxPool2D)(nil)
+
+func (m *MaxPool2D) attach(w *workspace) { m.poolState = takeState[poolState](w) }
 
 // NewMaxPool2D builds a max-pool layer with window k (stride k).
 func NewMaxPool2D(k int) *MaxPool2D {
@@ -455,12 +469,10 @@ func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input %dx%d not divisible by %d", h, w, m.K))
 	}
 	oh, ow := h/m.K, w/m.K
+	own(&m.poolState)
 	m.inShape = append(m.inShape[:0], x.Shape...)
 	y := m.out.ensure(n, cdim, oh, ow)
-	if cap(m.argmax) < y.Len() {
-		m.argmax = make([]int, y.Len())
-	}
-	m.argmax = m.argmax[:y.Len()]
+	grow(&m.argmax, y.Len())
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < cdim; ci++ {
 			in := x.Data[((ni*cdim)+ci)*h*w:][: h*w : h*w]

@@ -73,6 +73,7 @@ func TestConvKernelStaysInBounds(t *testing.T) {
 				plantEdges(x.Data, cc.h, cc.w)
 			}
 			oh, ow := c.OutSize(cc.h), c.OutSize(cc.w)
+			own(&c.convState)
 			pk := scratch(&c.pk, cc.outC/4*cc.inC*100)
 			tile := scratch(&c.tile, oh*ow*4)
 			kin := scratch(&c.kin, cc.outC*(cc.inC/4)*100)

@@ -23,7 +23,7 @@ func (c refConv2D) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N, %d, H, W], got %v", c.InC, x.Shape))
 	}
-	c.x = x
+	own(&c.convState).x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.OutSize(h), c.OutSize(w)
 	if oh <= 0 || ow <= 0 {

@@ -13,11 +13,18 @@ type Dense struct {
 	W       *Param
 	B       *Param
 
+	*denseState
+}
+
+// denseState is a Dense layer's call state.
+type denseState struct {
 	x       *Tensor // cached input
 	out, dx tscratch
 }
 
 var _ Layer = (*Dense)(nil)
+
+func (d *Dense) attach(w *workspace) { d.denseState = takeState[denseState](w) }
 
 // NewDense builds a dense layer with He-uniform initialization.
 func NewDense(in, out int, rng *vec.RNG) *Dense {
@@ -39,7 +46,7 @@ func (d *Dense) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("nn: Dense expects [N, %d], got %v", d.In, x.Shape))
 	}
-	d.x = x
+	own(&d.denseState).x = x
 	n := x.Shape[0]
 	y := d.out.ensure(n, d.Out)
 	w := d.W.Data
@@ -104,18 +111,11 @@ var _ Layer = (*Flatten)(nil)
 // Forward implements Layer.
 func (f *Flatten) Forward(x *Tensor, _ bool) *Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
-	n := x.Shape[0]
-	f.view.Data = x.Data
-	f.view.Shape = append(f.view.Shape[:0], n, x.Len()/n)
-	return &f.view
+	return f.view.alias(x, x.Shape[0], x.Len()/x.Shape[0])
 }
 
 // Backward implements Layer.
-func (f *Flatten) Backward(grad *Tensor) *Tensor {
-	f.back.Data = grad.Data
-	f.back.Shape = append(f.back.Shape[:0], f.inShape...)
-	return &f.back
-}
+func (f *Flatten) Backward(grad *Tensor) *Tensor { return f.back.alias(grad, f.inShape...) }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }

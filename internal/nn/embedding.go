@@ -15,11 +15,19 @@ type Embedding struct {
 	Vocab, Dim int
 	W          *Param
 
+	*embedState
+}
+
+// embedState is an Embedding's call state.
+type embedState struct {
 	ids     []int
 	inShape []int
+	out, dx tscratch
 }
 
 var _ Layer = (*Embedding)(nil)
+
+func (e *Embedding) attach(w *workspace) { e.embedState = takeState[embedState](w) }
 
 // NewEmbedding builds an embedding table with N(0, 1/sqrt(Dim)) init.
 func NewEmbedding(vocab, dim int, rng *vec.RNG) *Embedding {
@@ -41,12 +49,10 @@ func (e *Embedding) Forward(x *Tensor, _ bool) *Tensor {
 		panic(fmt.Sprintf("nn: Embedding expects [N, T], got %v", x.Shape))
 	}
 	n, t := x.Shape[0], x.Shape[1]
+	own(&e.embedState)
 	e.inShape = append(e.inShape[:0], x.Shape...)
-	if cap(e.ids) < n*t {
-		e.ids = make([]int, n*t)
-	}
-	e.ids = e.ids[:n*t]
-	y := NewTensor(n, t, e.Dim)
+	grow(&e.ids, n*t)
+	y := e.out.ensure(n, t, e.Dim)
 	for i, f := range x.Data {
 		id := int(f)
 		if id < 0 || id >= e.Vocab {
@@ -67,7 +73,7 @@ func (e *Embedding) Backward(grad *Tensor) *Tensor {
 			w[k] += v
 		}
 	}
-	return NewTensor(e.inShape...)
+	return e.dx.ensureZero(e.inShape...)
 }
 
 // Params implements Layer.

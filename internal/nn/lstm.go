@@ -19,16 +19,25 @@ type LSTM struct {
 	Wh         *Param // [4H, H]
 	B          *Param // [4H]
 
-	// caches, indexed per timestep
-	x          *Tensor
-	gates      []float64 // [T][N][4H] post-nonlinearity: i, f, g, o
-	cells      []float64 // [T][N][H] cell states
-	tanhCells  []float64 // [T][N][H]
-	hiddens    []float64 // [T][N][H]
-	seqN, seqT int
+	*lstmState
+}
+
+// lstmState is an LSTM's call state: its caches, indexed per timestep, and
+// the BPTT carries.
+type lstmState struct {
+	x         *Tensor
+	gates     []float64 // [T][N][4H] post-nonlinearity: i, f, g, o
+	cells     []float64 // [T][N][H] cell states
+	tanhCells []float64 // [T][N][H]
+	hiddens   []float64 // [T][N][H]
+	out, dx   tscratch
+
+	dhNext, dcNext, dz []float64
 }
 
 var _ Layer = (*LSTM)(nil)
+
+func (l *LSTM) attach(w *workspace) { l.lstmState = takeState[lstmState](w) }
 
 // NewLSTM builds an LSTM layer with uniform(-1/sqrt(H), 1/sqrt(H)) init and
 // forget-gate bias 1 (standard practice for stable early training).
@@ -63,13 +72,12 @@ func (l *LSTM) Forward(x *Tensor, _ bool) *Tensor {
 	n, t := x.Shape[0], x.Shape[1]
 	h4 := 4 * l.Hidden
 	hd := l.Hidden
-	l.x = x
-	l.seqN, l.seqT = n, t
-	l.gates = grow(l.gates, t*n*h4)
-	l.cells = grow(l.cells, t*n*hd)
-	l.tanhCells = grow(l.tanhCells, t*n*hd)
-	l.hiddens = grow(l.hiddens, t*n*hd)
-	y := NewTensor(n, t, hd)
+	own(&l.lstmState).x = x
+	grow(&l.gates, t*n*h4)
+	grow(&l.cells, t*n*hd)
+	grow(&l.tanhCells, t*n*hd)
+	grow(&l.hiddens, t*n*hd)
+	y := l.out.ensure(n, t, hd)
 
 	wx, wh, b := l.Wx.Data, l.Wh.Data, l.B.Data
 	for ti := 0; ti < t; ti++ {
@@ -122,17 +130,18 @@ func (l *LSTM) Forward(x *Tensor, _ bool) *Tensor {
 
 // Backward implements Layer.
 func (l *LSTM) Backward(grad *Tensor) *Tensor {
-	n, t := l.seqN, l.seqT
+	x := l.x
+	n, t := x.Shape[0], x.Shape[1]
 	hd := l.Hidden
 	h4 := 4 * hd
-	x := l.x
-	dx := NewTensor(x.Shape...)
+	dx := l.dx.ensureZero(x.Shape...)
 	wx, wh := l.Wx.Data, l.Wh.Data
 	gwx, gwh, gb := l.Wx.Grad, l.Wh.Grad, l.B.Grad
 
-	dhNext := make([]float64, n*hd) // dL/dh_t flowing from t+1
-	dcNext := make([]float64, n*hd)
-	dz := make([]float64, h4)
+	// dL/dh_t and dL/dc_t flowing from t+1 start at zero; dz is written before it is read.
+	dhNext, dcNext, dz := grow(&l.dhNext, n*hd), grow(&l.dcNext, n*hd), grow(&l.dz, h4)
+	clear(dhNext)
+	clear(dcNext)
 
 	for ti := t - 1; ti >= 0; ti-- {
 		for ni := 0; ni < n; ni++ {
@@ -194,14 +203,3 @@ func (l *LSTM) Backward(grad *Tensor) *Tensor {
 
 // Params implements Layer.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
-
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}

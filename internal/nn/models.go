@@ -96,7 +96,7 @@ func NewCharLSTM(cfg CharLSTMConfig, rng *vec.RNG) *Classifier {
 		layers = append(layers, NewLSTM(in, cfg.Hidden, rng))
 		in = cfg.Hidden
 	}
-	layers = append(layers, &seqDense{NewDense(in, cfg.Vocab, rng)})
+	layers = append(layers, &seqDense{Dense: NewDense(in, cfg.Vocab, rng)})
 	return NewClassifier(NewSequential(layers...))
 }
 
@@ -104,20 +104,21 @@ func NewCharLSTM(cfg CharLSTMConfig, rng *vec.RNG) *Classifier {
 // [N, T, In] tensor, producing [N, T, Out].
 type seqDense struct {
 	*Dense
+	flatX, seqY, flatGrad, seqDX Tensor // reused [N*T, ·] and [N, T, ·] views
 }
 
 // Forward implements Layer.
 func (s *seqDense) Forward(x *Tensor, train bool) *Tensor {
 	n, t := x.Shape[0], x.Shape[1]
-	out := s.Dense.Forward(x.Reshape(n*t, x.Shape[2]), train)
-	return out.Reshape(n, t, s.Out)
+	out := s.Dense.Forward(s.flatX.alias(x, n*t, x.Shape[2]), train)
+	return s.seqY.alias(out, n, t, s.Out)
 }
 
 // Backward implements Layer.
 func (s *seqDense) Backward(grad *Tensor) *Tensor {
 	n, t := grad.Shape[0], grad.Shape[1]
-	dx := s.Dense.Backward(grad.Reshape(n*t, grad.Shape[2]))
-	return dx.Reshape(n, t, s.In)
+	dx := s.Dense.Backward(s.flatGrad.alias(grad, n*t, grad.Shape[2]))
+	return s.seqDX.alias(dx, n, t, s.In)
 }
 
 // NewMLP builds a small fully connected classifier, useful for fast tests

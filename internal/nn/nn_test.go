@@ -270,33 +270,6 @@ func TestMFParamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDropout(t *testing.T) {
-	rng := vec.NewRNG(207)
-	d := NewDropout(0.5, rng)
-	x := NewTensor(1, 1000)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	y := d.Forward(x, true)
-	zeros := 0
-	for _, v := range y.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("dropout zeroed %d/1000, expected ~500", zeros)
-	}
-	// Eval mode is identity.
-	y2 := d.Forward(x, false)
-	for i := range y2.Data {
-		if y2.Data[i] != 1 {
-			t.Fatal("dropout not identity at eval time")
-		}
-	}
-	mustPanic(t, func() { NewDropout(1.0, rng) })
-}
-
 func TestSGDMomentum(t *testing.T) {
 	p := newParam("w", 1)
 	p.Data[0] = 1

@@ -16,6 +16,11 @@ type GroupNorm struct {
 	Gamma  *Param
 	Beta   *Param
 
+	*normState
+}
+
+// normState is a GroupNorm's call state.
+type normState struct {
 	x       *Tensor
 	xhat    []float64
 	invSD   []float64 // per (sample, group)
@@ -23,6 +28,8 @@ type GroupNorm struct {
 }
 
 var _ Layer = (*GroupNorm)(nil)
+
+func (g *GroupNorm) attach(w *workspace) { g.normState = takeState[normState](w) }
 
 // NewGroupNorm builds a group-norm layer over c channels in the given number
 // of groups (c must be divisible by groups).
@@ -48,20 +55,14 @@ func (g *GroupNorm) Forward(x *Tensor, _ bool) *Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != g.C {
 		panic(fmt.Sprintf("nn: GroupNorm expects [N, %d, H, W], got %v", g.C, x.Shape))
 	}
-	g.x = x
+	own(&g.normState).x = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	spatial := h * w
 	chPerGroup := g.C / g.Groups
 	groupLen := chPerGroup * spatial
 	y := g.out.ensure(x.Shape...)
-	if cap(g.xhat) < x.Len() {
-		g.xhat = make([]float64, x.Len())
-	}
-	g.xhat = g.xhat[:x.Len()]
-	if cap(g.invSD) < n*g.Groups {
-		g.invSD = make([]float64, n*g.Groups)
-	}
-	g.invSD = g.invSD[:n*g.Groups]
+	grow(&g.xhat, x.Len())
+	grow(&g.invSD, n*g.Groups)
 
 	for ni := 0; ni < n; ni++ {
 		for gi := 0; gi < g.Groups; gi++ {

@@ -57,6 +57,15 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return FromData(t.Data, shape...)
 }
 
+// alias points t at src's data under the given shape, reusing t's shape
+// storage: a Reshape into a header the caller keeps, which allocates nothing
+// once the header has held as many dimensions.
+func (t *Tensor) alias(src *Tensor, shape ...int) *Tensor {
+	t.Data = src.Data
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
+}
+
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{Data: make([]float64, len(t.Data)), Shape: append([]int(nil), t.Shape...)}
@@ -77,10 +86,11 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// tscratch is a reusable tensor backed by a buffer grown on demand. Layers
-// keep one per direction (forward output, backward gradient) so steady-state
-// training allocates nothing: ensure reshapes in place and only allocates
-// when the required element count outgrows the buffer.
+// tscratch is a reusable tensor backed by a buffer grown on demand. A layer's
+// workspace state holds one per direction (forward output, backward
+// gradient) so steady-state training allocates nothing: ensure reshapes in
+// place and only allocates when the required element count outgrows the
+// buffer.
 type tscratch struct{ t Tensor }
 
 // ensure shapes the scratch tensor without clearing it. Callers must
@@ -95,10 +105,7 @@ func (s *tscratch) ensure(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	if cap(s.t.Data) < n {
-		s.t.Data = make([]float64, n)
-	}
-	s.t.Data = s.t.Data[:n]
+	grow(&s.t.Data, n)
 	s.t.Shape = append(s.t.Shape[:0], shape...)
 	return &s.t
 }
@@ -107,10 +114,19 @@ func (s *tscratch) ensure(shape ...int) *Tensor {
 // accumulate into their output.
 func (s *tscratch) ensureZero(shape ...int) *Tensor {
 	t := s.ensure(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
+	clear(t.Data)
 	return t
+}
+
+// grow reslices *buf to length n, reallocating only when its capacity is
+// short, and returns it. A recycled buffer keeps its last user's values: the
+// caller writes every element before reading any.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Param is one learnable parameter block with its gradient accumulator.
@@ -126,21 +142,16 @@ func newParam(name string, n int) *Param {
 }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
+func (p *Param) ZeroGrad() { clear(p.Grad) }
 
 // Layer is a differentiable module. Forward caches whatever Backward needs;
 // a Layer instance is therefore stateful and must not be shared across
-// concurrent nodes (each DL node builds its own model). Returned tensors are
-// owned by the layer and valid only until its next Forward/Backward call —
-// the training loop consumes them within one TrainBatch (forward chain, loss,
-// backward chain), which is what lets layers reuse their output buffers.
+// concurrent nodes (each DL node builds its own model). Within a Classifier
+// call the caches and returned tensors live in the call's workspace and are
+// valid until the call returns; a layer driven directly keeps a state of its
+// own, valid until its next Forward/Backward call.
 type Layer interface {
-	// Forward computes the layer output. train toggles train-time behaviour
-	// (e.g. dropout).
+	// Forward computes the layer output. train toggles train-time behaviour.
 	Forward(x *Tensor, train bool) *Tensor
 	// Backward consumes the gradient of the loss w.r.t. the layer output and
 	// returns the gradient w.r.t. the layer input, accumulating parameter

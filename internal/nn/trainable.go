@@ -32,10 +32,8 @@ type Classifier struct {
 	LossFn Loss
 	opt    SGD
 
-	// lossGrad is the reusable gradient buffer for losses implementing
-	// lossInto; gradView is the reused reshape header for sequence outputs.
-	lossGrad tscratch
-	gradView Tensor
+	// Reused reshape headers for sequence outputs and their gradients.
+	flatView, gradView Tensor
 }
 
 var _ Trainable = (*Classifier)(nil)
@@ -54,23 +52,23 @@ func (c *Classifier) CopyParams(dst []float64) { c.Net.CopyParams(dst) }
 // SetParams implements Trainable.
 func (c *Classifier) SetParams(src []float64) { c.Net.SetParams(src) }
 
-// logits2D flattens [N, T, K] sequence logits to [N*T, K].
-func logits2D(out *Tensor) *Tensor {
+// logits2D flattens [N, T, K] sequence logits to [N*T, K] through view.
+func logits2D(out, view *Tensor) *Tensor {
 	switch len(out.Shape) {
 	case 2:
 		return out
 	case 3:
-		return out.Reshape(out.Shape[0]*out.Shape[1], out.Shape[2])
+		return view.alias(out, out.Shape[0]*out.Shape[1], out.Shape[2])
 	default:
 		panic(fmt.Sprintf("nn: classifier output shape %v unsupported", out.Shape))
 	}
 }
 
-// lossAndGrad computes the loss and its gradient, reusing the classifier's
-// grad buffer when the loss supports in-place computation.
-func (c *Classifier) lossAndGrad(flat *Tensor, y []float64) (float64, *Tensor) {
+// lossAndGrad computes the loss and its gradient, into the workspace's grad
+// buffer when the loss supports in-place computation.
+func (c *Classifier) lossAndGrad(w *workspace, flat *Tensor, y []float64) (float64, *Tensor) {
 	if li, ok := c.LossFn.(lossInto); ok {
-		grad := c.lossGrad.ensure(flat.Shape...)
+		grad := w.loss.ensure(flat.Shape...)
 		return li.ComputeInto(flat, y, grad), grad
 	}
 	return c.LossFn.Compute(flat, y)
@@ -78,15 +76,14 @@ func (c *Classifier) lossAndGrad(flat *Tensor, y []float64) (float64, *Tensor) {
 
 // TrainBatch implements Trainable.
 func (c *Classifier) TrainBatch(x *Tensor, y []float64, lr float64) float64 {
+	w := acquireWorkspace(c.Net)
+	defer w.release()
 	c.Net.ZeroGrad()
 	out := c.Net.Forward(x, true)
-	flat := logits2D(out)
-	loss, grad := c.lossAndGrad(flat, y)
+	flat := logits2D(out, &c.flatView)
+	loss, grad := c.lossAndGrad(w, flat, y)
 	if len(out.Shape) != 2 {
-		// Sequence outputs: restore [N, T, K] through a reused view header.
-		c.gradView.Data = grad.Data
-		c.gradView.Shape = append(c.gradView.Shape[:0], out.Shape...)
-		grad = &c.gradView
+		grad = c.gradView.alias(grad, out.Shape...) // sequence outputs: back to [N, T, K]
 	}
 	c.Net.backwardParams(grad)
 	c.opt.Step(lr, c.Net.Params())
@@ -95,9 +92,11 @@ func (c *Classifier) TrainBatch(x *Tensor, y []float64, lr float64) float64 {
 
 // EvalBatch implements Trainable.
 func (c *Classifier) EvalBatch(x *Tensor, y []float64) (float64, int, int) {
+	w := acquireWorkspace(c.Net)
+	defer w.release()
 	out := c.Net.Forward(x, false)
-	flat := logits2D(out)
-	loss, _ := c.lossAndGrad(flat, y)
+	flat := logits2D(out, &c.flatView)
+	loss, _ := c.lossAndGrad(w, flat, y)
 	m := flat.Shape[0]
 	correct := 0
 	for i := 0; i < m; i++ {
