@@ -25,6 +25,7 @@ type convState struct {
 	out, dx  tscratch
 	pk, tile tscratch // the vector path's packed kernels (Backward: W.Grad) and its lane tile
 	kin, dxt tscratch // its kernels packed for dx and dx's lane tile
+	runs     laneRuns // its forward runs, for the geometry they were listed for
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -81,13 +82,15 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D output size %dx%d not positive", oh, ow))
 	}
-	y := c.out.ensureZero(n, c.OutC, oh, ow)
+	y := c.out.ensure(n, c.OutC, oh, ow)
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
 	hw, ohw, kk := h*w, oh*ow, c.K*c.K
+	// The vector path writes its planes whole, bias included; the rest start at +0.
 	lanes := c.forwardLanes(&g, x.Data, y.Data, n)
 	for ni := 0; ni < n; ni++ {
 		xs := x.Data[ni*c.InC*hw:][:c.InC*hw]
 		ys := y.Data[ni*c.OutC*ohw:][:c.OutC*ohw]
+		clear(ys[lanes*ohw:])
 		// Four output channels at a time share every input load and give
 		// each pixel four independent sums; the tail goes one by one.
 		oc := lanes
@@ -101,8 +104,8 @@ func (c *Conv2D) Forward(x *Tensor, _ bool) *Tensor {
 				g.forward1(ys[oc*ohw:][:ohw], xs[ic*hw:][:hw], c.W.Data[(oc*c.InC+ic)*kk:][:kk])
 			}
 		}
-		for oc, bias := range c.B.Data {
-			if bias != 0 {
+		for oc := lanes; oc < c.OutC; oc++ {
+			if bias := c.B.Data[oc]; bias != 0 {
 				out := ys[oc*ohw:][:ohw]
 				for i := range out {
 					out[i] += bias
@@ -444,6 +447,7 @@ type MaxPool2D struct {
 type poolState struct {
 	argmax  []int
 	inShape []int
+	train   bool // the last Forward wrote argmax
 	out, dx tscratch
 }
 
@@ -460,7 +464,8 @@ func NewMaxPool2D(k int) *MaxPool2D {
 }
 
 // Forward implements Layer. x must be [N, C, H, W] with H and W divisible by K.
-func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
+// In evaluation mode it writes no argmax.
+func (m *MaxPool2D) Forward(x *Tensor, train bool) *Tensor {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects NCHW, got %v", x.Shape))
 	}
@@ -469,59 +474,57 @@ func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
 		panic(fmt.Sprintf("nn: MaxPool2D input %dx%d not divisible by %d", h, w, m.K))
 	}
 	oh, ow := h/m.K, w/m.K
-	own(&m.poolState)
+	own(&m.poolState).train = train
 	m.inShape = append(m.inShape[:0], x.Shape...)
 	y := m.out.ensure(n, cdim, oh, ow)
-	grow(&m.argmax, y.Len())
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < cdim; ci++ {
-			in := x.Data[((ni*cdim)+ci)*h*w:][: h*w : h*w]
-			base := ((ni * cdim) + ci) * h * w
-			out := y.Data[((ni*cdim)+ci)*oh*ow:][: oh*ow : oh*ow]
-			arg := m.argmax[((ni*cdim)+ci)*oh*ow:][: oh*ow : oh*ow]
-			if m.K == 2 {
-				// The window every model here pools with: the loop below
-				// with its four taps written out, in the same scan order
-				// from the same first element.
-				for oy := 0; oy < oh; oy++ {
-					r0, r1 := in[2*oy*w:][:w], in[(2*oy+1)*w:][:w]
-					o, a := out[oy*ow:][:ow], arg[oy*ow:][:ow]
-					at := base + 2*oy*w
-					for ox := range o {
-						best, bestIdx := r0[2*ox], at+2*ox
-						if v := r0[2*ox+1]; v > best {
-							best, bestIdx = v, at+2*ox+1
-						}
-						if v := r1[2*ox]; v > best {
-							best, bestIdx = v, at+w+2*ox
-						}
-						if v := r1[2*ox+1]; v > best {
-							best, bestIdx = v, at+w+2*ox+1
-						}
-						o[ox], a[ox] = best, bestIdx
+	var argmax []int
+	if train {
+		argmax = grow(&m.argmax, y.Len())
+	}
+	for p := 0; p < n*cdim; p++ {
+		base := p * h * w
+		in, out := x.Data[base:][:h*w], y.Data[p*oh*ow:][:oh*ow]
+		var arg []int
+		if train {
+			arg = argmax[p*oh*ow:][:oh*ow]
+		}
+		if m.K == 2 {
+			// The window every model here pools with: the loop below with
+			// its four taps written out, in the same scan order from the
+			// same first element, each test a select on bit patterns.
+			for oy := 0; oy < oh; oy++ {
+				r0, r1 := in[2*oy*w:][:w], in[(2*oy+1)*w:][:w]
+				o, at := out[oy*ow:][:ow], base+2*oy*w
+				for ox := range o {
+					b, i := above(r0[2*ox], at+2*ox, r0[2*ox+1], at+2*ox+1)
+					b, i = above(b, i, r1[2*ox], at+w+2*ox)
+					if o[ox], i = above(b, i, r1[2*ox+1], at+w+2*ox+1); train {
+						arg[oy*ow+ox] = i
 					}
 				}
-				continue
 			}
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					// Start from the window's first element, not -Inf: a
-					// window that is all NaN (a diverged model) or all -Inf
-					// then still has an argmax inside it for Backward, and
-					// the NaN propagates. The first maximum wins either way.
-					first := oy*m.K*w + ox*m.K
-					best, bestIdx := in[first], base+first
-					for ky := 0; ky < m.K; ky++ {
-						iy := oy*m.K + ky
-						for kx := 0; kx < m.K; kx++ {
-							ix := ox*m.K + kx
-							if v := in[iy*w+ix]; v > best {
-								best = v
-								bestIdx = base + iy*w + ix
-							}
+			continue
+		}
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				// Start from the window's first element, not -Inf: a
+				// window that is all NaN (a diverged model) or all -Inf
+				// then still has an argmax inside it for Backward, and
+				// the NaN propagates. The first maximum wins either way.
+				first := oy*m.K*w + ox*m.K
+				best, bestIdx := in[first], base+first
+				for ky := 0; ky < m.K; ky++ {
+					iy := oy*m.K + ky
+					for kx := 0; kx < m.K; kx++ {
+						ix := ox*m.K + kx
+						if v := in[iy*w+ix]; v > best {
+							best = v
+							bestIdx = base + iy*w + ix
 						}
 					}
-					out[oy*ow+ox] = best
+				}
+				out[oy*ow+ox] = best
+				if train {
 					arg[oy*ow+ox] = bestIdx
 				}
 			}
@@ -530,8 +533,17 @@ func (m *MaxPool2D) Forward(x *Tensor, _ bool) *Tensor {
 	return y
 }
 
+// above returns (v, j) if v > best and (best, at) otherwise: the window loop's
+// test, as a select on bit patterns.
+func above(best float64, at int, v float64, j int) (float64, int) {
+	m := allOnes(v > best)
+	b := math.Float64bits(best)
+	return math.Float64frombits(b ^ (b^math.Float64bits(v))&m), at ^ (at^j)&int(m)
+}
+
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(grad *Tensor) *Tensor {
+	mustHaveTrained(m.train, "MaxPool2D")
 	dx := m.dx.ensureZero(m.inShape...)
 	for i, g := range grad.Data {
 		dx.Data[m.argmax[i]] += g

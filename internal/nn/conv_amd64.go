@@ -15,9 +15,10 @@ func convSum4(t *float64, tStride, nt int, in *float64, inStride, inPitch int, k
 
 // forwardLanes is Forward for 5×5 kernels with four adjacent output channels
 // as the four lanes of a vector: it fills the first OutC/4*4 output planes of
-// all n samples and returns how many that is. A lane runs the chain forward4
-// runs for its channel (convSum4, conv_amd64.s): the same bits. A quad's sums
-// collect in a lane-interleaved tile t[oh*ow][4] that starts at +0 as y does.
+// all n samples, bias included, and returns how many that is. A lane runs the
+// chain forward4 runs for its channel (convSum4, conv_amd64.s): the same bits.
+// A quad's sums collect in a lane-interleaved tile t[oh*ow][4] that starts at
+// +0 as y does; the bias is added where it leaves the tile, as Forward adds it.
 func (c *Conv2D) forwardLanes(g *convGeom, x, y []float64, n int) int {
 	quads, hw, ohw := c.OutC/4, g.h*g.w, g.oh*g.ow
 	if !haveAVX2 || c.K != 5 || quads == 0 {
@@ -25,25 +26,37 @@ func (c *Conv2D) forwardLanes(g *convGeom, x, y []float64, n int) int {
 	}
 	pk, t := c.pk.ensure(quads, c.InC, 25, 4).Data, c.tile.ensure(ohw, 4).Data
 	c.packQuads(pk, c.W.Data, false)
+	c.runs.list(g)
 	for ni := 0; ni < n; ni++ {
 		for q := 0; q < quads; q++ {
 			clear(t)
 			xs, kq, ic := x[ni*c.InC*hw:][:c.InC*hw], pk[q*c.InC*100:][:c.InC*100], 0
 			for ; ic+4 <= c.InC; ic += 4 {
-				g.lanePlanes(t, xs[ic*hw:][:4*hw], kq[ic*100:][:400], 4)
+				sumRuns(t, xs[ic*hw:][:4*hw], kq[ic*100:][:400], g.w, c.runs.quad)
 			}
 			for ; ic < c.InC; ic++ {
-				g.lanePlanes(t, xs[ic*hw:][:hw], kq[ic*100:][:100], 1)
+				sumRuns(t, xs[ic*hw:][:hw], kq[ic*100:][:100], g.w, c.runs.one)
 			}
 			for l := 0; l < 4; l++ {
-				o := y[(ni*c.OutC+4*q+l)*ohw:][:ohw]
+				o, bias := y[(ni*c.OutC+4*q+l)*ohw:][:ohw], c.B.Data[4*q+l]
 				for p := range o {
-					o[p] = t[4*p+l]
+					if o[p] = t[4*p+l]; bias != 0 {
+						o[p] += bias
+					}
 				}
 			}
 		}
 	}
 	return 4 * quads
+}
+
+// sumRuns makes a run table's convSum4 calls on one set of input planes, whose
+// buffers have the lengths the table was checked against when it was listed.
+func sumRuns(t, in, kw []float64, pitch int, runs []laneRun) {
+	for i := range runs {
+		r := &runs[i]
+		convSum4(&t[r.t], r.tStride, r.nt, &in[r.in], r.inStride, pitch, &kw[r.kw], r.kwStride, r.rows, r.cols, r.tiles, r.tNext, r.inNext)
+	}
 }
 
 // packQuads copies the [oc][ic][tap] weights or gradients w of the output
@@ -64,62 +77,83 @@ func (c *Conv2D) packQuads(pk, w []float64, unpack bool) {
 	}
 }
 
-// lanePlanes adds chans (4 or 1) input planes to the tile, as runs of pixels
-// with equal tap ranges: along every row over the columns whose window has
-// all five columns, down every other column over the rows whose window has
-// all five rows, and the corners pixel by pixel.
-func (g *convGeom) lanePlanes(t, in, kw []float64, chans int) {
+// laneRun is one convSum4 call of a run table: where its first tile starts in
+// the lane tile, the input planes and their packed kernels, then the routine's
+// other arguments as it takes them.
+type laneRun struct {
+	t, tStride, nt, in, inStride, kw, kwStride, rows, cols, tiles, tNext, inNext int
+}
+
+// laneRuns is forwardLanes' run table for one geometry, kept in the layer's
+// call state: the calls that add four input planes (quad) or one (one) to the
+// tile, over runs of pixels with equal tap ranges.
+type laneRuns struct {
+	geom      convGeom
+	quad, one []laneRun
+}
+
+// list makes r g's table unless it is already: runs along every row over the
+// columns whose window has all five columns, down every other column over the
+// rows whose window has all five rows, and the corners pixel by pixel.
+func (r *laneRuns) list(g *convGeom) {
+	if r.geom == *g {
+		return
+	}
+	r.geom, r.quad, r.one = *g, r.quad[:0], r.one[:0]
 	xa, xb := g.pad, max(g.pad, g.w+g.pad-4)
 	ya, yb := g.pad, max(g.pad, g.h+g.pad-4)
 	for oy := 0; oy < g.oh; oy++ {
-		g.run(t, in, kw, chans, oy, xa, xb-xa, 1, 1)
+		r.add(oy, xa, xb-xa, 1, 1)
 	}
 	for ox := 0; ox < g.ow; ox++ {
 		if ox >= xa && ox < xb {
 			continue
 		}
-		g.run(t, in, kw, chans, ya, ox, yb-ya, g.ow, g.w)
+		r.add(ya, ox, yb-ya, g.ow, g.w)
 		for oy := 0; oy < g.oh; oy++ {
 			if oy < ya || oy >= yb {
-				g.run(t, in, kw, chans, oy, ox, 1, 1, 1)
+				r.add(oy, ox, 1, 1, 1)
 			}
 		}
 	}
 }
 
-// run adds the planes' sums to n pixels that share (oy, ox)'s tap range and
-// lie tStep pixels apart in the tile, inStep in the input; a window wholly in
-// the padding sums to +0, and adding that changes nothing. With four planes
+// add lists the runs over n pixels that share (oy, ox)'s tap range and lie
+// tStep pixels apart in the tile, inStep in the input; a window wholly in the
+// padding sums to +0, which changes nothing, and gets none. With four planes
 // the routine's streams are the four channels of one pixel, their sums added
 // in channel order. With one plane they are four pixels; those left over go
 // one at a time, as four streams over one pixel of which the routine keeps one.
-func (g *convGeom) run(t, in, kw []float64, chans, oy, ox, n, tStep, inStep int) {
+func (r *laneRuns) add(oy, ox, n, tStep, inStep int) {
+	g := &r.geom
 	ky0, ky1 := span(oy-g.pad, g.h, 5)
 	kx0, kx1 := span(ox-g.pad, g.w, 5)
 	rows, cols := ky1-ky0, kx1-kx0
 	if n <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	t, in, kw = t[(oy*g.ow+ox)*4:], in[(oy-g.pad+ky0)*g.w+ox-g.pad+kx0:], kw[(ky0*5+kx0)*4:]
-	if chans == 4 {
-		g.sum4(t, 0, 4, in, g.h*g.w, kw, 100, rows, cols, n, 4*tStep, inStep)
-		return
-	}
+	t, in, kw := (oy*g.ow+ox)*4, (oy-g.pad+ky0)*g.w+ox-g.pad+kx0, (ky0*5+kx0)*4
+	r.quad = g.checked(r.quad, laneRun{t, 0, 4, in, g.h * g.w, kw, 100, rows, cols, n, 4 * tStep, inStep}, 4)
 	if n >= 4 {
-		g.sum4(t, 4*tStep, 4, in, inStep, kw, 0, rows, cols, n/4, 16*tStep, 4*inStep)
+		r.one = g.checked(r.one, laneRun{t, 4 * tStep, 4, in, inStep, kw, 0, rows, cols, n / 4, 16 * tStep, 4 * inStep}, 1)
 	}
-	if r := n % 4; r > 0 {
-		g.sum4(t[(n-r)*4*tStep:], 0, 1, in[(n-r)*inStep:], 0, kw, 0, rows, cols, r, 4*tStep, inStep)
+	if m := n % 4; m > 0 {
+		r.one = g.checked(r.one, laneRun{t + (n-m)*4*tStep, 0, 1, in + (n-m)*inStep, 0, kw, 0, rows, cols, m, 4 * tStep, inStep}, 1)
 	}
 }
 
-// sum4 slices each buffer to the last element the streams touch before it
-// takes an address: a wrong geometry panics here instead of reaching the heap.
-func (g *convGeom) sum4(t []float64, tStride, nt int, in []float64, inStride int, kw []float64, kwStride, rows, cols, tiles, tNext, inNext int) {
-	t = t[:(tiles-1)*tNext+(nt-1)*tStride+4]
-	in = in[:(tiles-1)*inNext+3*inStride+(rows-1)*g.w+cols]
-	kw = kw[:3*kwStride+((rows-1)*5+cols)*4]
-	convSum4(&t[0], tStride, nt, &in[0], inStride, g.w, &kw[0], kwStride, rows, cols, tiles, tNext, inNext)
+// checked appends r to runs once every element its streams touch lies in the
+// lane tile, chans input planes and their packed kernels: a wrong table
+// panics here, as it is listed, instead of reaching the heap.
+func (g *convGeom) checked(runs []laneRun, r laneRun, chans int) []laneRun {
+	tEnd := r.t + (r.tiles-1)*r.tNext + (r.nt-1)*r.tStride + 4
+	inEnd := r.in + (r.tiles-1)*r.inNext + 3*r.inStride + (r.rows-1)*g.w + r.cols
+	kwEnd := r.kw + 3*r.kwStride + ((r.rows-1)*5+r.cols)*4
+	if min(r.t, r.in, r.kw) < 0 || min(r.nt, r.rows, r.cols, r.tiles) < 1 ||
+		tEnd > g.oh*g.ow*4 || inEnd > chans*g.h*g.w || kwEnd > chans*100 {
+		panic("nn: a conv run reaches outside its buffers")
+	}
+	return append(runs, r)
 }
 
 //go:noescape

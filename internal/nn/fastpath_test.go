@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
@@ -81,27 +82,35 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// TestReLUMatchesDefinition holds the branch-free forward pass to the
-// definition it replaced: v where v > 0, +0 otherwise, bit for bit, and the
-// mask Backward reads.
+// TestReLUMatchesDefinition holds the branch-free passes to the definition
+// they replaced, bit for bit: v where v > 0, +0 otherwise, in both modes, and
+// the gradient where v > 0, +0 otherwise.
 func TestReLUMatchesDefinition(t *testing.T) {
 	rng := vec.NewRNG(21)
 	x := NewTensor(3, 67)
 	fillSigned(x.Data, rng)
 	copy(x.Data, oddValues)
-	r := &ReLU{}
-	y := r.Forward(x, true)
 	grad := NewTensor(x.Shape...)
 	fillSigned(grad.Data, rng)
 	copy(grad.Data[3:], oddValues)
+	r := &ReLU{}
+	for _, train := range []bool{false, true} { // training mode last: Backward needs it
+		y := r.Forward(x, train)
+		for i, v := range x.Data {
+			var want float64
+			if v > 0 {
+				want = v
+			}
+			if math.Float64bits(y.Data[i]) != math.Float64bits(want) {
+				t.Fatalf("train=%v: ReLU(%v) = %v (bits %#x), want %v", train, v, y.Data[i], math.Float64bits(y.Data[i]), want)
+			}
+		}
+	}
 	dx := r.Backward(grad)
 	for i, v := range x.Data {
-		var want, wantDX float64
+		var wantDX float64
 		if v > 0 {
-			want, wantDX = v, grad.Data[i]
-		}
-		if math.Float64bits(y.Data[i]) != math.Float64bits(want) {
-			t.Fatalf("ReLU(%v) = %v (bits %#x), want %v", v, y.Data[i], math.Float64bits(y.Data[i]), want)
+			wantDX = grad.Data[i]
 		}
 		if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDX) && !(math.IsNaN(dx.Data[i]) && math.IsNaN(wantDX)) {
 			t.Fatalf("ReLU'(%v) of %v = %v, want %v", v, grad.Data[i], dx.Data[i], wantDX)
@@ -136,9 +145,9 @@ func refMaxPool(x *Tensor, k int) (out []float64, argmax []int) {
 }
 
 // TestMaxPoolMatchesWindowLoop: the 2×2 path (and the general one, at 3)
-// pools the same values and routes gradients to the same pixels as the window
-// loop, on random planes, on planes full of ties, and with non-finite values
-// in every position of a window.
+// pools the same values in both modes and routes gradients to the same pixels
+// as the window loop, on random planes, on planes full of ties, and with
+// non-finite values in every position of a window.
 func TestMaxPoolMatchesWindowLoop(t *testing.T) {
 	rng := vec.NewRNG(31)
 	for _, k := range []int{2, 3} {
@@ -157,10 +166,13 @@ func TestMaxPoolMatchesWindowLoop(t *testing.T) {
 				}
 			}
 			m := NewMaxPool2D(k)
-			y := m.Forward(x, true)
 			want, argmax := refMaxPool(x, k)
-			if i := firstBitDiff(y.Data, want); i >= 0 {
-				t.Fatalf("k=%d trial %d: out[%d] = %v, window loop %v", k, trial, i, y.Data[i], want[i])
+			var y *Tensor
+			for _, train := range []bool{false, true} { // training mode last: Backward needs it
+				y = m.Forward(x, train)
+				if i := firstBitDiff(y.Data, want); i >= 0 {
+					t.Fatalf("k=%d trial %d train=%v: out[%d] = %v, window loop %v", k, trial, train, i, y.Data[i], want[i])
+				}
 			}
 			grad := NewTensor(y.Shape...)
 			fillNormal(grad.Data, rng)
@@ -172,5 +184,56 @@ func TestMaxPoolMatchesWindowLoop(t *testing.T) {
 				t.Fatalf("k=%d trial %d: dx[%d] differs: the argmax moved", k, trial, i)
 			}
 		}
+	}
+}
+
+// TestEvalForwardMatchesTrainForward: skipping the caches changes no output.
+// For every architecture the zoo builds, Forward(x, false) gives the bits of
+// Forward(x, true), and EvalBatch the loss, correct count and count that a
+// training-mode forward pass scores.
+func TestEvalForwardMatchesTrainForward(t *testing.T) {
+	for _, zc := range zooCases() {
+		m := zc.build()
+		x, y := zc.batch(vec.NewRNG(72), 5)
+		trained := m.Net.Forward(x, true).Clone()
+		if i := firstBitDiff(m.Net.Forward(x, false).Data, trained.Data); i >= 0 {
+			t.Fatalf("%s: eval-mode output %d differs from the training-mode one", zc.name, i)
+		}
+		flat := logits2D(trained, &Tensor{})
+		loss, _ := m.LossFn.Compute(flat, y)
+		rows, correct := flat.Shape[0], 0
+		for i := 0; i < rows; i++ {
+			if Argmax(flat, i) == int(y[i]) {
+				correct++
+			}
+		}
+		gotLoss, gotCorrect, gotCount := m.EvalBatch(x, y)
+		if math.Float64bits(gotLoss) != math.Float64bits(loss*float64(rows)) || gotCorrect != correct || gotCount != rows {
+			t.Fatalf("%s: EvalBatch = (%v, %d, %d), a training-mode forward scores (%v, %d, %d)",
+				zc.name, gotLoss, gotCorrect, gotCount, loss*float64(rows), correct, rows)
+		}
+	}
+}
+
+// TestBackwardAfterEvalForwardPanics: the layers whose evaluation-mode Forward
+// skips Backward's caches refuse a Backward after one, naming themselves,
+// instead of reading what another call left in a recycled workspace; after a
+// training-mode Forward the same Backward runs.
+func TestBackwardAfterEvalForwardPanics(t *testing.T) {
+	x := NewTensor(2, 4, 4, 6)
+	fillSigned(x.Data, vec.NewRNG(73))
+	layers := map[string]Layer{"GroupNorm": NewGroupNorm(4, 2), "ReLU": &ReLU{}, "MaxPool2D": NewMaxPool2D(2)}
+	for name, l := range layers {
+		g := NewTensor(l.Forward(x, true).Shape...)
+		l.Backward(g)
+		l.Forward(x, false)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, name+".Backward") {
+					t.Errorf("%s: Backward after Forward(x, false) panicked with %q, want a panic naming the layer", name, msg)
+				}
+			}()
+			l.Backward(g)
+		}()
 	}
 }

@@ -129,6 +129,24 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
+// mustHaveTrained panics unless the named layer's last Forward ran in training
+// mode: otherwise its caches hold whatever a recycled workspace left in them.
+func mustHaveTrained(train bool, layer string) {
+	if !train {
+		panic("nn: " + layer + ".Backward after Forward(x, false): its caches were not written")
+	}
+}
+
+// allOnes is a mask of ones where b holds and of zeros where it does not: a
+// selection on bit patterns in place of a branch a coin-flip b mispredicts.
+func allOnes(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
+}
+
 // Param is one learnable parameter block with its gradient accumulator.
 type Param struct {
 	Name string
@@ -151,11 +169,13 @@ func (p *Param) ZeroGrad() { clear(p.Grad) }
 // valid until the call returns; a layer driven directly keeps a state of its
 // own, valid until its next Forward/Backward call.
 type Layer interface {
-	// Forward computes the layer output. train toggles train-time behaviour.
+	// Forward computes the layer output, the same bits in either mode; with
+	// train unset a layer may skip the caches Backward reads.
 	Forward(x *Tensor, train bool) *Tensor
 	// Backward consumes the gradient of the loss w.r.t. the layer output and
 	// returns the gradient w.r.t. the layer input, accumulating parameter
-	// gradients along the way. It must be called after Forward.
+	// gradients along the way. It must be called after Forward(x, true); a
+	// layer that skipped its caches panics rather than read stale ones.
 	Backward(grad *Tensor) *Tensor
 	// Params returns the learnable parameters (possibly empty).
 	Params() []*Param

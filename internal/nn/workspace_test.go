@@ -48,9 +48,12 @@ func zooCases() []zooCase {
 
 // poisonWorkspaces overwrites every buffer of every idle workspace, up to its
 // capacity, with values no call may read: NaN for floats, out-of-range
-// indices, set masks, and nil cached inputs. A call that reads a buffer
-// before writing it then produces NaNs or panics instead of silently reusing
-// its predecessor's values. A new state type must be added here.
+// indices, set masks, and nil cached inputs, under modes that claim the caches
+// were written. A call that reads a buffer before writing it then produces
+// NaNs or panics instead of silently reusing its predecessor's values. A new
+// state type must be added here. A convolution's run table is left alone: it
+// is no buffer but a listing keyed by its geometry, which every call compares
+// (TestConvRunTableCoversTile checks that a new geometry relists it).
 func poisonWorkspaces() {
 	workspaceList.mu.Lock()
 	defer workspaceList.mu.Unlock()
@@ -83,7 +86,7 @@ func poisonWorkspaces() {
 				st.x = nil
 				ts(&st.out, &st.dx, &st.pk, &st.tile, &st.kin, &st.dxt)
 			case *normState:
-				st.x = nil
+				st.x, st.train = nil, true
 				nan(st.xhat, st.invSD)
 				ts(&st.out, &st.dx)
 			case *reluState:
@@ -91,9 +94,11 @@ func poisonWorkspaces() {
 				for i := range mask {
 					mask[i] = true
 				}
+				st.train = true
 				ts(&st.out, &st.dx)
 			case *poolState:
 				ints(st.argmax)
+				st.train = true
 				ts(&st.out, &st.dx)
 			case *denseState:
 				st.x = nil
