@@ -1,8 +1,8 @@
 // Command jwins-trace inspects, compares, and replays event traces recorded
-// by the simulator (jwins-train -trace-out) or a real cluster (jwins-node).
+// by the simulator (jwins-train -trace-out).
 //
 //	jwins-trace stats run.jsonl           # counts, byte ledger, staleness
-//	jwins-trace diff sim.jsonl real.jsonl # per-event time error, ordering
+//	jwins-trace diff a.jsonl b.jsonl      # per-event time error, ordering
 //	jwins-trace convert run.jsonl run.jtb # re-encode (JSONL <-> binary)
 //	jwins-trace timeline run.jtb run.json # Chrome trace-event JSON (Perfetto)
 //	jwins-trace replay run.jsonl          # re-execute through the simulator
@@ -18,10 +18,9 @@
 // replay rebuilds the fleet from the trace header's metadata (dataset,
 // scale, algo, seed), re-executes the recorded schedule through the async
 // engine, and reports parity: emitted rows, the byte ledger against the
-// trace's send ledger, and the event diff. For cluster traces it
-// additionally runs a pure simulation of the same configuration and diffs it
-// against the observed timings — the time-model error the cost model's
-// claims rest on.
+// trace's send ledger, and the event diff, ending in a "replay parity: OK"
+// or "replay parity: FAILED (...)" line. -check makes a failure exit
+// non-zero.
 package main
 
 import (
@@ -125,7 +124,7 @@ func run() error {
 		if fs.NArg() != 1 {
 			return usage()
 		}
-		return replay(fs.Arg(0), *check)
+		return replay(fs.Arg(0), *check, os.Stdout)
 
 	default:
 		return usage()
@@ -168,7 +167,9 @@ func timelineCmd(src, dst string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func replay(path string, check bool) error {
+// replay implements the replay subcommand. The verdict line is printed in
+// both modes; only -check turns a divergence into an error (a non-zero exit).
+func replay(path string, check bool, stdout io.Writer) error {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		return err
@@ -180,60 +181,22 @@ func replay(path string, check bool) error {
 	}
 	d := trace.Compare(replayed, tr)
 
-	fmt.Printf("replayed %s (%s trace) through the simulator:\n", path, tr.Header.Source)
-	fmt.Printf("  rows: %d/%d, final accuracy %.1f%%\n", len(res.Rounds), tr.Header.Rounds, res.FinalAccuracy*100)
-	fmt.Printf("  byte ledger: replay %d vs trace %d (delta %d)\n",
+	fmt.Fprintf(stdout, "replayed %s (%s trace) through the simulator:\n", path, tr.Header.Source)
+	fmt.Fprintf(stdout, "  rows: %d/%d, final accuracy %.1f%%\n", len(res.Rounds), tr.Header.Rounds, res.FinalAccuracy*100)
+	fmt.Fprintf(stdout, "  byte ledger: replay %d vs trace %d (delta %d)\n",
 		res.TotalBytes, stats.TotalBytes, res.TotalBytes-stats.TotalBytes)
-	fmt.Printf("  schedule: %d matched, %d unmatched, %d/%d nodes reordered, time err max %.6fs\n",
+	fmt.Fprintf(stdout, "  schedule: %d matched, %d unmatched, %d/%d nodes reordered, time err max %.6fs\n",
 		d.Matched, d.OnlyA+d.OnlyB, d.OrderMismatches, d.Nodes, d.TimeErrMax)
 
-	inSync := d.InSync() && len(res.Rounds) == tr.Header.Rounds && res.TotalBytes == stats.TotalBytes
-
-	// For a cluster trace, also measure how well the simulator's time model
-	// predicts the observed wall clock: run the same configuration purely
-	// simulated and diff it against the recording.
-	if tr.Header.Source == trace.SourceCluster {
-		if sim, err := simulatePrediction(tr); err != nil {
-			fmt.Printf("  time-model comparison unavailable: %v\n", err)
-		} else {
-			md := trace.Compare(sim, tr)
-			fmt.Printf("time-model error (pure sim vs observed wall clock):\n")
-			fmt.Printf("  per-event: mean %.4fs, p95 %.4fs, max %.4fs\n", md.TimeErrMean, md.TimeErrP95, md.TimeErrMax)
-			fmt.Printf("  duration: sim %.3fs vs real %.3fs (ratio %.3f)\n",
-				md.DurationA, md.DurationB, ratio(md.DurationA, md.DurationB))
-		}
+	if d.InSync() && len(res.Rounds) == tr.Header.Rounds && res.TotalBytes == stats.TotalBytes {
+		fmt.Fprintln(stdout, "replay parity: OK")
+		return nil
 	}
-
-	if check && !inSync {
-		return fmt.Errorf("replay parity check failed (rows %d/%d, byte delta %d, unmatched %d, reordered nodes %d)",
-			len(res.Rounds), tr.Header.Rounds, res.TotalBytes-stats.TotalBytes, d.OnlyA+d.OnlyB, d.OrderMismatches)
-	}
-	if inSync {
-		fmt.Println("replay parity: OK")
+	detail := fmt.Sprintf("rows %d/%d, byte delta %d, unmatched %d, reordered nodes %d",
+		len(res.Rounds), tr.Header.Rounds, res.TotalBytes-stats.TotalBytes, d.OnlyA+d.OnlyB, d.OrderMismatches)
+	fmt.Fprintf(stdout, "replay parity: FAILED (%s)\n", detail)
+	if check {
+		return fmt.Errorf("replay parity check failed (%s)", detail)
 	}
 	return nil
-}
-
-// simulatePrediction runs the trace's configuration through the plain async
-// engine (default homogeneous profiles, no churn) and records the predicted
-// schedule.
-func simulatePrediction(tr *trace.Trace) (*trace.Trace, error) {
-	spec, err := experiments.SpecFromTraceHeader(tr.Header)
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder(tr.Header)
-	rec.Trace().Header.Source = trace.SourceSim
-	spec.Recorder = rec
-	if _, err := experiments.Run(spec); err != nil {
-		return nil, err
-	}
-	return rec.Trace(), nil
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

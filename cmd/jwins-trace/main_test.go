@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/perf"
 	"repro/internal/simulation"
 	"repro/internal/trace"
@@ -60,6 +61,75 @@ func TestStatsHardCorruption(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if err := statsCmd(path, &stdout, &stderr); err == nil {
 		t.Fatalf("statsCmd accepted garbage; stdout:\n%s", stdout.String())
+	}
+}
+
+// TestReplayCheck drives the replay subcommand end to end: a recorded async
+// run with stragglers and churn must replay with parity, and a copy whose
+// send ledger was tampered with must print the FAILED verdict in both modes,
+// turning it into an error only under -check.
+func TestReplayCheck(t *testing.T) {
+	const seed, rounds = 3, 6
+	w, err := experiments.NewWorkload("cifar10", experiments.Micro, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "run"+trace.BinaryExt)
+	sr, err := trace.NewStreamRecorderFile(src, experiments.TraceHeaderFor(w, experiments.AlgoJWINS, rounds, seed, false, false, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.Run(experiments.RunSpec{
+		Workload: w, Algo: experiments.AlgoSpec{Kind: experiments.AlgoJWINS},
+		Rounds: rounds, Seed: seed, Async: true,
+		Het:           simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3},
+		ChurnFraction: 0.25,
+		Recorder:      sr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := replay(src, true, &out); err != nil {
+		t.Fatalf("replay -check of a fresh recording: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "replay parity: OK") {
+		t.Fatalf("replay -check printed no OK verdict:\n%s", out.String())
+	}
+
+	tr, err := trace.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.ComputeStats(tr).ByKind[trace.KindLeave] == 0 {
+		t.Fatal("the recorded run has no churn")
+	}
+	for i := range tr.Events {
+		if tr.Events[i].Kind == trace.KindSend {
+			tr.Events[i].Bytes++
+			break
+		}
+	}
+	bad := filepath.Join(dir, "tampered"+trace.BinaryExt)
+	if err := trace.WriteFile(bad, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, check := range []bool{true, false} {
+		out.Reset()
+		err := replay(bad, check, &out)
+		if check && err == nil {
+			t.Fatalf("replay -check accepted a tampered send ledger:\n%s", out.String())
+		}
+		if !check && err != nil {
+			t.Fatalf("replay without -check returned %v", err)
+		}
+		if !strings.Contains(out.String(), "replay parity: FAILED (") {
+			t.Fatalf("replay (check=%v) printed no FAILED verdict:\n%s", check, out.String())
+		}
 	}
 }
 

@@ -3,8 +3,7 @@
 // epoch. The demo prints a rotation ticker with each epoch's spectral gap
 // and neighbor turnover, records the executed schedule as a trace, and
 // replays it to show that rotated runs keep the engine's exact
-// record→replay parity — the property that makes dynamic-topology cluster
-// traces re-costable through the simulator.
+// record→replay parity.
 //
 // Why rotate at all: any one sparse graph mixes slowly (its spectral gap
 // shrinks as the fleet grows), but a *fresh* random regular graph each epoch

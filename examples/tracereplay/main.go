@@ -2,10 +2,8 @@
 // with stragglers and churn executes under the event-driven scheduler with a
 // trace recorder attached; the trace round-trips through the on-disk JSONL
 // format; and a second engine replays it as the authoritative schedule. The
-// demo then proves the sim-to-real property the trace subsystem exists for:
-// the replayed run reproduces the original event for event and byte for
-// byte, so a schedule captured on a real cluster (see cmd/jwins-node) can be
-// re-costed through the simulator the same way.
+// demo then proves the property the trace subsystem exists for: the replayed
+// run reproduces the original event for event and byte for byte.
 package main
 
 import (

@@ -154,8 +154,8 @@ func TestDecodeSparseIntoScratchReuse(t *testing.T) {
 }
 
 // TestDecodeSparseRejectsAbsurdHeaders: corrupt count/dim headers must yield
-// ErrCorrupt before any count-sized allocation — a hostile payload (cluster
-// sockets, on-disk traces) must not OOM the decoder.
+// ErrCorrupt before any count-sized allocation — a hostile payload must not
+// OOM the decoder.
 func TestDecodeSparseRejectsAbsurdHeaders(t *testing.T) {
 	legit, _, err := EncodeSparse(SparseVector{Dim: 8, Values: randomValues(8, 1)}, IndexDense, Raw32{})
 	if err != nil {

@@ -119,9 +119,8 @@ func policyFromTraceHeader(h trace.Header) (simulation.AggregationPolicy, error)
 
 // ReplayTrace rebuilds the fleet a trace describes (from its header
 // metadata) and re-executes the recorded schedule through the async engine,
-// recording the replayed schedule alongside. For a sim trace the replay must
-// be event-identical; for a cluster trace it re-costs the observed wall-clock
-// schedule under the simulator's byte ledger.
+// recording the replayed schedule alongside. The replay must be
+// event-identical to the recording.
 func ReplayTrace(tr *trace.Trace) (*simulation.Result, *trace.Trace, error) {
 	spec, err := SpecFromTraceHeader(tr.Header)
 	if err != nil {
@@ -175,7 +174,7 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 		Async:    true,
 		Policy:   policy,
 	}
-	// Topology metadata is optional (older and cluster traces are static).
+	// Topology metadata is optional (older traces are static).
 	switch h.Meta["topology"] {
 	case "", "static":
 	case "dynamic":
@@ -208,8 +207,7 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 // ExtReplayResult is the record/replay extension experiment: one async run
 // with heterogeneity and churn is recorded, round-tripped through the wire
 // format, and replayed as the authoritative schedule. The replay must
-// reproduce the event sequence and byte ledger exactly — the property that
-// makes cluster traces re-costable through the simulator.
+// reproduce the event sequence and byte ledger exactly.
 type ExtReplayResult struct {
 	Nodes, Rounds int
 

@@ -1,7 +1,7 @@
-// http.go is the -telemetry-addr endpoint shared by jwins-train and
-// jwins-node: Prometheus exposition at /metrics, expvar at /debug/vars, and
-// the full net/http/pprof surface at /debug/pprof/ — all stdlib, so a real
-// cluster run gets live introspection without a single dependency.
+// http.go is jwins-train's -telemetry-addr endpoint: Prometheus exposition
+// at /metrics, expvar at /debug/vars, and the full net/http/pprof surface at
+// /debug/pprof/ — all stdlib, so a long run gets live introspection without
+// a single dependency.
 package metrics
 
 import (

@@ -63,7 +63,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/vec"
 )
 
@@ -143,7 +142,7 @@ func logNormal(rng *vec.RNG, sigma float64) float64 {
 func (c Config) NominalRoundSec(steps, payloadBytes, degree int) float64 {
 	c.setDefaults()
 	return float64(steps)*c.ComputeSecPerStep +
-		float64(degree*(payloadBytes+transport.FrameOverhead))/c.BandwidthBytesPerSec +
+		float64(degree*(payloadBytes+frameOverhead))/c.BandwidthBytesPerSec +
 		c.LatencySec
 }
 
@@ -230,8 +229,7 @@ type AsyncConfig struct {
 	// Replay, if set, makes a recorded trace the authoritative schedule:
 	// train-done times, arrival times, message drops, and leave/join churn
 	// all come from the recording. Profiles/Het/Churn/DropProb stop
-	// influencing the schedule, so a run replays deterministically — or a
-	// wall-clock cluster trace re-executes under the simulator's ledger. A
+	// influencing the schedule, so a run replays deterministically. A
 	// Replayer is consumed by the run; build a fresh one per replay.
 	Replay *trace.Replayer
 }
@@ -242,13 +240,6 @@ type AsyncEngine struct {
 	Topology topology.Provider
 	TestSet  *datasets.Dataset
 	Config   AsyncConfig
-
-	// Mesh optionally routes payloads through a transport, as in Engine.
-	// Messages carry SentAt/ArriveAt simulated timestamps and stay queued
-	// from broadcast time until their simulated delivery, so long-latency or
-	// slow-uplink scenarios need a generously buffered mesh (see
-	// transport.NewInMemoryBuffered).
-	Mesh transport.Mesh
 
 	// OnRound is called after each emitted iteration row.
 	OnRound func(RoundMetrics)
@@ -394,10 +385,6 @@ type asyncRun struct {
 	evalSamp *evalSampler
 	evalCap  []bool
 
-	// meshPending buffers mesh messages drained out of order, keyed by
-	// receiver then sender (FIFO per sender).
-	meshPending []map[int][]transport.Message
-
 	// trace subsystem state: recorder hook, replay oracle, staleness and
 	// policy accumulators, and the count of replay lookups that found no
 	// recorded event (a nonzero count on a stalled replay means config
@@ -521,12 +508,6 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		}
 		if err := r.validateReplay(); err != nil {
 			return nil, err
-		}
-	}
-	if e.Mesh != nil {
-		r.meshPending = make([]map[int][]transport.Message, n)
-		for i := range r.meshPending {
-			r.meshPending[i] = map[int][]transport.Message{}
 		}
 	}
 	g, w0 := r.graph()
@@ -909,10 +890,8 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 			if gOld.HasEdge(i, j) {
 				continue
 			}
-			txEnd += float64(len(st.lastPayload)+transport.FrameOverhead) / r.profiles[i].BandwidthBytesPerSec
-			if err := r.sendOne(i, j, st.lastIter, st.lastPayload, st.lastBD, txEnd, false); err != nil {
-				return err
-			}
+			txEnd += float64(len(st.lastPayload)+frameOverhead) / r.profiles[i].BandwidthBytesPerSec
+			r.sendOne(i, j, st.lastIter, st.lastPayload, st.lastBD, txEnd, false)
 		}
 	}
 	if err := r.recheckAll(); err != nil {
@@ -1015,7 +994,8 @@ func (r *asyncRun) scheduleTrain(i int) {
 			r.replayMisses++
 			return
 		}
-		// Clamp: a skewed cluster clock must not move simulated time backward.
+		// Clamp: a recorded time earlier than now must not move simulated
+		// time backward.
 		t = math.Max(rt, r.now)
 	}
 	r.push(Event{
@@ -1103,9 +1083,7 @@ func (r *asyncRun) onTrainDone(ev *Event) error {
 		r.lossSum[st.iter] += loss
 		r.lossCount[st.iter]++
 	}
-	if err := r.broadcast(i, st.iter, payload, bd); err != nil {
-		return err
-	}
+	r.broadcast(i, st.iter, payload, bd)
 	if !r.blocking {
 		return r.aggregate(i)
 	}
@@ -1136,7 +1114,7 @@ func (r *asyncRun) nominalRoundFor(i, payloadBytes int) float64 {
 	p := r.profiles[i]
 	g, _ := r.graph()
 	return float64(localSteps(r.eng.Nodes[i]))*p.ComputeSecPerStep +
-		float64(g.Degree(i)*(payloadBytes+transport.FrameOverhead))/p.BandwidthBytesPerSec +
+		float64(g.Degree(i)*(payloadBytes+frameOverhead))/p.BandwidthBytesPerSec +
 		p.LatencySec
 }
 
@@ -1158,19 +1136,16 @@ func (r *asyncRun) onDeadline(ev *Event) error {
 // live neighbor, charging the byte ledger per copy (drops included: the
 // sender pays, the receiver only learns the message is gone). The payload is
 // cached so rejoining neighbors can pull it later.
-func (r *asyncRun) broadcast(i, iter int, payload []byte, bd codec.ByteBreakdown) error {
+func (r *asyncRun) broadcast(i, iter int, payload []byte, bd codec.ByteBreakdown) {
 	st := &r.nodes[i]
 	st.lastPayload, st.lastIter, st.lastBD = payload, iter, bd
 	g, _ := r.graph()
 	txEnd := 0.0
 	for _, j := range g.Neighbors(i) {
-		txEnd += float64(len(payload)+transport.FrameOverhead) / r.profiles[i].BandwidthBytesPerSec
+		txEnd += float64(len(payload)+frameOverhead) / r.profiles[i].BandwidthBytesPerSec
 		dropped := r.faultRNG != nil && r.faultRNG.Float64() < r.cfg.DropProb
-		if err := r.sendOne(i, j, iter, payload, bd, txEnd, dropped); err != nil {
-			return err
-		}
+		r.sendOne(i, j, iter, payload, bd, txEnd, dropped)
 	}
-	return nil
 }
 
 // sendOne schedules one delivery from i to j, txDelay seconds of uplink
@@ -1179,7 +1154,7 @@ func (r *asyncRun) broadcast(i, iter int, payload []byte, bd codec.ByteBreakdown
 // arrival record the delivery time — and a send whose arrival was never
 // recorded was still in flight when the recorded run ended, so it is paid
 // for but never delivered, exactly like the original.
-func (r *asyncRun) sendOne(i, j, iter int, payload []byte, bd codec.ByteBreakdown, txDelay float64, dropped bool) error {
+func (r *asyncRun) sendOne(i, j, iter int, payload []byte, bd codec.ByteBreakdown, txDelay float64, dropped bool) {
 	arriveAt := r.now + txDelay + r.profiles[i].LatencySec
 	deliver := true
 	if r.replay != nil {
@@ -1194,7 +1169,8 @@ func (r *asyncRun) sendOne(i, j, iter int, payload []byte, bd codec.ByteBreakdow
 			r.replayMisses++
 		}
 		if ok {
-			// Clamp: skewed cluster clocks must not move simulated time back.
+			// Clamp: a recorded arrival earlier than now must not move
+			// simulated time back.
 			arriveAt = math.Max(at, r.now)
 		} else {
 			deliver = false
@@ -1205,31 +1181,22 @@ func (r *asyncRun) sendOne(i, j, iter int, payload []byte, bd codec.ByteBreakdow
 		r.tel.sends.Inc()
 		r.tel.bytesTotal.Add(sent)
 		r.tel.bytesModel.Add(int64(bd.Model))
-		r.tel.bytesMeta.Add(int64(bd.Meta + transport.FrameOverhead))
+		r.tel.bytesMeta.Add(int64(bd.Meta + frameOverhead))
 	}
 	if r.rec != nil {
 		r.rec.Record(sendTraceEvent(r.now, i, j, iter, len(payload), bd, dropped))
 	}
 	if !deliver {
-		return nil
-	}
-	if !dropped && r.eng.Mesh != nil {
-		if err := r.eng.Mesh.Send(transport.Message{
-			From: i, To: j, Round: iter, Payload: payload,
-			SentAt: r.now, ArriveAt: arriveAt,
-		}); err != nil {
-			return fmt.Errorf("simulation: send %d->%d: %w", i, j, err)
-		}
+		return
 	}
 	var cp []byte
-	if !dropped && r.eng.Mesh == nil {
+	if !dropped {
 		cp = payload
 	}
 	r.push(Event{
 		Time: arriveAt, Kind: EventArrival,
 		Node: j, From: i, Iter: iter, Dropped: dropped, payload: cp,
 	})
-	return nil
 }
 
 // onArrival records a delivery (or drop notice) and re-checks the receiver's
@@ -1238,13 +1205,6 @@ func (r *asyncRun) onArrival(ev *Event) error {
 	j := ev.Node
 	st := &r.nodes[j]
 	payload := ev.payload
-	if !ev.Dropped && r.eng.Mesh != nil {
-		msg, err := r.meshFetch(j, ev.From, ev.Iter)
-		if err != nil {
-			return err
-		}
-		payload = msg.Payload
-	}
 	if !st.live {
 		return nil // the receiver is gone; the message is lost
 	}
@@ -1495,10 +1455,8 @@ func (r *asyncRun) onJoin(i int) error {
 		if ms.lastIter < 0 {
 			continue
 		}
-		tx := float64(len(ms.lastPayload)+transport.FrameOverhead) / r.profiles[m].BandwidthBytesPerSec
-		if err := r.sendOne(m, i, ms.lastIter, ms.lastPayload, ms.lastBD, tx, false); err != nil {
-			return err
-		}
+		tx := float64(len(ms.lastPayload)+frameOverhead) / r.profiles[m].BandwidthBytesPerSec
+		r.sendOne(m, i, ms.lastIter, ms.lastPayload, ms.lastBD, tx, false)
 	}
 	if st.iter < r.cfg.Rounds && !r.stop {
 		r.scheduleTrain(i)
@@ -1534,32 +1492,6 @@ func (r *asyncRun) recheckAll() error {
 		}
 	}
 	return nil
-}
-
-// meshFetch drains the mesh for receiver `to` until the message from `from`
-// carrying iteration `iter` surfaces, buffering everything else. Matching on
-// (sender, iteration) — not sender alone — matters: the mesh delivers in
-// send order, but arrival events fire in simulated-delivery order, and a
-// small iteration-k+1 payload can overtake a large iteration-k one through
-// the same uplink.
-func (r *asyncRun) meshFetch(to, from, iter int) (transport.Message, error) {
-	pending := r.meshPending[to][from]
-	for idx, msg := range pending {
-		if msg.Round == iter {
-			r.meshPending[to][from] = append(pending[:idx:idx], pending[idx+1:]...)
-			return msg, nil
-		}
-	}
-	for {
-		msg, err := r.eng.Mesh.Recv(to)
-		if err != nil {
-			return transport.Message{}, fmt.Errorf("simulation: recv for %d: %w", to, err)
-		}
-		if msg.From == from && msg.Round == iter {
-			return msg, nil
-		}
-		r.meshPending[to][msg.From] = append(r.meshPending[to][msg.From], msg)
-	}
 }
 
 // emitRows publishes iteration rows up to the minimum iteration completed by

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/vec"
 )
 
@@ -153,60 +152,6 @@ func TestAsyncGossipLearns(t *testing.T) {
 	})
 	if res.FinalAccuracy < 0.5 {
 		t.Fatalf("gossip policy reached only %.2f", res.FinalAccuracy)
-	}
-}
-
-// TestAsyncMeshAccounting: routing through the in-memory mesh must leave the
-// engine's ledger equal to the mesh's own wire counters.
-func TestAsyncMeshAccounting(t *testing.T) {
-	eng := asyncEngineFor(t, algoFull, 5, nil)
-	mesh := transport.NewInMemory(len(eng.Nodes))
-	defer mesh.Close()
-	eng.Mesh = mesh
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire int64
-	for i := range eng.Nodes {
-		wire += mesh.SentBytes(i)
-	}
-	if wire != res.TotalBytes {
-		t.Fatalf("ledger says %d bytes, mesh says %d", res.TotalBytes, wire)
-	}
-}
-
-// TestAsyncMeshTransparency: a mesh-routed run must produce exactly the same
-// learning trajectory and ledger as direct delivery, even when heterogeneity
-// and churn reorder simulated deliveries relative to mesh send order (the
-// meshFetch pairing must match on iteration, not just sender).
-func TestAsyncMeshTransparency(t *testing.T) {
-	run := func(withMesh bool) *Result {
-		eng := asyncEngineFor(t, algoJWINS, 12, func(cfg *AsyncConfig) {
-			cfg.Het = Heterogeneity{ComputeSpread: 0.6, BandwidthSpread: 0.5, Seed: 41}
-			cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.2, 0.1, 43)
-		})
-		if withMesh {
-			mesh := transport.NewInMemoryBuffered(len(eng.Nodes), 256)
-			defer mesh.Close()
-			eng.Mesh = mesh
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	direct := run(false)
-	meshed := run(true)
-	if direct.TotalBytes != meshed.TotalBytes || direct.FinalAccuracy != meshed.FinalAccuracy {
-		t.Fatalf("mesh routing changed the run: direct (%d bytes, %.4f), meshed (%d bytes, %.4f)",
-			direct.TotalBytes, direct.FinalAccuracy, meshed.TotalBytes, meshed.FinalAccuracy)
-	}
-	for i := range direct.Rounds {
-		if direct.Rounds[i].TrainLoss != meshed.Rounds[i].TrainLoss {
-			t.Fatalf("round %d train loss differs under mesh routing", i)
-		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/vec"
 )
 
@@ -203,10 +202,6 @@ type Engine struct {
 	TestSet  *datasets.Dataset
 	Config   Config
 
-	// Mesh optionally routes payloads through a transport (byte accounting
-	// then cross-checks the mesh's own counters). Nil uses direct delivery.
-	Mesh transport.Mesh
-
 	// OnRound, if set, is called after every round with that round's metrics.
 	OnRound func(RoundMetrics)
 }
@@ -281,7 +276,6 @@ func (e *Engine) Run() (*Result, error) {
 			inbox[i] = make(map[int][]byte, graph.Degree(i))
 		}
 		maxNodeBytes := int64(0)
-		expect := make([]int, n) // messages each node expects via the mesh
 		for i := 0; i < n; i++ {
 			if offline[i] {
 				continue
@@ -295,34 +289,11 @@ func (e *Engine) Run() (*Result, error) {
 				if faultRNG != nil && cfg.DropProb > 0 && faultRNG.Float64() < cfg.DropProb {
 					continue // sender pays for the bytes; receiver never sees them
 				}
-				if e.Mesh != nil {
-					// The synchronous schedule delivers within the round, so
-					// both timestamps carry the round clock.
-					if err := e.Mesh.Send(transport.Message{
-						From: i, To: j, Round: round, Payload: payloads[i],
-						SentAt: simTime, ArriveAt: simTime,
-					}); err != nil {
-						return nil, fmt.Errorf("simulation: send %d->%d: %w", i, j, err)
-					}
-					expect[j]++
-				} else {
-					inbox[j][i] = payloads[i]
-				}
+				inbox[j][i] = payloads[i]
 			}
 			sent := ledger.addSend(breakdowns[i], len(payloads[i]), sentTo)
 			if sent > maxNodeBytes {
 				maxNodeBytes = sent
-			}
-		}
-		if e.Mesh != nil {
-			for j := 0; j < n; j++ {
-				for k := 0; k < expect[j]; k++ {
-					msg, err := e.Mesh.Recv(j)
-					if err != nil {
-						return nil, fmt.Errorf("simulation: recv for %d: %w", j, err)
-					}
-					inbox[j][msg.From] = msg.Payload
-				}
 			}
 		}
 

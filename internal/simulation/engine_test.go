@@ -10,7 +10,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/nn"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/vec"
 )
 
@@ -159,37 +158,6 @@ func TestEngineDeterminism(t *testing.T) {
 		if a.Rounds[i].TrainLoss != b.Rounds[i].TrainLoss {
 			t.Fatalf("round %d train loss differs: %v vs %v", i, a.Rounds[i].TrainLoss, b.Rounds[i].TrainLoss)
 		}
-	}
-}
-
-func TestEngineWithMesh(t *testing.T) {
-	const n = 6
-	ds, parts := buildTask(t, n, 11)
-	nodes := buildNodes(t, algoFull, ds, parts, 13)
-	g, err := topology.Regular(n, 4, vec.NewRNG(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh := transport.NewInMemory(n)
-	defer mesh.Close()
-	eng := &Engine{
-		Nodes:    nodes,
-		Topology: topology.NewStatic(g),
-		TestSet:  ds,
-		Config:   Config{Rounds: 3, EvalEvery: 3},
-		Mesh:     mesh,
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Engine accounting must equal the mesh's own byte counters.
-	var meshTotal int64
-	for i := 0; i < n; i++ {
-		meshTotal += mesh.SentBytes(i)
-	}
-	if meshTotal != res.TotalBytes {
-		t.Fatalf("engine says %d bytes, mesh says %d", res.TotalBytes, meshTotal)
 	}
 }
 

@@ -8,7 +8,6 @@ package simulation
 import (
 	"repro/internal/codec"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // schedTraceEvent converts a popped scheduler event to its trace record.
@@ -44,9 +43,9 @@ func schedTraceEvent(ev *Event) (trace.Event, bool) {
 func sendTraceEvent(now float64, from, to, iter, payloadLen int, bd codec.ByteBreakdown, dropped bool) trace.Event {
 	return trace.Event{
 		Time: now, Kind: trace.KindSend, Node: from, Peer: to, Iter: iter, Dropped: dropped,
-		Bytes:      payloadLen + transport.FrameOverhead,
+		Bytes:      payloadLen + frameOverhead,
 		ModelBytes: bd.Model,
-		MetaBytes:  bd.Meta + transport.FrameOverhead,
+		MetaBytes:  bd.Meta + frameOverhead,
 	}
 }
 

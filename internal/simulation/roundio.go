@@ -14,13 +14,17 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/transport"
 	"repro/internal/vec"
 )
 
 // evalSeedSalt decorrelates evaluation sampling from the other consumers of
 // the run seed ("eval").
 const evalSeedSalt = 0x6576616c
+
+// frameOverhead is the cost model's per-message framing charge in bytes: a
+// length, sender and round header of four bytes each. It is metadata, so it
+// lands in the meta half of the split.
+const frameOverhead = 12
 
 // byteLedger accumulates the cumulative model/metadata byte split. Senders
 // pay for every neighbor copy (payload + framing), mirroring the paper's
@@ -32,10 +36,10 @@ type byteLedger struct {
 // addSend charges one sender for `receivers` copies of a payload and returns
 // the bytes charged.
 func (l *byteLedger) addSend(bd codec.ByteBreakdown, payloadLen int, receivers int64) int64 {
-	sent := receivers * int64(payloadLen+transport.FrameOverhead)
+	sent := receivers * int64(payloadLen+frameOverhead)
 	l.total += sent
 	l.model += receivers * int64(bd.Model)
-	l.meta += receivers * int64(bd.Meta+transport.FrameOverhead)
+	l.meta += receivers * int64(bd.Meta+frameOverhead)
 	return sent
 }
 
@@ -157,7 +161,7 @@ func evalCapSubset(n int, cfg Config) []int {
 	if cfg.EvalNodes <= 0 || cfg.EvalNodes >= n {
 		return nil
 	}
-	return vec.NewRNG(cfg.EvalSeed ^ evalSeedSalt).SampleWithoutReplacement(n, cfg.EvalNodes)
+	return vec.NewRNG(cfg.EvalSeed^evalSeedSalt).SampleWithoutReplacement(n, cfg.EvalNodes)
 }
 
 // evaluateNodesOn returns mean test loss and accuracy fanned out on the given

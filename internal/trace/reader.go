@@ -4,7 +4,7 @@
 // structurally invalid (unknown kinds, range violations, time regressions,
 // footer count mismatches) ErrCorrupt. The whole-trace readers here are thin
 // loops over StreamReader (stream.go), which tools can use directly to
-// inspect cluster-scale traces without materializing the event slice.
+// inspect 1024-node traces without materializing the event slice.
 package trace
 
 import (
@@ -54,7 +54,7 @@ func ReadFile(path string) (*Trace, error) {
 }
 
 // ReadStats streams a trace, computing its Stats without materializing the
-// event slice — the way to inspect 1024-node or cluster traces on small
+// event slice — the way to inspect 1024-node traces on small
 // machines (retained state: O(nodes) counters plus one float per aggregate
 // event for the exact staleness P95). On ErrTruncated the stats of the
 // readable prefix are returned alongside the error, so tools can degrade

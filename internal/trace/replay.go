@@ -1,7 +1,6 @@
 // replay.go turns a recorded trace into an authoritative schedule oracle.
 // The async engine's control flow is deterministic given its event times, so
-// reproducing a run — or re-costing a wall-clock cluster trace through the
-// simulator — only requires answering two questions from the recording:
+// reproducing a run only requires answering two questions from the recording:
 // when did node i's iteration-k training finish, and when (and whether) did
 // the payload i sent to j for iteration k arrive. Leave/join events pass
 // through as the churn schedule.
@@ -141,6 +140,5 @@ func (r *Replayer) Churn() []Event { return r.churn }
 
 // Epochs returns the recorded topology-rotation events in trace order. The
 // replaying engine schedules them verbatim instead of deriving boundaries
-// from its own epoch length, so a wall-clock cluster trace re-executes its
-// observed rotation times.
+// from its own epoch length, so a replay rotates at the recorded times.
 func (r *Replayer) Epochs() []Event { return r.epochs }

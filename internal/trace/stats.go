@@ -117,8 +117,8 @@ func (s Stats) String() string {
 
 // Diff reports how two traces of the same logical run differ. Events are
 // matched by (kind, node, peer, iteration) with repeated keys paired in
-// order, so a simulated schedule lines up with its cluster execution even
-// when global interleavings differ.
+// order, so a replayed schedule lines up with its recording even when
+// global interleavings differ.
 type Diff struct {
 	// Matched counts events present in both traces; OnlyA/OnlyB count the
 	// leftovers.

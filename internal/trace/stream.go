@@ -2,7 +2,7 @@
 // StreamRecorder that writes the versioned trace formats incrementally as a
 // run executes (so recording a 1024-node schedule never holds O(events) in
 // RAM), and a StreamReader that parses traces event by event (so stats and
-// diffs over cluster-scale traces run on small machines). Both share the
+// diffs over 1024-node traces run on small machines). Both share the
 // validation and byte layout of the whole-trace Write/Read paths: a streamed
 // recording is byte-identical to writing the equivalent in-memory Recorder,
 // and the whole-trace readers are thin loops over StreamReader.

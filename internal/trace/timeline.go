@@ -47,8 +47,8 @@ const timelinePid = 1
 
 func usec(t float64) int64 { return int64(t * 1e6) }
 
-// durp boxes a span duration, clamping the sub-microsecond negatives a
-// cluster clock's granularity can produce.
+// durp boxes a span duration, clamping negatives: a trace file is outside
+// input, and its times need not line up with the spans drawn from them.
 func durp(d int64) *int64 {
 	if d < 0 {
 		d = 0

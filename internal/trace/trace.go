@@ -1,9 +1,9 @@
-// Package trace defines the versioned event-trace format shared by the
-// simulated async scheduler and the real multi-process cluster runner: a
-// header describing the run, followed by the executed schedule as a
-// time-ordered event sequence (train-done, send, arrival, aggregate, leave,
-// join, epoch) with iteration numbers, per-send byte breakdowns,
-// per-aggregation staleness lags, and topology-rotation marks.
+// Package trace defines the versioned event-trace format the simulated async
+// scheduler records and replays: a header describing the run, followed by
+// the executed schedule as a time-ordered event sequence (train-done, send,
+// arrival, aggregate, leave, join, epoch) with iteration numbers, per-send
+// byte breakdowns, per-aggregation staleness lags, and topology-rotation
+// marks.
 //
 // Two encodings carry the same data: JSONL (one JSON object per line,
 // greppable, diff-friendly) and a compact binary variant (varint-packed,
@@ -13,8 +13,7 @@
 //
 // A recorded trace is a complete, authoritative schedule: feeding it back
 // into the async engine (see Replayer and simulation.AsyncConfig.Replay)
-// reproduces the run event for event, or re-costs a wall-clock trace captured
-// on a real cluster through the simulator's byte ledger.
+// reproduces the run event for event.
 package trace
 
 import (
@@ -132,9 +131,9 @@ type Header struct {
 	Nodes int `json:"nodes"`
 	// Rounds is the per-node iteration budget of the recorded run.
 	Rounds int `json:"rounds"`
-	// Source is "sim" for simulated schedules (timestamps are simulated
-	// seconds) or "cluster" for real runs (wall-clock seconds since the
-	// coordinator's start signal).
+	// Source names what produced the trace: "sim" for simulated schedules
+	// (timestamps are simulated seconds). Readers accept any value, so
+	// traces from other producers still parse and replay.
 	Source string `json:"source"`
 	// Policy is the aggregation policy: "barrier", "gossip", "bounded"
 	// (bounded staleness), or "deadline" (straggler-dropping barrier).
@@ -146,11 +145,8 @@ type Header struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// Trace sources.
-const (
-	SourceSim     = "sim"
-	SourceCluster = "cluster"
-)
+// SourceSim is the Header.Source of a simulated schedule.
+const SourceSim = "sim"
 
 // Aggregation policies.
 const (
@@ -174,8 +170,8 @@ const (
 //	            (Node is 0 by convention: the change is global)
 //	deadline    Node's straggler-dropping deadline for iteration Iter fired
 type Event struct {
-	// Time is seconds since run start (simulated or wall-clock per
-	// Header.Source). Within a trace, times are non-decreasing.
+	// Time is seconds since run start (simulated seconds for a "sim"
+	// trace). Within a trace, times are non-decreasing.
 	Time float64 `json:"t"`
 	Kind Kind    `json:"k"`
 	// Node is the subject: trainer, sender, receiver, aggregator, or churner.
@@ -278,8 +274,7 @@ func validateEvent(h Header, i int, ev *Event, prev float64) error {
 }
 
 // Sink consumes trace events as a run executes: the recorder hook of the
-// async engine (simulation.AsyncConfig.Record) and the cluster worker loop.
-// Recorder retains the full trace in memory; StreamRecorder writes it out
+// async engine (simulation.AsyncConfig.Record). Recorder retains the full trace in memory; StreamRecorder writes it out
 // incrementally with bounded buffers, the only option that scales to
 // 1024-node schedules.
 type Sink interface {
@@ -295,8 +290,8 @@ type RoundsSetter interface {
 }
 
 // Recorder accumulates a trace in memory as a run executes. The zero-cost
-// hook for the async engine (simulation.AsyncConfig.Record) and the cluster
-// worker loop; write the result out with Write/WriteBinary/WriteFile.
+// hook for the async engine (simulation.AsyncConfig.Record); write the
+// result out with Write/WriteBinary/WriteFile.
 type Recorder struct {
 	t Trace
 }
