@@ -2,6 +2,7 @@ package codec
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -74,6 +75,49 @@ func TestWireDigests(t *testing.T) {
 			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
 				t.Errorf("%s: digest %s, want %s", name, got, want[name])
 			}
+		}
+	}
+}
+
+// TestBitCodecRoundTripDigests pins the two float codecs that run on the bit
+// writer and reader, end to end: one SHA-256 per codec over its payloads for
+// a Gaussian and a heavy-tailed vector at four sizes, the values they decode
+// to, and, for the payloads of the two smallest sizes, the outcome of
+// decoding every truncation of them (the error text, or the values). The
+// literals were recorded at commit 959b508, before the bit I/O worked a word
+// at a time.
+func TestBitCodecRoundTripDigests(t *testing.T) {
+	want := map[string]string{
+		"xor32": "0ff9a2da55044c7547eaf26ca8b0c06b219f06330f8534e063baed02a7faa5b4",
+		"qsgd":  "e73341acaf0e08366a82476ebb88428307c2bb66ad05f4ef95d32168758dda71",
+	}
+	for _, fc := range []FloatCodec{XOR32{}, NewQSGD(64, 9)} {
+		h := sha256.New()
+		record := func(out []float64, err error) {
+			if err != nil {
+				h.Write([]byte(err.Error()))
+				return
+			}
+			for _, v := range out {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		for i, n := range []int{6, 700, 14000, 45221} {
+			for _, vals := range [][]float64{gaussianValues(n, 0.05, uint64(80+i)), heavyTailedValues(n, uint64(90+i))} {
+				buf, err := fc.Encode(vals)
+				if err != nil {
+					t.Fatalf("%s: %v", fc.Name(), err)
+				}
+				h.Write(buf)
+				out := make([]float64, n)
+				record(out, fc.(FloatDecoderInto).DecodeInto(buf, out))
+				for cut := 0; i < 2 && cut < len(buf); cut++ {
+					record(out, fc.(FloatDecoderInto).DecodeInto(buf[:cut], out))
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[fc.Name()] {
+			t.Errorf("%s: digest %s, want %s", fc.Name(), got, want[fc.Name()])
 		}
 	}
 }

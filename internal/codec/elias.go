@@ -13,15 +13,24 @@ func WriteEliasGamma(w *BitWriter, v uint64) {
 	if v == 0 {
 		panic("codec: Elias gamma is undefined for 0")
 	}
-	n := uint(bits.Len64(v)) - 1
-	for i := uint(0); i < n; i++ {
-		w.WriteBit(0)
+	n := uint(bits.Len64(v))
+	if n <= 32 { // the whole code in one write: v has n-1 leading zeros to spare
+		w.WriteBits(v, 2*n-1)
+		return
 	}
-	w.WriteBits(v, n+1)
+	w.WriteBits(0, n-1)
+	w.WriteBits(v, n)
 }
 
-// ReadEliasGamma decodes one Elias gamma code from r.
+// ReadEliasGamma decodes one Elias gamma code from r: in one step when the
+// code lies within the next 64 bits r peeks at and in the buffer, and
+// otherwise (a code over 57 bits, or a truncated one) a bit at a time.
 func ReadEliasGamma(r *BitReader) (uint64, error) {
+	w, avail := r.peek()
+	if z := uint(bits.LeadingZeros64(w)); 2*z+1 <= avail { // never at w = 0
+		r.off += int(2*z + 1)
+		return w >> (63 - 2*z), nil
+	}
 	var n uint
 	for {
 		b, err := r.ReadBit()
@@ -88,11 +97,21 @@ func AppendDecodeIndicesGamma(dst []int, buf []byte, count int) ([]int, error) {
 		dst = slices.Grow(dst, count)
 	}
 	r := BitReader{buf: buf}
+	var w uint64   // bits peeked at r's position, left-aligned
+	var avail uint // how many of them lie in buf
 	prev := -1
 	for i := 0; i < count; i++ {
-		gap, err := ReadEliasGamma(&r)
-		if err != nil {
-			return nil, fmt.Errorf("codec: index %d: %w", i, err)
+		var gap uint64
+		if z := uint(bits.LeadingZeros64(w)); 2*z+1 <= avail {
+			// ReadEliasGamma's one step, on the bits already peeked.
+			gap, w, avail = w>>(63-2*z), w<<(2*z+1), avail-(2*z+1)
+			r.off += int(2*z + 1)
+		} else {
+			var err error
+			if gap, err = ReadEliasGamma(&r); err != nil {
+				return nil, fmt.Errorf("codec: index %d: %w", i, err)
+			}
+			w, avail = r.peek()
 		}
 		// Valid gaps never exceed the (u32-bounded) vector dimension; larger
 		// ones are corruption, and letting them through would overflow prev

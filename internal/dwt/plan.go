@@ -237,14 +237,16 @@ func analyzeLevel(x, h, g []float64, approx, detail []float64) {
 // analyze4 is analyzeGeneric specialized for 4-tap filters: taps live in
 // registers and the main region retires two outputs per iteration, exposing
 // four independent accumulator chains to the out-of-order core (the serial
-// a/d add chains, not loop overhead, bound the reference kernel).
+// a/d add chains, not loop overhead, bound the reference kernel). Where the
+// CPU has AVX2, analyzeLanes takes the main region four outputs at a time
+// first, each lane running this same chain.
 func analyze4(x, h, g []float64, approx, detail []float64) {
 	n := len(x)
 	half := n / 2
 	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
 	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
 	main := (n-4)/2 + 1 // outputs whose 4-tap window never wraps
-	i := 0
+	i := analyzeLanes(x, h, g, approx, detail, main)
 	for ; i+1 < main; i += 2 {
 		xs := x[2*i : 2*i+6]
 		x0, x1, x2, x3, x4, x5 := xs[0], xs[1], xs[2], xs[3], xs[4], xs[5]
@@ -350,24 +352,34 @@ func synthesizeLevel(approx, detail, h, g []float64, x []float64) {
 	synthesizeGeneric(approx, detail, h, g, x)
 }
 
+// synthesize4 is the 4-tap scatter turned into a gather, so every output is
+// written once and nothing is zeroed first. With pk(i) = hk·a[i] + gk·d[i],
+// the scatter adds p2(i−1) and then p0(i) to x[2i] (p3 and p1 to x[2i+1]),
+// starting from +0; x[0] and x[1] get p0(0) and p1(0) first and the wrapped
+// last output's p2 and p3 second. The gather adds the same terms in the same
+// order. Where the CPU has AVX2, synthesizeLanes takes the interior four
+// output pairs at a time first, each lane running this same chain.
 func synthesize4(approx, detail, h, g []float64, x []float64) {
 	half := len(approx)
-	n := 2 * half
 	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
 	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
-	for i := range x {
-		x[i] = 0
+	detail, x = detail[:half], x[:2*half]
+	a0, d0, al, dl := approx[0], detail[0], approx[half-1], detail[half-1]
+	var x0, x1 float64
+	x0 += h0*a0 + g0*d0
+	x0 += h2*al + g2*dl
+	x1 += h1*a0 + g1*d0
+	x1 += h3*al + g3*dl
+	x[0], x[1] = x0, x1
+	for i := 1 + synthesizeLanes(approx, detail, h, g, x); i < half; i++ {
+		ap, dp, a, d := approx[i-1], detail[i-1], approx[i], detail[i]
+		var e, o float64
+		e += h2*ap + g2*dp
+		e += h0*a + g0*d
+		o += h3*ap + g3*dp
+		o += h1*a + g1*d
+		x[2*i], x[2*i+1] = e, o
 	}
-	main := (n-4)/2 + 1
-	for i := 0; i < main; i++ {
-		a, d := approx[i], detail[i]
-		xs := x[2*i : 2*i+4]
-		xs[0] += h0*a + g0*d
-		xs[1] += h1*a + g1*d
-		xs[2] += h2*a + g2*d
-		xs[3] += h3*a + g3*d
-	}
-	synthesizeWrapped(approx, detail, h, g, x, main, half)
 }
 
 func synthesizeGeneric(approx, detail, h, g []float64, x []float64) {

@@ -2,13 +2,15 @@
 
 package nn
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/vec"
+)
 
 // haveAVX2 selects the 4-lane path. The CPU and the OS decide it, once, and
 // nothing else does; the tests flip it to hold both paths to one oracle.
-var haveAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool
+var haveAVX2 = vec.HasAVX2()
 
 //go:noescape
 func convSum4(t *float64, tStride, nt int, in *float64, inStride, inPitch int, kw *float64, kwStride, rows, cols, tiles, tNext, inNext int)

@@ -37,13 +37,21 @@ type TopKScratch struct {
 // (magnitude ranking, low-index tie-breaking, ascending result) are identical
 // to TopKIndices.
 //
-// Selection runs as a byte-wise radix select over the IEEE-754 bit patterns
-// of |v[i]| — for non-negative floats, unsigned bit order equals numeric
-// order — which finds the k-th largest magnitude in a few counting passes
-// with no data movement, then emits the selected indices in one ascending
-// sweep. The top-k set under (magnitude desc, index asc) ordering is unique,
-// so this is output-identical to any comparison-based select. NaN magnitudes
-// order above +Inf (deterministically).
+// Selection is a radix select over the IEEE-754 bit patterns of |v[i]| — for
+// non-negative floats, unsigned bit order equals numeric order — in about
+// three passes over v:
+//  1. the bit patterns, with a histogram of their 11-bit exponents, which
+//     names the binade the k-th largest magnitude lies in and how many
+//     magnitudes lie above it;
+//  2. the indices in that binade, compacted without branches; the threshold's
+//     mantissa is then refined a byte at a time (the low nibble last) over
+//     those candidates only, each step narrowing them to one digit value;
+//  3. a branch-free emit in index order of every magnitude above the
+//     threshold and, of those equal to it, the first k minus that many.
+//
+// The top-k set under (magnitude desc, index asc) ordering is unique, so this
+// is output-identical to any comparison-based select. NaN magnitudes order
+// above +Inf (deterministically).
 func TopKIndicesWith(s *TopKScratch, v []float64, k int) []int {
 	n := len(v)
 	if k <= 0 {
@@ -64,134 +72,93 @@ func TopKIndicesWith(s *TopKScratch, v []float64, k int) []int {
 		s.cand = make([]int, n)
 	}
 	bits := s.bits[:n]
+	var hist [2048]int
 	for i, x := range v {
-		bits[i] = math.Float64bits(math.Abs(x))
+		b := math.Float64bits(x) &^ (1 << 63)
+		bits[i] = b
+		hist[b>>52]++
 	}
-	var thresh uint64
-	if eq, val := allCandidatesEqual(bits, nil, false); eq {
-		// Fully tied input (e.g. a freshly zeroed accumulator): the
-		// threshold is the common value and the sweep's lowest-index-first
-		// tie quota does the whole selection.
-		thresh = val
-	} else {
-		thresh = radixThreshold(bits, s.cand[:0], k)
-	}
-	// Two-pass emit: everything above the threshold is selected; ties at the
-	// threshold are filled lowest-index-first by the ascending sweep.
-	above := 0
-	for _, b := range bits {
-		if b > thresh {
-			above++
-		}
-	}
-	quota := k - above
-	out := s.out[:0]
+	exp, need := pick(hist[:], k)
+	thresh := uint64(exp) << 52
+	cand := s.cand[:n]
+	w := 0
 	for i, b := range bits {
-		if b > thresh {
-			out = append(out, i)
-		} else if b == thresh && quota > 0 {
-			quota--
-			out = append(out, i)
-		}
+		cand[w] = i
+		w += int(equal(b>>52, uint64(exp)))
 	}
-	return out
-}
-
-// radixThreshold returns the bit pattern of the k-th largest value in bits,
-// refining one byte per pass from the most significant byte down over a
-// shrinking candidate set. When every remaining candidate must be selected
-// the low bytes are left zero, which the caller's >=-style sweep absorbs.
-func radixThreshold(bits []uint64, cand []int, k int) uint64 {
-	var thresh uint64
-	need := k
-	compacted := false // false: the candidate set is all of bits
+	cand = cand[:w]
 	checkedEqual := false
-	for byteIdx := 7; byteIdx >= 0; byteIdx-- {
-		shift := uint(byteIdx * 8)
+	for sh := uint(52); sh > 0; {
+		width := min(sh, 8) // six bytes, then the low nibble
+		sh -= width
+		mask := uint64(1)<<width - 1
 		var hist [256]int
-		var total int
-		if !compacted {
-			total = len(bits)
-			for _, b := range bits {
-				hist[(b>>shift)&0xff]++
-			}
-		} else {
-			total = len(cand)
-			for _, p := range cand {
-				hist[(bits[p]>>shift)&0xff]++
-			}
+		for _, p := range cand {
+			hist[bits[p]>>sh&mask]++
 		}
-		cum := 0
-		bsel := 0
-		for b := 255; b >= 0; b-- {
-			if cum+hist[b] >= need {
-				bsel = b
-				break
-			}
-			cum += hist[b]
-		}
-		thresh |= uint64(bsel) << shift
-		need -= cum
-		if byteIdx == 0 {
-			break
-		}
-		if hist[bsel] == total {
-			// Every candidate shares this byte, so compaction would be a
-			// no-op. If the whole set is one repeated value — common for a
-			// freshly zeroed accumulator — resolve the threshold in a single
-			// comparison pass instead of byte-by-byte.
+		d, left := pick(hist[:mask+1], need)
+		thresh |= uint64(d) << sh
+		need = left
+		if hist[d] == len(cand) {
+			// Every candidate has this digit, so compacting would keep them
+			// all. If they are one repeated value, as in a zeroed accumulator,
+			// that value is the threshold.
 			if !checkedEqual {
 				checkedEqual = true
-				if eq, val := allCandidatesEqual(bits, cand, compacted); eq {
-					return val
+				if eq, val := allEqual(bits, cand); eq {
+					thresh = val
+					break
 				}
 			}
 			continue
 		}
 		checkedEqual = false
-		if !compacted {
-			cand = cand[:0]
-			for i, b := range bits {
-				if int((b>>shift)&0xff) == bsel {
-					cand = append(cand, i)
-				}
-			}
-			compacted = true
-		} else {
-			w := 0
-			for _, p := range cand {
-				if int((bits[p]>>shift)&0xff) == bsel {
-					cand[w] = p
-					w++
-				}
-			}
-			cand = cand[:w]
+		w := 0
+		for _, p := range cand {
+			cand[w] = p
+			w += int(equal(bits[p]>>sh&mask, uint64(d)))
 		}
-		if need == len(cand) {
-			// All remaining candidates are selected; the unresolved low
-			// bytes stay zero and the sweep's tie quota covers them.
-			break
-		}
-		if len(cand) == 1 {
-			thresh = bits[cand[0]]
-			break
-		}
+		cand = cand[:w]
 	}
-	return thresh
+	// The candidates are now the magnitudes equal to thresh. need of them are
+	// selected, lowest index first, and all k-need above it are.
+	out := s.out[:n]
+	if w = 0; need == len(cand) {
+		for i, b := range bits {
+			out[w] = i
+			w += int((b-thresh)>>63 ^ 1) // b >= thresh
+		}
+		return out[:w]
+	}
+	quota := uint64(need)
+	for i, b := range bits {
+		tie := equal(b, thresh) & (-quota >> 63) // quota > 0
+		out[w] = i
+		w += int((thresh-b)>>63 | tie) // b > thresh: both are below 2^63
+		quota -= tie
+	}
+	return out[:w]
 }
 
-// allCandidatesEqual reports whether every candidate carries the same bit
-// pattern, returning that pattern when so.
-func allCandidatesEqual(bits []uint64, cand []int, compacted bool) (bool, uint64) {
-	if !compacted {
-		ref := bits[0]
-		for _, b := range bits[1:] {
-			if b != ref {
-				return false, 0
-			}
-		}
-		return true, ref
+// pick walks hist from its top digit down and returns the digit whose count,
+// with those above it, first reaches need, and how many of its own are needed.
+func pick(hist []int, need int) (int, int) {
+	d := len(hist) - 1
+	for ; hist[d] < need; d-- {
+		need -= hist[d]
 	}
+	return d, need
+}
+
+// equal is 1 when a == b and 0 otherwise, without a branch.
+func equal(a, b uint64) uint64 {
+	x := a ^ b
+	return 1 ^ (x|-x)>>63
+}
+
+// allEqual reports whether every candidate carries the same bit pattern,
+// returning that pattern when so.
+func allEqual(bits []uint64, cand []int) (bool, uint64) {
 	ref := bits[cand[0]]
 	for _, p := range cand[1:] {
 		if bits[p] != ref {
