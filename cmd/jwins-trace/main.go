@@ -1,12 +1,16 @@
 // Command jwins-trace inspects, compares, and replays event traces recorded
 // by the simulator (jwins-train -trace-out).
 //
-//	jwins-trace stats run.jsonl           # counts, byte ledger, staleness
-//	jwins-trace diff a.jsonl b.jsonl      # per-event time error, ordering
-//	jwins-trace convert run.jsonl run.jtb # re-encode (JSONL <-> binary)
+//	jwins-trace stats run.jtb             # counts, byte ledger, staleness
+//	jwins-trace diff a.jtb b.jtb          # per-event time error, ordering
+//	jwins-trace dump run.jtb              # one text line per event
 //	jwins-trace timeline run.jtb run.json # Chrome trace-event JSON (Perfetto)
-//	jwins-trace replay run.jsonl          # re-execute through the simulator
-//	jwins-trace replay -check run.jsonl   # exit non-zero on parity failure
+//	jwins-trace replay run.jtb            # re-execute through the simulator
+//	jwins-trace replay -check run.jtb     # exit non-zero on parity failure
+//
+// dump is the greppable view of a binary trace: a header line, then per
+// event its time, kind, node, peer, iteration, bytes and lags (max, mean,
+// count), with "dropped" appended to lost deliveries.
 //
 // timeline converts a recording into the Chrome trace-event format: load the
 // output at https://ui.perfetto.dev (or chrome://tracing) for a browsable
@@ -24,6 +28,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,21 +39,6 @@ import (
 	"repro/internal/trace"
 )
 
-// openStream opens path for event-by-event reading. The caller closes the
-// returned file once the stream is drained.
-func openStream(path string) (*trace.StreamReader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	sr, err := trace.NewStreamReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sr, f, nil
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "jwins-trace:", err)
@@ -57,7 +47,7 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: jwins-trace stats <file> | diff <a> <b> | convert <in> <out> | timeline <in> <out.json> | replay [-check] <file>")
+	return fmt.Errorf("usage: jwins-trace stats <file> | diff <a> <b> | dump <file> | timeline <in> <out.json> | replay [-check] <file>")
 }
 
 func run() error {
@@ -75,39 +65,14 @@ func run() error {
 		if len(os.Args) != 4 {
 			return usage()
 		}
-		ra, fa, err := openStream(os.Args[2])
-		if err != nil {
-			return err
-		}
-		defer fa.Close()
-		rb, fb, err := openStream(os.Args[3])
-		if err != nil {
-			return err
-		}
-		defer fb.Close()
-		fmt.Printf("A = %s (%s), B = %s (%s)\n", os.Args[2], ra.Header().Source, os.Args[3], rb.Header().Source)
-		// Both inputs stream through the matcher; the per-key match index is
-		// held (one timestamp per B event), not either trace's event slice.
-		d, err := trace.CompareReaders(ra, rb)
-		if err != nil {
-			return err
-		}
-		fmt.Print(d)
-		return nil
+		_, err := diffCmd(os.Args[2], os.Args[3], os.Stdout)
+		return err
 
-	case "convert":
-		if len(os.Args) != 4 {
+	case "dump":
+		if len(os.Args) != 3 {
 			return usage()
 		}
-		tr, err := trace.ReadFile(os.Args[2])
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteFile(os.Args[3], tr); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events)\n", os.Args[3], len(tr.Events))
-		return nil
+		return dumpCmd(os.Args[2], os.Stdout, os.Stderr)
 
 	case "timeline":
 		if len(os.Args) != 4 {
@@ -151,10 +116,72 @@ func statsCmd(path string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// timelineCmd implements the timeline subcommand: src (JSONL or .jtb) is
-// converted to Chrome trace-event JSON at dst. Truncation degrades gracefully
-// — the readable prefix becomes a complete, loadable timeline — with the
-// warning on stderr so scripted stdout stays clean.
+// diffCmd implements the diff subcommand: both traces are read whole and
+// compared by Compare, whose report goes to stdout.
+func diffCmd(pathA, pathB string, stdout io.Writer) (trace.Diff, error) {
+	a, err := trace.ReadFile(pathA)
+	if err != nil {
+		return trace.Diff{}, err
+	}
+	b, err := trace.ReadFile(pathB)
+	if err != nil {
+		return trace.Diff{}, err
+	}
+	d := trace.Compare(a, b)
+	fmt.Fprintf(stdout, "A = %s (%s), B = %s (%s)\n", pathA, a.Header.Source, pathB, b.Header.Source)
+	fmt.Fprint(stdout, d)
+	return d, nil
+}
+
+// dumpCmd implements the dump subcommand, streaming one line per event. A
+// recording cut off mid-write dumps its readable prefix, with the warning on
+// stderr as stats does; any other read error is a hard one.
+func dumpCmd(path string, stdout, stderr io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sr, err := trace.NewStreamReader(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	h := sr.Header()
+	bw := bufio.NewWriter(stdout)
+	fmt.Fprintf(bw, "# %s: %s trace, %d nodes, %d rounds, %s policy; columns: time kind node peer iter bytes lag_max lag_mean lag_n\n",
+		path, h.Source, h.Nodes, h.Rounds, h.Policy)
+	var readErr error
+	for {
+		ev, err := sr.Next()
+		if err != nil {
+			if err != io.EOF {
+				readErr = err
+			}
+			break
+		}
+		fmt.Fprintf(bw, "%.9f %s %d %d %d %d %d %.3f %d", ev.Time, ev.Kind, ev.Node, ev.Peer, ev.Iter,
+			ev.Bytes, ev.LagMax, ev.LagMean, ev.LagN)
+		if ev.Dropped {
+			bw.WriteString(" dropped")
+		}
+		bw.WriteByte('\n')
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if readErr != nil && !errors.Is(readErr, trace.ErrTruncated) {
+		return fmt.Errorf("%s: %w", path, readErr)
+	}
+	if readErr != nil {
+		fmt.Fprintf(stderr, "WARNING: trace is truncated (%v); dump covers the %d readable events\n", readErr, sr.Count())
+	}
+	return nil
+}
+
+// timelineCmd implements the timeline subcommand: src is converted to
+// Chrome trace-event JSON at dst. Truncation degrades gracefully — the
+// readable prefix becomes a complete, loadable timeline — with the warning
+// on stderr so scripted stdout stays clean.
 func timelineCmd(src, dst string, stdout, stderr io.Writer) error {
 	n, err := trace.WriteTimelineFile(dst, src)
 	if err != nil && !errors.Is(err, trace.ErrTruncated) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,7 @@ func TestStatsTruncatedZeroEvents(t *testing.T) {
 	}
 	sr, err := trace.NewStreamRecorder(f, trace.Header{
 		Nodes: 4, Rounds: 3, Source: trace.SourceSim, Policy: trace.PolicyBarrier,
-	}, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +65,16 @@ func TestStatsHardCorruption(t *testing.T) {
 	}
 }
 
-// TestReplayCheck drives the replay subcommand end to end: a recorded async
-// run with stragglers and churn must replay with parity, and a copy whose
-// send ledger was tampered with must print the FAILED verdict in both modes,
-// turning it into an error only under -check.
-func TestReplayCheck(t *testing.T) {
+// recordChurnRun records a micro async JWINS run with stragglers and churn
+// into a fresh temporary directory and returns the trace's path.
+func recordChurnRun(t *testing.T) string {
+	t.Helper()
 	const seed, rounds = 3, 6
 	w, err := experiments.NewWorkload("cifar10", experiments.Micro, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	src := filepath.Join(dir, "run"+trace.BinaryExt)
+	src := filepath.Join(t.TempDir(), "run"+trace.BinaryExt)
 	sr, err := trace.NewStreamRecorderFile(src, experiments.TraceHeaderFor(w, experiments.AlgoJWINS, rounds, seed, false, false, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +91,16 @@ func TestReplayCheck(t *testing.T) {
 	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return src
+}
+
+// TestReplayCheck drives the replay subcommand end to end: a recorded async
+// run with stragglers and churn must replay with parity, and a copy whose
+// send ledger was tampered with must print the FAILED verdict in both modes,
+// turning it into an error only under -check.
+func TestReplayCheck(t *testing.T) {
+	src := recordChurnRun(t)
+	dir := filepath.Dir(src)
 
 	var out strings.Builder
 	if err := replay(src, true, &out); err != nil {
@@ -130,6 +139,86 @@ func TestReplayCheck(t *testing.T) {
 		if !strings.Contains(out.String(), "replay parity: FAILED (") {
 			t.Fatalf("replay (check=%v) printed no FAILED verdict:\n%s", check, out.String())
 		}
+	}
+}
+
+// TestDiffAndDump drives diff and dump on a real recording: a self-diff is
+// in sync, a copy with one send removed is not, dump prints a header line
+// and one line per event, and a truncated copy dumps its readable prefix
+// with the warning on stderr only.
+func TestDiffAndDump(t *testing.T) {
+	src := recordChurnRun(t)
+	dir := filepath.Dir(src)
+
+	var out strings.Builder
+	d, err := diffCmd(src, src, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.InSync() {
+		t.Fatalf("self-diff out of sync: %+v\n%s", d, out.String())
+	}
+	if !strings.Contains(out.String(), "(0 only in A, 0 only in B)") ||
+		!strings.Contains(out.String(), fmt.Sprintf("0/%d nodes diverge", d.Nodes)) {
+		t.Fatalf("self-diff report:\n%s", out.String())
+	}
+
+	tr, err := trace.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := len(tr.Events)
+	for i := range tr.Events {
+		if tr.Events[i].Kind == trace.KindSend {
+			tr.Events = append(tr.Events[:i], tr.Events[i+1:]...)
+			break
+		}
+	}
+	less := filepath.Join(dir, "less"+trace.BinaryExt)
+	if err := trace.WriteFile(less, tr); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if d, err = diffCmd(src, less, &out); err != nil {
+		t.Fatal(err)
+	}
+	if d.InSync() || d.OnlyA != 1 || d.OnlyB != 0 {
+		t.Fatalf("diff against a copy missing one send: %+v\n%s", d, out.String())
+	}
+
+	lines := func(s string) []string { return strings.Split(strings.TrimSuffix(s, "\n"), "\n") }
+	var stdout, stderr strings.Builder
+	if err := dumpCmd(src, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	got := lines(stdout.String())
+	if len(got) != 1+events || !strings.HasPrefix(got[0], "# ") {
+		t.Fatalf("dump printed %d lines for %d events; first: %q", len(got), events, got[0])
+	}
+	if stderr.Len() != 0 {
+		t.Fatalf("clean recording produced a warning:\n%s", stderr.String())
+	}
+
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut"+trace.BinaryExt)
+	if err := os.WriteFile(cut, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := dumpCmd(cut, &stdout, &stderr); err != nil {
+		t.Fatalf("dump of a truncated trace: %v", err)
+	}
+	if got := lines(stdout.String()); len(got) < 2 || len(got) >= 1+events {
+		t.Fatalf("truncated dump printed %d lines of a %d-event trace", len(got), events)
+	}
+	if strings.Contains(stdout.String(), "WARNING") {
+		t.Fatal("truncation warning leaked to stdout")
+	}
+	if !strings.Contains(stderr.String(), "WARNING") || !strings.Contains(stderr.String(), "truncated") {
+		t.Fatalf("stderr lacks the truncation warning:\n%s", stderr.String())
 	}
 }
 

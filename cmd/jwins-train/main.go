@@ -8,16 +8,16 @@
 //	jwins-train -dataset movielens -algo choco -choco-gamma 0.4 -choco-frac 0.2
 //	jwins-train -dataset shakespeare -algo full-sharing -dynamic
 //	jwins-train -dataset cifar10 -algo jwins -async -churn 0.2 -compute-spread 0.5
-//	jwins-train -dataset cifar10 -algo jwins -async -trace-out run.jsonl
+//	jwins-train -dataset cifar10 -algo jwins -async -trace-out run.jtb
 //	jwins-train -dataset cifar10 -algo jwins -async -dynamic -epoch-sec 0.5
 //	jwins-train -dataset cifar10 -algo jwins -async -policy bounded -stale-tau 2
 //	jwins-train -dataset cifar10 -algo jwins -async -policy deadline -deadline-factor 1.5
-//	jwins-train -dataset cifar10 -algo jwins -async -telemetry-addr localhost:9090
+//	jwins-train -dataset movielens -algo jwins -rounds 300 -pprof-addr localhost:7700
 //
-// -telemetry-addr serves live introspection over HTTP while the run executes:
-// Prometheus text exposition on /metrics (async runs stream the engine's
-// queue/wait/speculation/byte counters into it), Go expvar on /debug/vars,
-// and the pprof profile endpoints under /debug/pprof/.
+// -pprof-addr serves the Go profiler (net/http/pprof, under /debug/pprof/)
+// while the run executes; /debug/pprof/heap?gc=1 is the live heap by owner,
+// mid-run. Async runs always attach the engine's telemetry and end with its
+// summary line (queue depth, policy wait, speculation hit rate).
 package main
 
 import (
@@ -25,12 +25,14 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 
 	"repro/internal/choco"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/simulation"
 	"repro/internal/trace"
@@ -78,10 +80,10 @@ func run() error {
 		computeSpread  = flag.Float64("compute-spread", 0, "async: lognormal sigma on per-node compute time")
 		bwSpread       = flag.Float64("bw-spread", 0, "async: lognormal sigma on per-node uplink bandwidth")
 		latencySpread  = flag.Float64("latency-spread", 0, "async: lognormal sigma on per-node latency")
-		traceOut       = flag.String("trace-out", "", "async: stream the executed schedule to this trace file as it runs (.jtb = binary, else JSONL; replay with jwins-trace)")
+		traceOut       = flag.String("trace-out", "", "async: stream the executed schedule to this trace file (.jtb) as it runs; inspect and replay it with jwins-trace")
 		epochSec       = flag.Float64("epoch-sec", 0, "async: topology epoch length in simulated seconds (0 with -dynamic = one nominal round)")
 		mixingEvery    = flag.Int("mixing-every", 0, "async: compute the spectral gap only every k-th epoch (0/1 = every epoch, -1 = never; sampled-off epochs report NaN)")
-		telemetryAddr  = flag.String("telemetry-addr", "", "serve /metrics (Prometheus), /debug/vars, and /debug/pprof on this address while the run executes")
+		pprofAddr      = flag.String("pprof-addr", "", "serve the Go profiler (/debug/pprof/) on this address while the run executes")
 	)
 	flag.Parse()
 
@@ -161,22 +163,20 @@ func run() error {
 		}
 	}
 
-	// Live introspection: the registry serves while the run executes. Engine
-	// telemetry only exists under the async scheduler; a sync run still gets
-	// the process-level endpoints (expvar, pprof).
-	var tel *simulation.Telemetry
-	if *telemetryAddr != "" {
-		reg := metrics.New()
-		if *async {
-			tel = simulation.NewTelemetry()
-			reg = tel.Registry()
-		}
-		srv, err := metrics.Serve(*telemetryAddr, reg)
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			return fmt.Errorf("telemetry listener: %w", err)
+			return fmt.Errorf("pprof listener: %w", err)
 		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr())
+		defer ln.Close()
+		go http.Serve(ln, nil) //nolint:errcheck // returns once the listener closes
+		fmt.Printf("pprof: http://%s/debug/pprof/\n", ln.Addr())
+	}
+	// Engine telemetry only exists under the async scheduler, and it is
+	// strictly observational: the schedule is the same with it on or off.
+	var tel *simulation.Telemetry
+	if *async {
+		tel = simulation.NewTelemetry()
 	}
 
 	fmt.Printf("dataset=%s algo=%s nodes=%d degree=%d params=%d rounds=%d conv=%s\n",

@@ -67,7 +67,7 @@ func TestDynTopoRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wire bytes.Buffer
-	if err := trace.WriteBinary(&wire, rec.Trace()); err != nil {
+	if err := trace.Write(&wire, rec.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := trace.Read(&wire)

@@ -252,7 +252,7 @@ func ExtReplay(scale Scale, seed uint64) (*ExtReplayResult, error) {
 	// Round-trip through the wire format before replaying: the parity claim
 	// covers serialization, not just the in-memory recording.
 	var wire bytes.Buffer
-	if err := trace.WriteBinary(&wire, rec.Trace()); err != nil {
+	if err := trace.Write(&wire, rec.Trace()); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
 	decoded, err := trace.Read(&wire)

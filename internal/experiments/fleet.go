@@ -212,8 +212,7 @@ type RunSpec struct {
 	// waits, speculation hit rate, byte split) into the given registry as
 	// the run executes and snapshots them into Result.Telemetry (async
 	// only). Strictly observational: the schedule is identical with or
-	// without it. The same registry may serve a live HTTP endpoint (see
-	// internal/metrics.Serve) while the run is in flight.
+	// without it.
 	Telemetry *simulation.Telemetry
 
 	// failure injection, set by runFleetWithFaults

@@ -1,9 +1,9 @@
 // Package metrics is a zero-allocation telemetry registry for the engine hot
-// path: counters, gauges, and fixed-bucket histograms backed by atomics.
+// path: counters and fixed-bucket histograms backed by atomics.
 //
 // Design constraints, in order:
 //
-//   - Observe/Add/Set must not allocate and must not take locks — they run
+//   - Observe/Add must not allocate and must not take locks — they run
 //     inside the scheduler loop, which carries a CI-enforced ≤4 allocs/event
 //     ceiling (internal/perf TestSchedulerAllocationCeiling).
 //   - Metrics are observational only. Instrumented code must never branch on
@@ -15,8 +15,7 @@
 //     setup and keep the returned pointers, so steady state is pure atomics.
 //
 // A Registry serializes to a point-in-time Snapshot (for Result rows, CSVs,
-// and BENCH artifacts) and to Prometheus text exposition (for the
-// -telemetry-addr HTTP endpoint, see Serve).
+// and BENCH artifacts).
 package metrics
 
 import (
@@ -41,20 +40,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable int64 level (queue depth, live nodes, ...).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value. Allocation-free.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative). Allocation-free.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative-friendly histogram. Bucket upper
 // bounds are set at registration and never change; an implicit +Inf bucket
@@ -90,17 +75,14 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
 type entry struct {
-	name  string // Prometheus metric name, e.g. "jwins_engine_events_total"
+	name  string // metric name, e.g. "jwins_engine_events_total"
 	label string // optional single label pair, e.g. `kind="train_done"`
-	help  string
 	kind  metricKind
 	c     *Counter
-	g     *Gauge
 	h     *Histogram
 }
 
@@ -140,33 +122,27 @@ func (r *Registry) register(e *entry) *entry {
 }
 
 // Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterLabeled(name, "", help)
+func (r *Registry) Counter(name string) *Counter {
+	return r.CounterLabeled(name, "")
 }
 
 // CounterLabeled registers a counter carrying one fixed label pair, given as
-// a literal Prometheus label body, e.g. `kind="train_done"`.
-func (r *Registry) CounterLabeled(name, label, help string) *Counter {
-	e := r.register(&entry{name: name, label: label, help: help, kind: kindCounter, c: &Counter{}})
+// a literal label body, e.g. `kind="train_done"`.
+func (r *Registry) CounterLabeled(name, label string) *Counter {
+	e := r.register(&entry{name: name, label: label, kind: kindCounter, c: &Counter{}})
 	return e.c
-}
-
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	e := r.register(&entry{name: name, help: help, kind: kindGauge, g: &Gauge{}})
-	return e.g
 }
 
 // Histogram registers (or returns the existing) histogram under name with the
 // given sorted bucket upper bounds. The bounds slice is copied.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	return r.HistogramLabeled(name, "", help, bounds)
+func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	return r.HistogramLabeled(name, "", bounds)
 }
 
 // HistogramLabeled registers a histogram carrying one fixed label pair (see
 // CounterLabeled). Re-registration under the same name+label returns the
 // existing histogram; its original bounds win.
-func (r *Registry) HistogramLabeled(name, label, help string, bounds []float64) *Histogram {
+func (r *Registry) HistogramLabeled(name, label string, bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("metrics: histogram %s bounds are not sorted", name))
 	}
@@ -174,11 +150,11 @@ func (r *Registry) HistogramLabeled(name, label, help string, bounds []float64) 
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	e := r.register(&entry{name: name, label: label, help: help, kind: kindHistogram, h: h})
+	e := r.register(&entry{name: name, label: label, kind: kindHistogram, h: h})
 	return e.h
 }
 
-// Reset zeroes every registered metric (counts, gauges, histogram buckets and
+// Reset zeroes every registered metric (counts, histogram buckets and
 // sums). Registration survives; pointers held by instrumented code stay
 // valid.
 func (r *Registry) Reset() {
@@ -188,8 +164,6 @@ func (r *Registry) Reset() {
 		switch e.kind {
 		case kindCounter:
 			e.c.v.Store(0)
-		case kindGauge:
-			e.g.v.Store(0)
 		case kindHistogram:
 			for i := range e.h.counts {
 				e.h.counts[i].Store(0)
@@ -249,7 +223,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // metric name with the label pair appended in braces when present.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -260,15 +233,12 @@ func (r *Registry) Snapshot() *Snapshot {
 	defer r.mu.Unlock()
 	s := &Snapshot{
 		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	for _, e := range r.entries {
 		switch e.kind {
 		case kindCounter:
 			s.Counters[e.key()] = e.c.Value()
-		case kindGauge:
-			s.Gauges[e.key()] = e.g.Value()
 		case kindHistogram:
 			hs := HistogramSnapshot{
 				Bounds: append([]float64(nil), e.h.bounds...),

@@ -3,37 +3,28 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := New()
-	c := r.Counter("jwins_test_total", "a counter")
+	c := r.Counter("jwins_test_total")
 	c.Inc()
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("jwins_test_depth", "a gauge")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
 	// Re-registration returns the same metric.
-	if r.Counter("jwins_test_total", "") != c {
+	if r.Counter("jwins_test_total") != c {
 		t.Fatal("re-registered counter is a different instance")
 	}
 }
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
 	r := New()
-	h := r.Histogram("jwins_test_wait", "", []float64{1, 2, 4, 8})
+	h := r.Histogram("jwins_test_wait", []float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 5, 100} {
 		h.Observe(v)
 	}
@@ -58,7 +49,7 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 		t.Fatalf("mean = %v", m)
 	}
 	// Boundary values land in the bucket whose bound equals them.
-	h2 := r.Histogram("jwins_test_edge", "", []float64{1, 2})
+	h2 := r.Histogram("jwins_test_edge", []float64{1, 2})
 	h2.Observe(1)
 	h2.Observe(2)
 	s2, _ := r.Snapshot().Histogram("jwins_test_edge")
@@ -96,13 +87,11 @@ func TestHistogramQuantile(t *testing.T) {
 
 func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 	r := New()
-	h := r.Histogram("jwins_test_alloc", "", ExpBuckets(1, 2, 12))
-	c := r.Counter("jwins_test_alloc_total", "")
-	g := r.Gauge("jwins_test_alloc_depth", "")
+	h := r.Histogram("jwins_test_alloc", ExpBuckets(1, 2, 12))
+	c := r.Counter("jwins_test_alloc_total")
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(3.7)
 		c.Inc()
-		g.Set(9)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path metric ops allocate %.1f/op, want 0", allocs)
@@ -111,7 +100,7 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 
 func TestHistogramConcurrentSum(t *testing.T) {
 	r := New()
-	h := r.Histogram("jwins_test_conc", "", []float64{10})
+	h := r.Histogram("jwins_test_conc", []float64{10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -131,8 +120,8 @@ func TestHistogramConcurrentSum(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := New()
-	c := r.Counter("jwins_test_total", "")
-	h := r.Histogram("jwins_test_hist", "", []float64{1})
+	c := r.Counter("jwins_test_total")
+	h := r.Histogram("jwins_test_hist", []float64{1})
 	c.Add(5)
 	h.Observe(0.5)
 	r.Reset()
@@ -152,8 +141,8 @@ func TestReset(t *testing.T) {
 
 func TestLabeledSeriesAndSnapshotKeys(t *testing.T) {
 	r := New()
-	r.CounterLabeled("jwins_events_total", `kind="train_done"`, "events").Add(3)
-	r.CounterLabeled("jwins_events_total", `kind="arrival"`, "events").Add(4)
+	r.CounterLabeled("jwins_events_total", `kind="train_done"`).Add(3)
+	r.CounterLabeled("jwins_events_total", `kind="arrival"`).Add(4)
 	s := r.Snapshot()
 	if got := s.Counter(`jwins_events_total{kind="train_done"}`); got != 3 {
 		t.Fatalf("labeled counter = %d, want 3", got)
@@ -175,8 +164,8 @@ func TestLabeledSeriesAndSnapshotKeys(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
-	r.Counter("jwins_c", "").Add(2)
-	r.Histogram("jwins_h", "", []float64{1, 2}).Observe(1.5)
+	r.Counter("jwins_c").Add(2)
+	r.Histogram("jwins_h", []float64{1, 2}).Observe(1.5)
 	buf, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -193,41 +182,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWritePrometheus(t *testing.T) {
-	r := New()
-	r.Counter("jwins_sends_total", "total sends").Add(12)
-	r.Gauge("jwins_queue_depth", "queue depth").Set(5)
-	h := r.Histogram("jwins_wait_seconds", "barrier wait", []float64{0.1, 1})
-	// Binary-exact values so the shortest-float formatting is stable.
-	h.Observe(0.0625)
-	h.Observe(0.5)
-	h.Observe(10)
-	r.CounterLabeled("jwins_events_total", `kind="send"`, "").Add(7)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE jwins_sends_total counter",
-		"jwins_sends_total 12",
-		"# TYPE jwins_queue_depth gauge",
-		"jwins_queue_depth 5",
-		"# TYPE jwins_wait_seconds histogram",
-		`jwins_wait_seconds_bucket{le="0.1"} 1`,
-		`jwins_wait_seconds_bucket{le="1"} 2`,
-		`jwins_wait_seconds_bucket{le="+Inf"} 3`,
-		"jwins_wait_seconds_sum 10.5625",
-		"jwins_wait_seconds_count 3",
-		`jwins_events_total{kind="send"} 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(1, 2, 5)
 	want := []float64{1, 2, 4, 8, 16}
@@ -238,50 +192,6 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestServeEndpoints(t *testing.T) {
-	r := New()
-	r.Counter("jwins_live_total", "").Add(99)
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	if body := get("/metrics"); !strings.Contains(body, "jwins_live_total 99") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "memstats") {
-		t.Fatalf("/debug/vars missing memstats:\n%.200s", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ index missing goroutine profile:\n%.200s", body)
-	}
-
-	// A second server on another registry must not panic on expvar publish.
-	r2 := New()
-	srv2, err := Serve("127.0.0.1:0", r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2.Close()
-}
-
 func TestMismatchedKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -289,13 +199,13 @@ func TestMismatchedKindPanics(t *testing.T) {
 		}
 	}()
 	r := New()
-	r.Counter("jwins_x", "")
-	r.Gauge("jwins_x", "")
+	r.Counter("jwins_x")
+	r.Histogram("jwins_x", []float64{1})
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := New()
-	h := r.Histogram("jwins_bench", "", ExpBuckets(1, 2, 14))
+	h := r.Histogram("jwins_bench", ExpBuckets(1, 2, 14))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))

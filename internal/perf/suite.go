@@ -277,7 +277,7 @@ func CheckDeterminism() error {
 		var buf bytes.Buffer
 		sr, err := trace.NewStreamRecorder(&buf, trace.Header{
 			Nodes: len(nodes), Rounds: 10, Source: trace.SourceSim, Policy: policyName,
-		}, true)
+		})
 		if err != nil {
 			return capture{}, err
 		}

@@ -168,62 +168,55 @@ func TestAsyncDynTopoRecordReplayIdentical(t *testing.T) {
 		t.Fatalf("recorded only %d topology-change events", epochEvents)
 	}
 
-	for _, binary := range []bool{false, true} {
-		var buf bytes.Buffer
-		if binary {
-			err = trace.WriteBinary(&buf, recorded)
-		} else {
-			err = trace.Write(&buf, recorded)
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, recorded); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := trace.NewReplayer(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec2 := trace.NewRecorder(decoded.Header)
+	eng2 := dynEngineFor(t, algoJWINS, rounds, epochSec, func(cfg *AsyncConfig) {
+		mut(cfg)
+		// Replay must override these with the recorded schedule.
+		cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
+		cfg.Churn = nil
+		cfg.DropProb = 0
+		cfg.Replay = rp
+		cfg.Record = rec2
+	})
+	repRes, err := eng2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := rec2.Trace()
+	if len(replayed.Events) != len(recorded.Events) {
+		t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
+	}
+	for i := range recorded.Events {
+		if replayed.Events[i] != recorded.Events[i] {
+			t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := trace.Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := trace.NewReplayer(decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec2 := trace.NewRecorder(decoded.Header)
-		eng2 := dynEngineFor(t, algoJWINS, rounds, epochSec, func(cfg *AsyncConfig) {
-			mut(cfg)
-			// Replay must override these with the recorded schedule.
-			cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
-			cfg.Churn = nil
-			cfg.DropProb = 0
-			cfg.Replay = rp
-			cfg.Record = rec2
-		})
-		repRes, err := eng2.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed := rec2.Trace()
-		if len(replayed.Events) != len(recorded.Events) {
-			t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
-		}
-		for i := range recorded.Events {
-			if replayed.Events[i] != recorded.Events[i] {
-				t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
-			}
-		}
-		if repRes.TotalBytes != recRes.TotalBytes || repRes.SimTime != recRes.SimTime ||
-			repRes.FinalAccuracy != recRes.FinalAccuracy {
-			t.Fatalf("replay diverged: (%d, %v, %v) vs (%d, %v, %v)",
-				repRes.TotalBytes, repRes.SimTime, repRes.FinalAccuracy,
-				recRes.TotalBytes, recRes.SimTime, recRes.FinalAccuracy)
-		}
-		if len(repRes.Rounds) != len(recRes.Rounds) {
-			t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
-		}
-		for i := range recRes.Rounds {
-			a, b := recRes.Rounds[i], repRes.Rounds[i]
-			if !metricsEqual(a, b) || a.Epoch != b.Epoch || a.SpectralGap != b.SpectralGap ||
-				a.NeighborTurnover != b.NeighborTurnover {
-				t.Fatalf("row %d differs: %+v vs %+v", i, b, a)
-			}
+	}
+	if repRes.TotalBytes != recRes.TotalBytes || repRes.SimTime != recRes.SimTime ||
+		repRes.FinalAccuracy != recRes.FinalAccuracy {
+		t.Fatalf("replay diverged: (%d, %v, %v) vs (%d, %v, %v)",
+			repRes.TotalBytes, repRes.SimTime, repRes.FinalAccuracy,
+			recRes.TotalBytes, recRes.SimTime, recRes.FinalAccuracy)
+	}
+	if len(repRes.Rounds) != len(recRes.Rounds) {
+		t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
+	}
+	for i := range recRes.Rounds {
+		a, b := recRes.Rounds[i], repRes.Rounds[i]
+		if !metricsEqual(a, b) || a.Epoch != b.Epoch || a.SpectralGap != b.SpectralGap ||
+			a.NeighborTurnover != b.NeighborTurnover {
+			t.Fatalf("row %d differs: %+v vs %+v", i, b, a)
 		}
 	}
 }

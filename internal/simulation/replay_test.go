@@ -80,68 +80,60 @@ func TestRecordReplayIdentical(t *testing.T) {
 			const rounds = 10
 			recorded, recRes := recordedRun(t, rounds, tc.mut)
 
-			// Round-trip through both encodings before replaying: the replay
-			// must work from what survives the wire, not in-memory state.
-			for _, binary := range []bool{false, true} {
-				var buf bytes.Buffer
-				var err error
-				if binary {
-					err = trace.WriteBinary(&buf, recorded)
-				} else {
-					err = trace.Write(&buf, recorded)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := trace.Read(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rp, err := trace.NewReplayer(decoded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec2 := trace.NewRecorder(decoded.Header)
-				eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-					tc.mut(cfg)
-					// Replay must override these with the recorded schedule.
-					cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
-					cfg.Churn = nil
-					cfg.DropProb = 0
-					cfg.Replay = rp
-					cfg.Record = rec2
-				})
-				repRes, err := eng.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Round-trip through the trace encoding before replaying: the
+			// replay must work from what survives the wire, not in-memory state.
+			var buf bytes.Buffer
+			if err := trace.Write(&buf, recorded); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := trace.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := trace.NewReplayer(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec2 := trace.NewRecorder(decoded.Header)
+			eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
+				tc.mut(cfg)
+				// Replay must override these with the recorded schedule.
+				cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
+				cfg.Churn = nil
+				cfg.DropProb = 0
+				cfg.Replay = rp
+				cfg.Record = rec2
+			})
+			repRes, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				replayed := rec2.Trace()
-				if len(replayed.Events) != len(recorded.Events) {
-					t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
+			replayed := rec2.Trace()
+			if len(replayed.Events) != len(recorded.Events) {
+				t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
+			}
+			for i := range recorded.Events {
+				if replayed.Events[i] != recorded.Events[i] {
+					t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
 				}
-				for i := range recorded.Events {
-					if replayed.Events[i] != recorded.Events[i] {
-						t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
-					}
-				}
-				if repRes.TotalBytes != recRes.TotalBytes || repRes.ModelBytes != recRes.ModelBytes ||
-					repRes.MetaBytes != recRes.MetaBytes {
-					t.Fatalf("ledger differs: replay (%d,%d,%d), recorded (%d,%d,%d)",
-						repRes.TotalBytes, repRes.ModelBytes, repRes.MetaBytes,
-						recRes.TotalBytes, recRes.ModelBytes, recRes.MetaBytes)
-				}
-				if repRes.SimTime != recRes.SimTime || repRes.FinalAccuracy != recRes.FinalAccuracy {
-					t.Fatalf("trajectory differs: replay (%.6f, %.4f), recorded (%.6f, %.4f)",
-						repRes.SimTime, repRes.FinalAccuracy, recRes.SimTime, recRes.FinalAccuracy)
-				}
-				if len(repRes.Rounds) != len(recRes.Rounds) {
-					t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
-				}
-				for i := range recRes.Rounds {
-					if !metricsEqual(repRes.Rounds[i], recRes.Rounds[i]) {
-						t.Fatalf("row %d differs: %+v vs %+v", i, repRes.Rounds[i], recRes.Rounds[i])
-					}
+			}
+			if repRes.TotalBytes != recRes.TotalBytes || repRes.ModelBytes != recRes.ModelBytes ||
+				repRes.MetaBytes != recRes.MetaBytes {
+				t.Fatalf("ledger differs: replay (%d,%d,%d), recorded (%d,%d,%d)",
+					repRes.TotalBytes, repRes.ModelBytes, repRes.MetaBytes,
+					recRes.TotalBytes, recRes.ModelBytes, recRes.MetaBytes)
+			}
+			if repRes.SimTime != recRes.SimTime || repRes.FinalAccuracy != recRes.FinalAccuracy {
+				t.Fatalf("trajectory differs: replay (%.6f, %.4f), recorded (%.6f, %.4f)",
+					repRes.SimTime, repRes.FinalAccuracy, recRes.SimTime, recRes.FinalAccuracy)
+			}
+			if len(repRes.Rounds) != len(recRes.Rounds) {
+				t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
+			}
+			for i := range recRes.Rounds {
+				if !metricsEqual(repRes.Rounds[i], recRes.Rounds[i]) {
+					t.Fatalf("row %d differs: %+v vs %+v", i, repRes.Rounds[i], recRes.Rounds[i])
 				}
 			}
 		})

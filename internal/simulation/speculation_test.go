@@ -102,7 +102,7 @@ func runSpecScenario(t *testing.T, parallelism int, probed bool, mut func(*Confi
 	)
 	sr, err := trace.NewStreamRecorder(&buf, trace.Header{
 		Nodes: specNodes, Rounds: specRounds, Source: trace.SourceSim, Policy: trace.PolicyBarrier,
-	}, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,75 +38,64 @@ func TestStreamRecorderEngineParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, binary := range []bool{false, true} {
-		name := "jsonl"
-		if binary {
-			name = "binary"
+	t.Run("binary", func(t *testing.T) {
+		var want bytes.Buffer
+		if err := trace.Write(&want, rec.Trace()); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var want bytes.Buffer
-			if binary {
-				err = trace.WriteBinary(&want, rec.Trace())
-			} else {
-				err = trace.Write(&want, rec.Trace())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			// Same run, streamed as it executes.
-			var got bytes.Buffer
-			sr, err := trace.NewStreamRecorder(&got, header, binary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng2 := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-				streamMut(cfg)
-				cfg.Record = sr
-			})
-			if _, err := eng2.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("streamed recording differs from serialized in-memory recording (%d vs %d bytes)",
-					got.Len(), want.Len())
-			}
-
-			// Read the stream back and replay it as the authoritative schedule.
-			decoded, err := trace.Read(bytes.NewReader(got.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := trace.NewReplayer(decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec2 := trace.NewRecorder(decoded.Header)
-			eng3 := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-				cfg.Replay = rp
-				cfg.Record = rec2
-			})
-			repRes, err := eng3.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rec2.Trace().Events) != len(rec.Trace().Events) {
-				t.Fatalf("replay produced %d events, recorded %d", len(rec2.Trace().Events), len(rec.Trace().Events))
-			}
-			for i := range rec.Trace().Events {
-				if rec2.Trace().Events[i] != rec.Trace().Events[i] {
-					t.Fatalf("event %d differs after stream round trip", i)
-				}
-			}
-			if repRes.TotalBytes != recRes.TotalBytes || repRes.SimTime != recRes.SimTime {
-				t.Fatalf("replay ledger/time (%d, %v) differ from recorded (%d, %v)",
-					repRes.TotalBytes, repRes.SimTime, recRes.TotalBytes, recRes.SimTime)
-			}
+		// Same run, streamed as it executes.
+		var got bytes.Buffer
+		sr, err := trace.NewStreamRecorder(&got, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng2 := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
+			streamMut(cfg)
+			cfg.Record = sr
 		})
-	}
+		if _, err := eng2.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("streamed recording differs from serialized in-memory recording (%d vs %d bytes)",
+				got.Len(), want.Len())
+		}
+
+		// Read the stream back and replay it as the authoritative schedule.
+		decoded, err := trace.Read(bytes.NewReader(got.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := trace.NewReplayer(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec2 := trace.NewRecorder(decoded.Header)
+		eng3 := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
+			cfg.Replay = rp
+			cfg.Record = rec2
+		})
+		repRes, err := eng3.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec2.Trace().Events) != len(rec.Trace().Events) {
+			t.Fatalf("replay produced %d events, recorded %d", len(rec2.Trace().Events), len(rec.Trace().Events))
+		}
+		for i := range rec.Trace().Events {
+			if rec2.Trace().Events[i] != rec.Trace().Events[i] {
+				t.Fatalf("event %d differs after stream round trip", i)
+			}
+		}
+		if repRes.TotalBytes != recRes.TotalBytes || repRes.SimTime != recRes.SimTime {
+			t.Fatalf("replay ledger/time (%d, %v) differ from recorded (%d, %v)",
+				repRes.TotalBytes, repRes.SimTime, recRes.TotalBytes, recRes.SimTime)
+		}
+	})
 }
 
 // TestMixingEverySamples: with MixingEvery = 2, only epochs at even indices

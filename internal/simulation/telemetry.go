@@ -20,7 +20,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// telemetry metric names (Prometheus families). Exported as constants so
+// telemetry metric names. Exported as constants so
 // CSV/report consumers key snapshots without typo drift.
 const (
 	// MetricEvents counts processed scheduler events, labeled by kind.
@@ -59,8 +59,8 @@ const (
 	MetricDecodeMisses = "jwins_engine_decode_cache_misses_total"
 )
 
-// eventKindLabels maps EventKind to its Prometheus label value. Indexed by
-// the EventKind constants; keep in sync with events.go.
+// eventKindLabels maps EventKind to its label pair in the snapshot key.
+// Indexed by the EventKind constants; keep in sync with events.go.
 var eventKindLabels = [...]string{
 	EventTrainDone: `kind="train_done"`,
 	EventArrival:   `kind="arrival"`,
@@ -71,9 +71,8 @@ var eventKindLabels = [...]string{
 }
 
 // Telemetry bundles the engine's pre-registered metrics. Create one with
-// NewTelemetry, hand it to AsyncConfig.Telemetry, and either serve its
-// Registry over HTTP (metrics.Serve) for live scraping or read the Snapshot
-// the run leaves in Result.Telemetry. A Telemetry may be reused across runs;
+// NewTelemetry, hand it to AsyncConfig.Telemetry, and read the Snapshot the
+// run leaves in Result.Telemetry. A Telemetry may be reused across runs;
 // counters then accumulate (call Registry().Reset() between runs for
 // per-run numbers).
 type Telemetry struct {
@@ -100,29 +99,26 @@ type Telemetry struct {
 func NewTelemetry() *Telemetry {
 	t := &Telemetry{reg: metrics.New()}
 	for k, label := range eventKindLabels {
-		t.events[k] = t.reg.CounterLabeled(MetricEvents, label, "processed scheduler events by kind")
+		t.events[k] = t.reg.CounterLabeled(MetricEvents, label)
 	}
-	t.queueDepth = t.reg.Histogram(MetricQueueDepth, "event-queue depth at pop",
-		metrics.ExpBuckets(1, 2, 16)) // 1 .. 32768
-	t.inboxOccupancy = t.reg.Histogram(MetricInboxOccupancy, "merged payloads per aggregation",
-		metrics.ExpBuckets(1, 2, 9)) // 1 .. 256 (max graph degree in practice)
-	t.specHits = t.reg.Counter(MetricSpecHits, "speculative train dispatches committed")
-	t.specMisses = t.reg.Counter(MetricSpecMisses, "train computations forced inline (churn/eval window)")
-	t.poolTasks = t.reg.Counter(MetricPoolTasks, "tasks dispatched to pool workers")
-	t.poolInline = t.reg.Counter(MetricPoolInline, "tasks run inline (serial pool mode)")
-	t.sends = t.reg.Counter(MetricSends, "point-to-point payload copies sent")
-	t.bytesTotal = t.reg.Counter(MetricBytesTotal, "cumulative bytes on the wire (payload+framing)")
-	t.bytesModel = t.reg.Counter(MetricBytesModel, "cumulative model-coefficient bytes")
-	t.bytesMeta = t.reg.Counter(MetricBytesMeta, "cumulative metadata+framing bytes")
-	t.aggregations = t.reg.Counter(MetricAggregations, "committed aggregations")
-	t.rows = t.reg.Counter(MetricRows, "emitted result rows")
-	t.decodeHits = t.reg.Counter(MetricDecodeHits, "payload decodes served from the shared cache")
-	t.decodeMisses = t.reg.Counter(MetricDecodeMisses, "payload decodes performed fresh")
+	t.queueDepth = t.reg.Histogram(MetricQueueDepth, metrics.ExpBuckets(1, 2, 16))        // 1 .. 32768
+	t.inboxOccupancy = t.reg.Histogram(MetricInboxOccupancy, metrics.ExpBuckets(1, 2, 9)) // 1 .. 256 (max graph degree in practice)
+	t.specHits = t.reg.Counter(MetricSpecHits)
+	t.specMisses = t.reg.Counter(MetricSpecMisses)
+	t.poolTasks = t.reg.Counter(MetricPoolTasks)
+	t.poolInline = t.reg.Counter(MetricPoolInline)
+	t.sends = t.reg.Counter(MetricSends)
+	t.bytesTotal = t.reg.Counter(MetricBytesTotal)
+	t.bytesModel = t.reg.Counter(MetricBytesModel)
+	t.bytesMeta = t.reg.Counter(MetricBytesMeta)
+	t.aggregations = t.reg.Counter(MetricAggregations)
+	t.rows = t.reg.Counter(MetricRows)
+	t.decodeHits = t.reg.Counter(MetricDecodeHits)
+	t.decodeMisses = t.reg.Counter(MetricDecodeMisses)
 	return t
 }
 
-// Registry exposes the underlying registry, e.g. for metrics.Serve or a
-// custom exposition.
+// Registry exposes the underlying registry, e.g. to Reset it between runs.
 func (t *Telemetry) Registry() *metrics.Registry { return t.reg }
 
 // Snapshot returns a point-in-time copy of every metric.
@@ -181,6 +177,5 @@ func Summarize(snap *metrics.Snapshot) TelemetrySummary {
 // Called once per Run at setup, never on the hot path.
 func (t *Telemetry) waitHistogram(policy string) *metrics.Histogram {
 	return t.reg.HistogramLabeled(MetricBarrierWait, `policy="`+policy+`"`,
-		"simulated seconds blocked on the aggregation policy",
 		[]float64{1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30})
 }

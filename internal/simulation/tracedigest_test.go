@@ -76,7 +76,7 @@ func TestAsyncTraceDigest(t *testing.T) {
 			var buf bytes.Buffer
 			sr, err := trace.NewStreamRecorder(&buf, trace.Header{
 				Nodes: n, Rounds: rounds, Source: trace.SourceSim, Policy: tc.policy.Name(),
-			}, true)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func goldenRun(t *testing.T, kind algo, fc func(i int) codec.FloatCodec) []byte 
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, rec.Trace()); err != nil {
+	if err := trace.Write(&buf, rec.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -30,21 +30,18 @@ func fuzzSeedTrace() *Trace {
 	}
 }
 
-// FuzzTraceRead drives the sniffing trace reader (both encodings) with
-// mutated bytes: it must never panic, and any trace it accepts must be
-// re-encodable and re-readable with nothing lost — the property record→replay
-// tooling depends on when it round-trips recordings through files.
+// FuzzTraceRead drives the trace reader with mutated bytes: it must never
+// panic, must reject input that opens with '{' (the retired JSONL
+// encoding), and any trace it accepts must be re-encodable and re-readable
+// with nothing lost — the property record→replay tooling depends on when it
+// round-trips recordings through files.
 func FuzzTraceRead(f *testing.F) {
-	seed := fuzzSeedTrace()
-	var bin, jsonl bytes.Buffer
-	if err := WriteBinary(&bin, seed); err != nil {
-		f.Fatal(err)
-	}
-	if err := Write(&jsonl, seed); err != nil {
+	var bin bytes.Buffer
+	if err := Write(&bin, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bin.Bytes())
-	f.Add(jsonl.Bytes())
+	f.Add([]byte(`{"format":"jwins-trace","version":1,"nodes":4}`))
 	// Structural mutants: truncated footer, bad magic, bad version byte.
 	f.Add(bin.Bytes()[:len(bin.Bytes())-2])
 	f.Add([]byte("JWTX"))
@@ -55,14 +52,17 @@ func FuzzTraceRead(f *testing.F) {
 			return
 		}
 		tr, err := Read(bytes.NewReader(data))
+		if len(data) > 0 && data[0] == '{' && err == nil {
+			t.Fatal("accepted input that opens with '{'")
+		}
 		if err != nil {
 			return
 		}
-		// The reader validated every event with the same rules WriteBinary
+		// The reader validated every event with the same rules Write
 		// enforces, so an accepted trace that fails to re-encode means the two
 		// validation paths drifted apart.
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("accepted trace fails to re-encode: %v", err)
 		}
 		tr2, err := Read(bytes.NewReader(buf.Bytes()))
@@ -85,7 +85,7 @@ func assertHeaderEqual(t *testing.T, a, b Header) {
 		a.Rounds != b.Rounds || a.Source != b.Source || a.Policy != b.Policy {
 		t.Fatalf("round trip changed header:\n before %+v\n after  %+v", a, b)
 	}
-	// Meta survives as a JSON object in both encodings; an empty map and a nil
+	// Meta survives as a JSON object in the header; an empty map and a nil
 	// one serialize identically (omitted), so treat them as equal.
 	if len(a.Meta) != len(b.Meta) {
 		t.Fatalf("round trip changed meta:\n before %v\n after  %v", a.Meta, b.Meta)
@@ -105,12 +105,8 @@ func assertEventEqual(t *testing.T, i int, a, b Event) {
 	if math.Float64bits(a.Time) != math.Float64bits(b.Time) ||
 		a.Kind != b.Kind || a.Node != b.Node || a.Peer != b.Peer || a.Iter != b.Iter ||
 		a.Dropped != b.Dropped || a.Bytes != b.Bytes || a.ModelBytes != b.ModelBytes ||
-		a.MetaBytes != b.MetaBytes || a.LagMax != b.LagMax || a.LagN != b.LagN {
+		a.MetaBytes != b.MetaBytes || a.LagMax != b.LagMax || a.LagN != b.LagN ||
+		math.Float64bits(a.LagMean) != math.Float64bits(b.LagMean) {
 		t.Fatalf("round trip changed event %d:\n before %+v\n after  %+v", i, a, b)
-	}
-	// LagMean only travels on aggregate events in the binary layout; a JSONL
-	// input can smuggle one onto other kinds, where dropping it is by design.
-	if a.Kind == KindAggregate && math.Float64bits(a.LagMean) != math.Float64bits(b.LagMean) {
-		t.Fatalf("round trip changed event %d lag mean: %v -> %v", i, a.LagMean, b.LagMean)
 	}
 }

@@ -1,13 +1,14 @@
-// reader.go parses traces back, sniffing the encoding from the first bytes
-// and validating strictly: a wrong magic/format is ErrNotTrace, a wrong
-// version ErrVersion, a missing or short footer ErrTruncated, and anything
-// structurally invalid (unknown kinds, range violations, time regressions,
-// footer count mismatches) ErrCorrupt. The whole-trace readers here are thin
-// loops over StreamReader (stream.go), which tools can use directly to
-// inspect 1024-node traces without materializing the event slice.
+// reader.go parses traces back, validating strictly: a wrong magic or
+// format is ErrNotTrace, a wrong version ErrVersion, a missing or short
+// footer ErrTruncated, and anything structurally invalid (unknown kinds,
+// range violations, time regressions, footer count mismatches) ErrCorrupt.
+// The whole-trace readers here are thin loops over StreamReader (stream.go),
+// which tools can use directly to inspect 1024-node traces without
+// materializing the event slice.
 package trace
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +21,7 @@ import (
 // length prefixes cannot trigger huge allocations.
 const maxHeaderLen = 1 << 20
 
-// Read parses a trace in either encoding and validates it fully.
+// Read parses a trace and validates it fully.
 func Read(r io.Reader) (*Trace, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {
@@ -93,7 +94,7 @@ func ReadStatsFile(path string) (Header, Stats, error) {
 }
 
 // readBinaryEvent decodes one binary event body (after its kind byte).
-func readBinaryEvent(br byteAndFullReader, kind Kind) (Event, error) {
+func readBinaryEvent(br *bufio.Reader, kind Kind) (Event, error) {
 	ev := Event{Kind: kind}
 	if !kind.Valid() {
 		return ev, fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, uint8(kind))
@@ -127,12 +128,6 @@ func readBinaryEvent(br byteAndFullReader, kind Kind) (Event, error) {
 		ev.LagMean = math.Float64frombits(binary.LittleEndian.Uint64(tb[:]))
 	}
 	return ev, nil
-}
-
-// byteAndFullReader is the reader subset readBinaryEvent needs.
-type byteAndFullReader interface {
-	io.Reader
-	io.ByteReader
 }
 
 // truncOr maps unexpected EOFs to ErrTruncated and everything else to

@@ -5,7 +5,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -154,38 +153,6 @@ func Compare(a, b *Trace) Diff {
 		c.addA(&a.Events[i])
 	}
 	return c.finish()
-}
-
-// CompareReaders is Compare over streaming inputs: b is indexed in one pass,
-// then a streams through the matcher — neither trace's event slice is ever
-// materialized. Memory is one timestamp per B event (the FIFO match index)
-// plus one error sample per match and O(nodes) ordering hashes: several
-// times smaller than holding both event slices, though still linear in the
-// trace length. Inputs must be freshly opened readers.
-func CompareReaders(a, b *StreamReader) (Diff, error) {
-	var c diffAccum
-	c.init()
-	for {
-		ev, err := b.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Diff{}, fmt.Errorf("trace B: %w", err)
-		}
-		c.addB(&ev)
-	}
-	for {
-		ev, err := a.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Diff{}, fmt.Errorf("trace A: %w", err)
-		}
-		c.addA(&ev)
-	}
-	return c.finish(), nil
 }
 
 // diffAccum folds the two event streams of Compare: all of B first (the

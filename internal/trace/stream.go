@@ -1,23 +1,21 @@
 // stream.go is the bounded-memory side of the trace subsystem: a
-// StreamRecorder that writes the versioned trace formats incrementally as a
-// run executes (so recording a 1024-node schedule never holds O(events) in
-// RAM), and a StreamReader that parses traces event by event (so stats and
-// diffs over 1024-node traces run on small machines). Both share the
-// validation and byte layout of the whole-trace Write/Read paths: a streamed
-// recording is byte-identical to writing the equivalent in-memory Recorder,
-// and the whole-trace readers are thin loops over StreamReader.
+// StreamRecorder that writes the trace incrementally as a run executes (so
+// recording a 1024-node schedule never holds O(events) in RAM), and a
+// StreamReader that parses traces event by event (so stats and timelines
+// over 1024-node traces run on small machines). The whole-trace Write is a
+// loop over StreamRecorder and the whole-trace readers are loops over
+// StreamReader, so both paths share one byte layout and one set of
+// validation rules.
 package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strings"
 )
 
 // StreamRecorder writes a trace incrementally. Events pass through a bounded
@@ -30,12 +28,10 @@ import (
 // violation sticks (see Err) and is also returned by Close, so a malformed
 // recording cannot end in a valid-looking file.
 type StreamRecorder struct {
-	wa     io.WriterAt // seekable destination (needed only by SetRounds)
-	owned  *os.File    // file created by NewStreamRecorderFile; closed by Close
-	bw     *bufio.Writer
-	enc    *json.Encoder // JSONL mode
-	binary bool
-	h      Header
+	wa    io.WriterAt // seekable destination (needed only by SetRounds)
+	owned *os.File    // file created by NewStreamRecorderFile; closed by Close
+	bw    *bufio.Writer
+	h     Header
 
 	jsonOff, jsonLen int64 // position of the header JSON, for SetRounds rewrite
 	count            int
@@ -44,7 +40,7 @@ type StreamRecorder struct {
 	closed           bool
 	err              error
 
-	buf []byte // one event's binary encoding, reused by every Record
+	buf []byte // one event's encoding, reused by every Record
 }
 
 var (
@@ -52,19 +48,22 @@ var (
 	_ RoundsSetter = (*StreamRecorder)(nil)
 )
 
-// NewStreamRecorder starts a streaming recording on w: binary (.jtb layout)
-// when bin is set, JSONL otherwise. The header is validated and written
-// immediately. SetRounds requires a seekable destination — use
-// NewStreamRecorderFile when early-stopped runs must stay replayable.
-func NewStreamRecorder(w io.Writer, h Header, bin bool) (*StreamRecorder, error) {
+// NewStreamRecorder starts a streaming recording on w. The header is
+// validated and written immediately. SetRounds requires a seekable
+// destination — use NewStreamRecorderFile when early-stopped runs must stay
+// replayable.
+func NewStreamRecorder(w io.Writer, h Header) (*StreamRecorder, error) {
 	h.Format = FormatName
 	h.Version = FormatVersion
 	if err := validateHeader(h); err != nil {
 		return nil, err
 	}
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
+	}
 	s := &StreamRecorder{
 		bw:     bufio.NewWriter(w),
-		binary: bin,
 		buf:    make([]byte, 0, maxBinaryEventLen),
 		h:      h,
 		prev:   math.Inf(-1),
@@ -73,34 +72,27 @@ func NewStreamRecorder(w io.Writer, h Header, bin bool) (*StreamRecorder, error)
 	if wa, ok := w.(io.WriterAt); ok {
 		s.wa = wa // seekable: SetRounds can rewrite the header on Close
 	}
-	var err error
-	if bin {
-		s.jsonOff, s.jsonLen, err = writeBinaryHeader(s.bw, h)
-	} else {
-		var hdr []byte
-		if hdr, err = json.Marshal(h); err == nil {
-			s.jsonOff, s.jsonLen = 0, int64(len(hdr))
-			if _, err = s.bw.Write(hdr); err == nil {
-				err = s.bw.WriteByte('\n')
-			}
-		}
-		s.enc = json.NewEncoder(s.bw)
+	// Preamble: magic, version byte, then the header JSON length-prefixed.
+	pre := append(s.buf, binaryMagic[:]...)
+	pre = binary.AppendUvarint(append(pre, FormatVersion), uint64(len(hdr)))
+	s.jsonOff, s.jsonLen = int64(len(pre)), int64(len(hdr))
+	if _, err := s.bw.Write(pre); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if _, err := s.bw.Write(hdr); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// NewStreamRecorderFile creates path and streams to it, choosing the
-// encoding by extension like WriteFile (BinaryExt selects binary). The file
-// is owned by the recorder: Close finalizes and closes it.
+// NewStreamRecorderFile creates path and streams to it. The file is owned by
+// the recorder: Close finalizes and closes it.
 func NewStreamRecorderFile(path string, h Header) (*StreamRecorder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewStreamRecorder(f, h, strings.HasSuffix(path, BinaryExt))
+	s, err := NewStreamRecorder(f, h)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -119,16 +111,8 @@ func (s *StreamRecorder) Record(ev Event) {
 		s.err = err
 		return
 	}
-	if s.binary {
-		s.buf = appendBinaryEvent(s.buf[:0], &ev)
-		_, s.err = s.bw.Write(s.buf)
-	} else {
-		// Encode takes an interface: hand it a copy, so that ev itself stays
-		// on the stack on the binary path.
-		jev := ev
-		s.err = s.enc.Encode(&jev)
-	}
-	if s.err == nil {
+	s.buf = appendBinaryEvent(s.buf[:0], &ev)
+	if _, s.err = s.bw.Write(s.buf); s.err == nil {
 		s.count++
 		s.prev = ev.Time
 	}
@@ -164,11 +148,7 @@ func (s *StreamRecorder) Close() error {
 	}
 	s.closed = true
 	if s.err == nil {
-		if s.binary {
-			_, s.err = s.bw.Write(appendBinaryEnd(s.buf[:0], s.count))
-		} else {
-			s.err = s.enc.Encode(footer{End: true, Events: s.count})
-		}
+		_, s.err = s.bw.Write(appendBinaryEnd(s.buf[:0], s.count))
 	}
 	if ferr := s.bw.Flush(); s.err == nil {
 		s.err = ferr
@@ -231,50 +211,24 @@ func (s *StreamRecorder) rewriteRounds() error {
 	return err
 }
 
-// StreamReader parses a trace event by event, sniffing the encoding from the
-// first bytes and validating incrementally with the same rules (and typed
-// errors) as Read. Next returns io.EOF after a clean footer; ErrTruncated
-// and ErrCorrupt keep their whole-trace meanings. Memory use is O(1) in the
-// event count.
+// StreamReader parses a trace event by event, validating incrementally with
+// the same rules (and typed errors) as Read. Next returns io.EOF after a
+// clean footer; ErrTruncated and ErrCorrupt keep their whole-trace meanings.
+// Memory use is O(1) in the event count.
 type StreamReader struct {
 	h     Header
-	bin   bool
-	br    *bufio.Reader  // binary mode
-	sc    *bufio.Scanner // JSONL mode
+	br    *bufio.Reader
 	count int
 	prev  float64
 	done  bool
 	err   error
-
-	// JSONL deferred-parse-error state: an unparsable line is corruption if
-	// anything follows it, but ErrTruncated when it is the last line.
-	pendingErr error
-	line       int
-	sawFooter  bool
 }
 
-// NewStreamReader sniffs and validates the header and prepares event
+// NewStreamReader reads and validates the header and prepares event
 // iteration.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: empty input", ErrNotTrace)
-	}
-	s := &StreamReader{prev: math.Inf(-1), line: 1}
-	switch first[0] {
-	case binaryMagic[0]:
-		s.bin = true
-		s.br = br
-		err = s.initBinary()
-	case '{':
-		s.sc = bufio.NewScanner(br)
-		s.sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		err = s.initJSONL()
-	default:
-		return nil, fmt.Errorf("%w: unrecognized leading byte %q", ErrNotTrace, first[0])
-	}
-	if err != nil {
+	s := &StreamReader{br: bufio.NewReader(r), prev: math.Inf(-1)}
+	if err := s.readHeader(); err != nil {
 		return nil, err
 	}
 	if err := validateHeader(s.h); err != nil {
@@ -283,12 +237,17 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	return s, nil
 }
 
-func (s *StreamReader) initBinary() error {
+func (s *StreamReader) readHeader() error {
 	var magic [4]byte
-	if _, err := io.ReadFull(s.br, magic[:]); err != nil {
+	n, err := io.ReadFull(s.br, magic[:])
+	switch {
+	case n == 0:
+		return fmt.Errorf("%w: empty input", ErrNotTrace)
+	case magic[0] == '{':
+		return fmt.Errorf("%w: JSONL traces are no longer read; convert the file with `jwins-trace convert in.jsonl out%s` built at commit 735c70e", ErrNotTrace, BinaryExt)
+	case err != nil:
 		return fmt.Errorf("%w: short magic", ErrNotTrace)
-	}
-	if magic != binaryMagic {
+	case magic != binaryMagic:
 		return fmt.Errorf("%w: bad magic %q", ErrNotTrace, magic[:])
 	}
 	version, err := s.br.ReadByte()
@@ -315,22 +274,6 @@ func (s *StreamReader) initBinary() error {
 	return nil
 }
 
-func (s *StreamReader) initJSONL() error {
-	if !s.sc.Scan() {
-		return fmt.Errorf("%w: no header line", ErrNotTrace)
-	}
-	if err := json.Unmarshal(s.sc.Bytes(), &s.h); err != nil {
-		return fmt.Errorf("%w: header: %v", ErrNotTrace, err)
-	}
-	if s.h.Format != FormatName {
-		return fmt.Errorf("%w: header format %q", ErrNotTrace, s.h.Format)
-	}
-	if s.h.Version != FormatVersion {
-		return fmt.Errorf("%w: %d (reader supports %d)", ErrVersion, s.h.Version, FormatVersion)
-	}
-	return nil
-}
-
 // Header returns the trace header.
 func (s *StreamReader) Header() Header { return s.h }
 
@@ -343,20 +286,11 @@ func (s *StreamReader) Next() (Event, error) {
 	if s.done {
 		return Event{}, s.err
 	}
-	var (
-		ev  Event
-		err error
-	)
-	if s.bin {
-		ev, err = s.nextBinary()
-	} else {
-		ev, err = s.nextJSONL()
+	ev, err := s.next()
+	if err == nil {
+		err = validateEvent(s.h, s.count, &ev, s.prev)
 	}
 	if err != nil {
-		s.done, s.err = true, err
-		return Event{}, err
-	}
-	if err := validateEvent(s.h, s.count, &ev, s.prev); err != nil {
 		s.done, s.err = true, err
 		return Event{}, err
 	}
@@ -365,7 +299,7 @@ func (s *StreamReader) Next() (Event, error) {
 	return ev, nil
 }
 
-func (s *StreamReader) nextBinary() (Event, error) {
+func (s *StreamReader) next() (Event, error) {
 	kind, err := s.br.ReadByte()
 	if err != nil {
 		return Event{}, truncOr(err, "event kind")
@@ -384,45 +318,4 @@ func (s *StreamReader) nextBinary() (Event, error) {
 		return Event{}, io.EOF
 	}
 	return readBinaryEvent(s.br, Kind(kind))
-}
-
-func (s *StreamReader) nextJSONL() (Event, error) {
-	for s.sc.Scan() {
-		s.line++
-		raw := bytes.TrimSpace(s.sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if s.pendingErr != nil {
-			return Event{}, s.pendingErr
-		}
-		if s.sawFooter {
-			return Event{}, fmt.Errorf("%w: line %d: content after footer", ErrCorrupt, s.line)
-		}
-		var f footer
-		if err := json.Unmarshal(raw, &f); err == nil && f.End {
-			if f.Events != s.count {
-				return Event{}, fmt.Errorf("%w: footer declares %d events, read %d", ErrCorrupt, f.Events, s.count)
-			}
-			s.sawFooter = true
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			s.pendingErr = fmt.Errorf("%w: line %d: %v", ErrCorrupt, s.line, err)
-			continue
-		}
-		return ev, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if s.pendingErr != nil {
-		// The unparsable line was the last one: a mid-write cut-off.
-		return Event{}, fmt.Errorf("%w: last line unparsable after %d events", ErrTruncated, s.count)
-	}
-	if !s.sawFooter {
-		return Event{}, fmt.Errorf("%w: footer missing after %d events", ErrTruncated, s.count)
-	}
-	return Event{}, io.EOF
 }

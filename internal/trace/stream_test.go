@@ -10,144 +10,18 @@ import (
 )
 
 // TestStreamRecorderByteIdentical: streaming a trace event by event must
-// produce exactly the bytes of the whole-trace writers, in both encodings —
-// the property that makes streamed recordings interchangeable with in-memory
-// ones for replay and diffing.
+// produce exactly the bytes of the whole-trace writer — the property that
+// makes streamed recordings interchangeable with in-memory ones for replay
+// and diffing.
 func TestStreamRecorderByteIdentical(t *testing.T) {
 	src := sampleTrace()
-	for _, binary := range []bool{false, true} {
-		name := "jsonl"
-		if binary {
-			name = "binary"
-		}
-		t.Run(name, func(t *testing.T) {
-			var want bytes.Buffer
-			var err error
-			if binary {
-				err = WriteBinary(&want, src)
-			} else {
-				err = Write(&want, src)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var got bytes.Buffer
-			sr, err := NewStreamRecorder(&got, src.Header, binary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range src.Events {
-				sr.Record(ev)
-			}
-			if err := sr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("streamed bytes differ from %s writer (%d vs %d bytes)", name, got.Len(), want.Len())
-			}
-		})
-	}
-}
-
-// TestStreamReaderMatchesRead: the streaming reader must yield exactly the
-// events Read returns.
-func TestStreamReaderMatchesRead(t *testing.T) {
-	src := sampleTrace()
-	for _, binary := range []bool{false, true} {
-		var buf bytes.Buffer
-		var err error
-		if binary {
-			err = WriteBinary(&buf, src)
-		} else {
-			err = Write(&buf, src)
-		}
-		if err != nil {
+	t.Run("binary", func(t *testing.T) {
+		var want bytes.Buffer
+		if err := Write(&want, src); err != nil {
 			t.Fatal(err)
 		}
-		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Header().Nodes != src.Header.Nodes {
-			t.Fatalf("header nodes %d", sr.Header().Nodes)
-		}
-		var got []Event
-		for {
-			ev, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, ev)
-		}
-		if len(got) != len(src.Events) {
-			t.Fatalf("got %d events, want %d", len(got), len(src.Events))
-		}
-		for i := range got {
-			if got[i] != src.Events[i] {
-				t.Fatalf("event %d differs: %+v vs %+v", i, got[i], src.Events[i])
-			}
-		}
-	}
-}
-
-// TestStreamRecorderTruncation: a recording abandoned mid-write (no Close)
-// must read back as ErrTruncated — not ErrCorrupt — in both encodings, and
-// ReadStats must still summarize the readable prefix.
-func TestStreamRecorderTruncation(t *testing.T) {
-	src := sampleTrace()
-	const keep = 9
-	for _, binary := range []bool{false, true} {
-		name := "jsonl"
-		if binary {
-			name = "binary"
-		}
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			sr, err := NewStreamRecorder(&buf, src.Header, binary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range src.Events[:keep] {
-				sr.Record(ev)
-			}
-			if err := sr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			// No Close: the footer is missing, as after a mid-run kill.
-			if _, err := Read(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrTruncated) {
-				t.Fatalf("Read of truncated stream: got %v, want ErrTruncated", err)
-			}
-			if errors.Is(err, ErrCorrupt) {
-				t.Fatalf("truncated stream misreported as corrupt")
-			}
-
-			h, stats, err := ReadStats(bytes.NewReader(buf.Bytes()))
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("ReadStats: got %v, want ErrTruncated", err)
-			}
-			if h.Nodes != src.Header.Nodes {
-				t.Fatalf("ReadStats header lost: %+v", h)
-			}
-			if stats.Events != keep {
-				t.Fatalf("prefix stats cover %d events, want %d", stats.Events, keep)
-			}
-		})
-	}
-}
-
-// TestStreamRecorderCloseIdempotent: Close and Abort must be safe to call in
-// any order after finalization — a second Close must not append a second
-// footer, Abort after Close must not un-finalize the file, and Close after
-// Abort must not graft a footer onto a deliberately truncated recording.
-func TestStreamRecorderCloseIdempotent(t *testing.T) {
-	src := sampleTrace()
-	for _, binary := range []bool{false, true} {
-		var buf bytes.Buffer
-		sr, err := NewStreamRecorder(&buf, src.Header, binary)
+		var got bytes.Buffer
+		sr, err := NewStreamRecorder(&got, src.Header)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,24 +31,122 @@ func TestStreamRecorderCloseIdempotent(t *testing.T) {
 		if err := sr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		closed := buf.Len()
-		if err := sr.Close(); err != nil {
-			t.Fatalf("second Close: %v", err)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("streamed bytes differ from the whole-trace writer (%d vs %d bytes)", got.Len(), want.Len())
 		}
-		if err := sr.Abort(); err != nil {
-			t.Fatalf("Abort after Close: %v", err)
+	})
+}
+
+// TestStreamReaderMatchesRead: the streaming reader must yield exactly the
+// events Read returns.
+func TestStreamReaderMatchesRead(t *testing.T) {
+	src := sampleTrace()
+	var buf bytes.Buffer
+	if err := Write(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Header().Nodes != src.Header.Nodes {
+		t.Fatalf("header nodes %d", sr.Header().Nodes)
+	}
+	var got []Event
+	for {
+		ev, err := sr.Next()
+		if err == io.EOF {
+			break
 		}
-		if buf.Len() != closed {
-			t.Fatalf("finalized recording grew from %d to %d bytes", closed, buf.Len())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("finalized recording unreadable after redundant calls: %v", err)
+		got = append(got, ev)
+	}
+	if len(got) != len(src.Events) {
+		t.Fatalf("got %d events, want %d", len(got), len(src.Events))
+	}
+	for i := range got {
+		if got[i] != src.Events[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, got[i], src.Events[i])
 		}
+	}
+}
+
+// TestStreamRecorderTruncation: a recording abandoned mid-write (no Close)
+// must read back as ErrTruncated — not ErrCorrupt — and ReadStats must still
+// summarize the readable prefix.
+func TestStreamRecorderTruncation(t *testing.T) {
+	src := sampleTrace()
+	const keep = 9
+	t.Run("binary", func(t *testing.T) {
+		var buf bytes.Buffer
+		sr, err := NewStreamRecorder(&buf, src.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range src.Events[:keep] {
+			sr.Record(ev)
+		}
+		if err := sr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// No Close: the footer is missing, as after a mid-run kill.
+		_, err = Read(bytes.NewReader(buf.Bytes()))
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Read of truncated stream: got %v, want ErrTruncated", err)
+		}
+		if errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncated stream misreported as corrupt")
+		}
+
+		h, stats, err := ReadStats(bytes.NewReader(buf.Bytes()))
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("ReadStats: got %v, want ErrTruncated", err)
+		}
+		if h.Nodes != src.Header.Nodes {
+			t.Fatalf("ReadStats header lost: %+v", h)
+		}
+		if stats.Events != keep {
+			t.Fatalf("prefix stats cover %d events, want %d", stats.Events, keep)
+		}
+	})
+}
+
+// TestStreamRecorderCloseIdempotent: Close and Abort must be safe to call in
+// any order after finalization — a second Close must not append a second
+// footer, Abort after Close must not un-finalize the file, and Close after
+// Abort must not graft a footer onto a deliberately truncated recording.
+func TestStreamRecorderCloseIdempotent(t *testing.T) {
+	src := sampleTrace()
+	var buf bytes.Buffer
+	sr, err := NewStreamRecorder(&buf, src.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range src.Events {
+		sr.Record(ev)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := buf.Len()
+	if err := sr.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := sr.Abort(); err != nil {
+		t.Fatalf("Abort after Close: %v", err)
+	}
+	if buf.Len() != closed {
+		t.Fatalf("finalized recording grew from %d to %d bytes", closed, buf.Len())
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("finalized recording unreadable after redundant calls: %v", err)
 	}
 
 	// Close after Abort: the file must stay truncated.
-	var buf bytes.Buffer
-	sr, err := NewStreamRecorder(&buf, src.Header, true)
+	buf.Reset()
+	sr, err = NewStreamRecorder(&buf, src.Header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +173,7 @@ func TestStreamRecorderCloseIdempotent(t *testing.T) {
 func TestStreamRecorderHardTruncation(t *testing.T) {
 	src := sampleTrace()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, src); err != nil {
+	if err := Write(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-7] // inside the last event/footer
@@ -214,29 +186,27 @@ func TestStreamRecorderHardTruncation(t *testing.T) {
 // early-stopped runs must survive a file round trip.
 func TestStreamRecorderSetRounds(t *testing.T) {
 	src := sampleTrace()
-	for _, ext := range []string{".jsonl", BinaryExt} {
-		path := filepath.Join(t.TempDir(), "run"+ext)
-		sr, err := NewStreamRecorderFile(path, src.Header)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range src.Events {
-			sr.Record(ev)
-		}
-		sr.SetRounds(1)
-		if err := sr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if tr.Header.Rounds != 1 {
-			t.Fatalf("%s: header rounds %d after SetRounds(1)", path, tr.Header.Rounds)
-		}
-		if len(tr.Events) != len(src.Events) {
-			t.Fatalf("%s: %d events, want %d", path, len(tr.Events), len(src.Events))
-		}
+	path := filepath.Join(t.TempDir(), "run"+BinaryExt)
+	sr, err := NewStreamRecorderFile(path, src.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range src.Events {
+		sr.Record(ev)
+	}
+	sr.SetRounds(1)
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Header.Rounds != 1 {
+		t.Fatalf("header rounds %d after SetRounds(1)", tr.Header.Rounds)
+	}
+	if len(tr.Events) != len(src.Events) {
+		t.Fatalf("%d events, want %d", len(tr.Events), len(src.Events))
 	}
 }
 
@@ -244,7 +214,7 @@ func TestStreamRecorderSetRounds(t *testing.T) {
 // impossible; Close must report it rather than leave a misleading header.
 func TestStreamRecorderSetRoundsNonSeekable(t *testing.T) {
 	var buf bytes.Buffer
-	sr, err := NewStreamRecorder(&buf, sampleTrace().Header, true)
+	sr, err := NewStreamRecorder(&buf, sampleTrace().Header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +229,7 @@ func TestStreamRecorderSetRoundsNonSeekable(t *testing.T) {
 // error and surface at Close.
 func TestStreamRecorderValidates(t *testing.T) {
 	var buf bytes.Buffer
-	sr, err := NewStreamRecorder(&buf, sampleTrace().Header, true)
+	sr, err := NewStreamRecorder(&buf, sampleTrace().Header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +248,7 @@ func TestReadStatsMatchesComputeStats(t *testing.T) {
 	src := sampleTrace()
 	want := ComputeStats(src)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, src); err != nil {
+	if err := Write(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	_, got, err := ReadStats(&buf)
@@ -298,48 +268,13 @@ func TestReadStatsMatchesComputeStats(t *testing.T) {
 	}
 }
 
-// TestCompareReadersMatchesCompare: the streaming diff must equal the
-// in-memory one, including on traces that genuinely differ.
-func TestCompareReadersMatchesCompare(t *testing.T) {
-	a := sampleTrace()
-	b := sampleTrace()
-	// Perturb B: shift one time (within order), drop one event, add one.
-	b.Events[5].Time += 0.0005
-	b.Events = append(b.Events[:2], b.Events[3:]...)
-	b.Events = append(b.Events, Event{Time: 0.9, Kind: KindTrainDone, Node: 2, Peer: -1, Iter: 1})
-	want := Compare(a, b)
-
-	var ab, bb bytes.Buffer
-	if err := WriteBinary(&ab, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&bb, b); err != nil {
-		t.Fatal(err)
-	}
-	ra, err := NewStreamReader(&ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := NewStreamReader(&bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CompareReaders(ra, rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("streaming diff %+v differs from %+v", got, want)
-	}
-}
-
 // TestStreamRecorderRecordAllocationFree: the async engine calls Record for
 // every send, arrival and aggregation — about a million times on a 2048-node
-// run — so the binary path must not allocate: no closure, no escaping event,
+// run — so it must not allocate: no closure, no escaping event,
 // no per-event buffer.
 func TestStreamRecorderRecordAllocationFree(t *testing.T) {
 	src := sampleTrace()
-	sr, err := NewStreamRecorder(io.Discard, src.Header, true)
+	sr, err := NewStreamRecorder(io.Discard, src.Header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +292,6 @@ func TestStreamRecorderRecordAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("Record allocates %.2f times per event in the binary format, want 0", avg)
+		t.Fatalf("Record allocates %.2f times per event, want 0", avg)
 	}
 }

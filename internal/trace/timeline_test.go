@@ -91,72 +91,70 @@ func countByName(recs []tlRecord) map[string]int {
 
 func TestWriteTimelineMixedKinds(t *testing.T) {
 	tr := mixedKindTrace()
-	for _, bin := range []bool{false, true} {
-		var enc bytes.Buffer
-		sr, err := NewStreamRecorder(&enc, tr.Header, bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range tr.Events {
-			sr.Record(ev)
-		}
-		if err := sr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		reader, err := NewStreamReader(&enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		n, err := WriteTimeline(&out, reader)
-		if err != nil {
-			t.Fatalf("bin=%v: %v", bin, err)
-		}
-		recs := decodeTimeline(t, out.Bytes())
-		if len(recs) != n {
-			t.Fatalf("bin=%v: reported %d records, decoded %d", bin, n, len(recs))
-		}
-		names := countByName(recs)
-		// Metadata: process_name + run thread + 3 node threads.
-		if names["process_name"] != 1 || names["thread_name"] != 4 {
-			t.Fatalf("bin=%v: metadata counts %v", bin, names)
-		}
-		if names[timelineTrain] != 2 {
-			t.Fatalf("bin=%v: train spans = %d, want 2", bin, names[timelineTrain])
-		}
-		if names[timelineWait] != 2 {
-			t.Fatalf("bin=%v: wait spans = %d, want 2", bin, names[timelineWait])
-		}
-		if names[timelineBytes] != 2 {
-			t.Fatalf("bin=%v: byte counter records = %d, want 2", bin, names[timelineBytes])
-		}
-		if names[timelineDrop] != 1 || names["deadline"] != 1 || names["leave"] != 1 ||
-			names["join"] != 1 || names[timelineEpoch] != 1 {
-			t.Fatalf("bin=%v: marker counts %v", bin, names)
-		}
-		// The wait span of node 0 runs train-done (10ms) → aggregate (17ms).
-		for _, r := range recs {
-			if *r.Name == timelineWait && *r.Tid == 0 {
-				if *r.Ts != 10000 || *r.Dur != 7000 {
-					t.Fatalf("bin=%v: node-0 wait span ts=%d dur=%d, want 10000/7000", bin, *r.Ts, *r.Dur)
-				}
+	var enc bytes.Buffer
+	sr, err := NewStreamRecorder(&enc, tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.Events {
+		sr.Record(ev)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := NewStreamReader(&enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	n, err := WriteTimeline(&out, reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := decodeTimeline(t, out.Bytes())
+	if len(recs) != n {
+		t.Fatalf("reported %d records, decoded %d", n, len(recs))
+	}
+	names := countByName(recs)
+	// Metadata: process_name + run thread + 3 node threads.
+	if names["process_name"] != 1 || names["thread_name"] != 4 {
+		t.Fatalf("metadata counts %v", names)
+	}
+	if names[timelineTrain] != 2 {
+		t.Fatalf("train spans = %d, want 2", names[timelineTrain])
+	}
+	if names[timelineWait] != 2 {
+		t.Fatalf("wait spans = %d, want 2", names[timelineWait])
+	}
+	if names[timelineBytes] != 2 {
+		t.Fatalf("byte counter records = %d, want 2", names[timelineBytes])
+	}
+	if names[timelineDrop] != 1 || names["deadline"] != 1 || names["leave"] != 1 ||
+		names["join"] != 1 || names[timelineEpoch] != 1 {
+		t.Fatalf("marker counts %v", names)
+	}
+	// The wait span of node 0 runs train-done (10ms) → aggregate (17ms).
+	for _, r := range recs {
+		if *r.Name == timelineWait && *r.Tid == 0 {
+			if *r.Ts != 10000 || *r.Dur != 7000 {
+				t.Fatalf("node-0 wait span ts=%d dur=%d, want 10000/7000", *r.Ts, *r.Dur)
 			}
 		}
-		// The counter series is cumulative.
-		var last int64 = -1
-		for _, r := range recs {
-			if *r.Name != timelineBytes {
-				continue
-			}
-			b := int64(r.Args["bytes"].(float64))
-			if b <= last {
-				t.Fatalf("bin=%v: byte counter not increasing: %d after %d", bin, b, last)
-			}
-			last = b
+	}
+	// The counter series is cumulative.
+	var last int64 = -1
+	for _, r := range recs {
+		if *r.Name != timelineBytes {
+			continue
 		}
-		if last != 220 {
-			t.Fatalf("bin=%v: final cumulative bytes = %d, want 220", bin, last)
+		b := int64(r.Args["bytes"].(float64))
+		if b <= last {
+			t.Fatalf("byte counter not increasing: %d after %d", b, last)
 		}
+		last = b
+	}
+	if last != 220 {
+		t.Fatalf("final cumulative bytes = %d, want 220", last)
 	}
 }
 
@@ -170,7 +168,7 @@ func TestWriteTimelineFileTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mixedKindTrace()
-	sr, err := NewStreamRecorder(f, tr.Header, true)
+	sr, err := NewStreamRecorder(f, tr.Header)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@
 // byte breakdowns, per-aggregation staleness lags, and topology-rotation
 // marks.
 //
-// Two encodings carry the same data: JSONL (one JSON object per line,
-// greppable, diff-friendly) and a compact binary variant (varint-packed,
-// roughly 5x smaller). Both end with an explicit footer carrying the event
-// count so truncation is always detectable. Readers validate strictly and
-// report typed errors (ErrNotTrace, ErrVersion, ErrTruncated, ErrCorrupt).
+// One encoding carries the data: the compact binary .jtb layout (a JSON
+// header, then varint-packed events), ending with an explicit footer that
+// carries the event count so truncation is always detectable. Readers
+// validate strictly and report typed errors (ErrNotTrace, ErrVersion,
+// ErrTruncated, ErrCorrupt). `jwins-trace dump` prints the greppable
+// one-line-per-event view.
 //
 // A recorded trace is a complete, authoritative schedule: feeding it back
 // into the async engine (see Replayer and simulation.AsyncConfig.Replay)
@@ -22,7 +23,7 @@ import (
 	"math"
 )
 
-// FormatName identifies trace files in the JSONL header line.
+// FormatName identifies trace files in the header.
 const FormatName = "jwins-trace"
 
 // FormatVersion is the current trace format version. Readers reject other
@@ -80,14 +81,6 @@ var kindNames = map[Kind]string{
 	KindDeadline:  "deadline",
 }
 
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	if n, ok := kindNames[k]; ok {
@@ -99,29 +92,8 @@ func (k Kind) String() string {
 // Valid reports whether k is a known event kind.
 func (k Kind) Valid() bool { return k >= KindTrainDone && k < kindEnd }
 
-// MarshalJSON encodes the kind as its short name.
-func (k Kind) MarshalJSON() ([]byte, error) {
-	n, ok := kindNames[k]
-	if !ok {
-		return nil, fmt.Errorf("trace: cannot marshal %v", k)
-	}
-	return []byte(`"` + n + `"`), nil
-}
-
-// UnmarshalJSON decodes a short kind name.
-func (k *Kind) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("trace: kind must be a string, got %s", b)
-	}
-	v, ok := kindByName[string(b[1:len(b)-1])]
-	if !ok {
-		return fmt.Errorf("trace: unknown kind %s", b)
-	}
-	*k = v
-	return nil
-}
-
-// Header describes the run a trace was captured from.
+// Header describes the run a trace was captured from. It travels as JSON
+// inside the binary layout.
 type Header struct {
 	// Format is FormatName; readers reject anything else.
 	Format string `json:"format"`
@@ -172,27 +144,28 @@ const (
 type Event struct {
 	// Time is seconds since run start (simulated seconds for a "sim"
 	// trace). Within a trace, times are non-decreasing.
-	Time float64 `json:"t"`
-	Kind Kind    `json:"k"`
+	Time float64
+	Kind Kind
 	// Node is the subject: trainer, sender, receiver, aggregator, or churner.
-	Node int `json:"n"`
+	Node int
 	// Peer is the counterpart (receiver for send, sender for arrival), or -1
 	// when not applicable.
-	Peer int `json:"p"`
+	Peer int
 	// Iter is the iteration the event belongs to.
-	Iter int `json:"i"`
+	Iter int
 	// Dropped marks lost deliveries (send and arrival only).
-	Dropped bool `json:"d,omitempty"`
+	Dropped bool
 	// Bytes/ModelBytes/MetaBytes are the send's wire cost (send only).
-	Bytes      int `json:"b,omitempty"`
-	ModelBytes int `json:"bm,omitempty"`
-	MetaBytes  int `json:"bx,omitempty"`
+	Bytes      int
+	ModelBytes int
+	MetaBytes  int
 	// LagMax/LagMean/LagN summarize staleness at an aggregation: per merged
 	// payload, lag = aggregator's iteration - payload's iteration, clamped at
 	// zero (a neighbor running ahead is not stale). LagN counts payloads.
-	LagMax  int     `json:"lx,omitempty"`
-	LagMean float64 `json:"lm,omitempty"`
-	LagN    int     `json:"ln,omitempty"`
+	// LagMean travels on aggregate events only.
+	LagMax  int
+	LagMean float64
+	LagN    int
 }
 
 // Trace is a fully-read trace: header plus the complete event sequence.
@@ -291,7 +264,7 @@ type RoundsSetter interface {
 
 // Recorder accumulates a trace in memory as a run executes. The zero-cost
 // hook for the async engine (simulation.AsyncConfig.Record); write the
-// result out with Write/WriteBinary/WriteFile.
+// result out with Write/WriteFile.
 type Recorder struct {
 	t Trace
 }

@@ -1,102 +1,38 @@
-// writer.go serializes traces. JSONL: a header object line, one event object
-// per line, and a {"end":true,"events":N} footer. Binary: "JWTR" magic, a
-// version byte, the JSON header length-prefixed, then varint-packed events
-// terminated by a zero kind byte and the event count. The footer/count makes
-// truncation detectable in both encodings.
+// writer.go serializes traces in the binary layout: "JWTR" magic, a version
+// byte, the JSON header length-prefixed, then varint-packed events
+// terminated by a zero kind byte and the event count. The count makes
+// truncation detectable.
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strings"
 )
 
-// binaryMagic opens every binary trace; JSONL traces open with '{'.
+// binaryMagic opens every trace.
 var binaryMagic = [4]byte{'J', 'W', 'T', 'R'}
 
-// footer terminates a JSONL trace.
-type footer struct {
-	End    bool `json:"end"`
-	Events int  `json:"events"`
-}
-
-// BinaryExt is the conventional file extension for the binary encoding;
-// WriteFile and ReadFile key on it.
+// BinaryExt is the conventional file extension of a trace.
 const BinaryExt = ".jtb"
 
-// Write emits t as JSONL. The header is validated against the events first,
-// so a malformed recording never reaches disk.
+// Write emits t. The header is validated against the events first, so a
+// malformed recording never reaches disk; the bytes are then exactly those
+// of a StreamRecorder fed the same events, because that is what writes them.
 func Write(w io.Writer, t *Trace) error {
 	if err := Validate(t.Header, t.Events); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
-	if err := enc.Encode(t.Header); err != nil {
-		return err
-	}
-	for i := range t.Events {
-		if err := enc.Encode(&t.Events[i]); err != nil {
-			return err
-		}
-	}
-	if err := enc.Encode(footer{End: true, Events: len(t.Events)}); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteBinary emits t in the compact binary encoding.
-func WriteBinary(w io.Writer, t *Trace) error {
-	if err := Validate(t.Header, t.Events); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, _, err := writeBinaryHeader(bw, t.Header); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, maxBinaryEventLen)
-	for i := range t.Events {
-		buf = appendBinaryEvent(buf[:0], &t.Events[i])
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(appendBinaryEnd(buf[:0], len(t.Events))); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeBinaryHeader emits the binary preamble (magic, version byte, length-
-// prefixed JSON header) and returns the byte offset and length of the JSON
-// payload within the stream, which StreamRecorder uses for its padded header
-// rewrite on early-stopped runs.
-func writeBinaryHeader(bw *bufio.Writer, h Header) (jsonOff, jsonLen int64, err error) {
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return 0, 0, err
-	}
-	if err := bw.WriteByte(FormatVersion); err != nil {
-		return 0, 0, err
-	}
-	hdr, err := json.Marshal(h)
+	s, err := NewStreamRecorder(w, t.Header)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(hdr)))
-	if _, err := bw.Write(scratch[:n]); err != nil {
-		return 0, 0, err
+	for i := range t.Events {
+		s.Record(t.Events[i])
 	}
-	if _, err := bw.Write(hdr); err != nil {
-		return 0, 0, err
-	}
-	return int64(len(binaryMagic) + 1 + n), int64(len(hdr)), nil
+	return s.Close()
 }
 
 // maxBinaryEventLen bounds one encoded event: kind, flags, the timestamp,
@@ -132,18 +68,13 @@ func appendBinaryEnd(dst []byte, events int) []byte {
 	return binary.AppendUvarint(append(dst, 0), uint64(events))
 }
 
-// WriteFile writes t to path, choosing the encoding by extension: BinaryExt
-// selects binary, everything else JSONL.
+// WriteFile writes t to path.
 func WriteFile(path string, t *Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, BinaryExt) {
-		err = WriteBinary(f, t)
-	} else {
-		err = Write(f, t)
-	}
+	err = Write(f, t)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
