@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/digesttest"
 	"repro/internal/vec"
 )
 
@@ -72,7 +73,7 @@ func TestWireDigests(t *testing.T) {
 				h.Write(buf)
 			}
 			name := fc.Name() + "/" + modeName
-			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] && !digesttest.Update(t, want[name], got) {
 				t.Errorf("%s: digest %s, want %s", name, got, want[name])
 			}
 		}
@@ -116,7 +117,7 @@ func TestBitCodecRoundTripDigests(t *testing.T) {
 				}
 			}
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[fc.Name()] {
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[fc.Name()] && !digesttest.Update(t, want[fc.Name()], got) {
 			t.Errorf("%s: digest %s, want %s", fc.Name(), got, want[fc.Name()])
 		}
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // bandNode builds a 16-dim, 2-level haar JWINS node whose coefficient layout
-// is exactly [cA2: 0-3 | cD2: 4-7 | cD1: 8-15], with a zeroed accumulator
-// the tests write into directly, and a working set taken the way Share takes
-// one (released when the test ends).
-func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch) {
+// is exactly [cA2: 0-3 | cD2: 4-7 | cD1: 8-15], a zeroed score vector the
+// tests write into directly, and a working set taken the way Share takes one
+// (released when the test ends).
+func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch, []float64) {
 	t.Helper()
 	cfg := DefaultJWINSConfig()
 	cfg.Wavelet = "haar"
@@ -24,12 +24,9 @@ func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch) {
 	if n.CoeffDim() != 16 {
 		t.Fatalf("coeffDim %d, want 16", n.CoeffDim())
 	}
-	for i := range n.acc {
-		n.acc[i] = 0
-	}
 	s := AcquireScratch()
 	t.Cleanup(s.Release)
-	return n, s
+	return n, s, make([]float64, n.CoeffDim())
 }
 
 func assertSelection(t *testing.T, got, want []int) {
@@ -50,55 +47,55 @@ func assertSelection(t *testing.T, got, want []int) {
 // TestBandAdaptiveZeroMassBands: bands with zero accumulated mass receive no
 // budget; the whole budget lands in the single live band.
 func TestBandAdaptiveZeroMassBands(t *testing.T) {
-	n, s := bandNode(t, false)
-	n.acc[0] = 5
-	n.acc[1] = 3
-	assertSelection(t, n.bandAdaptiveTopK(s, 2), []int{0, 1})
+	n, s, scores := bandNode(t, false)
+	scores[0] = 5
+	scores[1] = 3
+	assertSelection(t, n.bandAdaptiveTopK(s, scores, 2), []int{0, 1})
 }
 
-// TestBandAdaptiveZeroTotalMass: an all-zero accumulator falls back to the
+// TestBandAdaptiveZeroTotalMass: all-zero scores fall back to the
 // global ranking, whose zero ties break toward the lowest indices.
 func TestBandAdaptiveZeroTotalMass(t *testing.T) {
-	n, s := bandNode(t, false)
-	assertSelection(t, n.bandAdaptiveTopK(s, 3), []int{0, 1, 2})
+	n, s, scores := bandNode(t, false)
+	assertSelection(t, n.bandAdaptiveTopK(s, scores, 3), []int{0, 1, 2})
 }
 
 // TestBandAdaptiveTinyMassGetsOne: a band whose proportional budget rounds
 // to zero still contributes its single largest coefficient when its mass is
 // non-zero, and the k cap truncates in band order.
 func TestBandAdaptiveTinyMassGetsOne(t *testing.T) {
-	n, s := bandNode(t, false)
-	n.acc[0] = 0.001 // cA2: rounds to zero budget, bumped to one
+	n, s, scores := bandNode(t, false)
+	scores[0] = 0.001 // cA2: rounds to zero budget, bumped to one
 	for i := 8; i < 16; i++ {
-		n.acc[i] = 1 // cD1 holds effectively all the mass
+		scores[i] = 1 // cD1 holds effectively all the mass
 	}
-	assertSelection(t, n.bandAdaptiveTopK(s, 2), []int{0, 8})
+	assertSelection(t, n.bandAdaptiveTopK(s, scores, 2), []int{0, 8})
 }
 
 // TestBandAdaptiveFullBudget: k = coeffDim selects everything.
 func TestBandAdaptiveFullBudget(t *testing.T) {
-	n, s := bandNode(t, false)
-	for i := range n.acc {
-		n.acc[i] = 1
+	n, s, scores := bandNode(t, false)
+	for i := range scores {
+		scores[i] = 1
 	}
 	want := make([]int, 16)
 	for i := range want {
 		want[i] = i
 	}
-	assertSelection(t, n.bandAdaptiveTopK(s, 16), want)
+	assertSelection(t, n.bandAdaptiveTopK(s, scores, 16), want)
 }
 
 // TestBandAdaptiveSingleBandFallback: without a wavelet the transform has a
 // single (identity) band and no band table, so selection degrades to the
 // plain global TopK.
 func TestBandAdaptiveSingleBandFallback(t *testing.T) {
-	n, s := bandNode(t, true)
-	n.acc[3] = 2
-	n.acc[11] = 5
-	n.acc[12] = 1
-	got := n.bandAdaptiveTopK(s, 2)
+	n, s, scores := bandNode(t, true)
+	scores[3] = 2
+	scores[11] = 5
+	scores[12] = 1
+	got := n.bandAdaptiveTopK(s, scores, 2)
 	assertSelection(t, got, []int{3, 11})
-	want := sparsify.TopKIndices(n.acc, 2)
+	want := sparsify.TopKIndices(scores, 2)
 	assertSelection(t, got, want)
 }
 
@@ -107,9 +104,9 @@ func TestBandAdaptiveSingleBandFallback(t *testing.T) {
 // order — here the zero ties fill lowest-index-first — and the result stays
 // ascending.
 func TestBandAdaptiveRemainderFill(t *testing.T) {
-	n, s := bandNode(t, false)
+	n, s, scores := bandNode(t, false)
 	for i := 4; i < 8; i++ {
-		n.acc[i] = 1 // cD2 is the only live band, 4 slots, k = 6
+		scores[i] = 1 // cD2 is the only live band, 4 slots, k = 6
 	}
-	assertSelection(t, n.bandAdaptiveTopK(s, 6), []int{0, 1, 4, 5, 6, 7})
+	assertSelection(t, n.bandAdaptiveTopK(s, scores, 6), []int{0, 1, 4, 5, 6, 7})
 }

@@ -377,11 +377,12 @@ func TestJWINSAccumulatorReset(t *testing.T) {
 	}
 	// Shared index 3 was reset; no averaging change happened (self weight 1),
 	// so its score must be ~0 while index 7 keeps its accumulated score.
-	if math.Abs(node.acc[3]) > 1e-6 {
-		t.Fatalf("acc[3] = %v, want ~0 after reset", node.acc[3])
+	v := node.Accumulator()
+	if math.Abs(v[3]) > 1e-6 {
+		t.Fatalf("V[3] = %v, want ~0 after reset", v[3])
 	}
-	if math.Abs(node.acc[7]-0.1) > 1e-6 {
-		t.Fatalf("acc[7] = %v, want 0.1 retained", node.acc[7])
+	if math.Abs(v[7]-0.1) > 1e-6 {
+		t.Fatalf("V[7] = %v, want 0.1 retained", v[7])
 	}
 }
 

@@ -58,8 +58,8 @@ func TestWorkingSetsBoundedByParallelism(t *testing.T) {
 // TestFleetRetainedMemory holds a fleet to the memory of its state: after two
 // synchronous rounds and a forced GC, the heap may have grown per node by the
 // model plus what the algorithm carries between calls — for JWINS the
-// accumulator, the round baseline and the shared coefficients, plus the
-// k-sized copy of the selected indices; for full sharing nothing — with a
+// accumulator and the shared coefficients, plus the k-sized copy of the
+// selected indices; for full sharing nothing — with a
 // quarter on top for loaders, wrappers and the few fleet-shared working sets.
 // Before the call scratch moved out of the nodes a JWINS node retained about
 // sixteen such vectors and a full-sharing node three.
@@ -81,7 +81,7 @@ func TestFleetRetainedMemory(t *testing.T) {
 		kind  experiments.Algo
 		state float64 // bytes per node
 	}{
-		{experiments.AlgoJWINS, model + 3*8*float64(coeffDim) + maxPartialK*8*float64(coeffDim)},
+		{experiments.AlgoJWINS, model + 2*8*float64(coeffDim) + maxPartialK*8*float64(coeffDim)},
 		{experiments.AlgoFull, model},
 	} {
 		core.ResetScratchList()

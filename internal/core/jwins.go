@@ -35,26 +35,12 @@ type JWINSConfig struct {
 	// DisableRandomCutoff always shares the mean of the alpha distribution.
 	DisableRandomCutoff bool
 
-	// AccumulateLiteralEq4 switches the accumulator update to the literal
-	// reading of eq. (4): V <- zeroShared(V') + DWT(x^(t+1,0) - x^(t,0)),
-	// which re-adds the local change for unshared coefficients. The default
-	// (false) adds only the averaging-induced change DWT(x^(t+1,0) - x^(t,tau)),
-	// so unshared coefficients accumulate the total round change exactly once.
-	// See DESIGN.md, "Equation (4) ambiguity".
-	AccumulateLiteralEq4 bool
-
 	// BandAdaptive implements the paper's future-work direction of adapting
 	// the selection to parameter structure: the round's coefficient budget K
 	// is split across wavelet sub-bands in proportion to each band's
 	// accumulated importance mass, and TopK runs inside each band. Ignored
 	// when the wavelet is disabled.
 	BandAdaptive bool
-
-	// AccumulationDecay in (0, 1] multiplies the carried-over importance
-	// scores before each round's update, discounting stale accumulated
-	// changes — the concern Deep Gradient Compression (cited in Section V)
-	// addresses with momentum correction. 0 or 1 keeps the paper's plain sum.
-	AccumulationDecay float64
 }
 
 // DefaultJWINSConfig returns the paper's configuration: 4-level sym2 wavelets,
@@ -70,7 +56,13 @@ func DefaultJWINSConfig() JWINSConfig {
 
 // JWINSNode implements Algorithm 1 of the paper. Its fields are the state the
 // algorithm's equations carry from one call to the next; every other buffer
-// a call needs comes from the Scratch the call runs in.
+// a call needs comes from the Scratch the call runs in. Eq. (4) is read as
+// error feedback that counts each local change once, V <- zeroShared(V') +
+// DWT(x^(t+1,0)) - DWT(x^(t,tau)), and telescoped: the node carries
+// base = DWT(x) - V, per coefficient the value it last went out at (DWT(x^0)
+// until it first does), so a round runs one forward and one inverse
+// transform, and a Share repeated with no Aggregate between (a node rejoining
+// after churn) counts its change once.
 type JWINSNode struct {
 	baseNode
 	cfg  JWINSConfig
@@ -79,9 +71,10 @@ type JWINSNode struct {
 
 	dim       int       // flat parameter dimension
 	coeffDim  int       // coefficient vector dimension
-	acc       []float64 // V: accumulated importance scores (coeff domain)
-	startPar  []float64 // x^(t,0)
+	base      []float64 // DWT(x) - V: the coefficients the importance scores V are measured from
 	curCoeffs []float64 // DWT(x^(t,tau)), computed in Share, averaged in Aggregate
+	start     []float64 // x^0 until base's first transform (begin), nil after
+	view      []float64 // Accumulator's V until the next Share or Aggregate; empty when stale
 
 	// lastShared is the node's own copy of the indices shared this round,
 	// sized to the round's k (never to coeffDim): a full share (k == coeffDim)
@@ -135,19 +128,49 @@ func NewJWINS(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 		rng:       rng,
 		dim:       dim,
 		coeffDim:  cd,
-		acc:       make([]float64, cd),
-		startPar:  make([]float64, dim),
+		base:      make([]float64, cd),
 		curCoeffs: make([]float64, cd),
 	}
-	model.CopyParams(n.startPar)
+	// V^0 = 0, so base = DWT(x^0), transformed on the node's first call; a
+	// copy-on-write model that has not diverged lends its shared x^0.
+	if sp, ok := model.(interface{ SharedParams() []float64 }); ok {
+		n.start = sp.SharedParams()
+	}
+	if n.start == nil {
+		n.start = make([]float64, dim)
+		model.CopyParams(n.start)
+	}
 	return n, nil
+}
+
+// begin takes a call's working set, runs base's deferred first transform,
+// DWT(x^0), and drops the cached V.
+func (n *JWINSNode) begin() *Scratch {
+	s := AcquireScratch()
+	if n.start != nil {
+		n.forward(s, n.start, n.base)
+		n.start = nil
+	}
+	n.view = n.view[:0]
+	return s
 }
 
 // CoeffDim returns the wavelet coefficient dimension.
 func (n *JWINSNode) CoeffDim() int { return n.coeffDim }
 
-// Accumulator returns the live importance-score vector V (read-only use).
-func (n *JWINSNode) Accumulator() []float64 { return n.acc }
+// Accumulator returns the importance scores V = DWT(x) - base (read-only
+// use): V' after a Share, the carried V after an Aggregate. It is computed
+// once per Share or Aggregate, so training after its first call is not seen.
+func (n *JWINSNode) Accumulator() []float64 {
+	if len(n.view) == 0 {
+		s := n.begin()
+		defer s.Release()
+		n.model.CopyParams(vec.Grow(&s.Params, n.dim))
+		n.forward(s, s.Params, vec.Grow(&n.view, n.coeffDim))
+		vec.Sub(n.view, n.base)
+	}
+	return n.view
+}
 
 // forward writes the coefficients of x into out, running the plan's DWT in
 // the call's scratch (the identity under DisableWavelet).
@@ -159,49 +182,35 @@ func (n *JWINSNode) forward(s *Scratch, x, out []float64) {
 	n.plan.Forward(x, out, &s.dwt)
 }
 
-// Share implements lines 5-8 of Algorithm 1: accumulate the wavelet-domain
-// model change, sample the cut-off, select TopK of the accumulated scores,
-// and encode the selected coefficients of DWT(x^(t,tau)) with compressed
-// index metadata.
+// Share implements lines 5-8 of Algorithm 1: sample the cut-off, score the
+// coefficients of DWT(x^(t,tau)) by their accumulated change
+// V' = DWT(x^(t,tau)) - base (eq. 3), select TopK of the scores, and encode
+// the selected coefficients with compressed index metadata.
 func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	s := AcquireScratch()
+	s := n.begin()
 	defer s.Release()
 	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
-	vec.DiffInto(vec.Grow(&s.DeltaPar, n.dim), s.Params, n.startPar)
-	n.forward(s, s.DeltaPar, vec.Grow(&s.deltaCoeff, n.coeffDim))
-
-	// V' = V + DWT(x^(t,tau) - x^(t,0))   (eq. 3)
-	switch {
-	case n.cfg.DisableAccumulation:
-		copy(n.acc, s.deltaCoeff)
-	case n.cfg.AccumulationDecay > 0 && n.cfg.AccumulationDecay < 1:
-		vec.Scale(n.acc, n.cfg.AccumulationDecay)
-		vec.Add(n.acc, s.deltaCoeff)
-	default:
-		vec.Add(n.acc, s.deltaCoeff)
-	}
+	n.forward(s, s.Params, n.curCoeffs)
 
 	// Randomized cut-off (line 6).
-	alpha := n.cfg.Alphas.Mean()
+	n.LastAlpha = n.cfg.Alphas.Mean()
 	if !n.cfg.DisableRandomCutoff {
-		alpha = n.cfg.Alphas.Sample(n.rng)
+		n.LastAlpha = n.cfg.Alphas.Sample(n.rng)
 	}
-	n.LastAlpha = alpha
-	k := int(math.Round(alpha * float64(n.coeffDim)))
-	if k < 1 {
-		k = 1
-	}
+	k := max(1, int(math.Round(n.LastAlpha*float64(n.coeffDim))))
 
 	// TopK over accumulated importance (line 7), optionally split per band.
 	// A full share has nothing to rank: it sends and resets every coefficient.
 	n.lastShared = n.lastShared[:0]
 	n.fullShare = k >= n.coeffDim
 	if !n.fullShare {
+		scores := vec.Grow(&s.scores, n.coeffDim)
+		vec.DiffInto(scores, n.curCoeffs, n.base)
 		var sel []int
 		if n.cfg.BandAdaptive {
-			sel = n.bandAdaptiveTopK(s, k)
+			sel = n.bandAdaptiveTopK(s, scores, k)
 		} else {
-			sel = sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
+			sel = sparsify.TopKIndicesWith(&s.TopK, scores, k)
 		}
 		if cap(n.lastShared) < k {
 			n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
@@ -210,7 +219,6 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	}
 
 	// Share DWT(x^(t,tau))[I] with compressed indices (line 8).
-	n.forward(s, s.Params, n.curCoeffs)
 	sv := codec.SparseVector{Dim: n.coeffDim}
 	mode := codec.IndexGamma
 	if n.fullShare {
@@ -228,7 +236,7 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 // partial wavelet vectors with the node's own coefficients (per-coefficient,
 // weight-normalized), invert the transform, and update the accumulator.
 func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
-	s := AcquireScratch()
+	s := n.begin()
 	defer s.Release()
 	if err := s.merge(n.cache, n.curCoeffs, w, msgs); err != nil {
 		return err
@@ -239,57 +247,49 @@ func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 		n.plan.Inverse(s.avg, vec.Grow(&s.newParams, n.dim), &s.dwt)
 	}
 	n.model.SetParams(s.newParams)
-	if !n.cfg.DisableAccumulation {
-		// Reset V for the coefficients just shared (line 12), then fold in the
-		// round's remaining model change (eq. 4): V += DWT(x^(t+1,0)) -
-		// DWT(x^(t,tau)), or - DWT(x^(t,0)) under the literal reading.
-		if n.fullShare {
-			clear(n.acc)
-		}
+	// Reset V for the coefficients just shared (line 12) and fold in the
+	// round's remaining change (eq. 4): base[I] = DWT(x^(t,tau))[I].
+	switch {
+	case n.cfg.DisableAccumulation:
+		// V is the next round's change alone: base = DWT(x^(t+1,0)).
+		n.forward(s, s.newParams, n.base)
+	case n.fullShare:
+		copy(n.base, n.curCoeffs)
+	default:
 		for _, idx := range n.lastShared {
-			n.acc[idx] = 0
-		}
-		n.forward(s, s.newParams, vec.Grow(&s.installed, n.coeffDim))
-		from := n.curCoeffs
-		if n.cfg.AccumulateLiteralEq4 {
-			from = vec.Grow(&s.startCoeffs, n.coeffDim)
-			n.forward(s, n.startPar, from)
-		}
-		for k := range n.acc {
-			n.acc[k] += s.installed[k] - from[k]
+			n.base[idx] = n.curCoeffs[idx]
 		}
 	}
-	copy(n.startPar, s.newParams)
 	return nil
 }
 
 // bandAdaptiveTopK distributes the budget k over wavelet sub-bands
-// proportionally to each band's accumulated |V| mass, then selects TopK
-// inside each band. Bands whose share rounds to zero still contribute their
-// single largest coefficient when mass is non-zero, and any remainder is
-// filled from the globally best unselected coefficients.
-// Every call runs through the call's scratch (bandMasses, bandSel, bandOut,
-// the shared top-k scratch): the band path is on the share hot path for
-// band-adaptive fleets and must stay allocation-free in steady state. Each
-// top-k call's result is consumed before the next reuses the scratch; the
-// returned slice stays valid until the scratch's next selection.
-func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, k int) []int {
+// proportionally to each band's |scores| mass, then selects TopK inside each
+// band. Bands whose share rounds to zero still contribute their single
+// largest coefficient when mass is non-zero, and any remainder is filled from
+// the globally best unselected coefficients. Every call runs through the
+// call's scratch (bandMasses, bandSel, bandOut, the shared top-k scratch):
+// the band path is on the share hot path for band-adaptive fleets and must
+// stay allocation-free in steady state. Each top-k call's result is consumed
+// before the next reuses the scratch; the returned slice stays valid until
+// the scratch's next selection.
+func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int {
 	if n.plan == nil {
-		return sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
+		return sparsify.TopKIndicesWith(&s.TopK, scores, k)
 	}
 	bands := n.plan.Bands()
 	s.bandMasses = s.bandMasses[:0]
 	var total float64
 	for _, b := range bands {
 		var m float64
-		for _, v := range n.acc[b.Offset : b.Offset+b.Len] {
+		for _, v := range scores[b.Offset : b.Offset+b.Len] {
 			m += math.Abs(v)
 		}
 		s.bandMasses = append(s.bandMasses, m)
 		total += m
 	}
 	if total == 0 {
-		return sparsify.TopKIndicesWith(&s.TopK, n.acc, k)
+		return sparsify.TopKIndicesWith(&s.TopK, scores, k)
 	}
 	if s.bandSel == nil {
 		s.bandSel = make(map[int]bool, k)
@@ -307,7 +307,7 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, k int) []int {
 		if kb == 0 {
 			continue
 		}
-		local := sparsify.TopKIndicesWith(&s.TopK, n.acc[b.Offset:b.Offset+b.Len], kb)
+		local := sparsify.TopKIndicesWith(&s.TopK, scores[b.Offset:b.Offset+b.Len], kb)
 		for _, li := range local {
 			if len(selected) >= k {
 				break
@@ -317,7 +317,7 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, k int) []int {
 	}
 	// Fill any remainder from the global ranking.
 	if len(selected) < k {
-		for _, idx := range sparsify.TopKIndicesWith(&s.TopK, n.acc, k+len(selected)) {
+		for _, idx := range sparsify.TopKIndicesWith(&s.TopK, scores, k+len(selected)) {
 			if len(selected) >= k {
 				break
 			}

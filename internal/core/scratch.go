@@ -23,13 +23,11 @@ import (
 // before it is read. The exported fields are the part CHOCO's Share, in
 // internal/choco, runs through.
 type Scratch struct {
-	Params      []float64 // model snapshot x^(t,tau)
-	DeltaPar    []float64 // x^(t,tau) - x^(t,0)
-	deltaCoeff  []float64 // DWT of DeltaPar
-	avg         []float64 // weight-normalized average of own and received vectors
-	newParams   []float64 // inverse transform of avg
-	installed   []float64 // DWT of the installed parameters (eq. 4)
-	startCoeffs []float64 // DWT of x^(t,0) (literal eq. 4 only)
+	Params    []float64 // model snapshot x^(t,tau)
+	DeltaPar  []float64 // CHOCO's x - x̂
+	scores    []float64 // JWINS's V' = DWT(x^(t,tau)) - base
+	avg       []float64 // weight-normalized average of own and received vectors
+	newParams []float64 // inverse transform of avg
 
 	Vals []float64 // gathered values for the payload
 	TopK sparsify.TopKScratch

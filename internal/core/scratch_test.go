@@ -18,8 +18,7 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.Params, s.DeltaPar, s.deltaCoeff, s.avg, s.newParams,
-			s.installed, s.startCoeffs, s.Vals, s.bandMasses,
+			s.Params, s.DeltaPar, s.scores, s.avg, s.newParams, s.Vals, s.bandMasses,
 		} {
 			buf = buf[:cap(buf)]
 			for i := range buf {
@@ -40,10 +39,10 @@ func mixedFleet(t *testing.T) []Node {
 	opts := TrainOpts{LR: 0.1, LocalSteps: 1}
 	noWavelet := DefaultJWINSConfig()
 	noWavelet.DisableWavelet = true
-	bandEq4 := DefaultJWINSConfig()
-	bandEq4.BandAdaptive = true
-	bandEq4.AccumulateLiteralEq4 = true
-	bandEq4.FloatCodec = codec.Raw32{}
+	bandNoAcc := DefaultJWINSConfig()
+	bandNoAcc.BandAdaptive = true
+	bandNoAcc.DisableAccumulation = true
+	bandNoAcc.FloatCodec = codec.Raw32{}
 	kinds := []struct {
 		dim   int
 		build func(id int, m *stubModel) (Node, error)
@@ -52,7 +51,7 @@ func mixedFleet(t *testing.T) []Node {
 			return NewJWINS(id, m, stubLoader(t, ds), opts, DefaultJWINSConfig(), vec.NewRNG(uint64(500+id)))
 		}},
 		{300, func(id int, m *stubModel) (Node, error) {
-			return NewJWINS(id, m, stubLoader(t, ds), opts, bandEq4, vec.NewRNG(uint64(500+id)))
+			return NewJWINS(id, m, stubLoader(t, ds), opts, bandNoAcc, vec.NewRNG(uint64(500+id)))
 		}},
 		{700, func(id int, m *stubModel) (Node, error) {
 			return NewJWINS(id, m, stubLoader(t, ds), opts, noWavelet, vec.NewRNG(uint64(500+id)))
@@ -86,7 +85,8 @@ func mixedFleet(t *testing.T) []Node {
 // runMixed drives the mixed fleet for a few rounds — every node shares, then
 // every node aggregates its partner's payload, kinds interleaved so
 // consecutive calls never have the same shape — and returns everything
-// observable: each payload, each installed model, each JWINS accumulator.
+// observable: each payload, each installed model, each JWINS accumulator (base
+// and the V it stands for).
 // beforeCall runs before every Share and Aggregate.
 func runMixed(t *testing.T, beforeCall func()) (payloads [][]byte, vectors [][]float64) {
 	t.Helper()
@@ -125,7 +125,7 @@ func runMixed(t *testing.T, beforeCall func()) (payloads [][]byte, vectors [][]f
 			}
 			vectors = append(vectors, vec.Clone(nodes[i].Model().(*stubModel).params))
 			if jn, ok := nodes[i].(*JWINSNode); ok {
-				vectors = append(vectors, vec.Clone(jn.acc))
+				vectors = append(vectors, vec.Clone(jn.base), vec.Clone(jn.Accumulator()))
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // TestLazyFleetMatchesEager: copy-on-write fleets must be bit-identical to
 // eagerly built ones across every algorithm — including CHOCO, whose replica
 // bookkeeping requires all nodes to observe the same initial weights, and
-// JWINS, whose constructor snapshots the start parameters before any model
-// materializes.
+// JWINS, which keeps a reference to the shared start vector and transforms
+// it on the node's first call.
 func TestLazyFleetMatchesEager(t *testing.T) {
 	w, err := ScaleWorkload(8, 3)
 	if err != nil {

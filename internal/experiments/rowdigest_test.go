@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/datasets"
+	"repro/internal/digesttest"
 	"repro/internal/powergossip"
 	"repro/internal/simulation"
 	"repro/internal/topology"
@@ -62,7 +63,7 @@ func TestSyncRowDigest(t *testing.T) {
 					}
 				}
 			}
-			if got, want := hex.EncodeToString(h.Sum(nil)), syncRowDigests[dataset]; got != want {
+			if got, want := hex.EncodeToString(h.Sum(nil)), syncRowDigests[dataset]; got != want && !digesttest.Update(t, want, got) {
 				t.Errorf("row digest moved:\n got  %s\n want %s", got, want)
 			}
 		})
@@ -127,7 +128,7 @@ func TestPowerGossipRowDigest(t *testing.T) {
 			word(math.Float64bits(acc))
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != powerGossipRowDigest {
+	if got := hex.EncodeToString(h.Sum(nil)); got != powerGossipRowDigest && !digesttest.Update(t, powerGossipRowDigest, got) {
 		t.Errorf("powergossip digest moved:\n got  %s\n want %s", got, powerGossipRowDigest)
 	}
 }

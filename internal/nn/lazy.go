@@ -45,14 +45,23 @@ func (l *Lazy) materialize() Trainable {
 func (l *Lazy) ParamCount() int { return l.count }
 
 // CopyParams reads the current parameters. Before materialization that is the
-// shared initial vector — algorithm constructors (e.g. JWINS's accumulated
-// start state) read it without forcing a build.
+// shared initial vector — algorithm constructors read it without forcing a
+// build.
 func (l *Lazy) CopyParams(dst []float64) {
 	if l.m == nil {
 		copy(dst, l.initial)
 		return
 	}
 	l.m.CopyParams(dst)
+}
+
+// SharedParams returns the shared initial vector, read-only, while it is the
+// model's parameters — before materialization — and nil after.
+func (l *Lazy) SharedParams() []float64 {
+	if l.m != nil {
+		return nil
+	}
+	return l.initial
 }
 
 // SetParams is the first write path (aggregation installs averaged weights):

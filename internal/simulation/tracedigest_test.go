@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/datasets"
+	"repro/internal/digesttest"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -57,7 +58,11 @@ func fleetEngineFor(t *testing.T, n, rounds int, epochSec float64, mut func(*Asy
 // the whole fleet and the emission floor stopped being a scan. Aggregation
 // order, sequence numbers and every timestamp are in the trace, so a recheck
 // that visits neighbours in another order, or a floor that lags the scan by
-// one event, changes the digest.
+// one event, changes the digest. Both literals were re-recorded against
+// commit 1bffa23 when the JWINS accumulator telescoped: a node that leaves
+// while waiting shares again on rejoin with no Aggregate between (16 times
+// in a deadline run, twice in a bounded-adaptive one), and the parent added
+// that abandoned iteration's change to V a second time.
 func TestAsyncTraceDigest(t *testing.T) {
 	const (
 		n        = 64
@@ -69,8 +74,8 @@ func TestAsyncTraceDigest(t *testing.T) {
 		policy AggregationPolicy
 		want   string
 	}{
-		{"deadline", DeadlinePolicy{Factor: 1.5}, "20e2ec99f4c29324df0ec5966bf01be030582426e425b074c512c7743cd6d146"},
-		{"bounded-adaptive", BoundedStalenessPolicy{K: 2, Tau: 2, AdaptiveTau: true}, "5d6e3216a09f76fa758a464d1eaa65cfdce88044e47c8a4977a7661071b72d76"},
+		{"deadline", DeadlinePolicy{Factor: 1.5}, "8ece5a82c74c974137c2bc88883f5b03e6976f8491839fbb3bfe43ae571f9c55"},                                     // re-recorded, parent 1bffa23: telescoped JWINS counts a churn re-share's change once
+		{"bounded-adaptive", BoundedStalenessPolicy{K: 2, Tau: 2, AdaptiveTau: true}, "285f34893d215cea011f908558a0981d27d7890b08a4ae64b81c863a6615d7b5"}, // re-recorded, parent 1bffa23: telescoped JWINS counts a churn re-share's change once
 	} {
 		for _, p := range []int{1, 2, 4} {
 			var buf bytes.Buffer
@@ -102,7 +107,7 @@ func TestAsyncTraceDigest(t *testing.T) {
 				t.Fatalf("%s p=%d: %d/%d rows over %d epochs: the run no longer covers rotation", tc.name, p, len(res.Rounds), rounds, res.Epochs)
 			}
 			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
+			if got := hex.EncodeToString(sum[:]); got != tc.want && !digesttest.Update(t, tc.want, got) {
 				t.Errorf("%s p=%d: trace digest %s (%d events, %d bytes), recorded %s", tc.name, p, got, sr.Len(), buf.Len(), tc.want)
 			}
 		}
@@ -197,7 +202,7 @@ func TestAsyncCodecDigest(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				jtb := goldenRun(t, al.kind, cd.fc)
 				sum := sha256.Sum256(jtb)
-				if got := hex.EncodeToString(sum[:]); got != want[name] {
+				if got := hex.EncodeToString(sum[:]); got != want[name] && !digesttest.Update(t, want[name], got) {
 					t.Errorf("trace digest %s (%d bytes), recorded %s", got, len(jtb), want[name])
 				}
 			})
