@@ -11,6 +11,9 @@
 //	jwins-bench -exp fig8              # ablation study
 //	jwins-bench -exp fig9              # metadata compression
 //	jwins-bench -exp fig10             # scalability sweep
+//	jwins-bench -exp ext-powergossip   # JWINS vs the POWERGOSSIP low-rank baseline
+//	jwins-bench -exp ext-adaptive      # band-adaptive vs default selection
+//	jwins-bench -exp ext-faults        # message drops and churn, JWINS vs CHOCO
 //	jwins-bench -exp ext-asyncchurn    # event-driven stragglers + churn
 //	jwins-bench -exp ext-replay        # trace record/replay parity + staleness
 //	jwins-bench -exp ext-dyntopo       # epoch-randomized topologies at 96-384 nodes
@@ -18,16 +21,12 @@
 //	jwins-bench -exp ext-semiasync     # aggregation policies x heterogeneity
 //	jwins-bench -exp all               # everything, in paper order
 //
-// Flags: -scale micro|small|paper (default small), -seed N,
-// -datasets a,b,c (table1/fig5 only).
+// Flags: -scale micro|small|paper (default small), -seed N, -out DIR,
+// -datasets a,b,c (table1/fig4/fig5 only), -eval-sample N and -eval-rotate K
+// (ext-scale only). Setting a flag that no selected experiment reads is an
+// error. -cpuprofile / -memprofile write pprof profiles of the run, so
+// regressions are diagnosable without editing code:
 //
-// Performance mode: -bench-json FILE runs the engine + hot-path benchmark
-// suite (see internal/perf), checks serial-vs-parallel determinism, and
-// writes a BENCH_*.json artifact; -bench-quick runs each benchmark once
-// (CI smoke). -cpuprofile / -memprofile write pprof profiles of whichever
-// mode ran, so regressions are diagnosable without editing code:
-//
-//	jwins-bench -bench-json BENCH_1.json
 //	jwins-bench -exp table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	go tool pprof cpu.pprof
 package main
@@ -39,13 +38,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/nn"
-	"repro/internal/perf"
 )
+
+// allExperiments is what -exp all runs, in paper order.
+var allExperiments = []string{"fig2", "fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"ext-powergossip", "ext-adaptive", "ext-faults", "ext-asyncchurn", "ext-replay", "ext-dyntopo", "ext-scale", "ext-semiasync"}
 
 func main() {
 	if err := run(); err != nil {
@@ -59,16 +62,23 @@ func run() error {
 		expName    = flag.String("exp", "all", "experiment: fig2, fig3, table1, fig5..fig10, ext-*, or all")
 		scaleName  = flag.String("scale", "small", "experiment scale: micro, small, or paper")
 		seed       = flag.Uint64("seed", 42, "root random seed")
-		datasets   = flag.String("datasets", "", "comma-separated dataset filter for table1/fig5")
+		datasets   = flag.String("datasets", "", "comma-separated dataset filter for table1/fig4/fig5")
 		outDir     = flag.String("out", "", "directory for per-experiment CSV files (optional)")
-		benchJSON  = flag.String("bench-json", "", "run the benchmark suite and write a BENCH_*.json report to this path (skips experiments)")
-		benchQuick = flag.Bool("bench-quick", false, "with -bench-json: run each benchmark once (-benchtime=1x semantics)")
 		evalSample = flag.Int("eval-sample", 0, "ext-scale: force this rotating eval subset size on every arm (0 = exact below 2048 nodes, 64-node sample above)")
 		evalRotate = flag.Int("eval-rotate", 0, "ext-scale: advance the eval sampling window every k eval rows (0/1 = every row)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this path on exit")
 	)
 	flag.Parse()
+	names := []string{*expName}
+	if *expName == "all" {
+		names = allExperiments
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlagsRead(names, set); err != nil {
+		return err
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
@@ -107,9 +117,6 @@ func run() error {
 
 	// Timings from two hosts compare only if they ran the same kernels.
 	fmt.Printf("jwins-bench: conv=%s\n", nn.ConvPath())
-	if *benchJSON != "" {
-		return runBenchSuite(*benchJSON, *benchQuick)
-	}
 
 	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
@@ -120,11 +127,6 @@ func run() error {
 		filter = strings.Split(*datasets, ",")
 	}
 
-	names := []string{*expName}
-	if *expName == "all" {
-		names = []string{"fig2", "fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-			"ext-powergossip", "ext-adaptive", "ext-faults", "ext-asyncchurn", "ext-replay", "ext-dyntopo", "ext-scale", "ext-semiasync"}
-	}
 	for _, name := range names {
 		start := time.Now()
 		var result fmt.Stringer
@@ -184,27 +186,26 @@ func run() error {
 	return nil
 }
 
-// runBenchSuite measures the standard suite, verifies that parallel engine
-// execution is bit-identical to serial, and writes the JSON artifact. A
-// determinism mismatch is a hard error (CI's bench smoke job relies on the
-// non-zero exit).
-func runBenchSuite(path string, quick bool) error {
-	fmt.Printf("=== benchmark suite (quick=%v, NumCPU=%d)\n", quick, runtime.NumCPU())
-	rep, err := perf.Run(quick, func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	})
-	if err != nil {
-		return err
+// flagReaders names, for each experiment-specific flag, the experiments that
+// read it.
+var flagReaders = map[string][]string{
+	"datasets":    {"table1", "fig4", "fig5"},
+	"eval-sample": {"ext-scale"},
+	"eval-rotate": {"ext-scale"},
+}
+
+// checkFlagsRead rejects a set flag (set holds flag names) that no
+// experiment in names reads, so a run never silently ignores one.
+func checkFlagsRead(names, set []string) error {
+	for _, flagName := range set {
+		readers, ok := flagReaders[flagName]
+		if !ok {
+			continue
+		}
+		if !slices.ContainsFunc(names, func(name string) bool { return slices.Contains(readers, name) }) {
+			return fmt.Errorf("-%s is read only by -exp %s, which this run does not include",
+				flagName, strings.Join(readers, "/"))
+		}
 	}
-	fmt.Print("determinism check (serial vs parallel): ")
-	if err := perf.CheckDeterminism(); err != nil {
-		fmt.Println("FAIL")
-		return fmt.Errorf("determinism check: %w", err)
-	}
-	fmt.Println("ok")
-	if err := rep.WriteJSON(path); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }

@@ -1,0 +1,42 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestCheckFlagsRead: an experiment-specific flag is accepted only when an
+// experiment that reads it is selected, and the error names the flag.
+func TestCheckFlagsRead(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		names   []string
+		set     []string
+		wantErr string // "" accepts
+	}{
+		{"no flags", []string{"fig6"}, nil, ""},
+		{"general flags anywhere", []string{"fig6"}, []string{"exp", "out", "scale", "seed", "cpuprofile", "memprofile"}, ""},
+		{"datasets with table1", []string{"table1"}, []string{"datasets"}, ""},
+		{"datasets with fig4", []string{"fig4"}, []string{"datasets"}, ""},
+		{"datasets with fig5", []string{"fig5"}, []string{"datasets"}, ""},
+		{"datasets with all", allExperiments, []string{"datasets", "eval-rotate", "eval-sample"}, ""},
+		{"datasets with fig6", []string{"fig6"}, []string{"datasets"}, "-datasets"},
+		{"datasets with ext-scale", []string{"ext-scale"}, []string{"datasets"}, "-datasets"},
+		{"eval-sample with ext-scale", []string{"ext-scale"}, []string{"eval-sample"}, ""},
+		{"eval-rotate with ext-scale", []string{"ext-scale"}, []string{"eval-rotate"}, ""},
+		{"eval-sample with fig5", []string{"fig5"}, []string{"eval-sample"}, "-eval-sample"},
+		{"eval-rotate with ext-asyncchurn", []string{"ext-asyncchurn"}, []string{"eval-rotate", "seed"}, "-eval-rotate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkFlagsRead(tc.names, tc.set)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("accepted, want an error naming %s", tc.wantErr)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q does not name %s", err, tc.wantErr)
+			}
+		})
+	}
+}

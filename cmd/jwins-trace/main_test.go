@@ -8,10 +8,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/simulation"
+	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 // TestStatsTruncatedZeroEvents: a recording killed before its first event (a
@@ -230,8 +232,19 @@ func TestTimeline256NodeRecording(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a 256-node engine run")
 	}
-	const rounds = 4
-	nodes, ds, topo, err := perf.ScaleFleet(256)
+	const (
+		rounds = 4
+		seed   = 42
+	)
+	w, err := experiments.ScaleWorkload(256, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := experiments.BuildFleet(w, experiments.AlgoSpec{Kind: experiments.AlgoFull, Codec: codec.Raw32{}}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := topology.Regular(w.Nodes, w.Degree, vec.NewRNG(seed^1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +257,10 @@ func TestTimeline256NodeRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &simulation.AsyncEngine{
-		Nodes: nodes, Topology: topo, TestSet: ds,
+		Nodes: nodes, Topology: topology.NewStatic(g), TestSet: w.Dataset,
 		Config: simulation.AsyncConfig{
 			Config: simulation.Config{Rounds: rounds, EvalEvery: rounds, EvalNodes: 8},
-			Het:    simulation.Heterogeneity{ComputeSpread: 0.3, Seed: perf.Seed},
+			Het:    simulation.Heterogeneity{ComputeSpread: 0.3, Seed: seed},
 			Record: sr,
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/simulation"
@@ -126,5 +127,53 @@ func TestLazyFleetDefersMaterialization(t *testing.T) {
 		if got := nd.Model().(*nn.Lazy).Materialized(); got != (i == 3) {
 			t.Fatalf("node %d materialized = %v after training node 3", i, got)
 		}
+	}
+}
+
+// fleetAllocPerNodeCeiling is the committed per-node allocation budget of
+// copy-on-write fleet construction (BuildFleet over ScaleWorkload). A lazy
+// node costs its Lazy wrapper, build closure, RNG splits, loader, and
+// full-sharing shell — which holds no vectors since call scratch moved to
+// the fleet-shared working sets; measured 8.0 allocs/node on go1.24/amd64 —
+// while an eager node adds the whole MLP layer graph (34.0). The ceiling
+// leaves toolchain headroom but fails if per-node model construction or
+// per-node scratch ever sneaks back into the build path.
+const fleetAllocPerNodeCeiling = 16.0
+
+// TestFleetConstructionAllocBudget guards the copy-on-write win: fleets at
+// two sizes are measured and differenced, so the shared template model and
+// the memoized workload cancel, leaving the marginal cost per node.
+func TestFleetConstructionAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is timing-insensitive but not free")
+	}
+	const (
+		loNodes, hiNodes = 256, 1024
+		samples          = 3
+		seed             = 42
+	)
+	spec := AlgoSpec{Kind: AlgoFull, Codec: codec.Raw32{}}
+	perNode := func(build func(*Workload, AlgoSpec, uint64) ([]core.Node, error)) float64 {
+		measure := func(n int) float64 {
+			w, err := ScaleWorkload(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(samples, func() {
+				if _, err := build(w, spec, seed); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (measure(hiNodes) - measure(loNodes)) / float64(hiNodes-loNodes)
+	}
+	lazyPerNode, eagerPerNode := perNode(BuildFleet), perNode(BuildFleetEager)
+	t.Logf("fleet construction: lazy %.2f allocs/node, eager %.2f allocs/node", lazyPerNode, eagerPerNode)
+	if lazyPerNode > fleetAllocPerNodeCeiling {
+		t.Fatalf("lazy fleet construction allocates %.2f/node, ceiling is %.1f", lazyPerNode, fleetAllocPerNodeCeiling)
+	}
+	if lazyPerNode >= eagerPerNode {
+		t.Fatalf("lazy construction (%.2f allocs/node) no cheaper than eager (%.2f): copy-on-write is not deferring model builds",
+			lazyPerNode, eagerPerNode)
 	}
 }

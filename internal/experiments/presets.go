@@ -1,8 +1,8 @@
 // Package experiments assembles datasets, models, node fleets, and run
 // harnesses for every table and figure in the paper's evaluation (Section
 // IV). Each experiment has a function FigN/Table1 returning a printable
-// result; cmd/jwins-bench exposes them on the command line and bench_test.go
-// wraps micro-scale versions as Go benchmarks.
+// result; cmd/jwins-bench exposes them on the command line, and
+// figures_test.go and golden_test.go run micro-scale versions.
 package experiments
 
 import (

@@ -5,7 +5,7 @@
 //
 //   - Observe/Add must not allocate and must not take locks — they run
 //     inside the scheduler loop, which carries a CI-enforced ≤4 allocs/event
-//     ceiling (internal/perf TestSchedulerAllocationCeiling).
+//     ceiling (internal/simulation TestSchedulerAllocationCeiling).
 //   - Metrics are observational only. Instrumented code must never branch on
 //     a metric value: snapshots may vary with parallelism (speculation hit
 //     rates do), but the scheduled state they observe may not, so the
@@ -15,7 +15,7 @@
 //     setup and keep the returned pointers, so steady state is pure atomics.
 //
 // A Registry serializes to a point-in-time Snapshot (for Result rows, CSVs,
-// and BENCH artifacts).
+// and benchmark reports).
 package metrics
 
 import (

@@ -1,0 +1,79 @@
+package simulation
+
+import (
+	"testing"
+
+	"repro/internal/topology"
+	"repro/internal/vec"
+)
+
+// schedulerAllocCeiling is the committed per-event allocation budget of the
+// steady-state event loop (raw32 codec, serial pool). The loop itself is
+// allocation-free since the event heap, payload maps, and nn scratch were
+// pooled; what remains per train-done event is the freshly encoded
+// broadcast payload (which must be a new allocation — it is retained by
+// neighbors) plus map-bucket growth amortized across the run. Measured 0.88
+// allocs/event on go1.24/amd64; the ceiling leaves headroom for toolchain
+// noise while still failing on any O(1)-per-event regression (the engine
+// before pooling sat at ~12).
+const schedulerAllocCeiling = 4.0
+
+// allocRun executes one serial 16-node full-sharing raw32 run and returns
+// its event count. Telemetry is enabled on purpose: the instrumented hot
+// path must stay under the same ceiling — every metric op is a
+// pre-registered atomic (see telemetry.go), and the registry construction is
+// rounds-independent so the lo/hi differencing cancels it exactly.
+func allocRun(t *testing.T, rounds int) int64 {
+	t.Helper()
+	const n = 16
+	ds, parts := buildTask(t, n, 42)
+	nodes := buildNodes(t, algoFull, ds, parts, 7)
+	g, err := topology.Regular(n, 4, vec.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int64
+	eng := &AsyncEngine{
+		Nodes: nodes, Topology: topology.NewStatic(g), TestSet: ds,
+		Config: AsyncConfig{
+			Config:    Config{Rounds: rounds, EvalEvery: rounds, Parallelism: 1},
+			OnEvent:   func(Event) { events++ },
+			Telemetry: NewTelemetry(),
+		},
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestSchedulerAllocationCeiling guards the event loop's steady-state
+// allocation rate the way the JWINS hot-path AllocsPerRun tests guard the
+// share/aggregate kernels. Whole runs at two round budgets are measured and
+// differenced, so fleet construction, warm-up growth of the pooled buffers,
+// and the final evaluation — identical in both — cancel, leaving the
+// marginal cost per scheduler event.
+func TestSchedulerAllocationCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is timing-insensitive but not free")
+	}
+	const (
+		loRounds, hiRounds = 4, 12
+		samples            = 3
+	)
+	measure := func(rounds int) float64 {
+		return testing.AllocsPerRun(samples, func() { allocRun(t, rounds) })
+	}
+	loEvents, hiEvents := allocRun(t, loRounds), allocRun(t, hiRounds)
+	if hiEvents <= loEvents {
+		t.Fatalf("event counts did not grow with rounds: %d vs %d", loEvents, hiEvents)
+	}
+	loAllocs := measure(loRounds)
+	hiAllocs := measure(hiRounds)
+	perEvent := (hiAllocs - loAllocs) / float64(hiEvents-loEvents)
+	t.Logf("steady state: %.2f allocs/event over %d marginal events (lo %d/%.0f, hi %d/%.0f)",
+		perEvent, hiEvents-loEvents, loEvents, loAllocs, hiEvents, hiAllocs)
+	if perEvent > schedulerAllocCeiling {
+		t.Fatalf("steady-state event loop allocates %.2f/event, ceiling is %.1f", perEvent, schedulerAllocCeiling)
+	}
+}

@@ -295,7 +295,7 @@ func TestDecodeCacheEngineParity(t *testing.T) {
 	for _, tc := range muts {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, p := range parallelismLevels() {
-				off := captureAsyncRunOn(t, 16, 10, p, tc.mut, perRecipientFleet)
+				off := captureAsyncRunOn(t, algoJWINS, 16, 10, p, tc.mut, perRecipientFleet)
 				on := captureAsyncRun(t, 16, 10, p, tc.mut)
 				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, dropAlpha(on), p)
 			}

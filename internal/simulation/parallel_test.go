@@ -42,15 +42,15 @@ type capturedRun struct {
 
 func captureAsyncRun(t *testing.T, nodes int, rounds int, parallelism int, mut func(*AsyncConfig)) capturedRun {
 	t.Helper()
-	return captureAsyncRunOn(t, nodes, rounds, parallelism, mut, nil)
+	return captureAsyncRunOn(t, algoJWINS, nodes, rounds, parallelism, mut, nil)
 }
 
-// captureAsyncRunOn is captureAsyncRun with the fleet passed through wrap
-// (when non-nil) before the engine sees it.
-func captureAsyncRunOn(t *testing.T, nodes int, rounds int, parallelism int, mut func(*AsyncConfig), wrap func([]core.Node) []core.Node) capturedRun {
+// captureAsyncRunOn is captureAsyncRun over a fleet of kind, passed through
+// wrap (when non-nil) before the engine sees it.
+func captureAsyncRunOn(t *testing.T, kind algo, nodes int, rounds int, parallelism int, mut func(*AsyncConfig), wrap func([]core.Node) []core.Node) capturedRun {
 	t.Helper()
 	ds, parts := buildTask(t, nodes, 42)
-	fleet := buildNodes(t, algoJWINS, ds, parts, 7)
+	fleet := buildNodes(t, kind, ds, parts, 7)
 	if wrap != nil {
 		fleet = wrap(fleet)
 	}
@@ -135,31 +135,35 @@ func assertRunsIdentical(t *testing.T, name string, ref, got capturedRun, p int)
 }
 
 // TestAsyncParallelismInvariance: the acceptance property of the worker-pool
-// refactor — the 16-node async run (the BenchmarkEngineAsync16 fleet) must
-// produce the identical event trace, byte ledger, result rows, and final
-// losses at every parallelism level, homogeneous and under churn+stragglers.
+// refactor — a 16-node async run must produce the identical event trace,
+// byte ledger, result rows, and final losses at every parallelism level,
+// homogeneous and under churn+stragglers, over a JWINS fleet and over a
+// full-sharing raw32 one (the engine's JWINS fast paths stay out of it).
 func TestAsyncParallelismInvariance(t *testing.T) {
+	hetChurnDrops := func(cfg *AsyncConfig) {
+		cfg.Het = Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, LatencySpread: 0.2, Seed: 5}
+		cfg.Churn = GenerateChurn(16, 0.25, 0.02, 0.2, 0.1, 77)
+		cfg.DropProb = 0.1
+		cfg.FaultSeed = 3
+	}
 	cases := []struct {
 		name string
+		kind algo
 		mut  func(*AsyncConfig)
 	}{
-		{"homogeneous", nil},
-		{"het+churn+drops", func(cfg *AsyncConfig) {
-			cfg.Het = Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, LatencySpread: 0.2, Seed: 5}
-			cfg.Churn = GenerateChurn(16, 0.25, 0.02, 0.2, 0.1, 77)
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-		}},
+		{"homogeneous", algoJWINS, nil},
+		{"het+churn+drops", algoJWINS, hetChurnDrops},
+		{"het+churn+drops+full-sharing", algoFull, hetChurnDrops},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ref := captureAsyncRun(t, 16, 10, 1, tc.mut)
+			ref := captureAsyncRunOn(t, tc.kind, 16, 10, 1, tc.mut, nil)
 			if len(ref.trace) == 0 {
 				t.Fatal("no events traced")
 			}
 			for _, p := range parallelismLevels()[1:] {
-				got := captureAsyncRun(t, 16, 10, p, tc.mut)
+				got := captureAsyncRunOn(t, tc.kind, 16, 10, p, tc.mut, nil)
 				assertRunsIdentical(t, tc.name, ref, got, p)
 			}
 		})

@@ -10,8 +10,8 @@
 //
 // Every operation used per event is a pre-registered atomic (see
 // internal/metrics): the ≤4 allocs/event ceiling enforced by
-// perf.TestSchedulerAllocationCeiling holds with telemetry enabled, and that
-// test runs with telemetry on to prove it.
+// TestSchedulerAllocationCeiling holds with telemetry enabled, and that test
+// runs with telemetry on to prove it.
 package simulation
 
 import (
@@ -131,7 +131,7 @@ func WaitKey(policy string) string {
 }
 
 // TelemetrySummary distills a snapshot into the headline scalars experiment
-// CSVs and perf reports carry alongside accuracy and bytes.
+// CSVs and benchmark reports carry alongside accuracy and bytes.
 type TelemetrySummary struct {
 	QueueP95      float64 // event-queue depth at pop, 95th percentile
 	WaitP95       float64 // simulated policy-wait seconds, 95th percentile
