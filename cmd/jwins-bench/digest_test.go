@@ -1,0 +1,148 @@
+//go:build !race
+
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/digesttest"
+)
+
+// outputDigests pins, for every experiment at -scale micro -seed 7, the
+// SHA-256 of its stdout block and of its CSV ("" = the experiment writes no
+// CSV). What varies between runs of the same build is masked: each block's
+// "took", ext-scale's host-time fields wall-ms and events/s (wall_ms and
+// events_per_sec in its CSV), and its decode-cache hit rate, decode
+// (decode_hit_rate), whose count depends on how the worker pool interleaves.
+var outputDigests = []struct{ name, stdout, csv string }{
+	{"fig2", "d1ac9091a5f1c675f17804cfeaf037f054b2c2fc3a50e98386907a50abe1b779", "410c166338a0e90cc3c2503f70f124be0994792f25ead12b76f54baa0cffa269"},
+	{"fig3", "eefb913d53a379274808c6a3d872994c78132a0c119886067d0603c725902221", "5d66a9e39c7a1b1aaaaa0a1ca471338dd5a6c51e46c81a71641da9360173da31"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"table1", "d08cb2cee2c7b4e3239c711d0895f75c176cf37e6c57ed74e77fc245bfd0aa87", "7c0f1568a05a176908e14f49535e1a091f83c3b7e6dc48e9b49869fbe373af75"},
+	{"fig5", "b3d4f826bf282c51cbbefd1a5c3b92f248738e9a2ac6eda35de04b54108e6133", "f03f7c7e9c66f32e88809e4021ce17ac02cf163cae3577267350e3e00f7c347e"},
+	{"fig6", "f6ec80f2327af47c72b23f20d683bed60fe62918946a68b33ba80c93800da3a7", "800fa8130a3ecaa450e28784853c6b09a28c8f5e026cb24de5b12c6f95bf381e"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"fig7", "2c7fcf251226a6bb3c1492ad9c0c04ce5cdb93f18c1b250e8644d8553181d05f", "94d5753ee559d72e1994f57bd337fa7877e46f98063bf854eb97744a6e3e7d0a"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"fig8", "8e9cb6c142aad58cb971a9f89f4e4c629ff9b91a23869f95939c50bc800c1bd3", "4adaccccae3b1972f03c83defd8e55dfc858adf26141e46bbd118ce6bc220390"},
+	{"fig9", "32facbb92c519173432ff5acc5535fbf8d77f3de624a19450ae8a543b679c169", "a468b6e16a3e9aae59ada756220efb283f18d4828d1f7c32e4f5b2bc73605cdf"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},
+	{"ext-powergossip", "fefda2c0a2538cdaf36f358d636d17e8d299ef93a9e34d73594e1d0767cc55f0", "b5800cc0419c5b13f59666c6dadfe163c5233297b6fa2fa26d12930f84cbb135"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-adaptive", "33d2116e45bddcdce8d92ec7ba4258dd713d2763765b4e555b298c69af37559d", "6efe553bec43834e328735e4c3c25a8acfb6de00f5694e305f3cb2e28d3a7ba4"},    // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-faults", "1c9359066dc8167fc9eb71a31fd7ac99bde6539891157b84379f35e90e21e14f", "adcdbf13d248b6bee89e372f290039c5c6f6aabe6d33a2cf073a44b658c39252"},
+	{"ext-asyncchurn", "1938094c172723220a948db5d23bcb5d05644dce0554fed7df456027d089ec10", "45051c03629d5e28845b434e09c76fd1d7ec3b1b04b6c742b545a644c450b2c8"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-replay", "8f22d0c792f5d227713007ff6fb07db498b2f383dd0591d8bc853fddbd90e4bf", "b8179c23900821cee43762f60bc7d23038ef5a0eefd27a696a9c5325272037ef"},     // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-dyntopo", "65326af08c4582e456b33c7f7c90c47d87819e0d983f937f9b9c097a386d740b", "5b4999d9d6fa83e102af04908aad4961c2c4db9b6f6f3ec1f3fe29313e74b028"},
+	{"ext-scale", "2c7dd4e0280387c56e8cdfa47f6a0f3070267c0d305263737be4c9eba7f4e9f2", "0a81bb8de60757705237dc703cde37ef74a0d878ef808cc175a6a305d3791fc8"},
+	{"ext-semiasync", "c9dec6a131d7392a945020f33fd4d08c00f7f815328f5c15706593066cad8c55", "a0c580738b1d16fd78d0a83789342c5d2a3006b72c9183f0591ebf2d5e8e3b54"},
+}
+
+var (
+	tookRE = regexp.MustCompile(`took [^)]*\)`)
+	// An ext-scale text row: nodes, degree, arm, eval | events wall-ms
+	// events/s | … | … spec decode | trace.
+	scaleRowRE = regexp.MustCompile(`(?m)^(\d+ +\d+ +\S+ +\S+ +\| +\d+) +\S+ +\S+( \| .* +\S+%) +\S+%( \| )`)
+)
+
+// TestExperimentOutputDigests runs every experiment once through run and
+// holds each one's printed table and CSV to the recorded digests.
+func TestExperimentOutputDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 17 experiments (about 12 s)")
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "all", "-scale", "micro", "-seed", "7", "-out", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	blocks := stdoutBlocks(out.String())
+	for _, d := range outputDigests {
+		block, ok := blocks[d.name]
+		if !ok {
+			t.Errorf("%s: no stdout block", d.name)
+			continue
+		}
+		if d.name == "ext-scale" {
+			block = scaleRowRE.ReplaceAllString(block, "$1 wall-ms events/s$2 decode$3")
+		}
+		checkDigest(t, d.name+" stdout", d.stdout, []byte(block))
+
+		csv, err := os.ReadFile(filepath.Join(dir, d.name+".csv"))
+		if os.IsNotExist(err) && d.csv == "" {
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", d.name, err)
+			continue
+		}
+		if d.name == "ext-scale" {
+			csv = maskCSVColumns(csv, "wall_ms", "events_per_sec", "decode_hit_rate")
+		}
+		checkDigest(t, d.name+".csv", d.csv, csv)
+	}
+}
+
+func checkDigest(t *testing.T, what, want string, b []byte) {
+	t.Helper()
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want && !digesttest.Update(t, want, got) {
+		t.Errorf("%s: digest %s, recorded %s", what, got, want)
+	}
+}
+
+// stdoutBlocks splits run's output into one block per experiment: its "==="
+// line with "took" masked, through the line before the next "===" line,
+// without the "wrote" lines (which name the output directory) and with one
+// trailing newline.
+func stdoutBlocks(out string) map[string]string {
+	blocks := map[string]string{}
+	var name string
+	var b strings.Builder
+	flush := func() {
+		if name != "" {
+			blocks[name] = strings.TrimRight(b.String(), "\n") + "\n"
+		}
+		b.Reset()
+	}
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "=== "); ok {
+			flush()
+			name, _, _ = strings.Cut(rest, " ")
+			line = tookRE.ReplaceAllString(line, "took -)")
+		}
+		if name == "" || strings.HasPrefix(line, "wrote ") {
+			continue
+		}
+		b.WriteString(line)
+	}
+	flush()
+	return blocks
+}
+
+// maskCSVColumns replaces the named columns' fields in every row of the
+// first CSV section (up to its first blank line) with "-".
+func maskCSVColumns(csv []byte, names ...string) []byte {
+	lines := strings.SplitAfter(string(csv), "\n")
+	var idx []int
+	for i, col := range strings.Split(strings.TrimSuffix(lines[0], "\n"), ",") {
+		for _, n := range names {
+			if col == n {
+				idx = append(idx, i)
+			}
+		}
+	}
+	for r := 1; r < len(lines) && strings.TrimSpace(lines[r]) != ""; r++ {
+		fields := strings.Split(strings.TrimSuffix(lines[r], "\n"), ",")
+		for _, i := range idx {
+			if i < len(fields) {
+				fields[i] = "-"
+			}
+		}
+		lines[r] = strings.Join(fields, ",") + "\n"
+	}
+	return []byte(strings.Join(lines, ""))
+}

@@ -21,19 +21,23 @@
 //	jwins-bench -exp ext-semiasync     # aggregation policies x heterogeneity
 //	jwins-bench -exp all               # everything, in paper order
 //
-// Flags: -scale micro|small|paper (default small), -seed N, -out DIR,
-// -datasets a,b,c (table1/fig4/fig5 only), -eval-sample N and -eval-rotate K
-// (ext-scale only). Setting a flag that no selected experiment reads is an
-// error. -cpuprofile / -memprofile write pprof profiles of the run, so
-// regressions are diagnosable without editing code:
+// Flags: -scale micro|small|paper (default small), -seed N, -out DIR (every
+// experiment writes DIR/<name>.csv), -datasets a,b,c (table1/fig4/fig5 only),
+// -eval-sample N and -eval-rotate K (ext-scale only). The experiments are
+// the registry experiments.Experiments; an unknown name, or a flag that no
+// selected experiment reads, is an error before anything runs.
+// -cpuprofile / -memprofile write pprof profiles of the run, so regressions
+// are diagnosable without editing code:
 //
 //	jwins-bench -exp table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	go tool pprof cpu.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,37 +50,56 @@ import (
 	"repro/internal/nn"
 )
 
-// allExperiments is what -exp all runs, in paper order.
-var allExperiments = []string{"fig2", "fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"ext-powergossip", "ext-adaptive", "ext-faults", "ext-asyncchurn", "ext-replay", "ext-dyntopo", "ext-scale", "ext-semiasync"}
+// allExperiments is what -exp all runs: the registry's names, in paper order.
+var allExperiments = func() []string {
+	names := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		names[i] = e.Name
+	}
+	return names
+}()
 
 func main() {
-	if err := run(); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	default:
 		fmt.Fprintln(os.Stderr, "jwins-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("jwins-bench", flag.ContinueOnError)
 	var (
-		expName    = flag.String("exp", "all", "experiment: fig2, fig3, table1, fig5..fig10, ext-*, or all")
-		scaleName  = flag.String("scale", "small", "experiment scale: micro, small, or paper")
-		seed       = flag.Uint64("seed", 42, "root random seed")
-		datasets   = flag.String("datasets", "", "comma-separated dataset filter for table1/fig4/fig5")
-		outDir     = flag.String("out", "", "directory for per-experiment CSV files (optional)")
-		evalSample = flag.Int("eval-sample", 0, "ext-scale: force this rotating eval subset size on every arm (0 = exact below 2048 nodes, 64-node sample above)")
-		evalRotate = flag.Int("eval-rotate", 0, "ext-scale: advance the eval sampling window every k eval rows (0/1 = every row)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this path on exit")
+		expName    = flags.String("exp", "all", "experiment: fig2, fig3, table1, fig5..fig10, ext-*, or all")
+		scaleName  = flags.String("scale", "small", "experiment scale: micro, small, or paper")
+		seed       = flags.Uint64("seed", 42, "root random seed")
+		datasets   = flags.String("datasets", "", "comma-separated dataset filter for table1/fig4/fig5")
+		outDir     = flags.String("out", "", "directory for per-experiment CSV files (optional)")
+		evalSample = flags.Int("eval-sample", 0, "ext-scale: force this rotating eval subset size on every arm (0 = exact below 2048 nodes, 64-node sample above)")
+		evalRotate = flags.Int("eval-rotate", 0, "ext-scale: advance the eval sampling window every k eval rows (0/1 = every row)")
+		cpuProfile = flags.String("cpuprofile", "", "write a CPU profile to this path")
+		memProfile = flags.String("memprofile", "", "write an allocation profile to this path on exit")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 	names := []string{*expName}
 	if *expName == "all" {
 		names = allExperiments
 	}
+	for _, name := range names {
+		if _, ok := lookup(name); !ok {
+			return fmt.Errorf("unknown experiment %q (want one of %s, fig4 or all)", name, strings.Join(allExperiments, ", "))
+		}
+	}
 	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	flags.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err := checkFlagsRead(names, set); err != nil {
+		return err
+	}
+	scale, err := experiments.ParseScale(*scaleName)
+	if err != nil {
 		return err
 	}
 	if *outDir != "" {
@@ -116,93 +139,63 @@ func run() error {
 	}
 
 	// Timings from two hosts compare only if they ran the same kernels.
-	fmt.Printf("jwins-bench: conv=%s\n", nn.ConvPath())
+	fmt.Fprintf(stdout, "jwins-bench: conv=%s\n", nn.ConvPath())
 
-	scale, err := experiments.ParseScale(*scaleName)
-	if err != nil {
-		return err
-	}
-	var filter []string
+	opts := experiments.Opts{EvalSample: *evalSample, EvalRotate: *evalRotate}
 	if *datasets != "" {
-		filter = strings.Split(*datasets, ",")
+		opts.Datasets = strings.Split(*datasets, ",")
 	}
 
 	for _, name := range names {
+		exp, _ := lookup(name)
 		start := time.Now()
-		var result fmt.Stringer
-		switch name {
-		case "fig2":
-			result, err = experiments.Fig2(scale, *seed)
-		case "fig3":
-			result, err = experiments.Fig3(scale, *seed)
-		case "table1", "fig4":
-			result, err = experiments.Table1(scale, *seed, filter)
-		case "fig5":
-			result, err = experiments.Fig5(scale, *seed, filter)
-		case "fig6":
-			result, err = experiments.Fig6(scale, *seed)
-		case "fig7":
-			result, err = experiments.Fig7(scale, *seed)
-		case "fig8":
-			result, err = experiments.Fig8(scale, *seed)
-		case "fig9":
-			result, err = experiments.Fig9(scale, *seed)
-		case "fig10":
-			result, err = experiments.Fig10(scale, *seed)
-		case "ext-powergossip":
-			result, err = experiments.ExtPowerGossip(scale, *seed)
-		case "ext-adaptive":
-			result, err = experiments.ExtAdaptive(scale, *seed)
-		case "ext-faults":
-			result, err = experiments.ExtFaults(scale, *seed)
-		case "ext-asyncchurn":
-			result, err = experiments.ExtAsyncChurn(scale, *seed)
-		case "ext-replay":
-			result, err = experiments.ExtReplay(scale, *seed)
-		case "ext-dyntopo":
-			result, err = experiments.ExtDynTopo(scale, *seed)
-		case "ext-scale":
-			result, err = experiments.ExtScaleWith(scale, *seed,
-				experiments.ExtScaleOpts{EvalSample: *evalSample, EvalRotate: *evalRotate})
-		case "ext-semiasync":
-			result, err = experiments.ExtSemiAsync(scale, *seed)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
+		table, err := exp.Run(scale, *seed, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("=== %s (scale=%s, seed=%d, took %s)\n%s\n", name, scale, *seed, time.Since(start).Round(time.Millisecond), result)
+		fmt.Fprintf(stdout, "=== %s (scale=%s, seed=%d, took %s)\n%s\n", name, scale, *seed, time.Since(start).Round(time.Millisecond), table)
 		if *outDir != "" {
-			if c, ok := result.(experiments.CSVer); ok {
-				path := filepath.Join(*outDir, name+".csv")
-				if err := os.WriteFile(path, []byte(c.CSV()), 0o644); err != nil {
-					return fmt.Errorf("%s: writing %s: %w", name, path, err)
-				}
-				fmt.Printf("wrote %s\n\n", path)
+			path := filepath.Join(*outDir, name+".csv")
+			if err := os.WriteFile(path, []byte(table.CSV()), 0o644); err != nil {
+				return fmt.Errorf("%s: writing %s: %w", name, path, err)
 			}
+			fmt.Fprintf(stdout, "wrote %s\n\n", path)
 		}
 	}
 	return nil
 }
 
-// flagReaders names, for each experiment-specific flag, the experiments that
-// read it.
-var flagReaders = map[string][]string{
-	"datasets":    {"table1", "fig4", "fig5"},
-	"eval-sample": {"ext-scale"},
-	"eval-rotate": {"ext-scale"},
+// lookup finds an experiment in the registry; fig4 is table1 (Figure 4 is
+// Table I's learning curves).
+func lookup(name string) (experiments.Experiment, bool) {
+	if name == "fig4" {
+		name = "table1"
+	}
+	i := slices.IndexFunc(experiments.Experiments, func(e experiments.Experiment) bool { return e.Name == name })
+	if i < 0 {
+		return experiments.Experiment{}, false
+	}
+	return experiments.Experiments[i], true
 }
 
-// checkFlagsRead rejects a set flag (set holds flag names) that no
-// experiment in names reads, so a run never silently ignores one.
+// checkFlagsRead rejects a set flag (set holds flag names) that some
+// experiment reads but none in names does, so a run never silently ignores
+// one.
 func checkFlagsRead(names, set []string) error {
 	for _, flagName := range set {
-		readers, ok := flagReaders[flagName]
-		if !ok {
+		var readers []string
+		for _, e := range experiments.Experiments {
+			if slices.Contains(e.Reads, flagName) {
+				readers = append(readers, e.Name)
+			}
+		}
+		if len(readers) == 0 {
 			continue
 		}
-		if !slices.ContainsFunc(names, func(name string) bool { return slices.Contains(readers, name) }) {
+		if !slices.ContainsFunc(names, func(name string) bool {
+			e, _ := lookup(name)
+			return slices.Contains(e.Reads, flagName)
+		}) {
 			return fmt.Errorf("-%s is read only by -exp %s, which this run does not include",
 				flagName, strings.Join(readers, "/"))
 		}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,5 +41,31 @@ func TestCheckFlagsRead(t *testing.T) {
 				t.Fatalf("error %q does not name %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestUnknownExperiment: an unknown -exp is rejected before any side effect
+// (no output directory, no profile, nothing printed), and the error names
+// the valid experiments.
+func TestUnknownExperiment(t *testing.T) {
+	dir := t.TempDir()
+	out, prof := filepath.Join(dir, "d"), filepath.Join(dir, "p")
+	var stdout bytes.Buffer
+	err := run([]string{"-exp", "fig11", "-out", out, "-cpuprofile", prof}, &stdout)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, want := range []string{`"fig11"`, "fig2", "ext-semiasync", "all"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	for _, path := range []string{out, prof} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s exists after the rejected run", path)
+		}
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("printed %q before rejecting the run", stdout.String())
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,23 +98,25 @@ func TestRunSmoke(t *testing.T) {
 }
 
 func TestFig2Micro(t *testing.T) {
-	r, err := Fig2(Micro, 5)
+	r, err := fig2(Micro, 5, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Epochs) == 0 {
+	if len(r.Rows) == 0 {
 		t.Fatal("no epochs")
 	}
 	// Cumulative series must be non-decreasing.
-	for i := 1; i < len(r.Wavelet); i++ {
-		if r.Wavelet[i] < r.Wavelet[i-1] || r.FFT[i] < r.FFT[i-1] || r.Random[i] < r.Random[i-1] {
-			t.Fatal("cumulative error decreased")
+	for i := 1; i < len(r.Rows); i++ {
+		for _, col := range []string{"wavelet_mse", "fft_mse", "random_mse"} {
+			if num(t, r, i, col) < num(t, r, i-1, col) {
+				t.Fatal("cumulative error decreased")
+			}
 		}
 	}
 	// The headline property: wavelet loses the least information.
-	last := len(r.Epochs) - 1
-	if r.Wavelet[last] >= r.Random[last] {
-		t.Fatalf("wavelet MSE %v not better than random %v", r.Wavelet[last], r.Random[last])
+	last := len(r.Rows) - 1
+	if wav, rnd := num(t, r, last, "wavelet_mse"), num(t, r, last, "random_mse"); wav >= rnd {
+		t.Fatalf("wavelet MSE %v not better than random %v", wav, rnd)
 	}
 	if !strings.Contains(r.String(), "wavelet") {
 		t.Fatal("String() output incomplete")
@@ -121,34 +124,34 @@ func TestFig2Micro(t *testing.T) {
 }
 
 func TestFig3Micro(t *testing.T) {
-	r, err := Fig3(Micro, 5)
+	r, err := fig3(Micro, 5, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.PerNode) == 0 {
+	if len(r.Rows) == 0 {
 		t.Fatal("no per-node alphas captured")
 	}
-	for _, a := range r.PerNode {
-		if a < 0.05 || a > 1 {
+	for i := range r.Rows {
+		if a := num(t, r, i, "alpha"); a < 0.05 || a > 1 {
 			t.Fatalf("alpha %v out of range", a)
 		}
 	}
-	if len(r.MeanPerRound) == 0 {
+	if len(r.Next.Rows) == 0 {
 		t.Fatal("no per-round means")
 	}
 	_ = r.String()
 }
 
 func TestFig9Micro(t *testing.T) {
-	r, err := Fig9(Micro, 5)
+	r, err := fig9(Micro, 5, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Compression < 2 {
-		t.Fatalf("gamma compression only %.1fx", r.Compression)
+	if c := num(t, r, 0, "compression"); c < 2 {
+		t.Fatalf("gamma compression only %.1fx", c)
 	}
-	if r.WastedFraction < 0.3 || r.WastedFraction > 0.7 {
-		t.Fatalf("uncompressed metadata share %.2f, expected ~0.5", r.WastedFraction)
+	if w := num(t, r, 0, "wasted_fraction"); w < 0.3 || w > 0.7 {
+		t.Fatalf("uncompressed metadata share %.2f, expected ~0.5", w)
 	}
 	_ = r.String()
 }
@@ -156,24 +159,41 @@ func TestFig9Micro(t *testing.T) {
 // TestExtReplayMicro: the record → write → read → replay loop must report an
 // exact sequence match at micro scale.
 func TestExtReplayMicro(t *testing.T) {
-	r, err := ExtReplay(Micro, 42)
+	r, err := extReplay(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.SequenceMatch {
-		t.Fatalf("replay did not reproduce the recorded schedule: %+v", r.Diff)
+	if cell(t, r, 0, "sequence_match") != true {
+		t.Fatalf("replay did not reproduce the recorded schedule:\n%s", r)
 	}
-	if r.RecordedBytes != r.ReplayedBytes {
-		t.Fatalf("byte ledgers differ: recorded %d, replayed %d", r.RecordedBytes, r.ReplayedBytes)
+	if rec, rep := num(t, r, 0, "recorded_bytes"), num(t, r, 0, "replayed_bytes"); rec != rep {
+		t.Fatalf("byte ledgers differ: recorded %.0f, replayed %.0f", rec, rep)
 	}
-	if r.RowsRecorded != r.Rounds || r.RowsReplayed != r.Rounds {
-		t.Fatalf("rows: recorded %d, replayed %d, want %d", r.RowsRecorded, r.RowsReplayed, r.Rounds)
+	rounds := num(t, r, 0, "rounds")
+	if rec, rep := num(t, r, 0, "rows_recorded"), num(t, r, 0, "rows_replayed"); rec != rounds || rep != rounds {
+		t.Fatalf("rows: recorded %.0f, replayed %.0f, want %.0f", rec, rep, rounds)
 	}
-	if r.Events == 0 || r.Stats.ByKind == nil {
-		t.Fatal("empty stats")
+	if num(t, r, 0, "events") == 0 {
+		t.Fatal("no events recorded")
 	}
-	if !strings.Contains(r.String(), "sequence match: true") {
-		t.Fatalf("report:\n%s", r)
+}
+
+// TestExtReplayCSV: ext-replay's CSV carries the sequence-match verdict and
+// the run's size and byte ledgers in the leading columns.
+func TestExtReplayCSV(t *testing.T) {
+	r, err := extReplay(Micro, 42, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := r.CSV()
+	lines := strings.SplitN(out, "\n", 3)
+	if !strings.HasPrefix(lines[0], "nodes,rounds,events,recorded_bytes,replayed_bytes,") || !strings.Contains(lines[0], "sequence_match") {
+		t.Fatalf("ext-replay CSV header malformed:\n%s", out)
+	}
+	want := fmt.Sprintf("%.0f,%.0f,%.0f,%.0f,%.0f,", num(t, r, 0, "nodes"), num(t, r, 0, "rounds"),
+		num(t, r, 0, "events"), num(t, r, 0, "recorded_bytes"), num(t, r, 0, "replayed_bytes"))
+	if !strings.HasPrefix(lines[1], want) || !strings.Contains(lines[1], ",true,") {
+		t.Fatalf("ext-replay CSV row malformed, want prefix %q and a true sequence_match:\n%s", want, out)
 	}
 }
 

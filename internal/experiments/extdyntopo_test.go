@@ -92,28 +92,30 @@ func TestDynTopoRecordReplayRoundTrip(t *testing.T) {
 // rotated arms rotate and report mixing, the static baseline does not, and
 // the CSV carries the new columns.
 func TestExtDynTopoMicro(t *testing.T) {
-	r, err := ExtDynTopo(Micro, 5)
+	r, err := extDynTopo(Micro, 5, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := extDynTopoSizes(Micro)
-	if len(r.Rows) != 4*len(sizes) {
-		t.Fatalf("expected %d rows, got %d", 4*len(sizes), len(r.Rows))
+	// Micro: 16 and 32 nodes, four arms each, 6 iterations.
+	if len(r.Rows) != 4*2 {
+		t.Fatalf("expected %d rows, got %d", 4*2, len(r.Rows))
 	}
-	for _, row := range r.Rows {
-		if row.Rounds != extDynTopoRounds(Micro) {
-			t.Fatalf("arm %s n=%d completed %d rows", row.Arm, row.Nodes, row.Rounds)
+	for i := range r.Rows {
+		arm, n := cell(t, r, i, "arm"), num(t, r, i, "nodes")
+		if rounds := num(t, r, i, "rounds"); rounds != 6 {
+			t.Fatalf("arm %s n=%.0f completed %.0f rows", arm, n, rounds)
 		}
-		if row.GapMean <= 0 || row.GapMean > 1 {
-			t.Fatalf("arm %s n=%d gap %v outside (0,1]", row.Arm, row.Nodes, row.GapMean)
+		if gap := num(t, r, i, "spectral_gap_mean"); gap <= 0 || gap > 1 {
+			t.Fatalf("arm %s n=%.0f gap %v outside (0,1]", arm, n, gap)
 		}
-		if row.EpochMult == 0 {
-			if row.TurnoverMean != 0 || row.Epochs != 1 {
-				t.Fatalf("static arm rotated: %+v", row)
+		epochs, turnover := num(t, r, i, "epochs"), num(t, r, i, "turnover_mean")
+		if num(t, r, i, "epoch_mult") == 0 {
+			if turnover != 0 || epochs != 1 {
+				t.Fatalf("static arm rotated: %v", r.Rows[i])
 			}
 		} else {
-			if row.Epochs < 2 || row.TurnoverMean <= 0 {
-				t.Fatalf("rotated arm %s n=%d did not rotate: %+v", row.Arm, row.Nodes, row)
+			if epochs < 2 || turnover <= 0 {
+				t.Fatalf("rotated arm %s n=%.0f did not rotate: %v", arm, n, r.Rows[i])
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/simulation"
 	"repro/internal/trace"
@@ -204,47 +203,22 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 	return spec, nil
 }
 
-// ExtReplayResult is the record/replay extension experiment: one async run
-// with heterogeneity and churn is recorded, round-tripped through the wire
-// format, and replayed as the authoritative schedule. The replay must
-// reproduce the event sequence and byte ledger exactly.
-type ExtReplayResult struct {
-	Nodes, Rounds int
-
-	// Recorded-run outcome.
-	Events        int
-	RecordedBytes int64
-	RecordedAcc   float64
-
-	// Replay parity.
-	ReplayedBytes int64
-	ReplayedAcc   float64
-	RowsRecorded  int
-	RowsReplayed  int
-	SequenceMatch bool
-
-	// Staleness of the recorded run (the gossip-staleness study's columns).
-	StaleMean, StaleMax, StaleP95 float64
-
-	Stats trace.Stats
-	Diff  trace.Diff
-}
-
-// ExtReplay runs the record → write → read → replay loop on the CIFAR-10-like
-// workload under stragglers and churn.
-func ExtReplay(scale Scale, seed uint64) (*ExtReplayResult, error) {
+// extReplay records one async JWINS run on the CIFAR-10-like workload under
+// stragglers and churn, round-trips the trace through the wire format, and
+// replays it as the authoritative schedule: the replay must reproduce the
+// event sequence and the byte ledger exactly.
+func extReplay(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, 0, seed)
 	if err != nil {
 		return nil, err
 	}
 	rec := trace.NewRecorder(TraceHeaderFor(w, AlgoJWINS, 0, seed, false, false, 0))
-	spec := RunSpec{
+	recorded, err := Run(RunSpec{
 		Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: seed, Async: true,
 		Het:           simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3, LatencySpread: 0.2},
 		ChurnFraction: 0.2,
 		Recorder:      rec,
-	}
-	recorded, err := Run(spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -259,53 +233,34 @@ func ExtReplay(scale Scale, seed uint64) (*ExtReplayResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deserialize: %w", err)
 	}
-	replayRes, replayedTrace, err := ReplayTrace(decoded)
+	replayed, replayedTrace, err := ReplayTrace(decoded)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-
 	diff := trace.Compare(replayedTrace, rec.Trace())
-	return &ExtReplayResult{
-		Nodes: w.Nodes, Rounds: w.Rounds,
-		Events:        rec.Len(),
-		RecordedBytes: recorded.TotalBytes,
-		RecordedAcc:   recorded.FinalAccuracy * 100,
-		ReplayedBytes: replayRes.TotalBytes,
-		ReplayedAcc:   replayRes.FinalAccuracy * 100,
-		RowsRecorded:  len(recorded.Rounds),
-		RowsReplayed:  len(replayRes.Rounds),
-		SequenceMatch: diff.InSync() && diff.TimeErrMax == 0,
-		StaleMean:     recorded.StaleMean,
-		StaleMax:      recorded.StaleMax,
-		StaleP95:      recorded.StaleP95,
-		Stats:         trace.ComputeStats(rec.Trace()),
-		Diff:          diff,
+	return &Table{
+		Title: fmt.Sprintf("Extension: trace record/replay (%d nodes, %d rounds, CIFAR-10-like, stragglers + 20%% churn)", w.Nodes, w.Rounds),
+		Columns: []Column{
+			{Name: "nodes", CSV: "%d"},
+			{Name: "rounds", CSV: "%d"},
+			{"events", "%d", "events", "  %7d"},
+			{"recorded_bytes", "%d", "rec:bytes", "| %10s"},
+			{"replayed_bytes", "%d", "rep:bytes", "%10s"},
+			{"recorded_acc", "%.2f", "rec:acc", "%7.1f%%"},
+			{"replayed_acc", "%.2f", "rep:acc", "%7.1f%%"},
+			{"rows_recorded", "%d", "rec:rows", "%8d"},
+			{"rows_replayed", "%d", "rep:rows", "%8d"},
+			{"sequence_match", "%v", "match", "| %5v"},
+			{"time_err_max", "%.6f", "time-err", "%9.6fs"},
+			{Head: "unmatched", Text: "%10s"},
+			{"stale_mean", "%.4f", "stale:mean", "| %10.3f"},
+			{"stale_max", "%.0f", "max", "%3.0f"},
+			{"stale_p95", "%.4f", "p95", "%6.3f"},
+		},
+		Rows: [][]any{{w.Nodes, w.Rounds, rec.Len(), byteCount(recorded.TotalBytes), byteCount(replayed.TotalBytes),
+			acc(recorded), acc(replayed), len(recorded.Rounds), len(replayed.Rounds),
+			diff.InSync() && diff.TimeErrMax == 0, diff.TimeErrMax, fmt.Sprintf("%d/%d", diff.OnlyA+diff.OnlyB, diff.Matched),
+			recorded.StaleMean, recorded.StaleMax, recorded.StaleP95}},
+		Notes: []string{"unmatched: replayed and recorded events without a counterpart / matched events; staleness of the recorded run in iterations"},
 	}, nil
-}
-
-// String renders the parity report.
-func (r *ExtReplayResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: trace record/replay (%d nodes, %d rounds, CIFAR-10-like, stragglers + 20%% churn)\n",
-		r.Nodes, r.Rounds)
-	fmt.Fprintf(&b, "  recorded: %d events, %s, %.1f%% accuracy, %d rows\n",
-		r.Events, FormatBytes(r.RecordedBytes), r.RecordedAcc, r.RowsRecorded)
-	fmt.Fprintf(&b, "  replayed: %s, %.1f%% accuracy, %d rows\n",
-		FormatBytes(r.ReplayedBytes), r.ReplayedAcc, r.RowsReplayed)
-	fmt.Fprintf(&b, "  sequence match: %v (time err max %.6fs, %d/%d unmatched)\n",
-		r.SequenceMatch, r.Diff.TimeErrMax, r.Diff.OnlyA+r.Diff.OnlyB, r.Diff.Matched)
-	fmt.Fprintf(&b, "  staleness: mean %.3f, max %.0f, p95 %.3f iterations\n",
-		r.StaleMean, r.StaleMax, r.StaleP95)
-	return b.String()
-}
-
-// CSV implements CSVer.
-func (r *ExtReplayResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("nodes,rounds,events,recorded_bytes,replayed_bytes,recorded_acc,replayed_acc,rows_recorded,rows_replayed,sequence_match,time_err_max,stale_mean,stale_max,stale_p95\n")
-	fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.2f,%.2f,%d,%d,%v,%.6f,%.4f,%.0f,%.4f\n",
-		r.Nodes, r.Rounds, r.Events, r.RecordedBytes, r.ReplayedBytes,
-		r.RecordedAcc, r.ReplayedAcc, r.RowsRecorded, r.RowsReplayed,
-		r.SequenceMatch, r.Diff.TimeErrMax, r.StaleMean, r.StaleMax, r.StaleP95)
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -54,110 +53,68 @@ func ScaleWorkload(n int, seed uint64) (*Workload, error) {
 	})
 }
 
-// ExtScaleRow is one arm of the scale sweep.
-type ExtScaleRow struct {
-	Arm    string
-	Nodes  int
-	Degree int
-	Rounds int
-
-	// Events is the recorded schedule length (every kind, incl. derived
-	// send/aggregate records); WallMS and EventsPerSec measure the host, not
-	// simulated time.
-	Events       int
-	WallMS       float64
-	EventsPerSec float64
-
-	SimTime float64
-	Bytes   int64
-	Acc     float64 // final accuracy, percent
-
-	// Mixing/staleness instrumentation (GapMean is NaN-safe: dyntopo arms
-	// sample the gap every MixingEvery epochs).
-	Epochs    int
-	GapMean   float64
-	StaleMean float64
-
-	// EvalSample is the rotating eval subset size the arm ran with (0 =
-	// exact evaluation over the EvalNodes cap).
-	EvalSample int
-
-	// Streamed marks arms recorded through a trace.StreamRecorder to disk
-	// (bounded memory); TraceBytes is the resulting .jtb size.
-	Streamed   bool
-	TraceBytes int64
-
-	// Engine telemetry (internal/metrics registry, snapshotted per arm):
-	// queue-depth p95, simulated policy-wait p95, speculation hit rate, and
-	// the decoded-payload cache's hit rate (decodes served from the
-	// fleet-shared cache / all payload decodes).
-	QueueP95      float64
-	WaitP95       float64
-	SpecHitRate   float64
-	DecodeHitRate float64
-}
-
-// ExtScaleResult is the sweep over node counts × arms.
-type ExtScaleResult struct {
-	Scale Scale
-	Rows  []ExtScaleRow
-}
-
-// extScaleSizes returns the sweep's node counts: 256 through 8192 (the push
-// past the previous sweep's 1024-node ceiling), shrunk to 32/64 plus one
-// 4096-node smoke row at micro scale for CI.
-func extScaleSizes(scale Scale) []int {
+// extScale sweeps the async engine over 256 through 8192 nodes (32, 64 and
+// one 4096-node row at micro scale) under three arms per size: plain
+// heterogeneous async, +20% churn, and +epoch-rotated dynamic topologies with
+// sampled mixing metrics (MixingEvery=2, so spectral-gap estimation stays off
+// the critical path). From 2048 nodes up, three knobs keep per-arm cost from
+// scaling super-linearly: arms score a 64-node rotating eval sample instead
+// of the exact fleet, sample their mixing metrics, and record their full
+// schedule through a trace.StreamRecorder to a temporary .jtb — the
+// demonstration that big-fleet recording needs bounded memory only. Smaller
+// arms count events through an in-process sink and keep exact
+// (EvalNodes-capped) evaluation. Each arm runs on its own, not through sweep,
+// because it streams its own trace and is timed: events is the recorded
+// schedule length (every kind, derived send/aggregate records included),
+// wall-ms and events/s measure the host. The engine telemetry columns are
+// queue-depth p95, simulated policy-wait p95, speculation hit rate, and the
+// decoded-payload cache's hit rate.
+func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
+	const sampledFloor, evalSample = 2048, 64
+	sizes := []int{256, 512, 1024, 2048, 4096, 8192}
 	if scale == Micro {
-		return []int{32, 64, 4096}
+		sizes = []int{32, 64, 4096}
 	}
-	return []int{256, 512, 1024, 2048, 4096, 8192}
-}
-
-// extScaleSampledFloor is the node count from which ext-scale arms switch to
-// sampled rotating evaluation, sampled mixing metrics, and streamed traces —
-// the three knobs that keep per-arm cost from scaling super-linearly.
-const extScaleSampledFloor = 2048
-
-// extScaleEvalSample is the rotating eval subset size of the big arms.
-const extScaleEvalSample = 64
-
-// ExtScaleOpts overrides the sweep's evaluation schedule (jwins-bench flags).
-// Zero values keep the defaults: exact-over-EvalNodes evaluation below 2048
-// nodes, a 64-node rotating sample from 2048 up.
-type ExtScaleOpts struct {
-	// EvalSample forces this rotating subset size on every arm when > 0.
-	EvalSample int
-	// EvalRotate advances the sampling window every k eval rows (0/1 = every
-	// row); only meaningful with sampling on.
-	EvalRotate int
-}
-
-// ExtScale sweeps the async engine to 8192 nodes under three arms per size:
-// plain heterogeneous async, +20% churn, and +epoch-rotated dynamic
-// topologies with sampled mixing metrics (MixingEvery=2, so spectral-gap
-// estimation stays off the critical path). Arms at 2048 nodes and beyond
-// (and every arm of the largest size) record their full schedule through a
-// trace.StreamRecorder to a temporary .jtb — the demonstration that big-fleet
-// recording needs bounded memory only — and score a 64-node rotating eval
-// sample instead of the exact fleet; smaller arms count events through an
-// in-process sink and keep exact (EvalNodes-capped) evaluation.
-func ExtScale(scale Scale, seed uint64) (*ExtScaleResult, error) {
-	return ExtScaleWith(scale, seed, ExtScaleOpts{})
-}
-
-// ExtScaleWith is ExtScale with an overridden evaluation schedule.
-func ExtScaleWith(scale Scale, seed uint64, opts ExtScaleOpts) (*ExtScaleResult, error) {
-	res := &ExtScaleResult{Scale: scale}
-	sizes := extScaleSizes(scale)
-	largest := sizes[len(sizes)-1]
-	arms := []struct {
-		name    string
-		churn   float64
-		dyntopo bool
-	}{
-		{"async", 0, false},
-		{"churn", 0.2, false},
-		{"dyntopo", 0, true},
+	t := &Table{
+		Title: fmt.Sprintf("Extension: async engine at scale (scale=%s, lean MLP task, JWINS)", scale),
+		Columns: []Column{
+			{"nodes", "%d", "nodes", "%-6d"},
+			{"degree", "%d", "degree", "%-6d"},
+			{"arm", "%s", "arm", "%-8s"},
+			{Name: "rounds", CSV: "%d"},
+			{Name: "eval_sample", CSV: "%d"},
+			{Head: "eval", Text: "%-5s"},
+			{"events", "%d", "events", "| %9d"},
+			{"wall_ms", "%.1f", "wall-ms", "%9.1f"},
+			{"events_per_sec", "%.0f", "events/s", "%12.0f"},
+			{"sim_time", "%.4f", "sim-time", "| %7.2fs"},
+			{Name: "bytes", CSV: "%d"},
+			{"acc", "%.2f", "acc", "%7.1f%%"},
+			{"epochs", "%d", "epochs", "| %7d"},
+			{"gap_mean", "%.4f", "gap", "%8.4f"},
+			{Name: "stale_mean", CSV: "%.4f"},
+			{Name: "streamed", CSV: "%v"},
+			{Name: "trace_bytes", CSV: "%d"},
+			{"queue_p95", "%.1f", "q-p95", "| %8.1f"},
+			{"wait_p95", "%.4f", "wait-p95", "%7.3fs"},
+			{Name: "spec_hit_rate", CSV: "%.4f"},
+			{Name: "decode_hit_rate", CSV: "%.4f"},
+			{Head: "spec", Text: "%6.0f%%"},
+			{Head: "decode", Text: "%6.0f%%"},
+			{Head: "trace", Text: "| %-8s"},
+		},
+		Notes: []string{
+			"streamed arms record their full schedule through trace.StreamRecorder (bounded memory).",
+			"eval sN arms score a seeded rotating n-node subset per eval row (exact below 2048 nodes).",
+			"q-p95/wait-p95/spec/decode come from the engine telemetry registry (internal/metrics).",
+		},
+	}
+	arms := []arm{
+		{"async", func(s *RunSpec) {}},
+		{"churn", func(s *RunSpec) { s.ChurnFraction = 0.2 }},
+		// The epoch length is the engine's default, set here so the streamed
+		// trace header records it (replay validates against it).
+		{"dyntopo", func(s *RunSpec) { s.Dynamic, s.MixingEvery, s.EpochSec = true, 2, DefaultEpochSec(s.Workload) }},
 	}
 	tmpDir, err := os.MkdirTemp("", "extscale-traces-")
 	if err != nil {
@@ -167,109 +124,80 @@ func ExtScaleWith(scale Scale, seed uint64, opts ExtScaleOpts) (*ExtScaleResult,
 	for _, n := range sizes {
 		w, err := ScaleWorkload(n, seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ext-scale n=%d: %w", n, err)
+			return nil, err
 		}
-		for _, arm := range arms {
+		for _, a := range arms {
 			spec := RunSpec{
-				Workload:      w,
-				Algo:          AlgoSpec{Kind: AlgoJWINS},
-				Seed:          seed,
-				Async:         true,
-				EvalNodes:     8,
-				EvalRotate:    opts.EvalRotate,
-				ChurnFraction: arm.churn,
-				Het:           simulation.Heterogeneity{ComputeSpread: 0.3},
-				Telemetry:     simulation.NewTelemetry(),
+				Workload:   w,
+				Algo:       AlgoSpec{Kind: AlgoJWINS},
+				Seed:       seed,
+				Async:      true,
+				EvalNodes:  8,
+				EvalRotate: opts.EvalRotate,
+				Het:        simulation.Heterogeneity{ComputeSpread: 0.3},
+				Telemetry:  simulation.NewTelemetry(),
 			}
-			if arm.dyntopo {
-				spec.Dynamic = true
-				spec.MixingEvery = 2
-			}
-			if n >= extScaleSampledFloor {
-				spec.EvalSample = extScaleEvalSample
-				spec.MixingEvery = 2
+			a.spec(&spec)
+			big := n >= sampledFloor
+			if big {
+				spec.EvalSample, spec.MixingEvery = evalSample, 2
 			}
 			if opts.EvalSample > 0 {
 				spec.EvalSample = opts.EvalSample
 			}
-
-			row := ExtScaleRow{
-				Arm: arm.name, Nodes: n, Degree: w.Degree, Rounds: w.Rounds,
-				EvalSample: spec.EvalSample,
-			}
 			var (
 				stream    *trace.StreamRecorder
 				counter   countingSink
-				tracePath string
+				tracePath = filepath.Join(tmpDir, fmt.Sprintf("n%d-%s%s", n, a.label, trace.BinaryExt))
 			)
-			if n == largest || n >= extScaleSampledFloor {
-				// The headline arms stream their schedule to disk with
-				// bounded buffers: nothing here retains O(events). The header
-				// carries the eval schedule so replays validate against it.
-				tracePath = filepath.Join(tmpDir, fmt.Sprintf("n%d-%s%s", n, arm.name, trace.BinaryExt))
-				stream, err = trace.NewStreamRecorderFile(tracePath, WithEvalSchedule(TraceHeaderFor(
-					w, AlgoJWINS, w.Rounds, seed, false, arm.dyntopo, extScaleEpochSec(&spec, w)),
+			spec.Recorder = &counter
+			if big {
+				// The header carries the eval schedule so replays validate
+				// against it.
+				stream, err = trace.NewStreamRecorderFile(tracePath, WithEvalSchedule(
+					TraceHeaderFor(w, AlgoJWINS, w.Rounds, seed, false, spec.Dynamic, spec.EpochSec),
 					spec.EvalSample, spec.EvalRotate))
 				if err != nil {
 					return nil, err
 				}
 				spec.Recorder = stream
-				row.Streamed = true
-			} else {
-				spec.Recorder = &counter
 			}
 
 			start := time.Now()
 			r, err := Run(spec)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: ext-scale n=%d %s: %w", n, arm.name, err)
+				return nil, fmt.Errorf("n%d-%s: %w", n, a.label, err)
 			}
-			row.WallMS = float64(time.Since(start).Microseconds()) / 1000
+			wallMS := float64(time.Since(start).Microseconds()) / 1000
 
+			events, traceBytes, traceCol := counter.n, int64(0), "-"
 			if stream != nil {
 				if err := stream.Close(); err != nil {
-					return nil, fmt.Errorf("experiments: ext-scale n=%d %s trace: %w", n, arm.name, err)
+					return nil, fmt.Errorf("n%d-%s: %w", n, a.label, err)
 				}
-				row.Events = stream.Len()
+				events = stream.Len()
 				if fi, err := os.Stat(tracePath); err == nil {
-					row.TraceBytes = fi.Size()
+					traceBytes = fi.Size()
 				}
-			} else {
-				row.Events = counter.n
+				traceCol = FormatBytes(traceBytes)
 			}
-			if row.WallMS > 0 {
-				row.EventsPerSec = float64(row.Events) / (row.WallMS / 1000)
+			eventsPerSec := 0.0
+			if wallMS > 0 {
+				eventsPerSec = float64(events) / (wallMS / 1000)
 			}
-			row.SimTime = r.SimTime
-			row.Bytes = r.TotalBytes
-			row.Acc = r.FinalAccuracy * 100
-			row.Epochs = r.Epochs
-			row.GapMean = r.SpectralGapMean
-			row.StaleMean = r.StaleMean
+			evalCol := "exact"
+			if spec.EvalSample > 0 {
+				evalCol = fmt.Sprintf("s%d", spec.EvalSample)
+			}
 			tel := simulation.Summarize(r.Telemetry)
-			row.QueueP95 = tel.QueueP95
-			row.WaitP95 = tel.WaitP95
-			row.SpecHitRate = tel.SpecHitRate
-			row.DecodeHitRate = tel.DecodeHitRate
-			res.Rows = append(res.Rows, row)
+			t.Rows = append(t.Rows, []any{n, w.Degree, a.label, w.Rounds, spec.EvalSample, evalCol,
+				events, wallMS, eventsPerSec, r.SimTime, r.TotalBytes, acc(r),
+				r.Epochs, r.SpectralGapMean, r.StaleMean, stream != nil, traceBytes,
+				tel.QueueP95, tel.WaitP95, tel.SpecHitRate, tel.DecodeHitRate,
+				tel.SpecHitRate * 100, tel.DecodeHitRate * 100, traceCol})
 		}
 	}
-	return res, nil
-}
-
-// extScaleEpochSec resolves the epoch length a dyntopo arm will run with, so
-// the streamed trace header records the effective value (replay validates
-// against it). Non-dynamic arms record 0.
-func extScaleEpochSec(spec *RunSpec, w *Workload) float64 {
-	if !spec.Dynamic {
-		return 0
-	}
-	if spec.EpochSec > 0 {
-		return spec.EpochSec
-	}
-	eff := DefaultEpochSec(w)
-	spec.EpochSec = eff
-	return eff
+	return t, nil
 }
 
 // countingSink counts recorded events without retaining them — the
@@ -278,46 +206,3 @@ type countingSink struct{ n int }
 
 // Record implements trace.Sink.
 func (c *countingSink) Record(trace.Event) { c.n++ }
-
-// String renders the sweep.
-func (r *ExtScaleResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: async engine at scale (scale=%s, lean MLP task, JWINS)\n", r.Scale)
-	fmt.Fprintf(&b, "%-6s %-6s %-8s %-5s | %9s %9s %12s | %8s %8s | %7s %8s | %8s %8s %7s %7s | %-8s\n",
-		"nodes", "degree", "arm", "eval", "events", "wall-ms", "events/s", "sim-time", "acc", "epochs", "gap", "q-p95", "wait-p95", "spec", "decode", "trace")
-	for _, row := range r.Rows {
-		traceCol := "-"
-		if row.Streamed {
-			traceCol = FormatBytes(row.TraceBytes)
-		}
-		evalCol := "exact"
-		if row.EvalSample > 0 {
-			evalCol = fmt.Sprintf("s%d", row.EvalSample)
-		}
-		fmt.Fprintf(&b, "%-6d %-6d %-8s %-5s | %9d %9.1f %12.0f | %7.2fs %7.1f%% | %7d %8.4f | %8.1f %7.3fs %6.0f%% %6.0f%% | %-8s\n",
-			row.Nodes, row.Degree, row.Arm, evalCol,
-			row.Events, row.WallMS, row.EventsPerSec,
-			row.SimTime, row.Acc,
-			row.Epochs, row.GapMean,
-			row.QueueP95, row.WaitP95, row.SpecHitRate*100, row.DecodeHitRate*100, traceCol)
-	}
-	b.WriteString("streamed arms record their full schedule through trace.StreamRecorder (bounded memory).\n")
-	b.WriteString("eval sN arms score a seeded rotating n-node subset per eval row (exact below 2048 nodes).\n")
-	b.WriteString("q-p95/wait-p95/spec/decode come from the engine telemetry registry (internal/metrics).\n")
-	return b.String()
-}
-
-// CSV implements CSVer.
-func (r *ExtScaleResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("nodes,degree,arm,rounds,eval_sample,events,wall_ms,events_per_sec,sim_time,bytes,acc,epochs,gap_mean,stale_mean,streamed,trace_bytes,queue_p95,wait_p95,spec_hit_rate,decode_hit_rate\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d,%d,%s,%d,%d,%d,%.1f,%.0f,%.4f,%d,%.2f,%d,%.4f,%.4f,%v,%d,%.1f,%.4f,%.4f,%.4f\n",
-			row.Nodes, row.Degree, row.Arm, row.Rounds, row.EvalSample,
-			row.Events, row.WallMS, row.EventsPerSec,
-			row.SimTime, row.Bytes, row.Acc,
-			row.Epochs, row.GapMean, row.StaleMean, row.Streamed, row.TraceBytes,
-			row.QueueP95, row.WaitP95, row.SpecHitRate, row.DecodeHitRate)
-	}
-	return b.String()
-}

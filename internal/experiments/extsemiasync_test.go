@@ -107,26 +107,27 @@ func TestRunSpecPolicyRequiresAsync(t *testing.T) {
 // the policy signature (drops or bounded lag), and the CSV carrying the
 // effective-neighbor and drop-rate columns.
 func TestExtSemiAsyncMicro(t *testing.T) {
-	r, err := ExtSemiAsync(Micro, 7)
+	r, err := extSemiAsync(Micro, 7, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantArms := 5 * len(extSemiAsyncSpreads)
-	if len(r.Arms) != wantArms {
-		t.Fatalf("expected %d arms, got %d", wantArms, len(r.Arms))
+	wantArms := 5 * 2 // five policies at two spreads
+	if len(r.Rows) != wantArms {
+		t.Fatalf("expected %d arms, got %d", wantArms, len(r.Rows))
 	}
-	for _, a := range r.Arms {
-		if a.Rows != r.Rounds {
-			t.Fatalf("arm %s spread %.1f completed %d/%d rows", a.Policy, a.Spread, a.Rows, r.Rounds)
+	for i := range r.Rows {
+		policy, spread := cell(t, r, i, "policy"), num(t, r, i, "spread")
+		if rows, rounds := num(t, r, i, "rows"), num(t, r, i, "rounds"); rows != rounds {
+			t.Fatalf("arm %s spread %.1f completed %.0f/%.0f rows", policy, spread, rows, rounds)
 		}
-		switch a.Policy {
+		switch policy {
 		case "barrier":
-			if a.DropRate != 0 || a.LateDrops != 0 || a.Stale.Max != 0 {
-				t.Fatalf("barrier arm not clean: %+v", a)
+			if num(t, r, i, "drop_rate") != 0 || num(t, r, i, "late_drops") != 0 || num(t, r, i, "stale_max") != 0 {
+				t.Fatalf("barrier arm not clean: %v", r.Rows[i])
 			}
 		case "gossip", "bounded", "bounded-adaptive":
-			if a.EffNeighbors <= 0 {
-				t.Fatalf("arm %s merged nothing: %+v", a.Policy, a)
+			if num(t, r, i, "eff_neighbors") <= 0 {
+				t.Fatalf("arm %s merged nothing: %v", policy, r.Rows[i])
 			}
 		}
 	}

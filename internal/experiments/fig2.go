@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/datasets"
 	"repro/internal/dwt"
@@ -11,22 +10,12 @@ import (
 	"repro/internal/vec"
 )
 
-// Fig2Result holds the cumulative reconstruction error series of Figure 2:
-// sparsifying a single node's model in the wavelet, FFT, and random-sampling
-// domains at a 10% budget, epoch by epoch.
-type Fig2Result struct {
-	Epochs  []int
-	Wavelet []float64
-	FFT     []float64
-	Random  []float64
-}
-
-// Fig2 reproduces Figure 2: a single node trains on the CIFAR-10-like task;
+// fig2 reproduces Figure 2: a single node trains on the CIFAR-10-like task;
 // after every epoch the model-so-far is sparsified to 10% of coefficients in
 // each transform domain, reconstructed, and scored with MSE against the
 // uncompressed model. Lower cumulative error = less information loss, and
 // the paper's ordering is Wavelet < FFT < random sampling.
-func Fig2(scale Scale, seed uint64) (*Fig2Result, error) {
+func fig2(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, 0, seed)
 	if err != nil {
 		return nil, err
@@ -55,7 +44,15 @@ func Fig2(scale Scale, seed uint64) (*Fig2Result, error) {
 		return nil, err
 	}
 
-	res := &Fig2Result{}
+	t := &Table{
+		Title: "Figure 2: cumulative reconstruction MSE, 10% sparsification budget",
+		Columns: []Column{
+			{"epoch", "%d", "epoch", "%-6d"},
+			{"wavelet_mse", "%.8f", "wavelet", "%14.6f"},
+			{"fft_mse", "%.8f", "fft", "%14.6f"},
+			{"random_mse", "%.8f", "random", "%14.6f"},
+		},
+	}
 	var cumWav, cumFFT, cumRand float64
 	params := make([]float64, dim)
 	budget := dim / 10
@@ -72,12 +69,10 @@ func Fig2(scale Scale, seed uint64) (*Fig2Result, error) {
 		cumFFT += reconstructionMSE(fft, params, budget, nil)
 		cumRand += reconstructionMSE(dwt.Identity{N: dim}, params, budget, randRNG)
 
-		res.Epochs = append(res.Epochs, epoch)
-		res.Wavelet = append(res.Wavelet, cumWav)
-		res.FFT = append(res.FFT, cumFFT)
-		res.Random = append(res.Random, cumRand)
+		t.Rows = append(t.Rows, []any{epoch, cumWav, cumFFT, cumRand})
 	}
-	return res, nil
+	t.Notes = []string{fmt.Sprintf("paper's ordering wavelet < fft < random holds: %v", cumWav < cumFFT && cumFFT < cumRand)}
+	return t, nil
 }
 
 // transform abstracts the two coefficient domains plus identity.
@@ -96,7 +91,7 @@ func reconstructionMSE(tr transform, params []float64, budget int, randRNG *vec.
 	tr.Forward(params, coeffs)
 	var keep []int
 	if randRNG != nil {
-		keep = randRNG.SampleWithoutReplacement(cd, minInt(budget, cd))
+		keep = randRNG.SampleWithoutReplacement(cd, min(budget, cd))
 	} else {
 		keep = sparsify.TopKIndices(coeffs, budget)
 	}
@@ -107,25 +102,4 @@ func reconstructionMSE(tr transform, params []float64, budget int, randRNG *vec.
 	out := make([]float64, len(params))
 	tr.Inverse(sparse, out)
 	return vec.MSE(params, out)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// String renders the series as an aligned text table.
-func (r *Fig2Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: cumulative reconstruction MSE, 10%% sparsification budget\n")
-	fmt.Fprintf(&b, "%-6s %14s %14s %14s\n", "epoch", "wavelet", "fft", "random")
-	for i := range r.Epochs {
-		fmt.Fprintf(&b, "%-6d %14.6f %14.6f %14.6f\n", r.Epochs[i], r.Wavelet[i], r.FFT[i], r.Random[i])
-	}
-	last := len(r.Epochs) - 1
-	fmt.Fprintf(&b, "paper's ordering wavelet < fft < random holds: %v\n",
-		r.Wavelet[last] < r.FFT[last] && r.FFT[last] < r.Random[last])
-	return b.String()
 }

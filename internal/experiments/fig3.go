@@ -3,29 +3,16 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/simulation"
 )
 
-// Fig3Result captures the randomized cut-off in action: the per-node sharing
-// fraction in one representative round (left chart) and the mean sharing
-// fraction across nodes per round (right chart).
-type Fig3Result struct {
-	// PerNode is each node's alpha in the sampled round.
-	PerNode []float64
-	// SampledRound is the round PerNode was captured at.
-	SampledRound int
-	// MeanPerRound is the cross-node mean alpha per round.
-	MeanPerRound []float64
-	// ExpectedMean is the analytic E[alpha] of the distribution.
-	ExpectedMean float64
-}
-
-// Fig3 reproduces Figure 3 by instrumenting a JWINS run on the CIFAR-10-like
-// workload with the default alpha distribution.
-func Fig3(scale Scale, seed uint64) (*Fig3Result, error) {
+// fig3 reproduces Figure 3 by instrumenting a JWINS run on the CIFAR-10-like
+// workload with the default alpha distribution: each node's sharing fraction
+// in one representative round (left chart; the text table) and the mean
+// across nodes per round (right chart; the CSV's second section).
+func fig3(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, 0, seed)
 	if err != nil {
 		return nil, err
@@ -34,49 +21,44 @@ func Fig3(scale Scale, seed uint64) (*Fig3Result, error) {
 	if scale == Micro {
 		rounds = 10
 	}
-	res := &Fig3Result{ExpectedMean: core.DefaultAlphas().Mean()}
-	res.SampledRound = rounds / 2
+	sampled := rounds / 2
+	expected := core.DefaultAlphas().Mean()
+	perRound := &Table{Columns: []Column{{Name: "round", CSV: "%d"}, {Name: "mean_alpha", CSV: "%.4f"}}}
+	t := &Table{
+		Title: fmt.Sprintf("Figure 3: randomized cut-off in JWINS\nshared fraction per node in round %d:", sampled),
+		Columns: []Column{
+			{"node", "%d", "node", "  %-4d"},
+			{Name: "alpha", CSV: "%.4f"},
+			{Head: "shared", Text: "%6.0f%%"},
+		},
+		Next: perRound,
+	}
 
 	spec := RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: rounds, Seed: seed}
-	engineNodes, err := BuildFleet(w, spec.Algo, spec.Seed)
+	nodes, err := BuildFleet(w, spec.Algo, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
+	var sum, spread float64
 	spec.OnRound = func(rm simulation.RoundMetrics) {
-		res.MeanPerRound = append(res.MeanPerRound, rm.MeanAlpha)
-		if rm.Round == res.SampledRound {
-			for _, n := range engineNodes {
+		perRound.Rows = append(perRound.Rows, []any{len(perRound.Rows), rm.MeanAlpha})
+		sum += rm.MeanAlpha
+		spread = math.Max(spread, math.Abs(rm.MeanAlpha-expected))
+		if rm.Round == sampled {
+			for _, n := range nodes {
 				if j, ok := n.(*core.JWINSNode); ok {
-					res.PerNode = append(res.PerNode, j.LastAlpha)
+					t.Rows = append(t.Rows, []any{len(t.Rows), j.LastAlpha, j.LastAlpha * 100})
 				}
 			}
 		}
 	}
-	if _, err := runWithNodes(spec, engineNodes); err != nil {
+	if _, err := runWithNodes(spec, nodes); err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// String renders the distributions.
-func (r *Fig3Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: randomized cut-off in JWINS\n")
-	fmt.Fprintf(&b, "shared fraction per node in round %d:\n", r.SampledRound)
-	for i, a := range r.PerNode {
-		fmt.Fprintf(&b, "  node %-3d %5.0f%%\n", i, a*100)
+	mean := sum / float64(len(perRound.Rows))
+	t.Notes = []string{
+		fmt.Sprintf("mean shared fraction over %d rounds: %.1f%% (analytic E[alpha] = %.1f%%)", len(perRound.Rows), mean*100, expected*100),
+		fmt.Sprintf("max per-round deviation from E[alpha]: %.1f%%", spread*100),
 	}
-	var mean float64
-	for _, m := range r.MeanPerRound {
-		mean += m
-	}
-	mean /= float64(len(r.MeanPerRound))
-	fmt.Fprintf(&b, "mean shared fraction over %d rounds: %.1f%% (analytic E[alpha] = %.1f%%)\n",
-		len(r.MeanPerRound), mean*100, r.ExpectedMean*100)
-	spread := 0.0
-	for _, m := range r.MeanPerRound {
-		spread = math.Max(spread, math.Abs(m-r.ExpectedMean))
-	}
-	fmt.Fprintf(&b, "max per-round deviation from E[alpha]: %.1f%%\n", spread*100)
-	return b.String()
+	return t, nil
 }

@@ -9,20 +9,19 @@ func TestTable1MicroSingleDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Table1(Micro, 42, []string{"cifar10"})
+	r, err := table1(Micro, 42, Opts{Datasets: []string{"cifar10"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := r.Rows[0]
 	// The headline claims at any scale: JWINS stays close to full-sharing,
 	// beats random sampling, and saves a large fraction of bytes.
-	if row.AccJWINS < row.AccRandom {
-		t.Fatalf("JWINS %.1f%% below random sampling %.1f%%", row.AccJWINS, row.AccRandom)
+	if jwins, random := num(t, r, 0, "acc_jwins"), num(t, r, 0, "acc_random"); jwins < random {
+		t.Fatalf("JWINS %.1f%% below random sampling %.1f%%", jwins, random)
 	}
-	if row.NetworkSavings < 0.35 {
-		t.Fatalf("network savings only %.0f%%", row.NetworkSavings*100)
+	if savings := num(t, r, 0, "savings"); savings < 0.35 {
+		t.Fatalf("network savings only %.0f%%", savings*100)
 	}
-	if len(row.Curves["jwins"]) == 0 {
+	if len(r.Curves[0].Series["jwins"]) == 0 {
 		t.Fatal("missing learning curves")
 	}
 	_ = r.String()
@@ -32,16 +31,16 @@ func TestFig5Micro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Fig5(Micro, 42, []string{"cifar10"})
+	r, err := fig5(Micro, 42, Opts{Datasets: []string{"cifar10"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := r.Rows[0]
-	if row.RoundsJWINS <= 0 {
+	jwins, random := num(t, r, 0, "rounds_jwins"), num(t, r, 0, "rounds_random")
+	if jwins <= 0 {
 		t.Fatal("JWINS never reached the random-sampling target")
 	}
-	if row.RoundsJWINS > row.RoundsRandom {
-		t.Fatalf("JWINS needed %d rounds, random sampling %d", row.RoundsJWINS, row.RoundsRandom)
+	if jwins > random {
+		t.Fatalf("JWINS needed %.0f rounds, random sampling %.0f", jwins, random)
 	}
 	_ = r.String()
 }
@@ -50,7 +49,7 @@ func TestFig6Micro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Fig6(Micro, 42)
+	r, err := fig6(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +58,8 @@ func TestFig6Micro(t *testing.T) {
 	}
 	// At the tighter 10% budget JWINS must not lose to CHOCO (the paper's
 	// gap grows as the budget shrinks).
-	low := r.Rows[1]
-	if low.AccJWINS < low.AccChoco-1 {
-		t.Fatalf("JWINS %.1f%% vs CHOCO %.1f%% at 10%% budget", low.AccJWINS, low.AccChoco)
+	if jwins, choco := num(t, r, 1, "acc_jwins"), num(t, r, 1, "acc_choco"); jwins < choco-1 {
+		t.Fatalf("JWINS %.1f%% vs CHOCO %.1f%% at 10%% budget", jwins, choco)
 	}
 	_ = r.String()
 }
@@ -70,16 +68,18 @@ func TestFig7Micro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Fig7(Micro, 42)
+	r, err := fig7(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows: full-static, full-dynamic, jwins-dynamic, choco-dynamic.
+	full, jwins, choco := num(t, r, 1, "final_acc"), num(t, r, 2, "final_acc"), num(t, r, 3, "final_acc")
 	// CHOCO must be clearly the worst arm on dynamic topologies.
-	if r.ChocoDynamic >= r.JWINSDynamic {
-		t.Fatalf("CHOCO dynamic %.1f%% >= JWINS dynamic %.1f%%", r.ChocoDynamic, r.JWINSDynamic)
+	if choco >= jwins {
+		t.Fatalf("CHOCO dynamic %.1f%% >= JWINS dynamic %.1f%%", choco, jwins)
 	}
-	if r.ChocoDynamic >= r.FullDynamic {
-		t.Fatalf("CHOCO dynamic %.1f%% >= full dynamic %.1f%%", r.ChocoDynamic, r.FullDynamic)
+	if choco >= full {
+		t.Fatalf("CHOCO dynamic %.1f%% >= full dynamic %.1f%%", choco, full)
 	}
 	_ = r.String()
 }
@@ -88,13 +88,13 @@ func TestFig8Micro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Fig8(Micro, 42)
+	r, err := fig8(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Fig8Variants {
-		if math.IsNaN(r.Loss[string(v)]) || r.Loss[string(v)] <= 0 {
-			t.Fatalf("variant %s has no loss", v)
+	for i := range r.Rows {
+		if loss := num(t, r, i, "test_loss"); math.IsNaN(loss) || loss <= 0 {
+			t.Fatalf("variant %s has no loss", cell(t, r, i, "variant"))
 		}
 	}
 	_ = r.String()
@@ -104,16 +104,16 @@ func TestFig10Micro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := Fig10(Micro, 42)
+	r, err := fig10(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) < 2 {
 		t.Fatalf("want >= 2 sizes, got %d", len(r.Rows))
 	}
-	for _, row := range r.Rows {
-		if row.AccGain < -2 {
-			t.Fatalf("JWINS lost to random sampling at n=%d by %.1f%%", row.Nodes, -row.AccGain)
+	for i := range r.Rows {
+		if gain := num(t, r, i, "gain"); gain < -2 {
+			t.Fatalf("JWINS lost to random sampling at n=%.0f by %.1f%%", num(t, r, i, "nodes"), -gain)
 		}
 	}
 	_ = r.String()
@@ -123,32 +123,34 @@ func TestExtensionsMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	pg, err := ExtPowerGossip(Micro, 42)
+	pg, err := extPowerGossip(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.BytesPG <= 0 || pg.AccPG <= 0 {
-		t.Fatalf("powergossip produced no results: %+v", pg)
+	// Rows: jwins, powergossip.
+	if num(t, pg, 1, "bytes") <= 0 || num(t, pg, 1, "acc") <= 0 {
+		t.Fatalf("powergossip produced no results: %v", pg.Rows[1])
 	}
 	_ = pg.String()
 
-	ad, err := ExtAdaptive(Micro, 42)
+	ad, err := extAdaptive(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ad.AccAdaptive <= 0 {
-		t.Fatalf("adaptive produced no results: %+v", ad)
+	// Rows: default, band-adaptive.
+	if num(t, ad, 1, "acc") <= 0 {
+		t.Fatalf("adaptive produced no results: %v", ad.Rows[1])
 	}
 	_ = ad.String()
 
-	fa, err := ExtFaults(Micro, 42)
+	fa, err := extFaults(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The contrast the extension exists to show: CHOCO degrades more under
-	// drops than JWINS does.
-	jwinsDrop := fa.Clean["jwins"] - fa.Drops["jwins"]
-	chocoDrop := fa.Clean["choco"] - fa.Drops["choco"]
+	// drops than JWINS does. Rows: jwins, choco.
+	jwinsDrop := num(t, fa, 0, "acc_clean") - num(t, fa, 0, "acc_drops")
+	chocoDrop := num(t, fa, 1, "acc_clean") - num(t, fa, 1, "acc_drops")
 	if chocoDrop < jwinsDrop-5 {
 		t.Fatalf("expected CHOCO to degrade at least as much as JWINS (choco -%.1f%%, jwins -%.1f%%)",
 			chocoDrop, jwinsDrop)
@@ -160,26 +162,26 @@ func TestExtAsyncChurnMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	r, err := ExtAsyncChurn(Micro, 42)
+	r, err := extAsyncChurn(Micro, 42, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The async+churn JWINS arm must complete its full iteration budget and
 	// stay within a few points of the clean synchronous reference, while
 	// CHOCO's error-feedback replicas are expected to suffer.
-	if r.RowsJWINSAsync != r.Rounds {
-		t.Fatalf("async JWINS completed %d/%d rows", r.RowsJWINSAsync, r.Rounds)
+	rounds := int(num(t, r, 0, "rounds"))
+	if rows := len(r.Curves[0].Series["jwins-async-churn"]); rows != rounds {
+		t.Fatalf("async JWINS completed %d/%d rows", rows, rounds)
 	}
-	if r.AccJWINSAsync < r.AccJWINSSync-10 {
-		t.Fatalf("async+churn JWINS lost too much accuracy: %.1f%% vs sync %.1f%%",
-			r.AccJWINSAsync, r.AccJWINSSync)
+	sync, async, choco := num(t, r, 0, "acc_jwins_sync"), num(t, r, 0, "acc_jwins_async"), num(t, r, 0, "acc_choco_async")
+	if async < sync-10 {
+		t.Fatalf("async+churn JWINS lost too much accuracy: %.1f%% vs sync %.1f%%", async, sync)
 	}
-	if r.AccChoco > r.AccJWINSAsync+5 {
-		t.Fatalf("expected CHOCO (%.1f%%) to degrade at least as much as JWINS (%.1f%%)",
-			r.AccChoco, r.AccJWINSAsync)
+	if choco > async+5 {
+		t.Fatalf("expected CHOCO (%.1f%%) to degrade at least as much as JWINS (%.1f%%)", choco, async)
 	}
-	if len(r.Curves) != 3 {
-		t.Fatalf("expected 3 curves, got %d", len(r.Curves))
+	if len(r.Curves[0].Series) != 3 {
+		t.Fatalf("expected 3 curves, got %d", len(r.Curves[0].Series))
 	}
 	if r.CSV() == "" || r.String() == "" {
 		t.Fatal("empty renderings")

@@ -215,7 +215,8 @@ type RunSpec struct {
 	// without it.
 	Telemetry *simulation.Telemetry
 
-	// failure injection, set by runFleetWithFaults
+	// failure injection (ext-faults): per-message drop and per-round
+	// offline probabilities
 	faultDrop, faultOffline float64
 }
 
@@ -237,17 +238,6 @@ func Run(spec RunSpec) (*simulation.Result, error) {
 func DefaultEpochSec(w *Workload) float64 {
 	payload := 4 * w.NewModel(vec.NewRNG(0)).ParamCount()
 	return simulation.Config{}.NominalRoundSec(w.Opts.LocalSteps, payload, w.Degree)
-}
-
-// runFleetWithFaults executes a run with failure injection and returns the
-// final accuracy (fraction).
-func runFleetWithFaults(spec RunSpec, nodes []core.Node, dropProb, offlineProb float64) (float64, error) {
-	spec.faultDrop, spec.faultOffline = dropProb, offlineProb
-	res, err := runWithNodes(spec, nodes)
-	if err != nil {
-		return 0, err
-	}
-	return res.FinalAccuracy, nil
 }
 
 // runWithNodes executes a run over pre-built nodes (used by experiments that

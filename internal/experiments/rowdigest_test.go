@@ -70,7 +70,7 @@ func TestSyncRowDigest(t *testing.T) {
 	}
 }
 
-// powerGossipRowDigest is the SHA-256 of ExtPowerGossip's own driver loop at
+// powerGossipRowDigest is the SHA-256 of extPowerGossip's own driver loop at
 // micro scale on cifar10, seeds {1, 2}: each round's mean loss and bytes, then
 // every node's final parameters and its test loss and accuracy, floats by
 // their bits. Recorded at 4f4ef3d, before GN-LeNet's pooling, norm and ReLU
@@ -93,7 +93,7 @@ func TestPowerGossipRowDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ExtPowerGossip's driver, from its root RNG on.
+		// extPowerGossip's driver, from its root RNG on.
 		root := vec.NewRNG(seed)
 		template := w.NewModel(root.Split())
 		initial := make([]float64, template.ParamCount())
