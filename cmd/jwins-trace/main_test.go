@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -96,6 +97,18 @@ func recordChurnRun(t *testing.T) string {
 	return src
 }
 
+// writeTrace writes tr to path in the one trace encoding.
+func writeTrace(t *testing.T, path string, tr *trace.Trace) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayCheck drives the replay subcommand end to end: a recorded async
 // run with stragglers and churn must replay with parity, and a copy whose
 // send ledger was tampered with must print the FAILED verdict in both modes,
@@ -126,9 +139,7 @@ func TestReplayCheck(t *testing.T) {
 		}
 	}
 	bad := filepath.Join(dir, "tampered"+trace.BinaryExt)
-	if err := trace.WriteFile(bad, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, bad, tr)
 	for _, check := range []bool{true, false} {
 		out.Reset()
 		err := replay(bad, check, &out)
@@ -177,9 +188,7 @@ func TestDiffAndDump(t *testing.T) {
 		}
 	}
 	less := filepath.Join(dir, "less"+trace.BinaryExt)
-	if err := trace.WriteFile(less, tr); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, less, tr)
 	out.Reset()
 	if d, err = diffCmd(src, less, &out); err != nil {
 		t.Fatal(err)

@@ -72,11 +72,6 @@ type BitReader struct {
 	off int // bits consumed
 }
 
-// NewBitReader returns a reader over buf. The reader does not copy buf.
-func NewBitReader(buf []byte) *BitReader {
-	return &BitReader{buf: buf}
-}
-
 // peek returns the next 64 bits, left-aligned, and how many of them lie in
 // the buffer: 57 to 64 while eight bytes remain, fewer near the end, whose
 // missing bits read as zeros.

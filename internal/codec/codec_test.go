@@ -9,6 +9,16 @@ import (
 	"repro/internal/vec"
 )
 
+// EncodeIndicesGamma is AppendIndicesGamma into a fresh buffer.
+func EncodeIndicesGamma(indices []int) ([]byte, error) {
+	return AppendIndicesGamma(nil, indices)
+}
+
+// DecodeIndicesGamma is AppendDecodeIndicesGamma into a fresh slice.
+func DecodeIndicesGamma(buf []byte, count int) ([]int, error) {
+	return AppendDecodeIndicesGamma(nil, buf, count)
+}
+
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	var w BitWriter
 	w.WriteBit(1)
@@ -16,7 +26,7 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w.WriteBits(0xdeadbeef, 32)
 	w.WriteBit(0)
 	buf := w.Bytes()
-	r := NewBitReader(buf)
+	r := &BitReader{buf: buf}
 	if b, _ := r.ReadBit(); b != 1 {
 		t.Fatal("first bit")
 	}
@@ -32,7 +42,7 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestBitReaderExhaustion(t *testing.T) {
-	r := NewBitReader([]byte{0xff})
+	r := &BitReader{buf: []byte{0xff}}
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +61,12 @@ func TestEliasGammaKnownCodes(t *testing.T) {
 		bits int
 	}{{1, 1}, {2, 3}, {3, 3}, {4, 5}, {8, 7}, {255, 15}, {256, 17}}
 	for _, c := range cases {
-		if got := GammaEncodedBits(c.v); got != c.bits {
-			t.Errorf("GammaEncodedBits(%d) = %d, want %d", c.v, got, c.bits)
-		}
 		var w BitWriter
 		WriteEliasGamma(&w, c.v)
 		if w.BitLen() != c.bits {
 			t.Errorf("gamma(%d) wrote %d bits, want %d", c.v, w.BitLen(), c.bits)
 		}
-		r := NewBitReader(w.Bytes())
+		r := &BitReader{buf: w.Bytes()}
 		got, err := ReadEliasGamma(r)
 		if err != nil || got != c.v {
 			t.Errorf("gamma round trip of %d: got %d err %v", c.v, got, err)
@@ -73,7 +80,7 @@ func TestEliasGammaSequence(t *testing.T) {
 	for _, v := range vals {
 		WriteEliasGamma(&w, v)
 	}
-	r := NewBitReader(w.Bytes())
+	r := &BitReader{buf: w.Bytes()}
 	for i, want := range vals {
 		got, err := ReadEliasGamma(r)
 		if err != nil {
@@ -234,21 +241,6 @@ func testFloatRoundTrip(t *testing.T, fc FloatCodec) {
 func TestRaw32RoundTrip(t *testing.T)        { testFloatRoundTrip(t, Raw32{}) }
 func TestPlaneFlate32RoundTrip(t *testing.T) { testFloatRoundTrip(t, PlaneFlate32{}) }
 func TestXOR32RoundTrip(t *testing.T)        { testFloatRoundTrip(t, XOR32{}) }
-
-func TestFloatCodecByName(t *testing.T) {
-	for _, name := range []string{"raw32", "flate32", "xor32"} {
-		fc, err := FloatCodecByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if fc.Name() != name {
-			t.Fatalf("name mismatch: %s vs %s", fc.Name(), name)
-		}
-	}
-	if _, err := FloatCodecByName("zstd"); err == nil {
-		t.Fatal("expected error for unknown codec")
-	}
-}
 
 // TestPlaneFlateCompresses checks that weight-like data (many values of
 // similar magnitude) actually shrinks, which is the reason the paper applies

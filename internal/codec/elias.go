@@ -52,17 +52,12 @@ func ReadEliasGamma(r *BitReader) (uint64, error) {
 	return 1<<n | rest, nil
 }
 
-// EncodeIndicesGamma encodes a strictly increasing list of non-negative
-// indices as Elias gamma codes over the difference array (first index + 1,
-// then successive gaps), exactly the scheme the paper adopts from QSGD for
-// sparsification metadata. An empty list encodes to an empty buffer.
-func EncodeIndicesGamma(indices []int) ([]byte, error) {
-	return AppendIndicesGamma(nil, indices)
-}
-
-// AppendIndicesGamma is EncodeIndicesGamma appending into dst (which may be
-// nil or a reused buffer sliced to zero length). An empty index list appends
-// nothing and returns dst unchanged.
+// AppendIndicesGamma appends to dst (which may be nil or a reused buffer
+// sliced to zero length) a strictly increasing list of non-negative indices
+// as Elias gamma codes over the difference array (first index + 1, then
+// successive gaps), exactly the scheme the paper adopts from QSGD for
+// sparsification metadata. An empty index list appends nothing and returns
+// dst unchanged.
 func AppendIndicesGamma(dst []byte, indices []int) ([]byte, error) {
 	if len(indices) == 0 {
 		return dst, nil
@@ -79,13 +74,9 @@ func AppendIndicesGamma(dst []byte, indices []int) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// DecodeIndicesGamma decodes count indices produced by EncodeIndicesGamma.
-func DecodeIndicesGamma(buf []byte, count int) ([]int, error) {
-	return AppendDecodeIndicesGamma(nil, buf, count)
-}
-
-// AppendDecodeIndicesGamma is DecodeIndicesGamma appending into dst, for
-// callers that reuse index scratch across payloads.
+// AppendDecodeIndicesGamma decodes count indices produced by
+// AppendIndicesGamma and appends them to dst, for callers that reuse index
+// scratch across payloads.
 func AppendDecodeIndicesGamma(dst []int, buf []byte, count int) ([]int, error) {
 	if count <= 0 {
 		return dst, nil
@@ -126,12 +117,4 @@ func AppendDecodeIndicesGamma(dst []int, buf []byte, count int) ([]int, error) {
 		dst = append(dst, prev)
 	}
 	return dst, nil
-}
-
-// GammaEncodedBits returns the exact bit length of the gamma code of v.
-func GammaEncodedBits(v uint64) int {
-	if v == 0 {
-		panic("codec: Elias gamma is undefined for 0")
-	}
-	return 2*bits.Len64(v) - 1
 }

@@ -23,22 +23,6 @@ type FloatCodec interface {
 	Decode(buf []byte, count int) ([]float64, error)
 }
 
-// FloatCodecByName returns the codec registered under name:
-// "raw32", "flate32" (byte-plane + DEFLATE, the fpzip stand-in), "xor32"
-// (Gorilla-style XOR with leading/trailing-zero headers).
-func FloatCodecByName(name string) (FloatCodec, error) {
-	switch name {
-	case "raw32":
-		return Raw32{}, nil
-	case "flate32":
-		return PlaneFlate32{}, nil
-	case "xor32":
-		return XOR32{}, nil
-	default:
-		return nil, fmt.Errorf("codec: unknown float codec %q", name)
-	}
-}
-
 // Raw32 stores values as little-endian IEEE-754 float32.
 type Raw32 struct{}
 

@@ -44,12 +44,6 @@ func BudgetAlphas(budget float64) (AlphaDist, error) {
 	}
 }
 
-// FixedAlpha is the degenerate distribution sharing fraction a every round
-// (used by the "without randomized cut-off" ablation and random sampling).
-func FixedAlpha(a float64) AlphaDist {
-	return AlphaDist{Values: []float64{a}, Probs: []float64{1}}
-}
-
 // Validate checks the distribution is well formed.
 func (d AlphaDist) Validate() error {
 	if len(d.Values) == 0 || len(d.Values) != len(d.Probs) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -208,7 +209,7 @@ func TestJWINSFullAlphaMatchesFullSharing(t *testing.T) {
 	build := func(jwins bool) []Node {
 		var nodes []Node
 		for i := 0; i < n; i++ {
-			model := &stubModel{params: vec.Clone(initial[i])}
+			model := &stubModel{params: slices.Clone(initial[i])}
 			var node Node
 			var err error
 			if jwins {
@@ -274,8 +275,9 @@ func TestJWINSPartialConsensus(t *testing.T) {
 	spread := func() float64 {
 		lo := make([]float64, dim)
 		hi := make([]float64, dim)
-		vec.Fill(lo, math.Inf(1))
-		vec.Fill(hi, math.Inf(-1))
+		for k := range lo {
+			lo[k], hi[k] = math.Inf(1), math.Inf(-1)
+		}
 		for _, node := range nodes {
 			p := make([]float64, dim)
 			node.Model().CopyParams(p)

@@ -18,3 +18,12 @@ func ScratchSets() int {
 	defer scratchList.mu.Unlock()
 	return len(scratchList.free)
 }
+
+// FixedAlpha is the degenerate distribution sharing fraction a every round.
+// The tests that pin one budget use it: TestBandAdaptiveSelectsBudget,
+// TestBandAdaptiveCoversActiveBands, TestJWINSFullAlphaMatchesFullSharing,
+// TestJWINSAccumulatorReset, TestQuickShareBudgetRespected and
+// TestJWINSLockstepTwin.
+func FixedAlpha(a float64) AlphaDist {
+	return AlphaDist{Values: []float64{a}, Probs: []float64{1}}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +115,7 @@ func TestQuickSelfAggregateIsStable(t *testing.T) {
 		for i := range model.params {
 			model.params[i] = r.NormFloat64()
 		}
-		before := vec.Clone(model.params)
+		before := slices.Clone(model.params)
 		node, err := NewJWINS(0, model, stubLoader(t, ds), TrainOpts{LR: 0.1, LocalSteps: 1}, cfg, vec.NewRNG(seed))
 		if err != nil {
 			return false

@@ -22,8 +22,8 @@ func TestJWINSReShareCountsOnce(t *testing.T) {
 	cfg.DisableRandomCutoff = true // one k whatever the number of draws
 	node := func() *JWINSNode { return jwinsFleet(t, 1, dim, cfg)[0] }
 	twice, once := node(), node()
-	x0 := vec.Clone(twice.model.(*stubModel).params)
-	x1, x2 := vec.Clone(x0), vec.Clone(x0)
+	x0 := slices.Clone(twice.model.(*stubModel).params)
+	x1, x2 := slices.Clone(x0), slices.Clone(x0)
 	r := vec.NewRNG(7)
 	for j := range x0 {
 		x1[j] += 0.1 * r.NormFloat64()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -123,9 +124,9 @@ func runMixed(t *testing.T, beforeCall func()) (payloads [][]byte, vectors [][]f
 			if err := nodes[i].Aggregate(round, w, map[int][]byte{partner: sent[partner]}); err != nil {
 				t.Fatalf("round %d node %d aggregate: %v", round, i, err)
 			}
-			vectors = append(vectors, vec.Clone(nodes[i].Model().(*stubModel).params))
+			vectors = append(vectors, slices.Clone(nodes[i].Model().(*stubModel).params))
 			if jn, ok := nodes[i].(*JWINSNode); ok {
-				vectors = append(vectors, vec.Clone(jn.base), vec.Clone(jn.Accumulator()))
+				vectors = append(vectors, slices.Clone(jn.base), slices.Clone(jn.Accumulator()))
 			}
 		}
 	}

@@ -43,7 +43,9 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	if n.cfg.DisableAccumulation {
 		copy(n.v, deltaCoeff)
 	} else {
-		vec.Add(n.v, deltaCoeff)
+		for i, d := range deltaCoeff {
+			n.v[i] += d
+		}
 	}
 	alpha := n.cfg.Alphas.Mean()
 	if !n.cfg.DisableRandomCutoff {

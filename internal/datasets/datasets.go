@@ -9,7 +9,6 @@ package datasets
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/nn"
@@ -53,17 +52,12 @@ type Dataset struct {
 // Label returns the scalar class of train sample i (first target).
 func (d *Dataset) Label(i int) int { return int(d.Train[i].Y[0]) }
 
-// BatchTensors assembles the samples at indices into an input tensor and a
-// flat target slice ready for nn.Trainable.TrainBatch / EvalBatch.
-func (d *Dataset) BatchTensors(samples []Sample, indices []int) (*nn.Tensor, []float64) {
-	return d.BatchTensorsInto(samples, indices, &nn.Tensor{}, nil)
-}
-
-// BatchTensorsInto is BatchTensors over caller-owned buffers: x's data and
-// shape and the target slice are resized in place, so a loop that feeds
-// batches straight into TrainBatch/EvalBatch allocates nothing in steady
-// state. The returned tensor is x; the returned targets reuse ys's backing
-// array when it is large enough.
+// BatchTensorsInto assembles the samples at indices into an input tensor and
+// a flat target slice ready for nn.Trainable.TrainBatch / EvalBatch. It fills
+// caller-owned buffers: x's data and shape and the target slice are resized in
+// place, so a loop that feeds batches straight into TrainBatch/EvalBatch
+// allocates nothing in steady state. The returned tensor is x; the returned
+// targets reuse ys's backing array when it is large enough.
 func (d *Dataset) BatchTensorsInto(samples []Sample, indices []int, x *nn.Tensor, ys []float64) (*nn.Tensor, []float64) {
 	if len(indices) == 0 {
 		panic("datasets: empty batch")
@@ -244,124 +238,4 @@ func PartitionByClient(ds *Dataset, nodes int, rng *vec.RNG) ([][]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// PartitionIID deals samples uniformly at random (used in sanity checks).
-func PartitionIID(ds *Dataset, nodes int, rng *vec.RNG) ([][]int, error) {
-	n := len(ds.Train)
-	if nodes > n {
-		return nil, fmt.Errorf("datasets: %d nodes for %d samples", nodes, n)
-	}
-	perm := rng.Perm(n)
-	out := make([][]int, nodes)
-	for pos, idx := range perm {
-		node := pos % nodes
-		out[node] = append(out[node], idx)
-	}
-	return out, nil
-}
-
-// PartitionDirichlet splits class proportions per node from a symmetric
-// Dirichlet(alpha) distribution, a common non-IID benchmark scheme; small
-// alpha is more skewed.
-func PartitionDirichlet(ds *Dataset, nodes int, alpha float64, rng *vec.RNG) ([][]int, error) {
-	if ds.Classes == 0 {
-		return nil, fmt.Errorf("datasets: %s has no class labels", ds.Name)
-	}
-	byClass := make([][]int, ds.Classes)
-	for i := range ds.Train {
-		c := ds.Label(i)
-		byClass[c] = append(byClass[c], i)
-	}
-	out := make([][]int, nodes)
-	for c, idx := range byClass {
-		if len(idx) == 0 {
-			continue
-		}
-		rng.ShuffleInts(idx)
-		weights := dirichlet(nodes, alpha, rng)
-		// Convert weights to cumulative counts.
-		start := 0
-		var cum float64
-		for node := 0; node < nodes; node++ {
-			cum += weights[node]
-			end := int(cum*float64(len(idx)) + 0.5)
-			if node == nodes-1 {
-				end = len(idx)
-			}
-			if end > start {
-				out[node] = append(out[node], idx[start:end]...)
-			}
-			start = end
-		}
-		_ = c
-	}
-	for node := range out {
-		if len(out[node]) == 0 {
-			// Guarantee progress everywhere: steal one sample from the
-			// largest node.
-			big := 0
-			for i := range out {
-				if len(out[i]) > len(out[big]) {
-					big = i
-				}
-			}
-			if len(out[big]) < 2 {
-				return nil, fmt.Errorf("datasets: not enough samples to cover %d nodes", nodes)
-			}
-			out[node] = append(out[node], out[big][len(out[big])-1])
-			out[big] = out[big][:len(out[big])-1]
-		}
-	}
-	return out, nil
-}
-
-// dirichlet draws a symmetric Dirichlet(alpha) sample via Gamma(alpha, 1)
-// normalization (Marsaglia-Tsang for alpha >= 1; boost trick below 1).
-func dirichlet(n int, alpha float64, rng *vec.RNG) []float64 {
-	out := make([]float64, n)
-	var sum float64
-	for i := range out {
-		g := gamma(alpha, rng)
-		out[i] = g
-		sum += g
-	}
-	if sum == 0 {
-		for i := range out {
-			out[i] = 1 / float64(n)
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
-func gamma(alpha float64, rng *vec.RNG) float64 {
-	if alpha < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gamma(alpha+1, rng) * math.Pow(u, 1/alpha)
-	}
-	d := alpha - 1.0/3.0
-	c := 1 / (3 * math.Sqrt(d))
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u == 0 {
-			continue
-		}
-		if math.Log(u) < 0.5*x*x+d-d*v+d*math.Log(v) {
-			return d * v
-		}
-	}
 }

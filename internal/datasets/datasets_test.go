@@ -1,7 +1,6 @@
 package datasets
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/nn"
@@ -129,39 +128,6 @@ func TestPartitionByClientErrors(t *testing.T) {
 	}
 }
 
-func TestPartitionIID(t *testing.T) {
-	ds := testImages(t, 0)
-	parts, err := PartitionIID(ds, 8, vec.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, idx := range parts {
-		total += len(idx)
-	}
-	if total != len(ds.Train) {
-		t.Fatalf("IID partition covers %d of %d", total, len(ds.Train))
-	}
-}
-
-func TestPartitionDirichlet(t *testing.T) {
-	ds := testImages(t, 0)
-	parts, err := PartitionDirichlet(ds, 6, 0.5, vec.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for node, idx := range parts {
-		if len(idx) == 0 {
-			t.Fatalf("node %d empty", node)
-		}
-		total += len(idx)
-	}
-	if total != len(ds.Train) {
-		t.Fatalf("dirichlet covers %d of %d", total, len(ds.Train))
-	}
-}
-
 func TestLoaderCyclesAndShuffles(t *testing.T) {
 	ds := testImages(t, 0)
 	idx := []int{0, 1, 2, 3, 4}
@@ -259,24 +225,6 @@ func TestMovieLensLearnable(t *testing.T) {
 	loss, _ := Evaluate(ds, mf, 16, 0)
 	if loss > 0.5 {
 		t.Fatalf("MF test loss %v too high on low-rank data", loss)
-	}
-}
-
-func TestDirichletDistribution(t *testing.T) {
-	// The dirichlet helper must produce a probability vector.
-	r := vec.NewRNG(12)
-	for _, alpha := range []float64{0.1, 0.5, 1, 5} {
-		w := dirichlet(10, alpha, r)
-		var sum float64
-		for _, v := range w {
-			if v < 0 {
-				t.Fatalf("negative weight %v", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("alpha=%v: sum %v", alpha, sum)
-		}
 	}
 }
 

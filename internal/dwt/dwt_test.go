@@ -10,11 +10,32 @@ import (
 
 const tol = 1e-9
 
+// waveletNames returns the registered wavelet names (unordered).
+func waveletNames() []string {
+	out := make([]string, 0, len(wavelets))
+	for n := range wavelets {
+		out = append(out, n)
+	}
+	return out
+}
+
+// AnalyzePeriodic is AnalyzePeriodicFilters with w's filters: one level of
+// periodized analysis of x into approx and detail, each of length len(x)/2.
+func AnalyzePeriodic(x []float64, w Wavelet, approx, detail []float64) {
+	AnalyzePeriodicFilters(x, w.H, w.G(), approx, detail)
+}
+
+// SynthesizePeriodic is SynthesizePeriodicFilters with w's filters: it
+// inverts AnalyzePeriodic into x, of length 2*len(approx).
+func SynthesizePeriodic(approx, detail []float64, w Wavelet, x []float64) {
+	SynthesizePeriodicFilters(approx, detail, w.H, w.G(), x)
+}
+
 // TestFilterOrthonormality checks the two algebraic properties perfect
 // reconstruction depends on: unit energy and shift-2 orthogonality of the
 // scaling filter, plus cross-orthogonality with the derived wavelet filter.
 func TestFilterOrthonormality(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range waveletNames() {
 		w := MustByName(name)
 		h, g := w.H, w.G()
 		if s := sumSq(h); math.Abs(s-1) > tol {
@@ -55,7 +76,7 @@ func TestByNameUnknown(t *testing.T) {
 
 func TestSingleLevelPerfectReconstruction(t *testing.T) {
 	rng := vec.NewRNG(11)
-	for _, name := range Names() {
+	for _, name := range waveletNames() {
 		w := MustByName(name)
 		for _, n := range []int{2, 4, 8, 16, 34, 128, 1000} {
 			x := randVec(rng, n)

@@ -155,7 +155,7 @@ func TestPlanKernelsBitIdenticalToReference(t *testing.T) {
 				checkPlan(t, p, signal(rng, p.n, mood), signal(rng, p.CoeffLen(), mood))
 			}
 		}
-		names := Names()
+		names := waveletNames()
 		sort.Strings(names)
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + rng.Intn(600)
@@ -177,7 +177,7 @@ func FuzzDWTParity(f *testing.F) {
 	f.Add(uint16(17), uint8(1), uint8(3), uint64(2), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(uint16(700), uint8(4), uint8(6), uint64(3), []byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
 	f.Add(uint16(1001), uint8(3), uint8(2), uint64(4), []byte{1, 0, 0, 0, 0, 0, 0, 0})
-	names := Names()
+	names := waveletNames()
 	sort.Strings(names)
 	f.Fuzz(func(t *testing.T, rawN uint16, rawLevels, wavelet uint8, seed uint64, data []byte) {
 		n, levels := 1+int(rawN)%4096, 1+int(rawLevels)%6
@@ -256,7 +256,7 @@ func BenchmarkPlanInverse(b *testing.B) {
 // leaks from one signal's cascade into the next.
 func TestBatchBitIdenticalToLooped(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	names := Names()
+	names := waveletNames()
 	sizes := []int{1, 2, 3, 5, 8, 11}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(900)

@@ -96,29 +96,15 @@ func MustByName(name string) Wavelet {
 	return w
 }
 
-// Names returns the registered wavelet names (unordered).
-func Names() []string {
-	out := make([]string, 0, len(wavelets))
-	for n := range wavelets {
-		out = append(out, n)
-	}
-	return out
-}
-
-// AnalyzePeriodic performs one level of periodized analysis of the
-// even-length signal x into approx and detail bands of length len(x)/2.
-// approx and detail must each have length len(x)/2.
-func AnalyzePeriodic(x []float64, w Wavelet, approx, detail []float64) {
-	AnalyzePeriodicFilters(x, w.H, w.G(), approx, detail)
-}
-
-// AnalyzePeriodicFilters is AnalyzePeriodic with the high-pass filter g
-// precomputed, so per-round transforms on cached filters stay allocation
+// AnalyzePeriodicFilters performs one level of periodized analysis of the
+// even-length signal x into approx and detail bands, each of length len(x)/2,
+// with the scaling filter h and the wavelet filter g. g is passed in rather
+// than derived, so per-round transforms on cached filters stay allocation
 // free (Wavelet.G allocates on every call).
 func AnalyzePeriodicFilters(x, h, g []float64, approx, detail []float64) {
 	n := len(x)
 	if n%2 != 0 {
-		panic("dwt: AnalyzePeriodic requires an even-length signal")
+		panic("dwt: AnalyzePeriodicFilters requires an even-length signal")
 	}
 	half := n / 2
 	if len(approx) != half || len(detail) != half {
@@ -145,14 +131,9 @@ func AnalyzePeriodicFilters(x, h, g []float64, approx, detail []float64) {
 	}
 }
 
-// SynthesizePeriodic inverts AnalyzePeriodic: it reconstructs the even-length
-// signal x (length 2*len(approx)) from the approx and detail bands.
-// x must have length 2*len(approx); it is overwritten.
-func SynthesizePeriodic(approx, detail []float64, w Wavelet, x []float64) {
-	SynthesizePeriodicFilters(approx, detail, w.H, w.G(), x)
-}
-
-// SynthesizePeriodicFilters is SynthesizePeriodic with g precomputed.
+// SynthesizePeriodicFilters inverts AnalyzePeriodicFilters: it reconstructs
+// the even-length signal x from the approx and detail bands. x must have
+// length 2*len(approx); it is overwritten.
 func SynthesizePeriodicFilters(approx, detail, h, g []float64, x []float64) {
 	half := len(approx)
 	if len(detail) != half {

@@ -1,8 +1,8 @@
 // Package fourier implements the fast Fourier transform used as the
 // frequency-domain baseline in the paper's Figure 2 (wavelet vs FFT vs
 // random-sampling reconstruction error). It provides an iterative radix-2
-// Cooley-Tukey transform for power-of-two lengths and Bluestein's algorithm
-// for arbitrary lengths, plus a real-signal sparsifying Transform that plugs
+// Cooley-Tukey transform for power-of-two lengths, plus a real-signal
+// sparsifying Transform that zero-pads its input to a power of two and plugs
 // into the same interface as the DWT.
 package fourier
 
@@ -12,7 +12,7 @@ import (
 )
 
 // FFT computes the in-place forward discrete Fourier transform of x.
-// len(x) must be a power of two; use Bluestein for other lengths.
+// len(x) must be a power of two.
 func FFT(x []complex128) {
 	fftRadix2(x, false)
 }
@@ -65,68 +65,4 @@ func fftRadix2(x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// Bluestein computes the forward DFT of x for arbitrary length using the
-// chirp-z transform, returning a new slice.
-func Bluestein(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		out := make([]complex128, n)
-		copy(out, x)
-		FFT(out)
-		return out
-	}
-	m := 1
-	for m < 2*n+1 {
-		m <<= 1
-	}
-	// chirp[k] = exp(-i*pi*k^2/n)
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		phase := -math.Pi * float64(k) * float64(k) / float64(n)
-		chirp[k] = cmplx.Exp(complex(0, phase))
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		b[k] = cmplx.Conj(chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(chirp[k])
-	}
-	FFT(a)
-	FFT(b)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	IFFT(a)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * chirp[k]
-	}
-	return out
-}
-
-// InverseBluestein computes the inverse DFT (normalized) for arbitrary length.
-func InverseBluestein(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	fwd := Bluestein(conj)
-	out := make([]complex128, n)
-	inv := 1 / float64(n)
-	for i, v := range fwd {
-		out[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-	return out
 }

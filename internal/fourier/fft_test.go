@@ -66,61 +66,6 @@ func TestFFTNonPowerOfTwoPanics(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestBluesteinMatchesRadix2(t *testing.T) {
-	rng := vec.NewRNG(22)
-	n := 64
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	viaBluestein := Bluestein(x)
-	direct := make([]complex128, n)
-	copy(direct, x)
-	FFT(direct)
-	for i := range x {
-		if cmplx.Abs(viaBluestein[i]-direct[i]) > 1e-7 {
-			t.Fatalf("mismatch at bin %d: %v vs %v", i, viaBluestein[i], direct[i])
-		}
-	}
-}
-
-func TestBluesteinArbitraryLengthRoundTrip(t *testing.T) {
-	rng := vec.NewRNG(23)
-	for _, n := range []int{3, 7, 12, 100, 321} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		spec := Bluestein(x)
-		back := InverseBluestein(spec)
-		for i := range x {
-			if cmplx.Abs(back[i]-x[i]) > 1e-7 {
-				t.Fatalf("n=%d: round trip error at %d: %v vs %v", n, i, back[i], x[i])
-			}
-		}
-	}
-}
-
-func TestBluesteinMatchesNaiveDFT(t *testing.T) {
-	rng := vec.NewRNG(24)
-	n := 17
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	got := Bluestein(x)
-	for k := 0; k < n; k++ {
-		var want complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			want += x[j] * cmplx.Exp(complex(0, ang))
-		}
-		if cmplx.Abs(got[k]-want) > 1e-7 {
-			t.Fatalf("bin %d: %v vs naive %v", k, got[k], want)
-		}
-	}
-}
-
 func TestTransformerRoundTrip(t *testing.T) {
 	rng := vec.NewRNG(25)
 	for _, n := range []int{2, 5, 64, 100, 1000} {
@@ -151,10 +96,4 @@ func TestNewTransformerError(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	FFT(nil)
 	IFFT(nil)
-	if out := Bluestein(nil); out != nil {
-		t.Fatalf("Bluestein(nil) = %v", out)
-	}
-	if out := InverseBluestein(nil); out != nil {
-		t.Fatalf("InverseBluestein(nil) = %v", out)
-	}
 }

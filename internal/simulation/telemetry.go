@@ -124,12 +124,6 @@ func (t *Telemetry) Registry() *metrics.Registry { return t.reg }
 // Snapshot returns a point-in-time copy of every metric.
 func (t *Telemetry) Snapshot() *metrics.Snapshot { return t.reg.Snapshot() }
 
-// WaitKey returns the snapshot key of the barrier-wait histogram for the
-// given policy name (AggregationPolicy.Name of the run's policy).
-func WaitKey(policy string) string {
-	return MetricBarrierWait + `{policy="` + policy + `"}`
-}
-
 // TelemetrySummary distills a snapshot into the headline scalars experiment
 // CSVs and benchmark reports carry alongside accuracy and bytes.
 type TelemetrySummary struct {

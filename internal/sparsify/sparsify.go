@@ -1,14 +1,10 @@
 // Package sparsify selects which coefficients of a flat vector are shared in
 // a communication round. JWINS applies TopK to accumulated wavelet-domain
-// importance scores; the random-sampling baseline draws a seeded uniform
-// subset; CHOCO applies TopK to the model-difference vector.
+// importance scores; CHOCO applies TopK to the model-difference vector. (The
+// random-sampling baseline's seeded uniform subset is codec.SeededIndices.)
 package sparsify
 
-import (
-	"math"
-
-	"repro/internal/vec"
-)
+import "math"
 
 // TopKIndices returns the indices of the k largest |v[i]| in increasing index
 // order, using quickselect (expected O(n)). Ties are broken towards lower
@@ -166,37 +162,6 @@ func allEqual(bits []uint64, cand []int) (bool, uint64) {
 		}
 	}
 	return true, ref
-}
-
-// RandomIndices returns k uniformly random distinct indices from [0, dim) in
-// increasing order, derived deterministically from seed. Sender and receiver
-// of a seeded sparse payload both call this.
-func RandomIndices(seed uint64, dim, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	if k > dim {
-		k = dim
-	}
-	return vec.NewRNG(seed).SampleWithoutReplacement(dim, k)
-}
-
-// ThresholdIndices returns all indices with |v[i]| >= threshold, in
-// increasing order. Used by threshold-based baselines (e.g. GAIA-style
-// significance filtering).
-func ThresholdIndices(v []float64, threshold float64) []int {
-	var out []int
-	for i, x := range v {
-		if math.Abs(x) >= threshold {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Gather copies v[indices] into a new slice.
-func Gather(v []float64, indices []int) []float64 {
-	return AppendGather(make([]float64, 0, len(indices)), v, indices)
 }
 
 // AppendGather appends v[indices] to dst (which may be recycled scratch

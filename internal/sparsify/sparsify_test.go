@@ -289,7 +289,7 @@ func TestTopKIntoAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAppendGather matches Gather and reuses capacity.
+// TestAppendGather gathers in index order and reuses capacity.
 func TestAppendGather(t *testing.T) {
 	v := []float64{10, 20, 30, 40, 50}
 	scratch := make([]float64, 0, 8)
@@ -305,57 +305,11 @@ func TestAppendGather(t *testing.T) {
 	}
 }
 
-func TestRandomIndicesDeterministic(t *testing.T) {
-	a := RandomIndices(42, 1000, 100)
-	b := RandomIndices(42, 1000, 100)
-	if len(a) != 100 {
-		t.Fatalf("len = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different index sets")
-		}
-	}
-	c := RandomIndices(43, 1000, 100)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == 100 {
-		t.Fatal("different seeds produced identical index sets")
-	}
-}
-
-func TestRandomIndicesClamp(t *testing.T) {
-	if got := RandomIndices(1, 5, 100); len(got) != 5 {
-		t.Fatalf("clamp failed: %v", got)
-	}
-	if got := RandomIndices(1, 5, 0); got != nil {
-		t.Fatalf("k=0: %v", got)
-	}
-}
-
-func TestThresholdIndices(t *testing.T) {
-	v := []float64{0.1, -2, 0.5, 3, -0.4}
-	got := ThresholdIndices(v, 0.5)
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestGatherScatter(t *testing.T) {
 	v := []float64{10, 20, 30, 40}
-	g := Gather(v, []int{0, 3})
+	g := AppendGather(nil, v, []int{0, 3})
 	if g[0] != 10 || g[1] != 40 {
-		t.Fatalf("Gather = %v", g)
+		t.Fatalf("AppendGather = %v", g)
 	}
 	dst := make([]float64, 4)
 	Scatter(dst, []int{1, 2}, []float64{7, 8})

@@ -134,21 +134,6 @@ func Ring(n int) *Graph {
 	return g
 }
 
-// Full returns the complete graph over n nodes.
-func Full(n int) *Graph {
-	g := &Graph{N: n, Adj: make([][]int, n)}
-	for i := 0; i < n; i++ {
-		adj := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				adj = append(adj, j)
-			}
-		}
-		g.Adj[i] = adj
-	}
-	return g
-}
-
 // Regular returns a connected random d-regular simple graph over n nodes.
 // It starts from a circulant base graph (guaranteed d-regular and connected)
 // and applies random degree-preserving double-edge swaps, rejecting swaps

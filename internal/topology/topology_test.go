@@ -29,6 +29,22 @@ func TestRing(t *testing.T) {
 	}
 }
 
+// Full returns the complete graph over n nodes, the densest fixture of the
+// epoch, HasEdge and graph tests.
+func Full(n int) *Graph {
+	g := &Graph{N: n, Adj: make([][]int, n)}
+	for i := 0; i < n; i++ {
+		adj := make([]int, 0, n-1)
+		for j := 0; j < n; j++ {
+			if j != i {
+				adj = append(adj, j)
+			}
+		}
+		g.Adj[i] = adj
+	}
+	return g
+}
+
 func TestFull(t *testing.T) {
 	g := Full(5)
 	for i := 0; i < 5; i++ {

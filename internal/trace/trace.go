@@ -264,7 +264,7 @@ type RoundsSetter interface {
 
 // Recorder accumulates a trace in memory as a run executes. The zero-cost
 // hook for the async engine (simulation.AsyncConfig.Record); write the
-// result out with Write/WriteFile.
+// result out with Write.
 type Recorder struct {
 	t Trace
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,37 +72,6 @@ func TestBinaryIsCompact(t *testing.T) {
 	start, _ := indexHeaderEnd(buf.Bytes())
 	if per := float64(buf.Len()-start) / float64(len(src.Events)); per > 24 {
 		t.Fatalf("%.1f bytes per event, want at most 24", per)
-	}
-}
-
-// TestWriteFileExtension: the file name selects nothing — every name gets
-// the one binary layout, and reads back through ReadFile.
-func TestWriteFileExtension(t *testing.T) {
-	dir := t.TempDir()
-	src := sampleTrace()
-	var want bytes.Buffer
-	if err := Write(&want, src); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"t.jsonl", "t" + BinaryExt} {
-		path := filepath.Join(dir, name)
-		if err := WriteFile(path, src); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, want.Bytes()) {
-			t.Fatalf("%s: WriteFile bytes differ from Write", name)
-		}
-		got, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got.Events) != len(src.Events) {
-			t.Fatalf("%s: %d events, want %d", name, len(got.Events), len(src.Events))
-		}
 	}
 }
 

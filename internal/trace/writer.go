@@ -6,10 +6,8 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // binaryMagic opens every trace.
@@ -66,20 +64,4 @@ func appendBinaryEvent(dst []byte, ev *Event) []byte {
 // appendBinaryEnd appends the end marker: kind 0 followed by the event count.
 func appendBinaryEnd(dst []byte, events int) []byte {
 	return binary.AppendUvarint(append(dst, 0), uint64(events))
-}
-
-// WriteFile writes t to path.
-func WriteFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = Write(f, t)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", path, err)
-	}
-	return nil
 }

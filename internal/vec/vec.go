@@ -9,13 +9,6 @@ import (
 	"math"
 )
 
-// Clone returns a copy of x.
-func Clone(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
 // Grow reslices *buf to length n, reallocating only when its capacity is
 // short, and returns it. Contents are unspecified (a recycled buffer keeps
 // its last user's values), so the caller must write every element before
@@ -28,41 +21,11 @@ func Grow(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// Zero sets every element of x to 0.
-func Zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Add computes dst[i] += src[i]. It panics if lengths differ.
-func Add(dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // Sub computes dst[i] -= src[i]. It panics if lengths differ.
 func Sub(dst, src []float64) {
 	mustSameLen(len(dst), len(src))
 	for i, v := range src {
 		dst[i] -= v
-	}
-}
-
-// AXPY computes dst[i] += a*src[i]. It panics if lengths differ.
-func AXPY(a float64, dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] += a * v
 	}
 }
 
@@ -129,23 +92,6 @@ func MaxAbs(x []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty vector.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
 }
 
 func mustSameLen(a, b int) {
