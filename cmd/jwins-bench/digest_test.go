@@ -33,11 +33,11 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},
 	{"ext-powergossip", "fefda2c0a2538cdaf36f358d636d17e8d299ef93a9e34d73594e1d0767cc55f0", "b5800cc0419c5b13f59666c6dadfe163c5233297b6fa2fa26d12930f84cbb135"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"ext-adaptive", "33d2116e45bddcdce8d92ec7ba4258dd713d2763765b4e555b298c69af37559d", "6efe553bec43834e328735e4c3c25a8acfb6de00f5694e305f3cb2e28d3a7ba4"},    // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-faults", "1c9359066dc8167fc9eb71a31fd7ac99bde6539891157b84379f35e90e21e14f", "adcdbf13d248b6bee89e372f290039c5c6f6aabe6d33a2cf073a44b658c39252"},
-	{"ext-asyncchurn", "1938094c172723220a948db5d23bcb5d05644dce0554fed7df456027d089ec10", "45051c03629d5e28845b434e09c76fd1d7ec3b1b04b6c742b545a644c450b2c8"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-replay", "8f22d0c792f5d227713007ff6fb07db498b2f383dd0591d8bc853fddbd90e4bf", "b8179c23900821cee43762f60bc7d23038ef5a0eefd27a696a9c5325272037ef"},     // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-dyntopo", "65326af08c4582e456b33c7f7c90c47d87819e0d983f937f9b9c097a386d740b", "5b4999d9d6fa83e102af04908aad4961c2c4db9b6f6f3ec1f3fe29313e74b028"},
-	{"ext-scale", "2c7dd4e0280387c56e8cdfa47f6a0f3070267c0d305263737be4c9eba7f4e9f2", "0a81bb8de60757705237dc703cde37ef74a0d878ef808cc175a6a305d3791fc8"},
+	{"ext-faults", "d09b8b67a32104446c36c4965ad486c4f3c384522423c261df8e8c95949155cc", "2769dc47ff17bdee7c9c792cef53861679391215575f05dbe07e22f1f125d2c4"},      // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
+	{"ext-asyncchurn", "1938094c172723220a948db5d23bcb5d05644dce0554fed7df456027d089ec10", "45051c03629d5e28845b434e09c76fd1d7ec3b1b04b6c742b545a644c450b2c8"},  // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-replay", "8f22d0c792f5d227713007ff6fb07db498b2f383dd0591d8bc853fddbd90e4bf", "b8179c23900821cee43762f60bc7d23038ef5a0eefd27a696a9c5325272037ef"},      // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-dyntopo", "41b4e449a41b487ac555157b6277aab4dc21bee95d773e75d3af75ebad5e3e58", "36a1d3984a80f2c1f94503e89e3683366f69fa10ac44eb783ace14820508285a"},     // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
+	{"ext-scale", "5fab467572765ef5d7398263cd29aa316a3da95412f3bc42ef578e5ab732a123", "c57f08b8fba904f508eb08c048a0ce218df068c7834559b346936cc5f1f03fa1"},       // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-semiasync", "c9dec6a131d7392a945020f33fd4d08c00f7f815328f5c15706593066cad8c55", "a0c580738b1d16fd78d0a83789342c5d2a3006b72c9183f0591ebf2d5e8e3b54"},
 }
 

@@ -13,7 +13,7 @@
 //	jwins-bench -exp fig10             # scalability sweep
 //	jwins-bench -exp ext-powergossip   # JWINS vs the POWERGOSSIP low-rank baseline
 //	jwins-bench -exp ext-adaptive      # band-adaptive vs default selection
-//	jwins-bench -exp ext-faults        # message drops and churn, JWINS vs CHOCO
+//	jwins-bench -exp ext-faults        # message drops, JWINS vs CHOCO
 //	jwins-bench -exp ext-asyncchurn    # event-driven stragglers + churn
 //	jwins-bench -exp ext-replay        # trace record/replay parity + staleness
 //	jwins-bench -exp ext-dyntopo       # epoch-randomized topologies at 96-384 nodes
@@ -23,7 +23,7 @@
 //
 // Flags: -scale micro|small|paper (default small), -seed N, -out DIR (every
 // experiment writes DIR/<name>.csv), -datasets a,b,c (table1/fig4/fig5 only),
-// -eval-sample N and -eval-rotate K (ext-scale only). The experiments are
+// -eval-sample N (ext-scale only). The experiments are
 // the registry experiments.Experiments; an unknown name, or a flag that no
 // selected experiment reads, is an error before anything runs.
 // -cpuprofile / -memprofile write pprof profiles of the run, so regressions
@@ -76,8 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		seed       = flags.Uint64("seed", 42, "root random seed")
 		datasets   = flags.String("datasets", "", "comma-separated dataset filter for table1/fig4/fig5")
 		outDir     = flags.String("out", "", "directory for per-experiment CSV files (optional)")
-		evalSample = flags.Int("eval-sample", 0, "ext-scale: force this rotating eval subset size on every arm (0 = exact below 2048 nodes, 64-node sample above)")
-		evalRotate = flags.Int("eval-rotate", 0, "ext-scale: advance the eval sampling window every k eval rows (0/1 = every row)")
+		evalSample = flags.Int("eval-sample", 0, "ext-scale: force this rotating eval subset size on every arm (0 = 8-node sample below 2048 nodes, 64-node sample from 2048)")
 		cpuProfile = flags.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flags.String("memprofile", "", "write an allocation profile to this path on exit")
 	)
@@ -141,7 +140,7 @@ func run(args []string, stdout io.Writer) error {
 	// Timings from two hosts compare only if they ran the same kernels.
 	fmt.Fprintf(stdout, "jwins-bench: conv=%s\n", nn.ConvPath())
 
-	opts := experiments.Opts{EvalSample: *evalSample, EvalRotate: *evalRotate}
+	opts := experiments.Opts{EvalSample: *evalSample}
 	if *datasets != "" {
 		opts.Datasets = strings.Split(*datasets, ",")
 	}

@@ -22,13 +22,11 @@ func TestCheckFlagsRead(t *testing.T) {
 		{"datasets with table1", []string{"table1"}, []string{"datasets"}, ""},
 		{"datasets with fig4", []string{"fig4"}, []string{"datasets"}, ""},
 		{"datasets with fig5", []string{"fig5"}, []string{"datasets"}, ""},
-		{"datasets with all", allExperiments, []string{"datasets", "eval-rotate", "eval-sample"}, ""},
+		{"datasets with all", allExperiments, []string{"datasets", "eval-sample"}, ""},
 		{"datasets with fig6", []string{"fig6"}, []string{"datasets"}, "-datasets"},
 		{"datasets with ext-scale", []string{"ext-scale"}, []string{"datasets"}, "-datasets"},
 		{"eval-sample with ext-scale", []string{"ext-scale"}, []string{"eval-sample"}, ""},
-		{"eval-rotate with ext-scale", []string{"ext-scale"}, []string{"eval-rotate"}, ""},
 		{"eval-sample with fig5", []string{"fig5"}, []string{"eval-sample"}, "-eval-sample"},
-		{"eval-rotate with ext-asyncchurn", []string{"ext-asyncchurn"}, []string{"eval-rotate", "seed"}, "-eval-rotate"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := checkFlagsRead(tc.names, tc.set)

@@ -268,7 +268,7 @@ func TestTimeline256NodeRecording(t *testing.T) {
 	eng := &simulation.AsyncEngine{
 		Nodes: nodes, Topology: topology.NewStatic(g), TestSet: w.Dataset,
 		Config: simulation.AsyncConfig{
-			Config: simulation.Config{Rounds: rounds, EvalEvery: rounds, EvalNodes: 8},
+			Config: simulation.Config{Rounds: rounds, EvalEvery: rounds, EvalSample: 8},
 			Het:    simulation.Heterogeneity{ComputeSpread: 0.3, Seed: seed},
 			Record: sr,
 		},

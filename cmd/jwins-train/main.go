@@ -65,9 +65,7 @@ func run() error {
 
 		// Evaluation schedule (sync and async). Exact all-node evaluation is
 		// the default; large fleets opt into sampling.
-		evalNodes  = flag.Int("eval-nodes", 0, "cap evaluated nodes to a seeded uniform subset fixed for the run (0 = all; previously the first k nodes, which biased toward low-index nodes)")
 		evalSample = flag.Int("eval-sample", 0, "evaluate a seeded rotating subset of this many nodes per eval row (0 = exact); every node is visited within ceil(n/sample) eval rows")
-		evalRotate = flag.Int("eval-rotate", 0, "with -eval-sample: advance the sampling window every k eval rows (0/1 = every row)")
 
 		// Event-driven scheduler (async engine).
 		async          = flag.Bool("async", false, "use the event-driven scheduler instead of synchronous rounds")
@@ -93,7 +91,7 @@ func run() error {
 		Churn: *churnFrac, ComputeSpread: *computeSpread, BwSpread: *bwSpread,
 		LatencySpread: *latencySpread, TraceOut: *traceOut,
 		EpochSec: *epochSec, MixingEvery: *mixingEvery,
-		EvalNodes: *evalNodes, EvalSample: *evalSample, EvalRotate: *evalRotate,
+		EvalSample: *evalSample,
 	}
 	if err := tf.validate(); err != nil {
 		return err
@@ -157,7 +155,7 @@ func run() error {
 		recorder, err = trace.NewStreamRecorderFile(*traceOut, experiments.WithEvalSchedule(
 			experiments.TraceHeaderForPolicy(
 				w, experiments.Algo(*algo), *rounds, *seed, policy, *async && *dynamic, effEpochSec),
-			*evalSample, *evalRotate))
+			*evalSample))
 		if err != nil {
 			return err
 		}
@@ -191,9 +189,7 @@ func run() error {
 		TargetAccuracy: *target,
 		Dynamic:        *dynamic,
 		EpochSec:       effEpochSec,
-		EvalNodes:      *evalNodes,
 		EvalSample:     *evalSample,
-		EvalRotate:     *evalRotate,
 		Seed:           *seed,
 		Async:          *async,
 		Policy:         policy,
@@ -291,9 +287,7 @@ type trainFlags struct {
 	TraceOut       string
 	EpochSec       float64
 	MixingEvery    int
-	EvalNodes      int
 	EvalSample     int
-	EvalRotate     int
 }
 
 // validate rejects flag combinations the engine would otherwise misinterpret.
@@ -306,7 +300,7 @@ func (f trainFlags) validate() error {
 		case f.Policy != "":
 			return fmt.Errorf("%w: -policy requires -async (aggregation policies only exist under the event-driven scheduler)", errBadFlag)
 		case f.Churn != 0:
-			return fmt.Errorf("%w: -churn requires -async (synchronous runs model failures via the fault experiments instead)", errBadFlag)
+			return fmt.Errorf("%w: -churn requires -async (nodes leave and rejoin only under the event-driven scheduler)", errBadFlag)
 		case f.ComputeSpread != 0 || f.BwSpread != 0 || f.LatencySpread != 0:
 			return fmt.Errorf("%w: -compute-spread/-bw-spread/-latency-spread require -async (the synchronous time model is per-round, not per-node)", errBadFlag)
 		case f.TraceOut != "":
@@ -339,17 +333,8 @@ func (f trainFlags) validate() error {
 	if f.MixingEvery < -1 {
 		return fmt.Errorf("%w: -mixing-every must be >= -1 (0/1 = every epoch, -1 = never), got %d", errBadFlag, f.MixingEvery)
 	}
-	if f.EvalNodes < 0 {
-		return fmt.Errorf("%w: -eval-nodes must be >= 0 (0 = all), got %d", errBadFlag, f.EvalNodes)
-	}
 	if f.EvalSample < 0 {
 		return fmt.Errorf("%w: -eval-sample must be >= 0 (0 = exact evaluation), got %d", errBadFlag, f.EvalSample)
-	}
-	if f.EvalRotate < 0 {
-		return fmt.Errorf("%w: -eval-rotate must be >= 0 (0/1 = advance every eval row), got %d", errBadFlag, f.EvalRotate)
-	}
-	if f.EvalRotate > 1 && f.EvalSample == 0 {
-		return fmt.Errorf("%w: -eval-rotate only applies with -eval-sample (exact evaluation has no rotation window)", errBadFlag)
 	}
 	return nil
 }

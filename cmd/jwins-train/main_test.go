@@ -35,10 +35,7 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"negative-deadline-factor", func(f *trainFlags) { f.Policy = "deadline"; f.DeadlineFactor = -0.5 }},
 		{"negative-epoch-sec", func(f *trainFlags) { f.EpochSec = -1 }},
 		{"mixing-below-never", func(f *trainFlags) { f.MixingEvery = -2 }},
-		{"negative-eval-nodes", func(f *trainFlags) { f.EvalNodes = -1 }},
 		{"negative-eval-sample", func(f *trainFlags) { f.EvalSample = -8 }},
-		{"negative-eval-rotate", func(f *trainFlags) { f.EvalSample = 8; f.EvalRotate = -2 }},
-		{"rotate-without-sample", func(f *trainFlags) { f.EvalRotate = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,9 +63,9 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		{"mixing-never", func(f *trainFlags) { f.MixingEvery = -1 }},
 		{"mixing-sampled", func(f *trainFlags) { f.MixingEvery = 4 }},
 		{"stale-k-sentinel", func(f *trainFlags) { f.Policy = "bounded"; f.StaleK = 0 }},
-		{"eval-nodes-cap", func(f *trainFlags) { f.EvalNodes = 8 }},
 		{"eval-sample-sync", func(f *trainFlags) { f.Async = false; f.EvalSample = 16 }},
-		{"eval-sample-rotated", func(f *trainFlags) { f.EvalSample = 16; f.EvalRotate = 2 }},
+		// The sample's window rotates every eval row, async as sync.
+		{"eval-sample-rotated", func(f *trainFlags) { f.EvalSample = 16 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

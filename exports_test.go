@@ -45,11 +45,9 @@ type goFile struct {
 	file *ast.File
 }
 
-// unreadExports parses every non-test .go file in fsys, the root of module
-// (nested modules such as benchmark/ extend its import path), and returns the
-// exported package-level declarations that no other non-test file reads,
-// sorted by key.
-func unreadExports(fsys fs.FS, module string) ([]export, error) {
+// parseGoFiles parses every non-test .go file in fsys, skipping hidden and
+// testdata directories.
+func parseGoFiles(fsys fs.FS) (*token.FileSet, []goFile, error) {
 	fset := token.NewFileSet()
 	var files []goFile
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
@@ -77,6 +75,15 @@ func unreadExports(fsys fs.FS, module string) ([]export, error) {
 		files = append(files, goFile{dir: path.Dir(p), file: f})
 		return nil
 	})
+	return fset, files, err
+}
+
+// unreadExports parses every non-test .go file in fsys, the root of module
+// (nested modules such as benchmark/ extend its import path), and returns the
+// exported package-level declarations that no other non-test file reads,
+// sorted by key.
+func unreadExports(fsys fs.FS, module string) ([]export, error) {
+	fset, files, err := parseGoFiles(fsys)
 	if err != nil {
 		return nil, err
 	}

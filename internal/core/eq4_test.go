@@ -62,7 +62,7 @@ func trainRounds(t *testing.T, nodes []Node, g *topology.Graph, w []topology.Wei
 func meanAccuracy(ds *datasets.Dataset, nodes []Node) float64 {
 	var acc float64
 	for _, nd := range nodes {
-		_, a := datasets.Evaluate(ds, nd.Model(), 16, 0)
+		_, a := datasets.Evaluate(ds, nd.Model(), 16)
 		acc += a / float64(len(nodes))
 	}
 	return acc

@@ -139,13 +139,10 @@ func (l *Loader) Next() (*nn.Tensor, []float64) {
 	return x, ys
 }
 
-// Evaluate scores model on up to maxSamples test samples (0 = all) in batches
-// and returns mean loss and accuracy over scored predictions.
-func Evaluate(ds *Dataset, model nn.Trainable, batch, maxSamples int) (loss, accuracy float64) {
+// Evaluate scores model on every test sample in batches and returns mean loss
+// and accuracy over scored predictions.
+func Evaluate(ds *Dataset, model nn.Trainable, batch int) (loss, accuracy float64) {
 	n := len(ds.Test)
-	if maxSamples > 0 && maxSamples < n {
-		n = maxSamples
-	}
 	if n == 0 {
 		return 0, 0
 	}

@@ -52,7 +52,7 @@ func TestSyntheticImagesLearnable(t *testing.T) {
 		x, y := loader.Next()
 		clf.TrainBatch(x, y, 0.1)
 	}
-	_, acc := Evaluate(ds, clf, 16, 0)
+	_, acc := Evaluate(ds, clf, 16)
 	if acc < 0.8 {
 		t.Fatalf("synthetic images not learnable: accuracy %.2f", acc)
 	}
@@ -222,7 +222,7 @@ func TestMovieLensLearnable(t *testing.T) {
 		x, y := loader.Next()
 		mf.TrainBatch(x, y, 0.02)
 	}
-	loss, _ := Evaluate(ds, mf, 16, 0)
+	loss, _ := Evaluate(ds, mf, 16)
 	if loss > 0.5 {
 		t.Fatalf("MF test loss %v too high on low-rank data", loss)
 	}
@@ -232,7 +232,7 @@ func TestEvaluateEmptyAndBounds(t *testing.T) {
 	ds := testImages(t, 0)
 	rng := vec.NewRNG(13)
 	clf := nn.NewMLP(64, 4, 4, rng)
-	loss, acc := Evaluate(ds, clf, 0, 7) // default batch, capped samples
+	loss, acc := Evaluate(ds, clf, 0) // default batch
 	if loss <= 0 || acc < 0 || acc > 1 {
 		t.Fatalf("loss %v acc %v", loss, acc)
 	}

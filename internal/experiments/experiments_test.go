@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/simulation"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -209,7 +211,9 @@ func TestSpecFromTraceHeaderRejects(t *testing.T) {
 // TestEvalScheduleHeaderRoundTrip: WithEvalSchedule must stamp the eval
 // schedule into the header, SpecFromTraceHeader must rebuild it, and a zero
 // sample must leave the header untouched so pre-sampler traces stay
-// byte-identical.
+// byte-identical. The window advances every eval row: a header that says
+// otherwise (eval_rotate other than 1) is a configuration no run can
+// replay, rejected with ErrReplayConfig.
 func TestEvalScheduleHeaderRoundTrip(t *testing.T) {
 	w, err := NewWorkload("cifar10", Micro, 0, 1)
 	if err != nil {
@@ -217,25 +221,27 @@ func TestEvalScheduleHeaderRoundTrip(t *testing.T) {
 	}
 	base := TraceHeaderFor(w, AlgoJWINS, 4, 1, false, false, 0)
 
-	h := WithEvalSchedule(base, 64, 2)
-	if h.Meta["eval_sample"] != "64" || h.Meta["eval_rotate"] != "2" {
+	h := WithEvalSchedule(base, 64)
+	if h.Meta["eval_sample"] != "64" || h.Meta["eval_rotate"] != "1" {
 		t.Fatalf("meta = %v", h.Meta)
 	}
 	spec, err := SpecFromTraceHeader(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.EvalSample != 64 || spec.EvalRotate != 2 {
-		t.Fatalf("spec eval schedule = (%d, %d), want (64, 2)", spec.EvalSample, spec.EvalRotate)
+	if spec.EvalSample != 64 {
+		t.Fatalf("spec eval sample = %d, want 64", spec.EvalSample)
 	}
 
-	// Zero rotate normalizes to 1 (every row).
-	if h := WithEvalSchedule(base, 8, 0); h.Meta["eval_rotate"] != "1" {
-		t.Fatalf("rotate not normalized: %v", h.Meta)
+	// A recording whose window advanced more slowly.
+	slow := WithEvalSchedule(base, 64)
+	slow.Meta["eval_rotate"] = "2"
+	if _, err := SpecFromTraceHeader(slow); !errors.Is(err, simulation.ErrReplayConfig) {
+		t.Fatalf("eval_rotate=2: got %v, want ErrReplayConfig", err)
 	}
 
 	// Sampling off: the header must pass through untouched.
-	plain := WithEvalSchedule(base, 0, 3)
+	plain := WithEvalSchedule(base, 0)
 	if _, ok := plain.Meta["eval_sample"]; ok {
 		t.Fatalf("exact-eval header gained eval meta: %v", plain.Meta)
 	}
@@ -243,8 +249,8 @@ func TestEvalScheduleHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.EvalSample != 0 || spec.EvalRotate != 0 {
-		t.Fatalf("legacy header produced eval schedule (%d, %d)", spec.EvalSample, spec.EvalRotate)
+	if spec.EvalSample != 0 {
+		t.Fatalf("legacy header produced eval sample %d", spec.EvalSample)
 	}
 }
 

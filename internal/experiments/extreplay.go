@@ -62,16 +62,14 @@ func TraceHeaderForPolicy(w *Workload, algo Algo, rounds int, seed uint64, polic
 }
 
 // WithEvalSchedule stamps a sampled-evaluation schedule into a trace header
-// (eval_sample/eval_rotate Meta keys), so replays validate their eval config
-// against the recording's and SpecFromTraceHeader rebuilds it. Exact-eval
-// runs (sample <= 0) leave the header untouched — older traces and exact
-// recordings stay byte-identical.
-func WithEvalSchedule(h trace.Header, sample, rotate int) trace.Header {
+// (eval_sample Meta key), so replays validate their eval config against the
+// recording's and SpecFromTraceHeader rebuilds it. eval_rotate is always 1
+// (the window advances every eval row); it stays in the header so traces
+// read the same to every reader. Exact-eval runs (sample <= 0) leave the
+// header untouched — older traces and exact recordings stay byte-identical.
+func WithEvalSchedule(h trace.Header, sample int) trace.Header {
 	if sample <= 0 {
 		return h
-	}
-	if rotate <= 0 {
-		rotate = 1
 	}
 	// Copy-on-write: Header is a value but Meta is a shared map — mutating it
 	// in place would leak the schedule into the caller's header too.
@@ -80,7 +78,7 @@ func WithEvalSchedule(h trace.Header, sample, rotate int) trace.Header {
 		meta[k] = v
 	}
 	meta["eval_sample"] = strconv.Itoa(sample)
-	meta["eval_rotate"] = strconv.Itoa(rotate)
+	meta["eval_rotate"] = "1"
 	h.Meta = meta
 	return h
 }
@@ -194,11 +192,8 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 			return RunSpec{}, fmt.Errorf("experiments: trace header eval_sample %q: %w", s, err)
 		}
 	}
-	if s := h.Meta["eval_rotate"]; s != "" {
-		spec.EvalRotate, err = strconv.Atoi(s)
-		if err != nil {
-			return RunSpec{}, fmt.Errorf("experiments: trace header eval_rotate %q: %w", s, err)
-		}
+	if s := h.Meta["eval_rotate"]; s != "" && s != "1" {
+		return RunSpec{}, fmt.Errorf("%w: trace header eval_rotate %q (the eval window advances every row)", simulation.ErrReplayConfig, s)
 	}
 	return spec, nil
 }

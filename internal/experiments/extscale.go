@@ -59,11 +59,11 @@ func ScaleWorkload(n int, seed uint64) (*Workload, error) {
 // sampled mixing metrics (MixingEvery=2, so spectral-gap estimation stays off
 // the critical path). From 2048 nodes up, three knobs keep per-arm cost from
 // scaling super-linearly: arms score a 64-node rotating eval sample instead
-// of the exact fleet, sample their mixing metrics, and record their full
+// of an 8-node one, sample their mixing metrics, and record their full
 // schedule through a trace.StreamRecorder to a temporary .jtb — the
 // demonstration that big-fleet recording needs bounded memory only. Smaller
-// arms count events through an in-process sink and keep exact
-// (EvalNodes-capped) evaluation. Each arm runs on its own, not through sweep,
+// arms count events through an in-process sink and score an 8-node rotating
+// eval sample. Each arm runs on its own, not through sweep,
 // because it streams its own trace and is timed: events is the recorded
 // schedule length (every kind, derived send/aggregate records included),
 // wall-ms and events/s measure the host. The engine telemetry columns are
@@ -105,7 +105,7 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 		},
 		Notes: []string{
 			"streamed arms record their full schedule through trace.StreamRecorder (bounded memory).",
-			"eval sN arms score a seeded rotating n-node subset per eval row (exact below 2048 nodes).",
+			"eval sN arms score a seeded rotating N-node subset per eval row (s8 below 2048 nodes, s64 from 2048 up).",
 			"q-p95/wait-p95/spec/decode come from the engine telemetry registry (internal/metrics).",
 		},
 	}
@@ -132,8 +132,7 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 				Algo:       AlgoSpec{Kind: AlgoJWINS},
 				Seed:       seed,
 				Async:      true,
-				EvalNodes:  8,
-				EvalRotate: opts.EvalRotate,
+				EvalSample: 8,
 				Het:        simulation.Heterogeneity{ComputeSpread: 0.3},
 				Telemetry:  simulation.NewTelemetry(),
 			}
@@ -156,7 +155,7 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 				// against it.
 				stream, err = trace.NewStreamRecorderFile(tracePath, WithEvalSchedule(
 					TraceHeaderFor(w, AlgoJWINS, w.Rounds, seed, false, spec.Dynamic, spec.EpochSec),
-					spec.EvalSample, spec.EvalRotate))
+					spec.EvalSample))
 				if err != nil {
 					return nil, err
 				}
@@ -185,10 +184,7 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 			if wallMS > 0 {
 				eventsPerSec = float64(events) / (wallMS / 1000)
 			}
-			evalCol := "exact"
-			if spec.EvalSample > 0 {
-				evalCol = fmt.Sprintf("s%d", spec.EvalSample)
-			}
+			evalCol := fmt.Sprintf("s%d", spec.EvalSample)
 			tel := simulation.Summarize(r.Telemetry)
 			t.Rows = append(t.Rows, []any{n, w.Degree, a.label, w.Rounds, spec.EvalSample, evalCol,
 				events, wallMS, eventsPerSec, r.SimTime, r.TotalBytes, acc(r),

@@ -165,17 +165,11 @@ type RunSpec struct {
 	// round, see DefaultEpochSec); without Dynamic a positive value rotates
 	// epochs over the static graph (bookkeeping only — no edges change).
 	EpochSec float64
-	// EvalNodes caps evaluated nodes (0 = all); the cap is a seeded uniform
-	// subset fixed for the run (see simulation.Config.EvalNodes).
-	EvalNodes int
 	// EvalSample, when > 0, evaluates a seeded rotating subset of that many
 	// nodes per eval row instead of the whole fleet; every node is still
-	// visited within ceil(n/EvalSample)×EvalRotate eval rows. 0 keeps exact
-	// evaluation (see simulation.Config.EvalSample).
+	// visited within ceil(n/EvalSample) eval rows. 0 keeps exact evaluation
+	// (see simulation.Config.EvalSample).
 	EvalSample int
-	// EvalRotate advances the sampling window every EvalRotate eval rows
-	// (0 = every row).
-	EvalRotate int
 	// Seed controls every random choice in the run.
 	Seed uint64
 	// OnRound is forwarded to the engine (optional).
@@ -215,9 +209,8 @@ type RunSpec struct {
 	// without it.
 	Telemetry *simulation.Telemetry
 
-	// failure injection (ext-faults): per-message drop and per-round
-	// offline probabilities
-	faultDrop, faultOffline float64
+	// faultDrop is ext-faults' per-message drop probability.
+	faultDrop float64
 }
 
 // Run builds the fleet and topology and executes the run.
@@ -277,13 +270,10 @@ func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 	cfg := simulation.Config{
 		Rounds:         rounds,
 		EvalEvery:      w.EvalEvery,
-		EvalNodes:      spec.EvalNodes,
 		EvalSample:     spec.EvalSample,
-		EvalRotate:     spec.EvalRotate,
 		EvalSeed:       spec.Seed,
 		TargetAccuracy: spec.TargetAccuracy,
 		DropProb:       spec.faultDrop,
-		OfflineProb:    spec.faultOffline,
 		FaultSeed:      spec.Seed,
 	}
 	if !spec.Async {

@@ -11,9 +11,9 @@ type Opts struct {
 	// Datasets limits table1 and fig5 to the named workloads (nil = all five).
 	Datasets []string
 	// EvalSample forces ext-scale's rotating eval subset size on every arm
-	// when > 0 (0 = exact below 2048 nodes, a 64-node sample from 2048 up);
-	// EvalRotate advances its window every k eval rows (0/1 = every row).
-	EvalSample, EvalRotate int
+	// when > 0 (0 = an 8-node sample below 2048 nodes, a 64-node sample from
+	// 2048 up).
+	EvalSample int
 }
 
 // Experiment is one entry of the registry.
@@ -42,7 +42,7 @@ var Experiments = []Experiment{
 	{"ext-asyncchurn", nil, extAsyncChurn},
 	{"ext-replay", nil, extReplay},
 	{"ext-dyntopo", nil, extDynTopo},
-	{"ext-scale", []string{"eval-sample", "eval-rotate"}, extScale},
+	{"ext-scale", []string{"eval-sample"}, extScale},
 	{"ext-semiasync", nil, extSemiAsync},
 }
 

@@ -123,7 +123,7 @@ func TestPowerGossipRowDigest(t *testing.T) {
 			for _, p := range params {
 				word(math.Float64bits(p))
 			}
-			loss, acc := datasets.Evaluate(w.Dataset, nd.Model(), 32, 0)
+			loss, acc := datasets.Evaluate(w.Dataset, nd.Model(), 32)
 			word(math.Float64bits(loss))
 			word(math.Float64bits(acc))
 		}

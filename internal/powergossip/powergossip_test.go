@@ -192,7 +192,7 @@ func TestLearnsToy(t *testing.T) {
 	}
 	var acc float64
 	for _, nd := range nodes {
-		_, a := datasets.Evaluate(ds, nd.Model(), 16, 0)
+		_, a := datasets.Evaluate(ds, nd.Model(), 16)
 		acc += a / n
 	}
 	if acc < 0.5 {

@@ -76,18 +76,18 @@ var (
 	ErrReplayConfig = errors.New("simulation: replay configuration mismatch")
 )
 
-// NodeProfile is one node's hardware profile in the simulated-time model.
-type NodeProfile struct {
-	// ComputeSecPerStep is the duration of one local SGD step.
-	ComputeSecPerStep float64
-	// BandwidthBytesPerSec is the node's uplink; neighbor copies serialize
+// nodeProfile is one node's hardware profile in the simulated-time model.
+type nodeProfile struct {
+	// computeSecPerStep is the duration of one local SGD step.
+	computeSecPerStep float64
+	// bandwidthBytesPerSec is the node's uplink; neighbor copies serialize
 	// through it.
-	BandwidthBytesPerSec float64
-	// LatencySec is the one-way propagation delay added to every message.
-	LatencySec float64
+	bandwidthBytesPerSec float64
+	// latencySec is the one-way propagation delay added to every message.
+	latencySec float64
 }
 
-// Heterogeneity draws per-node profiles around the base Config values using
+// Heterogeneity draws per-node profiles around the base time model using
 // independent lognormal multipliers (median 1), the standard straggler model:
 // most nodes sit near the base, a heavy tail is markedly slower.
 type Heterogeneity struct {
@@ -101,25 +101,20 @@ type Heterogeneity struct {
 	Seed uint64
 }
 
-func (h Heterogeneity) zero() bool {
-	return h.ComputeSpread == 0 && h.BandwidthSpread == 0 && h.LatencySpread == 0
-}
-
-// SampleProfiles draws n node profiles around base's time model. With a
+// sampleProfiles draws n node profiles around the base time model. With a
 // zero-valued Heterogeneity every profile equals the base exactly.
-func SampleProfiles(n int, base Config, het Heterogeneity) []NodeProfile {
-	base.setDefaults()
+func sampleProfiles(n int, het Heterogeneity) []nodeProfile {
 	seed := het.Seed
 	if seed == 0 {
 		seed = 0x686574
 	}
 	rng := vec.NewRNG(seed)
-	out := make([]NodeProfile, n)
+	out := make([]nodeProfile, n)
 	for i := range out {
-		out[i] = NodeProfile{
-			ComputeSecPerStep:    base.ComputeSecPerStep * logNormal(rng, het.ComputeSpread),
-			BandwidthBytesPerSec: base.BandwidthBytesPerSec / logNormal(rng, het.BandwidthSpread),
-			LatencySec:           base.LatencySec * logNormal(rng, het.LatencySpread),
+		out[i] = nodeProfile{
+			computeSecPerStep:    computeSecPerStep * logNormal(rng, het.ComputeSpread),
+			bandwidthBytesPerSec: bandwidthBytesPerSec / logNormal(rng, het.BandwidthSpread),
+			latencySec:           latencySec * logNormal(rng, het.LatencySpread),
 		}
 	}
 	return out
@@ -135,15 +130,14 @@ func logNormal(rng *vec.RNG, sigma float64) float64 {
 	return math.Exp(sigma * z)
 }
 
-// NominalRoundSec estimates one synchronous round's duration under c's time
-// model: local compute, one uplink's serialization of degree payload copies,
-// and latency. Callers use it to place churn traces in absolute simulated
-// time without running the schedule first.
-func (c Config) NominalRoundSec(steps, payloadBytes, degree int) float64 {
-	c.setDefaults()
-	return float64(steps)*c.ComputeSecPerStep +
-		float64(degree*(payloadBytes+frameOverhead))/c.BandwidthBytesPerSec +
-		c.LatencySec
+// NominalRoundSec estimates one synchronous round's duration under the base
+// time model: local compute, one uplink's serialization of degree payload
+// copies, and latency. Callers use it to place churn traces in absolute
+// simulated time without running the schedule first.
+func (Config) NominalRoundSec(steps, payloadBytes, degree int) float64 {
+	return float64(steps)*computeSecPerStep +
+		float64(degree*(payloadBytes+frameOverhead))/bandwidthBytesPerSec +
+		latencySec
 }
 
 // ChurnEvent is one entry of a churn trace.
@@ -184,15 +178,11 @@ func GenerateChurn(n int, fraction, start, end, meanDown float64, seed uint64) [
 
 // AsyncConfig extends the base Config with the event-driven knobs. The
 // embedded Config's Rounds field becomes the per-node iteration budget;
-// OfflineProb is ignored (churn traces subsume it), DropProb still drops
-// individual messages in flight.
+// DropProb drops individual messages in flight.
 type AsyncConfig struct {
 	Config
 
-	// Profiles fixes per-node hardware profiles. Nil samples them from Het
-	// around the base Config time model.
-	Profiles []NodeProfile
-	// Het is the heterogeneity distribution used when Profiles is nil.
+	// Het draws the per-node hardware profiles around the base time model.
 	Het Heterogeneity
 	// Churn is the leave/join trace (see GenerateChurn).
 	Churn []ChurnEvent
@@ -228,7 +218,7 @@ type AsyncConfig struct {
 
 	// Replay, if set, makes a recorded trace the authoritative schedule:
 	// train-done times, arrival times, message drops, and leave/join churn
-	// all come from the recording. Profiles/Het/Churn/DropProb stop
+	// all come from the recording. Het/Churn/DropProb stop
 	// influencing the schedule, so a run replays deterministically. A
 	// Replayer is consumed by the run; build a fresh one per replay.
 	Replay *trace.Replayer
@@ -287,7 +277,7 @@ type trainTask struct {
 type asyncRun struct {
 	eng      *AsyncEngine
 	cfg      AsyncConfig
-	profiles []NodeProfile
+	profiles []nodeProfile
 	nodes    []asyncNode
 	queue    eventQueue
 	seq      int64
@@ -380,10 +370,8 @@ type asyncRun struct {
 
 	// evalSamp drives sampled rotating evaluation (nil = exact); its subsets
 	// depend only on config + row index, so rows stay parallelism-invariant.
-	// evalCap marks the fixed subset of EvalNodes-capped exact evaluation
-	// (nil = every node). Speculation asks both who a row will read.
+	// Speculation asks it who a row will read.
 	evalSamp *evalSampler
-	evalCap  []bool
 
 	// trace subsystem state: recorder hook, replay oracle, staleness and
 	// policy accumulators, and the count of replay lookups that found no
@@ -413,13 +401,6 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("simulation: rounds must be positive")
 	}
-	profiles := cfg.Profiles
-	if profiles == nil {
-		profiles = SampleProfiles(n, cfg.Config, cfg.Het)
-	}
-	if len(profiles) != n {
-		return nil, fmt.Errorf("simulation: %d profiles for %d nodes", len(profiles), n)
-	}
 	policy := cfg.Policy
 	if policy == nil {
 		policy = BarrierPolicy{}
@@ -431,7 +412,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	r := &asyncRun{
 		eng:          e,
 		cfg:          cfg,
-		profiles:     profiles,
+		profiles:     sampleProfiles(n, cfg.Het),
 		nodes:        make([]asyncNode, n),
 		lossSum:      make([]float64, cfg.Rounds),
 		lossCount:    make([]int, cfg.Rounds),
@@ -454,12 +435,6 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		dcache:       &core.DecodeCache{},
 	}
 	r.liveAt[0] = n
-	if capped := evalCapSubset(n, cfg.Config); r.evalSamp == nil && capped != nil {
-		r.evalCap = make([]bool, n)
-		for _, i := range capped {
-			r.evalCap[i] = true
-		}
-	}
 	// Registered before the pool's close, so it runs after it: no worker
 	// still reads an entry when the nodes let go of the cache.
 	setDecodeCache(e.Nodes, r.dcache)
@@ -730,7 +705,9 @@ func (r *asyncRun) validateReplay() error {
 	checks := [][2]string{
 		{"epoch_sec", fmt.Sprint(r.epochSec)},
 		{"eval_sample", fmt.Sprint(r.cfg.EvalSample)},
-		{"eval_rotate", fmt.Sprint(r.cfg.EvalRotate)},
+		// The window advances every eval row; a recording that rotated
+		// slower cannot be replayed row for row.
+		{"eval_rotate", "1"},
 	}
 	if h.Policy != "" {
 		if h.Policy != r.policy.Name() {
@@ -890,7 +867,7 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 			if gOld.HasEdge(i, j) {
 				continue
 			}
-			txEnd += float64(len(st.lastPayload)+frameOverhead) / r.profiles[i].BandwidthBytesPerSec
+			txEnd += float64(len(st.lastPayload)+frameOverhead) / r.profiles[i].bandwidthBytesPerSec
 			r.sendOne(i, j, st.lastIter, st.lastPayload, st.lastBD, txEnd, false)
 		}
 	}
@@ -940,7 +917,7 @@ func (r *asyncRun) drain() error {
 //   - an evaluation row below the train's iteration that scores node i could
 //     be emitted while the task is in flight, and would read a model the
 //     serial schedule has not trained yet. Exact evaluation scores everyone;
-//     sampled and capped evaluation only their subset, and a row that does
+//     sampled evaluation only its subset, and a row that does
 //     not read the node cannot observe its train. Rows at or above the
 //     iteration cannot fire first: they need the node itself to advance,
 //     which needs this train to commit.
@@ -964,13 +941,7 @@ func (r *asyncRun) evalRow(k int) bool {
 
 // evalReads reports whether evaluation row k scores node i's model.
 func (r *asyncRun) evalReads(k, i int) bool {
-	switch {
-	case r.evalSamp != nil:
-		return r.evalSamp.samples(k, i)
-	case r.evalCap != nil:
-		return r.evalCap[i]
-	}
-	return true
+	return r.evalSamp == nil || r.evalSamp.samples(k, i)
 }
 
 // push assigns the next sequence number and enqueues ev.
@@ -987,7 +958,7 @@ func (r *asyncRun) push(ev Event) {
 // replay surfaces the miss count as a config-mismatch error.
 func (r *asyncRun) scheduleTrain(i int) {
 	st := &r.nodes[i]
-	t := r.now + float64(localSteps(r.eng.Nodes[i]))*r.profiles[i].ComputeSecPerStep
+	t := r.now + float64(localSteps(r.eng.Nodes[i]))*r.profiles[i].computeSecPerStep
 	if r.replay != nil {
 		rt, ok := r.replay.TrainDoneTime(i, st.iter)
 		if !ok {
@@ -1113,9 +1084,9 @@ func (r *asyncRun) onTrainDone(ev *Event) error {
 func (r *asyncRun) nominalRoundFor(i, payloadBytes int) float64 {
 	p := r.profiles[i]
 	g, _ := r.graph()
-	return float64(localSteps(r.eng.Nodes[i]))*p.ComputeSecPerStep +
-		float64(g.Degree(i)*(payloadBytes+frameOverhead))/p.BandwidthBytesPerSec +
-		p.LatencySec
+	return float64(localSteps(r.eng.Nodes[i]))*p.computeSecPerStep +
+		float64(g.Degree(i)*(payloadBytes+frameOverhead))/p.bandwidthBytesPerSec +
+		p.latencySec
 }
 
 // onDeadline fires a node's straggler deadline: if the node is still waiting
@@ -1142,7 +1113,7 @@ func (r *asyncRun) broadcast(i, iter int, payload []byte, bd codec.ByteBreakdown
 	g, _ := r.graph()
 	txEnd := 0.0
 	for _, j := range g.Neighbors(i) {
-		txEnd += float64(len(payload)+frameOverhead) / r.profiles[i].BandwidthBytesPerSec
+		txEnd += float64(len(payload)+frameOverhead) / r.profiles[i].bandwidthBytesPerSec
 		dropped := r.faultRNG != nil && r.faultRNG.Float64() < r.cfg.DropProb
 		r.sendOne(i, j, iter, payload, bd, txEnd, dropped)
 	}
@@ -1155,7 +1126,7 @@ func (r *asyncRun) broadcast(i, iter int, payload []byte, bd codec.ByteBreakdown
 // recorded was still in flight when the recorded run ended, so it is paid
 // for but never delivered, exactly like the original.
 func (r *asyncRun) sendOne(i, j, iter int, payload []byte, bd codec.ByteBreakdown, txDelay float64, dropped bool) {
-	arriveAt := r.now + txDelay + r.profiles[i].LatencySec
+	arriveAt := r.now + txDelay + r.profiles[i].latencySec
 	deliver := true
 	if r.replay != nil {
 		at, d, ok := r.replay.NextArrival(i, j, iter)
@@ -1455,7 +1426,7 @@ func (r *asyncRun) onJoin(i int) error {
 		if ms.lastIter < 0 {
 			continue
 		}
-		tx := float64(len(ms.lastPayload)+frameOverhead) / r.profiles[m].BandwidthBytesPerSec
+		tx := float64(len(ms.lastPayload)+frameOverhead) / r.profiles[m].bandwidthBytesPerSec
 		r.sendOne(m, i, ms.lastIter, ms.lastPayload, ms.lastBD, tx, false)
 	}
 	if st.iter < r.cfg.Rounds && !r.stop {
@@ -1542,7 +1513,7 @@ func (r *asyncRun) emitRows() error {
 				// live mask only exists when sampling is on.
 				live = r.liveMask()
 			}
-			loss, acc, err := evaluateNodesOn(r.pool, r.eng.Nodes, r.eng.TestSet, r.cfg.Config, subset, live)
+			loss, acc, err := evaluateNodesOn(r.pool, r.eng.Nodes, r.eng.TestSet, subset, live)
 			if err != nil {
 				return err
 			}

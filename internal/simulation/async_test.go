@@ -177,12 +177,6 @@ func TestAsyncValidation(t *testing.T) {
 	if _, err := eng.Run(); err == nil {
 		t.Fatal("empty async engine accepted")
 	}
-	eng2 := asyncEngineFor(t, algoFull, 3, func(cfg *AsyncConfig) {
-		cfg.Profiles = make([]NodeProfile, 2) // wrong length
-	})
-	if _, err := eng2.Run(); err == nil {
-		t.Fatal("profile length mismatch accepted")
-	}
 	eng3 := asyncEngineFor(t, algoFull, 3, func(cfg *AsyncConfig) {
 		cfg.Churn = []ChurnEvent{{Time: 0.01, Node: 99}} // out of range
 	})
@@ -191,22 +185,18 @@ func TestAsyncValidation(t *testing.T) {
 	}
 }
 
-// TestSampleProfilesDegenerate: zero spreads must reproduce the base config
-// exactly, and sampling must be deterministic in the seed.
+// TestSampleProfilesDegenerate: zero spreads must reproduce the base time
+// model exactly, and sampling must be deterministic in the seed.
 func TestSampleProfilesDegenerate(t *testing.T) {
-	base := Config{}
-	base.setDefaults()
-	flat := SampleProfiles(4, Config{}, Heterogeneity{})
-	for i, p := range flat {
-		if p.ComputeSecPerStep != base.ComputeSecPerStep ||
-			p.BandwidthBytesPerSec != base.BandwidthBytesPerSec ||
-			p.LatencySec != base.LatencySec {
+	base := nodeProfile{computeSecPerStep, bandwidthBytesPerSec, latencySec}
+	for i, p := range sampleProfiles(4, Heterogeneity{}) {
+		if p != base {
 			t.Fatalf("profile %d deviates from base without heterogeneity: %+v", i, p)
 		}
 	}
 	het := Heterogeneity{ComputeSpread: 0.5, Seed: 9}
-	a := SampleProfiles(4, Config{}, het)
-	b := SampleProfiles(4, Config{}, het)
+	a := sampleProfiles(4, het)
+	b := sampleProfiles(4, het)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("profile sampling not deterministic at %d: %+v vs %+v", i, a[i], b[i])
@@ -214,7 +204,7 @@ func TestSampleProfilesDegenerate(t *testing.T) {
 	}
 	varied := false
 	for i := 1; i < len(a); i++ {
-		if a[i].ComputeSecPerStep != a[0].ComputeSecPerStep {
+		if a[i].computeSecPerStep != a[0].computeSecPerStep {
 			varied = true
 		}
 	}

@@ -121,10 +121,28 @@ func (n *probeNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 	return err
 }
 
+// offlineRounds takes each node off the round's graph with probability
+// prob: an offline node neither sends nor receives that round (it still
+// trains and keeps its own model), so its broadcast is one no recipient
+// decodes.
+type offlineRounds struct {
+	*topology.Masked
+	n    int
+	prob float64
+	rng  *vec.RNG
+}
+
+func (o *offlineRounds) Round(t int) (*topology.Graph, []topology.Weights) {
+	for i := 0; i < o.n; i++ {
+		o.SetLive(i, o.rng.Float64() >= o.prob)
+	}
+	return o.Masked.Round(t)
+}
+
 // TestSyncDecodeOnceParity: the synchronous engine's fleet-shared decode
 // cache must be invisible in the results. For every algorithm, codec,
-// parallelism level and delivery pattern (clean, drops + offline nodes,
-// per-round re-randomized graph), a run whose nodes share the cache matches
+// parallelism level and delivery pattern (clean, drops + nodes cut off the
+// round's graph, per-round re-randomized graph), a run whose nodes share the cache matches
 // the per-recipient-decode reference bit for bit — rows, byte ledger, final
 // metrics and every node's final parameters — while decoding each delivered
 // broadcast exactly once and never holding more than one round of entries.
@@ -152,11 +170,12 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 	deliveries := []struct {
 		name    string
 		dynamic bool
+		offline float64
 		cfg     Config
 	}{
-		{"clean", false, Config{}},
-		{"drops+offline", false, Config{DropProb: 0.1, OfflineProb: 0.1, FaultSeed: 3}},
-		{"dynamic", true, Config{}},
+		{"clean", false, 0, Config{}},
+		{"drops+offline", false, 0.1, Config{DropProb: 0.1, FaultSeed: 3}},
+		{"dynamic", true, 0, Config{}},
 	}
 
 	type outcome struct {
@@ -165,7 +184,7 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 		probe  *deliveryProbe
 		cached bool // the fleet's nodes can use the cache at all (CHOCO cannot)
 	}
-	run := func(t *testing.T, kind algo, fc codec.FloatCodec, p int, dynamic bool, base Config, perRecipient bool) outcome {
+	run := func(t *testing.T, kind algo, fc codec.FloatCodec, p int, dynamic bool, offline float64, base Config, perRecipient bool) outcome {
 		t.Helper()
 		ds, parts := buildTask(t, n, 42)
 		inner := buildNodesWithCodec(t, kind, ds, parts, 7, func(int) codec.FloatCodec { return fc })
@@ -179,6 +198,9 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			provider = topology.NewStatic(g)
+			if offline > 0 {
+				provider = &offlineRounds{topology.NewMasked(provider, n), n, offline, vec.NewRNG(3)}
+			}
 		}
 		cfg := base
 		cfg.Rounds, cfg.EvalEvery, cfg.Parallelism = rounds, 3, p
@@ -209,8 +231,8 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 				for _, p := range parallelismLevels() {
 					al, cd, dl, p := al, cd, dl, p
 					t.Run(fmt.Sprintf("%s/%s/%s/p%d", al.name, cd.name, dl.name, p), func(t *testing.T) {
-						ref := run(t, al.kind, cd.fc, p, dl.dynamic, dl.cfg, true)
-						got := run(t, al.kind, cd.fc, p, dl.dynamic, dl.cfg, false)
+						ref := run(t, al.kind, cd.fc, p, dl.dynamic, dl.offline, dl.cfg, true)
+						got := run(t, al.kind, cd.fc, p, dl.dynamic, dl.offline, dl.cfg, false)
 						assertSyncResultsIdentical(t, ref.res, got.res)
 						for i := range ref.params {
 							for k := range ref.params[i] {

@@ -18,64 +18,48 @@ import (
 	"repro/internal/vec"
 )
 
+// The simulated time model (Figure 6's wall-clock axis): every node's uplink
+// (12.5 MB/s, about 100 Mbps), the time of one local SGD step, and the
+// per-round communication latency. Heterogeneity scales them per node.
+const (
+	bandwidthBytesPerSec = 12.5e6
+	computeSecPerStep    = 5e-3
+	latencySec           = 10e-3
+)
+
+// evalBatch is the evaluation batch size.
+const evalBatch = 32
+
 // Config controls a run.
 type Config struct {
 	Rounds int
 	// EvalEvery evaluates test metrics every k rounds (default 10; the final
 	// round is always evaluated).
 	EvalEvery int
-	// EvalNodes caps how many nodes are evaluated (0 = all). Test accuracy is
-	// the mean over evaluated nodes, as in the paper. The capped subset is a
-	// seeded uniform sample (fixed for the run, drawn from EvalSeed) — it used
-	// to be the first k nodes, which under churn and heterogeneity
-	// systematically favored low-index nodes.
-	EvalNodes int
 	// EvalSample, when > 0 and below the node count, switches evaluation to a
 	// seeded rotating subset of that many nodes per eval row: each row scores
-	// one window of a per-cycle random permutation, so every node is visited
-	// within ceil(n/EvalSample) (×EvalRotate) eval rows. Deterministic from
+	// the next window of a per-cycle random permutation, so every node is
+	// visited within ceil(n/EvalSample) eval rows. Deterministic from
 	// EvalSeed + the row's round — parallelism never changes the subset. 0
-	// (the default) keeps exact all-node evaluation. Takes precedence over
-	// EvalNodes.
+	// (the default) keeps exact all-node evaluation. Test accuracy is the mean
+	// over evaluated nodes, as in the paper.
 	EvalSample int
-	// EvalRotate slows the rotation: the sampling window advances every
-	// EvalRotate eval rows (default 1 = advance each row). Larger values
-	// re-score the same subset across consecutive rows, which smooths the
-	// series at the cost of a longer full-fleet visit cadence.
-	EvalRotate int
-	// EvalSeed seeds the rotating-sample permutations and the EvalNodes cap
-	// subset (typically the run seed).
+	// EvalSeed seeds the rotating-sample permutations (typically the run
+	// seed).
 	EvalSeed uint64
-	// EvalBatch is the evaluation batch size (default 32).
-	EvalBatch int
-	// EvalMaxSamples caps test samples per node evaluation (0 = all).
-	EvalMaxSamples int
 	// TargetAccuracy, if > 0, stops the run once mean test accuracy reaches
 	// it (the paper's Figure 5/6 protocol).
 	TargetAccuracy float64
 	// Parallelism bounds concurrent node execution (default NumCPU).
 	Parallelism int
 
-	// Simulated time model (Figure 6's wall-clock axis).
-	// BandwidthBytesPerSec is each node's uplink (default 12.5 MB/s ~ 100 Mbps).
-	BandwidthBytesPerSec float64
-	// ComputeSecPerStep is the time of one local SGD step (default 5 ms).
-	ComputeSecPerStep float64
-	// LatencySec is the per-round communication latency (default 10 ms).
-	LatencySec float64
-
-	// Failure injection (extension experiments). Partial-sharing averaging
-	// tolerates both: missing senders simply drop out of the per-coefficient
-	// weight normalization. CHOCO's error-feedback replicas, by contrast,
-	// silently diverge — the behaviour behind the paper's remark that JWINS
-	// is "flexible to nodes leaving and joining".
-	//
-	// DropProb drops each point-to-point message independently.
+	// DropProb drops each point-to-point message independently (extension
+	// experiments). Partial-sharing averaging tolerates it: missing senders
+	// simply drop out of the per-coefficient weight normalization. CHOCO's
+	// error-feedback replicas, by contrast, silently diverge. Node absence
+	// is AsyncConfig.Churn.
 	DropProb float64
-	// OfflineProb takes a node fully offline for a round (no training, no
-	// sending; it keeps its model and rejoins next round).
-	OfflineProb float64
-	// FaultSeed seeds the drop/offline decisions (default derived from 1).
+	// FaultSeed seeds the drop decisions (default derived from 1).
 	FaultSeed uint64
 }
 
@@ -83,23 +67,8 @@ func (c *Config) setDefaults() {
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 10
 	}
-	if c.EvalBatch <= 0 {
-		c.EvalBatch = 32
-	}
-	if c.EvalRotate <= 0 {
-		c.EvalRotate = 1
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.NumCPU()
-	}
-	if c.BandwidthBytesPerSec <= 0 {
-		c.BandwidthBytesPerSec = 12.5e6
-	}
-	if c.ComputeSecPerStep <= 0 {
-		c.ComputeSecPerStep = 5e-3
-	}
-	if c.LatencySec <= 0 {
-		c.LatencySec = 10e-3
 	}
 }
 
@@ -235,10 +204,9 @@ func (e *Engine) Run() (*Result, error) {
 	breakdowns := make([]codec.ByteBreakdown, n)
 	losses := make([]float64, n)
 	var faultRNG *vec.RNG
-	if cfg.DropProb > 0 || cfg.OfflineProb > 0 {
+	if cfg.DropProb > 0 {
 		faultRNG = vec.NewRNG(cfg.FaultSeed ^ 0xfa017)
 	}
-	offline := make([]bool, n)
 	sampler := newEvalSampler(n, cfg)
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -247,19 +215,8 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, fmt.Errorf("simulation: topology has %d nodes, engine has %d", graph.N, n)
 		}
 
-		// Failure injection: decide who sits this round out.
-		for i := range offline {
-			offline[i] = faultRNG != nil && cfg.OfflineProb > 0 && faultRNG.Float64() < cfg.OfflineProb
-		}
-
 		// Phase 1+2: local training then payload construction, per node.
 		if err := pool.forEach(n, func(i int) error {
-			if offline[i] {
-				losses[i] = math.NaN()
-				payloads[i] = nil
-				breakdowns[i] = codec.ByteBreakdown{}
-				return nil
-			}
 			loss, p, bd, err := trainShare(e.Nodes[i], round)
 			if err != nil {
 				return fmt.Errorf("node %d share: %w", i, err)
@@ -277,21 +234,13 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		maxNodeBytes := int64(0)
 		for i := 0; i < n; i++ {
-			if offline[i] {
-				continue
-			}
-			var sentTo int64
 			for _, j := range graph.Neighbors(i) {
-				if offline[j] {
-					continue
-				}
-				sentTo++
-				if faultRNG != nil && cfg.DropProb > 0 && faultRNG.Float64() < cfg.DropProb {
+				if faultRNG != nil && faultRNG.Float64() < cfg.DropProb {
 					continue // sender pays for the bytes; receiver never sees them
 				}
 				inbox[j][i] = payloads[i]
 			}
-			sent := ledger.addSend(breakdowns[i], len(payloads[i]), sentTo)
+			sent := ledger.addSend(breakdowns[i], len(payloads[i]), int64(graph.Degree(i)))
 			if sent > maxNodeBytes {
 				maxNodeBytes = sent
 			}
@@ -299,9 +248,6 @@ func (e *Engine) Run() (*Result, error) {
 
 		// Phase 4: aggregation.
 		if err := pool.forEach(n, func(i int) error {
-			if offline[i] {
-				return nil
-			}
 			if err := e.Nodes[i].Aggregate(round, weights[i], inbox[i]); err != nil {
 				return fmt.Errorf("node %d aggregate: %w", i, err)
 			}
@@ -315,8 +261,8 @@ func (e *Engine) Run() (*Result, error) {
 
 		// Simulated clock: compute is parallel across nodes; the round's
 		// communication is bounded by the busiest uplink.
-		stepTime := float64(localSteps(e.Nodes[0])) * cfg.ComputeSecPerStep
-		simTime += stepTime + float64(maxNodeBytes)/cfg.BandwidthBytesPerSec + cfg.LatencySec
+		stepTime := float64(localSteps(e.Nodes[0])) * computeSecPerStep
+		simTime += stepTime + float64(maxNodeBytes)/bandwidthBytesPerSec + latencySec
 
 		// Sampled runs reuse the row's eval subset for the alpha summary,
 		// keeping row emission O(sample).
@@ -334,7 +280,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		if round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1 {
-			loss, acc, err := evaluateNodesOn(pool, e.Nodes, e.TestSet, cfg, subset, nil)
+			loss, acc, err := evaluateNodesOn(pool, e.Nodes, e.TestSet, subset, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -365,10 +311,4 @@ func (e *Engine) Run() (*Result, error) {
 		MetricDecodeHits: hits, MetricDecodeMisses: misses,
 	}}
 	return res, nil
-}
-
-// Evaluate returns mean test loss and accuracy over the evaluated nodes.
-func (e *Engine) Evaluate(cfg Config) (loss, acc float64) {
-	cfg.setDefaults()
-	return evaluateNodes(e.Nodes, e.TestSet, cfg)
 }

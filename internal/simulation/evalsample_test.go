@@ -9,20 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEvalSamplerRotationCoverage: with sample size s and rotation k, every
-// node must be visited within ceil(n/s)×k consecutive eval rows (one full
-// cycle), each row's subset must be s distinct nodes, and the schedule must
-// be a pure function of the config — a fresh sampler replays it exactly.
+// TestEvalSamplerRotationCoverage: with sample size s, every node must be
+// visited within ceil(n/s) consecutive eval rows (one full cycle), each row's
+// subset must be s distinct nodes, and the schedule must be a pure function
+// of the config — a fresh sampler replays it exactly.
 func TestEvalSamplerRotationCoverage(t *testing.T) {
-	cfg := Config{EvalSample: 3, EvalEvery: 2, EvalRotate: 2, EvalSeed: 5}
+	cfg := Config{EvalSample: 3, EvalEvery: 2, EvalSeed: 5}
 	cfg.setDefaults()
 	const n = 10
 	s := newEvalSampler(n, cfg)
 	if s == nil {
 		t.Fatal("sampler unexpectedly off")
 	}
-	windows := (n + cfg.EvalSample - 1) / cfg.EvalSample
-	budget := windows * cfg.EvalRotate // eval rows per full cycle
+	budget := (n + cfg.EvalSample - 1) / cfg.EvalSample // eval rows per full cycle
 
 	replay := newEvalSampler(n, cfg)
 	seen := make(map[int]bool)
@@ -131,20 +130,18 @@ func TestSampledEvalOfflineNaN(t *testing.T) {
 	nodes := buildNodes(t, algoFull, ds, parts, 7)
 	pool := newComputePool(1)
 	defer pool.close()
-	cfg := Config{EvalEvery: 1}
-	cfg.setDefaults()
 
 	subset := []int{0, 1, 2}
 	live := make([]bool, n)
 
-	loss, acc, _ := evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
+	loss, acc, _ := evaluateNodesOn(pool, nodes, ds, subset, live)
 	if !math.IsNaN(loss) || !math.IsNaN(acc) {
 		t.Fatalf("all-offline subset produced (%v, %v), want NaN", loss, acc)
 	}
 
 	live[1] = true
-	loss, acc, _ = evaluateNodesOn(pool, nodes, ds, cfg, subset, live)
-	wantLoss, wantAcc, _ := evaluateNodesOn(pool, nodes, ds, cfg, []int{1}, nil)
+	loss, acc, _ = evaluateNodesOn(pool, nodes, ds, subset, live)
+	wantLoss, wantAcc, _ := evaluateNodesOn(pool, nodes, ds, []int{1}, nil)
 	if loss != wantLoss || acc != wantAcc {
 		t.Fatalf("single live node: got (%v, %v), want node 1 alone (%v, %v)", loss, acc, wantLoss, wantAcc)
 	}
@@ -182,79 +179,76 @@ func TestSampledEvalWithinToleranceOfExact(t *testing.T) {
 // TestReplayValidatesEvalSchedule: a trace recorded under sampled evaluation
 // carries the schedule in its header; replaying under a different schedule
 // must fail with ErrReplayConfig, and replaying under the recorded one must
-// reproduce the rows exactly. Traces without eval meta (recorded before the
-// sampler existed) skip the check.
+// reproduce the rows exactly. The window advances every eval row, so a
+// header that says eval_rotate is anything but 1 is a schedule no engine
+// runs. Traces without eval meta (recorded before the sampler existed) skip
+// the check and still replay row for row.
 func TestReplayValidatesEvalSchedule(t *testing.T) {
 	const rounds = 8
+	run := func(sample int, mut func(*AsyncConfig)) (*Result, error) {
+		return asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
+			cfg.EvalEvery = 2
+			cfg.EvalSample = sample
+			cfg.EvalSeed = 21
+			mut(cfg)
+		}).Run()
+	}
 	recordWith := func(meta map[string]string, sample int) (*trace.Trace, *Result) {
 		rec := trace.NewRecorder(trace.Header{
 			Nodes: 8, Rounds: rounds, Source: trace.SourceSim, Policy: trace.PolicyBarrier, Meta: meta,
 		})
-		eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-			cfg.EvalEvery = 2
-			cfg.EvalSample = sample
-			cfg.EvalSeed = 21
-			cfg.Record = rec
-		})
-		res, err := eng.Run()
+		res, err := run(sample, func(cfg *AsyncConfig) { cfg.Record = rec })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec.Trace(), res
 	}
-	meta := map[string]string{"eval_sample": "3", "eval_rotate": "1"}
-	recorded, recRes := recordWith(meta, 3)
-
-	replayEng := func(sample int) *AsyncEngine {
-		rp, err := trace.NewReplayer(recorded)
+	replay := func(tr *trace.Trace, sample int) (*Result, error) {
+		rp, err := trace.NewReplayer(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-			cfg.EvalEvery = 2
-			cfg.EvalSample = sample
-			cfg.EvalSeed = 21
-			cfg.Replay = rp
-		})
+		return run(sample, func(cfg *AsyncConfig) { cfg.Replay = rp })
 	}
-
-	// Matching schedule: row-for-row parity with the recording.
-	repRes, err := replayEng(3).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(repRes.Rounds) != len(recRes.Rounds) {
-		t.Fatalf("row counts differ: replay %d, recorded %d", len(repRes.Rounds), len(recRes.Rounds))
-	}
-	for i := range recRes.Rounds {
-		if !metricsEqual(repRes.Rounds[i], recRes.Rounds[i]) {
-			t.Fatalf("row %d differs: %+v vs %+v", i, repRes.Rounds[i], recRes.Rounds[i])
+	sameRows := func(name string, tr *trace.Trace, sample int, want *Result) {
+		t.Helper()
+		got, err := replay(tr, sample)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Rounds) != len(want.Rounds) {
+			t.Fatalf("%s: row counts differ: replay %d, recorded %d", name, len(got.Rounds), len(want.Rounds))
+		}
+		for i := range want.Rounds {
+			if !metricsEqual(got.Rounds[i], want.Rounds[i]) {
+				t.Fatalf("%s: row %d differs: %+v vs %+v", name, i, got.Rounds[i], want.Rounds[i])
+			}
 		}
 	}
 
+	// Matching schedule: row-for-row parity with the recording.
+	recorded, recRes := recordWith(map[string]string{"eval_sample": "3", "eval_rotate": "1"}, 3)
+	sameRows("eval_rotate=1", recorded, 3, recRes)
+
 	// Mismatched schedule: typed configuration error.
-	if _, err := replayEng(5).Run(); !errors.Is(err, ErrReplayConfig) {
+	if _, err := replay(recorded, 5); !errors.Is(err, ErrReplayConfig) {
 		t.Fatalf("mismatched eval sample: got %v, want ErrReplayConfig", err)
 	}
-	if _, err := replayEng(0).Run(); !errors.Is(err, ErrReplayConfig) {
+	if _, err := replay(recorded, 0); !errors.Is(err, ErrReplayConfig) {
 		t.Fatalf("exact replay of sampled trace: got %v, want ErrReplayConfig", err)
 	}
-
-	// A header without eval meta skips the check (legacy traces).
-	legacy, _ := recordWith(nil, 3)
-	rp, err := trace.NewReplayer(legacy)
-	if err != nil {
-		t.Fatal(err)
+	slow, _ := recordWith(map[string]string{"eval_sample": "3", "eval_rotate": "2"}, 3)
+	if _, err := replay(slow, 3); !errors.Is(err, ErrReplayConfig) {
+		t.Fatalf("eval_rotate=2: got %v, want ErrReplayConfig", err)
 	}
-	eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-		cfg.EvalEvery = 2
-		cfg.EvalSample = 5 // differs from the recording, but nothing recorded it
-		cfg.EvalSeed = 21
-		cfg.Replay = rp
-	})
-	if _, err := eng.Run(); err != nil {
+
+	// A header without eval meta skips the check (legacy traces), and
+	// replays row for row under the schedule it was recorded with.
+	legacy, legacyRes := recordWith(nil, 3)
+	if _, err := replay(legacy, 5); err != nil {
 		t.Fatalf("legacy trace without eval meta rejected: %v", err)
 	}
+	sameRows("no eval meta", legacy, 3, legacyRes)
 }
 
 // TestEvalSamplerMembership: samples(round, node) is subsetFor(round)
@@ -262,7 +256,7 @@ func TestReplayValidatesEvalSchedule(t *testing.T) {
 // cycle changes — and asking about rows cycles ahead leaves the subset a
 // caller of subsetFor still holds (emitRows, across its drain) untouched.
 func TestEvalSamplerMembership(t *testing.T) {
-	cfg := Config{EvalSample: 3, EvalEvery: 2, EvalRotate: 2, EvalSeed: 5}
+	cfg := Config{EvalSample: 3, EvalEvery: 2, EvalSeed: 5}
 	cfg.setDefaults()
 	const n = 10
 	s, ref := newEvalSampler(n, cfg), newEvalSampler(n, cfg)

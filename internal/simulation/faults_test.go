@@ -8,8 +8,8 @@ import (
 	"repro/internal/vec"
 )
 
-// runWithFaults reruns the standard 8-node task with failure injection.
-func runWithFaults(t *testing.T, kind algo, rounds int, dropProb, offlineProb float64) *Result {
+// runWithFaults reruns the standard 8-node task with message drops.
+func runWithFaults(t *testing.T, kind algo, rounds int, dropProb float64) *Result {
 	t.Helper()
 	const n = 8
 	ds, parts := buildTask(t, n, 42)
@@ -24,7 +24,7 @@ func runWithFaults(t *testing.T, kind algo, rounds int, dropProb, offlineProb fl
 		TestSet:  ds,
 		Config: Config{
 			Rounds: rounds, EvalEvery: rounds, Parallelism: 2,
-			DropProb: dropProb, OfflineProb: offlineProb, FaultSeed: 1,
+			DropProb: dropProb, FaultSeed: 1,
 		},
 	}
 	res, err := eng.Run()
@@ -37,16 +37,21 @@ func runWithFaults(t *testing.T, kind algo, rounds int, dropProb, offlineProb fl
 // TestJWINSSurvivesMessageDrops: with 20% message loss, partial averaging
 // renormalizes over the senders that arrived, so learning still works.
 func TestJWINSSurvivesMessageDrops(t *testing.T) {
-	res := runWithFaults(t, algoJWINS, 30, 0.2, 0)
+	res := runWithFaults(t, algoJWINS, 30, 0.2)
 	if res.FinalAccuracy < 0.55 {
 		t.Fatalf("JWINS with 20%% drops reached only %.2f accuracy", res.FinalAccuracy)
 	}
 }
 
-// TestFullSharingSurvivesChurn: with nodes dropping out of whole rounds,
+// TestFullSharingSurvivesChurn: with nodes leaving and rejoining mid-run,
 // D-PSGD still converges (the paper's "flexible to nodes leaving/joining").
 func TestFullSharingSurvivesChurn(t *testing.T) {
-	res := runWithFaults(t, algoFull, 30, 0, 0.15)
+	res := runAsync(t, algoFull, 30, func(cfg *AsyncConfig) {
+		cfg.Churn = GenerateChurn(8, 0.15, 0.05, 0.5, 0.2, 41)
+	})
+	if len(res.Rounds) != 30 {
+		t.Fatalf("completed %d/30 rows", len(res.Rounds))
+	}
 	if res.FinalAccuracy < 0.55 {
 		t.Fatalf("full-sharing with 15%% churn reached only %.2f accuracy", res.FinalAccuracy)
 	}
@@ -54,7 +59,14 @@ func TestFullSharingSurvivesChurn(t *testing.T) {
 
 // TestJWINSSurvivesChurnAndDrops: both faults at once.
 func TestJWINSSurvivesChurnAndDrops(t *testing.T) {
-	res := runWithFaults(t, algoJWINS, 30, 0.1, 0.1)
+	res := runAsync(t, algoJWINS, 30, func(cfg *AsyncConfig) {
+		cfg.Churn = GenerateChurn(8, 0.1, 0.05, 0.5, 0.2, 43)
+		cfg.DropProb = 0.1
+		cfg.FaultSeed = 1
+	})
+	if len(res.Rounds) != 30 {
+		t.Fatalf("completed %d/30 rows", len(res.Rounds))
+	}
 	if res.FinalAccuracy < 0.5 {
 		t.Fatalf("JWINS with combined faults reached only %.2f accuracy", res.FinalAccuracy)
 	}
@@ -64,8 +76,8 @@ func TestJWINSSurvivesChurnAndDrops(t *testing.T) {
 // CHOCO's error-feedback replicas desynchronize when messages are lost, so
 // it should do clearly worse than JWINS under the same fault load.
 func TestChocoDegradesUnderChurn(t *testing.T) {
-	choco := runWithFaults(t, algoChoco, 30, 0.25, 0)
-	jwins := runWithFaults(t, algoJWINS, 30, 0.25, 0)
+	choco := runWithFaults(t, algoChoco, 30, 0.25)
+	jwins := runWithFaults(t, algoJWINS, 30, 0.25)
 	t.Logf("25%% drops: choco %.2f vs jwins %.2f", choco.FinalAccuracy, jwins.FinalAccuracy)
 	if choco.FinalAccuracy > jwins.FinalAccuracy+0.05 {
 		t.Fatalf("expected CHOCO (%.2f) to degrade at least as much as JWINS (%.2f) under drops",
@@ -75,25 +87,32 @@ func TestChocoDegradesUnderChurn(t *testing.T) {
 
 // TestFaultsAreDeterministic: same fault seed, same result.
 func TestFaultsAreDeterministic(t *testing.T) {
-	a := runWithFaults(t, algoJWINS, 6, 0.3, 0.1)
-	b := runWithFaults(t, algoJWINS, 6, 0.3, 0.1)
+	a := runWithFaults(t, algoJWINS, 6, 0.3)
+	b := runWithFaults(t, algoJWINS, 6, 0.3)
 	if a.TotalBytes != b.TotalBytes {
 		t.Fatalf("fault runs differ: %d vs %d bytes", a.TotalBytes, b.TotalBytes)
 	}
 }
 
-// TestDropsReduceBytes: dropped messages are paid by the sender, but offline
-// nodes send nothing, so heavy churn must reduce total traffic.
+// TestDropsReduceBytes: dropped messages are paid by the sender, but nodes
+// that drop out send nothing while away, so heavy churn must reduce total
+// traffic.
 func TestDropsReduceBytes(t *testing.T) {
-	clean := runWithFaults(t, algoFull, 10, 0, 0)
-	churned := runWithFaults(t, algoFull, 10, 0, 0.3)
+	clean := runAsync(t, algoFull, 10, nil)
+	churned := runAsync(t, algoFull, 10, func(cfg *AsyncConfig) {
+		cfg.Churn = GenerateChurn(8, 0.5, 0.05, 0.2, 0.1, 31)
+	})
+	if len(churned.Rounds) != len(clean.Rounds) {
+		t.Fatalf("churned run completed %d rows, clean %d", len(churned.Rounds), len(clean.Rounds))
+	}
+	t.Logf("bytes: clean %d, churned %d", clean.TotalBytes, churned.TotalBytes)
 	if churned.TotalBytes >= clean.TotalBytes {
 		t.Fatalf("churned run sent %d bytes >= clean %d", churned.TotalBytes, clean.TotalBytes)
 	}
 }
 
-// TestAsyncFaultMatrix is the event-driven counterpart of the coin-flip fault
-// tests above: churn traces, straggler tails, and in-flight drops, table
+// TestAsyncFaultMatrix covers node absence next to the drop tests above:
+// churn traces, straggler tails, and in-flight drops, table
 // driven across algorithms and severities. Each scenario must finish its full
 // iteration budget and stay above a floor accuracy (or, for the adversarial
 // CHOCO rows, is only required to complete without NaNs — the degradation

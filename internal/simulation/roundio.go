@@ -67,7 +67,7 @@ func setDecodeCache(nodes []core.Node, c *core.DecodeCache) {
 // evalSampler produces the rotating subsets of sampled evaluation
 // (Config.EvalSample). Rows score successive windows of a per-cycle random
 // permutation: window w of cycle c covers perm_c[w*s : (w+1)*s], the window
-// advances every EvalRotate eval rows, and a fresh seeded permutation is
+// advances every eval row, and a fresh seeded permutation is
 // drawn once every ceil(n/s) windows — so every node is visited within one
 // cycle and the visit order reshuffles across cycles. Subsets depend only on
 // the config and the row's round, never on execution order, which keeps
@@ -106,7 +106,7 @@ func newEvalSampler(n int, cfg Config) *evalSampler {
 func (s *evalSampler) window(round int) (cycle, start int) {
 	sz := s.cfg.EvalSample
 	windows := (s.n + sz - 1) / sz
-	step := (round / s.cfg.EvalEvery) / s.cfg.EvalRotate
+	step := round / s.cfg.EvalEvery
 	return step / windows, step % windows * sz
 }
 
@@ -154,28 +154,16 @@ func (s *evalSampler) subsetFor(round int) []int {
 	return s.subset
 }
 
-// evalCapSubset returns the seeded uniform subset that exact evaluation is
-// capped to when cfg.EvalNodes is set below the fleet size — fixed for the
-// run — or nil when every node is scored.
-func evalCapSubset(n int, cfg Config) []int {
-	if cfg.EvalNodes <= 0 || cfg.EvalNodes >= n {
-		return nil
-	}
-	return vec.NewRNG(cfg.EvalSeed^evalSeedSalt).SampleWithoutReplacement(n, cfg.EvalNodes)
-}
-
 // evaluateNodesOn returns mean test loss and accuracy fanned out on the given
 // pool. A non-nil subset evaluates exactly those node indices (sampled
 // rotating evaluation); subset entries outside live (when non-nil) contribute
 // NaN and drop out of the mean, so offline nodes don't skew sampled rows. A
-// nil subset is exact evaluation over every node — or, when cfg.EvalNodes
-// caps it, over a seeded uniform k-subset fixed for the run; exact paths
-// ignore live, preserving the historical behavior of scoring offline nodes'
-// retained models.
-func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Dataset, cfg Config, subset []int, live []bool) (loss, acc float64, err error) {
+// nil subset is exact evaluation over every node; it ignores live,
+// preserving the historical behavior of scoring offline nodes' retained
+// models.
+func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Dataset, subset []int, live []bool) (loss, acc float64, err error) {
 	if subset == nil {
 		live = nil
-		subset = evalCapSubset(len(nodes), cfg)
 	}
 	k := len(nodes)
 	if subset != nil {
@@ -192,7 +180,7 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 			lossSum[i], accSum[i] = math.NaN(), math.NaN()
 			return nil
 		}
-		l, a := datasets.Evaluate(testSet, nodes[j].Model(), cfg.EvalBatch, cfg.EvalMaxSamples)
+		l, a := datasets.Evaluate(testSet, nodes[j].Model(), evalBatch)
 		lossSum[i], accSum[i] = l, a
 		return nil
 	})
@@ -207,20 +195,6 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 		err = fmt.Errorf("node %d evaluate: %w", j, err)
 	}
 	return mean(lossSum), mean(accSum), err
-}
-
-// evaluateNodes is evaluateNodesOn with a transient pool, for callers outside
-// an engine run (sampled configs score the round-0 subset).
-func evaluateNodes(nodes []core.Node, testSet *datasets.Dataset, cfg Config) (loss, acc float64) {
-	p := newComputePool(cfg.Parallelism)
-	defer p.close()
-	loss, acc, err := evaluateNodesOn(p, nodes, testSet, cfg, newEvalSampler(len(nodes), cfg).subsetFor(0), nil)
-	if err != nil {
-		// A model panicked and there is no error result to carry it: raise
-		// it again, on the caller's goroutine.
-		panic(err)
-	}
-	return loss, acc
 }
 
 // meanAlphaOf averages LastAlpha over JWINS nodes (NaN if none) — the
@@ -278,7 +252,8 @@ func meanOverIdx(x []float64, idx []int) float64 {
 	return s / float64(count)
 }
 
-// mean averages the non-NaN entries (offline nodes report NaN losses).
+// mean averages the non-NaN entries (departed nodes score NaN, non-JWINS
+// nodes report NaN alphas).
 func mean(x []float64) float64 {
 	var s float64
 	count := 0

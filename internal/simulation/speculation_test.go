@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/trace"
-	"repro/internal/vec"
 )
 
 // specProbe watches speculation through the Node interface alone. popped[i]
@@ -23,9 +22,6 @@ import (
 // what specSafe exists to rule out.
 type specProbe struct {
 	popped, shared []atomic.Int64
-	// ahead[i] counts node i's speculative Shares. Only meaningful at
-	// Parallelism 1, where a dispatch runs at submit time, before its event.
-	ahead []atomic.Int64
 	// evalReads counts Model() calls; staleReads those that saw an
 	// uncommitted train.
 	evalReads, staleReads atomic.Int64
@@ -39,7 +35,7 @@ type specNode struct {
 
 func specFleet(nodes []core.Node) ([]core.Node, *specProbe) {
 	n := len(nodes)
-	p := &specProbe{popped: make([]atomic.Int64, n), shared: make([]atomic.Int64, n), ahead: make([]atomic.Int64, n)}
+	p := &specProbe{popped: make([]atomic.Int64, n), shared: make([]atomic.Int64, n)}
 	out := make([]core.Node, n)
 	for i, nd := range nodes {
 		p.popped[i].Store(-1)
@@ -64,9 +60,6 @@ func (n *specNode) SetDecodeCache(c *core.DecodeCache) {
 }
 
 func (n *specNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	if int64(round) > n.p.popped[n.i].Load() {
-		n.p.ahead[n.i].Add(1)
-	}
 	n.p.shared[n.i].Store(int64(round))
 	return n.Node.Share(round)
 }
@@ -110,7 +103,6 @@ func runSpecScenario(t *testing.T, parallelism int, probed bool, mut func(*Confi
 		cfg.Parallelism = parallelism
 		cfg.EvalEvery = 2
 		cfg.EvalSeed = 11
-		cfg.EvalMaxSamples = 8
 		cfg.Het = Heterogeneity{ComputeSpread: 0.4, Seed: 5}
 		cfg.Churn = GenerateChurn(specNodes, 0.2, 0.02, 0.15, 0.04, 77)
 		cfg.MixingEvery = -1
@@ -185,41 +177,15 @@ func TestSpeculationSampledEval(t *testing.T) {
 // TestSpeculationUnchangedWhereEvaluationReads: exact evaluation reads every
 // model, so its speculation decisions are the ones made before evaluation
 // rows were told apart by who they sample — the hit and miss counts are the
-// literals recorded at that commit. Under the EvalNodes cap the same holds
-// node by node for the nodes inside the cap, and only for them.
+// literals recorded at that commit. (TestSpeculationSampledEval covers the
+// subset side.)
 func TestSpeculationUnchangedWhereEvaluationReads(t *testing.T) {
-	const (
-		wantHits, wantMisses = 731, 1354 // recorded at the parent commit
-		wantCapAhead         = 18        // speculative Shares of the capped nodes, parent commit
-		evalNodes            = 8
-	)
+	const wantHits, wantMisses = 731, 1354 // recorded at the parent commit
 	exact := runSpecScenario(t, 1, true, func(*Config) {})
 	if exact.hits != wantHits || exact.misses != wantMisses {
 		t.Errorf("exact evaluation: %d hits, %d misses; recorded %d, %d", exact.hits, exact.misses, wantHits, wantMisses)
 	}
 	if stale := exact.probe.staleReads.Load(); stale != 0 {
 		t.Fatalf("exact evaluation read %d models with a train in flight", stale)
-	}
-	capped := runSpecScenario(t, 1, true, func(cfg *Config) { cfg.EvalNodes = evalNodes })
-	if capped.digest != exact.digest {
-		t.Fatal("the evaluation cap changed the recorded schedule")
-	}
-	if stale := capped.probe.staleReads.Load(); stale != 0 {
-		t.Fatalf("capped evaluation read %d models with a train in flight", stale)
-	}
-	inCap := vec.NewRNG(11^evalSeedSalt).SampleWithoutReplacement(specNodes, evalNodes)
-	var capAhead int64
-	for _, i := range inCap {
-		a, e := capped.probe.ahead[i].Load(), exact.probe.ahead[i].Load()
-		if a != e {
-			t.Errorf("node %d is evaluated at every eval row but speculated %d times, %d under exact evaluation", i, a, e)
-		}
-		capAhead += a
-	}
-	if capAhead != wantCapAhead {
-		t.Errorf("capped nodes speculated %d times, recorded %d", capAhead, wantCapAhead)
-	}
-	if capped.hits < exact.hits {
-		t.Errorf("capped evaluation speculated less (%d hits) than exact (%d)", capped.hits, exact.hits)
 	}
 }

@@ -38,25 +38,6 @@ func TestEngineRejectsTopologyMismatch(t *testing.T) {
 	}
 }
 
-func TestEvaluateSubsetOfNodes(t *testing.T) {
-	const n = 6
-	ds, parts := buildTask(t, n, 91)
-	nodes := buildNodes(t, algoFull, ds, parts, 93)
-	eng := &Engine{
-		Nodes:    nodes,
-		Topology: topology.NewStatic(topology.Ring(n)),
-		TestSet:  ds,
-	}
-	lossAll, accAll := eng.Evaluate(Config{EvalBatch: 16})
-	lossTwo, accTwo := eng.Evaluate(Config{EvalBatch: 16, EvalNodes: 2})
-	if lossAll <= 0 || lossTwo <= 0 {
-		t.Fatalf("losses: %v %v", lossAll, lossTwo)
-	}
-	if accAll < 0 || accAll > 1 || accTwo < 0 || accTwo > 1 {
-		t.Fatalf("accuracies out of range: %v %v", accAll, accTwo)
-	}
-}
-
 func TestOnRoundCallback(t *testing.T) {
 	const n = 4
 	ds, parts := buildTask(t, n, 95)
