@@ -48,6 +48,7 @@ type Node struct {
 	xhat  []float64 // x̂_i: own public replica
 	s     []float64 // Σ_j w_ij x̂_j over the (fixed) neighborhood
 	qSelf []float64 // q_i: own quantized difference, from Share to Aggregate
+	spare []byte    // the handed-back payload the next Share encodes into
 }
 
 var _ core.Node = (*Node)(nil)
@@ -82,6 +83,10 @@ func New(id int, model nn.Trainable, loader *datasets.Loader, opts core.TrainOpt
 
 // ID implements core.Node.
 func (n *Node) ID() int { return n.id }
+
+// RecyclePayload implements core.PayloadRecycler: the next Share encodes
+// into p.
+func (n *Node) RecyclePayload(p []byte) { n.spare = p }
 
 // LocalStepCount reports tau; the simulation's time model uses it.
 func (n *Node) LocalStepCount() int { return n.opts.LocalSteps }
@@ -124,7 +129,8 @@ func (n *Node) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		clear(n.qSelf)
 		sparsify.Scatter(n.qSelf, sv.Indices, sv.Values)
 	}
-	buf, bd, err := codec.EncodeSparseWith(&sc.Enc, sv, mode, n.cfg.FloatCodec)
+	buf, bd, err := codec.EncodeSparseInto(n.spare, &sc.Enc, sv, mode, n.cfg.FloatCodec)
+	n.spare = nil
 	if err != nil {
 		return nil, bd, fmt.Errorf("choco: encoding payload: %w", err)
 	}

@@ -92,13 +92,13 @@ func (b *ByteBreakdown) Add(o ByteBreakdown) {
 	b.Meta += o.Meta
 }
 
-// EncodeScratch holds the reusable intermediate buffers of EncodeSparseWith.
+// EncodeScratch holds the reusable intermediate buffers of EncodeSparseInto.
 // The zero value is ready; each owner (one per running call, shared by the
 // fleet) amortizes the value and index encoding scratch across every round of
-// a run, whatever the size of the last payload staged in it. The returned
-// payload itself is always freshly allocated — payloads outlive the call
-// (inboxes, rejoin caches, in-flight messages), so only the intermediates are
-// reused.
+// a run, whatever the size of the last payload staged in it. The payload
+// itself is not staged here: payloads outlive the call (inboxes, rejoin
+// caches, in-flight messages), so it goes into the buffer the caller passes
+// to EncodeSparseInto, which only the payload's owner may recycle.
 type EncodeScratch struct {
 	vals []byte
 	idx  []byte
@@ -118,9 +118,23 @@ func EncodeSparse(sv SparseVector, mode IndexMode, fc FloatCodec) ([]byte, ByteB
 }
 
 // EncodeSparseWith is EncodeSparse with caller-owned scratch: the value and
-// index encodings are staged in s and copied once into an exact-size payload,
-// so a warm scratch leaves the payload allocation as the call's only one.
+// index encodings are staged in s and copied once into a freshly allocated
+// exact-size payload, so a warm scratch leaves the payload allocation as the
+// call's only one. It is EncodeSparseInto with no buffer to reuse.
 func EncodeSparseWith(s *EncodeScratch, sv SparseVector, mode IndexMode, fc FloatCodec) ([]byte, ByteBreakdown, error) {
+	return EncodeSparseInto(nil, s, sv, mode, fc)
+}
+
+// EncodeSparseInto is EncodeSparseWith writing the payload into dst's backing
+// array when the payload fits in its capacity, so a warm scratch and a
+// handed-back payload buffer leave the call allocation-free. A nil dst
+// allocates an exact-size payload; a non-nil dst that is too small is
+// replaced by a new array with a quarter of headroom, so a buffer reused
+// round after round settles at its owner's largest payload however the size
+// varies. dst's old contents are overwritten: the caller must own it, with
+// nothing else still reading it. The returned slice has the payload's exact
+// length.
+func EncodeSparseInto(dst []byte, s *EncodeScratch, sv SparseVector, mode IndexMode, fc FloatCodec) ([]byte, ByteBreakdown, error) {
 	var bd ByteBreakdown
 	cid, err := floatCodecID(fc)
 	if err != nil {
@@ -163,7 +177,15 @@ func EncodeSparseWith(s *EncodeScratch, sv SparseVector, mode IndexMode, fc Floa
 	case IndexSeed:
 		size += 8
 	}
-	out := make([]byte, 0, size)
+	var out []byte
+	switch {
+	case cap(dst) >= size:
+		out = dst[:0]
+	case dst == nil:
+		out = make([]byte, 0, size)
+	default:
+		out = make([]byte, 0, size+size/4)
+	}
 	out = append(out, byte(mode), cid)
 	out = appendU32(out, uint32(sv.Dim))
 	out = appendU32(out, uint32(count))

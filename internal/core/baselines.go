@@ -43,7 +43,7 @@ func (n *FullSharingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) 
 	defer s.Release()
 	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
 	sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
-	return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexDense, n.fc)
+	return n.encode(s, sv, codec.IndexDense, n.fc)
 }
 
 // Aggregate implements Node: the classic weighted average
@@ -112,7 +112,7 @@ func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, erro
 	}
 	if k >= n.dim {
 		sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
-		return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexDense, n.fc)
+		return n.encode(s, sv, codec.IndexDense, n.fc)
 	}
 	seed := n.rng.Uint64()
 	indices := codec.SeededIndices(seed, n.dim, k)
@@ -122,7 +122,7 @@ func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, erro
 		Seed:   seed,
 		Values: s.Vals,
 	}
-	return encodeSparsePayloadWith(&s.Enc, sv, codec.IndexSeed, n.fc)
+	return n.encode(s, sv, codec.IndexSeed, n.fc)
 }
 
 // Aggregate implements Node: per-parameter weighted average over providers.

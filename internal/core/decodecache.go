@@ -22,13 +22,18 @@ const decodeCacheWays = 3
 //
 // Entries are keyed by the identity of the payload's backing array, not by
 // (sender, iteration): churn and epoch state-sync can legitimately put a
-// different byte slice under a reused key, and identity keying makes it
-// structurally impossible to serve a vector the per-node decode path would
-// not have produced for those exact bytes. The entry retains the payload
-// slice itself, so its address cannot be recycled by the GC and reused by a
-// later payload while the entry lives. InvalidateSender is therefore memory
-// hygiene (drop a churned-out or disconnected sender's buffers), never a
-// correctness requirement.
+// different byte slice under a reused key, and identity keying rules out
+// serving a vector the per-node decode path would not have produced for
+// those exact bytes — provided no array a findable entry keys is ever
+// rewritten. The entry retains the payload slice itself, so the GC cannot
+// free its address and hand it to a later payload while the entry lives. The
+// synchronous engine does reuse payload addresses: it hands each round's
+// payloads back to their senders (PayloadRecycler), whose next Share encodes
+// into the same array. It calls Reset before every hand-back, so no entry a
+// reader can still find ever aliases a recycled buffer. The async engine
+// hands nothing back. InvalidateSender is therefore memory hygiene (drop a
+// churned-out or disconnected sender's buffers), never a correctness
+// requirement; Reset before a hand-back is one.
 //
 // A DecodeCache is safe for concurrent use: concurrent acquires of the same
 // payload decode it once, with late arrivals waiting on the entry's ready
@@ -119,7 +124,8 @@ func (c *DecodeCache) InvalidateSender(sender int) {
 // engine's end-of-round call. A round's payloads are never acquired again
 // once its aggregation phase is over, so the cache holds one round and the
 // retired entries' decode buffers stay warm on the free list for the next.
-// Memory hygiene, like InvalidateSender.
+// It must run before the engine hands the round's payloads back to their
+// senders for reuse (see the type comment).
 func (c *DecodeCache) Reset() {
 	c.mu.Lock()
 	for sender, entries := range c.slots {
@@ -188,4 +194,14 @@ func (c *DecodeCache) recycleLocked(e *cacheEntry) {
 // node that supports it.
 type DecodeCacheUser interface {
 	SetDecodeCache(*DecodeCache)
+}
+
+// PayloadRecycler is implemented by nodes whose Share can encode into a
+// buffer handed back to them instead of allocating a fresh payload. The
+// contract: p is what this node's last Share returned (or nil, which drops
+// the node's buffer), and nothing reads it any more — not an inbox, a decode
+// cache entry a reader can still find, or a message in flight. Only the
+// synchronous engine hands payloads back, once a round has consumed them.
+type PayloadRecycler interface {
+	RecyclePayload(p []byte)
 }

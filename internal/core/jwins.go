@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -229,7 +228,7 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		s.Vals = sparsify.AppendGather(s.Vals[:0], n.curCoeffs, n.lastShared)
 		sv.Values = s.Vals
 	}
-	return encodeSparsePayloadWith(&s.Enc, sv, mode, n.cfg.FloatCodec)
+	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
 
 // Aggregate implements lines 9-12 of Algorithm 1: average the received
@@ -330,15 +329,4 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int 
 	}
 	sort.Ints(s.bandOut)
 	return s.bandOut
-}
-
-// encodeSparsePayloadWith wraps codec.EncodeSparseWith — the node's reusable
-// encode scratch stages the intermediates; the returned payload itself is
-// always freshly allocated — with shared error context.
-func encodeSparsePayloadWith(s *codec.EncodeScratch, sv codec.SparseVector, mode codec.IndexMode, fc codec.FloatCodec) ([]byte, codec.ByteBreakdown, error) {
-	buf, bd, err := codec.EncodeSparseWith(s, sv, mode, fc)
-	if err != nil {
-		return nil, bd, fmt.Errorf("core: encoding share payload: %w", err)
-	}
-	return buf, bd, nil
 }

@@ -53,13 +53,15 @@ func (o TrainOpts) validate() error {
 }
 
 // baseNode carries the state every algorithm shares: the model, the local
-// data loader, the training options, and the fleet's decode cache.
+// data loader, the training options, the fleet's decode cache, and the
+// payload buffer the engine handed back for the next Share to encode into.
 type baseNode struct {
 	id     int
 	model  nn.Trainable
 	loader *datasets.Loader
 	opts   TrainOpts
 	cache  *DecodeCache
+	spare  []byte
 }
 
 func (b *baseNode) ID() int             { return b.id }
@@ -69,8 +71,24 @@ func (b *baseNode) Model() nn.Trainable { return b.model }
 // then serves neighbor decodes from it instead of decoding per recipient.
 func (b *baseNode) SetDecodeCache(c *DecodeCache) { b.cache = c }
 
+// RecyclePayload implements PayloadRecycler: the next Share encodes into p.
+func (b *baseNode) RecyclePayload(p []byte) { b.spare = p }
+
 // LocalStepCount reports tau; the simulation's time model uses it.
 func (b *baseNode) LocalStepCount() int { return b.opts.LocalSteps }
+
+// encode serializes a Share's payload into the buffer last handed back, if
+// any, and drops the node's reference to it: from here on the buffer is the
+// returned payload, owned by whoever delivers it.
+func (b *baseNode) encode(s *Scratch, sv codec.SparseVector, mode codec.IndexMode, fc codec.FloatCodec) ([]byte, codec.ByteBreakdown, error) {
+	dst := b.spare
+	b.spare = nil
+	buf, bd, err := codec.EncodeSparseInto(dst, &s.Enc, sv, mode, fc)
+	if err != nil {
+		return nil, bd, fmt.Errorf("core: encoding share payload: %w", err)
+	}
+	return buf, bd, nil
+}
 
 // LocalTrain implements the tau-step local SGD phase.
 func (b *baseNode) LocalTrain() float64 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/datasets"
 	"repro/internal/sparsify"
 	"repro/internal/topology"
 	"repro/internal/vec"
@@ -16,13 +17,19 @@ import (
 // before the accumulator telescoped: it carries V itself and the round
 // baseline x^(t,0), and runs three forward transforms a round — the change
 // DWT(x^(t,tau) - x^(t,0)), the payload DWT(x^(t,tau)) and the installed
-// DWT(x^(t+1,0)). The deleted AccumulationDecay and AccumulateLiteralEq4
-// arms are left out, and the scratch buffers that went with V are local here:
-// the lockstep twin's oracle.
+// DWT(x^(t+1,0)). The deleted AccumulationDecay arm is left out, the deleted
+// AccumulateLiteralEq4 arm is the literal field (a test-side arm only), and
+// the scratch buffers that went with V are local here: the lockstep twin's
+// oracle.
 type refJWINS struct {
 	*JWINSNode
 	v        []float64 // V: accumulated importance scores (coeff domain)
 	startPar []float64 // x^(t,0)
+	// literal reads eq. (4) as written, V <- zeroShared(V') +
+	// DWT(x^(t+1,0) - x^(t,0)), which re-adds the round's local change to the
+	// coefficients not shared; the default adds only the averaging-induced
+	// change DWT(x^(t+1,0) - x^(t,tau)), so each local change counts once.
+	literal bool
 }
 
 func newRefJWINS(n *JWINSNode) *refJWINS {
@@ -79,7 +86,7 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		s.Vals = sparsify.AppendGather(s.Vals[:0], n.curCoeffs, n.lastShared)
 		sv.Values = s.Vals
 	}
-	return encodeSparsePayloadWith(&s.Enc, sv, mode, n.cfg.FloatCodec)
+	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
 
 func (n *refJWINS) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
@@ -103,8 +110,13 @@ func (n *refJWINS) Aggregate(round int, w topology.Weights, msgs map[int][]byte)
 		}
 		installed := make([]float64, n.coeffDim)
 		n.forward(s, s.newParams, installed)
+		from := n.curCoeffs
+		if n.literal {
+			from = make([]float64, n.coeffDim)
+			n.forward(s, n.startPar, from)
+		}
 		for k := range n.v {
-			n.v[k] += installed[k] - n.curCoeffs[k]
+			n.v[k] += installed[k] - from[k]
 		}
 	}
 	copy(n.startPar, s.newParams)
@@ -248,5 +260,96 @@ func TestJWINSLockstepTwin(t *testing.T) {
 			}
 			t.Logf("%d of %d rounds bitwise, largest drift %g", rep.exact, rounds, slices.Max(rep.drift))
 		})
+	}
+}
+
+// topKMass is the share of the node's |V'| mass its last selection carried
+// (1 on a full share).
+func topKMass(n *refJWINS) float64 {
+	if n.fullShare {
+		return 1
+	}
+	var sel, total float64
+	for _, v := range n.v {
+		total += math.Abs(v)
+	}
+	for _, i := range n.lastShared {
+		sel += math.Abs(n.v[i])
+	}
+	return sel / total
+}
+
+// TestEq4LiteralArm runs eq. (4)'s two readings side by side: the default,
+// which counts each local change once, and the literal one (refJWINS.literal).
+// Both fleets are refJWINS over one seed of the TestEq4VariantsBothLearn
+// fixture, so round 0, before any accumulator update, must select identical
+// sets. Per round it logs the mean Jaccard of the two readings' selections
+// and the mean share of |V'| mass each reading's top-k carries; the literal
+// arm must learn past the bound TestEq4VariantsBothLearn sets.
+func TestEq4LiteralArm(t *testing.T) {
+	const rounds = 25
+	cfg := DefaultJWINSConfig()
+	cfg.FloatCodec = codec.Raw32{}
+	var (
+		fleets [2][]Node
+		ds     *datasets.Dataset
+		g      *topology.Graph
+		w      []topology.Weights
+	)
+	for f := range fleets {
+		var nodes []Node
+		nodes, ds, g, w = buildLearningFleet(t, cfg, 404)
+		for i, nd := range nodes {
+			r := newRefJWINS(nd.(*JWINSNode))
+			r.literal = f == 1
+			nodes[i] = r
+		}
+		fleets[f] = nodes
+	}
+	n := float64(len(fleets[0]))
+	t.Logf("round  jaccard  mass_default  mass_literal")
+	for round := 0; round < rounds; round++ {
+		for _, nodes := range fleets {
+			for _, nd := range nodes {
+				nd.LocalTrain()
+			}
+		}
+		var jaccard float64
+		var mass [2]float64
+		sent := [2][][]byte{}
+		for f, nodes := range fleets {
+			for _, nd := range nodes {
+				p, _, err := nd.Share(round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent[f] = append(sent[f], p)
+				mass[f] += topKMass(nd.(*refJWINS)) / n
+			}
+		}
+		for i := range fleets[0] {
+			jaccard += selectionJaccard(fleets[0][i].(*refJWINS).JWINSNode, fleets[1][i].(*refJWINS).JWINSNode)
+		}
+		jaccard /= n
+		if round == 0 && jaccard != 1 {
+			t.Fatalf("round 0: the readings select different sets (mean Jaccard %.4f) before any accumulator update", jaccard)
+		}
+		for f, nodes := range fleets {
+			for i, nd := range nodes {
+				msgs := map[int][]byte{}
+				for _, j := range g.Neighbors(i) {
+					msgs[j] = sent[f][j]
+				}
+				if err := nd.Aggregate(round, w[i], msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		t.Logf("%5d  %7.4f  %12.4f  %12.4f", round, jaccard, mass[0], mass[1])
+	}
+	accDefault, accLiteral := meanAccuracy(ds, fleets[0]), meanAccuracy(ds, fleets[1])
+	t.Logf("accuracy after %d rounds: default %.4f, literal %.4f", rounds, accDefault, accLiteral)
+	if accLiteral < 0.5 {
+		t.Fatalf("literal eq. (4): accuracy %.2f, want > 0.5 (chance 0.25)", accLiteral)
 	}
 }

@@ -1,8 +1,10 @@
 package simulation
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/topology"
 	"repro/internal/vec"
 )
@@ -75,5 +77,69 @@ func TestSchedulerAllocationCeiling(t *testing.T) {
 		perEvent, hiEvents-loEvents, loEvents, loAllocs, hiEvents, hiAllocs)
 	if perEvent > schedulerAllocCeiling {
 		t.Fatalf("steady-state event loop allocates %.2f/event, ceiling is %.1f", perEvent, schedulerAllocCeiling)
+	}
+}
+
+// syncRun executes one serial 16-node full-sharing flate32 synchronous run,
+// evaluated once at the end, and returns its result.
+func syncRun(t *testing.T, rounds int) *Result {
+	t.Helper()
+	const n = 16
+	ds, parts := buildTask(t, n, 42)
+	nodes := buildNodesWithCodec(t, algoFull, ds, parts, 7, func(int) codec.FloatCodec { return codec.PlaneFlate32{} })
+	g, err := topology.Regular(n, 4, vec.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &Engine{Nodes: nodes, Topology: topology.NewStatic(g), TestSet: ds,
+		Config: Config{Rounds: rounds, EvalEvery: rounds, Parallelism: 1}}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// bytesPerRun is testing.AllocsPerRun counting bytes (MemStats.TotalAlloc)
+// instead of allocations: one warm-up call, then the mean over runs calls.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSyncRoundAllocationCeiling guards the synchronous round's steady-state
+// heap traffic the way TestSchedulerAllocationCeiling guards the event
+// loop's allocation count: whole runs at two round budgets are differenced,
+// so set-up and the final evaluation cancel. A round's payloads go back to
+// their senders once it has consumed them, so a node-round must cost well
+// under one payload; before that hand-back existed it cost at least one.
+func TestSyncRoundAllocationCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is timing-insensitive but not free")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled flate32 writers at random")
+	}
+	const (
+		n                  = 16
+		loRounds, hiRounds = 4, 12
+		samples            = 3
+	)
+	res := syncRun(t, hiRounds)
+	payload := float64(res.TotalBytes)/float64(hiRounds*n*4) - frameOverhead
+	lo := bytesPerRun(samples, func() { syncRun(t, loRounds) })
+	hi := bytesPerRun(samples, func() { syncRun(t, hiRounds) })
+	perNodeRound := (hi - lo) / float64(n*(hiRounds-loRounds))
+	t.Logf("steady state: %.0f B per node-round against a %.0f B payload (lo %.0f B, hi %.0f B)",
+		perNodeRound, payload, lo, hi)
+	if perNodeRound > payload/8 {
+		t.Fatalf("a synchronous node-round allocates %.0f B, ceiling is 1/8 of a %.0f B payload", perNodeRound, payload)
 	}
 }

@@ -192,10 +192,12 @@ func (e *Engine) Run() (*Result, error) {
 	var ledger byteLedger
 	simTime := 0.0
 
-	// Detached after the pool closes: no worker still reads an entry.
+	// Detached after the pool closes: no worker still reads an entry, and no
+	// Share still writes a handed-back payload.
 	dcache := &core.DecodeCache{}
 	setDecodeCache(e.Nodes, dcache)
 	defer setDecodeCache(e.Nodes, nil)
+	defer recyclePayloads(e.Nodes, nil)
 
 	pool := newComputePool(cfg.Parallelism)
 	defer pool.close()
@@ -208,6 +210,10 @@ func (e *Engine) Run() (*Result, error) {
 		faultRNG = vec.NewRNG(cfg.FaultSeed ^ 0xfa017)
 	}
 	sampler := newEvalSampler(n, cfg)
+	inbox := make([]map[int][]byte, n)
+	for i := range inbox {
+		inbox[i] = map[int][]byte{}
+	}
 
 	for round := 0; round < cfg.Rounds; round++ {
 		graph, weights := e.Topology.Round(round)
@@ -227,10 +233,11 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 
-		// Phase 3: delivery along topology edges + byte accounting.
-		inbox := make([]map[int][]byte, n)
-		for i := 0; i < n; i++ {
-			inbox[i] = make(map[int][]byte, graph.Degree(i))
+		// Phase 3: delivery along topology edges + byte accounting. No
+		// Aggregate keeps its map, so last round's inboxes are emptied and
+		// refilled.
+		for _, m := range inbox {
+			clear(m)
 		}
 		maxNodeBytes := int64(0)
 		for i := 0; i < n; i++ {
@@ -256,8 +263,12 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 		// A synchronous round has no staleness: nobody acquires this round's
-		// payloads again, so the cache never holds more than one round.
+		// payloads again, so the cache never holds more than one round. With
+		// every entry retired and the inboxes refilled next round, nothing
+		// reads the payloads any more: each goes back to its sender, whose
+		// next Share encodes into it.
 		dcache.Reset()
+		recyclePayloads(e.Nodes, payloads)
 
 		// Simulated clock: compute is parallel across nodes; the round's
 		// communication is bounded by the busiest uplink.

@@ -64,6 +64,24 @@ func setDecodeCache(nodes []core.Node, c *core.DecodeCache) {
 	}
 }
 
+// recyclePayloads hands payloads[i] back to node i when it can reuse it
+// (core.PayloadRecycler), or nil to every such node when payloads is nil. The
+// synchronous engine calls it once a round's payloads are dead, and with nil
+// when the run returns, so a fleet that outlives the run pins no buffer. The
+// async engine never calls it: its payloads live on in state-sync, rejoin
+// caches and in-flight messages.
+func recyclePayloads(nodes []core.Node, payloads [][]byte) {
+	for i, nd := range nodes {
+		if r, ok := nd.(core.PayloadRecycler); ok {
+			var p []byte
+			if payloads != nil {
+				p = payloads[i]
+			}
+			r.RecyclePayload(p)
+		}
+	}
+}
+
 // evalSampler produces the rotating subsets of sampled evaluation
 // (Config.EvalSample). Rows score successive windows of a per-cycle random
 // permutation: window w of cycle c covers perm_c[w*s : (w+1)*s], the window
