@@ -30,7 +30,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 
-	"repro/internal/choco"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/nn"
@@ -122,7 +121,7 @@ func run() error {
 	case experiments.AlgoRandom:
 		spec.RandomFraction = *randFrac
 	case experiments.AlgoChoco:
-		spec.Choco = &choco.Config{Fraction: *chocoFrac, Gamma: *chocoGamma}
+		spec.Choco = &core.ChocoConfig{Fraction: *chocoFrac, Gamma: *chocoGamma}
 	}
 
 	// Resolve the effective epoch length up front: the trace header must

@@ -1,9 +1,8 @@
 // Package codec implements the wire-level encoders used by the decentralized
 // learning algorithms: bit-level I/O, Elias gamma universal codes for
 // sparsification metadata (parameter indices), seeded index descriptors for
-// random sampling, and floating-point value codecs (a raw float32 format, a
-// byte-plane+flate compressor standing in for fpzip, and a Gorilla-style XOR
-// compressor). All byte counts reported by experiments come from the real
+// random sampling, and floating-point value codecs (a raw float32 format and
+// a byte-plane+flate compressor standing in for fpzip). All byte counts reported by experiments come from the real
 // encoded sizes produced here.
 package codec
 
@@ -24,9 +23,6 @@ type BitWriter struct {
 	acc uint64 // pending bits in its low n; the bits above them are stale
 	n   uint   // 0..63
 }
-
-// WriteBit appends a single bit (0 or 1).
-func (w *BitWriter) WriteBit(b uint) { w.WriteBits(uint64(b), 1) }
 
 // WriteBits appends the n low bits of v, most significant first. n may be
 // 0 and is at most 64.

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -19,12 +20,25 @@ func DecodeIndicesGamma(buf []byte, count int) ([]int, error) {
 	return AppendDecodeIndicesGamma(nil, buf, count)
 }
 
+// decodeSparse is DecodeSparseInto into a fresh vector.
+func decodeSparse(buf []byte) (SparseVector, error) {
+	var sv SparseVector
+	err := DecodeSparseInto(&sv, buf)
+	return sv, err
+}
+
+// decodeFloats is fc.DecodeInto into a fresh slice of count values.
+func decodeFloats(fc FloatCodec, buf []byte, count int) ([]float64, error) {
+	out := make([]float64, count)
+	return out, fc.DecodeInto(buf, out)
+}
+
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	var w BitWriter
-	w.WriteBit(1)
+	w.WriteBits(1, 1)
 	w.WriteBits(0b1011, 4)
 	w.WriteBits(0xdeadbeef, 32)
-	w.WriteBit(0)
+	w.WriteBits(0, 1)
 	buf := w.Bytes()
 	r := &BitReader{buf: buf}
 	if b, _ := r.ReadBit(); b != 1 {
@@ -221,11 +235,11 @@ func testFloatRoundTrip(t *testing.T, fc FloatCodec) {
 	}
 	cases = append(cases, big)
 	for _, vals := range cases {
-		buf, err := fc.Encode(vals)
+		buf, err := fc.AppendEncode(nil, vals)
 		if err != nil {
 			t.Fatalf("%s encode: %v", fc.Name(), err)
 		}
-		got, err := fc.Decode(buf, len(vals))
+		got, err := decodeFloats(fc, buf, len(vals))
 		if err != nil {
 			t.Fatalf("%s decode: %v", fc.Name(), err)
 		}
@@ -240,7 +254,6 @@ func testFloatRoundTrip(t *testing.T, fc FloatCodec) {
 
 func TestRaw32RoundTrip(t *testing.T)        { testFloatRoundTrip(t, Raw32{}) }
 func TestPlaneFlate32RoundTrip(t *testing.T) { testFloatRoundTrip(t, PlaneFlate32{}) }
-func TestXOR32RoundTrip(t *testing.T)        { testFloatRoundTrip(t, XOR32{}) }
 
 // TestPlaneFlateCompresses checks that weight-like data (many values of
 // similar magnitude) actually shrinks, which is the reason the paper applies
@@ -251,7 +264,7 @@ func TestPlaneFlateCompresses(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.NormFloat64() * 0.05
 	}
-	buf, err := PlaneFlate32{}.Encode(vals)
+	buf, err := PlaneFlate32{}.AppendEncode(nil, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +281,15 @@ func TestEncodeDecodeSparseGamma(t *testing.T) {
 		Indices: []int{1, 7, 42, 99},
 		Values:  []float64{0.5, -1.25, 3, 4.75},
 	}
-	for _, fc := range []FloatCodec{Raw32{}, PlaneFlate32{}, XOR32{}} {
+	for _, fc := range []FloatCodec{Raw32{}, PlaneFlate32{}} {
 		buf, bd, err := EncodeSparse(sv, IndexGamma, fc)
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Name(), err)
 		}
-		if bd.Total() != len(buf) {
+		if bd.Model+bd.Meta != len(buf) {
 			t.Fatalf("%s: breakdown %d+%d != len %d", fc.Name(), bd.Model, bd.Meta, len(buf))
 		}
-		got, err := DecodeSparse(buf)
+		got, err := decodeSparse(buf)
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Name(), err)
 		}
@@ -312,7 +325,7 @@ func TestEncodeDecodeSparseSeed(t *testing.T) {
 	if bd.Meta != 10+8+4 {
 		t.Fatalf("seed metadata = %d bytes", bd.Meta)
 	}
-	got, err := DecodeSparse(buf)
+	got, err := decodeSparse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +346,7 @@ func TestEncodeDecodeSparseDense(t *testing.T) {
 	if bd.Model != 12 {
 		t.Fatalf("model bytes = %d, want 12", bd.Model)
 	}
-	got, err := DecodeSparse(buf)
+	got, err := decodeSparse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,14 +374,22 @@ func TestDecodeSparseCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 5, 9, len(buf) - 1} {
-		if _, err := DecodeSparse(buf[:cut]); err == nil {
+		if _, err := decodeSparse(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
 	bad := append([]byte{}, buf...)
 	bad[0] = 99 // invalid index mode
-	if _, err := DecodeSparse(bad); err == nil {
+	if _, err := decodeSparse(bad); err == nil {
 		t.Fatal("invalid mode not detected")
+	}
+	// 2 and 3 are the retired codecs' IDs, 99 was never assigned.
+	for _, id := range []byte{2, 3, 99} {
+		bad := append([]byte{}, buf...)
+		bad[1] = id
+		if _, err := decodeSparse(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("float codec id %d: got %v, want ErrCorrupt", id, err)
+		}
 	}
 }
 
@@ -387,7 +408,7 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeSparse(buf)
+		got, err := decodeSparse(buf)
 		if err != nil {
 			return false
 		}

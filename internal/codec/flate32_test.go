@@ -22,6 +22,8 @@ import (
 // and as the `std` arm of the benchmarks.
 type stdPlaneFlate32 struct{}
 
+func (stdPlaneFlate32) Name() string { return "flate32-std" }
+
 // transposePlanes fills planes (4 bytes per value) with what the encoders
 // deflate: byte k of every float32, most significant first, plane after plane.
 func transposePlanes(planes []byte, values []float64) {
@@ -119,7 +121,7 @@ func mustHex(tb testing.TB, s string) []byte {
 func TestParentFlate32PayloadsDecode(t *testing.T) {
 	cycle := []float64{0.5, -1.25, 3.75, 0, -0.0625, 2, 0.0078125, -17}
 	for _, p := range parentFlate32Payloads {
-		sv, err := DecodeSparse(mustHex(t, p.hex))
+		sv, err := decodeSparse(mustHex(t, p.hex))
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -210,7 +212,7 @@ type flate32Case struct {
 // package — to the plane bytes, and decodes to the float32 bit patterns.
 func TestPlaneFlate32MatchesReference(t *testing.T) {
 	for _, c := range flate32Cases() {
-		got, err := PlaneFlate32{}.Encode(c.vals)
+		got, err := PlaneFlate32{}.AppendEncode(nil, c.vals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -250,7 +252,7 @@ func TestPlaneFlate32MatchesReference(t *testing.T) {
 // the LZ payloads of old encoders are declined, not misread.
 func TestFlate32FastPathTaken(t *testing.T) {
 	for _, c := range flate32Cases() {
-		buf, err := PlaneFlate32{}.Encode(c.vals)
+		buf, err := PlaneFlate32{}.AppendEncode(nil, c.vals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -284,7 +286,7 @@ func TestFlate32FastPathTaken(t *testing.T) {
 // TestFlate32DecodeErrorNamesCause: a value section that ends early and one
 // that is not DEFLATE are both ErrCorrupt, and the message says which.
 func TestFlate32DecodeErrorNamesCause(t *testing.T) {
-	buf, err := PlaneFlate32{}.Encode(gaussianValues(700, 0.05, 24))
+	buf, err := PlaneFlate32{}.AppendEncode(nil, gaussianValues(700, 0.05, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +330,11 @@ func TestPlaneFlate32Degenerate(t *testing.T) {
 		{"gauss-20000", gaussianValues(20000, 0.05, 10), 0.86},
 	}
 	for _, c := range cases {
-		buf, err := PlaneFlate32{}.Encode(c.vals)
+		buf, err := PlaneFlate32{}.AppendEncode(nil, c.vals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got, err := PlaneFlate32{}.Decode(buf, len(c.vals))
+		got, err := decodeFloats(PlaneFlate32{}, buf, len(c.vals))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -373,7 +375,7 @@ func BenchmarkPlaneFlate32Encode(b *testing.B) {
 	for _, in := range flateBenchInputs() {
 		for _, arm := range []struct {
 			name string
-			enc  FloatAppender
+			enc  FloatCodec
 		}{{"std", stdPlaneFlate32{}}, {"new", PlaneFlate32{}}} {
 			b.Run(in.name+"/"+arm.name, func(b *testing.B) {
 				buf, err := arm.enc.AppendEncode(nil, in.vals)
@@ -398,10 +400,10 @@ func BenchmarkPlaneFlate32Decode(b *testing.B) {
 	for _, in := range flateBenchInputs() {
 		for _, arm := range []struct {
 			name string
-			dec  FloatDecoderInto
+			dec  FloatCodec
 		}{{"std", stdPlaneFlate32{}}, {"new", PlaneFlate32{}}} {
 			b.Run(in.name+"/"+arm.name, func(b *testing.B) {
-				buf, err := PlaneFlate32{}.Encode(in.vals)
+				buf, err := PlaneFlate32{}.AppendEncode(nil, in.vals)
 				if err != nil {
 					b.Fatal(err)
 				}

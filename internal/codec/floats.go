@@ -6,21 +6,24 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 )
 
 // FloatCodec encodes a vector of model values for the wire. Models are
 // trained in float64 but transmitted as float32, matching the paper's setup
 // (PyTorch float32 tensors compressed with fpzip); all codecs here therefore
 // quantize to float32 before encoding, and decoding returns the float32
-// values widened back to float64.
+// values widened back to float64. Both directions write into caller-owned
+// buffers, so a warm caller encodes and decodes without allocating.
 type FloatCodec interface {
-	// Name identifies the codec on the wire.
+	// Name identifies the codec in messages; a payload carries its wire ID.
 	Name() string
-	// Encode returns the encoded representation of values.
-	Encode(values []float64) ([]byte, error)
-	// Decode recovers exactly count values from buf.
-	Decode(buf []byte, count int) ([]float64, error)
+	// AppendEncode appends the encoding of values to dst (which may be nil
+	// or a recycled buffer sliced to length zero) and returns the extended
+	// buffer.
+	AppendEncode(dst []byte, values []float64) ([]byte, error)
+	// DecodeInto decodes exactly len(out) values from buf into out,
+	// overwriting all of it.
+	DecodeInto(buf []byte, out []float64) error
 }
 
 // Raw32 stores values as little-endian IEEE-754 float32.
@@ -31,12 +34,7 @@ var _ FloatCodec = Raw32{}
 // Name implements FloatCodec.
 func (Raw32) Name() string { return "raw32" }
 
-// Encode implements FloatCodec.
-func (c Raw32) Encode(values []float64) ([]byte, error) {
-	return c.AppendEncode(make([]byte, 0, 4*len(values)), values)
-}
-
-// AppendEncode implements FloatAppender.
+// AppendEncode implements FloatCodec.
 func (Raw32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
 	var tmp [4]byte
 	for _, v := range values {
@@ -46,16 +44,7 @@ func (Raw32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode implements FloatCodec.
-func (c Raw32) Decode(buf []byte, count int) ([]float64, error) {
-	out := make([]float64, count)
-	if err := c.DecodeInto(buf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements FloatDecoderInto.
+// DecodeInto implements FloatCodec.
 func (Raw32) DecodeInto(buf []byte, out []float64) error {
 	if len(buf) < 4*len(out) {
 		return fmt.Errorf("codec: raw32 needs %d bytes, have %d: %w", 4*len(out), len(buf), ErrCorrupt)
@@ -90,15 +79,10 @@ var _ FloatCodec = PlaneFlate32{}
 // Name implements FloatCodec.
 func (PlaneFlate32) Name() string { return "flate32" }
 
-// Encode implements FloatCodec.
-func (c PlaneFlate32) Encode(values []float64) ([]byte, error) {
-	return c.AppendEncode(nil, values)
-}
-
 // maxStored: the longest stored block; the Huffman-only writer cuts its input there.
 const maxStored = 65535
 
-// AppendEncode implements FloatAppender with pooled plane scratch and a
+// AppendEncode implements FloatCodec with pooled plane scratch and a
 // pooled DEFLATE writer (flate.NewWriter allocates its window per call). The
 // writer codes plane 0. It would then build a Huffman code for every 64 KB of
 // mantissa bytes and store them all the same: chunks storesForSure vouches for
@@ -169,16 +153,7 @@ func storesForSure(chunk []byte) bool {
 	return (len(chunk)+5)*8 < size+size>>4
 }
 
-// Decode implements FloatCodec.
-func (c PlaneFlate32) Decode(buf []byte, count int) ([]float64, error) {
-	out := make([]float64, count)
-	if err := c.DecodeInto(buf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements FloatDecoderInto. What inflateLiterals declines — the
+// DecodeInto implements FloatCodec. What inflateLiterals declines — the
 // LZ payloads of older encoders, corrupt input — goes through a pooled
 // compress/flate reader from the start, which decides.
 func (PlaneFlate32) DecodeInto(buf []byte, out []float64) error {
@@ -199,99 +174,6 @@ func (PlaneFlate32) DecodeInto(buf []byte, out []float64) error {
 		b := uint32(planes[i])<<24 | uint32(planes[n+i])<<16 |
 			uint32(planes[2*n+i])<<8 | uint32(planes[3*n+i])
 		out[i] = float64(math.Float32frombits(b))
-	}
-	return nil
-}
-
-// XOR32 is a Gorilla-style XOR compressor over float32 bit patterns: each
-// value is XORed with its predecessor and encoded as either a single 0 bit
-// (identical), or a control code with leading-zero count and the meaningful
-// XOR bits. Works well when consecutive model values are similar in scale.
-type XOR32 struct{}
-
-var _ FloatCodec = XOR32{}
-
-// Name implements FloatCodec.
-func (XOR32) Name() string { return "xor32" }
-
-// Encode implements FloatCodec.
-func (c XOR32) Encode(values []float64) ([]byte, error) {
-	return c.AppendEncode(nil, values)
-}
-
-// AppendEncode implements FloatAppender.
-func (XOR32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
-	w := BitWriter{buf: dst}
-	var prev uint32
-	for i, v := range values {
-		cur := math.Float32bits(float32(v))
-		if i == 0 {
-			w.WriteBits(uint64(cur), 32)
-			prev = cur
-			continue
-		}
-		x := cur ^ prev
-		prev = cur
-		if x == 0 {
-			w.WriteBit(0)
-			continue
-		}
-		w.WriteBit(1)
-		lead := uint(bits.LeadingZeros32(x))
-		if lead > 31 {
-			lead = 31
-		}
-		sig := 32 - lead // number of significant bits
-		w.WriteBits(uint64(lead), 5)
-		w.WriteBits(uint64(x), sig)
-	}
-	return w.Bytes(), nil
-}
-
-// Decode implements FloatCodec.
-func (c XOR32) Decode(buf []byte, count int) ([]float64, error) {
-	if count == 0 {
-		return nil, nil
-	}
-	out := make([]float64, count)
-	if err := c.DecodeInto(buf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements FloatDecoderInto.
-func (XOR32) DecodeInto(buf []byte, out []float64) error {
-	if len(out) == 0 {
-		return nil
-	}
-	r := BitReader{buf: buf}
-	first, err := r.ReadBits(32)
-	if err != nil {
-		return err
-	}
-	prev := uint32(first)
-	out[0] = float64(math.Float32frombits(prev))
-	for i := 1; i < len(out); i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return err
-		}
-		if b == 0 {
-			out[i] = float64(math.Float32frombits(prev))
-			continue
-		}
-		lead, err := r.ReadBits(5)
-		if err != nil {
-			return err
-		}
-		sig := 32 - uint(lead)
-		x, err := r.ReadBits(sig)
-		if err != nil {
-			return err
-		}
-		prev ^= uint32(x)
-		out[i] = float64(math.Float32frombits(prev))
 	}
 	return nil
 }

@@ -12,14 +12,15 @@ import (
 
 // fuzzSeedPayloads builds one valid payload per (index mode, codec) pair —
 // the corpus the fuzzer mutates from, so it starts inside the wire format
-// instead of rediscovering the header layout bit by bit.
+// instead of rediscovering the header layout bit by bit — and the raw32 ones
+// again under each retired codec ID, which the decoder must reject.
 func fuzzSeedPayloads(tb testing.TB) [][]byte {
 	tb.Helper()
 	vals := []float64{0.5, -1.25, 3.75, 0, -0.0625, 2}
 	dense := SparseVector{Dim: 6, Values: vals}
 	sparse := SparseVector{Dim: 40, Indices: []int{1, 4, 17, 18, 31, 39}, Values: vals}
 	seeded := SparseVector{Dim: 40, Seed: 0xfeed, Values: vals}
-	codecs := []FloatCodec{Raw32{}, PlaneFlate32{}, XOR32{}, NewQSGD(64, 9)}
+	codecs := []FloatCodec{Raw32{}, PlaneFlate32{}}
 	var out [][]byte
 	for _, fc := range codecs {
 		for _, c := range []struct {
@@ -30,6 +31,13 @@ func fuzzSeedPayloads(tb testing.TB) [][]byte {
 			if err != nil {
 				tb.Fatal(err)
 			}
+			out = append(out, buf)
+		}
+	}
+	for _, id := range []byte{2, 3} {
+		for _, raw := range out[:3] {
+			buf := bytes.Clone(raw)
+			buf[1] = id
 			out = append(out, buf)
 		}
 	}
@@ -55,15 +63,15 @@ func FuzzDecodeSparseInto(f *testing.F) {
 	// A few structurally corrupt mutants to steer early coverage.
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add([]byte{2, 3, 40, 0, 0, 0, 6, 0, 0, 0, 0xed, 0xfe, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 3, 40, 0, 0, 0, 6, 0, 0, 0, 0xed, 0xfe, 0, 0, 0, 0, 0, 0}) // a retired codec id
 	var sv SparseVector
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
 		// The harness bounds the claimed dimension: a 10-byte header may
-		// declare dim up to 2^32, and legitimate seeded/QSGD payloads have no
-		// per-value size floor, so dim itself is the only allocation bound.
+		// declare dim up to 2^32, and a flate32 value section may hold a
+		// thousand values per byte, so dim itself is the only allocation bound.
 		if len(data) >= 10 {
 			if dim := binary.LittleEndian.Uint32(data[2:]); dim > 1<<20 {
 				return
@@ -181,7 +189,7 @@ func FuzzInflateLiterals(f *testing.F) {
 	}
 	for _, c := range flate32Cases() {
 		if n := len(c.vals); n <= 700 || n == 3552 || n == 14000 || n == 45221 || (n == 200000 && c.weights) {
-			stream, err := PlaneFlate32{}.Encode(c.vals) // 3552: codes longer than the table; 200000: plane 0 in four blocks
+			stream, err := PlaneFlate32{}.AppendEncode(nil, c.vals) // 3552: codes longer than the table; 200000: plane 0 in four blocks
 			if err != nil {
 				f.Fatal(err)
 			}

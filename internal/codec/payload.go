@@ -42,17 +42,16 @@ func SeededIndices(seed uint64, dim, count int) []int {
 	return r.SampleWithoutReplacement(dim, count)
 }
 
-// floatCodecID maps codecs to wire IDs.
+// floatCodecID maps codecs to wire IDs. IDs 2 and 3 belonged to two retired
+// codecs (a Gorilla-style XOR compressor and a QSGD quantizer); they are never
+// reused, so a payload that carries one is rejected as corrupt and the next
+// codec takes 4.
 func floatCodecID(c FloatCodec) (uint8, error) {
 	switch c.(type) {
 	case Raw32:
 		return 0, nil
 	case PlaneFlate32:
 		return 1, nil
-	case XOR32:
-		return 2, nil
-	case *QSGD:
-		return 3, nil
 	default:
 		return 0, fmt.Errorf("codec: unregistered float codec %q", c.Name())
 	}
@@ -64,12 +63,8 @@ func floatCodecFromID(id uint8) (FloatCodec, error) {
 		return Raw32{}, nil
 	case 1:
 		return PlaneFlate32{}, nil
-	case 2:
-		return XOR32{}, nil
-	case 3:
-		// QSGD payloads are self-describing (levels travel in the value
-		// header), so decoding needs no construction parameters.
-		return NewQSGD(0, 0), nil
+	case 2, 3:
+		return nil, fmt.Errorf("codec: retired float codec id %d: %w", id, ErrCorrupt)
 	default:
 		return nil, fmt.Errorf("codec: unknown float codec id %d: %w", id, ErrCorrupt)
 	}
@@ -81,15 +76,6 @@ func floatCodecFromID(id uint8) (FloatCodec, error) {
 type ByteBreakdown struct {
 	Model int
 	Meta  int
-}
-
-// Total returns Model + Meta.
-func (b ByteBreakdown) Total() int { return b.Model + b.Meta }
-
-// Add accumulates another breakdown.
-func (b *ByteBreakdown) Add(o ByteBreakdown) {
-	b.Model += o.Model
-	b.Meta += o.Meta
 }
 
 // EncodeScratch holds the reusable intermediate buffers of EncodeSparseInto.
@@ -156,7 +142,7 @@ func EncodeSparseInto(dst []byte, s *EncodeScratch, sv SparseVector, mode IndexM
 		return nil, bd, fmt.Errorf("codec: unknown index mode %d", mode)
 	}
 
-	s.vals, err = appendEncode(fc, s.vals[:0], sv.Values)
+	s.vals, err = fc.AppendEncode(s.vals[:0], sv.Values)
 	if err != nil {
 		return nil, bd, fmt.Errorf("codec: value encoding: %w", err)
 	}
@@ -205,21 +191,12 @@ func EncodeSparseInto(dst []byte, s *EncodeScratch, sv SparseVector, mode IndexM
 	return out, bd, nil
 }
 
-// DecodeSparse parses a payload produced by EncodeSparse. For IndexSeed
-// payloads the index set is regenerated, so sv.Indices is always populated
-// (except for dense payloads, where it stays nil).
-func DecodeSparse(buf []byte) (SparseVector, error) {
-	var sv SparseVector
-	if err := DecodeSparseInto(&sv, buf); err != nil {
-		return SparseVector{}, err
-	}
-	return sv, nil
-}
-
-// DecodeSparseInto is DecodeSparse reusing sv's Indices and Values capacity,
-// so a node can decode every neighbor payload of a round into warm scratch.
-// Dense payloads reset Indices to nil (the same convention as DecodeSparse).
-// On error sv is left in an unspecified state.
+// DecodeSparseInto parses a payload produced by EncodeSparse into sv,
+// reusing its Indices and Values capacity, so a node can decode every
+// neighbor payload of a round into warm scratch. For IndexSeed payloads the
+// index set is regenerated, so sv.Indices is always populated except for
+// dense payloads, where it is nil. On error sv is left in an unspecified
+// state.
 func DecodeSparseInto(sv *SparseVector, buf []byte) error {
 	if len(buf) < 10 {
 		return fmt.Errorf("codec: payload too short: %w", ErrCorrupt)
@@ -285,7 +262,7 @@ func DecodeSparseInto(sv *SparseVector, buf []byte) error {
 	// Each codec has a hard lower bound on encoded bytes per value; a value
 	// section too small for the claimed count is corrupt, and rejecting it
 	// here keeps the value-buffer allocation behind real evidence.
-	if need, ok := minValueBytes(fc, count); ok && valLen < need {
+	if need := minValueBytes(fc, count); valLen < need {
 		return fmt.Errorf("codec: %d value bytes cannot hold %d %s values: %w", valLen, count, fc.Name(), ErrCorrupt)
 	}
 	// Seeded index regeneration is count-sized work, so it waits until the
@@ -299,29 +276,17 @@ func DecodeSparseInto(sv *SparseVector, buf []byte) error {
 	} else {
 		sv.Values = sv.Values[:count]
 	}
-	return decodeInto(fc, buf[pos:pos+valLen], sv.Values)
+	return fc.DecodeInto(buf[pos:pos+valLen], sv.Values)
 }
 
-// minValueBytes returns a codec's hard minimum encoded size for count values
-// (ok=false when no such bound exists — QSGD legitimately encodes any number
-// of zeros as a bare 8-byte header).
-func minValueBytes(fc FloatCodec, count int) (int, bool) {
-	if count == 0 {
-		return 0, true
+// minValueBytes returns a codec's hard minimum encoded size for count values.
+func minValueBytes(fc FloatCodec, count int) int {
+	if _, ok := fc.(Raw32); ok {
+		return 4 * count
 	}
-	switch fc.(type) {
-	case Raw32:
-		return 4 * count, true
-	case XOR32:
-		// 32 bits for the first value, then at least one bit per value.
-		return (32 + (count - 1) + 7) / 8, true
-	case PlaneFlate32:
-		// DEFLATE expands 4*count plane bytes by at most ~1032:1 (258-byte
-		// matches, 1-bit minimum codes).
-		return 4 * count / 1032, true
-	default:
-		return 0, false
-	}
+	// PlaneFlate32: DEFLATE expands 4*count plane bytes by at most ~1032:1
+	// (258-byte matches, 1-bit minimum codes).
+	return 4 * count / 1032
 }
 
 func appendU32(b []byte, v uint32) []byte {

@@ -1,6 +1,5 @@
-// scratch.go holds the package's reusable-buffer machinery: optional
-// append/into codec interfaces, pooled DEFLATE compressor state, and pooled
-// byte-plane scratch. Per-payload allocations in the encode/decode hot path
+// scratch.go holds the package's reusable-buffer machinery: pooled DEFLATE
+// compressor state and pooled byte-plane scratch. Per-payload allocations in the encode/decode hot path
 // (every Share and Aggregate of every node, every simulated round) otherwise
 // dominate the engines' allocation profile.
 package codec
@@ -11,49 +10,6 @@ import (
 	"io"
 	"sync"
 )
-
-// FloatAppender is implemented by codecs that can append their encoding to a
-// caller-owned buffer instead of allocating a fresh one.
-type FloatAppender interface {
-	// AppendEncode appends the encoding of values to dst (which may be nil or
-	// a recycled buffer sliced to length zero) and returns the extended
-	// buffer.
-	AppendEncode(dst []byte, values []float64) ([]byte, error)
-}
-
-// FloatDecoderInto is implemented by codecs that can decode into a
-// caller-owned value slice.
-type FloatDecoderInto interface {
-	// DecodeInto decodes exactly len(out) values from buf into out.
-	DecodeInto(buf []byte, out []float64) error
-}
-
-// appendEncode routes through FloatAppender when available, falling back to
-// a plain Encode plus append.
-func appendEncode(fc FloatCodec, dst []byte, values []float64) ([]byte, error) {
-	if a, ok := fc.(FloatAppender); ok {
-		return a.AppendEncode(dst, values)
-	}
-	buf, err := fc.Encode(values)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, buf...), nil
-}
-
-// decodeInto routes through FloatDecoderInto when available, falling back to
-// Decode plus copy.
-func decodeInto(fc FloatCodec, buf []byte, out []float64) error {
-	if d, ok := fc.(FloatDecoderInto); ok {
-		return d.DecodeInto(buf, out)
-	}
-	vals, err := fc.Decode(buf, len(out))
-	if err != nil {
-		return err
-	}
-	copy(out, vals)
-	return nil
-}
 
 // sliceWriter is an io.Writer appending to a byte slice, so pooled flate
 // writers can emit straight into caller-owned buffers.

@@ -100,7 +100,7 @@ func TestJWINSHotPathAllocationFree(t *testing.T) {
 
 // TestJWINSBandAdaptiveShareAllocationBudget extends the hot-path guard to
 // the band-adaptive selection path: its per-band masses, the selection set,
-// and the merged index list all live in the call's Scratch, so a warm
+// and the merged index list all live in the call's scratch, so a warm
 // band-adaptive Share must cost no more than the default path — the payload
 // plus occasional scratch growth.
 func TestJWINSBandAdaptiveShareAllocationBudget(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // is exactly [cA2: 0-3 | cD2: 4-7 | cD1: 8-15], a zeroed score vector the
 // tests write into directly, and a working set taken the way Share takes one
 // (released when the test ends).
-func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch, []float64) {
+func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *scratch, []float64) {
 	t.Helper()
 	cfg := DefaultJWINSConfig()
 	cfg.Wavelet = "haar"
@@ -24,8 +24,8 @@ func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *Scratch, []float6
 	if n.CoeffDim() != 16 {
 		t.Fatalf("coeffDim %d, want 16", n.CoeffDim())
 	}
-	s := AcquireScratch()
-	t.Cleanup(s.Release)
+	s := acquireScratch()
+	t.Cleanup(s.release)
 	return n, s, make([]float64, n.CoeffDim())
 }
 

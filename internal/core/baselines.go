@@ -13,7 +13,7 @@ import (
 
 // FullSharingNode is standard D-PSGD: every round the whole parameter vector
 // is exchanged and averaged with Metropolis-Hastings weights. It carries no
-// state beyond the model: both calls run in a Scratch.
+// state beyond the model: both calls run in a scratch.
 type FullSharingNode struct {
 	baseNode
 	fc  codec.FloatCodec
@@ -39,10 +39,10 @@ func NewFullSharing(id int, model nn.Trainable, loader *datasets.Loader, opts Tr
 
 // Share implements Node: the dense parameter vector.
 func (n *FullSharingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	s := AcquireScratch()
-	defer s.Release()
-	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
-	sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
+	s := acquireScratch()
+	defer s.release()
+	n.model.CopyParams(vec.Grow(&s.params, n.dim))
+	sv := codec.SparseVector{Dim: n.dim, Values: s.params}
 	return n.encode(s, sv, codec.IndexDense, n.fc)
 }
 
@@ -57,10 +57,10 @@ func (n *FullSharingNode) Aggregate(round int, w topology.Weights, msgs map[int]
 // Share — the engines train only right before sharing) and the providers of
 // each parameter, installed as the new model.
 func (b *baseNode) averageModel(w topology.Weights, msgs map[int][]byte) error {
-	s := AcquireScratch()
-	defer s.Release()
-	b.model.CopyParams(vec.Grow(&s.Params, b.model.ParamCount()))
-	if err := s.merge(b.cache, s.Params, w, msgs); err != nil {
+	s := acquireScratch()
+	defer s.release()
+	b.model.CopyParams(vec.Grow(&s.params, b.model.ParamCount()))
+	if err := s.merge(b.cache, s.params, w, msgs); err != nil {
 		return err
 	}
 	b.model.SetParams(s.avg)
@@ -103,24 +103,24 @@ func NewRandomSampling(id int, model nn.Trainable, loader *datasets.Loader, opts
 
 // Share implements Node: seed-described random subset of raw parameters.
 func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	s := AcquireScratch()
-	defer s.Release()
-	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
+	s := acquireScratch()
+	defer s.release()
+	n.model.CopyParams(vec.Grow(&s.params, n.dim))
 	k := int(n.fraction * float64(n.dim))
 	if k < 1 {
 		k = 1
 	}
 	if k >= n.dim {
-		sv := codec.SparseVector{Dim: n.dim, Values: s.Params}
+		sv := codec.SparseVector{Dim: n.dim, Values: s.params}
 		return n.encode(s, sv, codec.IndexDense, n.fc)
 	}
 	seed := n.rng.Uint64()
 	indices := codec.SeededIndices(seed, n.dim, k)
-	s.Vals = sparsify.AppendGather(s.Vals[:0], s.Params, indices)
+	s.vals = sparsify.AppendGather(s.vals[:0], s.params, indices)
 	sv := codec.SparseVector{
 		Dim:    n.dim,
 		Seed:   seed,
-		Values: s.Vals,
+		Values: s.vals,
 	}
 	return n.encode(s, sv, codec.IndexSeed, n.fc)
 }

@@ -67,6 +67,17 @@ func jwinsFleet(t *testing.T, n, dim int, cfg JWINSConfig) []*JWINSNode {
 	return nodes
 }
 
+// maxAbs returns the maximum absolute value in x (0 for empty x).
+func maxAbs(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
 func floatsBitEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -407,8 +418,8 @@ func TestRandomSamplingSeedRegeneration(t *testing.T) {
 	if bd.Meta > 32 {
 		t.Fatalf("seeded metadata too large: %d bytes", bd.Meta)
 	}
-	sv, err := codec.DecodeSparse(payload)
-	if err != nil {
+	var sv codec.SparseVector
+	if err := codec.DecodeSparseInto(&sv, payload); err != nil {
 		t.Fatal(err)
 	}
 	if len(sv.Indices) != 10 {

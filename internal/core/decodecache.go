@@ -18,7 +18,7 @@ const decodeCacheWays = 3
 // codec.SparseVector shared by all recipients, instead of once per
 // recipient (a payload broadcast to d neighbors was decoded d times
 // fleet-wide — entropy-decode and inflate dominate the aggregate micro for
-// flate32/QSGD).
+// flate32).
 //
 // Entries are keyed by the identity of the payload's backing array, not by
 // (sender, iteration): churn and epoch state-sync can legitimately put a

@@ -6,7 +6,7 @@ package core
 // after a reset ScratchSets is the number of sets the run ever created.
 
 // ResetScratchList empties the process-wide free list, so the next
-// AcquireScratch makes a brand-new working set.
+// acquireScratch makes a brand-new working set.
 func ResetScratchList() {
 	scratchList.mu.Lock()
 	scratchList.free = nil

@@ -55,7 +55,7 @@ func DefaultJWINSConfig() JWINSConfig {
 
 // JWINSNode implements Algorithm 1 of the paper. Its fields are the state the
 // algorithm's equations carry from one call to the next; every other buffer
-// a call needs comes from the Scratch the call runs in. Eq. (4) is read as
+// a call needs comes from the scratch the call runs in. Eq. (4) is read as
 // error feedback that counts each local change once, V <- zeroShared(V') +
 // DWT(x^(t+1,0)) - DWT(x^(t,tau)), and telescoped: the node carries
 // base = DWT(x) - V, per coefficient the value it last went out at (DWT(x^0)
@@ -144,8 +144,8 @@ func NewJWINS(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 
 // begin takes a call's working set, runs base's deferred first transform,
 // DWT(x^0), and drops the cached V.
-func (n *JWINSNode) begin() *Scratch {
-	s := AcquireScratch()
+func (n *JWINSNode) begin() *scratch {
+	s := acquireScratch()
 	if n.start != nil {
 		n.forward(s, n.start, n.base)
 		n.start = nil
@@ -163,9 +163,9 @@ func (n *JWINSNode) CoeffDim() int { return n.coeffDim }
 func (n *JWINSNode) Accumulator() []float64 {
 	if len(n.view) == 0 {
 		s := n.begin()
-		defer s.Release()
-		n.model.CopyParams(vec.Grow(&s.Params, n.dim))
-		n.forward(s, s.Params, vec.Grow(&n.view, n.coeffDim))
+		defer s.release()
+		n.model.CopyParams(vec.Grow(&s.params, n.dim))
+		n.forward(s, s.params, vec.Grow(&n.view, n.coeffDim))
 		vec.Sub(n.view, n.base)
 	}
 	return n.view
@@ -173,7 +173,7 @@ func (n *JWINSNode) Accumulator() []float64 {
 
 // forward writes the coefficients of x into out, running the plan's DWT in
 // the call's scratch (the identity under DisableWavelet).
-func (n *JWINSNode) forward(s *Scratch, x, out []float64) {
+func (n *JWINSNode) forward(s *scratch, x, out []float64) {
 	if n.plan == nil {
 		copy(out, x)
 		return
@@ -187,9 +187,9 @@ func (n *JWINSNode) forward(s *Scratch, x, out []float64) {
 // the selected coefficients with compressed index metadata.
 func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	s := n.begin()
-	defer s.Release()
-	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
-	n.forward(s, s.Params, n.curCoeffs)
+	defer s.release()
+	n.model.CopyParams(vec.Grow(&s.params, n.dim))
+	n.forward(s, s.params, n.curCoeffs)
 
 	// Randomized cut-off (line 6).
 	n.LastAlpha = n.cfg.Alphas.Mean()
@@ -209,7 +209,7 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		if n.cfg.BandAdaptive {
 			sel = n.bandAdaptiveTopK(s, scores, k)
 		} else {
-			sel = sparsify.TopKIndicesWith(&s.TopK, scores, k)
+			sel = sparsify.TopKIndicesWith(&s.topk, scores, k)
 		}
 		if cap(n.lastShared) < k {
 			n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
@@ -225,8 +225,8 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		sv.Values = n.curCoeffs
 	} else {
 		sv.Indices = n.lastShared
-		s.Vals = sparsify.AppendGather(s.Vals[:0], n.curCoeffs, n.lastShared)
-		sv.Values = s.Vals
+		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, n.lastShared)
+		sv.Values = s.vals
 	}
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
@@ -236,7 +236,7 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 // weight-normalized), invert the transform, and update the accumulator.
 func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
 	s := n.begin()
-	defer s.Release()
+	defer s.release()
 	if err := s.merge(n.cache, n.curCoeffs, w, msgs); err != nil {
 		return err
 	}
@@ -272,9 +272,9 @@ func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 // stay allocation-free in steady state. Each top-k call's result is consumed
 // before the next reuses the scratch; the returned slice stays valid until
 // the scratch's next selection.
-func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int {
+func (n *JWINSNode) bandAdaptiveTopK(s *scratch, scores []float64, k int) []int {
 	if n.plan == nil {
-		return sparsify.TopKIndicesWith(&s.TopK, scores, k)
+		return sparsify.TopKIndicesWith(&s.topk, scores, k)
 	}
 	bands := n.plan.Bands()
 	s.bandMasses = s.bandMasses[:0]
@@ -288,7 +288,7 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int 
 		total += m
 	}
 	if total == 0 {
-		return sparsify.TopKIndicesWith(&s.TopK, scores, k)
+		return sparsify.TopKIndicesWith(&s.topk, scores, k)
 	}
 	if s.bandSel == nil {
 		s.bandSel = make(map[int]bool, k)
@@ -306,7 +306,7 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int 
 		if kb == 0 {
 			continue
 		}
-		local := sparsify.TopKIndicesWith(&s.TopK, scores[b.Offset:b.Offset+b.Len], kb)
+		local := sparsify.TopKIndicesWith(&s.topk, scores[b.Offset:b.Offset+b.Len], kb)
 		for _, li := range local {
 			if len(selected) >= k {
 				break
@@ -316,7 +316,7 @@ func (n *JWINSNode) bandAdaptiveTopK(s *Scratch, scores []float64, k int) []int 
 	}
 	// Fill any remainder from the global ranking.
 	if len(selected) < k {
-		for _, idx := range sparsify.TopKIndicesWith(&s.TopK, scores, k+len(selected)) {
+		for _, idx := range sparsify.TopKIndicesWith(&s.topk, scores, k+len(selected)) {
 			if len(selected) >= k {
 				break
 			}

@@ -1,7 +1,8 @@
 // Package core implements the paper's decentralized learning algorithms over
 // a common Node interface: JWINS (wavelet ranking + accumulation + randomized
-// cut-off + compressed metadata), full-sharing D-PSGD, and the
-// random-sampling sparsification baseline. CHOCO-SGD lives in internal/choco.
+// cut-off + compressed metadata), full-sharing D-PSGD, the random-sampling
+// sparsification baseline, and CHOCO-SGD. All of them encode through
+// baseNode.encode and decode through decodeScratch.decodeAll.
 //
 // All algorithms follow the train-communicate-aggregate round structure of
 // Section II-A: the simulation engine calls LocalTrain, then Share, delivers
@@ -80,10 +81,10 @@ func (b *baseNode) LocalStepCount() int { return b.opts.LocalSteps }
 // encode serializes a Share's payload into the buffer last handed back, if
 // any, and drops the node's reference to it: from here on the buffer is the
 // returned payload, owned by whoever delivers it.
-func (b *baseNode) encode(s *Scratch, sv codec.SparseVector, mode codec.IndexMode, fc codec.FloatCodec) ([]byte, codec.ByteBreakdown, error) {
+func (b *baseNode) encode(s *scratch, sv codec.SparseVector, mode codec.IndexMode, fc codec.FloatCodec) ([]byte, codec.ByteBreakdown, error) {
 	dst := b.spare
 	b.spare = nil
-	buf, bd, err := codec.EncodeSparseInto(dst, &s.Enc, sv, mode, fc)
+	buf, bd, err := codec.EncodeSparseInto(dst, &s.enc, sv, mode, fc)
 	if err != nil {
 		return nil, bd, fmt.Errorf("core: encoding share payload: %w", err)
 	}
@@ -183,7 +184,7 @@ type decodedMsg struct {
 // decodeScratch holds the reusable payload-decoding state of one Aggregate
 // call: the sorted sender list and one sparse-vector slot per neighbor, so
 // steady-state aggregation decodes every payload into warm buffers. It is
-// part of the call's Scratch and not safe for concurrent use. With a
+// part of the call's scratch and not safe for concurrent use. With a
 // DecodeCache, slots alias shared cache entries instead of decoding locally;
 // held tracks the entries to release once the aggregate no longer reads them.
 type decodeScratch struct {

@@ -34,8 +34,8 @@ func TestQuickShareBudgetRespected(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sv, err := codec.DecodeSparse(payload)
-		if err != nil {
+		var sv codec.SparseVector
+		if err := codec.DecodeSparseInto(&sv, payload); err != nil {
 			return false
 		}
 		want := int(math.Round(alpha * float64(node.CoeffDim())))
@@ -73,8 +73,8 @@ func TestQuickSenderReceiverAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sv, err := codec.DecodeSparse(payload)
-		if err != nil {
+		var sv codec.SparseVector
+		if err := codec.DecodeSparseInto(&sv, payload); err != nil {
 			return false
 		}
 		// Decoded indices must match the node's own record of what it shared

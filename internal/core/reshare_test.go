@@ -63,12 +63,12 @@ func TestJWINSReShareCountsOnce(t *testing.T) {
 	share(refTwice, x1, x2)
 	share(refOnce, x2)
 	extra := make([]float64, refOnce.coeffDim)
-	s := AcquireScratch()
+	s := acquireScratch()
 	refOnce.forward(s, vec.Diff(x1, x0), extra)
-	s.Release()
+	s.release()
 	vec.Sub(refTwice.v, refOnce.v)
 	vec.Sub(refTwice.v, extra)
-	if d := vec.MaxAbs(refTwice.v); d > 1e-9*vec.MaxAbs(extra) || math.IsNaN(d) {
+	if d := maxAbs(refTwice.v); d > 1e-9*maxAbs(extra) || math.IsNaN(d) {
 		t.Fatalf("the parent's re-share should add DWT(x1 - x0) to V once more; off by %g", d)
 	}
 }

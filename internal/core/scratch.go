@@ -10,28 +10,27 @@ import (
 	"repro/internal/vec"
 )
 
-// Scratch is the working set of one running Share or Aggregate call: every
+// scratch is the working set of one running Share or Aggregate call: every
 // buffer whose contents are dead once the call returns. Nodes keep only what
 // their algorithm's equations carry from one call to the next; a call takes
-// a Scratch with AcquireScratch, runs in it, and releases it, so a fleet
+// a scratch with acquireScratch, runs in it, and releases it, so a fleet
 // holds as many working sets as it ever ran calls at once (the engines'
 // Parallelism, +1 for the event loop) instead of one per node.
 //
-// A recycled Scratch keeps its last user's values, and users differ in
+// A recycled scratch keeps its last user's values, and users differ in
 // dimension and algorithm: every buffer is sized with vec.Grow (or resliced
 // to zero and appended to) where it is written, and is written in full
-// before it is read. The exported fields are the part CHOCO's Share, in
-// internal/choco, runs through.
-type Scratch struct {
-	Params    []float64 // model snapshot x^(t,tau)
-	DeltaPar  []float64 // CHOCO's x - x̂
+// before it is read.
+type scratch struct {
+	params    []float64 // model snapshot x^(t,tau)
+	delta     []float64 // CHOCO's x - x̂
 	scores    []float64 // JWINS's V' = DWT(x^(t,tau)) - base
 	avg       []float64 // weight-normalized average of own and received vectors
 	newParams []float64 // inverse transform of avg
 
-	Vals []float64 // gathered values for the payload
-	TopK sparsify.TopKScratch
-	Enc  codec.EncodeScratch
+	vals []float64 // gathered values for the payload
+	topk sparsify.TopKScratch
+	enc  codec.EncodeScratch
 	dwt  dwt.Scratch
 	dec  decodeScratch
 
@@ -42,26 +41,26 @@ type Scratch struct {
 	bandOut    []int
 }
 
-// scratchList is the free list behind AcquireScratch, shared by every fleet
+// scratchList is the free list behind acquireScratch, shared by every fleet
 // in the process. It is a mutex-guarded list and not a sync.Pool because a
 // GC must not empty it: the zero-allocation ceilings and the number of live
 // working sets would stop being deterministic.
 var scratchList struct {
 	mu   sync.Mutex
-	free []*Scratch
+	free []*scratch
 }
 
-// AcquireScratch takes a working set off the free list — the most recently
+// acquireScratch takes a working set off the free list — the most recently
 // released one, whose buffers are the likeliest to still be in cache — or
 // makes an empty one when every existing set is in use. The caller must
-// Release it when its call returns.
-func AcquireScratch() *Scratch {
+// release it when its call returns.
+func acquireScratch() *scratch {
 	l := &scratchList
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return &Scratch{}
+		return &scratch{}
 	}
 	s := l.free[n-1]
 	l.free[n-1] = nil
@@ -69,8 +68,8 @@ func AcquireScratch() *Scratch {
 	return s
 }
 
-// Release returns s to the free list; the caller must not use it afterwards.
-func (s *Scratch) Release() {
+// release returns s to the free list; the caller must not use it afterwards.
+func (s *scratch) release() {
 	l := &scratchList
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -80,7 +79,7 @@ func (s *Scratch) Release() {
 // merge decodes the neighbor payloads (once fleet-wide when cache is
 // non-nil) and writes the weight-normalized partial average of own and the
 // decoded vectors into s.avg.
-func (s *Scratch) merge(cache *DecodeCache, own []float64, w topology.Weights, msgs map[int][]byte) error {
+func (s *scratch) merge(cache *DecodeCache, own []float64, w topology.Weights, msgs map[int][]byte) error {
 	decoded, err := s.dec.decodeAll(cache, len(own), w, msgs)
 	if err == nil {
 		partialAverage(own, w.Self, decoded, vec.Grow(&s.avg, len(own)))

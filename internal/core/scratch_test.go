@@ -19,7 +19,7 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.Params, s.DeltaPar, s.scores, s.avg, s.newParams, s.Vals, s.bandMasses,
+			s.params, s.delta, s.scores, s.avg, s.newParams, s.vals, s.bandMasses,
 		} {
 			buf = buf[:cap(buf)]
 			for i := range buf {
@@ -33,7 +33,7 @@ func poisonScratchList() {
 // that differ in everything a shared working set is sized by: dimension (and
 // so padded length and k), transform (two wavelet plans, the DisableWavelet
 // identity), selection path (flat, band-adaptive), accumulator variant, codec
-// and algorithm.
+// and algorithm (JWINS, both baselines and CHOCO).
 func mixedFleet(t *testing.T) []Node {
 	t.Helper()
 	ds := tinyDataset(t)
@@ -62,6 +62,9 @@ func mixedFleet(t *testing.T) []Node {
 		}},
 		{411, func(id int, m *stubModel) (Node, error) {
 			return NewRandomSampling(id, m, stubLoader(t, ds), opts, 0.37, nil, vec.NewRNG(uint64(500+id)))
+		}},
+		{523, func(id int, m *stubModel) (Node, error) {
+			return NewChoco(id, m, stubLoader(t, ds), opts, ChocoConfig{Fraction: 0.2, Gamma: 0.3})
 		}},
 	}
 	var nodes []Node
@@ -135,9 +138,9 @@ func runMixed(t *testing.T, beforeCall func()) (payloads [][]byte, vectors [][]f
 
 // TestScratchSharingBitIdenticalToIsolation is the stale-content guard of the
 // shared working sets: a fleet of mixed dimensions, transforms and algorithms
-// whose every call runs in the one same recycled Scratch — poisoned with NaN
+// whose every call runs in the one same recycled scratch — poisoned with NaN
 // between calls — must produce payloads, installed models and accumulators
-// bit-identical to the same fleet given a brand-new Scratch for every call.
+// bit-identical to the same fleet given a brand-new scratch for every call.
 func TestScratchSharingBitIdenticalToIsolation(t *testing.T) {
 	t.Cleanup(ResetScratchList)
 	isoPayloads, isoVectors := runMixed(t, ResetScratchList)

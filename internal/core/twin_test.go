@@ -39,12 +39,12 @@ func newRefJWINS(n *JWINSNode) *refJWINS {
 }
 
 func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	s := AcquireScratch()
-	defer s.Release()
-	n.model.CopyParams(vec.Grow(&s.Params, n.dim))
+	s := acquireScratch()
+	defer s.release()
+	n.model.CopyParams(vec.Grow(&s.params, n.dim))
 	deltaPar := make([]float64, n.dim)
 	deltaCoeff := make([]float64, n.coeffDim)
-	vec.DiffInto(deltaPar, s.Params, n.startPar)
+	vec.DiffInto(deltaPar, s.params, n.startPar)
 	n.forward(s, deltaPar, deltaCoeff)
 	// V' = V + DWT(x^(t,tau) - x^(t,0))   (eq. 3)
 	if n.cfg.DisableAccumulation {
@@ -70,12 +70,12 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		if n.cfg.BandAdaptive {
 			sel = n.bandAdaptiveTopK(s, n.v, k)
 		} else {
-			sel = sparsify.TopKIndicesWith(&s.TopK, n.v, k)
+			sel = sparsify.TopKIndicesWith(&s.topk, n.v, k)
 		}
 		n.lastShared = append(n.lastShared, sel...)
 	}
 
-	n.forward(s, s.Params, n.curCoeffs)
+	n.forward(s, s.params, n.curCoeffs)
 	sv := codec.SparseVector{Dim: n.coeffDim}
 	mode := codec.IndexGamma
 	if n.fullShare {
@@ -83,15 +83,15 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		sv.Values = n.curCoeffs
 	} else {
 		sv.Indices = n.lastShared
-		s.Vals = sparsify.AppendGather(s.Vals[:0], n.curCoeffs, n.lastShared)
-		sv.Values = s.Vals
+		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, n.lastShared)
+		sv.Values = s.vals
 	}
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
 
 func (n *refJWINS) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
-	s := AcquireScratch()
-	defer s.Release()
+	s := acquireScratch()
+	defer s.release()
 	if err := s.merge(n.cache, n.curCoeffs, w, msgs); err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func twin(t *testing.T, cfg JWINSConfig, seed uint64, rounds int) twinReport {
 			xa, xb := make([]float64, refs[i].dim), make([]float64, refs[i].dim)
 			nodesA[i].Model().CopyParams(xa)
 			nodesB[i].Model().CopyParams(xb)
-			rep.drift[round] = max(rep.drift[round], vec.MaxAbs(vec.Diff(xa, xb))/vec.MaxAbs(xa))
+			rep.drift[round] = max(rep.drift[round], maxAbs(vec.Diff(xa, xb))/maxAbs(xa))
 		}
 	}
 	return rep

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/choco"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -43,7 +42,7 @@ type AlgoSpec struct {
 	// the paper's byte-matched setting).
 	RandomFraction float64
 	// Choco configures CHOCO-SGD (default fraction 0.2, gamma 0.6).
-	Choco *choco.Config
+	Choco *core.ChocoConfig
 	// Codec overrides the float codec (default flate32).
 	Codec codec.FloatCodec
 }
@@ -129,14 +128,14 @@ func buildFleet(w *Workload, spec AlgoSpec, seed uint64, lazy bool) ([]core.Node
 			}
 			n, err = core.NewJWINS(i, model, loader, w.Opts, cfg, nodeRNG.Split())
 		case AlgoChoco:
-			cfg := choco.Config{Fraction: 0.2, Gamma: 0.6}
+			cfg := core.ChocoConfig{Fraction: 0.2, Gamma: 0.6}
 			if spec.Choco != nil {
 				cfg = *spec.Choco
 			}
 			if cfg.FloatCodec == nil {
 				cfg.FloatCodec = spec.codec()
 			}
-			n, err = choco.New(i, model, loader, w.Opts, cfg)
+			n, err = core.NewChoco(i, model, loader, w.Opts, cfg)
 		default:
 			return nil, fmt.Errorf("experiments: unknown algorithm %q", spec.Kind)
 		}

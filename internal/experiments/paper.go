@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/choco"
 	"repro/internal/codec"
 	"repro/internal/core"
 )
@@ -153,7 +152,7 @@ func fig6(scale Scale, seed uint64, _ Opts) (*Table, error) {
 		cfg.Alphas = alphas
 		jwinsArm := arm{"jwins", func(s *RunSpec) { s.Algo = AlgoSpec{Kind: AlgoJWINS, JWINS: &cfg} }}
 		chocoArm := arm{"choco", func(s *RunSpec) {
-			s.Algo = AlgoSpec{Kind: AlgoChoco, Choco: &choco.Config{Fraction: c.budget, Gamma: c.gamma}}
+			s.Algo = AlgoSpec{Kind: AlgoChoco, Choco: &core.ChocoConfig{Fraction: c.budget, Gamma: c.gamma}}
 		}}
 		fixed, err := sweep(RunSpec{Workload: w, Seed: seed}, []arm{chocoArm, jwinsArm})
 		if err != nil {

@@ -86,7 +86,7 @@ func syncRun(t *testing.T, rounds int) *Result {
 	t.Helper()
 	const n = 16
 	ds, parts := buildTask(t, n, 42)
-	nodes := buildNodesWithCodec(t, algoFull, ds, parts, 7, func(int) codec.FloatCodec { return codec.PlaneFlate32{} })
+	nodes := buildNodesWithCodec(t, algoFull, ds, parts, 7, codec.PlaneFlate32{})
 	g, err := topology.Regular(n, 4, vec.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/choco"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -15,10 +14,9 @@ import (
 	"repro/internal/vec"
 )
 
-// buildNodesWithCodec mirrors buildNodes but injects a per-node float codec —
-// per node because stateful codecs (QSGD's call counter) must not be shared
-// across nodes, or encode order would leak into the payload bytes.
-func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64, fc func(i int) codec.FloatCodec) []core.Node {
+// buildNodesWithCodec mirrors buildNodes but gives every node the float
+// codec fc.
+func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64, fc codec.FloatCodec) []core.Node {
 	t.Helper()
 	opts := core.TrainOpts{LR: 0.05, LocalSteps: 2}
 	rootRNG := vec.NewRNG(seed)
@@ -33,15 +31,15 @@ func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts []
 		)
 		switch kind {
 		case algoFull:
-			n, err = core.NewFullSharing(i, model, loader, opts, fc(i))
+			n, err = core.NewFullSharing(i, model, loader, opts, fc)
 		case algoRandom:
-			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, fc(i), nodeRNG.Split())
+			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, fc, nodeRNG.Split())
 		case algoJWINS:
 			cfg := core.DefaultJWINSConfig()
-			cfg.FloatCodec = fc(i)
+			cfg.FloatCodec = fc
 			n, err = core.NewJWINS(i, model, loader, opts, cfg, nodeRNG.Split())
 		case algoChoco:
-			n, err = choco.New(i, model, loader, opts, choco.Config{Fraction: 0.2, Gamma: 0.2, FloatCodec: fc(i)})
+			n, err = core.NewChoco(i, model, loader, opts, core.ChocoConfig{Fraction: 0.2, Gamma: 0.2, FloatCodec: fc})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -182,12 +180,11 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 		res    *Result
 		params [][]float64
 		probe  *deliveryProbe
-		cached bool // the fleet's nodes can use the cache at all (CHOCO cannot)
 	}
 	run := func(t *testing.T, kind algo, fc codec.FloatCodec, p int, dynamic bool, offline float64, base Config, perRecipient bool) outcome {
 		t.Helper()
 		ds, parts := buildTask(t, n, 42)
-		inner := buildNodesWithCodec(t, kind, ds, parts, 7, func(int) codec.FloatCodec { return fc })
+		inner := buildNodesWithCodec(t, kind, ds, parts, 7, fc)
 		nodes, probe := probeFleet(inner, perRecipient)
 		var provider topology.Provider
 		if dynamic {
@@ -219,8 +216,6 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 			params := make([]float64, nd.Model().ParamCount())
 			nd.Model().CopyParams(params)
 			out.params = append(out.params, params)
-			_, ok := nd.(core.DecodeCacheUser)
-			out.cached = out.cached || ok
 		}
 		return out
 	}
@@ -264,9 +259,6 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 						// further recipient, and at most one entry per sender.
 						wantMisses := int64(len(got.probe.broadcasts))
 						wantHits := got.probe.deliveries - wantMisses
-						if !got.cached {
-							wantMisses, wantHits = 0, 0
-						}
 						snap := got.res.Telemetry
 						if snap == nil {
 							t.Fatal("sync run left no telemetry snapshot")
@@ -275,7 +267,7 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 							t.Fatalf("decode cache (%d hits, %d misses), want (%d, %d) for %d deliveries of %d broadcasts",
 								h, m, wantHits, wantMisses, got.probe.deliveries, len(got.probe.broadcasts))
 						}
-						if got.cached && wantHits == 0 {
+						if wantHits == 0 {
 							t.Fatal("no payload reached a second recipient: the matrix does not exercise the cache")
 						}
 						if got.probe.maxLive > n {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/choco"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -63,7 +62,7 @@ func buildNodes(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, se
 			cfg.FloatCodec = codec.Raw32{}
 			n, err = core.NewJWINS(i, model, loader, opts, cfg, nodeRNG.Split())
 		case algoChoco:
-			n, err = choco.New(i, model, loader, opts, choco.Config{Fraction: 0.2, Gamma: 0.2, FloatCodec: codec.Raw32{}})
+			n, err = core.NewChoco(i, model, loader, opts, core.ChocoConfig{Fraction: 0.2, Gamma: 0.2, FloatCodec: codec.Raw32{}})
 		}
 		if err != nil {
 			t.Fatal(err)

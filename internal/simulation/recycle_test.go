@@ -85,7 +85,7 @@ func TestRecycledPayloadsPoisoned(t *testing.T) {
 	run := func(t *testing.T, kind algo, fc codec.FloatCodec, drop float64, poison bool) (*Result, [][]float64, []*poisonNode) {
 		t.Helper()
 		ds, parts := buildTask(t, n, 42)
-		inner := buildNodesWithCodec(t, kind, ds, parts, 7, func(int) codec.FloatCodec { return fc })
+		inner := buildNodesWithCodec(t, kind, ds, parts, 7, fc)
 		nodes := inner
 		var wrapped []*poisonNode
 		if poison {

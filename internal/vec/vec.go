@@ -83,17 +83,6 @@ func MSE(a, b []float64) float64 {
 	return s / float64(len(a))
 }
 
-// MaxAbs returns the maximum absolute value in x (0 for empty x).
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 func mustSameLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("vec: length mismatch %d != %d", a, b))

@@ -62,13 +62,6 @@ func TestDiffInto(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	x := []float64{-4, 1, 3}
-	if MaxAbs(x) != 4 {
-		t.Fatalf("MaxAbs = %v", MaxAbs(x))
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
