@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -27,17 +28,25 @@ func TestBandAdaptiveSelectsBudget(t *testing.T) {
 		for i := range model.params {
 			model.params[i] += rng.NormFloat64() * 0.1
 		}
-		if _, _, err := node.Share(round); err != nil {
+		payload, _, err := node.Share(round)
+		if err != nil {
 			t.Fatal(err)
 		}
-		k := int(0.25*float64(node.CoeffDim()) + 0.5)
-		if len(node.lastShared) != k {
-			t.Fatalf("round %d: selected %d indices, want %d", round, len(node.lastShared), k)
+		var sv codec.SparseVector
+		if err := codec.DecodeSparseInto(&sv, payload); err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(node.lastShared); i++ {
-			if node.lastShared[i] <= node.lastShared[i-1] {
-				t.Fatalf("indices not strictly increasing: %v", node.lastShared)
+		k := int(0.25*float64(node.coeffDim) + 0.5)
+		if len(sv.Indices) != k {
+			t.Fatalf("round %d: sent %d indices, want %d", round, len(sv.Indices), k)
+		}
+		for i := 1; i < len(sv.Indices); i++ {
+			if sv.Indices[i] <= sv.Indices[i-1] {
+				t.Fatalf("indices not strictly increasing: %v", sv.Indices)
 			}
+		}
+		if shared := sharedIndices(node); !slices.Equal(shared, sv.Indices) {
+			t.Fatalf("round %d: marked %v, sent %v", round, shared, sv.Indices)
 		}
 		if err := node.Aggregate(round, topology.Weights{Self: 1, Neighbor: map[int]float64{}}, nil); err != nil {
 			t.Fatal(err)
@@ -69,14 +78,15 @@ func TestBandAdaptiveCoversActiveBands(t *testing.T) {
 		t.Fatal(err)
 	}
 	front := 0
-	cut := node.CoeffDim() / 8 // cA4+cD4 region for 4 levels
-	for _, idx := range node.lastShared {
+	cut := node.coeffDim / 8 // cA4+cD4 region for 4 levels
+	shared := sharedIndices(node)
+	for _, idx := range shared {
 		if idx < cut {
 			front++
 		}
 	}
-	if front < len(node.lastShared)/2 {
+	if front < len(shared)/2 {
 		t.Fatalf("only %d/%d selections in the low-frequency region for a smooth change",
-			front, len(node.lastShared))
+			front, len(shared))
 	}
 }

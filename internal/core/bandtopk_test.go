@@ -21,12 +21,12 @@ func bandNode(t *testing.T, disableWavelet bool) (*JWINSNode, *scratch, []float6
 	cfg.FloatCodec = codec.Raw32{}
 	nodes := jwinsFleet(t, 1, 16, cfg)
 	n := nodes[0]
-	if n.CoeffDim() != 16 {
-		t.Fatalf("coeffDim %d, want 16", n.CoeffDim())
+	if n.coeffDim != 16 {
+		t.Fatalf("coeffDim %d, want 16", n.coeffDim)
 	}
 	s := acquireScratch()
 	t.Cleanup(s.release)
-	return n, s, make([]float64, n.CoeffDim())
+	return n, s, make([]float64, n.coeffDim)
 }
 
 func assertSelection(t *testing.T, got, want []int) {

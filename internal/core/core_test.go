@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -76,6 +77,18 @@ func maxAbs(x []float64) float64 {
 		}
 	}
 	return m
+}
+
+// sharedIndices lists, in increasing order, the coefficients the node's last
+// Share selected: the set bits of its mask (none after a full share).
+func sharedIndices(n *JWINSNode) []int {
+	var idx []int
+	for i, word := range n.shared {
+		for ; word != 0; word &= word - 1 {
+			idx = append(idx, i*64+bits.TrailingZeros64(word))
+		}
+	}
+	return idx
 }
 
 func floatsBitEqual(a, b []float64) bool {
@@ -377,13 +390,8 @@ func TestJWINSAccumulatorReset(t *testing.T) {
 	if _, _, err := node.Share(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(node.lastShared) != 4 {
-		t.Fatalf("shared %d indices, want 4", len(node.lastShared))
-	}
-	for i, idx := range node.lastShared {
-		if idx != i {
-			t.Fatalf("shared indices %v, want [0 1 2 3]", node.lastShared)
-		}
+	if shared := sharedIndices(node); !slices.Equal(shared, []int{0, 1, 2, 3}) {
+		t.Fatalf("shared indices %v, want [0 1 2 3]", shared)
 	}
 	if err := node.Aggregate(0, topology.Weights{Self: 1, Neighbor: map[int]float64{}}, nil); err != nil {
 		t.Fatal(err)

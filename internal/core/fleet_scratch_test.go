@@ -57,17 +57,17 @@ func TestWorkingSetsBoundedByParallelism(t *testing.T) {
 
 // TestFleetRetainedMemory holds a fleet to the memory of its state: after two
 // synchronous rounds and a forced GC, the heap may have grown per node by the
-// model plus what the algorithm carries between calls — for JWINS the
-// accumulator and the shared coefficients, plus the k-sized copy of the
-// selected indices; for full sharing nothing — with a
-// quarter on top for loaders, wrappers and the few fleet-shared working sets.
-// Before the call scratch moved out of the nodes a JWINS node retained about
-// sixteen such vectors and a full-sharing node three.
+// model plus what the algorithm carries between calls — for JWINS base =
+// DWT(x) - V and a one-bit-per-coefficient selection mask; for full sharing
+// nothing — with a quarter on top for loaders, wrappers, the handed-back
+// payloads and the few fleet-shared working sets. Before the call scratch
+// moved out of the nodes a JWINS node retained about sixteen such vectors and
+// a full-sharing node three; before DWT(x^(t,tau)) moved into it and the
+// selection became a mask, a JWINS node retained about 1400 KB here.
 func TestFleetRetainedMemory(t *testing.T) {
 	const (
-		nodes       = 32
-		users       = 960 // the benchmark's 96-node model: 45,221 parameters
-		maxPartialK = 0.40
+		nodes = 32
+		users = 960 // the benchmark's 96-node model: 45,221 parameters
 	)
 	w, err := experiments.NewWorkload("movielens", experiments.Paper, nodes, 3)
 	if err != nil {
@@ -76,12 +76,13 @@ func TestFleetRetainedMemory(t *testing.T) {
 	w.NewModel = func(r *vec.RNG) nn.Trainable { return nn.NewMatrixFactorization(users, 1700, 16, r) }
 	dim := w.NewModel(vec.NewRNG(1)).ParamCount()
 	coeffDim := (dim + 15) / 16 * 16 // padded to a multiple of 2^levels
-	model := 2 * 8 * float64(dim)    // parameters + gradients
+	// The parameters, and as much again for a model with gradients (MF has none).
+	model := 2 * 8 * float64(dim)
 	for _, tc := range []struct {
 		kind  experiments.Algo
 		state float64 // bytes per node
 	}{
-		{experiments.AlgoJWINS, model + 2*8*float64(coeffDim) + maxPartialK*8*float64(coeffDim)},
+		{experiments.AlgoJWINS, model + 8*float64(coeffDim) + float64(coeffDim)/8},
 		{experiments.AlgoFull, model},
 	} {
 		core.ResetScratchList()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/codec"
@@ -59,28 +60,29 @@ func DefaultJWINSConfig() JWINSConfig {
 // error feedback that counts each local change once, V <- zeroShared(V') +
 // DWT(x^(t+1,0)) - DWT(x^(t,tau)), and telescoped: the node carries
 // base = DWT(x) - V, per coefficient the value it last went out at (DWT(x^0)
-// until it first does), so a round runs one forward and one inverse
-// transform, and a Share repeated with no Aggregate between (a node rejoining
-// after churn) counts its change once.
+// until it first does), and a Share repeated with no Aggregate between (a
+// node rejoining after churn) counts its change once. DWT(x^(t,tau)) is not
+// kept: Share transforms the model into its scratch, and Aggregate, which
+// sees the same model (see Node), transforms it again, so a round runs two
+// forward transforms and one inverse.
 type JWINSNode struct {
 	baseNode
 	cfg  JWINSConfig
 	plan *dwt.Plan // nil under DisableWavelet: coefficients are the parameters
 	rng  *vec.RNG
 
-	dim       int       // flat parameter dimension
-	coeffDim  int       // coefficient vector dimension
-	base      []float64 // DWT(x) - V: the coefficients the importance scores V are measured from
-	curCoeffs []float64 // DWT(x^(t,tau)), computed in Share, averaged in Aggregate
-	start     []float64 // x^0 until base's first transform (begin), nil after
-	view      []float64 // Accumulator's V until the next Share or Aggregate; empty when stale
+	dim      int       // flat parameter dimension
+	coeffDim int       // coefficient vector dimension
+	base     []float64 // DWT(x) - V: the coefficients the importance scores V are measured from
+	start    []float64 // x^0 until base's first transform (begin), nil after
+	view     []float64 // Accumulator's V until the next Share or Aggregate; empty when stale
 
-	// lastShared is the node's own copy of the indices shared this round,
-	// sized to the round's k (never to coeffDim): a full share (k == coeffDim)
-	// sets fullShare and leaves it empty — every coefficient goes out as a
-	// dense payload and Aggregate clears all of V.
-	lastShared []int
-	fullShare  bool
+	// shared marks the coefficients the last Share selected, one bit each
+	// (bit i%64 of word i/64), for Aggregate's reset of V. A full share
+	// (k == coeffDim) sets fullShare and leaves the mask clear: every
+	// coefficient goes out as a dense payload and Aggregate clears all of V.
+	shared    []uint64
+	fullShare bool
 
 	// LastAlpha records the cut-off sampled in the most recent Share call
 	// (instrumented for the Figure 3 experiment).
@@ -121,14 +123,14 @@ func NewJWINS(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 		cd = plan.CoeffLen()
 	}
 	n := &JWINSNode{
-		baseNode:  baseNode{id: id, model: model, loader: loader, opts: opts},
-		cfg:       cfg,
-		plan:      plan,
-		rng:       rng,
-		dim:       dim,
-		coeffDim:  cd,
-		base:      make([]float64, cd),
-		curCoeffs: make([]float64, cd),
+		baseNode: baseNode{id: id, model: model, loader: loader, opts: opts},
+		cfg:      cfg,
+		plan:     plan,
+		rng:      rng,
+		dim:      dim,
+		coeffDim: cd,
+		base:     make([]float64, cd),
+		shared:   make([]uint64, (cd+63)/64),
 	}
 	// V^0 = 0, so base = DWT(x^0), transformed on the node's first call; a
 	// copy-on-write model that has not diverged lends its shared x^0.
@@ -154,9 +156,6 @@ func (n *JWINSNode) begin() *scratch {
 	return s
 }
 
-// CoeffDim returns the wavelet coefficient dimension.
-func (n *JWINSNode) CoeffDim() int { return n.coeffDim }
-
 // Accumulator returns the importance scores V = DWT(x) - base (read-only
 // use): V' after a Share, the carried V after an Aggregate. It is computed
 // once per Share or Aggregate, so training after its first call is not seen.
@@ -181,6 +180,15 @@ func (n *JWINSNode) forward(s *scratch, x, out []float64) {
 	n.plan.Forward(x, out, &s.dwt)
 }
 
+// coeffs transforms the node's model into the call's scratch and returns
+// DWT(x^(t,tau)), valid until the call returns.
+func (n *JWINSNode) coeffs(s *scratch) []float64 {
+	n.model.CopyParams(vec.Grow(&s.params, n.dim))
+	cur := vec.Grow(&s.coeffs, n.coeffDim)
+	n.forward(s, s.params, cur)
+	return cur
+}
+
 // Share implements lines 5-8 of Algorithm 1: sample the cut-off, score the
 // coefficients of DWT(x^(t,tau)) by their accumulated change
 // V' = DWT(x^(t,tau)) - base (eq. 3), select TopK of the scores, and encode
@@ -188,8 +196,7 @@ func (n *JWINSNode) forward(s *scratch, x, out []float64) {
 func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	s := n.begin()
 	defer s.release()
-	n.model.CopyParams(vec.Grow(&s.params, n.dim))
-	n.forward(s, s.params, n.curCoeffs)
+	cur := n.coeffs(s)
 
 	// Randomized cut-off (line 6).
 	n.LastAlpha = n.cfg.Alphas.Mean()
@@ -200,21 +207,21 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 
 	// TopK over accumulated importance (line 7), optionally split per band.
 	// A full share has nothing to rank: it sends and resets every coefficient.
-	n.lastShared = n.lastShared[:0]
+	// Either selection is sorted and lives in the scratch until it is encoded.
+	clear(n.shared)
 	n.fullShare = k >= n.coeffDim
+	var sel []int
 	if !n.fullShare {
 		scores := vec.Grow(&s.scores, n.coeffDim)
-		vec.DiffInto(scores, n.curCoeffs, n.base)
-		var sel []int
+		vec.DiffInto(scores, cur, n.base)
 		if n.cfg.BandAdaptive {
 			sel = n.bandAdaptiveTopK(s, scores, k)
 		} else {
 			sel = sparsify.TopKIndicesWith(&s.topk, scores, k)
 		}
-		if cap(n.lastShared) < k {
-			n.lastShared = make([]int, 0, k) // exact: ends at the largest partial k drawn
+		for _, idx := range sel {
+			n.shared[idx/64] |= 1 << (idx % 64)
 		}
-		n.lastShared = append(n.lastShared, sel...)
 	}
 
 	// Share DWT(x^(t,tau))[I] with compressed indices (line 8).
@@ -222,10 +229,10 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	mode := codec.IndexGamma
 	if n.fullShare {
 		mode = codec.IndexDense // skip index metadata entirely
-		sv.Values = n.curCoeffs
+		sv.Values = cur
 	} else {
-		sv.Indices = n.lastShared
-		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, n.lastShared)
+		sv.Indices = sel
+		s.vals = sparsify.AppendGather(s.vals[:0], cur, sel)
 		sv.Values = s.vals
 	}
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
@@ -233,11 +240,14 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 
 // Aggregate implements lines 9-12 of Algorithm 1: average the received
 // partial wavelet vectors with the node's own coefficients (per-coefficient,
-// weight-normalized), invert the transform, and update the accumulator.
+// weight-normalized), invert the transform, and update the accumulator. The
+// own coefficients are DWT(x^(t,tau)) again, transformed from the model the
+// last Share saw.
 func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte) error {
 	s := n.begin()
 	defer s.release()
-	if err := s.merge(n.cache, n.curCoeffs, w, msgs); err != nil {
+	cur := n.coeffs(s)
+	if err := s.merge(n.cache, cur, w, msgs); err != nil {
 		return err
 	}
 	if n.plan == nil {
@@ -253,10 +263,13 @@ func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 		// V is the next round's change alone: base = DWT(x^(t+1,0)).
 		n.forward(s, s.newParams, n.base)
 	case n.fullShare:
-		copy(n.base, n.curCoeffs)
+		copy(n.base, cur)
 	default:
-		for _, idx := range n.lastShared {
-			n.base[idx] = n.curCoeffs[idx]
+		for i, word := range n.shared {
+			for ; word != 0; word &= word - 1 {
+				idx := i*64 + bits.TrailingZeros64(word)
+				n.base[idx] = cur[idx]
+			}
 		}
 	}
 	return nil

@@ -31,6 +31,10 @@ type Node interface {
 	Share(round int) ([]byte, codec.ByteBreakdown, error)
 	// Aggregate merges the payloads received from neighbors (keyed by sender
 	// id) using the node's mixing weights and installs the averaged model.
+	// It follows a Share, and the model must not change in between: engines
+	// train only right before a Share and set the model only through
+	// Aggregate, so a node reads its own shared vector back from the model
+	// here instead of keeping a copy.
 	Aggregate(round int, w topology.Weights, msgs map[int][]byte) error
 	// Model exposes the trainable for evaluation.
 	Model() nn.Trainable

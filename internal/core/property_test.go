@@ -38,12 +38,12 @@ func TestQuickShareBudgetRespected(t *testing.T) {
 		if err := codec.DecodeSparseInto(&sv, payload); err != nil {
 			return false
 		}
-		want := int(math.Round(alpha * float64(node.CoeffDim())))
+		want := int(math.Round(alpha * float64(node.coeffDim)))
 		if want < 1 {
 			want = 1
 		}
-		if want > node.CoeffDim() {
-			want = node.CoeffDim()
+		if want > node.coeffDim {
+			want = node.coeffDim
 		}
 		return len(sv.Values) == want
 	}
@@ -79,9 +79,9 @@ func TestQuickSenderReceiverAgree(t *testing.T) {
 		}
 		// Decoded indices must match the node's own record of what it shared
 		// (nil for dense payloads means "all").
-		shared := node.lastShared
+		shared := sharedIndices(node)
 		if sv.Indices == nil {
-			if len(sv.Values) != node.CoeffDim() {
+			if len(sv.Values) != node.coeffDim {
 				return false
 			}
 			return true

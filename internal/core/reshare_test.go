@@ -44,8 +44,8 @@ func TestJWINSReShareCountsOnce(t *testing.T) {
 	if !bytes.Equal(share(twice, x1, x2), share(once, x2)) {
 		t.Fatal("a re-share's payload differs from a single share's")
 	}
-	if !slices.Equal(twice.lastShared, once.lastShared) {
-		t.Fatalf("a re-share selects %v, a single share %v", twice.lastShared, once.lastShared)
+	if !slices.Equal(twice.shared, once.shared) {
+		t.Fatalf("a re-share selects %v, a single share %v", sharedIndices(twice), sharedIndices(once))
 	}
 	if !floatsBitEqual(twice.base, once.base) {
 		t.Fatal("a re-share moved base")

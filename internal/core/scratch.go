@@ -23,6 +23,7 @@ import (
 // before it is read.
 type scratch struct {
 	params    []float64 // model snapshot x^(t,tau)
+	coeffs    []float64 // JWINS's DWT(x^(t,tau))
 	delta     []float64 // CHOCO's x - x̂
 	scores    []float64 // JWINS's V' = DWT(x^(t,tau)) - base
 	avg       []float64 // weight-normalized average of own and received vectors

@@ -19,7 +19,7 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.params, s.delta, s.scores, s.avg, s.newParams, s.vals, s.bandMasses,
+			s.params, s.coeffs, s.delta, s.scores, s.avg, s.newParams, s.vals, s.bandMasses,
 		} {
 			buf = buf[:cap(buf)]
 			for i := range buf {

@@ -20,11 +20,13 @@ import (
 // DWT(x^(t+1,0)). The deleted AccumulationDecay arm is left out, the deleted
 // AccumulateLiteralEq4 arm is the literal field (a test-side arm only), and
 // the scratch buffers that went with V are local here: the lockstep twin's
-// oracle.
+// oracle. It keeps its own DWT(x^(t,tau)) from Share to Aggregate, as the
+// node did then, and records its selection in the embedded node's mask.
 type refJWINS struct {
 	*JWINSNode
-	v        []float64 // V: accumulated importance scores (coeff domain)
-	startPar []float64 // x^(t,0)
+	v         []float64 // V: accumulated importance scores (coeff domain)
+	startPar  []float64 // x^(t,0)
+	curCoeffs []float64 // DWT(x^(t,tau)), computed in Share, averaged in Aggregate
 	// literal reads eq. (4) as written, V <- zeroShared(V') +
 	// DWT(x^(t+1,0) - x^(t,0)), which re-adds the round's local change to the
 	// coefficients not shared; the default adds only the averaging-induced
@@ -33,7 +35,7 @@ type refJWINS struct {
 }
 
 func newRefJWINS(n *JWINSNode) *refJWINS {
-	r := &refJWINS{JWINSNode: n, v: make([]float64, n.coeffDim), startPar: make([]float64, n.dim)}
+	r := &refJWINS{JWINSNode: n, v: make([]float64, n.coeffDim), startPar: make([]float64, n.dim), curCoeffs: make([]float64, n.coeffDim)}
 	n.model.CopyParams(r.startPar)
 	return r
 }
@@ -63,16 +65,18 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	if k < 1 {
 		k = 1
 	}
-	n.lastShared = n.lastShared[:0]
+	clear(n.shared)
 	n.fullShare = k >= n.coeffDim
+	var sel []int
 	if !n.fullShare {
-		var sel []int
 		if n.cfg.BandAdaptive {
 			sel = n.bandAdaptiveTopK(s, n.v, k)
 		} else {
 			sel = sparsify.TopKIndicesWith(&s.topk, n.v, k)
 		}
-		n.lastShared = append(n.lastShared, sel...)
+		for _, idx := range sel {
+			n.shared[idx/64] |= 1 << (idx % 64)
+		}
 	}
 
 	n.forward(s, s.params, n.curCoeffs)
@@ -82,8 +86,8 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 		mode = codec.IndexDense
 		sv.Values = n.curCoeffs
 	} else {
-		sv.Indices = n.lastShared
-		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, n.lastShared)
+		sv.Indices = sel
+		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, sel)
 		sv.Values = s.vals
 	}
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
@@ -105,7 +109,7 @@ func (n *refJWINS) Aggregate(round int, w topology.Weights, msgs map[int][]byte)
 		if n.fullShare {
 			clear(n.v)
 		}
-		for _, idx := range n.lastShared {
+		for _, idx := range sharedIndices(n.JWINSNode) {
 			n.v[idx] = 0
 		}
 		installed := make([]float64, n.coeffDim)
@@ -205,8 +209,7 @@ func selectionJaccard(a, b *JWINSNode) float64 {
 }
 
 func selected(n *JWINSNode, idx int) bool {
-	_, ok := slices.BinarySearch(n.lastShared, idx)
-	return ok || n.fullShare
+	return n.shared[idx/64]&(1<<(idx%64)) != 0 || n.fullShare
 }
 
 // nearTie logs the coefficients the two selections disagree on and reports
@@ -215,7 +218,7 @@ func selected(n *JWINSNode, idx int) bool {
 func nearTie(t *testing.T, a *refJWINS, b *JWINSNode, round, node int) bool {
 	t.Helper()
 	cut := math.Inf(1)
-	for _, i := range a.lastShared {
+	for _, i := range sharedIndices(a.JWINSNode) {
 		cut = math.Min(cut, math.Abs(a.v[i]))
 	}
 	ok := true
@@ -273,7 +276,7 @@ func topKMass(n *refJWINS) float64 {
 	for _, v := range n.v {
 		total += math.Abs(v)
 	}
-	for _, i := range n.lastShared {
+	for _, i := range sharedIndices(n.JWINSNode) {
 		sel += math.Abs(n.v[i])
 	}
 	return sel / total

@@ -109,9 +109,6 @@ func newPlan(n int, w Wavelet, levels int) (*Plan, error) {
 	return p, nil
 }
 
-// InputLen returns the original (unpadded) input length.
-func (p *Plan) InputLen() int { return p.n }
-
 // CoeffLen returns the flat coefficient vector length (the padded length).
 func (p *Plan) CoeffLen() int { return p.padded }
 
@@ -150,7 +147,7 @@ func (s *Scratch) ensure(padded int) {
 }
 
 // Forward computes the multi-level DWT of x into out using s for scratch.
-// len(x) must equal InputLen and len(out) must equal CoeffLen.
+// len(x) must equal the plan's input length and len(out) must equal CoeffLen.
 func (p *Plan) Forward(x, out []float64, s *Scratch) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dwt: Forward input length %d, want %d", len(x), p.n))
@@ -191,7 +188,7 @@ func (p *Plan) Forward(x, out []float64, s *Scratch) {
 }
 
 // Inverse reconstructs the signal from coeffs into out using s for scratch.
-// len(coeffs) must equal CoeffLen and len(out) must equal InputLen.
+// len(coeffs) must equal CoeffLen and len(out) must equal the input length.
 func (p *Plan) Inverse(coeffs, out []float64, s *Scratch) {
 	if len(coeffs) != p.padded {
 		panic(fmt.Sprintf("dwt: Inverse input length %d, want %d", len(coeffs), p.padded))

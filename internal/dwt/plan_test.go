@@ -44,8 +44,8 @@ func refInverse(p *Plan, coeffs []float64) []float64 {
 		cur, next = next, cur
 		curLen *= 2
 	}
-	out := make([]float64, p.InputLen())
-	copy(out, cur[:p.InputLen()])
+	out := make([]float64, p.n)
+	copy(out, cur[:p.n])
 	return out
 }
 

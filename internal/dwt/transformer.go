@@ -54,9 +54,6 @@ func NewTransformer(n int, w Wavelet, levels int) (*Transformer, error) {
 // Plan returns the shared immutable plan backing this transformer.
 func (t *Transformer) Plan() *Plan { return t.plan }
 
-// InputLen returns the original (unpadded) input length.
-func (t *Transformer) InputLen() int { return t.plan.n }
-
 // CoeffLen returns the flat coefficient vector length (the padded length).
 func (t *Transformer) CoeffLen() int { return t.plan.padded }
 
@@ -68,13 +65,13 @@ func (t *Transformer) Levels() int { return t.plan.levels }
 func (t *Transformer) Bands() []Band { return t.plan.bands }
 
 // Forward computes the multi-level DWT of x into out.
-// len(x) must equal InputLen and len(out) must equal CoeffLen.
+// len(x) must equal the input length and len(out) must equal CoeffLen.
 func (t *Transformer) Forward(x, out []float64) {
 	t.plan.Forward(x, out, &t.scratch)
 }
 
 // Inverse reconstructs the signal from coeffs into out.
-// len(coeffs) must equal CoeffLen and len(out) must equal InputLen.
+// len(coeffs) must equal CoeffLen and len(out) must equal the input length.
 func (t *Transformer) Inverse(coeffs, out []float64) {
 	t.plan.Inverse(coeffs, out, &t.scratch)
 }

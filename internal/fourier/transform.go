@@ -27,9 +27,6 @@ func NewTransformer(n int) (*Transformer, error) {
 	return &Transformer{n: n, padded: p, buf: make([]complex128, p)}, nil
 }
 
-// InputLen returns the original input length.
-func (t *Transformer) InputLen() int { return t.n }
-
 // CoeffLen returns the real coefficient vector length (padded length).
 func (t *Transformer) CoeffLen() int { return t.padded }
 

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -291,7 +292,7 @@ func checkConvParity(t testing.TB, cc convCase) {
 			plantEdges(x.Data, cc.h, cc.w)
 		}
 		y, yRef := got.Forward(x, true), want.Forward(x, true)
-		if !y.SameShape(yRef) {
+		if !slices.Equal(y.Shape, yRef.Shape) {
 			t.Fatalf("%v pass %d: output shape %v, reference %v", cc, pass, y.Shape, yRef.Shape)
 		}
 		if i := firstBitDiff(y.Data, yRef.Data); i >= 0 {

@@ -25,7 +25,7 @@ func numericalGradCheck(t *testing.T, net *Sequential, lossFn Loss, x *Tensor, y
 	out := net.Forward(x.Clone(), true)
 	flat := logits2D(out, new(Tensor))
 	_, grad := lossFn.Compute(flat, y)
-	dx := net.Backward(grad.Reshape(out.Shape...))
+	dx := net.Backward(FromData(grad.Data, out.Shape...))
 
 	// Parameter gradients.
 	for _, p := range net.Params() {

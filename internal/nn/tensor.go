@@ -31,18 +31,6 @@ func NewTensor(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float64, n), Shape: append([]int(nil), shape...)}
 }
 
-// FromData wraps data in a tensor of the given shape. The data is not copied.
-func FromData(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("nn: data length %d does not match shape %v", len(data), shape))
-	}
-	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
-}
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -52,14 +40,9 @@ func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 // Batch returns the leading (batch) dimension.
 func (t *Tensor) Batch() int { return t.Shape[0] }
 
-// Reshape returns a view of t with a new shape (same data).
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	return FromData(t.Data, shape...)
-}
-
 // alias points t at src's data under the given shape, reusing t's shape
-// storage: a Reshape into a header the caller keeps, which allocates nothing
-// once the header has held as many dimensions.
+// storage: a reshaped view in a header the caller keeps, which allocates
+// nothing once the header has held as many dimensions.
 func (t *Tensor) alias(src *Tensor, shape ...int) *Tensor {
 	t.Data = src.Data
 	t.Shape = append(t.Shape[:0], shape...)
@@ -71,19 +54,6 @@ func (t *Tensor) Clone() *Tensor {
 	out := &Tensor{Data: make([]float64, len(t.Data)), Shape: append([]int(nil), t.Shape...)}
 	copy(out.Data, t.Data)
 	return out
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // tscratch is a reusable tensor backed by a buffer grown on demand. A layer's

@@ -85,8 +85,8 @@ func (s *SeededDynamic) Graph(t int) *Graph {
 // EpochProvider rotates a base Provider on simulated-time epochs and filters
 // every epoch's graph to the currently live nodes, with Metropolis-Hastings
 // weights of the induced subgraph (Masked semantics). Round takes an *epoch
-// index*, not a synchronous round number; EpochAt maps simulated time to
-// that index. The live view is keyed by (epoch, liveVersion), so a SetLive
+// index*, not a synchronous round number: epoch k starts at simulated time
+// k·EpochSec. The live view is keyed by (epoch, liveVersion), so a SetLive
 // racing an epoch boundary — churn processed at the same simulated instant
 // the graph rotates — is always seen whichever of the two queries comes
 // first: within an epoch it is patched in, across a boundary the new epoch's
@@ -106,14 +106,6 @@ type EpochProvider struct {
 // NewEpochProvider builds an epoch provider over n nodes, all initially live.
 func NewEpochProvider(base Provider, n int, epochSec float64) *EpochProvider {
 	return &EpochProvider{Base: base, EpochSec: epochSec, liveView: newLiveView(n)}
-}
-
-// EpochAt maps a simulated timestamp to its epoch index.
-func (p *EpochProvider) EpochAt(t float64) int {
-	if p.EpochSec <= 0 || t <= 0 {
-		return 0
-	}
-	return int(math.Floor(t / p.EpochSec))
 }
 
 // graphOnly is satisfied by bases that can serve a round's graph without

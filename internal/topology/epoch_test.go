@@ -99,23 +99,6 @@ func TestEpochProviderRotatesAndFilters(t *testing.T) {
 	}
 }
 
-// TestEpochProviderEpochAt maps simulated time to epoch indices.
-func TestEpochProviderEpochAt(t *testing.T) {
-	p := NewEpochProvider(NewStatic(Ring(8)), 8, 2.0)
-	for _, tc := range []struct {
-		t    float64
-		want int
-	}{{0, 0}, {1.99, 0}, {2, 1}, {3.5, 1}, {4, 2}, {-1, 0}} {
-		if got := p.EpochAt(tc.t); got != tc.want {
-			t.Fatalf("EpochAt(%v) = %d, want %d", tc.t, got, tc.want)
-		}
-	}
-	unbounded := NewEpochProvider(NewStatic(Ring(8)), 8, 0)
-	if unbounded.EpochAt(1e12) != 0 {
-		t.Fatal("EpochSec <= 0 must pin epoch 0")
-	}
-}
-
 // TestEpochProviderCacheInvalidation: the cache is keyed by
 // (epoch, liveVersion), so a SetLive racing an epoch boundary — liveness
 // flips interleaved with epoch queries in either order — must never serve a

@@ -79,15 +79,6 @@ func (g *Graph) buildBitmap() {
 	}
 }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.Adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
 // Connected reports whether the graph is connected (true for N <= 1).
 func (g *Graph) Connected() bool {
 	if g.N <= 1 {

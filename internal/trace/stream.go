@@ -121,9 +121,6 @@ func (s *StreamRecorder) Record(ev Event) {
 // Len returns the number of events recorded so far.
 func (s *StreamRecorder) Len() int { return s.count }
 
-// Err returns the sticky recording error, if any.
-func (s *StreamRecorder) Err() error { return s.err }
-
 // SetRounds implements RoundsSetter: Close rewrites the already-written
 // header's round budget in place (padded to its original length, which JSON
 // readers tolerate). It requires a seekable destination; on a plain writer

@@ -234,7 +234,7 @@ func TestStreamRecorderValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.Record(Event{Time: 1, Kind: KindTrainDone, Node: 99, Peer: -1}) // node out of range
-	if sr.Err() == nil {
+	if sr.err == nil {
 		t.Fatal("invalid event accepted")
 	}
 	if err := sr.Close(); !errors.Is(err, ErrCorrupt) {
@@ -288,7 +288,7 @@ func TestStreamRecorderRecordAllocationFree(t *testing.T) {
 		sr.Record(evs[k%len(evs)])
 		k++
 	})
-	if err := sr.Err(); err != nil {
+	if err := sr.err; err != nil {
 		t.Fatal(err)
 	}
 	if avg != 0 {
