@@ -28,8 +28,8 @@ func decodeSparse(buf []byte) (SparseVector, error) {
 }
 
 // decodeFloats is fc.DecodeInto into a fresh slice of count values.
-func decodeFloats(fc FloatCodec, buf []byte, count int) ([]float64, error) {
-	out := make([]float64, count)
+func decodeFloats(fc FloatCodec, buf []byte, count int) ([]float32, error) {
+	out := make([]float32, count)
 	return out, fc.DecodeInto(buf, out)
 }
 
@@ -220,21 +220,39 @@ func TestQuickIndicesGamma(t *testing.T) {
 	}
 }
 
+// specialBits are float32 bit patterns a Gaussian never produces.
+var specialBits = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x00400000, 0x807fffff, // subnormals
+	0x00800000, 0x7f7fffff, 0xff7fffff, // smallest normal, ±MaxFloat32
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00001, // quiet NaNs, one negative with a payload
+	0x7f800001, 0x7fa00000, 0xffbfffff, // signalling NaNs
+}
+
+// testFloatRoundTrip: a codec carries bit patterns, so every float32 decodes
+// to its own bits — the specials above, one by one and together, a Gaussian
+// vector and uniformly random patterns.
 func testFloatRoundTrip(t *testing.T, fc FloatCodec) {
 	t.Helper()
 	r := vec.NewRNG(9)
-	cases := [][]float64{
-		nil,
-		{0},
-		{1.5, -2.25, 3.75},
-		{math.Pi, -math.E, 1e-30, 1e30},
+	random := make([]uint32, 1000)
+	for i := range random {
+		random[i] = uint32(r.Uint64())
 	}
-	big := make([]float64, 1000)
-	for i := range big {
-		big[i] = r.NormFloat64() * 0.1
+	var gauss []uint32
+	for _, v := range gaussianValues(1000, 0.1, 9) {
+		gauss = append(gauss, math.Float32bits(v))
 	}
-	cases = append(cases, big)
-	for _, vals := range cases {
+	cases := [][]uint32{nil, specialBits, gauss, random}
+	for _, b := range specialBits {
+		cases = append(cases, []uint32{b})
+	}
+	for _, bits := range cases {
+		vals := make([]float32, len(bits))
+		for i, b := range bits {
+			vals[i] = math.Float32frombits(b)
+		}
 		buf, err := fc.AppendEncode(nil, vals)
 		if err != nil {
 			t.Fatalf("%s encode: %v", fc.Name(), err)
@@ -243,10 +261,9 @@ func testFloatRoundTrip(t *testing.T, fc FloatCodec) {
 		if err != nil {
 			t.Fatalf("%s decode: %v", fc.Name(), err)
 		}
-		for i := range vals {
-			want := float64(float32(vals[i])) // codecs are float32-lossy by contract
-			if got[i] != want {
-				t.Fatalf("%s value %d: got %v want %v", fc.Name(), i, got[i], want)
+		for i, want := range bits {
+			if have := math.Float32bits(got[i]); have != want {
+				t.Fatalf("%s value %d: bits %08x, want %08x", fc.Name(), i, have, want)
 			}
 		}
 	}
@@ -259,11 +276,7 @@ func TestPlaneFlate32RoundTrip(t *testing.T) { testFloatRoundTrip(t, PlaneFlate3
 // similar magnitude) actually shrinks, which is the reason the paper applies
 // a float compressor at all.
 func TestPlaneFlateCompresses(t *testing.T) {
-	r := vec.NewRNG(10)
-	vals := make([]float64, 20000)
-	for i := range vals {
-		vals[i] = r.NormFloat64() * 0.05
-	}
+	vals := gaussianValues(20000, 0.05, 10)
 	buf, err := PlaneFlate32{}.AppendEncode(nil, vals)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +292,7 @@ func TestEncodeDecodeSparseGamma(t *testing.T) {
 	sv := SparseVector{
 		Dim:     100,
 		Indices: []int{1, 7, 42, 99},
-		Values:  []float64{0.5, -1.25, 3, 4.75},
+		Values:  []float32{0.5, -1.25, 3, 4.75},
 	}
 	for _, fc := range []FloatCodec{Raw32{}, PlaneFlate32{}} {
 		buf, bd, err := EncodeSparse(sv, IndexGamma, fc)
@@ -300,7 +313,7 @@ func TestEncodeDecodeSparseGamma(t *testing.T) {
 			if got.Indices[i] != sv.Indices[i] {
 				t.Fatalf("%s: indices %v", fc.Name(), got.Indices)
 			}
-			if got.Values[i] != float64(float32(sv.Values[i])) {
+			if got.Values[i] != sv.Values[i] {
 				t.Fatalf("%s: values %v", fc.Name(), got.Values)
 			}
 		}
@@ -312,9 +325,9 @@ func TestEncodeDecodeSparseSeed(t *testing.T) {
 	dim := 500
 	count := 50
 	idx := SeededIndices(seed, dim, count)
-	vals := make([]float64, count)
+	vals := make([]float32, count)
 	for i := range vals {
-		vals[i] = float64(i) * 0.5
+		vals[i] = float32(i) * 0.5
 	}
 	sv := SparseVector{Dim: dim, Seed: seed, Values: vals}
 	buf, bd, err := EncodeSparse(sv, IndexSeed, Raw32{})
@@ -337,7 +350,7 @@ func TestEncodeDecodeSparseSeed(t *testing.T) {
 }
 
 func TestEncodeDecodeSparseDense(t *testing.T) {
-	vals := []float64{1, 2, 3}
+	vals := []float32{1, 2, 3}
 	sv := SparseVector{Dim: 3, Values: vals}
 	buf, bd, err := EncodeSparse(sv, IndexDense, Raw32{})
 	if err != nil {
@@ -359,16 +372,16 @@ func TestEncodeDecodeSparseDense(t *testing.T) {
 }
 
 func TestEncodeSparseValidation(t *testing.T) {
-	if _, _, err := EncodeSparse(SparseVector{Dim: 3, Values: []float64{1}}, IndexDense, Raw32{}); err == nil {
+	if _, _, err := EncodeSparse(SparseVector{Dim: 3, Values: []float32{1}}, IndexDense, Raw32{}); err == nil {
 		t.Fatal("dense with wrong count should error")
 	}
-	if _, _, err := EncodeSparse(SparseVector{Dim: 3, Indices: []int{0}, Values: []float64{1, 2}}, IndexGamma, Raw32{}); err == nil {
+	if _, _, err := EncodeSparse(SparseVector{Dim: 3, Indices: []int{0}, Values: []float32{1, 2}}, IndexGamma, Raw32{}); err == nil {
 		t.Fatal("gamma with mismatched lengths should error")
 	}
 }
 
 func TestDecodeSparseCorrupt(t *testing.T) {
-	sv := SparseVector{Dim: 10, Indices: []int{1, 5}, Values: []float64{1, 2}}
+	sv := SparseVector{Dim: 10, Indices: []int{1, 5}, Values: []float32{1, 2}}
 	buf, _, err := EncodeSparse(sv, IndexGamma, Raw32{})
 	if err != nil {
 		t.Fatal(err)
@@ -399,9 +412,9 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 		k := int(rawK) % (dim + 1)
 		r := vec.NewRNG(seed)
 		idx := r.SampleWithoutReplacement(dim, k)
-		vals := make([]float64, k)
+		vals := make([]float32, k)
 		for i := range vals {
-			vals[i] = r.NormFloat64()
+			vals[i] = float32(r.NormFloat64())
 		}
 		sv := SparseVector{Dim: dim, Indices: idx, Values: vals}
 		buf, _, err := EncodeSparse(sv, IndexGamma, PlaneFlate32{})
@@ -413,7 +426,7 @@ func TestQuickSparseRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range idx {
-			if got.Indices[i] != idx[i] || got.Values[i] != float64(float32(vals[i])) {
+			if got.Indices[i] != idx[i] || math.Float32bits(got.Values[i]) != math.Float32bits(vals[i]) {
 				return false
 			}
 		}

@@ -26,10 +26,10 @@ func (stdPlaneFlate32) Name() string { return "flate32-std" }
 
 // transposePlanes fills planes (4 bytes per value) with what the encoders
 // deflate: byte k of every float32, most significant first, plane after plane.
-func transposePlanes(planes []byte, values []float64) {
+func transposePlanes(planes []byte, values []float32) {
 	n := len(values)
 	for i, v := range values {
-		b := math.Float32bits(float32(v))
+		b := math.Float32bits(v)
 		planes[i] = byte(b >> 24)
 		planes[n+i] = byte(b >> 16)
 		planes[2*n+i] = byte(b >> 8)
@@ -37,18 +37,12 @@ func transposePlanes(planes []byte, values []float64) {
 	}
 }
 
-func (stdPlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
+func (stdPlaneFlate32) AppendEncode(dst []byte, values []float32) ([]byte, error) {
 	n := len(values)
 	pp := getByteBuf(4 * n)
 	defer putByteBuf(pp)
 	planes := *pp
-	for i, v := range values {
-		b := math.Float32bits(float32(v))
-		planes[i] = byte(b >> 24)
-		planes[n+i] = byte(b >> 16)
-		planes[2*n+i] = byte(b >> 8)
-		planes[3*n+i] = byte(b)
-	}
+	transposePlanes(planes, values)
 	sw := sliceWriter{b: dst}
 	fw := flateWriterPool.Get().(*flate.Writer)
 	defer flateWriterPool.Put(fw)
@@ -69,7 +63,7 @@ func (stdPlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error
 	return sw.b, nil
 }
 
-func (stdPlaneFlate32) DecodeInto(buf []byte, out []float64) error {
+func (stdPlaneFlate32) DecodeInto(buf []byte, out []float32) error {
 	count := len(out)
 	pp := getByteBuf(4 * count)
 	defer putByteBuf(pp)
@@ -84,7 +78,7 @@ func (stdPlaneFlate32) DecodeInto(buf []byte, out []float64) error {
 	for i := range out {
 		b := uint32(planes[i])<<24 | uint32(planes[n+i])<<16 |
 			uint32(planes[2*n+i])<<8 | uint32(planes[3*n+i])
-		out[i] = float64(math.Float32frombits(b))
+		out[i] = math.Float32frombits(b)
 	}
 	return nil
 }
@@ -119,7 +113,7 @@ func mustHex(tb testing.TB, s string) []byte {
 // TestParentFlate32PayloadsDecode: wire compatibility, old to new. Payloads
 // made by the parent commit's encoder decode here to the values they carried.
 func TestParentFlate32PayloadsDecode(t *testing.T) {
-	cycle := []float64{0.5, -1.25, 3.75, 0, -0.0625, 2, 0.0078125, -17}
+	cycle := []float32{0.5, -1.25, 3.75, 0, -0.0625, 2, 0.0078125, -17}
 	for _, p := range parentFlate32Payloads {
 		sv, err := decodeSparse(mustHex(t, p.hex))
 		if err != nil {
@@ -139,36 +133,47 @@ func TestParentFlate32PayloadsDecode(t *testing.T) {
 	}
 }
 
-func gaussianValues(n int, sigma float64, seed uint64) []float64 {
-	out := randomValues(n, seed)
+// gaussianValues draws n values from N(0, sigma²), narrowed to float32.
+func gaussianValues(n int, sigma float64, seed uint64) []float32 {
+	r := vec.NewRNG(seed)
+	out := make([]float32, n)
 	for i := range out {
-		out[i] *= sigma
+		out[i] = float32(r.NormFloat64() * sigma)
 	}
 	return out
 }
 
+// specialValues are values a Gaussian never produces — ±Inf, a NaN of each
+// sign with a payload bit, ±0, ±MaxFloat32, the smallest subnormal — and two
+// float64 values that narrow to 0 and to +Inf.
+func specialValues() []float32 {
+	nan := float64(math.Float32frombits(0x7fc00001))
+	return vec.AppendNarrow(nil, []float64{math.Inf(1), math.Inf(-1), nan, -nan, math.Copysign(0, -1), 0,
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1e-46, 1e39})
+}
+
 // heavyTailedValues imitates wavelet coefficients of a model: a Gaussian whose
 // scale is itself log-normal, so most values are tiny and a few are large.
-func heavyTailedValues(n int, seed uint64) []float64 {
+func heavyTailedValues(n int, seed uint64) []float32 {
 	r := vec.NewRNG(seed)
-	out := make([]float64, n)
+	out := make([]float32, n)
 	for i := range out {
-		out[i] = r.NormFloat64() * 0.01 * math.Exp(1.5*r.NormFloat64())
+		out[i] = float32(r.NormFloat64() * 0.01 * math.Exp(1.5*r.NormFloat64()))
 	}
 	return out
 }
 
 // topKGathered returns the k largest-magnitude values of v in index order —
 // what a top-k sparsifier hands the codec.
-func topKGathered(v []float64, k int) []float64 {
+func topKGathered(v []float32, k int) []float32 {
 	idx := make([]int, len(v))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return math.Abs(v[idx[a]]) > math.Abs(v[idx[b]]) })
+	sort.Slice(idx, func(a, b int) bool { return math.Abs(float64(v[idx[a]])) > math.Abs(float64(v[idx[b]])) })
 	idx = idx[:k]
 	sort.Ints(idx)
-	out := make([]float64, k)
+	out := make([]float32, k)
 	for i, j := range idx {
 		out[i] = v[j]
 	}
@@ -182,19 +187,18 @@ func topKGathered(v []float64, k int) []float64 {
 // plus a movielens top-k share. weights marks the kinds whose mantissa bytes
 // look random, which is what the direct stored blocks are for.
 func flate32Cases() []flate32Case {
-	specials := []float64{math.Inf(1), math.Inf(-1), float64(math.Float32frombits(0x7fc00001)),
-		math.Copysign(0, -1), math.SmallestNonzeroFloat32, 1e-46, 1e39, -0.0173}
+	specials := specialValues()
 	cases := []flate32Case{{"topk-14000-of-45221", topKGathered(heavyTailedValues(45221, 28), 14000), true}}
 	for i, n := range []int{0, 1, 6, 63, 64, 700, 3552, 14000, 21845, 21846, 45221, 65535, 65536, 200000} {
-		zeros, constant, cycle := make([]float64, n), make([]float64, n), make([]float64, n)
+		cycle := make([]float32, n)
 		for j := range cycle {
-			constant[j], cycle[j] = 0.0421, specials[j%len(specials)]
+			cycle[j] = specials[j%len(specials)]
 		}
 		cases = append(cases,
 			flate32Case{fmt.Sprintf("gauss-%d", n), gaussianValues(n, 0.05, uint64(100+i)), true},
 			flate32Case{fmt.Sprintf("heavy-tailed-%d", n), heavyTailedValues(n, uint64(200+i)), true},
-			flate32Case{fmt.Sprintf("zeros-%d", n), zeros, false},
-			flate32Case{fmt.Sprintf("constant-%d", n), constant, false},
+			flate32Case{fmt.Sprintf("zeros-%d", n), repeat(0, n), false},
+			flate32Case{fmt.Sprintf("constant-%d", n), repeat(0.0421, n), false},
 			flate32Case{fmt.Sprintf("specials-%d", n), cycle, false})
 	}
 	return cases
@@ -202,7 +206,7 @@ func flate32Cases() []flate32Case {
 
 type flate32Case struct {
 	name    string
-	vals    []float64
+	vals    []float32
 	weights bool
 }
 
@@ -232,13 +236,13 @@ func TestPlaneFlate32MatchesReference(t *testing.T) {
 		if !bytes.Equal(inflated, planes) {
 			t.Fatalf("%s: stream does not inflate to the plane bytes", c.name)
 		}
-		back := make([]float64, len(c.vals))
+		back := make([]float32, len(c.vals))
 		if err := (PlaneFlate32{}).DecodeInto(got, back); err != nil {
 			t.Fatalf("%s: decode: %v", c.name, err)
 		}
 		for i, v := range c.vals {
-			if math.Float32bits(float32(back[i])) != math.Float32bits(float32(v)) {
-				t.Fatalf("%s: value %d: %v, want %v", c.name, i, back[i], float64(float32(v)))
+			if math.Float32bits(back[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: value %d: %v, want %v", c.name, i, back[i], v)
 			}
 		}
 	}
@@ -292,7 +296,7 @@ func TestFlate32DecodeErrorNamesCause(t *testing.T) {
 	}
 	malformed := append([]byte{0x07}, buf...) // block type 3
 	for cause, in := range map[string][]byte{"unexpected EOF": buf[:len(buf)/2], "corrupt input": malformed} {
-		err := PlaneFlate32{}.DecodeInto(in, make([]float64, 700))
+		err := PlaneFlate32{}.DecodeInto(in, make([]float32, 700))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), cause) {
 			t.Fatalf("want ErrCorrupt naming %q, got %v", cause, err)
 		}
@@ -306,25 +310,16 @@ func TestFlate32DecodeErrorNamesCause(t *testing.T) {
 // block between a Huffman table and storing; unconditional stored blocks
 // would put both at 4n. The Gaussian bound is the ratio measured, not "< 4n".
 func TestPlaneFlate32Degenerate(t *testing.T) {
-	repeat := func(v float64, n int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	nan := float64(math.Float32frombits(0x7fc00001)) // quiet NaN with a payload bit
 	cases := []struct {
 		name     string
-		vals     []float64
+		vals     []float32
 		maxRatio float64 // of 4n; 0: no size bound
 	}{
 		{"empty", nil, 0},
-		{"one", []float64{-0.0173}, 0},
+		{"one", repeat(-0.0173, 1), 0},
 		{"zeros-50", repeat(0, 50), 0},
 		{"repeat-50", repeat(0.0421, 50), 0},
-		{"specials", []float64{math.Inf(1), math.Inf(-1), nan, -nan, math.Copysign(0, -1), 0,
-			math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1e-46, 1e39}, 0},
+		{"specials", specialValues(), 0},
 		{"zeros-100000", repeat(0, 100000), 1.0 / 7},
 		{"repeat-100000", repeat(0.0421, 100000), 1.0 / 7},
 		{"gauss-20000", gaussianValues(20000, 0.05, 10), 0.86},
@@ -339,8 +334,8 @@ func TestPlaneFlate32Degenerate(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for i, v := range c.vals {
-			want := math.Float32bits(float32(v))
-			if have := math.Float32bits(float32(got[i])); have != want {
+			want := math.Float32bits(v)
+			if have := math.Float32bits(got[i]); have != want {
 				t.Fatalf("%s: value %d: bits %08x, want %08x", c.name, i, have, want)
 			}
 		}
@@ -358,11 +353,11 @@ func TestPlaneFlate32Degenerate(t *testing.T) {
 // gathered subset (JWINS at its average sharing fraction).
 func flateBenchInputs() []struct {
 	name string
-	vals []float64
+	vals []float32
 } {
 	return []struct {
 		name string
-		vals []float64
+		vals []float32
 	}{
 		{"dense-45221", gaussianValues(45221, 0.05, 30)},
 		{"topk-14000", topKGathered(heavyTailedValues(45221, 31), 14000)},
@@ -407,7 +402,7 @@ func BenchmarkPlaneFlate32Decode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out := make([]float64, len(in.vals))
+				out := make([]float32, len(in.vals))
 				b.SetBytes(int64(4 * len(in.vals)))
 				b.ReportAllocs()
 				b.ResetTimer()

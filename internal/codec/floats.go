@@ -8,22 +8,23 @@ import (
 	"math"
 )
 
-// FloatCodec encodes a vector of model values for the wire. Models are
+// FloatCodec encodes a vector of float32 values for the wire. Models are
 // trained in float64 but transmitted as float32, matching the paper's setup
-// (PyTorch float32 tensors compressed with fpzip); all codecs here therefore
-// quantize to float32 before encoding, and decoding returns the float32
-// values widened back to float64. Both directions write into caller-owned
-// buffers, so a warm caller encodes and decodes without allocating.
+// (PyTorch float32 tensors compressed with fpzip): a Share narrows its values
+// when it builds its vector, and every codec here carries those float32 bits
+// unchanged, so decoding returns exactly what was encoded. Both directions
+// write into caller-owned buffers, so a warm caller encodes and decodes
+// without allocating.
 type FloatCodec interface {
 	// Name identifies the codec in messages; a payload carries its wire ID.
 	Name() string
 	// AppendEncode appends the encoding of values to dst (which may be nil
 	// or a recycled buffer sliced to length zero) and returns the extended
 	// buffer.
-	AppendEncode(dst []byte, values []float64) ([]byte, error)
+	AppendEncode(dst []byte, values []float32) ([]byte, error)
 	// DecodeInto decodes exactly len(out) values from buf into out,
 	// overwriting all of it.
-	DecodeInto(buf []byte, out []float64) error
+	DecodeInto(buf []byte, out []float32) error
 }
 
 // Raw32 stores values as little-endian IEEE-754 float32.
@@ -35,22 +36,22 @@ var _ FloatCodec = Raw32{}
 func (Raw32) Name() string { return "raw32" }
 
 // AppendEncode implements FloatCodec.
-func (Raw32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
+func (Raw32) AppendEncode(dst []byte, values []float32) ([]byte, error) {
 	var tmp [4]byte
 	for _, v := range values {
-		binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(float32(v)))
+		binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(v))
 		dst = append(dst, tmp[:]...)
 	}
 	return dst, nil
 }
 
 // DecodeInto implements FloatCodec.
-func (Raw32) DecodeInto(buf []byte, out []float64) error {
+func (Raw32) DecodeInto(buf []byte, out []float32) error {
 	if len(buf) < 4*len(out) {
 		return fmt.Errorf("codec: raw32 needs %d bytes, have %d: %w", 4*len(out), len(buf), ErrCorrupt)
 	}
 	for i := range out {
-		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return nil
 }
@@ -59,7 +60,8 @@ func (Raw32) DecodeInto(buf []byte, out []float64) error {
 // exponent bytes together, then successively lower mantissa bytes) and writes
 // them as one DEFLATE stream. Like fpzip it exploits the strong redundancy of
 // neural-network weight exponents; unlike fpzip it is built entirely from the
-// Go standard library. Lossless with respect to the float32 quantization.
+// Go standard library. Lossless: every float32 bit pattern, NaN payloads
+// included, decodes to itself.
 //
 // The stream is Huffman-only: plane 0 (sign and the high exponent bits) is
 // written and flushed, so its blocks end at the plane boundary with their own
@@ -88,13 +90,13 @@ const maxStored = 65535
 // mantissa bytes and store them all the same: chunks storesForSure vouches for
 // are appended as stored blocks directly, and the writer takes over again from
 // the first it cannot vouch for. The bytes are the writer's own either way.
-func (PlaneFlate32) AppendEncode(dst []byte, values []float64) ([]byte, error) {
+func (PlaneFlate32) AppendEncode(dst []byte, values []float32) ([]byte, error) {
 	n := len(values)
 	pp := getByteBuf(4 * n)
 	defer putByteBuf(pp)
 	planes := *pp
 	for i, v := range values {
-		b := math.Float32bits(float32(v))
+		b := math.Float32bits(v)
 		planes[i] = byte(b >> 24)
 		planes[n+i] = byte(b >> 16)
 		planes[2*n+i] = byte(b >> 8)
@@ -156,7 +158,7 @@ func storesForSure(chunk []byte) bool {
 // DecodeInto implements FloatCodec. What inflateLiterals declines — the
 // LZ payloads of older encoders, corrupt input — goes through a pooled
 // compress/flate reader from the start, which decides.
-func (PlaneFlate32) DecodeInto(buf []byte, out []float64) error {
+func (PlaneFlate32) DecodeInto(buf []byte, out []float32) error {
 	count := len(out)
 	pp := getByteBuf(4 * count)
 	defer putByteBuf(pp)
@@ -173,7 +175,7 @@ func (PlaneFlate32) DecodeInto(buf []byte, out []float64) error {
 	for i := range out {
 		b := uint32(planes[i])<<24 | uint32(planes[n+i])<<16 |
 			uint32(planes[2*n+i])<<8 | uint32(planes[3*n+i])
-		out[i] = float64(math.Float32frombits(b))
+		out[i] = math.Float32frombits(b)
 	}
 	return nil
 }

@@ -6,27 +6,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // fuzzSeedPayloads builds one valid payload per (index mode, codec) pair —
 // the corpus the fuzzer mutates from, so it starts inside the wire format
-// instead of rediscovering the header layout bit by bit — and the raw32 ones
-// again under each retired codec ID, which the decoder must reject.
+// instead of rediscovering the header layout bit by bit — plus a dense one of
+// specialBits per codec, and the raw32 ones again under each retired codec ID,
+// which the decoder must reject.
 func fuzzSeedPayloads(tb testing.TB) [][]byte {
 	tb.Helper()
-	vals := []float64{0.5, -1.25, 3.75, 0, -0.0625, 2}
+	vals := []float32{0.5, -1.25, 3.75, 0, -0.0625, 2}
 	dense := SparseVector{Dim: 6, Values: vals}
 	sparse := SparseVector{Dim: 40, Indices: []int{1, 4, 17, 18, 31, 39}, Values: vals}
 	seeded := SparseVector{Dim: 40, Seed: 0xfeed, Values: vals}
+	specials := SparseVector{Dim: len(specialBits), Values: make([]float32, len(specialBits))}
+	for i, b := range specialBits {
+		specials.Values[i] = math.Float32frombits(b)
+	}
 	codecs := []FloatCodec{Raw32{}, PlaneFlate32{}}
 	var out [][]byte
 	for _, fc := range codecs {
 		for _, c := range []struct {
 			sv   SparseVector
 			mode IndexMode
-		}{{dense, IndexDense}, {sparse, IndexGamma}, {seeded, IndexSeed}} {
+		}{{dense, IndexDense}, {sparse, IndexGamma}, {seeded, IndexSeed}, {specials, IndexDense}} {
 			buf, _, err := EncodeSparse(c.sv, c.mode, fc)
 			if err != nil {
 				tb.Fatal(err)
@@ -46,9 +53,11 @@ func fuzzSeedPayloads(tb testing.TB) [][]byte {
 
 // FuzzDecodeSparseInto hammers the payload decoder with mutated wire bytes:
 // it must never panic or allocate proportionally to a corrupt header's
-// claims, and anything it accepts must satisfy the invariants the aggregation
+// claims, anything it accepts must satisfy the invariants the aggregation
 // path relies on without further checks (count within dim, indices strictly
-// increasing and in range).
+// increasing and in range), and the round trip is exact: re-encoded with its
+// own index mode and codec, an accepted payload decodes to the same support
+// and the same float32 bits, NaNs (signalling ones too) included.
 func FuzzDecodeSparseInto(f *testing.F) {
 	for _, buf := range fuzzSeedPayloads(f) {
 		f.Add(buf)
@@ -64,7 +73,7 @@ func FuzzDecodeSparseInto(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Add([]byte{2, 3, 40, 0, 0, 0, 6, 0, 0, 0, 0xed, 0xfe, 0, 0, 0, 0, 0, 0}) // a retired codec id
-	var sv SparseVector
+	var sv, back SparseVector
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
@@ -96,6 +105,22 @@ func FuzzDecodeSparseInto(f *testing.F) {
 					t.Fatalf("index %d out of order or range (prev %d, dim %d)", idx, prev, sv.Dim)
 				}
 				prev = idx
+			}
+		}
+		fc, _ := floatCodecFromID(data[1]) // the decode accepted the id
+		again, _, err := EncodeSparse(sv, IndexMode(data[0]), fc)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		if err := DecodeSparseInto(&back, again); err != nil {
+			t.Fatalf("decoding the re-encoded payload: %v", err)
+		}
+		if back.Dim != sv.Dim || len(back.Values) != len(sv.Values) || !slices.Equal(back.Indices, sv.Indices) {
+			t.Fatalf("re-encoded payload decodes to another support")
+		}
+		for i, v := range sv.Values {
+			if have, want := math.Float32bits(back.Values[i]), math.Float32bits(v); have != want {
+				t.Fatalf("value %d: bits %08x after the round trip, want %08x", i, have, want)
 			}
 		}
 	})
@@ -164,7 +189,7 @@ func TestInflateLiteralsDeclinesIncompleteDistanceCode(t *testing.T) {
 	if !errors.As(flateErr, &corrupt) {
 		t.Fatalf("compress/flate read the block: %v", flateErr)
 	}
-	err := PlaneFlate32{}.DecodeInto(block, make([]float64, 1))
+	err := PlaneFlate32{}.DecodeInto(block, make([]float32, 1))
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), flateErr.Error()) {
 		t.Fatalf("DecodeInto = %v, want ErrCorrupt carrying %q", err, flateErr)
 	}

@@ -24,14 +24,16 @@ const (
 	IndexSeed
 )
 
-// SparseVector is a subset of coefficients of a Dim-dimensional vector.
+// SparseVector is a subset of coefficients of a Dim-dimensional vector, with
+// the float32 values the wire carries: a sender narrows once when it builds
+// the vector, and a decoded vector holds exactly the values that were sent.
 // Exactly one support description is used depending on the index mode:
 // Indices for explicit supports, or (Seed, len(Values)) for seeded supports.
 type SparseVector struct {
 	Dim     int
 	Indices []int // strictly increasing; nil for dense or seeded vectors
 	Seed    uint64
-	Values  []float64
+	Values  []float32
 }
 
 // SeededIndices regenerates the index set for a seeded sparse vector. Both
@@ -272,7 +274,7 @@ func DecodeSparseInto(sv *SparseVector, buf []byte) error {
 		sv.Indices = SeededIndices(sv.Seed, sv.Dim, count)
 	}
 	if cap(sv.Values) < count {
-		sv.Values = make([]float64, count)
+		sv.Values = make([]float32, count)
 	} else {
 		sv.Values = sv.Values[:count]
 	}

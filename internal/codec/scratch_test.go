@@ -9,11 +9,15 @@ import (
 	"repro/internal/vec"
 )
 
-func randomValues(n int, seed uint64) []float64 {
-	r := vec.NewRNG(seed)
-	out := make([]float64, n)
+func randomValues(n int, seed uint64) []float32 {
+	return gaussianValues(n, 1, seed)
+}
+
+// repeat returns n copies of v narrowed to float32.
+func repeat(v float64, n int) []float32 {
+	out := make([]float32, n)
 	for i := range out {
-		out[i] = r.NormFloat64()
+		out[i] = float32(v)
 	}
 	return out
 }
@@ -54,15 +58,15 @@ func TestDecodeIntoIgnoresDirtyScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Name(), err)
 		}
-		got := make([]float64, len(vals))
+		got := make([]float32, len(vals))
 		for i := range got {
-			got[i] = math.Inf(1) // dirty scratch
+			got[i] = float32(math.Inf(1)) // dirty scratch
 		}
 		if err := fc.DecodeInto(buf, got); err != nil {
 			t.Fatalf("%s: %v", fc.Name(), err)
 		}
 		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 				t.Fatalf("%s: value %d: dirty scratch %v != zeroed scratch %v", fc.Name(), i, got[i], want[i])
 			}
 		}

@@ -20,13 +20,13 @@ func refPartialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out
 	for _, m := range msgs {
 		if m.sv.Indices == nil {
 			for k, v := range m.sv.Values {
-				out[k] += m.weight * v
+				out[k] += m.weight * float64(v)
 				wsum[k] += m.weight
 			}
 			continue
 		}
 		for pos, idx := range m.sv.Indices {
-			out[idx] += m.weight * m.sv.Values[pos]
+			out[idx] += m.weight * float64(m.sv.Values[pos])
 			wsum[idx] += m.weight
 		}
 	}
@@ -37,8 +37,8 @@ func refPartialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out
 
 // averageInputs draws a node's vector and d messages: dense, explicit-index
 // (what a gamma payload decodes to) and seeded supports mixed by kinds, which
-// cycles; count 0 gives an empty, non-nil index list. Values carry ±0, NaN
-// and ±Inf when specials is set.
+// cycles; count 0 gives an empty, non-nil index list. Message values are
+// float32, as decoded. Values carry ±0, NaN and ±Inf when specials is set.
 func averageInputs(r *vec.RNG, dim, d int, kinds string, specials bool) ([]float64, []decodedMsg) {
 	draw := func(n int) []float64 {
 		out := make([]float64, n)
@@ -57,13 +57,13 @@ func averageInputs(r *vec.RNG, dim, d int, kinds string, specials bool) ([]float
 		m.sv.Dim = dim
 		switch kinds[i%len(kinds)] {
 		case 'd':
-			m.sv.Values = draw(dim)
+			m.sv.Values = vec.AppendNarrow(nil, draw(dim))
 		case 'g':
 			m.sv.Indices = r.SampleWithoutReplacement(dim, r.Intn(dim+1))
-			m.sv.Values = draw(len(m.sv.Indices))
+			m.sv.Values = vec.AppendNarrow(nil, draw(len(m.sv.Indices)))
 		case 's':
 			m.sv.Indices = codec.SeededIndices(r.Uint64(), dim, dim*37/100)
-			m.sv.Values = draw(len(m.sv.Indices))
+			m.sv.Values = vec.AppendNarrow(nil, draw(len(m.sv.Indices)))
 		case 'e':
 			m.sv.Indices = []int{}
 		}
@@ -109,7 +109,7 @@ func BenchmarkPartialAverage(b *testing.B) {
 				msgs[i].sv.Indices = r.SampleWithoutReplacement(dim, 14000)
 				msgs[i].sv.Values = msgs[i].sv.Values[:0]
 				for range msgs[i].sv.Indices {
-					msgs[i].sv.Values = append(msgs[i].sv.Values, r.NormFloat64())
+					msgs[i].sv.Values = append(msgs[i].sv.Values, float32(r.NormFloat64()))
 				}
 			}
 		}

@@ -42,7 +42,8 @@ func (n *FullSharingNode) Share(round int) ([]byte, codec.ByteBreakdown, error) 
 	s := acquireScratch()
 	defer s.release()
 	n.model.CopyParams(vec.Grow(&s.params, n.dim))
-	sv := codec.SparseVector{Dim: n.dim, Values: s.params}
+	s.vals = vec.AppendNarrow(s.vals[:0], s.params)
+	sv := codec.SparseVector{Dim: n.dim, Values: s.vals}
 	return n.encode(s, sv, codec.IndexDense, n.fc)
 }
 
@@ -111,7 +112,8 @@ func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, erro
 		k = 1
 	}
 	if k >= n.dim {
-		sv := codec.SparseVector{Dim: n.dim, Values: s.params}
+		s.vals = vec.AppendNarrow(s.vals[:0], s.params)
+		sv := codec.SparseVector{Dim: n.dim, Values: s.vals}
 		return n.encode(s, sv, codec.IndexDense, n.fc)
 	}
 	seed := n.rng.Uint64()

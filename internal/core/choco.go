@@ -40,7 +40,7 @@ type ChocoNode struct {
 
 	xhat  []float64 // x̂_i: own public replica
 	s     []float64 // Σ_j w_ij x̂_j over the (fixed) neighborhood
-	qSelf []float64 // q_i: own quantized difference, from Share to Aggregate
+	qSelf []float64 // q_i: own compressed difference as the wire carries it, from Share to Aggregate
 }
 
 var _ Node = (*ChocoNode)(nil)
@@ -71,7 +71,8 @@ func NewChoco(id int, model nn.Trainable, loader *datasets.Loader, opts TrainOpt
 }
 
 // Share implements Node: q_i = TopK(x^(t+1/2) - x̂_i) with gamma-coded index
-// metadata.
+// metadata. The node keeps q_i as its neighbours decode it, the float32
+// payload values widened, so its own x̂_i and the x̂_i they sum into s agree.
 func (n *ChocoNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	sc := acquireScratch()
 	defer sc.release()
@@ -79,16 +80,24 @@ func (n *ChocoNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	diff := vec.Grow(&sc.delta, n.dim)
 	vec.DiffInto(diff, sc.params, n.xhat)
 	k := max(int(n.cfg.Fraction*float64(n.dim)), 1)
+	sv := codec.SparseVector{Dim: n.dim}
+	mode := codec.IndexDense
 	if k >= n.dim {
-		copy(n.qSelf, diff)
-		return n.encode(sc, codec.SparseVector{Dim: n.dim, Values: diff}, codec.IndexDense, n.cfg.FloatCodec)
+		sc.vals = vec.AppendNarrow(sc.vals[:0], diff)
+	} else {
+		mode = codec.IndexGamma
+		sv.Indices = sparsify.TopKIndicesWith(&sc.topk, diff, k)
+		sc.vals = sparsify.AppendGather(sc.vals[:0], diff, sv.Indices)
 	}
-	sv := codec.SparseVector{Dim: n.dim, Indices: sparsify.TopKIndicesWith(&sc.topk, diff, k)}
-	sc.vals = sparsify.AppendGather(sc.vals[:0], diff, sv.Indices)
 	sv.Values = sc.vals
 	clear(n.qSelf)
-	sparsify.Scatter(n.qSelf, sv.Indices, sv.Values)
-	return n.encode(sc, sv, codec.IndexGamma, n.cfg.FloatCodec)
+	for j, v := range sv.Values {
+		if sv.Indices != nil {
+			j = sv.Indices[j]
+		}
+		n.qSelf[j] = float64(v)
+	}
+	return n.encode(sc, sv, mode, n.cfg.FloatCodec)
 }
 
 // Aggregate implements Node: integrate all q_j into s, update x̂, and apply
@@ -108,11 +117,11 @@ func (n *ChocoNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 	for _, m := range decoded {
 		if m.sv.Indices == nil {
 			for i, v := range m.sv.Values {
-				n.s[i] += m.weight * v
+				n.s[i] += m.weight * float64(v)
 			}
 		} else {
 			for pos, idx := range m.sv.Indices {
-				n.s[idx] += m.weight * m.sv.Values[pos]
+				n.s[idx] += m.weight * float64(m.sv.Values[pos])
 			}
 		}
 	}

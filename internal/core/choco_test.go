@@ -144,6 +144,46 @@ func TestChocoRejectsUnknownSender(t *testing.T) {
 	}
 }
 
+// TestChocoSelfReplicaMatchesWire: the q_i a node adds to its own x̂_i and
+// s_i is, bit for bit, the q_i its neighbours decode from its payload —
+// widened float32 values where it shares, zero elsewhere — on the dense
+// (fraction 1) and the top-k branch, over rounds whose differences are not
+// float32 values.
+func TestChocoSelfReplicaMatchesWire(t *testing.T) {
+	for _, fraction := range []float64{1, 0.2} {
+		rng := vec.NewRNG(12)
+		g, err := topology.Regular(6, 4, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := topology.MetropolisHastings(g)
+		nodes := chocoFleet(t, 6, 300, 1, rng, ChocoConfig{Fraction: fraction, Gamma: 0.5})
+		for round := 0; round < 4; round++ {
+			for i, node := range nodes {
+				payload, _, err := node.Share(round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sv codec.SparseVector
+				if err := codec.DecodeSparseInto(&sv, payload); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, sv.Dim)
+				for j, v := range sv.Values {
+					if sv.Indices != nil {
+						j = sv.Indices[j]
+					}
+					want[j] = float64(v)
+				}
+				if got := node.(*ChocoNode).qSelf; !floatsBitEqual(got, want) {
+					t.Fatalf("fraction %v, round %d, node %d: q_i differs from what its payload decodes to", fraction, round, i)
+				}
+			}
+			runConsensusRound(t, nodes, g, w, round)
+		}
+	}
+}
+
 // TestChocoShareAllocationCeiling holds CHOCO to the ceilings
 // TestJWINSHotPathAllocationFree sets for JWINS. With a warm working set and
 // the raw32 codec, Share keeps the difference vector, the top-k selection,

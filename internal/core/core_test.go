@@ -91,16 +91,16 @@ func sharedIndices(n *JWINSNode) []int {
 	return idx
 }
 
-func floatsBitEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// floatsBitEqual reports whether a and b hold the same bit patterns.
+func floatsBitEqual[T float32 | float64](a, b []T) bool {
+	return slices.EqualFunc(a, b, func(x, y T) bool { return floatBits(x) == floatBits(y) })
+}
+
+func floatBits[T float32 | float64](x T) uint64 {
+	if f, ok := any(x).(float32); ok {
+		return uint64(math.Float32bits(f))
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return math.Float64bits(float64(x))
 }
 
 func TestAlphaDistributions(t *testing.T) {
@@ -434,7 +434,7 @@ func TestRandomSamplingSeedRegeneration(t *testing.T) {
 		t.Fatalf("decoded %d indices, want 10", len(sv.Indices))
 	}
 	for pos, idx := range sv.Indices {
-		if sv.Values[pos] != float64(float32(params[idx])) {
+		if sv.Values[pos] != float32(params[idx]) {
 			t.Fatalf("value mismatch at %d", idx)
 		}
 	}

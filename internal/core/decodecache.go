@@ -18,7 +18,8 @@ const decodeCacheWays = 3
 // codec.SparseVector shared by all recipients, instead of once per
 // recipient (a payload broadcast to d neighbors was decoded d times
 // fleet-wide — entropy-decode and inflate dominate the aggregate micro for
-// flate32).
+// flate32). An entry holds the float32 values the wire carried, 4 bytes a
+// value; readers widen each one where they multiply it by its weight.
 //
 // Entries are keyed by the identity of the payload's backing array, not by
 // (sender, iteration): churn and epoch state-sync can legitimately put a

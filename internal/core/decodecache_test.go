@@ -13,9 +13,9 @@ import (
 // relies on.
 func testPayload(t *testing.T, dim int, seed float64) []byte {
 	t.Helper()
-	vals := make([]float64, dim)
+	vals := make([]float32, dim)
 	for i := range vals {
-		vals[i] = seed + float64(i)
+		vals[i] = float32(seed + float64(i))
 	}
 	buf, _, err := codec.EncodeSparse(codec.SparseVector{Dim: dim, Values: vals},
 		codec.IndexDense, codec.Raw32{})

@@ -229,12 +229,12 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	mode := codec.IndexGamma
 	if n.fullShare {
 		mode = codec.IndexDense // skip index metadata entirely
-		sv.Values = cur
+		s.vals = vec.AppendNarrow(s.vals[:0], cur)
 	} else {
 		sv.Indices = sel
 		s.vals = sparsify.AppendGather(s.vals[:0], cur, sel)
-		sv.Values = s.vals
 	}
+	sv.Values = s.vals
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
 

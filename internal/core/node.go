@@ -115,6 +115,7 @@ func (b *baseNode) LocalTrain() float64 {
 // sender order whatever the block size: dense payloads (nil Indices) add to
 // every coefficient, sparse ones keep a cursor into their increasing Indices.
 // When every message is dense the weight sum is one number for all of them.
+// Message values are the wire's float32, widened at their multiply.
 func partialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out []float64) {
 	allDense, total := true, selfWeight
 	for i := range msgs {
@@ -146,12 +147,12 @@ func partialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out []
 				c, d := msgs[i+2].sv.Values[lo:hi][:len(o)], msgs[i+3].sv.Values[lo:hi][:len(o)]
 				wa, wb, wc, wd := m.weight, msgs[i+1].weight, msgs[i+2].weight, msgs[i+3].weight
 				for k := range o {
-					o[k] = o[k] + wa*a[k] + wb*b[k] + wc*c[k] + wd*d[k]
+					o[k] = o[k] + wa*float64(a[k]) + wb*float64(b[k]) + wc*float64(c[k]) + wd*float64(d[k])
 				}
 				i += 3
 			} else if m.dense {
 				for k, v := range m.sv.Values[lo:hi] {
-					o[k] += m.weight * v
+					o[k] += m.weight * float64(v)
 				}
 				if !allDense {
 					for k := range ws {
@@ -162,7 +163,7 @@ func partialAverage(own []float64, selfWeight float64, msgs []decodedMsg, out []
 				idx, p := m.sv.Indices, m.next
 				for ; p < len(idx) && idx[p] < hi; p++ {
 					k := idx[p] - lo
-					o[k] += m.weight * m.sv.Values[p]
+					o[k] += m.weight * float64(m.sv.Values[p])
 					ws[k] += m.weight
 				}
 				m.next = p

@@ -29,7 +29,7 @@ type scratch struct {
 	avg       []float64 // weight-normalized average of own and received vectors
 	newParams []float64 // inverse transform of avg
 
-	vals []float64 // gathered values for the payload
+	vals []float32 // the payload's values, narrowed to what the wire carries
 	topk sparsify.TopKScratch
 	enc  codec.EncodeScratch
 	dwt  dwt.Scratch

@@ -19,12 +19,16 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.params, s.coeffs, s.delta, s.scores, s.avg, s.newParams, s.vals, s.bandMasses,
+			s.params, s.coeffs, s.delta, s.scores, s.avg, s.newParams, s.bandMasses,
 		} {
 			buf = buf[:cap(buf)]
 			for i := range buf {
 				buf[i] = math.NaN()
 			}
+		}
+		vals := s.vals[:cap(s.vals)]
+		for i := range vals {
+			vals[i] = float32(math.NaN())
 		}
 	}
 }

@@ -21,7 +21,9 @@ import (
 // AccumulateLiteralEq4 arm is the literal field (a test-side arm only), and
 // the scratch buffers that went with V are local here: the lockstep twin's
 // oracle. It keeps its own DWT(x^(t,tau)) from Share to Aggregate, as the
-// node did then, and records its selection in the embedded node's mask.
+// node did then, and records its selection in the embedded node's mask. Its
+// payload values are narrowed to float32 where the vector is built, as the
+// wire type now requires; the codecs narrowed them at that commit.
 type refJWINS struct {
 	*JWINSNode
 	v         []float64 // V: accumulated importance scores (coeff domain)
@@ -84,12 +86,12 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	mode := codec.IndexGamma
 	if n.fullShare {
 		mode = codec.IndexDense
-		sv.Values = n.curCoeffs
+		s.vals = vec.AppendNarrow(s.vals[:0], n.curCoeffs)
 	} else {
 		sv.Indices = sel
 		s.vals = sparsify.AppendGather(s.vals[:0], n.curCoeffs, sel)
-		sv.Values = s.vals
 	}
+	sv.Values = s.vals
 	return n.encode(s, sv, mode, n.cfg.FloatCodec)
 }
 

@@ -9,6 +9,7 @@ package datasets
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/nn"
@@ -171,6 +172,28 @@ func Evaluate(ds *Dataset, model nn.Trainable, batch int) (loss, accuracy float6
 		count += m
 	}
 	return sumLoss / float64(count), float64(correct) / float64(count)
+}
+
+// MajorityRate is the chance level of the test set: the share of the targets
+// Evaluate scores (one per image or rating, one per position of a sequence)
+// that the most common class takes, which is the accuracy of always
+// predicting that class. A rating counts under its nearest integer, the
+// constant prediction Evaluate scores correct for it.
+func (d *Dataset) MajorityRate() float64 {
+	counts := map[int]int{}
+	n, best := 0, 0
+	for _, s := range d.Test {
+		for _, y := range s.Y {
+			c := int(math.Round(y))
+			counts[c]++
+			best = max(best, counts[c])
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(best) / float64(n)
 }
 
 // --- Partitioners -----------------------------------------------------------

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/nn"
@@ -235,5 +236,49 @@ func TestEvaluateEmptyAndBounds(t *testing.T) {
 	loss, acc := Evaluate(ds, clf, 0) // default batch
 	if loss <= 0 || acc < 0 || acc > 1 {
 		t.Fatalf("loss %v acc %v", loss, acc)
+	}
+}
+
+// constantModel predicts one class (or rating) for every target and scores
+// it the way the models do: correct when within 0.5 of the target.
+type constantModel struct{ c float64 }
+
+func (constantModel) ParamCount() int                                   { return 0 }
+func (constantModel) CopyParams([]float64)                              {}
+func (constantModel) SetParams([]float64)                               {}
+func (constantModel) TrainBatch(*nn.Tensor, []float64, float64) float64 { return 0 }
+func (m constantModel) EvalBatch(_ *nn.Tensor, y []float64) (float64, int, int) {
+	correct := 0
+	for _, t := range y {
+		if math.Abs(m.c-t) < 0.5 {
+			correct++
+		}
+	}
+	return 0, correct, len(y)
+}
+
+// TestMajorityRateIsBestConstantAccuracy: on images, sequences and ratings,
+// MajorityRate is the accuracy Evaluate gives the best constant prediction.
+func TestMajorityRateIsBestConstantAccuracy(t *testing.T) {
+	text, err := ShakespeareLike(TextConfig{SeqLen: 16, Clients: 6, WindowsPerClient: 10}, vec.NewRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratings, err := MovieLensLike(RatingConfig{Users: 10, Items: 50, TrainPerUser: 8, TestPerUser: 6}, vec.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		ds     *Dataset
+		lo, hi int // the constant predictions to try
+	}{{testImages(t, 0), 0, 3}, {text, 0, text.Classes - 1}, {ratings, 1, 5}} {
+		var best float64
+		for k := c.lo; k <= c.hi; k++ {
+			_, acc := Evaluate(c.ds, constantModel{float64(k)}, 7)
+			best = max(best, acc)
+		}
+		if got := c.ds.MajorityRate(); got != best || got <= 0 {
+			t.Fatalf("%s: MajorityRate %v, best constant accuracy %v", c.ds.Name, got, best)
+		}
 	}
 }

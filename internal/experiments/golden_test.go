@@ -28,15 +28,20 @@ type goldenRow struct {
 // time follows bytes). The meta, loss and acc literals are byte for byte the
 // ones recorded before it: the codec is lossless, so an accuracy column that
 // holds at 1e-12 is the proof that only the wire size moved.
+//
+// The two CHOCO rows' loss was re-recorded, parent 797a59a, when a CHOCO node
+// started keeping q_i as the float32 values its neighbours decode instead of
+// the unrounded difference: bytes, clock and accuracy held, the loss moved in
+// its eighth digit.
 var goldenRows = []goldenRow{
 	{"cifar10", AlgoFull, 1463348, 1450868, 12480, 0.38965151999999992, 0.68410599075406109, 0.87187500000000007},
 	{"cifar10", AlgoRandom, 561860, 545540, 16320, 0.38063616000000011, 1.0353291662533923, 0.68750000000000011},
 	{"cifar10", AlgoJWINS, 512088, 458720, 53368, 0.38520671999999995, 0.79481701171753483, 0.78125},
-	{"cifar10", AlgoChoco, 345768, 288120, 57648, 0.37847455999999996, 1.0446581285352117, 0.65312499999999996},
+	{"cifar10", AlgoChoco, 345768, 288120, 57648, 0.37847455999999996, 1.0446581636154715, 0.65312499999999996},
 	{"movielens", AlgoFull, 1130508, 1118028, 12480, 0.31132127999999998, 0.49342673418058008, 0.5546875},
 	{"movielens", AlgoRandom, 439624, 423304, 16320, 0.30441503999999997, 0.50196355984681651, 0.55937499999999996},
 	{"movielens", AlgoJWINS, 396568, 355508, 41060, 0.30789823999999999, 0.49899287223952843, 0.56406250000000002},
-	{"movielens", AlgoChoco, 273428, 226988, 46440, 0.30275616, 0.5044281380255029, 0.53593750000000007},
+	{"movielens", AlgoChoco, 273428, 226988, 46440, 0.30275616, 0.50442813766547434, 0.53593750000000007},
 	// Recorded at the parent of the blocked convolution kernels (the
 	// per-tap-tested Conv2D loops): the LEAF-CNN workloads (InC = 1, OutC !=
 	// InC, no GroupNorm) and the fig8 ablation arms.

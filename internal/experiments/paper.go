@@ -8,14 +8,16 @@ import (
 )
 
 // table1 reproduces Table I / Figure 4: full-sharing vs random sampling vs
-// JWINS on the five workloads for a fixed round budget.
+// JWINS on the five workloads for a fixed round budget. chance is the test
+// set's majority-class rate, the accuracy an arm must beat to have learnt.
 func table1(scale Scale, seed uint64, opts Opts) (*Table, error) {
 	t := &Table{
 		Title: "Table I: final test accuracies and network transfer (fixed rounds)",
 		Columns: []Column{
 			{"dataset", "%s", "dataset", "%-12s"},
 			{"rounds", "%d", "rounds", "%7d"},
-			{"acc_full", "%.2f", "acc:full", "| %7.1f%%"},
+			{"chance", "%.2f", "chance", "| %7.1f%%"},
+			{"acc_full", "%.2f", "acc:full", "%7.1f%%"},
 			{"acc_random", "%.2f", "acc:rand", "%7.1f%%"},
 			{"acc_jwins", "%.2f", "acc:jwins", "%7.1f%%"},
 			{Name: "loss_full", CSV: "%.4f"},
@@ -42,7 +44,7 @@ func table1(scale Scale, seed uint64, opts Opts) (*Table, error) {
 		}
 		full, random, jwins := rs[0], rs[1], rs[2]
 		savings := 1 - float64(jwins.TotalBytes)/float64(full.TotalBytes)
-		t.Rows = append(t.Rows, []any{name, w.Rounds, acc(full), acc(random), acc(jwins),
+		t.Rows = append(t.Rows, []any{name, w.Rounds, w.Dataset.MajorityRate() * 100, acc(full), acc(random), acc(jwins),
 			full.FinalLoss, random.FinalLoss, jwins.FinalLoss,
 			byteCount(full.TotalBytes), random.TotalBytes, byteCount(jwins.TotalBytes), jwins.MetaBytes,
 			savings, savings * 100})

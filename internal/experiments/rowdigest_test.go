@@ -26,10 +26,10 @@ import (
 // Embedding and LSTM path. Never re-record them for a change that claims the
 // same arithmetic.
 var syncRowDigests = map[string]string{
-	"cifar10":     "de844bed6070726b7377eac8a6ee5b2ee902f3d83067f0701ccae7a130d9c200",
-	"femnist":     "dcc9b84bf64fa3601a203be3d0994a48cd15536b47a0e5a307c159a7a846b7fc",
-	"shakespeare": "d8b9a8e0b93db1beefc28d5e98c7da9b51ccb68dc41557da300df7d9550f5bb8",
-	"movielens":   "22739ad5a80b79e8b16233b10222528ac9f99efd8e94862c2e6ad4d55902e997",
+	"cifar10":     "fe8757d60b40d96129fe4c3b13fc17d273c3b68215a3d11b70eec3c41c736e8d", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
+	"femnist":     "91e108bbbcda8f53248fdfe0f8b3772f3cd5b4dcc5392d1bb0b053313c29b52c", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
+	"shakespeare": "179402fe53d6c76cf0c382d1b097389c4fc86ab7169c4876537ef40452c69575", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
+	"movielens":   "086d6c508c2da657dcac23e5ff3fa01f957bf0432afc17ea3d34f8a032ec125e", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
 }
 
 // TestSyncRowDigest holds the synchronous engine's result rows bit for bit

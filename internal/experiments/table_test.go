@@ -118,8 +118,8 @@ func TestResultCSVs(t *testing.T) {
 	}{
 		{"fig2", fig2, "epoch,wavelet_mse,fft_mse,random_mse", row("1", f8, f8, f8)},
 		{"fig3", fig3, "node,alpha", row("0", f4)},
-		{"table1", table1, "dataset,rounds,acc_full,acc_random,acc_jwins,loss_full,loss_random,loss_jwins,bytes_full,bytes_random,bytes_jwins,meta_jwins,savings",
-			row("cifar10", i, f2, f2, f2, f4, f4, f4, i, i, i, i, f4)},
+		{"table1", table1, "dataset,rounds,chance,acc_full,acc_random,acc_jwins,loss_full,loss_random,loss_jwins,bytes_full,bytes_random,bytes_jwins,meta_jwins,savings",
+			row("cifar10", i, f2, f2, f2, f2, f4, f4, f4, i, i, i, i, f4)},
 		{"fig5", fig5, "dataset,target_acc,rounds_full,rounds_random,rounds_jwins,bytes_full,bytes_random,bytes_jwins,rounds_saved,byte_ratio",
 			row("cifar10", f2, i, i, i, i, i, i, i, f3)},
 		{"fig6", fig6, "budget,gamma,rounds,acc_choco,acc_jwins,loss_choco,loss_jwins,bytes_node_choco,bytes_node_jwins,target_acc,rounds_to_target_jwins,bytes_to_target_jwins,bytes_to_target_full",

@@ -164,21 +164,12 @@ func allEqual(bits []uint64, cand []int) (bool, uint64) {
 	return true, ref
 }
 
-// AppendGather appends v[indices] to dst (which may be recycled scratch
-// sliced to zero length) and returns the extended slice.
-func AppendGather(dst, v []float64, indices []int) []float64 {
+// AppendGather appends v[indices], narrowed to the float32 the wire carries,
+// to dst (which may be recycled scratch sliced to zero length) and returns
+// the extended slice.
+func AppendGather(dst []float32, v []float64, indices []int) []float32 {
 	for _, i := range indices {
-		dst = append(dst, v[i])
+		dst = append(dst, float32(v[i]))
 	}
 	return dst
-}
-
-// Scatter writes vals into dst at indices: dst[indices[j]] = vals[j].
-func Scatter(dst []float64, indices []int, vals []float64) {
-	if len(indices) != len(vals) {
-		panic("sparsify: Scatter length mismatch")
-	}
-	for j, i := range indices {
-		dst[i] = vals[j]
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -289,42 +290,19 @@ func TestTopKIntoAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAppendGather gathers in index order and reuses capacity.
+// TestAppendGather gathers in index order, narrows to float32 and reuses
+// capacity.
 func TestAppendGather(t *testing.T) {
-	v := []float64{10, 20, 30, 40, 50}
-	scratch := make([]float64, 0, 8)
+	v := []float64{10, 20, 30, 40, 0.1}
+	scratch := make([]float32, 0, 8)
 	got := AppendGather(scratch, v, []int{4, 0, 2})
-	want := []float64{50, 10, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendGather = %v, want %v", got, want)
-		}
+	want := []float32{0.1, 10, 30}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendGather = %v, want %v", got, want)
 	}
 	if &got[0] != &scratch[:1][0] {
 		t.Fatal("AppendGather reallocated despite sufficient capacity")
 	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	v := []float64{10, 20, 30, 40}
-	g := AppendGather(nil, v, []int{0, 3})
-	if g[0] != 10 || g[1] != 40 {
-		t.Fatalf("AppendGather = %v", g)
-	}
-	dst := make([]float64, 4)
-	Scatter(dst, []int{1, 2}, []float64{7, 8})
-	if dst[1] != 7 || dst[2] != 8 || dst[0] != 0 {
-		t.Fatalf("Scatter = %v", dst)
-	}
-}
-
-func TestScatterMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Scatter(make([]float64, 3), []int{0, 1}, []float64{1})
 }
 
 func BenchmarkTopK(b *testing.B) {

@@ -7,6 +7,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Grow reslices *buf to length n, reallocating only when its capacity is
@@ -19,6 +20,20 @@ func Grow(buf *[]float64, n int) []float64 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// AppendNarrow appends every element of v, narrowed to float32, to dst
+// (which may be recycled scratch sliced to zero length) and returns the
+// extended slice: the dense counterpart of sparsify.AppendGather, for
+// payloads that carry a whole vector.
+func AppendNarrow(dst []float32, v []float64) []float32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(v))[:n+len(v)]
+	out := dst[n:]
+	for i, x := range v {
+		out[i] = float32(x)
+	}
+	return dst
 }
 
 // Sub computes dst[i] -= src[i]. It panics if lengths differ.

@@ -62,6 +62,22 @@ func TestDiffInto(t *testing.T) {
 	}
 }
 
+// TestAppendNarrow narrows in order, appends after what dst holds and reuses
+// its capacity.
+func TestAppendNarrow(t *testing.T) {
+	dst := make([]float32, 1, 4)
+	got := AppendNarrow(dst, []float64{0.1, -2, math.Inf(1)})
+	want := []float32{0, 0.1, -2, float32(math.Inf(1))}
+	if len(got) != len(want) || &got[0] != &dst[0] {
+		t.Fatalf("AppendNarrow = %v, want %v in dst's array", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("AppendNarrow = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
