@@ -27,7 +27,7 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"table1", "19d89b9956629950c03a770300a43b02058cfbded97b25b380c0f4af1ac682cc", "acb6c6558576966000b7c415239cbe4ac6731ebf98440dfda217e63a1b07c3f5"}, // re-recorded, parent 797a59a: table1 prints each test set's majority-class rate as a chance column
 	{"fig5", "b3d4f826bf282c51cbbefd1a5c3b92f248738e9a2ac6eda35de04b54108e6133", "f03f7c7e9c66f32e88809e4021ce17ac02cf163cae3577267350e3e00f7c347e"},
 	{"fig6", "f6ec80f2327af47c72b23f20d683bed60fe62918946a68b33ba80c93800da3a7", "800fa8130a3ecaa450e28784853c6b09a28c8f5e026cb24de5b12c6f95bf381e"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"fig7", "2c7fcf251226a6bb3c1492ad9c0c04ce5cdb93f18c1b250e8644d8553181d05f", "a4f2ba5d0fb70dd455d22402029ae1bb219e05831bf33aa05e499a1b9ead13ea"}, // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; fig7's CHOCO arms move, no other
+	{"fig7", "3be6e6d9abadf665dae78c7dec5c7216d53afa4d5ac8e39f629a7f8f11b9bdc7", "a0a94a1dbb2cab6acc9f95fb2b3e745ba5d58fb71d73eb769905ca2ff1b04457"}, // re-recorded, parent 08c45e3: fig7's dynamic arms read the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arm is unchanged
 	{"fig8", "8e9cb6c142aad58cb971a9f89f4e4c629ff9b91a23869f95939c50bc800c1bd3", "4adaccccae3b1972f03c83defd8e55dfc858adf26141e46bbd118ce6bc220390"},
 	{"fig9", "32facbb92c519173432ff5acc5535fbf8d77f3de624a19450ae8a543b679c169", "a468b6e16a3e9aae59ada756220efb283f18d4828d1f7c32e4f5b2bc73605cdf"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},

@@ -77,18 +77,23 @@ func recordChurnRun(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join(t.TempDir(), "run"+trace.BinaryExt)
-	sr, err := trace.NewStreamRecorderFile(src, experiments.TraceHeaderFor(w, experiments.AlgoJWINS, rounds, seed, false, false, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := experiments.Run(experiments.RunSpec{
+	spec := experiments.RunSpec{
 		Workload: w, Algo: experiments.AlgoSpec{Kind: experiments.AlgoJWINS},
 		Rounds: rounds, Seed: seed, Async: true,
 		Het:           simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3},
 		ChurnFraction: 0.25,
-		Recorder:      sr,
-	}); err != nil {
+	}
+	h, err := spec.TraceHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(t.TempDir(), "run"+trace.BinaryExt)
+	sr, err := trace.NewStreamRecorderFile(src, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Recorder = sr
+	if _, err := experiments.Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	if err := sr.Close(); err != nil {

@@ -208,49 +208,66 @@ func TestSpecFromTraceHeaderRejects(t *testing.T) {
 	}
 }
 
-// TestEvalScheduleHeaderRoundTrip: WithEvalSchedule must stamp the eval
-// schedule into the header, SpecFromTraceHeader must rebuild it, and a zero
-// sample must leave the header untouched so pre-sampler traces stay
-// byte-identical. The window advances every eval row: a header that says
-// otherwise (eval_rotate other than 1) is a configuration no run can
-// replay, rejected with ErrReplayConfig.
+// TestEvalScheduleHeaderRoundTrip: RunSpec.TraceHeader must stamp a sampled
+// eval schedule into the header and SpecFromTraceHeader must rebuild it,
+// while an exact-eval spec leaves both keys out so exact traces keep their
+// bytes. The window advances every eval row: a recording that says
+// otherwise (eval_rotate other than 1) is one no run can replay, rejected
+// with ErrReplayConfig.
 func TestEvalScheduleHeaderRoundTrip(t *testing.T) {
 	w, err := NewWorkload("cifar10", Micro, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := TraceHeaderFor(w, AlgoJWINS, 4, 1, false, false, 0)
-
-	h := WithEvalSchedule(base, 64)
+	spec := RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: 4, Seed: 1, Async: true, EvalSample: 64}
+	h, err := spec.TraceHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Meta["eval_sample"] != "64" || h.Meta["eval_rotate"] != "1" {
 		t.Fatalf("meta = %v", h.Meta)
 	}
-	spec, err := SpecFromTraceHeader(h)
+	back, err := SpecFromTraceHeader(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.EvalSample != 64 {
-		t.Fatalf("spec eval sample = %d, want 64", spec.EvalSample)
+	if back.EvalSample != 64 {
+		t.Fatalf("spec eval sample = %d, want 64", back.EvalSample)
 	}
 
 	// A recording whose window advanced more slowly.
-	slow := WithEvalSchedule(base, 64)
-	slow.Meta["eval_rotate"] = "2"
-	if _, err := SpecFromTraceHeader(slow); !errors.Is(err, simulation.ErrReplayConfig) {
+	spec.EvalSample = 4
+	if h, err = spec.TraceHeader(); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(h)
+	spec.Recorder = rec
+	if _, err := Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	slow := rec.Trace()
+	slow.Header.Meta["eval_rotate"] = "2"
+	if _, _, err := ReplayTrace(slow); !errors.Is(err, simulation.ErrReplayConfig) {
 		t.Fatalf("eval_rotate=2: got %v, want ErrReplayConfig", err)
 	}
 
-	// Sampling off: the header must pass through untouched.
-	plain := WithEvalSchedule(base, 0)
-	if _, ok := plain.Meta["eval_sample"]; ok {
-		t.Fatalf("exact-eval header gained eval meta: %v", plain.Meta)
-	}
-	spec, err = SpecFromTraceHeader(plain)
+	// Exact evaluation: no eval keys.
+	spec.EvalSample, spec.Recorder = 0, nil
+	plain, err := spec.TraceHeader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.EvalSample != 0 {
-		t.Fatalf("legacy header produced eval sample %d", spec.EvalSample)
+	if _, ok := plain.Meta["eval_sample"]; ok {
+		t.Fatalf("exact-eval header gained eval meta: %v", plain.Meta)
+	}
+	if _, ok := plain.Meta["eval_rotate"]; ok {
+		t.Fatalf("exact-eval header gained eval meta: %v", plain.Meta)
+	}
+	if back, err = SpecFromTraceHeader(plain); err != nil {
+		t.Fatal(err)
+	}
+	if back.EvalSample != 0 {
+		t.Fatalf("exact-eval header produced eval sample %d", back.EvalSample)
 	}
 }
 
@@ -261,7 +278,7 @@ func TestRecorderRequiresAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(TraceHeaderFor(w, AlgoJWINS, 0, 1, false, false, 0))
+	rec := trace.NewRecorder(trace.Header{Nodes: w.Nodes, Rounds: w.Rounds, Source: trace.SourceSim})
 	_, err = Run(RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1, Recorder: rec})
 	if err == nil || !strings.Contains(err.Error(), "Async") {
 		t.Fatalf("sync run with recorder: got %v", err)

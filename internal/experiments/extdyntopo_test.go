@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // TestRunSpecDynamicAsync: the previously rejected Dynamic+Async combination
@@ -45,46 +42,6 @@ func TestRunSpecEpochSecRequiresAsync(t *testing.T) {
 	_, err = Run(RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: 2, Seed: 3, EpochSec: 0.5})
 	if !errors.Is(err, ErrUnsupportedSpec) {
 		t.Fatalf("sync EpochSec: got %v, want ErrUnsupportedSpec", err)
-	}
-}
-
-// TestDynTopoRecordReplayRoundTrip: a recorded dynamic-topology run replays
-// through the full experiments pipeline (header metadata → fleet + topology
-// reconstruction) with exact event parity.
-func TestDynTopoRecordReplayRoundTrip(t *testing.T) {
-	w, err := NewWorkload("cifar10", Micro, 0, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epochSec := DefaultEpochSec(w)
-	rec := trace.NewRecorder(TraceHeaderFor(w, AlgoJWINS, 5, 19, false, true, epochSec))
-	recorded, err := Run(RunSpec{
-		Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: 5, Seed: 19,
-		Async: true, Dynamic: true, EpochSec: epochSec,
-		ChurnFraction: 0.25, Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := trace.Write(&wire, rec.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := trace.Read(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayRes, replayed, err := ReplayTrace(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := trace.Compare(replayed, rec.Trace())
-	if !diff.InSync() || diff.TimeErrMax != 0 {
-		t.Fatalf("replay out of sync: %+v", diff)
-	}
-	if replayRes.TotalBytes != recorded.TotalBytes || replayRes.SimTime != recorded.SimTime {
-		t.Fatalf("replay ledger/time differ: (%d, %v) vs (%d, %v)",
-			replayRes.TotalBytes, replayRes.SimTime, recorded.TotalBytes, recorded.SimTime)
 	}
 }
 

@@ -9,109 +9,29 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceHeaderFor builds the trace header for a recorded run, carrying enough
-// metadata (dataset, scale, algo, seed, topology) for ReplayTrace to rebuild
-// the fleet and topology without any flags. For a dynamic async run, pass
-// the effective epoch length (DefaultEpochSec when RunSpec.EpochSec is
-// unset) — replay validates its engine topology against it.
-func TraceHeaderFor(w *Workload, algo Algo, rounds int, seed uint64, gossip, dynamic bool, epochSec float64) trace.Header {
-	var policy simulation.AggregationPolicy = simulation.BarrierPolicy{}
-	if gossip {
-		policy = simulation.GossipPolicy{}
-	}
-	return TraceHeaderForPolicy(w, algo, rounds, seed, policy, dynamic, epochSec)
-}
-
-// TraceHeaderForPolicy is TraceHeaderFor for an arbitrary aggregation policy:
-// the header carries the policy name plus its parameters in Meta
-// (policy_k/policy_tau/policy_adaptive for bounded staleness,
-// policy_deadline_factor for the straggler-dropping deadline), so
-// SpecFromTraceHeader can rebuild the exact policy and replay validation can
-// reject a mismatched engine. A nil policy means the engine default (barrier).
-func TraceHeaderForPolicy(w *Workload, algo Algo, rounds int, seed uint64, policy simulation.AggregationPolicy, dynamic bool, epochSec float64) trace.Header {
-	if policy == nil {
-		policy = simulation.BarrierPolicy{}
-	}
-	if rounds <= 0 {
-		rounds = w.Rounds
-	}
-	topo := "static"
-	if dynamic {
-		topo = "dynamic"
-	}
-	h := trace.Header{
-		Nodes: w.Nodes, Rounds: rounds, Source: trace.SourceSim, Policy: policy.Name(),
-		Meta: map[string]string{
-			"dataset":   w.Name,
-			"scale":     w.Scale.String(),
-			"algo":      string(algo),
-			"seed":      strconv.FormatUint(seed, 10),
-			"topology":  topo,
-			"epoch_sec": strconv.FormatFloat(epochSec, 'g', -1, 64),
-		},
-	}
-	switch p := policy.(type) {
-	case simulation.BoundedStalenessPolicy:
-		h.Meta["policy_k"] = strconv.Itoa(p.K)
-		h.Meta["policy_tau"] = strconv.Itoa(p.Tau)
-		h.Meta["policy_adaptive"] = strconv.FormatBool(p.AdaptiveTau)
-	case simulation.DeadlinePolicy:
-		h.Meta["policy_deadline_factor"] = strconv.FormatFloat(p.Factor, 'g', -1, 64)
-	}
-	return h
-}
-
-// WithEvalSchedule stamps a sampled-evaluation schedule into a trace header
-// (eval_sample Meta key), so replays validate their eval config against the
-// recording's and SpecFromTraceHeader rebuilds it. eval_rotate is always 1
-// (the window advances every eval row); it stays in the header so traces
-// read the same to every reader. Exact-eval runs (sample <= 0) leave the
-// header untouched — older traces and exact recordings stay byte-identical.
-func WithEvalSchedule(h trace.Header, sample int) trace.Header {
-	if sample <= 0 {
-		return h
-	}
-	// Copy-on-write: Header is a value but Meta is a shared map — mutating it
-	// in place would leak the schedule into the caller's header too.
-	meta := make(map[string]string, len(h.Meta)+2)
-	for k, v := range h.Meta {
-		meta[k] = v
-	}
-	meta["eval_sample"] = strconv.Itoa(sample)
-	meta["eval_rotate"] = "1"
-	h.Meta = meta
-	return h
-}
-
 // policyFromTraceHeader rebuilds the aggregation policy a header describes
-// from its Policy name and Meta parameters. An empty or barrier policy maps
-// to nil (the engine default).
+// from its Policy name and Meta parameters; an empty name means the engine
+// default (nil).
 func policyFromTraceHeader(h trace.Header) (simulation.AggregationPolicy, error) {
+	var (
+		k, tau int
+		factor float64
+		err    error
+	)
 	switch h.Policy {
-	case "", trace.PolicyBarrier:
-		return nil, nil
-	case trace.PolicyGossip:
-		return simulation.GossipPolicy{}, nil
 	case trace.PolicyBounded:
-		k, err := strconv.Atoi(h.Meta["policy_k"])
-		if err != nil {
+		if k, err = strconv.Atoi(h.Meta["policy_k"]); err != nil {
 			return nil, fmt.Errorf("experiments: trace header policy_k %q: %w", h.Meta["policy_k"], err)
 		}
-		tau, err := strconv.Atoi(h.Meta["policy_tau"])
-		if err != nil {
+		if tau, err = strconv.Atoi(h.Meta["policy_tau"]); err != nil {
 			return nil, fmt.Errorf("experiments: trace header policy_tau %q: %w", h.Meta["policy_tau"], err)
 		}
-		adaptive := h.Meta["policy_adaptive"] == "true"
-		return simulation.BoundedStalenessPolicy{K: k, Tau: tau, AdaptiveTau: adaptive}, nil
 	case trace.PolicyDeadline:
-		f, err := strconv.ParseFloat(h.Meta["policy_deadline_factor"], 64)
-		if err != nil {
+		if factor, err = strconv.ParseFloat(h.Meta["policy_deadline_factor"], 64); err != nil {
 			return nil, fmt.Errorf("experiments: trace header policy_deadline_factor %q: %w", h.Meta["policy_deadline_factor"], err)
 		}
-		return simulation.DeadlinePolicy{Factor: f}, nil
-	default:
-		return nil, fmt.Errorf("experiments: trace header policy %q unknown", h.Policy)
 	}
+	return simulation.PolicyByName(h.Policy, k, tau, h.Meta["policy_adaptive"] == "true", factor)
 }
 
 // ReplayTrace rebuilds the fleet a trace describes (from its header
@@ -139,8 +59,9 @@ func ReplayTrace(tr *trace.Trace) (*simulation.Result, *trace.Trace, error) {
 }
 
 // SpecFromTraceHeader reconstructs the run specification a trace header
-// describes. Only default algorithm knobs are representable; runs with
-// custom alphas/gammas replay through the library API instead.
+// describes: the inverse of RunSpec.TraceHeader. Only default algorithm
+// knobs are representable; runs with custom alphas/gammas replay through the
+// library API instead.
 func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 	for _, key := range []string{"dataset", "scale", "algo", "seed"} {
 		if h.Meta[key] == "" {
@@ -155,7 +76,12 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, fmt.Errorf("experiments: trace header seed %q: %w", h.Meta["seed"], err)
 	}
-	w, err := NewWorkload(h.Meta["dataset"], scale, h.Nodes, seed)
+	var w *Workload
+	if h.Meta["dataset"] == "extscale" {
+		w, err = ScaleWorkload(h.Nodes, seed)
+	} else {
+		w, err = NewWorkload(h.Meta["dataset"], scale, h.Nodes, seed)
+	}
 	if err != nil {
 		return RunSpec{}, err
 	}
@@ -185,15 +111,13 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 			return RunSpec{}, fmt.Errorf("experiments: trace header epoch_sec %q: %w", s, err)
 		}
 	}
-	// Eval-schedule metadata is optional (exact-eval traces omit it).
+	// Eval-schedule metadata is optional (exact-eval traces omit it); the
+	// engine validates eval_rotate against its own schedule on replay.
 	if s := h.Meta["eval_sample"]; s != "" {
 		spec.EvalSample, err = strconv.Atoi(s)
 		if err != nil {
 			return RunSpec{}, fmt.Errorf("experiments: trace header eval_sample %q: %w", s, err)
 		}
-	}
-	if s := h.Meta["eval_rotate"]; s != "" && s != "1" {
-		return RunSpec{}, fmt.Errorf("%w: trace header eval_rotate %q (the eval window advances every row)", simulation.ErrReplayConfig, s)
 	}
 	return spec, nil
 }
@@ -207,13 +131,18 @@ func extReplay(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder(TraceHeaderFor(w, AlgoJWINS, 0, seed, false, false, 0))
-	recorded, err := Run(RunSpec{
+	spec := RunSpec{
 		Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: seed, Async: true,
 		Het:           simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3, LatencySpread: 0.2},
 		ChurnFraction: 0.2,
-		Recorder:      rec,
-	})
+	}
+	h, err := spec.TraceHeader()
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder(h)
+	spec.Recorder = rec
+	recorded, err := Run(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -112,9 +112,7 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 	arms := []arm{
 		{"async", func(s *RunSpec) {}},
 		{"churn", func(s *RunSpec) { s.ChurnFraction = 0.2 }},
-		// The epoch length is the engine's default, set here so the streamed
-		// trace header records it (replay validates against it).
-		{"dyntopo", func(s *RunSpec) { s.Dynamic, s.MixingEvery, s.EpochSec = true, 2, DefaultEpochSec(s.Workload) }},
+		{"dyntopo", func(s *RunSpec) { s.Dynamic, s.MixingEvery = true, 2 }},
 	}
 	tmpDir, err := os.MkdirTemp("", "extscale-traces-")
 	if err != nil {
@@ -151,12 +149,11 @@ func extScale(scale Scale, seed uint64, opts Opts) (*Table, error) {
 			)
 			spec.Recorder = &counter
 			if big {
-				// The header carries the eval schedule so replays validate
-				// against it.
-				stream, err = trace.NewStreamRecorderFile(tracePath, WithEvalSchedule(
-					TraceHeaderFor(w, AlgoJWINS, w.Rounds, seed, false, spec.Dynamic, spec.EpochSec),
-					spec.EvalSample))
+				h, err := spec.TraceHeader()
 				if err != nil {
+					return nil, err
+				}
+				if stream, err = trace.NewStreamRecorderFile(tracePath, h); err != nil {
 					return nil, err
 				}
 				spec.Recorder = stream

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,78 +11,54 @@ import (
 
 // TestPolicyHeaderRoundTrip: every policy's name and parameters must survive
 // the trace header — the contract that lets SpecFromTraceHeader rebuild the
-// exact run a semi-async trace describes.
+// exact run a semi-async trace describes — and the rebuilt policy is
+// validated where it is built.
 func TestPolicyHeaderRoundTrip(t *testing.T) {
 	w, err := NewWorkload("cifar10", Micro, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	header := func(policy simulation.AggregationPolicy) trace.Header {
+		t.Helper()
+		h, err := RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: 5, Seed: 7, Async: true, Policy: policy}.TraceHeader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 	cases := []struct {
 		policy simulation.AggregationPolicy
-		want   simulation.AggregationPolicy // nil = engine default
+		want   simulation.AggregationPolicy
 	}{
-		{nil, nil},
-		{simulation.BarrierPolicy{}, nil},
+		{nil, simulation.BarrierPolicy{}},
+		{simulation.BarrierPolicy{}, simulation.BarrierPolicy{}},
 		{simulation.GossipPolicy{}, simulation.GossipPolicy{}},
 		{simulation.BoundedStalenessPolicy{K: 3, Tau: 2, AdaptiveTau: true}, simulation.BoundedStalenessPolicy{K: 3, Tau: 2, AdaptiveTau: true}},
 		{simulation.DeadlinePolicy{Factor: 1.25}, simulation.DeadlinePolicy{Factor: 1.25}},
 	}
 	for _, tc := range cases {
-		h := TraceHeaderForPolicy(w, AlgoJWINS, 5, 7, tc.policy, false, 0)
-		got, err := policyFromTraceHeader(h)
+		spec, err := SpecFromTraceHeader(header(tc.policy))
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.policy, err)
 		}
-		if got != tc.want {
-			t.Fatalf("round trip of %#v: got %#v, want %#v", tc.policy, got, tc.want)
+		if spec.Policy != tc.want {
+			t.Fatalf("round trip of %#v: got %#v, want %#v", tc.policy, spec.Policy, tc.want)
 		}
 	}
 
-	h := TraceHeaderForPolicy(w, AlgoJWINS, 5, 7, nil, false, 0)
+	h := header(nil)
 	h.Policy = "quorum"
-	if _, err := policyFromTraceHeader(h); err == nil {
-		t.Fatal("unknown policy name accepted")
+	if _, err := SpecFromTraceHeader(h); !errors.Is(err, simulation.ErrPolicyConfig) {
+		t.Fatalf("unknown policy name: got %v, want ErrPolicyConfig", err)
 	}
-}
-
-// TestSemiAsyncRecordReplayRoundTrip: a bounded-staleness run recorded
-// through the experiments pipeline must replay with exact event parity, with
-// the policy reconstructed from header metadata alone.
-func TestSemiAsyncRecordReplayRoundTrip(t *testing.T) {
-	w, err := NewWorkload("cifar10", Micro, 0, 23)
-	if err != nil {
-		t.Fatal(err)
+	h = header(simulation.BoundedStalenessPolicy{K: 3, Tau: 2})
+	h.Meta["policy_k"] = "0"
+	if _, err := SpecFromTraceHeader(h); !errors.Is(err, simulation.ErrPolicyConfig) {
+		t.Fatalf("bounded K=0: got %v, want ErrPolicyConfig", err)
 	}
-	policy := simulation.BoundedStalenessPolicy{K: 2, Tau: 1}
-	rec := trace.NewRecorder(TraceHeaderForPolicy(w, AlgoJWINS, 5, 23, policy, false, 0))
-	recorded, err := Run(RunSpec{
-		Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Rounds: 5, Seed: 23,
-		Async: true, Policy: policy,
-		Het:      simulation.Heterogeneity{ComputeSpread: 0.6, BandwidthSpread: 0.3},
-		Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := trace.Write(&wire, rec.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := trace.Read(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayRes, replayed, err := ReplayTrace(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := trace.Compare(replayed, rec.Trace())
-	if !diff.InSync() || diff.TimeErrMax != 0 {
-		t.Fatalf("replay out of sync: %+v", diff)
-	}
-	if replayRes.TotalBytes != recorded.TotalBytes || replayRes.SimTime != recorded.SimTime {
-		t.Fatalf("replay ledger/time differ: (%d, %v) vs (%d, %v)",
-			replayRes.TotalBytes, replayRes.SimTime, recorded.TotalBytes, recorded.SimTime)
+	h.Meta["policy_k"] = "three"
+	if _, err := SpecFromTraceHeader(h); err == nil {
+		t.Fatal("malformed policy_k accepted")
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -14,8 +16,10 @@ import (
 	"repro/internal/vec"
 )
 
-// ErrUnsupportedSpec rejects RunSpec combinations that no engine implements
-// (as opposed to malformed inputs); match with errors.Is.
+// ErrUnsupportedSpec rejects a RunSpec that no engine runs as written: a
+// setting the chosen engine would ignore, a value out of its range, or a
+// trace header that replay could not rebuild the run from. Match with
+// errors.Is.
 var ErrUnsupportedSpec = errors.New("experiments: unsupported run specification")
 
 // Algo names a decentralized learning algorithm variant.
@@ -47,11 +51,45 @@ type AlgoSpec struct {
 	Codec codec.FloatCodec
 }
 
-func (s AlgoSpec) codec() codec.FloatCodec {
-	if s.Codec != nil {
-		return s.Codec
+// resolved returns s with every default buildFleet applies written
+// out and every knob its Kind ignores cleared, so two specs are DeepEqual
+// after resolving exactly when they build the same fleet.
+func (s AlgoSpec) resolved() AlgoSpec {
+	r := AlgoSpec{Kind: s.Kind, Codec: s.Codec}
+	if r.Codec == nil {
+		r.Codec = codec.PlaneFlate32{}
 	}
-	return codec.PlaneFlate32{}
+	switch s.Kind {
+	case AlgoRandom:
+		if r.RandomFraction = s.RandomFraction; r.RandomFraction == 0 {
+			r.RandomFraction = 0.37
+		}
+	case AlgoJWINS, AlgoJWINSNoWavelet, AlgoJWINSNoAccum, AlgoJWINSNoCutoff:
+		cfg := core.DefaultJWINSConfig()
+		if s.JWINS != nil {
+			cfg = *s.JWINS
+		}
+		cfg.FloatCodec = r.Codec
+		switch s.Kind {
+		case AlgoJWINSNoWavelet:
+			cfg.DisableWavelet = true
+		case AlgoJWINSNoAccum:
+			cfg.DisableAccumulation = true
+		case AlgoJWINSNoCutoff:
+			cfg.DisableRandomCutoff = true
+		}
+		r.JWINS = &cfg
+	case AlgoChoco:
+		cfg := core.ChocoConfig{Fraction: 0.2, Gamma: 0.6}
+		if s.Choco != nil {
+			cfg = *s.Choco
+		}
+		if cfg.FloatCodec == nil {
+			cfg.FloatCodec = r.Codec
+		}
+		r.Choco = &cfg
+	}
+	return r
 }
 
 // BuildFleet constructs one node per partition entry. All nodes start from
@@ -78,6 +116,7 @@ func BuildFleetEager(w *Workload, spec AlgoSpec, seed uint64) ([]core.Node, erro
 }
 
 func buildFleet(w *Workload, spec AlgoSpec, seed uint64, lazy bool) ([]core.Node, error) {
+	spec = spec.resolved()
 	root := vec.NewRNG(seed)
 	template := w.NewModel(root.Split())
 	initial := make([]float64, template.ParamCount())
@@ -105,37 +144,13 @@ func buildFleet(w *Workload, spec AlgoSpec, seed uint64, lazy bool) ([]core.Node
 		)
 		switch spec.Kind {
 		case AlgoFull:
-			n, err = core.NewFullSharing(i, model, loader, w.Opts, spec.codec())
+			n, err = core.NewFullSharing(i, model, loader, w.Opts, spec.Codec)
 		case AlgoRandom:
-			frac := spec.RandomFraction
-			if frac == 0 {
-				frac = 0.37
-			}
-			n, err = core.NewRandomSampling(i, model, loader, w.Opts, frac, spec.codec(), nodeRNG.Split())
+			n, err = core.NewRandomSampling(i, model, loader, w.Opts, spec.RandomFraction, spec.Codec, nodeRNG.Split())
 		case AlgoJWINS, AlgoJWINSNoWavelet, AlgoJWINSNoAccum, AlgoJWINSNoCutoff:
-			cfg := core.DefaultJWINSConfig()
-			if spec.JWINS != nil {
-				cfg = *spec.JWINS
-			}
-			cfg.FloatCodec = spec.codec()
-			switch spec.Kind {
-			case AlgoJWINSNoWavelet:
-				cfg.DisableWavelet = true
-			case AlgoJWINSNoAccum:
-				cfg.DisableAccumulation = true
-			case AlgoJWINSNoCutoff:
-				cfg.DisableRandomCutoff = true
-			}
-			n, err = core.NewJWINS(i, model, loader, w.Opts, cfg, nodeRNG.Split())
+			n, err = core.NewJWINS(i, model, loader, w.Opts, *spec.JWINS, nodeRNG.Split())
 		case AlgoChoco:
-			cfg := core.ChocoConfig{Fraction: 0.2, Gamma: 0.6}
-			if spec.Choco != nil {
-				cfg = *spec.Choco
-			}
-			if cfg.FloatCodec == nil {
-				cfg.FloatCodec = spec.codec()
-			}
-			n, err = core.NewChoco(i, model, loader, w.Opts, cfg)
+			n, err = core.NewChoco(i, model, loader, w.Opts, *spec.Choco)
 		default:
 			return nil, fmt.Errorf("experiments: unknown algorithm %q", spec.Kind)
 		}
@@ -212,13 +227,125 @@ type RunSpec struct {
 	faultDrop float64
 }
 
-// Run builds the fleet and topology and executes the run.
+// Run validates spec, builds the fleet and topology and executes the run.
 func Run(spec RunSpec) (*simulation.Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	nodes, err := BuildFleet(spec.Workload, spec.Algo, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return runWithNodes(spec, nodes)
+}
+
+// Validate reports whether an engine runs spec as written. A setting the
+// chosen engine would ignore is rejected, not dropped: the synchronous
+// engine has no event schedule to record, replay, observe or shape, so every
+// async-only field must stay unset without Async. Every rejection wraps
+// ErrUnsupportedSpec.
+func (s RunSpec) Validate() error {
+	switch {
+	case s.Rounds < 0:
+		return fmt.Errorf("%w: Rounds must be >= 0 (0 = the workload's budget), got %d", ErrUnsupportedSpec, s.Rounds)
+	case s.EpochSec < 0:
+		return fmt.Errorf("%w: EpochSec must be >= 0 (0 = one nominal round with Dynamic), got %g", ErrUnsupportedSpec, s.EpochSec)
+	case s.EvalSample < 0:
+		return fmt.Errorf("%w: EvalSample must be >= 0 (0 = exact evaluation), got %d", ErrUnsupportedSpec, s.EvalSample)
+	case s.MixingEvery < -1:
+		return fmt.Errorf("%w: MixingEvery must be >= -1 (0/1 = every epoch, -1 = never), got %d", ErrUnsupportedSpec, s.MixingEvery)
+	}
+	if s.Async {
+		return nil
+	}
+	for _, r := range []struct {
+		set bool
+		why string
+	}{
+		{s.Recorder != nil || s.Replay != nil, "trace recording and replay require Async runs (the synchronous engine has no event schedule)"},
+		{s.Telemetry != nil, "engine telemetry instruments the Async event loop (the synchronous engine has no queue, pool, or policy waits to observe)"},
+		{s.Policy != nil, "aggregation policies belong to the Async engine (the synchronous engine is a global barrier by construction)"},
+		{s.EpochSec > 0, "EpochSec rotates on simulated-time epochs, which only the Async engine has (synchronous runs use Dynamic's per-round rotation)"},
+		{s.Het != (simulation.Heterogeneity{}), "Het draws per-node profiles for the Async engine (the synchronous time model is per round, not per node)"},
+		{s.ChurnFraction != 0, "ChurnFraction makes nodes leave and rejoin, which only the Async engine models"},
+		{s.MixingEvery != 0, "MixingEvery samples the spectral gap per simulated-time epoch, which only the Async engine has"},
+	} {
+		if r.set {
+			return fmt.Errorf("%w: %s", ErrUnsupportedSpec, r.why)
+		}
+	}
+	return nil
+}
+
+// TraceHeader returns the header a recording of spec carries: workload,
+// algorithm, seed, topology, policy and evaluation schedule, with the round
+// budget and epoch length the engine will use written out, so that
+// SpecFromTraceHeader rebuilds spec and a replay validates its engine
+// against the recording. Only a valid Async spec has a schedule to record,
+// and only one whose algorithm runs at its defaults can be replayed: the
+// header names the algorithm, not its knobs.
+func (s RunSpec) TraceHeader() (trace.Header, error) {
+	if err := s.Validate(); err != nil {
+		return trace.Header{}, err
+	}
+	if !s.Async {
+		return trace.Header{}, fmt.Errorf("%w: only Async runs have an event schedule to record", ErrUnsupportedSpec)
+	}
+	if !reflect.DeepEqual(s.Algo.resolved(), AlgoSpec{Kind: s.Algo.Kind}.resolved()) {
+		return trace.Header{}, fmt.Errorf("%w: a trace header names the algorithm (%s) but not its knobs, and replay would rebuild it at its defaults", ErrUnsupportedSpec, s.Algo.Kind)
+	}
+	policy := s.Policy
+	if policy == nil {
+		policy = simulation.BarrierPolicy{}
+	}
+	topo := "static"
+	if s.Dynamic {
+		topo = "dynamic"
+	}
+	w := s.Workload
+	h := trace.Header{
+		Nodes: w.Nodes, Rounds: s.rounds(), Source: trace.SourceSim, Policy: policy.Name(),
+		Meta: map[string]string{
+			"dataset":   w.Name,
+			"scale":     w.Scale.String(),
+			"algo":      string(s.Algo.Kind),
+			"seed":      strconv.FormatUint(s.Seed, 10),
+			"topology":  topo,
+			"epoch_sec": strconv.FormatFloat(s.epochSec(), 'g', -1, 64),
+		},
+	}
+	switch p := policy.(type) {
+	case simulation.BoundedStalenessPolicy:
+		h.Meta["policy_k"] = strconv.Itoa(p.K)
+		h.Meta["policy_tau"] = strconv.Itoa(p.Tau)
+		h.Meta["policy_adaptive"] = strconv.FormatBool(p.AdaptiveTau)
+	case simulation.DeadlinePolicy:
+		h.Meta["policy_deadline_factor"] = strconv.FormatFloat(p.Factor, 'g', -1, 64)
+	}
+	if s.EvalSample > 0 {
+		// The window advances every eval row; eval_rotate says so to every
+		// reader. Exact-eval headers carry neither key.
+		h.Meta["eval_sample"] = strconv.Itoa(s.EvalSample)
+		h.Meta["eval_rotate"] = "1"
+	}
+	return h, nil
+}
+
+// rounds is the run's round budget: Rounds when set, else the workload's.
+func (s RunSpec) rounds() int {
+	if s.Rounds > 0 {
+		return s.Rounds
+	}
+	return s.Workload.Rounds
+}
+
+// epochSec is the topology epoch length of an async run: EpochSec, or
+// DefaultEpochSec for a dynamic run that leaves it unset.
+func (s RunSpec) epochSec() float64 {
+	if s.Dynamic && s.EpochSec == 0 {
+		return DefaultEpochSec(s.Workload)
+	}
+	return s.EpochSec
 }
 
 // DefaultEpochSec is the topology epoch length used when RunSpec.EpochSec is
@@ -232,40 +359,24 @@ func DefaultEpochSec(w *Workload) float64 {
 	return simulation.Config{}.NominalRoundSec(w.Opts.LocalSteps, payload, w.Degree)
 }
 
-// runWithNodes executes a run over pre-built nodes (used by experiments that
-// instrument node state during the run).
+// runWithNodes executes a valid run over pre-built nodes (used by
+// experiments that instrument node state during the run).
 func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 	w := spec.Workload
-	topoRNG := vec.NewRNG(spec.Seed ^ 0x746f706f) // "topo"
+	// One seeded d-regular graph, or a fresh one per round (synchronous) or
+	// epoch (async) from one seeded sequence; the async engine filters either
+	// for liveness and rotates it on simulated-time epochs.
 	var provider topology.Provider
-	switch {
-	case spec.Dynamic && spec.Async:
-		// Async dynamic topologies rotate on simulated-time epochs; the base
-		// graphs must be random-access deterministic so trace replay can
-		// regenerate the recorded sequence.
-		epochSec := spec.EpochSec
-		if epochSec <= 0 {
-			epochSec = DefaultEpochSec(w)
-		}
-		provider = topology.NewEpochProvider(
-			topology.NewSeededDynamic(w.Nodes, w.Degree, spec.Seed^0x746f706f), w.Nodes, epochSec)
-	case spec.Dynamic:
-		provider = topology.NewDynamic(w.Nodes, w.Degree, topoRNG)
-	default:
-		g, err := topology.Regular(w.Nodes, w.Degree, topoRNG)
+	if spec.Dynamic {
+		provider = topology.NewSeededDynamic(w.Nodes, w.Degree, spec.Seed^0x746f706f) // "topo"
+	} else {
+		g, err := topology.Regular(w.Nodes, w.Degree, vec.NewRNG(spec.Seed^0x746f706f))
 		if err != nil {
 			return nil, err
 		}
-		p := topology.Provider(topology.NewStatic(g))
-		if spec.Async && spec.EpochSec > 0 {
-			p = topology.NewEpochProvider(p, w.Nodes, spec.EpochSec)
-		}
-		provider = p
+		provider = topology.NewStatic(g)
 	}
-	rounds := spec.Rounds
-	if rounds == 0 {
-		rounds = w.Rounds
-	}
+	rounds := spec.rounds()
 	cfg := simulation.Config{
 		Rounds:         rounds,
 		EvalEvery:      w.EvalEvery,
@@ -276,18 +387,6 @@ func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 		FaultSeed:      spec.Seed,
 	}
 	if !spec.Async {
-		if spec.Recorder != nil || spec.Replay != nil {
-			return nil, fmt.Errorf("%w: trace recording and replay require Async runs (the synchronous engine has no event schedule)", ErrUnsupportedSpec)
-		}
-		if spec.Telemetry != nil {
-			return nil, fmt.Errorf("%w: engine telemetry instruments the Async event loop (the synchronous engine has no queue, pool, or policy waits to observe)", ErrUnsupportedSpec)
-		}
-		if spec.Policy != nil {
-			return nil, fmt.Errorf("%w: aggregation policies belong to the Async engine (the synchronous engine is a global barrier by construction)", ErrUnsupportedSpec)
-		}
-		if spec.EpochSec > 0 {
-			return nil, fmt.Errorf("%w: EpochSec rotates on simulated-time epochs, which only the Async engine has (synchronous runs use Dynamic's per-round rotation)", ErrUnsupportedSpec)
-		}
 		eng := &simulation.Engine{
 			Nodes:    nodes,
 			Topology: provider,
@@ -319,7 +418,7 @@ func runWithNodes(spec RunSpec, nodes []core.Node) (*simulation.Result, error) {
 	}
 	eng := &simulation.AsyncEngine{
 		Nodes:    nodes,
-		Topology: provider,
+		Topology: topology.NewEpochProvider(provider, w.Nodes, spec.epochSec()),
 		TestSet:  w.Dataset,
 		Config:   acfg,
 		OnRound:  spec.OnRound,

@@ -26,10 +26,10 @@ import (
 // Embedding and LSTM path. Never re-record them for a change that claims the
 // same arithmetic.
 var syncRowDigests = map[string]string{
-	"cifar10":     "fe8757d60b40d96129fe4c3b13fc17d273c3b68215a3d11b70eec3c41c736e8d", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
-	"femnist":     "91e108bbbcda8f53248fdfe0f8b3772f3cd5b4dcc5392d1bb0b053313c29b52c", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
-	"shakespeare": "179402fe53d6c76cf0c382d1b097389c4fc86ab7169c4876537ef40452c69575", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
-	"movielens":   "086d6c508c2da657dcac23e5ff3fa01f957bf0432afc17ea3d34f8a032ec125e", // re-recorded, parent 797a59a: a CHOCO node keeps q_i as the float32 values its neighbours decode; every CHOCO arm moves, no other
+	"cifar10":     "29b604fdb9b90d9548a9d9406c33f4dcd6f4a10f88525a14615e855035e56af6", // re-recorded, parent 08c45e3: a synchronous Dynamic run reads the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arms hash as before
+	"femnist":     "da328448dd8b265ca07879894bde3a05410587acba946a0a6509d145391b93d8", // re-recorded, parent 08c45e3: a synchronous Dynamic run reads the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arms hash as before
+	"shakespeare": "123b303224f6f0aea089d5ccc960621a83ef5f24502089cd8d4862e0024072eb", // re-recorded, parent 08c45e3: a synchronous Dynamic run reads the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arms hash as before
+	"movielens":   "f35342a0c24552a3c48f80c112c99bf4de93dc73bfadd04a83c73c4e9984aa87", // re-recorded, parent 08c45e3: a synchronous Dynamic run reads the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arms hash as before
 }
 
 // TestSyncRowDigest holds the synchronous engine's result rows bit for bit

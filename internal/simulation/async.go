@@ -38,12 +38,13 @@
 // "flexible to nodes leaving and joining" while CHOCO's error-feedback
 // replicas desynchronize.
 //
-// The communication graph is driven through topology.LiveProvider. A plain
-// Provider is pinned to its round-0 graph and only filtered for liveness
-// (the static setting); a topology.EpochProvider additionally rotates the
-// graph on simulated-time epochs: the scheduler processes an EventEpoch at
-// each boundary, live nodes push their cached broadcast over every fresh
-// edge (the state sync that keeps barriers deadlock-free across rotations),
+// The communication graph is driven through a topology.EpochProvider. A
+// plain Provider is wrapped in one that never rotates, so it is pinned to its
+// round-0 graph and only filtered for liveness (the static setting); an
+// EpochProvider with a positive epoch length also rotates the graph on
+// simulated-time epochs: the scheduler processes an EventEpoch at each
+// boundary, live nodes push their cached broadcast over every fresh edge
+// (the state sync that keeps barriers deadlock-free across rotations),
 // stale per-edge payload buffers are pruned and pooled, and the new epoch's
 // mixing quality (spectral gap, neighbor turnover) lands in the emitted
 // rows. Epoch boundaries are recorded in traces and replayed from them, so
@@ -68,9 +69,6 @@ import (
 
 // Typed configuration errors; match with errors.Is.
 var (
-	// ErrUnsupportedTopology rejects provider/engine combinations that would
-	// silently run a different experiment than requested.
-	ErrUnsupportedTopology = errors.New("simulation: unsupported topology for the async engine")
 	// ErrReplayConfig rejects a replay whose engine configuration cannot
 	// reproduce the recorded schedule (e.g. a mismatched epoch length).
 	ErrReplayConfig = errors.New("simulation: replay configuration mismatch")
@@ -295,11 +293,11 @@ type asyncRun struct {
 	epochLagStart int
 
 	// Topology state. topo serves the live-filtered graph of the current
-	// epoch; epochSec > 0 (an EpochProvider) enables rotation, and epoch is
-	// the index the last processed EventEpoch advanced to. replayEpochs
-	// holds the recorded rotations not yet scheduled (replay runs schedule
-	// them verbatim instead of deriving boundaries from epochSec).
-	topo         topology.LiveProvider
+	// epoch; epochSec > 0 enables rotation, and epoch is the index the last
+	// processed EventEpoch advanced to. replayEpochs holds the recorded
+	// rotations not yet scheduled (replay runs schedule them verbatim
+	// instead of deriving boundaries from epochSec).
+	topo         *topology.EpochProvider
 	epoch        int
 	epochSec     float64
 	replayEpochs []trace.Event
@@ -451,21 +449,14 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	// Registered before any validation early-return: the pool's workers must
 	// not outlive a failed Run.
 	defer r.pool.close()
-	switch tp := e.Topology.(type) {
-	case *topology.EpochProvider:
-		// The engine owns liveness for the duration of the run; a provider
-		// reused across runs must start from the all-live state.
-		tp.ResetLive()
-		r.topo = tp
-		r.epochSec = tp.EpochSec
-	case *topology.Dynamic:
-		// Dynamic is the synchronous engine's per-round re-randomizer; the
-		// event-driven scheduler has no round clock, so pinning it at round 0
-		// would silently run a static-graph experiment.
-		return nil, fmt.Errorf("%w: per-round Dynamic has no round clock under the event-driven scheduler; wrap topology.NewSeededDynamic in a topology.EpochProvider", ErrUnsupportedTopology)
-	default:
-		r.topo = topology.NewMasked(e.Topology, n)
+	tp, ok := e.Topology.(*topology.EpochProvider)
+	if !ok {
+		tp = topology.NewEpochProvider(e.Topology, n, 0)
 	}
+	// The engine owns liveness for the duration of the run; a provider
+	// reused across runs must start from the all-live state.
+	tp.ResetLive()
+	r.topo, r.epochSec = tp, tp.EpochSec
 	for i, nd := range e.Nodes {
 		if _, ok := nd.(*core.JWINSNode); ok {
 			r.isJWINS[i] = true

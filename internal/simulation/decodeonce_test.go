@@ -124,7 +124,7 @@ func (n *probeNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 // trains and keeps its own model), so its broadcast is one no recipient
 // decodes.
 type offlineRounds struct {
-	*topology.Masked
+	*topology.EpochProvider
 	n    int
 	prob float64
 	rng  *vec.RNG
@@ -134,7 +134,7 @@ func (o *offlineRounds) Round(t int) (*topology.Graph, []topology.Weights) {
 	for i := 0; i < o.n; i++ {
 		o.SetLive(i, o.rng.Float64() >= o.prob)
 	}
-	return o.Masked.Round(t)
+	return o.EpochProvider.Round(t)
 }
 
 // TestSyncDecodeOnceParity: the synchronous engine's fleet-shared decode
@@ -188,7 +188,7 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 		nodes, probe := probeFleet(inner, perRecipient)
 		var provider topology.Provider
 		if dynamic {
-			provider = topology.NewDynamic(n, 4, vec.NewRNG(35))
+			provider = topology.NewSeededDynamic(n, 4, 35)
 		} else {
 			g, err := topology.Regular(n, 4, vec.NewRNG(9))
 			if err != nil {
@@ -196,7 +196,7 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 			}
 			provider = topology.NewStatic(g)
 			if offline > 0 {
-				provider = &offlineRounds{topology.NewMasked(provider, n), n, offline, vec.NewRNG(3)}
+				provider = &offlineRounds{topology.NewEpochProvider(provider, n, 0), n, offline, vec.NewRNG(3)}
 			}
 		}
 		cfg := base

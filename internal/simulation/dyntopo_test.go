@@ -331,23 +331,6 @@ func TestAsyncReplayEpochMismatch(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsPerRoundDynamic: the old silent round-0 pin is now a typed
-// rejection pointing at the EpochProvider wrapper.
-func TestAsyncRejectsPerRoundDynamic(t *testing.T) {
-	const n = 8
-	ds, parts := buildTask(t, n, 42)
-	nodes := buildNodes(t, algoFull, ds, parts, 7)
-	eng := &AsyncEngine{
-		Nodes:    nodes,
-		Topology: topology.NewDynamic(n, 4, vec.NewRNG(9)),
-		TestSet:  ds,
-		Config:   AsyncConfig{Config: Config{Rounds: 3}},
-	}
-	if _, err := eng.Run(); !errors.Is(err, ErrUnsupportedTopology) {
-		t.Fatalf("per-round Dynamic accepted by async engine: %v", err)
-	}
-}
-
 // TestAsyncStaticRunsReportMixing: even without rotation, async results carry
 // the (constant) spectral gap of the pinned graph, and zero turnover.
 func TestAsyncStaticRunsReportMixing(t *testing.T) {

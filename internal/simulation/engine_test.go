@@ -198,7 +198,7 @@ func TestDynamicTopologyRun(t *testing.T) {
 	nodes := buildNodes(t, algoJWINS, ds, parts, 33)
 	eng := &Engine{
 		Nodes:    nodes,
-		Topology: topology.NewDynamic(n, 4, vec.NewRNG(35)),
+		Topology: topology.NewSeededDynamic(n, 4, 35),
 		TestSet:  ds,
 		Config:   Config{Rounds: 10, EvalEvery: 10, Parallelism: 2},
 	}

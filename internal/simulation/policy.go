@@ -181,20 +181,26 @@ func (p DeadlinePolicy) validate() error {
 
 // PolicyByName builds a policy from its trace-header name and parameters —
 // the shared constructor behind CLI flags and trace-driven replay specs. An
-// empty name returns nil (caller default); unknown names are rejected.
+// empty name returns nil (caller default); unknown names and unusable
+// parameters are rejected with ErrPolicyConfig.
 func PolicyByName(name string, k, tau int, adaptive bool, factor float64) (AggregationPolicy, error) {
+	var p AggregationPolicy
 	switch name {
 	case "":
 		return nil, nil
 	case trace.PolicyBarrier:
-		return BarrierPolicy{}, nil
+		p = BarrierPolicy{}
 	case trace.PolicyGossip:
-		return GossipPolicy{}, nil
+		p = GossipPolicy{}
 	case trace.PolicyBounded:
-		return BoundedStalenessPolicy{K: k, Tau: tau, AdaptiveTau: adaptive}, nil
+		p = BoundedStalenessPolicy{K: k, Tau: tau, AdaptiveTau: adaptive}
 	case trace.PolicyDeadline:
-		return DeadlinePolicy{Factor: factor}, nil
+		p = DeadlinePolicy{Factor: factor}
 	default:
 		return nil, fmt.Errorf("%w: unknown policy %q (want barrier, gossip, bounded, or deadline)", ErrPolicyConfig, name)
 	}
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

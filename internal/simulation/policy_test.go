@@ -86,6 +86,22 @@ func TestPolicyByName(t *testing.T) {
 	if _, err := PolicyByName("quorum", 0, 0, false, 0); !errors.Is(err, ErrPolicyConfig) {
 		t.Fatalf("unknown name: got %v, want ErrPolicyConfig", err)
 	}
+	// The parameters are validated where the policy is built, not first
+	// when an engine runs it.
+	for _, tc := range []struct {
+		name   string
+		k, tau int
+		factor float64
+	}{
+		{trace.PolicyBounded, 0, 2, 0},
+		{trace.PolicyBounded, 2, -1, 0},
+		{trace.PolicyDeadline, 0, 0, 0},
+		{trace.PolicyDeadline, 0, 0, -0.5},
+	} {
+		if _, err := PolicyByName(tc.name, tc.k, tc.tau, false, tc.factor); !errors.Is(err, ErrPolicyConfig) {
+			t.Errorf("PolicyByName(%q, k=%d, tau=%d, factor=%g): got %v, want ErrPolicyConfig", tc.name, tc.k, tc.tau, tc.factor, err)
+		}
+	}
 }
 
 // TestPolicyConfigRejected: Run must refuse invalid policy configuration

@@ -16,28 +16,12 @@ import (
 	"repro/internal/vec"
 )
 
-// LiveProvider is a Provider that additionally tracks node liveness and
-// serves live-induced subgraphs. Masked (static pin) and EpochProvider
-// (epoch-rotated) both implement it; the async engine drives either through
-// this interface.
-type LiveProvider interface {
-	Provider
-	// SetLive flips one node's liveness; the next Round reflects it.
-	SetLive(node int, alive bool)
-	// Live reports whether node is currently live.
-	Live(node int) bool
-	// NumLive counts the live nodes.
-	NumLive() int
-	// ResetLive marks every node live again (the start-of-run state).
-	ResetLive()
-}
-
 // SeededDynamic yields a random d-regular graph per round index where round
 // t's graph is a pure function of (Seed, t): queries are random-access and
-// repeatable, unlike Dynamic, whose shared RNG stream makes graphs depend on
-// query history. The async engine requires this — its epoch queries can
-// repeat and, under trace replay, must regenerate the recorded sequence
-// exactly.
+// repeatable, so a graph never depends on query history. The synchronous
+// engine reads it per round (the paper's Figure 7); the async engine reads it
+// per epoch through an EpochProvider, whose queries can repeat and, under
+// trace replay, must regenerate the recorded sequence exactly.
 type SeededDynamic struct {
 	N, D int
 	Seed uint64
@@ -84,20 +68,23 @@ func (s *SeededDynamic) Graph(t int) *Graph {
 
 // EpochProvider rotates a base Provider on simulated-time epochs and filters
 // every epoch's graph to the currently live nodes, with Metropolis-Hastings
-// weights of the induced subgraph (Masked semantics). Round takes an *epoch
-// index*, not a synchronous round number: epoch k starts at simulated time
-// k·EpochSec. The live view is keyed by (epoch, liveVersion), so a SetLive
-// racing an epoch boundary — churn processed at the same simulated instant
-// the graph rotates — is always seen whichever of the two queries comes
-// first: within an epoch it is patched in, across a boundary the new epoch's
-// graph is induced from the current flags.
+// weights of the induced subgraph: rows of dead nodes are empty with
+// Self == 1, so a rejoining node that has not yet re-earned edges keeps its
+// own model. Round takes an *epoch index*, not a synchronous round number:
+// epoch k starts at simulated time k·EpochSec. The live view is keyed by
+// (epoch, liveVersion), so a SetLive racing an epoch boundary — churn
+// processed at the same simulated instant the graph rotates — is always
+// seen whichever of the two queries comes first: within an epoch it is
+// patched in, across a boundary the new epoch's graph is induced from the
+// current flags.
 type EpochProvider struct {
 	// Base yields the unfiltered graph per epoch index: Static repeats one
 	// graph (only liveness changes across epochs), SeededDynamic
 	// re-randomizes deterministically.
 	Base Provider
 	// EpochSec is the epoch length in simulated seconds. Non-positive means
-	// a single epoch spanning the whole run.
+	// a single epoch spanning the whole run: the base's epoch-0 graph, only
+	// filtered for liveness (how the async engine runs a static topology).
 	EpochSec float64
 
 	liveView

@@ -146,14 +146,15 @@ func TestEpochProviderCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestMaskedCacheInvalidationInterleaved mirrors the EpochProvider test for
-// Masked: SetLive between two same-round queries must rebuild.
+// TestMaskedCacheInvalidationInterleaved mirrors the rotating test for an
+// EpochProvider that never rotates (how the async engine runs a static
+// graph): SetLive between two same-epoch queries must rebuild.
 func TestMaskedCacheInvalidationInterleaved(t *testing.T) {
 	g, err := Regular(12, 4, vec.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMasked(NewStatic(g), 12)
+	m := NewEpochProvider(NewStatic(g), 12, 0)
 	full, _ := m.Round(0)
 	if len(full.Adj[2]) != 4 {
 		t.Fatalf("unexpected base degree %d", len(full.Adj[2]))
@@ -161,7 +162,7 @@ func TestMaskedCacheInvalidationInterleaved(t *testing.T) {
 	m.SetLive(2, false)
 	masked, _ := m.Round(0)
 	if len(masked.Adj[2]) != 0 {
-		t.Fatal("Masked served stale cache after SetLive")
+		t.Fatal("stale cache served after SetLive")
 	}
 	m.ResetLive()
 	restored, _ := m.Round(0)

@@ -241,9 +241,9 @@ func scratchPair(base *Graph, live []bool) (*Graph, []Weights) {
 	return g, MetropolisHastings(g)
 }
 
-// TestLiveViewPatchMatchesScratch drives EpochProviders and Maskeds through
-// random SetLive, ResetLive, epoch changes and repeated queries. Whatever the
-// view served — a patched pair, a rebuilt one, or the cached one — must be
+// TestLiveViewPatchMatchesScratch drives EpochProviders, rotating over
+// SeededDynamic or pinned to a static graph, through random SetLive,
+// ResetLive, epoch changes and repeated queries. Whatever the view served — a patched pair, a rebuilt one, or the cached one — must be
 // DeepEqual to the pair built from scratch (nil rows of dead nodes and empty
 // rows of isolated live ones are different things), and HasEdge must agree
 // with it on every pair of nodes.
@@ -254,7 +254,7 @@ func TestLiveViewPatchMatchesScratch(t *testing.T) {
 		d := 4 + 2*(trial%2)
 		seed := uint64(300 + trial)
 		var (
-			p      LiveProvider
+			p      *EpochProvider
 			baseOf func(key int) *Graph
 		)
 		if trial%3 == 2 {
@@ -262,7 +262,7 @@ func TestLiveViewPatchMatchesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, baseOf = NewMasked(NewStatic(g), n), func(int) *Graph { return g }
+			p, baseOf = NewEpochProvider(NewStatic(g), n, 0), func(int) *Graph { return g }
 		} else {
 			sd := NewSeededDynamic(n, d, seed)
 			p, baseOf = NewEpochProvider(sd, n, 1), NewSeededDynamic(n, d, seed).Graph

@@ -1,7 +1,7 @@
 // Package topology builds the communication graphs used by decentralized
 // learning: random d-regular graphs (the paper's setting), rings, and fully
 // connected graphs, together with Metropolis-Hastings mixing weights and
-// support for dynamic (per-round re-randomized) topologies.
+// support for dynamic (re-randomized per round or epoch) topologies.
 package topology
 
 import (
@@ -332,10 +332,9 @@ func inducedRow(g *Graph, live []bool, i int) []int {
 	return adj
 }
 
-// liveView is the live-filtering state shared by Masked and EpochProvider:
-// the liveness flags, the live-induced subgraph and Metropolis-Hastings
-// weights of the base graph last asked for, and the nodes that flipped since
-// that pair was built. A flip does not discard the pair: the next query of
+// liveView is EpochProvider's live-filtering state: the liveness flags, the
+// live-induced subgraph and Metropolis-Hastings weights of the base graph
+// last asked for, and the nodes that flipped since that pair was built. A flip does not discard the pair: the next query of
 // the same base graph patches the flip's neighborhood into a copy of the row
 // headers (see patch), so a churn event costs its neighborhood, not the
 // fleet. Graphs and weight rows are never written after they are returned,
@@ -461,61 +460,4 @@ func mhRowMoved(old, g *Graph, i int) bool {
 		}
 	}
 	return false
-}
-
-// Masked wraps a Provider and restricts every round's graph to the currently
-// live nodes, with Metropolis-Hastings weights of the induced subgraph. Rows
-// of dead nodes are empty with Self == 1, so a rejoining node that has not
-// yet re-earned edges simply keeps its own model.
-type Masked struct {
-	Base Provider
-
-	liveView
-}
-
-// NewMasked builds a masked provider with all n nodes initially live.
-func NewMasked(base Provider, n int) *Masked {
-	return &Masked{Base: base, liveView: newLiveView(n)}
-}
-
-// Round implements Provider over the live-induced subgraph.
-func (m *Masked) Round(t int) (*Graph, []Weights) {
-	g, w, ok := m.view(t)
-	if !ok {
-		base, _ := m.Base.Round(t)
-		g, w = m.rebuild(t, base)
-	}
-	return g, w
-}
-
-// Dynamic regenerates a random d-regular graph every round, modelling the
-// paper's dynamic-topology experiment (randomized neighbors each round).
-type Dynamic struct {
-	N, D int
-	rng  *vec.RNG
-
-	cachedRound int
-	cachedG     *Graph
-	cachedW     []Weights
-}
-
-// NewDynamic builds a dynamic d-regular provider seeded by rng.
-func NewDynamic(n, d int, rng *vec.RNG) *Dynamic {
-	return &Dynamic{N: n, D: d, rng: rng, cachedRound: -1}
-}
-
-// Round implements Provider. Graphs are generated on first access per round
-// and cached so all nodes in a round see the same topology.
-func (dy *Dynamic) Round(t int) (*Graph, []Weights) {
-	if t != dy.cachedRound {
-		g, err := Regular(dy.N, dy.D, dy.rng)
-		if err != nil {
-			// Construction parameters were validated by the first successful
-			// call; failures here are programmer error.
-			panic(fmt.Sprintf("topology: dynamic regeneration failed: %v", err))
-		}
-		dy.cachedG, dy.cachedW = g, MetropolisHastings(g)
-		dy.cachedRound = t
-	}
-	return dy.cachedG, dy.cachedW
 }

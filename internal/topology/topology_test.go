@@ -210,7 +210,7 @@ func TestStaticProvider(t *testing.T) {
 }
 
 func TestDynamicProviderChangesPerRound(t *testing.T) {
-	dy := NewDynamic(24, 4, vec.NewRNG(44))
+	dy := NewSeededDynamic(24, 4, 44)
 	g0a, _ := dy.Round(0)
 	g0b, _ := dy.Round(0)
 	if g0a != g0b {
@@ -310,7 +310,7 @@ func TestMaskedProviderWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMasked(NewStatic(g), 8)
+	m := NewEpochProvider(NewStatic(g), 8, 0)
 	if m.NumLive() != 8 {
 		t.Fatalf("expected 8 live nodes, got %d", m.NumLive())
 	}
