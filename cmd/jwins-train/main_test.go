@@ -49,6 +49,9 @@ func TestValidateFlagsRejections(t *testing.T) {
 		// A trace header names the algorithm, not its alphas: a replay
 		// would rebuild the default distribution and diverge.
 		{"budget-trace", []string{"-async", "-budget", "0.2"}, experiments.ErrUnsupportedSpec},
+		// Only the fleet builder knew the algorithms: the header lines and a
+		// truncated trace came first.
+		{"unknown-algo", []string{"-async", "-algo", "bogus"}, experiments.ErrUnsupportedSpec},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

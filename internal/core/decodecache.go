@@ -6,13 +6,6 @@ import (
 	"repro/internal/codec"
 )
 
-// decodeCacheWays bounds the live entries kept per sender. A sender has at
-// most one payload per iteration, and recipients lag each other by at most
-// the staleness window, so a few ways cover gossip and bounded-staleness
-// inboxes; anything older is evicted and simply re-decoded on the rare
-// late acquire.
-const decodeCacheWays = 3
-
 // DecodeCache is the fleet-level decoded-payload cache: every payload a
 // sender broadcasts is decoded exactly once, into an immutable
 // codec.SparseVector shared by all recipients, instead of once per
@@ -20,6 +13,13 @@ const decodeCacheWays = 3
 // fleet-wide — entropy-decode and inflate dominate the aggregate micro for
 // flate32). An entry holds the float32 values the wire carried, 4 bytes a
 // value; readers widen each one where they multiply it by its weight.
+//
+// The cache keeps one entry per sender: the payload it was last asked for.
+// Acquiring a sender's new payload retires its previous entry, which is
+// recycled at its last release. Recipients run at most a staleness window
+// apart, and under the barrier all of them read a sender's payload before it
+// sends the next, so an older payload is rarely asked for again; when it is,
+// it is simply decoded again.
 //
 // Entries are keyed by the identity of the payload's backing array, not by
 // (sender, iteration): churn and epoch state-sync can legitimately put a
@@ -42,7 +42,7 @@ const decodeCacheWays = 3
 // acquired entry once they no longer read its vector.
 type DecodeCache struct {
 	mu     sync.Mutex
-	slots  map[int][]*cacheEntry
+	slots  map[int]*cacheEntry
 	free   []*cacheEntry
 	hits   int64
 	misses int64
@@ -51,7 +51,7 @@ type DecodeCache struct {
 // cacheEntry is one decoded payload. buf retains the encoded payload (the
 // identity key), sv the decoded vector; both are immutable while the entry
 // is discoverable. refs counts acquirers that have not released yet; dead
-// marks entries evicted from their slot, recycled to the free list at the
+// marks entries retired from their slot, recycled to the free list at the
 // last release.
 type cacheEntry struct {
 	buf   []byte
@@ -67,29 +67,24 @@ type cacheEntry struct {
 // sv and err are valid once acquire returns. payload must be non-empty.
 func (c *DecodeCache) acquire(sender int, payload []byte) *cacheEntry {
 	c.mu.Lock()
-	for _, e := range c.slots[sender] {
-		if len(e.buf) == len(payload) && &e.buf[0] == &payload[0] {
-			e.refs++
-			c.hits++
-			c.mu.Unlock()
-			<-e.ready
-			return e
-		}
+	old := c.slots[sender]
+	if old != nil && len(old.buf) == len(payload) && &old.buf[0] == &payload[0] {
+		old.refs++
+		c.hits++
+		c.mu.Unlock()
+		<-old.ready
+		return old
 	}
 	e := c.newEntryLocked()
 	e.buf = payload
 	c.misses++
 	if c.slots == nil {
-		c.slots = make(map[int][]*cacheEntry)
+		c.slots = make(map[int]*cacheEntry)
 	}
-	s := append(c.slots[sender], e)
-	if len(s) > decodeCacheWays {
-		old := s[0]
-		copy(s, s[1:])
-		s = s[:len(s)-1]
+	if old != nil {
 		c.retireLocked(old)
 	}
-	c.slots[sender] = s
+	c.slots[sender] = e
 	c.mu.Unlock()
 
 	e.err = codec.DecodeSparseInto(&e.sv, payload)
@@ -97,7 +92,7 @@ func (c *DecodeCache) acquire(sender int, payload []byte) *cacheEntry {
 	return e
 }
 
-// release drops one reference; the last release of an evicted entry
+// release drops one reference; the last release of a retired entry
 // recycles it (its decode buffers stay warm on the free list).
 func (c *DecodeCache) release(e *cacheEntry) {
 	c.mu.Lock()
@@ -108,13 +103,13 @@ func (c *DecodeCache) release(e *cacheEntry) {
 	c.mu.Unlock()
 }
 
-// InvalidateSender drops every cached payload of one sender — called on
+// InvalidateSender drops the cached payload of one sender — called on
 // churn (the node left) and on epoch rotation when the sender lost all its
 // edges. Purely memory hygiene: identity keying already prevents stale
 // serving (see the type comment).
 func (c *DecodeCache) InvalidateSender(sender int) {
 	c.mu.Lock()
-	for _, e := range c.slots[sender] {
+	if e := c.slots[sender]; e != nil {
 		c.retireLocked(e)
 	}
 	delete(c.slots, sender)
@@ -129,13 +124,10 @@ func (c *DecodeCache) InvalidateSender(sender int) {
 // senders for reuse (see the type comment).
 func (c *DecodeCache) Reset() {
 	c.mu.Lock()
-	for sender, entries := range c.slots {
-		for i, e := range entries {
-			c.retireLocked(e)
-			entries[i] = nil
-		}
-		c.slots[sender] = entries[:0]
+	for _, e := range c.slots {
+		c.retireLocked(e)
 	}
+	clear(c.slots)
 	c.mu.Unlock()
 }
 
@@ -144,11 +136,7 @@ func (c *DecodeCache) Reset() {
 func (c *DecodeCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, entries := range c.slots {
-		n += len(entries)
-	}
-	return n
+	return len(c.slots)
 }
 
 // Stats returns the lifetime hit/miss counters. Counts may vary slightly
@@ -176,7 +164,7 @@ func (c *DecodeCache) newEntryLocked() *cacheEntry {
 	return e
 }
 
-// retireLocked evicts an entry from its slot: no new acquirer can find it,
+// retireLocked takes an entry out of its slot: no new acquirer can find it,
 // and it is recycled as soon as the last holder releases.
 func (c *DecodeCache) retireLocked(e *cacheEntry) {
 	e.dead = true

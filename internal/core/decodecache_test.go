@@ -89,54 +89,64 @@ func TestDecodeCacheReusedKeyNeverStale(t *testing.T) {
 	if !floatsBitEqual(e2.sv.Values, decodeRef(t, second).Values) {
 		t.Fatal("re-broadcast decoded to stale values")
 	}
-	// A third acquire of each buffer still resolves to its own entry.
-	if dc.acquire(sender, first) != e1 || dc.acquire(sender, second) != e2 {
-		t.Fatal("identity lookup confused the two broadcasts")
+	// The newer broadcast is the sender's entry; the older one is not served
+	// again from its retired entry.
+	if dc.acquire(sender, second) != e2 {
+		t.Fatal("identity lookup missed the sender's current broadcast")
 	}
 	h, m := dc.Stats()
-	if h != 2 || m != 2 {
-		t.Fatalf("stats (%d hits, %d misses), want (2, 2)", h, m)
+	if h != 1 || m != 2 {
+		t.Fatalf("stats (%d hits, %d misses), want (1, 2)", h, m)
 	}
 }
 
-// TestDecodeCacheEviction: a sender's slot set is bounded at decodeCacheWays;
-// the oldest entry is evicted, and an evicted-but-held entry stays valid for
-// its holder until released (epoch rotation severing edges mid-aggregate is
-// exactly this shape).
+// TestDecodeCacheEviction: a sender keeps one entry. A newer payload retires
+// the older one, which stays valid for its holder until released (epoch
+// rotation severing edges mid-aggregate is exactly this shape), and a late
+// acquire of the older payload decodes it again into a fresh entry, which in
+// turn retires the newer one.
 func TestDecodeCacheEviction(t *testing.T) {
 	dc := &DecodeCache{}
-	bufs := make([][]byte, decodeCacheWays+1)
-	entries := make([]*cacheEntry, decodeCacheWays+1)
-	for i := range bufs {
-		bufs[i] = testPayload(t, 32, float64(i))
-		entries[i] = dc.acquire(7, bufs[i])
-		if entries[i].err != nil {
-			t.Fatal(entries[i].err)
-		}
+	older, newer := testPayload(t, 32, 1), testPayload(t, 32, 2)
+	e1 := dc.acquire(7, older)
+	e2 := dc.acquire(7, newer)
+	if e1.err != nil || e2.err != nil {
+		t.Fatal(e1.err, e2.err)
 	}
-	if got := len(dc.slots[7]); got != decodeCacheWays {
-		t.Fatalf("sender slot holds %d entries, want %d", got, decodeCacheWays)
+	if dc.Len() != 1 || dc.slots[7] != e2 {
+		t.Fatalf("%d live entries, sender's entry is the newer: %v; want 1, true", dc.Len(), dc.slots[7] == e2)
 	}
-	// The oldest entry was evicted while still held: its decoded view must
-	// survive until release.
-	if !entries[0].dead {
-		t.Fatal("oldest entry was not retired on overflow")
+	if !e1.dead || e2.dead {
+		t.Fatalf("retired: older %v, newer %v; want true, false", e1.dead, e2.dead)
 	}
-	if !floatsBitEqual(entries[0].sv.Values, decodeRef(t, bufs[0]).Values) {
-		t.Fatal("held evicted entry lost its decoded values")
+	// The older entry was retired while still held: its decoded view must
+	// survive until release, and only then go to the free list.
+	if !floatsBitEqual(e1.sv.Values, decodeRef(t, older).Values) {
+		t.Fatal("held retired entry lost its decoded values")
 	}
-	// Re-acquiring the evicted buffer is a miss into a fresh entry.
-	again := dc.acquire(7, bufs[0])
-	if again == entries[0] {
-		t.Fatal("evicted entry resurrected on lookup")
+	dc.release(e1)
+	if len(dc.free) != 1 || dc.free[0] != e1 {
+		t.Fatalf("free list %d entries, want the retired one at its last release", len(dc.free))
 	}
-	for _, e := range entries {
-		dc.release(e)
+	// A late acquire of the older payload is a miss into a fresh decode.
+	late := dc.acquire(7, older)
+	if late.err != nil {
+		t.Fatal(late.err)
 	}
-	dc.release(again)
+	if !floatsBitEqual(late.sv.Values, decodeRef(t, older).Values) {
+		t.Fatal("late acquire decoded to the wrong values")
+	}
+	if !e2.dead || dc.Len() != 1 || dc.slots[7] != late {
+		t.Fatal("late acquire did not become the sender's one entry")
+	}
+	if h, m := dc.Stats(); h != 0 || m != 3 {
+		t.Fatalf("stats (%d hits, %d misses), want (0, 3)", h, m)
+	}
+	dc.release(e2)
+	dc.release(late)
 }
 
-// TestDecodeCacheInvalidateSender: invalidation drops a sender's entries
+// TestDecodeCacheInvalidateSender: invalidation drops a sender's entry
 // (releasing the retained payload references) without touching other
 // senders, and entries still held at invalidation time recycle only at their
 // last release.
@@ -148,7 +158,7 @@ func TestDecodeCacheInvalidateSender(t *testing.T) {
 
 	dc.InvalidateSender(1)
 	if _, ok := dc.slots[1]; ok {
-		t.Fatal("invalidated sender still has a slot set")
+		t.Fatal("invalidated sender still has an entry")
 	}
 	if len(dc.free) != 1 {
 		t.Fatalf("released+invalidated entry not recycled (free list %d)", len(dc.free))

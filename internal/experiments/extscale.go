@@ -49,6 +49,7 @@ func ScaleWorkload(n int, seed uint64) (*Workload, error) {
 			Batch:     4,
 			Rounds:    4,
 			EvalEvery: 4,
+			seed:      seed,
 		}, nil
 	})
 }

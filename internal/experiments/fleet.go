@@ -37,6 +37,15 @@ const (
 	AlgoJWINSNoCutoff  Algo = "jwins-no-cutoff"
 )
 
+// known reports whether a names an algorithm buildFleet builds.
+func (a Algo) known() bool {
+	switch a {
+	case AlgoFull, AlgoRandom, AlgoJWINS, AlgoChoco, AlgoJWINSNoWavelet, AlgoJWINSNoAccum, AlgoJWINSNoCutoff:
+		return true
+	}
+	return false
+}
+
 // AlgoSpec selects an algorithm and its knobs.
 type AlgoSpec struct {
 	Kind Algo
@@ -254,6 +263,8 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("%w: EvalSample must be >= 0 (0 = exact evaluation), got %d", ErrUnsupportedSpec, s.EvalSample)
 	case s.MixingEvery < -1:
 		return fmt.Errorf("%w: MixingEvery must be >= -1 (0/1 = every epoch, -1 = never), got %d", ErrUnsupportedSpec, s.MixingEvery)
+	case !s.Algo.Kind.known():
+		return fmt.Errorf("%w: unknown algorithm %q", ErrUnsupportedSpec, s.Algo.Kind)
 	}
 	if s.Async {
 		return nil
@@ -282,8 +293,9 @@ func (s RunSpec) Validate() error {
 // budget and epoch length the engine will use written out, so that
 // SpecFromTraceHeader rebuilds spec and a replay validates its engine
 // against the recording. Only a valid Async spec has a schedule to record,
-// and only one whose algorithm runs at its defaults can be replayed: the
-// header names the algorithm, not its knobs.
+// and only one whose algorithm runs at its defaults and whose workload was
+// built from spec.Seed can be replayed: the header names the algorithm, not
+// its knobs, and carries one seed for the workload and the run.
 func (s RunSpec) TraceHeader() (trace.Header, error) {
 	if err := s.Validate(); err != nil {
 		return trace.Header{}, err
@@ -293,6 +305,9 @@ func (s RunSpec) TraceHeader() (trace.Header, error) {
 	}
 	if !reflect.DeepEqual(s.Algo.resolved(), AlgoSpec{Kind: s.Algo.Kind}.resolved()) {
 		return trace.Header{}, fmt.Errorf("%w: a trace header names the algorithm (%s) but not its knobs, and replay would rebuild it at its defaults", ErrUnsupportedSpec, s.Algo.Kind)
+	}
+	if s.Workload.seed != s.Seed {
+		return trace.Header{}, fmt.Errorf("%w: the workload was built from seed %d, but a trace header carries one seed (%d), and replay would rebuild the workload from it", ErrUnsupportedSpec, s.Workload.seed, s.Seed)
 	}
 	policy := s.Policy
 	if policy == nil {

@@ -77,6 +77,10 @@ type Workload struct {
 	Rounds int
 	// EvalEvery is the evaluation cadence for learning curves.
 	EvalEvery int
+
+	// seed is what NewWorkload, NewCIFAR10Shards or ScaleWorkload built the
+	// workload from; a trace header's one seed must be it (see TraceHeader).
+	seed uint64
 }
 
 // WorkloadNames lists the five benchmark tasks in paper order.
@@ -137,7 +141,7 @@ func NewWorkload(name string, scale Scale, nodes int, seed uint64) (*Workload, e
 	}
 	return memoWorkload(workloadKey{name, scale, nodes, shards, seed}, func() (*Workload, error) {
 		rng := vec.NewRNG(seed)
-		w := &Workload{Name: name, Scale: scale, Nodes: nodes, Degree: degreeFor(nodes)}
+		w := &Workload{Name: name, Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), seed: seed}
 		var err error
 		switch name {
 		case "cifar10":
@@ -169,7 +173,7 @@ func NewCIFAR10Shards(scale Scale, nodes, shardsPerNode int, seed uint64) (*Work
 	}
 	return memoWorkload(workloadKey{"cifar10", scale, nodes, shardsPerNode, seed}, func() (*Workload, error) {
 		rng := vec.NewRNG(seed)
-		w := &Workload{Name: "cifar10", Scale: scale, Nodes: nodes, Degree: degreeFor(nodes)}
+		w := &Workload{Name: "cifar10", Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), seed: seed}
 		if err := buildCIFAR10(w, scale, rng, shardsPerNode); err != nil {
 			return nil, err
 		}

@@ -121,7 +121,8 @@ func rowSum(res *simulation.Result) [sha256.Size]byte {
 // its knobs, so TraceHeader refuses a spec whose algorithm does not run at
 // the defaults SpecFromTraceHeader rebuilds — a JWINS budget, a non-default
 // codec — and accepts every spelling of the defaults, jwins-train's
-// included. Synchronous and invalid specs have no header either.
+// included. A header carries one seed, so a workload built from another
+// seed is refused too. Synchronous and invalid specs have no header either.
 func TestTraceHeaderRejectsUnreplayable(t *testing.T) {
 	w, err := NewWorkload("cifar10", Micro, 0, 1)
 	if err != nil {
@@ -166,6 +167,9 @@ func TestTraceHeaderRejectsUnreplayable(t *testing.T) {
 	for name, spec := range map[string]RunSpec{
 		"sync":           {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1},
 		"negative-epoch": {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1, Async: true, EpochSec: -1},
+		// w was built from seed 1: a header carrying seed 2 would replay on
+		// another dataset and partition.
+		"other-seed": {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 2, Async: true},
 	} {
 		if _, err := spec.TraceHeader(); !errors.Is(err, ErrUnsupportedSpec) {
 			t.Errorf("%s: got %v, want ErrUnsupportedSpec", name, err)
@@ -199,6 +203,8 @@ func TestRunSpecValidate(t *testing.T) {
 		"negative-eval":       func(s *RunSpec) { s.EvalSample = -8 },
 		"negative-eval-async": func(s *RunSpec) { s.Async, s.EvalSample = true, -8 },
 		"mixing-below-never":  func(s *RunSpec) { s.Async, s.MixingEvery = true, -2 },
+		"unknown-algo":        func(s *RunSpec) { s.Algo.Kind = "bogus" },
+		"unknown-algo-async":  func(s *RunSpec) { s.Async, s.Algo.Kind = true, "bogus" },
 	}
 	for name, mut := range reject {
 		spec := base

@@ -142,18 +142,19 @@ func (c *Conv2D) backward(grad *Tensor, wantDX bool) *Tensor {
 	}
 	g := convGeom{h: h, w: w, oh: oh, ow: ow, k: c.K, pad: c.Pad}
 	hw, ohw, kk := h*w, oh*ow, c.K*c.K
+	gw, gb := c.W.grads(), c.B.grads()
 	// The vector path's share: W.Grad of ocDone output channels, dx of icDone input channels.
 	ocDone, icDone := c.backwardLanes(&g, x, grad, dx)
 	for ni := 0; ni < n; ni++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			gr := grad.Data[(ni*c.OutC+oc)*ohw:][:ohw]
-			b := c.B.Grad[oc]
+			b := gb[oc]
 			for _, v := range gr {
 				b += v
 			}
-			c.B.Grad[oc] = b
+			gb[oc] = b
 			for ic := 0; ic < c.InC; ic++ {
-				xs, dk := x.Data[(ni*c.InC+ic)*hw:][:hw], c.W.Grad[(oc*c.InC+ic)*kk:][:kk]
+				xs, dk := x.Data[(ni*c.InC+ic)*hw:][:hw], gw[(oc*c.InC+ic)*kk:][:kk]
 				needDK, needDX := oc >= ocDone, wantDX && ic >= icDone
 				switch {
 				case needDK && needDX:

@@ -65,7 +65,7 @@ func TestConvKernelStaysInBounds(t *testing.T) {
 			c := NewConv2D(cc.inC, cc.outC, cc.k, cc.pad, rng)
 			fillSigned(c.W.Data, rng)
 			fillSigned(c.B.Data, rng)
-			c.W.Grad = guarded(t, len(c.W.Grad), atEnd)
+			c.W.Grad = guarded(t, len(c.W.Data), atEnd)
 			fillSigned(c.W.Grad, rng)
 			x := &Tensor{Shape: []int{cc.n, cc.inC, cc.h, cc.w}, Data: guarded(t, cc.n*cc.inC*cc.h*cc.w, atEnd)}
 			fillSigned(x.Data, rng)

@@ -255,8 +255,8 @@ func firstBitDiff(a, b []float64) int {
 // gradients, with scratch of its own.
 func twinConv(c *Conv2D) *Conv2D {
 	return &Conv2D{InC: c.InC, OutC: c.OutC, K: c.K, Pad: c.Pad,
-		W: &Param{Data: append([]float64(nil), c.W.Data...), Grad: append([]float64(nil), c.W.Grad...)},
-		B: &Param{Data: append([]float64(nil), c.B.Data...), Grad: append([]float64(nil), c.B.Grad...)},
+		W: &Param{Data: append([]float64(nil), c.W.Data...), Grad: append([]float64(nil), c.W.grads()...)},
+		B: &Param{Data: append([]float64(nil), c.B.Data...), Grad: append([]float64(nil), c.B.grads()...)},
 	}
 }
 
@@ -274,8 +274,8 @@ func checkConvParity(t testing.TB, cc convCase) {
 	got := NewConv2D(cc.inC, cc.outC, cc.k, cc.pad, rng)
 	fillSigned(got.W.Data, rng)
 	fillSigned(got.B.Data, rng)
-	fillSigned(got.W.Grad, rng)
-	fillSigned(got.B.Grad, rng)
+	fillSigned(got.W.grads(), rng)
+	fillSigned(got.B.grads(), rng)
 	if cc.nonFinite {
 		got.W.Data[rng.Intn(len(got.W.Data))] = math.NaN()
 		got.W.Data[rng.Intn(len(got.W.Data))] = math.Inf(1)

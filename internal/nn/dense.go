@@ -72,8 +72,8 @@ func (d *Dense) Backward(grad *Tensor) *Tensor {
 	n := x.Shape[0]
 	dx := d.dx.ensureZero(n, d.In)
 	w := d.W.Data
-	gw := d.W.Grad
-	gb := d.B.Grad
+	gw := d.W.grads()
+	gb := d.B.grads()
 	for i := 0; i < n; i++ {
 		xi := x.Data[i*d.In : (i+1)*d.In]
 		gi := grad.Data[i*d.Out : (i+1)*d.Out]

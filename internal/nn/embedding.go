@@ -66,9 +66,10 @@ func (e *Embedding) Forward(x *Tensor, _ bool) *Tensor {
 
 // Backward implements Layer.
 func (e *Embedding) Backward(grad *Tensor) *Tensor {
+	gw := e.W.grads()
 	for i, id := range e.ids {
 		g := grad.Data[i*e.Dim : (i+1)*e.Dim]
-		w := e.W.Grad[id*e.Dim : (id+1)*e.Dim]
+		w := gw[id*e.Dim : (id+1)*e.Dim]
 		for k, v := range g {
 			w[k] += v
 		}

@@ -136,7 +136,7 @@ func (l *LSTM) Backward(grad *Tensor) *Tensor {
 	h4 := 4 * hd
 	dx := l.dx.ensureZero(x.Shape...)
 	wx, wh := l.Wx.Data, l.Wh.Data
-	gwx, gwh, gb := l.Wx.Grad, l.Wh.Grad, l.B.Grad
+	gwx, gwh, gb := l.Wx.grads(), l.Wh.grads(), l.B.grads()
 
 	// dL/dh_t and dL/dc_t flowing from t+1 start at zero; dz is written before it is read.
 	dhNext, dcNext, dz := grow(&l.dhNext, n*hd), grow(&l.dcNext, n*hd), grow(&l.dz, h4)

@@ -281,9 +281,7 @@ func TestMFParamRoundTrip(t *testing.T) {
 }
 
 func TestSGDMomentum(t *testing.T) {
-	p := newParam("w", 1)
-	p.Data[0] = 1
-	p.Grad[0] = 1
+	p := &Param{Name: "w", Data: []float64{1}, Grad: []float64{1}}
 	opt := &SGD{Momentum: 0.9}
 	opt.Step(0.1, []*Param{p})
 	if math.Abs(p.Data[0]-0.9) > 1e-12 {

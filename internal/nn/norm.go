@@ -137,6 +137,7 @@ func (g *GroupNorm) Backward(grad *Tensor) *Tensor {
 	groupLen := chPerGroup * spatial
 	m := float64(groupLen)
 	dx := g.dx.ensure(x.Shape...)
+	gGamma, gBeta := g.Gamma.grads(), g.Beta.grads()
 
 	for seg, inv := range g.invSD[:n*g.Groups] {
 		gi, off := seg%g.Groups, seg*groupLen
@@ -145,7 +146,7 @@ func (g *GroupNorm) Backward(grad *Tensor) *Tensor {
 		var sumD, sumDX float64
 		for c := 0; c < chPerGroup; c++ {
 			ch := gi*chPerGroup + c
-			gamma, dGamma, dBeta := g.Gamma.Data[ch], g.Gamma.Grad[ch], g.Beta.Grad[ch]
+			gamma, dGamma, dBeta := g.Gamma.Data[ch], gGamma[ch], gBeta[ch]
 			for i := c * spatial; i < (c+1)*spatial; i++ {
 				dxh := gr[i] * gamma
 				sumD += dxh
@@ -154,7 +155,7 @@ func (g *GroupNorm) Backward(grad *Tensor) *Tensor {
 				dGamma += gr[i] * xhat[i]
 				dBeta += gr[i]
 			}
-			g.Gamma.Grad[ch], g.Beta.Grad[ch] = dGamma, dBeta
+			gGamma[ch], gBeta[ch] = dGamma, dBeta
 		}
 		scale := inv / m
 		for c := 0; c < chPerGroup; c++ {

@@ -108,7 +108,7 @@ func (g refGroupNorm) Backward(grad *Tensor) *Tensor {
 // gradients, with scratch of its own.
 func twinNorm(g *GroupNorm) *GroupNorm {
 	clone := func(p *Param) *Param {
-		return &Param{Data: append([]float64(nil), p.Data...), Grad: append([]float64(nil), p.Grad...)}
+		return &Param{Data: append([]float64(nil), p.Data...), Grad: append([]float64(nil), p.grads()...)}
 	}
 	return &GroupNorm{C: g.C, Groups: g.Groups, Eps: g.Eps, Gamma: clone(g.Gamma), Beta: clone(g.Beta)}
 }
@@ -129,7 +129,7 @@ func TestGroupNormMatchesReference(t *testing.T) {
 					got := NewGroupNorm(groups*(1+2*(n%2)), groups) // groupLen a power of two or not
 					for _, p := range got.Params() {
 						fillSigned(p.Data, rng)
-						fillSigned(p.Grad, rng)
+						fillSigned(p.grads(), rng)
 					}
 					want := refGroupNorm{twinNorm(got)}
 					for pass := 0; pass < 2; pass++ {

@@ -118,19 +118,30 @@ func allOnes(b bool) uint64 {
 }
 
 // Param is one learnable parameter block with its gradient accumulator.
+// Within Classifier.TrainBatch, Grad points into the call's workspace, and
+// it is nil between calls; a parameter of a layer driven directly gets a
+// Grad of its own on its first ZeroGrad or Backward.
 type Param struct {
 	Name string
 	Data []float64
 	Grad []float64
 }
 
-// newParam allocates a named parameter of size n.
+// newParam allocates a named parameter of size n, without a gradient.
 func newParam(name string, n int) *Param {
-	return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+	return &Param{Name: name, Data: make([]float64, n)}
+}
+
+// grads returns Grad, making it first when no call has pointed it anywhere.
+func (p *Param) grads() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.Data))
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { clear(p.Grad) }
+func (p *Param) ZeroGrad() { clear(p.grads()) }
 
 // Layer is a differentiable module. Forward caches whatever Backward needs;
 // a Layer instance is therefore stateful and must not be shared across

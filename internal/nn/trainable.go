@@ -78,6 +78,7 @@ func (c *Classifier) lossAndGrad(w *workspace, flat *Tensor, y []float64) (float
 func (c *Classifier) TrainBatch(x *Tensor, y []float64, lr float64) float64 {
 	w := acquireWorkspace(c.Net)
 	defer w.release()
+	w.attachGrads()
 	c.Net.ZeroGrad()
 	out := c.Net.Forward(x, true)
 	flat := logits2D(out, &c.flatView)

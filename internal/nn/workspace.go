@@ -4,17 +4,19 @@ import "sync"
 
 // workspace is the working set of one running Classifier.TrainBatch or
 // EvalBatch: every layer's outputs, input gradients and the caches Backward
-// reads, and the loss gradient. Models keep their parameters, gradients and
-// optimizer state; a call attaches its network to a workspace off the free
-// list and detaches and releases it on return, so a fleet holds as many
-// working sets as it ever ran calls at once instead of one per model. A
-// recycled workspace keeps its last user's values, and users differ in
-// architecture: every buffer is shaped where it is written and written in
-// full before it is read (cleared first where it is accumulated into).
+// reads, the loss gradient, and in a training call the parameter gradients.
+// Models keep their parameters and optimizer state; a call attaches its
+// network to a workspace off the free list and detaches and releases it on
+// return, so a fleet holds as many working sets as it ever ran calls at once
+// instead of one per model. A recycled workspace keeps its last user's
+// values, and users differ in architecture: every buffer is shaped where it
+// is written and written in full before it is read (cleared first where it
+// is accumulated into).
 type workspace struct {
 	states []any // layer states of every type; the first taken are attached
 	taken  int
 	loss   tscratch
+	grads  []float64   // the attached network's Param.Grad, end to end
 	net    *Sequential // the attached network
 }
 
@@ -87,9 +89,24 @@ func acquireWorkspace(net *Sequential) *workspace {
 	return w
 }
 
-// release detaches the network and returns w to the free list.
+// attachGrads points every parameter's Grad into the workspace for a training
+// call; release detaches them. The values are the last user's until ZeroGrad
+// clears them.
+func (w *workspace) attachGrads() {
+	arena := grow(&w.grads, w.net.paramCount)
+	for _, p := range w.net.params {
+		n := len(p.Data)
+		p.Grad, arena = arena[:n:n], arena[n:]
+	}
+}
+
+// release detaches the network and its gradients and returns w to the free
+// list.
 func (w *workspace) release() {
 	w.net.bind(nil)
+	for _, p := range w.net.params {
+		p.Grad = nil
+	}
 	w.net = nil
 	workspaceList.mu.Lock()
 	workspaceList.free = append(workspaceList.free, w)

@@ -80,6 +80,7 @@ func poisonWorkspaces() {
 	}
 	for _, w := range workspaceList.free {
 		ts(&w.loss)
+		nan(w.grads)
 		for _, st := range w.states {
 			switch st := st.(type) {
 			case *convState:

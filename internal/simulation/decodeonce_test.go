@@ -317,6 +317,73 @@ func TestDecodeCacheEngineParity(t *testing.T) {
 	}
 }
 
+// TestAsyncDecodeCacheOneEntryPerSender: the async engine's decode cache
+// holds one entry per sender and drops a leaver's, so under serial dispatch
+// it never holds more entries than there are live nodes. On a wider pool an
+// aggregate queued before a departure can still acquire the leaver's payload
+// after it, so there the bound is one entry per sender. Checked before every
+// event of a churn run, under the barrier and under gossip.
+func TestAsyncDecodeCacheOneEntryPerSender(t *testing.T) {
+	const nodes = 16
+	for _, policy := range []AggregationPolicy{BarrierPolicy{}, GossipPolicy{}} {
+		for _, p := range parallelismLevels() {
+			ds, parts := buildTask(t, nodes, 42)
+			fleet, probe := probeFleet(buildNodes(t, algoJWINS, ds, parts, 7), false)
+			g, err := topology.Regular(nodes, 4, vec.NewRNG(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := make([]bool, nodes)
+			for i := range live {
+				live[i] = true
+			}
+			var events, maxLen, leaves int
+			cfg := AsyncConfig{
+				Config: Config{Rounds: 10, EvalEvery: 5, Parallelism: p},
+				Het:    Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, Seed: 5},
+				Churn:  GenerateChurn(nodes, 0.25, 0.02, 0.2, 0.1, 77),
+				Policy: policy,
+				OnEvent: func(ev Event) {
+					probe.mu.Lock()
+					cache := probe.cache
+					probe.mu.Unlock()
+					liveNodes := 0
+					for _, l := range live {
+						if l {
+							liveNodes++
+						}
+					}
+					bound := nodes
+					if p == 1 {
+						bound = liveNodes
+					}
+					if n := cache.Len(); n > bound {
+						t.Errorf("%s p=%d: event %d: %d cache entries, %d live of %d senders", policy.Name(), p, events, n, liveNodes, nodes)
+					} else {
+						maxLen = max(maxLen, n)
+					}
+					events++
+					switch ev.Kind {
+					case EventLeave:
+						leaves++
+						live[ev.Node] = false
+					case EventJoin:
+						live[ev.Node] = true
+					}
+				},
+			}
+			eng := &AsyncEngine{Nodes: fleet, Topology: topology.NewStatic(g), TestSet: ds, Config: cfg}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s p=%d: %d events, %d leaves, at most %d cache entries", policy.Name(), p, events, leaves, maxLen)
+			if leaves == 0 || maxLen == 0 {
+				t.Fatalf("%s p=%d: %d leaves and at most %d entries: the run does not exercise the bound", policy.Name(), p, leaves, maxLen)
+			}
+		}
+	}
+}
+
 // assertSyncResultsIdentical compares everything a synchronous run reports
 // except Telemetry (observational) bit for bit.
 func assertSyncResultsIdentical(t *testing.T, a, b *Result) {

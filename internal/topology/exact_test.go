@@ -7,8 +7,10 @@ package topology
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/vec"
@@ -327,19 +329,33 @@ func numTrue(b []bool) int {
 	return n
 }
 
-// TestLiveViewPatchSharesRows: a patch may rebuild only what a flip can
-// reach. Every row outside the flipped node's two-hop neighborhood must be
-// the previous pair's row itself, not a copy, and the previous pair must be
-// left as it was (pool workers may still hold its rows).
+// TestLiveViewPatchSharesRows: a patch rewrites only what a flip can reach,
+// in the cached pair itself. Every row outside the flipped node's two-hop
+// neighborhood must be the previous row itself, not a copy, and no row served
+// before the flip may have been written (pool workers and neighbor walks may
+// still hold them): the patch replaces row headers, never row contents.
 func TestLiveViewPatchSharesRows(t *testing.T) {
 	const n = 512
 	p := NewEpochProvider(NewSeededDynamic(n, 6, 7), n, 1)
 	g0, w0 := p.Round(0)
 	adj0 := append([][]int(nil), g0.Adj...)
+	wt0 := append([]Weights(nil), w0...)
+	deep := func(adj [][]int, w []Weights) ([][]int, []map[int]float64) {
+		rows, nbrs := make([][]int, len(adj)), make([]map[int]float64, len(w))
+		for i := range adj {
+			rows[i] = append([]int(nil), adj[i]...)
+			nbrs[i] = maps.Clone(w[i].Neighbor)
+		}
+		return rows, nbrs
+	}
+	rows0, nbrs0 := deep(adj0, wt0)
 	p.SetLive(100, false)
 	g1, w1 := p.Round(0)
-	if g1 == g0 {
-		t.Fatal("patch returned the previous graph object")
+	if g1 != g0 {
+		t.Fatal("patch built a new graph object instead of patching the cached one")
+	}
+	if g1.Adj[100] != nil {
+		t.Fatal("the departed node's row was not emptied")
 	}
 	near := map[int]bool{100: true}
 	for _, j := range adj0[100] {
@@ -353,10 +369,10 @@ func TestLiveViewPatchSharesRows(t *testing.T) {
 		if near[i] {
 			continue
 		}
-		if len(g0.Adj[i]) > 0 && &g1.Adj[i][0] != &g0.Adj[i][0] {
+		if len(adj0[i]) > 0 && &g1.Adj[i][0] != &adj0[i][0] {
 			t.Fatalf("adjacency row %d outside the flip's reach was rebuilt", i)
 		}
-		if reflect.ValueOf(w1[i].Neighbor).Pointer() != reflect.ValueOf(w0[i].Neighbor).Pointer() {
+		if reflect.ValueOf(w1[i].Neighbor).Pointer() != reflect.ValueOf(wt0[i].Neighbor).Pointer() {
 			t.Fatalf("weight row %d outside the flip's reach was rebuilt", i)
 		}
 		shared++
@@ -364,33 +380,51 @@ func TestLiveViewPatchSharesRows(t *testing.T) {
 	if shared < n-50 {
 		t.Fatalf("only %d of %d rows shared", shared, n)
 	}
-	if !reflect.DeepEqual(g0.Adj, adj0) || len(g0.Adj[100]) != 6 {
-		t.Fatal("patch wrote to the previous graph")
+	rows1, nbrs1 := deep(adj0, wt0)
+	if !reflect.DeepEqual(rows1, rows0) || !reflect.DeepEqual(nbrs1, nbrs0) || len(adj0[100]) != 6 {
+		t.Fatal("patch wrote to a row it had served")
 	}
 }
 
 // liveChurnAllocCeiling is the allocation budget of one flip + Round at 2048
-// nodes and degree 6: three header copies, up to seven adjacency rows, and
-// two per rebuilt weight row — the seven whose adjacency changed plus any
-// neighbor whose max(deg_i, deg_j) moved. About 23 on a regular graph,
-// against ~6,100 for a rebuild.
-const liveChurnAllocCeiling = 64
+// nodes and degree 6: up to seven adjacency rows and two per rebuilt weight
+// row — the seven whose adjacency changed plus any neighbor whose
+// max(deg_i, deg_j) moved. About 20 on a regular graph, against ~6,100 for a
+// rebuild. liveChurnByteCeiling bounds the same flip's bytes: the rows only,
+// about 1.6 KB. Before the patch wrote into the cached pair it also copied
+// every row header of the graph and the weights, 80 KB a flip at this size.
+const (
+	liveChurnAllocCeiling = 32
+	liveChurnByteCeiling  = 4 << 10
+)
 
 func TestLiveGraphChurnAllocations(t *testing.T) {
-	const n = 2048
+	const n, runs = 2048, 200
 	p := NewEpochProvider(NewSeededDynamic(n, 6, 3), n, 1)
 	p.Round(0)
 	node, alive := 0, false
-	avg := testing.AllocsPerRun(200, func() {
+	flip := func() {
 		p.SetLive(node, alive)
 		p.Round(0)
 		if alive {
 			node = (node + 37) % n
 		}
 		alive = !alive
-	})
+	}
+	avg := testing.AllocsPerRun(runs, flip)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		flip()
+	}
+	runtime.ReadMemStats(&after)
+	perFlip := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("one flip + Round at %d nodes: %.1f allocations, %.0f bytes", n, avg, perFlip)
 	if avg > liveChurnAllocCeiling {
 		t.Fatalf("one flip + Round allocates %.1f times at %d nodes, ceiling %d", avg, n, liveChurnAllocCeiling)
+	}
+	if perFlip > liveChurnByteCeiling {
+		t.Fatalf("one flip + Round allocates %.0f bytes at %d nodes, ceiling %d", perFlip, n, liveChurnByteCeiling)
 	}
 }
 

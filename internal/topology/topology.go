@@ -12,9 +12,10 @@ import (
 )
 
 // Graph is an undirected simple graph over nodes 0..N-1 stored as sorted
-// adjacency lists. A Graph is immutable once built: the constructors and
-// providers in this package never modify Adj after returning one, which is
-// what lets HasEdge build its adjacency bitmap lazily.
+// adjacency lists. No row is ever written after it is returned. The
+// constructors never touch a Graph again; an EpochProvider's live view
+// replaces the rows a liveness flip reaches in its cached Graph, and resets
+// the lazily built adjacency bitmap when it does.
 type Graph struct {
 	N   int
 	Adj [][]int
@@ -334,11 +335,15 @@ func inducedRow(g *Graph, live []bool, i int) []int {
 
 // liveView is EpochProvider's live-filtering state: the liveness flags, the
 // live-induced subgraph and Metropolis-Hastings weights of the base graph
-// last asked for, and the nodes that flipped since that pair was built. A flip does not discard the pair: the next query of
-// the same base graph patches the flip's neighborhood into a copy of the row
-// headers (see patch), so a churn event costs its neighborhood, not the
-// fleet. Graphs and weight rows are never written after they are returned,
-// which the engines' pool workers rely on.
+// last asked for, and the nodes that flipped since that pair was built. A
+// flip does not discard the pair: the next query of the same base graph
+// patches the flip's neighborhood into it in place (see patch), so a churn
+// event costs its neighborhood, not the fleet. A patch replaces row headers
+// in the cached Graph and weight slice but never writes a row, so a caller
+// holding a row (a pool worker's Weights, a neighbor list being walked) keeps
+// what it was given; a caller holding the Graph or slice across a flip and
+// the next query sees the patched rows. Another base graph's query builds a
+// new pair and leaves the old one alone.
 type liveView struct {
 	live []bool
 	// liveVersion counts effective liveness changes; the cached pair is
@@ -350,6 +355,7 @@ type liveView struct {
 	key, cachedVer int // base-graph index (round or epoch) and version of g, w
 	base, g        *Graph
 	w              []Weights
+	deg            []int // g's degrees, for the patch to compare its new ones with
 }
 
 func newLiveView(n int) liveView {
@@ -418,19 +424,21 @@ func (v *liveView) rebuild(key int, base *Graph) (*Graph, []Weights) {
 	v.base, v.g = base, Induced(base, v.live)
 	v.w = MetropolisHastings(v.g)
 	v.key, v.cachedVer, v.flipped = key, v.liveVersion, v.flipped[:0]
+	v.deg = v.deg[:0]
+	for _, adj := range v.g.Adj {
+		v.deg = append(v.deg, len(adj))
+	}
 	return v.g, v.w
 }
 
-// patch replaces the cached pair with one that shares every row a flip
-// cannot reach: adjacency is rebuilt for the flipped nodes and their
-// base-graph neighbors, weights for those and, one hop further, wherever a
-// changed degree changes some max(deg_i, deg_j) — through the inducedRow and
-// mhRow that build every row of a fresh pair. Overlapping neighborhoods may
-// build a row twice; it is the same row.
+// patch rewrites the rows of the cached pair a flip can reach, in place:
+// adjacency for the flipped nodes and their base-graph neighbors, weights for
+// those and, one hop further, wherever a changed degree changes some
+// max(deg_i, deg_j) — through the inducedRow and mhRow that build every row
+// of a fresh pair. Every other row is left as it is. Overlapping
+// neighborhoods may build a row twice; it is the same row.
 func (v *liveView) patch() {
-	old := v.g
-	g := &Graph{N: old.N, Adj: append([][]int(nil), old.Adj...)}
-	w := append([]Weights(nil), v.w...)
+	g, w := v.g, v.w
 	rows := v.flipped
 	for _, f := range v.flipped {
 		rows = append(rows, v.base.Adj[f]...)
@@ -438,24 +446,27 @@ func (v *liveView) patch() {
 	for _, i := range rows {
 		g.Adj[i] = inducedRow(v.base, v.live, i)
 	}
+	g.bitmap = nil
 	for _, i := range rows {
 		w[i] = mhRow(g, i)
 		for _, j := range g.Adj[i] {
-			if mhRowMoved(old, g, j) {
+			if mhRowMoved(v.deg, g, j) {
 				w[j] = mhRow(g, j)
 			}
 		}
 	}
-	v.g, v.w = g, w
+	for _, i := range rows {
+		v.deg[i] = g.Degree(i)
+	}
 	v.cachedVer, v.flipped = v.liveVersion, rows[:0]
 }
 
-// mhRowMoved reports whether node i's weights differ between old and g, for
-// a node whose own adjacency does not.
-func mhRowMoved(old, g *Graph, i int) bool {
+// mhRowMoved reports whether node i's weights differ between the degrees
+// oldDeg and g's, for a node whose own adjacency does not.
+func mhRowMoved(oldDeg []int, g *Graph, i int) bool {
 	di := g.Degree(i)
 	for _, j := range g.Adj[i] {
-		if maxInt(di, old.Degree(j)) != maxInt(di, g.Degree(j)) {
+		if maxInt(di, oldDeg[j]) != maxInt(di, g.Degree(j)) {
 			return true
 		}
 	}
