@@ -15,7 +15,8 @@ import (
 	"repro/internal/digesttest"
 )
 
-// outputDigests pins, for every experiment at -scale micro -seed 7, the
+// outputDigests pins, for each of the 18 experiments at -scale micro -seed 7
+// (claims reads seeds 7 and 8; about 25 s in all on a 2-core host), the
 // SHA-256 of its stdout block and of its CSV ("" = the experiment writes no
 // CSV). What varies between runs of the same build is masked: each block's
 // "took", ext-scale's host-time fields wall-ms and events/s (wall_ms and
@@ -28,7 +29,7 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"fig5", "b3d4f826bf282c51cbbefd1a5c3b92f248738e9a2ac6eda35de04b54108e6133", "f03f7c7e9c66f32e88809e4021ce17ac02cf163cae3577267350e3e00f7c347e"},
 	{"fig6", "f6ec80f2327af47c72b23f20d683bed60fe62918946a68b33ba80c93800da3a7", "800fa8130a3ecaa450e28784853c6b09a28c8f5e026cb24de5b12c6f95bf381e"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig7", "3be6e6d9abadf665dae78c7dec5c7216d53afa4d5ac8e39f629a7f8f11b9bdc7", "a0a94a1dbb2cab6acc9f95fb2b3e745ba5d58fb71d73eb769905ca2ff1b04457"}, // re-recorded, parent 08c45e3: fig7's dynamic arms read the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arm is unchanged
-	{"fig8", "8e9cb6c142aad58cb971a9f89f4e4c629ff9b91a23869f95939c50bc800c1bd3", "4adaccccae3b1972f03c83defd8e55dfc858adf26141e46bbd118ce6bc220390"},
+	{"fig8", "d06805653db8adb542fd8b9da85f41b3e9807e6204866337e03fc06933a05a45", "39d897342c43cc9100a695598f40e8eae2004016b4587f87908383c646b68c07"}, // re-recorded, parent 76cc3bd: fig8 prints each arm's bytes and mean α
 	{"fig9", "32facbb92c519173432ff5acc5535fbf8d77f3de624a19450ae8a543b679c169", "a468b6e16a3e9aae59ada756220efb283f18d4828d1f7c32e4f5b2bc73605cdf"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},
 	{"ext-powergossip", "fefda2c0a2538cdaf36f358d636d17e8d299ef93a9e34d73594e1d0767cc55f0", "b5800cc0419c5b13f59666c6dadfe163c5233297b6fa2fa26d12930f84cbb135"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
@@ -39,6 +40,7 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"ext-dyntopo", "41b4e449a41b487ac555157b6277aab4dc21bee95d773e75d3af75ebad5e3e58", "36a1d3984a80f2c1f94503e89e3683366f69fa10ac44eb783ace14820508285a"},     // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-scale", "5fab467572765ef5d7398263cd29aa316a3da95412f3bc42ef578e5ab732a123", "c57f08b8fba904f508eb08c048a0ce218df068c7834559b346936cc5f1f03fa1"},       // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-semiasync", "c9dec6a131d7392a945020f33fd4d08c00f7f815328f5c15706593066cad8c55", "a0c580738b1d16fd78d0a83789342c5d2a3006b72c9183f0591ebf2d5e8e3b54"},
+	{"claims", "8b69f4713b7911d1ec0f0fd1e004cfdf9d51654d91054a16f03049e65f55f041", "f72d96253420b277de89611cfbd7f73fd5c9615e1a03414f8bb2aabe1778615d"},
 }
 
 var (
@@ -52,7 +54,7 @@ var (
 // holds each one's printed table and CSV to the recorded digests.
 func TestExperimentOutputDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all 17 experiments (about 12 s)")
+		t.Skip("runs all 18 experiments (about 25 s)")
 	}
 	dir := t.TempDir()
 	var out bytes.Buffer

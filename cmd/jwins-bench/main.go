@@ -19,6 +19,7 @@
 //	jwins-bench -exp ext-dyntopo       # epoch-randomized topologies at 96-384 nodes
 //	jwins-bench -exp ext-scale         # async engine at 256-8192 nodes (sampled eval from 2048)
 //	jwins-bench -exp ext-semiasync     # aggregation policies x heterogeneity
+//	jwins-bench -exp claims            # the paper's claims, paired over seeds
 //	jwins-bench -exp all               # everything, in paper order
 //
 // Flags: -scale micro|small|paper (default small), -seed N, -out DIR (every
@@ -71,7 +72,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("jwins-bench", flag.ContinueOnError)
 	var (
-		expName    = flags.String("exp", "all", "experiment: fig2, fig3, table1, fig5..fig10, ext-*, or all")
+		expName    = flags.String("exp", "all", "experiment: fig2, fig3, table1, fig5..fig10, ext-*, claims, or all")
 		scaleName  = flags.String("scale", "small", "experiment scale: micro, small, or paper")
 		seed       = flags.Uint64("seed", 42, "root random seed")
 		datasets   = flags.String("datasets", "", "comma-separated dataset filter for table1/fig4/fig5")

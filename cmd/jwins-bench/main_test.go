@@ -25,6 +25,7 @@ func TestCheckFlagsRead(t *testing.T) {
 		{"datasets with all", allExperiments, []string{"datasets", "eval-sample"}, ""},
 		{"datasets with fig6", []string{"fig6"}, []string{"datasets"}, "-datasets"},
 		{"datasets with ext-scale", []string{"ext-scale"}, []string{"datasets"}, "-datasets"},
+		{"datasets with claims", []string{"claims"}, []string{"datasets"}, "-datasets"},
 		{"eval-sample with ext-scale", []string{"ext-scale"}, []string{"eval-sample"}, ""},
 		{"eval-sample with fig5", []string{"fig5"}, []string{"eval-sample"}, "-eval-sample"},
 	} {

@@ -23,7 +23,8 @@ import (
 // memoized per (n, seed), so a sweep's arms and benchmark re-runs share one
 // dataset.
 func ScaleWorkload(n int, seed uint64) (*Workload, error) {
-	return memoWorkload(workloadKey{"extscale", Micro, n, 2, seed}, func() (*Workload, error) {
+	key := presetKey("extscale", Micro, n, seed)
+	return memoWorkload(key, func() (*Workload, error) {
 		rng := vec.NewRNG(seed)
 		ds, err := datasets.SyntheticImages(datasets.ImageConfig{
 			Name: "extscale", Classes: 4, Channels: 1, Height: 8, Width: 8,
@@ -49,7 +50,7 @@ func ScaleWorkload(n int, seed uint64) (*Workload, error) {
 			Batch:     4,
 			Rounds:    4,
 			EvalEvery: 4,
-			seed:      seed,
+			key:       key,
 		}, nil
 	})
 }

@@ -293,9 +293,11 @@ func (s RunSpec) Validate() error {
 // budget and epoch length the engine will use written out, so that
 // SpecFromTraceHeader rebuilds spec and a replay validates its engine
 // against the recording. Only a valid Async spec has a schedule to record,
-// and only one whose algorithm runs at its defaults and whose workload was
-// built from spec.Seed can be replayed: the header names the algorithm, not
-// its knobs, and carries one seed for the workload and the run.
+// and only one whose algorithm runs at its defaults and whose workload is
+// the preset SpecFromTraceHeader rebuilds can be replayed: the header names
+// the algorithm, not its knobs, and the workload by name, scale, node count
+// and one seed for the workload and the run, so a workload built from
+// another seed or shard count, or given another degree, is refused.
 func (s RunSpec) TraceHeader() (trace.Header, error) {
 	if err := s.Validate(); err != nil {
 		return trace.Header{}, err
@@ -306,8 +308,9 @@ func (s RunSpec) TraceHeader() (trace.Header, error) {
 	if !reflect.DeepEqual(s.Algo.resolved(), AlgoSpec{Kind: s.Algo.Kind}.resolved()) {
 		return trace.Header{}, fmt.Errorf("%w: a trace header names the algorithm (%s) but not its knobs, and replay would rebuild it at its defaults", ErrUnsupportedSpec, s.Algo.Kind)
 	}
-	if s.Workload.seed != s.Seed {
-		return trace.Header{}, fmt.Errorf("%w: the workload was built from seed %d, but a trace header carries one seed (%d), and replay would rebuild the workload from it", ErrUnsupportedSpec, s.Workload.seed, s.Seed)
+	w := s.Workload
+	if w.key != presetKey(w.Name, w.Scale, w.Nodes, s.Seed) || w.Degree != degreeFor(w.Nodes) {
+		return trace.Header{}, fmt.Errorf("%w: replay would rebuild the workload as NewWorkload(%q, %s, %d, %d) builds it, at degree %d, but it was built as %+v and has degree %d", ErrUnsupportedSpec, w.Name, w.Scale, w.Nodes, s.Seed, degreeFor(w.Nodes), w.key, w.Degree)
 	}
 	policy := s.Policy
 	if policy == nil {
@@ -317,7 +320,6 @@ func (s RunSpec) TraceHeader() (trace.Header, error) {
 	if s.Dynamic {
 		topo = "dynamic"
 	}
-	w := s.Workload
 	h := trace.Header{
 		Nodes: w.Nodes, Rounds: s.rounds(), Source: trace.SourceSim, Policy: policy.Name(),
 		Meta: map[string]string{

@@ -211,11 +211,10 @@ func fig7(scale Scale, seed uint64, _ Opts) (*Table, error) {
 
 // fig8 reproduces Figure 8 on the CIFAR-10-like workload: the final test
 // loss and accuracy of full JWINS and of three ablations, each without one
-// component (the wavelet, accumulation, the randomized cut-off). The paper
-// claims every ablation ends at a higher test loss than full JWINS, the
-// no-wavelet one most. At -scale small, seeds 1–4, only the no-wavelet part
-// holds: that arm ends highest, but the no-cutoff arm ends below full JWINS on
-// every seed and the no-accumulation arm on three of the four.
+// component (the wavelet, accumulation, the randomized cut-off), with each
+// arm's bytes sent and mean sharing fraction α, so that the arms compare at
+// a stated cost. The paper claims every ablation ends at a higher test loss
+// than full JWINS; the claims experiment reads it over seeds.
 func fig8(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, 0, seed)
 	if err != nil {
@@ -232,11 +231,18 @@ func fig8(scale Scale, seed uint64, _ Opts) (*Table, error) {
 			{"variant", "%s", "variant", "%-26s"},
 			{"test_loss", "%.4f", "test loss", "%10.3f"},
 			{"accuracy", "%.2f", "accuracy", "%9.1f%%"},
+			{"bytes", "%d", "sent", "| %11s"},
+			{"mean_alpha", "%.4f", "mean α", "%7.3f"},
 		},
 		Curves: []Curves{{Series: curvesOf(arms, rs)}},
 	}
 	for i, a := range arms {
-		t.Rows = append(t.Rows, []any{a.label, rs[i].FinalLoss, acc(rs[i])})
+		var alpha float64
+		for _, rm := range rs[i].Rounds {
+			alpha += rm.MeanAlpha
+		}
+		t.Rows = append(t.Rows, []any{a.label, rs[i].FinalLoss, acc(rs[i]),
+			byteCount(rs[i].TotalBytes), alpha / float64(len(rs[i].Rounds))})
 	}
 	return t, nil
 }

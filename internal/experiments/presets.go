@@ -78,9 +78,9 @@ type Workload struct {
 	// EvalEvery is the evaluation cadence for learning curves.
 	EvalEvery int
 
-	// seed is what NewWorkload, NewCIFAR10Shards or ScaleWorkload built the
-	// workload from; a trace header's one seed must be it (see TraceHeader).
-	seed uint64
+	// key is what NewWorkload, NewCIFAR10Shards or ScaleWorkload built the
+	// workload from; a trace header must rebuild it (see TraceHeader).
+	key workloadKey
 }
 
 // WorkloadNames lists the five benchmark tasks in paper order.
@@ -95,6 +95,16 @@ type workloadKey struct {
 	nodes  int
 	shards int
 	seed   uint64
+}
+
+// presetKey is the key NewWorkload builds name from, or ScaleWorkload for
+// "extscale": what SpecFromTraceHeader rebuilds a header's workload from.
+func presetKey(name string, scale Scale, nodes int, seed uint64) workloadKey {
+	shards := 0
+	if name == "cifar10" || name == "extscale" {
+		shards = 2
+	}
+	return workloadKey{name, scale, nodes, shards, seed}
 }
 
 // workloadCache memoizes dataset synthesis across sweep arms: a sweep that
@@ -135,13 +145,10 @@ func NewWorkload(name string, scale Scale, nodes int, seed uint64) (*Workload, e
 	if nodes == 0 {
 		nodes = defaultNodes(scale)
 	}
-	shards := 0
-	if name == "cifar10" {
-		shards = 2
-	}
-	return memoWorkload(workloadKey{name, scale, nodes, shards, seed}, func() (*Workload, error) {
+	key := presetKey(name, scale, nodes, seed)
+	return memoWorkload(key, func() (*Workload, error) {
 		rng := vec.NewRNG(seed)
-		w := &Workload{Name: name, Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), seed: seed}
+		w := &Workload{Name: name, Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), key: key}
 		var err error
 		switch name {
 		case "cifar10":
@@ -171,9 +178,10 @@ func NewCIFAR10Shards(scale Scale, nodes, shardsPerNode int, seed uint64) (*Work
 	if nodes == 0 {
 		nodes = defaultNodes(scale)
 	}
-	return memoWorkload(workloadKey{"cifar10", scale, nodes, shardsPerNode, seed}, func() (*Workload, error) {
+	key := workloadKey{"cifar10", scale, nodes, shardsPerNode, seed}
+	return memoWorkload(key, func() (*Workload, error) {
 		rng := vec.NewRNG(seed)
-		w := &Workload{Name: "cifar10", Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), seed: seed}
+		w := &Workload{Name: "cifar10", Scale: scale, Nodes: nodes, Degree: degreeFor(nodes), key: key}
 		if err := buildCIFAR10(w, scale, rng, shardsPerNode); err != nil {
 			return nil, err
 		}

@@ -24,8 +24,9 @@ type Experiment struct {
 	Run   func(scale Scale, seed uint64, opts Opts) (*Table, error)
 }
 
-// Experiments lists every experiment in paper order: what jwins-bench -exp
-// all runs.
+// Experiments lists every experiment in paper order, then claims, which
+// reads the paper's tables over several seeds: what jwins-bench -exp all
+// runs.
 var Experiments = []Experiment{
 	{"fig2", nil, fig2},
 	{"fig3", nil, fig3},
@@ -44,6 +45,7 @@ var Experiments = []Experiment{
 	{"ext-dyntopo", nil, extDynTopo},
 	{"ext-scale", []string{"eval-sample"}, extScale},
 	{"ext-semiasync", nil, extSemiAsync},
+	{"claims", nil, claims},
 }
 
 // arm is one labelled variant of an experiment's base RunSpec.

@@ -121,8 +121,10 @@ func rowSum(res *simulation.Result) [sha256.Size]byte {
 // its knobs, so TraceHeader refuses a spec whose algorithm does not run at
 // the defaults SpecFromTraceHeader rebuilds — a JWINS budget, a non-default
 // codec — and accepts every spelling of the defaults, jwins-train's
-// included. A header carries one seed, so a workload built from another
-// seed is refused too. Synchronous and invalid specs have no header either.
+// included. A header rebuilds the workload as NewWorkload builds it from one
+// seed, so a workload built from another seed or shard count, or given
+// another degree, is refused too. Synchronous and invalid specs have no
+// header either.
 func TestTraceHeaderRejectsUnreplayable(t *testing.T) {
 	w, err := NewWorkload("cifar10", Micro, 0, 1)
 	if err != nil {
@@ -164,12 +166,24 @@ func TestTraceHeaderRejectsUnreplayable(t *testing.T) {
 			t.Errorf("%s %+v: got %v, want ErrUnsupportedSpec", a.Kind, a, err)
 		}
 	}
+	// Replay rebuilds cifar10 at 2 shards a node and at degreeFor(nodes).
+	shards4, err := NewCIFAR10Shards(Micro, 0, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degree3, err := NewWorkload("cifar10", Micro, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degree3.Degree = 3
 	for name, spec := range map[string]RunSpec{
 		"sync":           {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1},
 		"negative-epoch": {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1, Async: true, EpochSec: -1},
 		// w was built from seed 1: a header carrying seed 2 would replay on
 		// another dataset and partition.
 		"other-seed": {Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 2, Async: true},
+		"4-shards":   {Workload: shards4, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1, Async: true},
+		"degree-3":   {Workload: degree3, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: 1, Async: true},
 	} {
 		if _, err := spec.TraceHeader(); !errors.Is(err, ErrUnsupportedSpec) {
 			t.Errorf("%s: got %v, want ErrUnsupportedSpec", name, err)

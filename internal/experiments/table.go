@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,6 +77,30 @@ func (t *Table) String() string {
 		b.WriteString(n + "\n")
 	}
 	return b.String()
+}
+
+// column is the index of the column with this CSV name or, for a text-only
+// column, this header; -1 when there is none.
+func (t *Table) column(name string) int {
+	return slices.IndexFunc(t.Columns, func(c Column) bool { return c.Name == name || c.Name == "" && c.Head == name })
+}
+
+// num is row i's cell in the named column as a float64: NaN when there is
+// no such column or the cell is not a number.
+func (t *Table) num(i int, name string) float64 {
+	if c := t.column(name); c >= 0 {
+		switch v := t.Rows[i][c].(type) {
+		case float64:
+			return v
+		case int:
+			return float64(v)
+		case int64:
+			return float64(v)
+		case byteCount:
+			return float64(v)
+		}
+	}
+	return math.NaN()
 }
 
 // textHead pads c.Head to the width of c.Text's verb plus the literal text

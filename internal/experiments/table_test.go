@@ -125,7 +125,7 @@ func TestResultCSVs(t *testing.T) {
 		{"fig6", fig6, "budget,gamma,rounds,acc_choco,acc_jwins,loss_choco,loss_jwins,bytes_node_choco,bytes_node_jwins,target_acc,rounds_to_target_jwins,bytes_to_target_jwins,bytes_to_target_full",
 			row(`0\.20`, `0\.60`, i, f2, f2, f4, f4, i, i, f2, i, i, i)},
 		{"fig7", fig7, "arm,final_acc", row("full-static", f2)},
-		{"fig8", fig8, "variant,test_loss,accuracy", row("jwins-no-wavelet", f4, f2)},
+		{"fig8", fig8, "variant,test_loss,accuracy,bytes,mean_alpha", row("jwins-no-wavelet", f4, f2, i, f4)},
 		{"fig9", fig9, "rounds,model_bytes,meta_raw,meta_gamma,compression,wasted_fraction", row(i, i, i, i, f2, f4)},
 		{"fig10", fig10, "nodes,degree,rounds,acc_random,acc_jwins,gain,rounds_to_target_jwins,rounds_saved,bytes_random,bytes_jwins",
 			row("8", "4", i, f2, f2, f2, i, i, i, i)},
@@ -161,28 +161,18 @@ func TestCurvesCSVStalenessColumns(t *testing.T) {
 // text-only column, this header.
 func cell(t *testing.T, tab *Table, i int, name string) any {
 	t.Helper()
-	for c, col := range tab.Columns {
-		if col.Name == name || col.Name == "" && col.Head == name {
-			return tab.Rows[i][c]
-		}
+	c := tab.column(name)
+	if c < 0 {
+		t.Fatalf("no column %q", name)
 	}
-	t.Fatalf("no column %q", name)
-	return nil
+	return tab.Rows[i][c]
 }
 
 // num is a numeric cell as a float64.
 func num(t *testing.T, tab *Table, i int, name string) float64 {
 	t.Helper()
-	switch v := cell(t, tab, i, name).(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	case byteCount:
-		return float64(v)
+	if _, isString := cell(t, tab, i, name).(string); isString {
+		t.Fatalf("column %q is not numeric", name)
 	}
-	t.Fatalf("column %q is not numeric", name)
-	return 0
+	return tab.num(i, name)
 }
