@@ -31,10 +31,11 @@ import (
 // synchronous engine does reuse payload addresses: it hands each round's
 // payloads back to their senders (PayloadRecycler), whose next Share encodes
 // into the same array. It calls Reset before every hand-back, so no entry a
-// reader can still find ever aliases a recycled buffer. The async engine
-// hands nothing back. InvalidateSender is therefore memory hygiene (drop a
-// churned-out or disconnected sender's buffers), never a correctness
-// requirement; Reset before a hand-back is one.
+// reader can still find ever aliases a recycled buffer; that Reset is a
+// correctness requirement. The async engine hands nothing back and never
+// drops an entry: a churned-out or disconnected sender keeps its one entry,
+// which the all-live state holds anyway, until a recipient acquires its
+// next broadcast.
 //
 // A DecodeCache is safe for concurrent use: concurrent acquires of the same
 // payload decode it once, with late arrivals waiting on the entry's ready
@@ -100,19 +101,6 @@ func (c *DecodeCache) release(e *cacheEntry) {
 	if e.refs == 0 && e.dead {
 		c.recycleLocked(e)
 	}
-	c.mu.Unlock()
-}
-
-// InvalidateSender drops the cached payload of one sender — called on
-// churn (the node left) and on epoch rotation when the sender lost all its
-// edges. Purely memory hygiene: identity keying already prevents stale
-// serving (see the type comment).
-func (c *DecodeCache) InvalidateSender(sender int) {
-	c.mu.Lock()
-	if e := c.slots[sender]; e != nil {
-		c.retireLocked(e)
-	}
-	delete(c.slots, sender)
 	c.mu.Unlock()
 }
 

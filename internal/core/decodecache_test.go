@@ -146,41 +146,6 @@ func TestDecodeCacheEviction(t *testing.T) {
 	dc.release(late)
 }
 
-// TestDecodeCacheInvalidateSender: invalidation drops a sender's entry
-// (releasing the retained payload references) without touching other
-// senders, and entries still held at invalidation time recycle only at their
-// last release.
-func TestDecodeCacheInvalidateSender(t *testing.T) {
-	dc := &DecodeCache{}
-	a := dc.acquire(1, testPayload(t, 32, 1))
-	b := dc.acquire(2, testPayload(t, 32, 2))
-	dc.release(a)
-
-	dc.InvalidateSender(1)
-	if _, ok := dc.slots[1]; ok {
-		t.Fatal("invalidated sender still has an entry")
-	}
-	if len(dc.free) != 1 {
-		t.Fatalf("released+invalidated entry not recycled (free list %d)", len(dc.free))
-	}
-	if _, ok := dc.slots[2]; !ok {
-		t.Fatal("invalidation of sender 1 dropped sender 2's entries")
-	}
-
-	dc.InvalidateSender(2) // b still held: retire, don't recycle
-	if len(dc.free) != 1 {
-		t.Fatal("held entry recycled while a holder remains")
-	}
-	vals := decodeRef(t, testPayload(t, 32, 2))
-	if !floatsBitEqual(b.sv.Values, vals.Values) {
-		t.Fatal("held entry invalidated out from under its holder")
-	}
-	dc.release(b)
-	if len(dc.free) != 2 {
-		t.Fatal("entry not recycled at last release")
-	}
-}
-
 // TestDecodeCacheReset: a reset retires every sender's entries at once —
 // released ones land on the free list with their decode buffers, a held one
 // stays valid until its release — and the next round's payloads miss into the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/vec"
 )
 
@@ -21,10 +22,11 @@ import (
 const schedulerAllocCeiling = 4.0
 
 // allocRun executes one serial 16-node full-sharing raw32 run and returns
-// its event count. Telemetry is enabled on purpose: the instrumented hot
-// path must stay under the same ceiling — every metric op is a
-// pre-registered atomic (see telemetry.go), and the registry construction is
-// rounds-independent so the lo/hi differencing cancels it exactly.
+// its event count, read from the run's Record sink. Telemetry and recording
+// are on on purpose: the instrumented hot path must stay under the same
+// ceiling — every metric op is a pre-registered atomic (see telemetry.go),
+// and the registry construction is rounds-independent so the lo/hi
+// differencing cancels it exactly.
 func allocRun(t *testing.T, rounds int) int64 {
 	t.Helper()
 	const n = 16
@@ -38,8 +40,12 @@ func allocRun(t *testing.T, rounds int) int64 {
 	eng := &AsyncEngine{
 		Nodes: nodes, Topology: topology.NewStatic(g), TestSet: ds,
 		Config: AsyncConfig{
-			Config:    Config{Rounds: rounds, EvalEvery: rounds, Parallelism: 1},
-			OnEvent:   func(Event) { events++ },
+			Config: Config{Rounds: rounds, EvalEvery: rounds, Parallelism: 1},
+			Record: sinkFunc(func(ev trace.Event) {
+				if scheduled(ev.Kind) {
+					events++
+				}
+			}),
 			Telemetry: NewTelemetry(),
 		},
 	}

@@ -195,10 +195,6 @@ type AsyncConfig struct {
 	// aggregates cover sampled epochs only. Neighbor turnover (O(edges)) is
 	// always reported.
 	MixingEvery int
-	// OnEvent, if set, observes every processed event in order — the
-	// deterministic event trace.
-	OnEvent func(Event)
-
 	// Telemetry, if set, streams runtime metrics (queue depth, barrier wait,
 	// speculation hit rate, byte counters, ...) into its registry as the run
 	// executes, and leaves a point-in-time snapshot in Result.Telemetry.
@@ -614,9 +610,6 @@ func (r *asyncRun) eventLoop() error {
 			r.tel.queueDepth.Observe(float64(r.queue.Len() + 1))
 			r.tel.events[ev.Kind].Inc()
 		}
-		if r.cfg.OnEvent != nil {
-			r.cfg.OnEvent(ev)
-		}
 		if r.rec != nil {
 			if tev, ok := schedTraceEvent(&ev); ok {
 				r.rec.Record(tev)
@@ -834,14 +827,6 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 			if !gNew.HasEdge(i, j) {
 				delete(st.got, j)
 			}
-		}
-	}
-	// A sender the rotation fully disconnected has no recipients left for
-	// its cached decodes; drop them (hygiene — identity keying already
-	// rules out stale hits).
-	for j := range r.nodes {
-		if gNew.Degree(j) == 0 {
-			r.dcache.InvalidateSender(j)
 		}
 	}
 
@@ -1372,9 +1357,6 @@ func (r *asyncRun) onLeave(i int) error {
 	r.liveAt[st.iter]--
 	g, _ := r.graph() // the leaver's row, before it empties
 	r.topo.SetLive(i, false)
-	// Hygiene, not correctness: entries are identity-keyed, so dropping
-	// the leaver's cached decodes just releases memory sooner.
-	r.dcache.InvalidateSender(i)
 	// Departure can unblock waiting neighbors and raise the row floor.
 	return r.recheck(g.Neighbors(i))
 }
@@ -1465,12 +1447,6 @@ func (r *asyncRun) emitRows() error {
 		// Sampled runs reuse the row's eval subset for the alpha summary too,
 		// keeping emission O(sample); exact runs keep the full-fleet mean.
 		subset := r.evalSamp.subsetFor(k)
-		var alpha float64
-		if subset != nil {
-			alpha = meanOverIdx(r.alphas, subset)
-		} else {
-			alpha = mean(r.alphas)
-		}
 		rm := RoundMetrics{
 			Round:            k,
 			TrainLoss:        math.NaN(),
@@ -1480,7 +1456,7 @@ func (r *asyncRun) emitRows() error {
 			CumModelBytes:    r.ledger.model,
 			CumMetaBytes:     r.ledger.meta,
 			SimTime:          r.now,
-			MeanAlpha:        alpha,
+			MeanAlpha:        meanAlpha(r.alphas, subset),
 			Epoch:            r.epoch,
 			SpectralGap:      r.curGap,
 			NeighborTurnover: r.curTurnover,

@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/topology"
@@ -39,79 +38,6 @@ func runAsync(t *testing.T, kind algo, rounds int, mut func(*AsyncConfig)) *Resu
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestAsyncMatchesSyncDegenerate: with homogeneous profiles, no churn, and
-// the local-barrier policy, the event-driven scheduler must reproduce the
-// synchronous engine: same per-iteration aggregation inputs, hence the same
-// learning trajectory and the same cumulative byte ledger.
-func TestAsyncMatchesSyncDegenerate(t *testing.T) {
-	const rounds = 20
-	sync := runAlgo(t, algoJWINS, rounds)
-	async := runAsync(t, algoJWINS, rounds, nil)
-
-	if len(async.Rounds) != len(sync.Rounds) {
-		t.Fatalf("row counts differ: async %d, sync %d", len(async.Rounds), len(sync.Rounds))
-	}
-	for i := range sync.Rounds {
-		s, a := sync.Rounds[i], async.Rounds[i]
-		if a.CumTotalBytes != s.CumTotalBytes || a.CumMetaBytes != s.CumMetaBytes {
-			t.Fatalf("round %d bytes differ: async (%d,%d), sync (%d,%d)",
-				i, a.CumTotalBytes, a.CumMetaBytes, s.CumTotalBytes, s.CumMetaBytes)
-		}
-		if math.Abs(a.TrainLoss-s.TrainLoss) > 1e-9*(1+math.Abs(s.TrainLoss)) {
-			t.Fatalf("round %d train loss differs: async %v, sync %v", i, a.TrainLoss, s.TrainLoss)
-		}
-	}
-	// The acceptance bound: accuracy within 0.5 pp. With the barrier policy
-	// the trajectories are identical so this is usually exact.
-	if math.Abs(async.FinalAccuracy-sync.FinalAccuracy) > 0.005 {
-		t.Fatalf("final accuracy diverged: async %.4f, sync %.4f", async.FinalAccuracy, sync.FinalAccuracy)
-	}
-}
-
-// TestAsyncDeterministicTrace: same seed, same config => identical event
-// trace (kind, time, node, sender, iteration) and identical final metrics.
-func TestAsyncDeterministicTrace(t *testing.T) {
-	type traceEntry struct {
-		Time       float64
-		Kind       EventKind
-		Node, From int
-		Iter       int
-	}
-	capture := func() ([]traceEntry, *Result) {
-		var trace []traceEntry
-		eng := asyncEngineFor(t, algoJWINS, 8, func(cfg *AsyncConfig) {
-			cfg.Het = Heterogeneity{ComputeSpread: 0.4, BandwidthSpread: 0.3, LatencySpread: 0.2, Seed: 5}
-			cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.2, 0.1, 77)
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-			cfg.OnEvent = func(ev Event) {
-				trace = append(trace, traceEntry{ev.Time, ev.Kind, ev.Node, ev.From, ev.Iter})
-			}
-		})
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trace, res
-	}
-	traceA, resA := capture()
-	traceB, resB := capture()
-	if len(traceA) == 0 {
-		t.Fatal("no events traced")
-	}
-	if len(traceA) != len(traceB) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(traceA), len(traceB))
-	}
-	for i := range traceA {
-		if traceA[i] != traceB[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, traceA[i], traceB[i])
-		}
-	}
-	if resA.TotalBytes != resB.TotalBytes || resA.FinalAccuracy != resB.FinalAccuracy || resA.SimTime != resB.SimTime {
-		t.Fatalf("results differ: %+v vs %+v", resA, resB)
-	}
 }
 
 // TestAsyncStragglersSlowOnlyNeighbors: a heavy compute tail must stretch
@@ -152,22 +78,6 @@ func TestAsyncGossipLearns(t *testing.T) {
 	})
 	if res.FinalAccuracy < 0.5 {
 		t.Fatalf("gossip policy reached only %.2f", res.FinalAccuracy)
-	}
-}
-
-// TestAsyncSimTimeMonotone: emitted rows must carry non-decreasing simulated
-// timestamps even under churn and heterogeneity.
-func TestAsyncSimTimeMonotone(t *testing.T) {
-	res := runAsync(t, algoFull, 15, func(cfg *AsyncConfig) {
-		cfg.Het = Heterogeneity{ComputeSpread: 0.6, BandwidthSpread: 0.4, Seed: 31}
-		cfg.Churn = GenerateChurn(8, 0.25, 0.05, 0.3, 0.1, 33)
-	})
-	prev := -1.0
-	for _, rm := range res.Rounds {
-		if rm.SimTime < prev {
-			t.Fatalf("sim time regressed: %v after %v", rm.SimTime, prev)
-		}
-		prev = rm.SimTime
 	}
 }
 

@@ -8,46 +8,10 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/datasets"
-	"repro/internal/nn"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/vec"
 )
-
-// buildNodesWithCodec mirrors buildNodes but gives every node the float
-// codec fc.
-func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64, fc codec.FloatCodec) []core.Node {
-	t.Helper()
-	opts := core.TrainOpts{LR: 0.05, LocalSteps: 2}
-	rootRNG := vec.NewRNG(seed)
-	var nodes []core.Node
-	for i := range parts {
-		nodeRNG := rootRNG.Split()
-		model := nn.NewMLP(64, 24, 4, nodeRNG)
-		loader := datasets.NewLoader(ds, parts[i], 8, nodeRNG.Split())
-		var (
-			n   core.Node
-			err error
-		)
-		switch kind {
-		case algoFull:
-			n, err = core.NewFullSharing(i, model, loader, opts, fc)
-		case algoRandom:
-			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, fc, nodeRNG.Split())
-		case algoJWINS:
-			cfg := core.DefaultJWINSConfig()
-			cfg.FloatCodec = fc
-			n, err = core.NewJWINS(i, model, loader, opts, cfg, nodeRNG.Split())
-		case algoChoco:
-			n, err = core.NewChoco(i, model, loader, opts, core.ChocoConfig{Fraction: 0.2, Gamma: 0.2, FloatCodec: fc})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes
-}
 
 // deliveryProbe observes what a fleet of probeNodes is handed: payloads
 // delivered, distinct (round, sender) broadcasts among them, and — in the
@@ -228,7 +192,9 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%s/p%d", al.name, cd.name, dl.name, p), func(t *testing.T) {
 						ref := run(t, al.kind, cd.fc, p, dl.dynamic, dl.offline, dl.cfg, true)
 						got := run(t, al.kind, cd.fc, p, dl.dynamic, dl.offline, dl.cfg, false)
-						assertSyncResultsIdentical(t, ref.res, got.res)
+						if err := resultDiff(ref.res, got.res); err != nil {
+							t.Fatalf("the cached fleet reported another result: %v", err)
+						}
 						for i := range ref.params {
 							for k := range ref.params[i] {
 								if math.Float64bits(ref.params[i][k]) != math.Float64bits(got.params[i][k]) {
@@ -282,47 +248,35 @@ func TestSyncDecodeOnceParity(t *testing.T) {
 
 // TestDecodeCacheEngineParity: the fleet-shared decoded-payload cache must be
 // purely an allocation/compute optimization — a run with the cache must match
-// a per-recipient-decode run event for event, row for row, under
+// a per-recipient-decode run record for record, row for row, under
 // heterogeneity, churn and drops, at serial and parallel dispatch. The
 // reference fleet is wrapped in per-recipient probeNodes, which keep the
 // cache from their nodes (and, being no *core.JWINSNode, read NaN for
 // MeanAlpha).
 func TestDecodeCacheEngineParity(t *testing.T) {
-	muts := []struct {
-		name string
-		mut  func(*AsyncConfig)
-	}{
-		{"plain", nil},
-		{"churn-drops", func(cfg *AsyncConfig) {
-			cfg.Het = Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, Seed: 5}
-			cfg.Churn = GenerateChurn(16, 0.25, 0.02, 0.2, 0.1, 77)
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-		}},
-	}
-	dropAlpha := func(r capturedRun) capturedRun {
-		for i := range r.result.Rounds {
-			r.result.Rounds[i].MeanAlpha = math.NaN()
-		}
-		return r
-	}
-	for _, tc := range muts {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, arm := range []struct{ name, row string }{
+		{"plain", "parallelism/homogeneous"},
+		{"churn-drops", "parallelism/het+churn+drops"},
+	} {
+		sc := regressionRow(t, arm.row)
+		t.Run(arm.name, func(t *testing.T) {
 			for _, p := range parallelismLevels() {
-				off := captureAsyncRunOn(t, algoJWINS, 16, 10, p, tc.mut, perRecipientFleet)
-				on := captureAsyncRun(t, 16, 10, p, tc.mut)
-				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, dropAlpha(on), p)
+				off := execute(t, sc, p, runOpts{wrap: perRecipientFleet})
+				on := execute(t, sc, p, runOpts{})
+				if err := traceDiff(off.trace, on.trace); err != nil {
+					t.Fatalf("p=%d: the cached fleet recorded another trace: %v", p, err)
+				}
+				if err := resultDiff(off.res, withoutAlpha(on.res)); err != nil {
+					t.Fatalf("p=%d: the cached fleet reported another result: %v", p, err)
+				}
 			}
 		})
 	}
 }
 
 // TestAsyncDecodeCacheOneEntryPerSender: the async engine's decode cache
-// holds one entry per sender and drops a leaver's, so under serial dispatch
-// it never holds more entries than there are live nodes. On a wider pool an
-// aggregate queued before a departure can still acquire the leaver's payload
-// after it, so there the bound is one entry per sender. Checked before every
-// event of a churn run, under the barrier and under gossip.
+// holds at most one entry per sender at every pool width, checked at every
+// record of a churn run under the barrier and under gossip.
 func TestAsyncDecodeCacheOneEntryPerSender(t *testing.T) {
 	const nodes = 16
 	for _, policy := range []AggregationPolicy{BarrierPolicy{}, GossipPolicy{}} {
@@ -333,78 +287,35 @@ func TestAsyncDecodeCacheOneEntryPerSender(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := make([]bool, nodes)
-			for i := range live {
-				live[i] = true
-			}
-			var events, maxLen, leaves int
+			var records, maxLen, leaves int
 			cfg := AsyncConfig{
 				Config: Config{Rounds: 10, EvalEvery: 5, Parallelism: p},
 				Het:    Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, Seed: 5},
 				Churn:  GenerateChurn(nodes, 0.25, 0.02, 0.2, 0.1, 77),
 				Policy: policy,
-				OnEvent: func(ev Event) {
+				Record: sinkFunc(func(ev trace.Event) {
 					probe.mu.Lock()
 					cache := probe.cache
 					probe.mu.Unlock()
-					liveNodes := 0
-					for _, l := range live {
-						if l {
-							liveNodes++
-						}
-					}
-					bound := nodes
-					if p == 1 {
-						bound = liveNodes
-					}
-					if n := cache.Len(); n > bound {
-						t.Errorf("%s p=%d: event %d: %d cache entries, %d live of %d senders", policy.Name(), p, events, n, liveNodes, nodes)
+					if n := cache.Len(); n > nodes {
+						t.Errorf("%s p=%d: record %d: %d cache entries for %d senders", policy.Name(), p, records, n, nodes)
 					} else {
 						maxLen = max(maxLen, n)
 					}
-					events++
-					switch ev.Kind {
-					case EventLeave:
+					records++
+					if ev.Kind == trace.KindLeave {
 						leaves++
-						live[ev.Node] = false
-					case EventJoin:
-						live[ev.Node] = true
 					}
-				},
+				}),
 			}
 			eng := &AsyncEngine{Nodes: fleet, Topology: topology.NewStatic(g), TestSet: ds, Config: cfg}
 			if _, err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s p=%d: %d events, %d leaves, at most %d cache entries", policy.Name(), p, events, leaves, maxLen)
+			t.Logf("%s p=%d: %d records, %d leaves, at most %d cache entries", policy.Name(), p, records, leaves, maxLen)
 			if leaves == 0 || maxLen == 0 {
 				t.Fatalf("%s p=%d: %d leaves and at most %d entries: the run does not exercise the bound", policy.Name(), p, leaves, maxLen)
 			}
-		}
-	}
-}
-
-// assertSyncResultsIdentical compares everything a synchronous run reports
-// except Telemetry (observational) bit for bit.
-func assertSyncResultsIdentical(t *testing.T, a, b *Result) {
-	t.Helper()
-	if a.TotalBytes != b.TotalBytes || a.ModelBytes != b.ModelBytes || a.MetaBytes != b.MetaBytes {
-		t.Fatalf("ledger (%d,%d,%d) != reference (%d,%d,%d)",
-			b.TotalBytes, b.ModelBytes, b.MetaBytes, a.TotalBytes, a.ModelBytes, a.MetaBytes)
-	}
-	if a.SimTime != b.SimTime || !sameFloat(a.FinalLoss, b.FinalLoss) || !sameFloat(a.FinalAccuracy, b.FinalAccuracy) {
-		t.Fatalf("final (sim %v, loss %v, acc %v) != reference (%v, %v, %v)",
-			b.SimTime, b.FinalLoss, b.FinalAccuracy, a.SimTime, a.FinalLoss, a.FinalAccuracy)
-	}
-	if len(a.Rounds) != len(b.Rounds) {
-		t.Fatalf("%d rows, reference has %d", len(b.Rounds), len(a.Rounds))
-	}
-	for i := range a.Rounds {
-		ra, rb := a.Rounds[i], b.Rounds[i]
-		if ra.CumTotalBytes != rb.CumTotalBytes || ra.CumModelBytes != rb.CumModelBytes || ra.CumMetaBytes != rb.CumMetaBytes ||
-			ra.SimTime != rb.SimTime || !sameFloat(ra.TrainLoss, rb.TrainLoss) || !sameFloat(ra.TestLoss, rb.TestLoss) ||
-			!sameFloat(ra.TestAcc, rb.TestAcc) || !sameFloat(ra.MeanAlpha, rb.MeanAlpha) {
-			t.Fatalf("row %d differs:\n got  %+v\n want %+v", i, rb, ra)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strconv"
@@ -127,141 +126,6 @@ func TestAsyncEpochStaticBaseParity(t *testing.T) {
 		if static.Rounds[i].TrainLoss != rotated.Rounds[i].TrainLoss ||
 			static.Rounds[i].CumTotalBytes != rotated.Rounds[i].CumTotalBytes {
 			t.Fatalf("row %d differs under static-base rotation", i)
-		}
-	}
-}
-
-// TestAsyncDynTopoRecordReplayIdentical: the acceptance property — a
-// recorded dynamic-topology run under heterogeneity, churn, and drops,
-// round-tripped through the wire format, must replay event- and
-// byte-identically, including the topology-change events.
-func TestAsyncDynTopoRecordReplayIdentical(t *testing.T) {
-	const rounds = 10
-	const epochSec = 0.06
-	mut := func(cfg *AsyncConfig) {
-		cfg.Het = Heterogeneity{ComputeSpread: 0.4, BandwidthSpread: 0.3, LatencySpread: 0.2, Seed: 5}
-		cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.2, 0.1, 77)
-		cfg.DropProb = 0.1
-		cfg.FaultSeed = 3
-	}
-	var rec *trace.Recorder
-	eng := dynEngineFor(t, algoJWINS, rounds, epochSec, func(cfg *AsyncConfig) {
-		mut(cfg)
-		rec = trace.NewRecorder(trace.Header{
-			Nodes: 8, Rounds: rounds, Source: trace.SourceSim, Policy: trace.PolicyBarrier,
-			Meta: map[string]string{"epoch_sec": strconv.FormatFloat(epochSec, 'g', -1, 64)},
-		})
-		cfg.Record = rec
-	})
-	recRes, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := rec.Trace()
-	epochEvents := 0
-	for _, ev := range recorded.Events {
-		if ev.Kind == trace.KindEpoch {
-			epochEvents++
-		}
-	}
-	if epochEvents < 2 {
-		t.Fatalf("recorded only %d topology-change events", epochEvents)
-	}
-
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, recorded); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := trace.NewReplayer(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := trace.NewRecorder(decoded.Header)
-	eng2 := dynEngineFor(t, algoJWINS, rounds, epochSec, func(cfg *AsyncConfig) {
-		mut(cfg)
-		// Replay must override these with the recorded schedule.
-		cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
-		cfg.Churn = nil
-		cfg.DropProb = 0
-		cfg.Replay = rp
-		cfg.Record = rec2
-	})
-	repRes, err := eng2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := rec2.Trace()
-	if len(replayed.Events) != len(recorded.Events) {
-		t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
-	}
-	for i := range recorded.Events {
-		if replayed.Events[i] != recorded.Events[i] {
-			t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
-		}
-	}
-	if repRes.TotalBytes != recRes.TotalBytes || repRes.SimTime != recRes.SimTime ||
-		repRes.FinalAccuracy != recRes.FinalAccuracy {
-		t.Fatalf("replay diverged: (%d, %v, %v) vs (%d, %v, %v)",
-			repRes.TotalBytes, repRes.SimTime, repRes.FinalAccuracy,
-			recRes.TotalBytes, recRes.SimTime, recRes.FinalAccuracy)
-	}
-	if len(repRes.Rounds) != len(recRes.Rounds) {
-		t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
-	}
-	for i := range recRes.Rounds {
-		a, b := recRes.Rounds[i], repRes.Rounds[i]
-		if !metricsEqual(a, b) || a.Epoch != b.Epoch || a.SpectralGap != b.SpectralGap ||
-			a.NeighborTurnover != b.NeighborTurnover {
-			t.Fatalf("row %d differs: %+v vs %+v", i, b, a)
-		}
-	}
-}
-
-// TestAsyncDynTopoParallelismInvariance: parallel execution of an
-// epoch-rotated run (with churn and stragglers in play) must be bit-identical
-// to serial — same event trace, ledger, rows, and mixing metrics.
-func TestAsyncDynTopoParallelismInvariance(t *testing.T) {
-	capture := func(parallelism int) capturedRun {
-		var evs []eventKey
-		eng := dynEngineFor(t, algoJWINS, 10, 0.05, func(cfg *AsyncConfig) {
-			cfg.Parallelism = parallelism
-			cfg.EvalEvery = 5
-			cfg.Het = Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.4, Seed: 5}
-			cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.2, 0.1, 77)
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-			cfg.OnEvent = func(ev Event) {
-				evs = append(evs, eventKey{ev.Time, ev.Seq, ev.Kind, ev.Node, ev.From, ev.Iter, ev.Dropped})
-			}
-		})
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return capturedRun{trace: evs, result: res}
-	}
-	ref := capture(1)
-	sawEpoch := false
-	for _, ev := range ref.trace {
-		if ev.Kind == EventEpoch {
-			sawEpoch = true
-		}
-	}
-	if !sawEpoch {
-		t.Fatal("no epoch events in the reference trace")
-	}
-	for _, p := range parallelismLevels()[1:] {
-		got := capture(p)
-		assertRunsIdentical(t, "dyntopo", ref, got, p)
-		for i := range ref.result.Rounds {
-			a, b := ref.result.Rounds[i], got.result.Rounds[i]
-			if a.Epoch != b.Epoch || a.SpectralGap != b.SpectralGap || a.NeighborTurnover != b.NeighborTurnover {
-				t.Fatalf("parallelism %d row %d mixing metrics differ: %+v vs %+v", p, i, b, a)
-			}
 		}
 	}
 }

@@ -205,6 +205,12 @@ func (e *Engine) Run() (*Result, error) {
 	payloads := make([][]byte, n)
 	breakdowns := make([]codec.ByteBreakdown, n)
 	losses := make([]float64, n)
+	// alphas[i] is JWINS node i's sampled cut-off, committed by its share
+	// task as the async engine commits them (NaN for other algorithms).
+	alphas := make([]float64, n)
+	for i := range alphas {
+		alphas[i] = math.NaN()
+	}
 	var faultRNG *vec.RNG
 	if cfg.DropProb > 0 {
 		faultRNG = vec.NewRNG(cfg.FaultSeed ^ 0xfa017)
@@ -228,6 +234,9 @@ func (e *Engine) Run() (*Result, error) {
 				return fmt.Errorf("node %d share: %w", i, err)
 			}
 			losses[i], payloads[i], breakdowns[i] = loss, p, bd
+			if j, ok := e.Nodes[i].(*core.JWINSNode); ok {
+				alphas[i] = j.LastAlpha
+			}
 			return nil
 		}); err != nil {
 			return nil, err
@@ -287,7 +296,7 @@ func (e *Engine) Run() (*Result, error) {
 			CumModelBytes: ledger.model,
 			CumMetaBytes:  ledger.meta,
 			SimTime:       simTime,
-			MeanAlpha:     meanAlphaOver(e.Nodes, subset),
+			MeanAlpha:     meanAlpha(alphas, subset),
 		}
 
 		if round%cfg.EvalEvery == cfg.EvalEvery-1 || round == cfg.Rounds-1 {

@@ -39,7 +39,14 @@ const (
 	algoChoco
 )
 
+// buildNodes builds the raw32 fleet most tests run.
 func buildNodes(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64) []core.Node {
+	return buildNodesWithCodec(t, kind, ds, parts, seed, codec.Raw32{})
+}
+
+// buildNodesWithCodec builds one node of kind per partition, every node with
+// the float codec fc.
+func buildNodesWithCodec(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, seed uint64, fc codec.FloatCodec) []core.Node {
 	t.Helper()
 	opts := core.TrainOpts{LR: 0.05, LocalSteps: 2}
 	rootRNG := vec.NewRNG(seed)
@@ -54,15 +61,15 @@ func buildNodes(t *testing.T, kind algo, ds *datasets.Dataset, parts [][]int, se
 		)
 		switch kind {
 		case algoFull:
-			n, err = core.NewFullSharing(i, model, loader, opts, codec.Raw32{})
+			n, err = core.NewFullSharing(i, model, loader, opts, fc)
 		case algoRandom:
-			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, codec.Raw32{}, nodeRNG.Split())
+			n, err = core.NewRandomSampling(i, model, loader, opts, 0.37, fc, nodeRNG.Split())
 		case algoJWINS:
 			cfg := core.DefaultJWINSConfig()
-			cfg.FloatCodec = codec.Raw32{}
+			cfg.FloatCodec = fc
 			n, err = core.NewJWINS(i, model, loader, opts, cfg, nodeRNG.Split())
 		case algoChoco:
-			n, err = core.NewChoco(i, model, loader, opts, core.ChocoConfig{Fraction: 0.2, Gamma: 0.2, FloatCodec: codec.Raw32{}})
+			n, err = core.NewChoco(i, model, loader, opts, core.ChocoConfig{Fraction: 0.2, Gamma: 0.2, FloatCodec: fc})
 		}
 		if err != nil {
 			t.Fatal(err)

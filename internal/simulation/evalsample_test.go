@@ -3,7 +3,6 @@ package simulation
 import (
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -74,51 +73,6 @@ func TestEvalSamplerOffBoundaries(t *testing.T) {
 	if got := (*evalSampler)(nil).subsetFor(0); got != nil {
 		t.Fatalf("nil sampler returned subset %v", got)
 	}
-}
-
-// TestSampledEvalParallelismInvariance: sampled rows must be bit-identical
-// across worker-pool widths — the subset schedule depends on the config and
-// row index only, never on execution order.
-func TestSampledEvalParallelismInvariance(t *testing.T) {
-	const rounds = 8
-	capture := func(parallelism int) *Result {
-		eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-			cfg.Parallelism = parallelism
-			cfg.EvalEvery = 2
-			cfg.EvalSample = 3
-			cfg.EvalSeed = 17
-			cfg.Het = Heterogeneity{ComputeSpread: 0.4, Seed: 5}
-		})
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := capture(1)
-	levels := []int{2}
-	if n := runtime.NumCPU(); n > 2 {
-		levels = append(levels, n)
-	}
-	for _, p := range levels {
-		got := capture(p)
-		if len(got.Rounds) != len(ref.Rounds) {
-			t.Fatalf("p=%d: row count %d, serial %d", p, len(got.Rounds), len(ref.Rounds))
-		}
-		for i := range ref.Rounds {
-			if !metricsEqual(ref.Rounds[i], got.Rounds[i]) {
-				t.Fatalf("p=%d row %d diverged:\nserial %+v\ngot    %+v", p, i, ref.Rounds[i], got.Rounds[i])
-			}
-		}
-		if !floatsEqualNaN(ref.FinalAccuracy, got.FinalAccuracy) || !floatsEqualNaN(ref.FinalLoss, got.FinalLoss) {
-			t.Fatalf("p=%d finals diverged: (%v,%v) vs (%v,%v)",
-				p, got.FinalAccuracy, got.FinalLoss, ref.FinalAccuracy, ref.FinalLoss)
-		}
-	}
-}
-
-func floatsEqualNaN(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 // TestSampledEvalOfflineNaN: subset entries that are offline contribute NaN
@@ -216,13 +170,8 @@ func TestReplayValidatesEvalSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(got.Rounds) != len(want.Rounds) {
-			t.Fatalf("%s: row counts differ: replay %d, recorded %d", name, len(got.Rounds), len(want.Rounds))
-		}
-		for i := range want.Rounds {
-			if !metricsEqual(got.Rounds[i], want.Rounds[i]) {
-				t.Fatalf("%s: row %d differs: %+v vs %+v", name, i, got.Rounds[i], want.Rounds[i])
-			}
+		if err := resultDiff(want, got); err != nil {
+			t.Fatalf("%s: the replay differs from the recording: %v", name, err)
 		}
 	}
 

@@ -51,9 +51,9 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry in the async scheduler's queue. The exported fields are
-// visible to trace hooks (AsyncConfig.OnEvent); payload and generation are
-// scheduler-internal.
+// Event is one entry in the async scheduler's queue. A processed event
+// reaches AsyncConfig.Record as its trace record (see schedTraceEvent);
+// payload and generation are scheduler-internal.
 type Event struct {
 	// Time is the simulated timestamp in seconds.
 	Time float64

@@ -196,45 +196,3 @@ func TestReplayPolicyMismatch(t *testing.T) {
 		t.Fatalf("tau mismatch accepted: %v", err)
 	}
 }
-
-// TestAsyncParallelismInvarianceBounded: bounded staleness must stay
-// bit-identical across parallelism levels — its quorum decisions depend only
-// on the deterministic event order, never on worker scheduling.
-func TestAsyncParallelismInvarianceBounded(t *testing.T) {
-	mut := func(cfg *AsyncConfig) {
-		cfg.Policy = BoundedStalenessPolicy{K: 2, Tau: 1}
-		cfg.Het = Heterogeneity{ComputeSpread: 0.8, BandwidthSpread: 0.3, Seed: 21}
-		cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.3, 0.1, 13)
-	}
-	ref := captureAsyncRun(t, 8, 12, 1, mut)
-	for _, p := range parallelismLevels()[1:] {
-		got := captureAsyncRun(t, 8, 12, p, mut)
-		assertRunsIdentical(t, "bounded", ref, got, p)
-	}
-}
-
-// TestAsyncParallelismInvarianceDeadline: the deadline policy injects its own
-// schedule events; they must land at identical (Time, Seq) positions at every
-// parallelism level.
-func TestAsyncParallelismInvarianceDeadline(t *testing.T) {
-	mut := func(cfg *AsyncConfig) {
-		cfg.Policy = DeadlinePolicy{Factor: 1.2}
-		cfg.Het = Heterogeneity{ComputeSpread: 1.0, BandwidthSpread: 0.4, Seed: 5}
-		cfg.DropProb = 0.05
-		cfg.FaultSeed = 3
-	}
-	ref := captureAsyncRun(t, 8, 12, 1, mut)
-	deadlines := 0
-	for _, ev := range ref.trace {
-		if ev.Kind == EventDeadline {
-			deadlines++
-		}
-	}
-	if deadlines == 0 {
-		t.Fatal("no deadline events in the reference trace; the arm is not exercising the policy")
-	}
-	for _, p := range parallelismLevels()[1:] {
-		got := captureAsyncRun(t, 8, 12, p, mut)
-		assertRunsIdentical(t, "deadline", ref, got, p)
-	}
-}

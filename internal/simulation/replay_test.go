@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -42,117 +41,6 @@ func recordedRun(t *testing.T, rounds int, mut func(*AsyncConfig)) (*trace.Trace
 		t.Fatal(err)
 	}
 	return rec.Trace(), res
-}
-
-// TestRecordReplayIdentical: a recorded schedule, round-tripped through the
-// wire format, must replay into the identical event sequence, byte ledger,
-// and learning trajectory — under both aggregation policies, with
-// heterogeneity, churn, and message drops in play.
-func TestRecordReplayIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*AsyncConfig)
-	}{
-		{"barrier-churn-drops", func(cfg *AsyncConfig) {
-			cfg.Het = Heterogeneity{ComputeSpread: 0.4, BandwidthSpread: 0.3, LatencySpread: 0.2, Seed: 5}
-			cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.2, 0.1, 77)
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-		}},
-		{"gossip-het", func(cfg *AsyncConfig) {
-			cfg.Policy = GossipPolicy{}
-			cfg.Het = Heterogeneity{ComputeSpread: 0.6, BandwidthSpread: 0.4, Seed: 21}
-		}},
-		{"bounded-het-churn", func(cfg *AsyncConfig) {
-			cfg.Policy = BoundedStalenessPolicy{K: 2, Tau: 1}
-			cfg.Het = Heterogeneity{ComputeSpread: 0.7, BandwidthSpread: 0.3, Seed: 11}
-			cfg.Churn = GenerateChurn(8, 0.25, 0.02, 0.3, 0.1, 9)
-		}},
-		{"deadline-het-drops", func(cfg *AsyncConfig) {
-			cfg.Policy = DeadlinePolicy{Factor: 1.2}
-			cfg.Het = Heterogeneity{ComputeSpread: 1.0, BandwidthSpread: 0.4, Seed: 5}
-			cfg.DropProb = 0.1
-			cfg.FaultSeed = 3
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const rounds = 10
-			recorded, recRes := recordedRun(t, rounds, tc.mut)
-
-			// Round-trip through the trace encoding before replaying: the
-			// replay must work from what survives the wire, not in-memory state.
-			var buf bytes.Buffer
-			if err := trace.Write(&buf, recorded); err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := trace.Read(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := trace.NewReplayer(decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec2 := trace.NewRecorder(decoded.Header)
-			eng := asyncEngineFor(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
-				tc.mut(cfg)
-				// Replay must override these with the recorded schedule.
-				cfg.Het = Heterogeneity{ComputeSpread: 9, Seed: 1234}
-				cfg.Churn = nil
-				cfg.DropProb = 0
-				cfg.Replay = rp
-				cfg.Record = rec2
-			})
-			repRes, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			replayed := rec2.Trace()
-			if len(replayed.Events) != len(recorded.Events) {
-				t.Fatalf("event counts differ: replay %d, recorded %d", len(replayed.Events), len(recorded.Events))
-			}
-			for i := range recorded.Events {
-				if replayed.Events[i] != recorded.Events[i] {
-					t.Fatalf("event %d differs:\nreplay   %+v\nrecorded %+v", i, replayed.Events[i], recorded.Events[i])
-				}
-			}
-			if repRes.TotalBytes != recRes.TotalBytes || repRes.ModelBytes != recRes.ModelBytes ||
-				repRes.MetaBytes != recRes.MetaBytes {
-				t.Fatalf("ledger differs: replay (%d,%d,%d), recorded (%d,%d,%d)",
-					repRes.TotalBytes, repRes.ModelBytes, repRes.MetaBytes,
-					recRes.TotalBytes, recRes.ModelBytes, recRes.MetaBytes)
-			}
-			if repRes.SimTime != recRes.SimTime || repRes.FinalAccuracy != recRes.FinalAccuracy {
-				t.Fatalf("trajectory differs: replay (%.6f, %.4f), recorded (%.6f, %.4f)",
-					repRes.SimTime, repRes.FinalAccuracy, recRes.SimTime, recRes.FinalAccuracy)
-			}
-			if len(repRes.Rounds) != len(recRes.Rounds) {
-				t.Fatalf("row counts differ: %d vs %d", len(repRes.Rounds), len(recRes.Rounds))
-			}
-			for i := range recRes.Rounds {
-				if !metricsEqual(repRes.Rounds[i], recRes.Rounds[i]) {
-					t.Fatalf("row %d differs: %+v vs %+v", i, repRes.Rounds[i], recRes.Rounds[i])
-				}
-			}
-		})
-	}
-}
-
-// metricsEqual compares rows treating NaN as equal to NaN (unevaluated
-// rounds carry NaN test metrics).
-func metricsEqual(a, b RoundMetrics) bool {
-	eq := func(x, y float64) bool {
-		return x == y || (math.IsNaN(x) && math.IsNaN(y))
-	}
-	return a.Round == b.Round && eq(a.TrainLoss, b.TrainLoss) &&
-		eq(a.TestLoss, b.TestLoss) && eq(a.TestAcc, b.TestAcc) &&
-		a.CumTotalBytes == b.CumTotalBytes && a.CumModelBytes == b.CumModelBytes &&
-		a.CumMetaBytes == b.CumMetaBytes && a.SimTime == b.SimTime &&
-		eq(a.MeanAlpha, b.MeanAlpha) &&
-		a.StaleMean == b.StaleMean && a.StaleMax == b.StaleMax && a.StaleP95 == b.StaleP95 &&
-		a.EffNeighbors == b.EffNeighbors && a.DropRate == b.DropRate
 }
 
 // TestReplayMismatchErrors: replaying against a different configuration must

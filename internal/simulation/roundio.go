@@ -215,45 +215,18 @@ func evaluateNodesOn(p *computePool, nodes []core.Node, testSet *datasets.Datase
 	return mean(lossSum), mean(accSum), err
 }
 
-// meanAlphaOf averages LastAlpha over JWINS nodes (NaN if none) — the
-// Figure 3 sharing-fraction series.
-func meanAlphaOf(nodes []core.Node) float64 {
-	var sum float64
-	count := 0
-	for _, nd := range nodes {
-		if j, ok := nd.(*core.JWINSNode); ok {
-			sum += j.LastAlpha
-			count++
-		}
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
-}
-
-// meanAlphaOver is meanAlphaOf restricted to the sampled subset (all nodes
-// when subset is nil), keeping row emission O(sample) at 10k nodes.
-func meanAlphaOver(nodes []core.Node, subset []int) float64 {
+// meanAlpha is the Figure 3 sharing-fraction series: the mean of the
+// committed per-node alphas (NaN for non-JWINS nodes, skipped) over the
+// sampled subset, or over every node when subset is nil, keeping row
+// emission O(sample) at 10k nodes.
+func meanAlpha(alphas []float64, subset []int) float64 {
 	if subset == nil {
-		return meanAlphaOf(nodes)
+		return mean(alphas)
 	}
-	var sum float64
-	count := 0
-	for _, i := range subset {
-		if j, ok := nodes[i].(*core.JWINSNode); ok {
-			sum += j.LastAlpha
-			count++
-		}
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return sum / float64(count)
+	return meanOverIdx(alphas, subset)
 }
 
-// meanOverIdx averages the non-NaN entries of x at the given indices — the
-// async engine's sampled-alpha path over its committed per-node alphas.
+// meanOverIdx averages the non-NaN entries of x at the given indices.
 func meanOverIdx(x []float64, idx []int) float64 {
 	var s float64
 	count := 0

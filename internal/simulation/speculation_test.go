@@ -4,73 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/codec"
-	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/trace"
 )
-
-// specProbe watches speculation through the Node interface alone. popped[i]
-// is the highest iteration whose train-done event the loop has popped for
-// node i (fed from OnEvent), shared[i] the highest iteration node i's Share
-// has run for. A Share that runs for an iteration above popped is a
-// speculative one; a model read for evaluation while shared > popped is a
-// model trained past the point the serial schedule has reached — exactly
-// what specSafe exists to rule out.
-type specProbe struct {
-	popped, shared []atomic.Int64
-	// evalReads counts Model() calls; staleReads those that saw an
-	// uncommitted train.
-	evalReads, staleReads atomic.Int64
-}
-
-type specNode struct {
-	core.Node
-	i int
-	p *specProbe
-}
-
-func specFleet(nodes []core.Node) ([]core.Node, *specProbe) {
-	n := len(nodes)
-	p := &specProbe{popped: make([]atomic.Int64, n), shared: make([]atomic.Int64, n)}
-	out := make([]core.Node, n)
-	for i, nd := range nodes {
-		p.popped[i].Store(-1)
-		p.shared[i].Store(-1)
-		out[i] = &specNode{Node: nd, i: i, p: p}
-	}
-	return out, p
-}
-
-func (p *specProbe) onEvent(ev Event) {
-	if ev.Kind == EventTrainDone && int64(ev.Iter) > p.popped[ev.Node].Load() {
-		p.popped[ev.Node].Store(int64(ev.Iter))
-	}
-}
-
-func (n *specNode) LocalStepCount() int { return localSteps(n.Node) }
-
-func (n *specNode) SetDecodeCache(c *core.DecodeCache) {
-	if u, ok := n.Node.(core.DecodeCacheUser); ok {
-		u.SetDecodeCache(c)
-	}
-}
-
-func (n *specNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
-	n.p.shared[n.i].Store(int64(round))
-	return n.Node.Share(round)
-}
-
-func (n *specNode) Model() nn.Trainable {
-	n.p.evalReads.Add(1)
-	if n.p.shared[n.i].Load() > n.p.popped[n.i].Load() {
-		n.p.staleReads.Add(1)
-	}
-	return n.Node.Model()
-}
 
 // The speculation tests share one scenario: 256 nodes, stragglers
 // (ComputeSpread 0.4), 20% churn, an epoch-rotated graph, evaluation every
@@ -84,7 +21,7 @@ type specRun struct {
 	res          *Result
 	digest       [sha256.Size]byte
 	hits, misses int64
-	probe        *specProbe
+	probe        *contractFleet
 }
 
 func runSpecScenario(t *testing.T, parallelism int, probed bool, mut func(*Config)) specRun {
@@ -111,8 +48,11 @@ func runSpecScenario(t *testing.T, parallelism int, probed bool, mut func(*Confi
 		mut(&cfg.Config)
 	})
 	if probed {
-		eng.Nodes, out.probe = specFleet(eng.Nodes)
-		eng.Config.OnEvent = out.probe.onEvent
+		// The contract fleet reads the popped train-done events from the
+		// recording and counts evaluated models trained past them.
+		out.probe = &contractFleet{}
+		eng.Nodes = out.probe.wrap(eng.Nodes)
+		eng.Config.Record = teeSink{sr, out.probe}
 	}
 	out.res, err = eng.Run()
 	if err != nil {
@@ -131,16 +71,8 @@ func (a specRun) sameAs(b specRun) error {
 	if a.digest != b.digest {
 		return fmt.Errorf("trace digests differ")
 	}
-	if len(a.res.Rounds) != len(b.res.Rounds) {
-		return fmt.Errorf("%d rows vs %d", len(a.res.Rounds), len(b.res.Rounds))
-	}
-	for i := range a.res.Rounds {
-		if !metricsEqual(a.res.Rounds[i], b.res.Rounds[i]) {
-			return fmt.Errorf("row %d: %+v vs %+v", i, a.res.Rounds[i], b.res.Rounds[i])
-		}
-	}
-	if !floatsEqualNaN(a.res.FinalAccuracy, b.res.FinalAccuracy) || !floatsEqualNaN(a.res.FinalLoss, b.res.FinalLoss) {
-		return fmt.Errorf("finals (%v, %v) vs (%v, %v)", a.res.FinalAccuracy, a.res.FinalLoss, b.res.FinalAccuracy, b.res.FinalLoss)
+	if err := resultDiff(a.res, b.res); err != nil {
+		return err
 	}
 	if a.hits != b.hits || a.misses != b.misses {
 		return fmt.Errorf("speculation %d/%d vs %d/%d", a.hits, a.misses, b.hits, b.misses)
@@ -169,7 +101,7 @@ func TestSpeculationSampledEval(t *testing.T) {
 	if got.digest != ref.digest {
 		t.Fatal("parallelism 2: the probed fleet recorded a different trace")
 	}
-	if reads, stale := got.probe.evalReads.Load(), got.probe.staleReads.Load(); reads == 0 || stale != 0 {
+	if reads, stale := got.probe.evalReads.Load(), got.probe.aheadReads.Load(); reads == 0 || stale != 0 {
 		t.Fatalf("parallelism 2: %d of %d evaluated models had a train in flight", stale, reads)
 	}
 }
@@ -185,7 +117,7 @@ func TestSpeculationUnchangedWhereEvaluationReads(t *testing.T) {
 	if exact.hits != wantHits || exact.misses != wantMisses {
 		t.Errorf("exact evaluation: %d hits, %d misses; recorded %d, %d", exact.hits, exact.misses, wantHits, wantMisses)
 	}
-	if stale := exact.probe.staleReads.Load(); stale != 0 {
+	if stale := exact.probe.aheadReads.Load(); stale != 0 {
 		t.Fatalf("exact evaluation read %d models with a train in flight", stale)
 	}
 }

@@ -3,6 +3,8 @@ package simulation
 import (
 	"math"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestTelemetryCountsMatchSchedule: the telemetry counters must agree with
@@ -19,12 +21,17 @@ func TestTelemetryCountsMatchSchedule(t *testing.T) {
 	plain := runAsync(t, algoJWINS, rounds, mutate)
 
 	tel := NewTelemetry()
-	var byKind [6]int64
+	byKind := map[trace.Kind]int64{}
 	var total int64
 	res := runAsync(t, algoJWINS, rounds, func(cfg *AsyncConfig) {
 		mutate(cfg)
 		cfg.Telemetry = tel
-		cfg.OnEvent = func(ev Event) { byKind[ev.Kind]++; total++ }
+		cfg.Record = sinkFunc(func(ev trace.Event) {
+			if scheduled(ev.Kind) {
+				byKind[ev.Kind]++
+				total++
+			}
+		})
 	})
 
 	// Telemetry must be a pure observer.
@@ -39,26 +46,26 @@ func TestTelemetryCountsMatchSchedule(t *testing.T) {
 		t.Fatal("Result.Telemetry is nil with Telemetry enabled")
 	}
 	kinds := []struct {
-		kind  EventKind
+		kind  trace.Kind
 		label string
 	}{
-		{EventTrainDone, `kind="train_done"`},
-		{EventArrival, `kind="arrival"`},
-		{EventLeave, `kind="leave"`},
-		{EventJoin, `kind="join"`},
-		{EventEpoch, `kind="epoch"`},
-		{EventDeadline, `kind="deadline"`},
+		{trace.KindTrainDone, `kind="train_done"`},
+		{trace.KindArrival, `kind="arrival"`},
+		{trace.KindLeave, `kind="leave"`},
+		{trace.KindJoin, `kind="join"`},
+		{trace.KindEpoch, `kind="epoch"`},
+		{trace.KindDeadline, `kind="deadline"`},
 	}
 	var counted int64
 	for _, k := range kinds {
 		got := s.Counter(MetricEvents + "{" + k.label + "}")
 		if got != byKind[k.kind] {
-			t.Fatalf("%s counter = %d, OnEvent saw %d", k.label, got, byKind[k.kind])
+			t.Fatalf("%s counter = %d, the recording saw %d", k.label, got, byKind[k.kind])
 		}
 		counted += got
 	}
 	if counted != total {
-		t.Fatalf("event counters sum to %d, OnEvent saw %d", counted, total)
+		t.Fatalf("event counters sum to %d, the recording saw %d", counted, total)
 	}
 
 	qd, ok := s.Histogram(MetricQueueDepth)
@@ -85,8 +92,8 @@ func TestTelemetryCountsMatchSchedule(t *testing.T) {
 	// churn (stale generation) commit nothing, so the sum may fall short of
 	// the raw event count but never exceed it.
 	hits, misses := s.Counter(MetricSpecHits), s.Counter(MetricSpecMisses)
-	if hits+misses == 0 || hits+misses > byKind[EventTrainDone] {
-		t.Fatalf("spec hits %d + misses %d vs train-done events %d", hits, misses, byKind[EventTrainDone])
+	if hits+misses == 0 || hits+misses > byKind[trace.KindTrainDone] {
+		t.Fatalf("spec hits %d + misses %d vs train-done events %d", hits, misses, byKind[trace.KindTrainDone])
 	}
 
 	// Barrier policy: one wait observation per aggregation (waits may be 0

@@ -57,18 +57,3 @@ func TestOnRoundCallback(t *testing.T) {
 		t.Fatalf("OnRound calls: %v", seen)
 	}
 }
-
-func TestCumulativeBytesMonotone(t *testing.T) {
-	res := runAlgo(t, algoRandom, 8)
-	var prev int64 = -1
-	for _, rm := range res.Rounds {
-		if rm.CumTotalBytes <= prev {
-			t.Fatalf("cumulative bytes not increasing: %d after %d", rm.CumTotalBytes, prev)
-		}
-		if rm.CumModelBytes+rm.CumMetaBytes != rm.CumTotalBytes {
-			t.Fatalf("byte split inconsistent at round %d: %d + %d != %d",
-				rm.Round, rm.CumModelBytes, rm.CumMetaBytes, rm.CumTotalBytes)
-		}
-		prev = rm.CumTotalBytes
-	}
-}
