@@ -15,7 +15,7 @@ import (
 	"repro/internal/digesttest"
 )
 
-// outputDigests pins, for each of the 18 experiments at -scale micro -seed 7
+// outputDigests pins, for each of the 15 experiments at -scale micro -seed 7
 // (claims reads seeds 7 and 8; about 25 s in all on a 2-core host), the
 // SHA-256 of its stdout block and of its CSV ("" = the experiment writes no
 // CSV). What varies between runs of the same build is masked: each block's
@@ -32,15 +32,12 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"fig8", "d06805653db8adb542fd8b9da85f41b3e9807e6204866337e03fc06933a05a45", "39d897342c43cc9100a695598f40e8eae2004016b4587f87908383c646b68c07"}, // re-recorded, parent 76cc3bd: fig8 prints each arm's bytes and mean α
 	{"fig9", "32facbb92c519173432ff5acc5535fbf8d77f3de624a19450ae8a543b679c169", "a468b6e16a3e9aae59ada756220efb283f18d4828d1f7c32e4f5b2bc73605cdf"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},
-	{"ext-powergossip", "fefda2c0a2538cdaf36f358d636d17e8d299ef93a9e34d73594e1d0767cc55f0", "b5800cc0419c5b13f59666c6dadfe163c5233297b6fa2fa26d12930f84cbb135"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-adaptive", "33d2116e45bddcdce8d92ec7ba4258dd713d2763765b4e555b298c69af37559d", "6efe553bec43834e328735e4c3c25a8acfb6de00f5694e305f3cb2e28d3a7ba4"},    // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-faults", "d09b8b67a32104446c36c4965ad486c4f3c384522423c261df8e8c95949155cc", "2769dc47ff17bdee7c9c792cef53861679391215575f05dbe07e22f1f125d2c4"},      // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
-	{"ext-asyncchurn", "1938094c172723220a948db5d23bcb5d05644dce0554fed7df456027d089ec10", "45051c03629d5e28845b434e09c76fd1d7ec3b1b04b6c742b545a644c450b2c8"},  // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-replay", "8f22d0c792f5d227713007ff6fb07db498b2f383dd0591d8bc853fddbd90e4bf", "b8179c23900821cee43762f60bc7d23038ef5a0eefd27a696a9c5325272037ef"},      // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
-	{"ext-dyntopo", "41b4e449a41b487ac555157b6277aab4dc21bee95d773e75d3af75ebad5e3e58", "36a1d3984a80f2c1f94503e89e3683366f69fa10ac44eb783ace14820508285a"},     // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
-	{"ext-scale", "5fab467572765ef5d7398263cd29aa316a3da95412f3bc42ef578e5ab732a123", "c57f08b8fba904f508eb08c048a0ce218df068c7834559b346936cc5f1f03fa1"},       // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
+	{"ext-faults", "85290f2874d0fc021ec057a5600b5d9aca7618393b5dfa7569e46ab96d5b9abc", "1041b693721a77bd8a19facc4622d69e094af2a44ddf4ea784d1a978abb056fa"},     // re-recorded, parent 5f693d1: ext-faults prints each algorithm's lost points; claims scores ext-faults and ext-asyncchurn and widens its claim, exp and A − B columns
+	{"ext-asyncchurn", "1938094c172723220a948db5d23bcb5d05644dce0554fed7df456027d089ec10", "45051c03629d5e28845b434e09c76fd1d7ec3b1b04b6c742b545a644c450b2c8"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
+	{"ext-dyntopo", "41b4e449a41b487ac555157b6277aab4dc21bee95d773e75d3af75ebad5e3e58", "36a1d3984a80f2c1f94503e89e3683366f69fa10ac44eb783ace14820508285a"},    // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
+	{"ext-scale", "5fab467572765ef5d7398263cd29aa316a3da95412f3bc42ef578e5ab732a123", "c57f08b8fba904f508eb08c048a0ce218df068c7834559b346936cc5f1f03fa1"},      // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-semiasync", "c9dec6a131d7392a945020f33fd4d08c00f7f815328f5c15706593066cad8c55", "a0c580738b1d16fd78d0a83789342c5d2a3006b72c9183f0591ebf2d5e8e3b54"},
-	{"claims", "8b69f4713b7911d1ec0f0fd1e004cfdf9d51654d91054a16f03049e65f55f041", "f72d96253420b277de89611cfbd7f73fd5c9615e1a03414f8bb2aabe1778615d"},
+	{"claims", "c5385f7ea6163dcb99df0a2d7d7897e3d2ac7369909834a784938d1fb904dff3", "9c3b13c775406db99cf2ab91ed06b33a3aa0b6b89dc81ded581406e6a19b4b89"}, // re-recorded, parent 5f693d1: ext-faults prints each algorithm's lost points; claims scores ext-faults and ext-asyncchurn and widens its claim, exp and A − B columns
 }
 
 var (
@@ -54,7 +51,7 @@ var (
 // holds each one's printed table and CSV to the recorded digests.
 func TestExperimentOutputDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all 18 experiments (about 25 s)")
+		t.Skip("runs all 15 experiments (about 25 s)")
 	}
 	dir := t.TempDir()
 	var out bytes.Buffer

@@ -11,15 +11,12 @@
 //	jwins-bench -exp fig8              # ablation study
 //	jwins-bench -exp fig9              # metadata compression
 //	jwins-bench -exp fig10             # scalability sweep
-//	jwins-bench -exp ext-powergossip   # JWINS vs the POWERGOSSIP low-rank baseline
-//	jwins-bench -exp ext-adaptive      # band-adaptive vs default selection
 //	jwins-bench -exp ext-faults        # message drops, JWINS vs CHOCO
 //	jwins-bench -exp ext-asyncchurn    # event-driven stragglers + churn
-//	jwins-bench -exp ext-replay        # trace record/replay parity + staleness
 //	jwins-bench -exp ext-dyntopo       # epoch-randomized topologies at 96-384 nodes
 //	jwins-bench -exp ext-scale         # async engine at 256-8192 nodes (sampled eval from 2048)
 //	jwins-bench -exp ext-semiasync     # aggregation policies x heterogeneity
-//	jwins-bench -exp claims            # the paper's claims, paired over seeds
+//	jwins-bench -exp claims            # the paper's claims (and ext-faults/ext-asyncchurn's), paired over seeds
 //	jwins-bench -exp all               # everything, in paper order
 //
 // Flags: -scale micro|small|paper (default small), -seed N, -out DIR (every

@@ -28,7 +28,7 @@ import (
 // exportAllowlist lists the exports, as package.Name, that no non-test file
 // reads but that stay, each with the reason.
 var exportAllowlist = map[string]string{
-	"topology.Ring":               "fixture for the core, powergossip and simulation tests",
+	"topology.Ring":               "fixture for the core, simulation and topology tests",
 	"digesttest.Update":           "shared test infrastructure: the -update-digests flag every digest test reads",
 	"experiments.BuildFleetEager": "the eager reference of the fleet-construction tests; waits on the nn.Lazy verdict",
 }

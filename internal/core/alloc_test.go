@@ -97,48 +97,3 @@ func TestJWINSHotPathAllocationFree(t *testing.T) {
 		})
 	}
 }
-
-// TestJWINSBandAdaptiveShareAllocationBudget extends the hot-path guard to
-// the band-adaptive selection path: its per-band masses, the selection set,
-// and the merged index list all live in the call's scratch, so a warm
-// band-adaptive Share must cost no more than the default path — the payload
-// plus occasional scratch growth.
-func TestJWINSBandAdaptiveShareAllocationBudget(t *testing.T) {
-	const dim = 20_000
-	ds := tinyDataset(t)
-	rng := vec.NewRNG(3)
-	loader := datasets.NewLoader(ds, []int{0, 1, 2, 3}, 2, rng.Split())
-	cfg := DefaultJWINSConfig()
-	cfg.FloatCodec = codec.Raw32{}
-	cfg.BandAdaptive = true
-	params := make([]float64, dim)
-	r := vec.NewRNG(1)
-	for i := range params {
-		params[i] = r.NormFloat64()
-	}
-	n, err := NewJWINS(0, &stubModel{params: params}, loader, TrainOpts{LR: 0.1, LocalSteps: 1}, cfg, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	round := 0
-	warm := func() {
-		m := n.Model().(*stubModel)
-		pr := vec.NewRNG(uint64(7000 + round))
-		for i := range m.params {
-			m.params[i] += 0.01 * pr.NormFloat64()
-		}
-		if _, _, err := n.Share(round); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	warm()
-	warm()
-	shareAllocs := testing.AllocsPerRun(30, warm)
-	// The band path keeps one map for the selection set; Go maps shrink
-	// lazily, so allow the same payload + scratch budget as the default path
-	// plus occasional bucket churn.
-	if shareAllocs > 4 {
-		t.Fatalf("band-adaptive Share allocates %v per op with warm scratch, want <= 4", shareAllocs)
-	}
-}

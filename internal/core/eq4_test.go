@@ -83,15 +83,3 @@ func TestEq4VariantsBothLearn(t *testing.T) {
 		}
 	}
 }
-
-// TestBandAdaptiveLearns: the band-adaptive extension must also train.
-func TestBandAdaptiveLearns(t *testing.T) {
-	cfg := DefaultJWINSConfig()
-	cfg.FloatCodec = codec.Raw32{}
-	cfg.BandAdaptive = true
-	nodes, ds, g, w := buildLearningFleet(t, cfg, 505)
-	trainRounds(t, nodes, g, w, 25)
-	if acc := meanAccuracy(ds, nodes); acc < 0.5 {
-		t.Fatalf("band-adaptive accuracy %.2f, want > 0.5", acc)
-	}
-}

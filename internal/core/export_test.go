@@ -20,8 +20,7 @@ func ScratchSets() int {
 }
 
 // FixedAlpha is the degenerate distribution sharing fraction a every round.
-// The tests that pin one budget use it: TestBandAdaptiveSelectsBudget,
-// TestBandAdaptiveCoversActiveBands, TestJWINSFullAlphaMatchesFullSharing,
+// The tests that pin one budget use it: TestJWINSFullAlphaMatchesFullSharing,
 // TestJWINSAccumulatorReset, TestQuickShareBudgetRespected and
 // TestJWINSLockstepTwin.
 func FixedAlpha(a float64) AlphaDist {

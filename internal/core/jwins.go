@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/datasets"
@@ -34,13 +33,6 @@ type JWINSConfig struct {
 	DisableAccumulation bool
 	// DisableRandomCutoff always shares the mean of the alpha distribution.
 	DisableRandomCutoff bool
-
-	// BandAdaptive implements the paper's future-work direction of adapting
-	// the selection to parameter structure: the round's coefficient budget K
-	// is split across wavelet sub-bands in proportion to each band's
-	// accumulated importance mass, and TopK runs inside each band. Ignored
-	// when the wavelet is disabled.
-	BandAdaptive bool
 }
 
 // DefaultJWINSConfig returns the paper's configuration: 4-level sym2 wavelets,
@@ -205,20 +197,16 @@ func (n *JWINSNode) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	}
 	k := max(1, int(math.Round(n.LastAlpha*float64(n.coeffDim))))
 
-	// TopK over accumulated importance (line 7), optionally split per band.
-	// A full share has nothing to rank: it sends and resets every coefficient.
-	// Either selection is sorted and lives in the scratch until it is encoded.
+	// TopK over accumulated importance (line 7). A full share has nothing to
+	// rank: it sends and resets every coefficient. The selection is sorted
+	// and lives in the scratch until it is encoded.
 	clear(n.shared)
 	n.fullShare = k >= n.coeffDim
 	var sel []int
 	if !n.fullShare {
 		scores := vec.Grow(&s.scores, n.coeffDim)
 		vec.DiffInto(scores, cur, n.base)
-		if n.cfg.BandAdaptive {
-			sel = n.bandAdaptiveTopK(s, scores, k)
-		} else {
-			sel = sparsify.TopKIndicesWith(&s.topk, scores, k)
-		}
+		sel = sparsify.TopKIndicesWith(&s.topk, scores, k)
 		for _, idx := range sel {
 			n.shared[idx/64] |= 1 << (idx % 64)
 		}
@@ -273,73 +261,4 @@ func (n *JWINSNode) Aggregate(round int, w topology.Weights, msgs map[int][]byte
 		}
 	}
 	return nil
-}
-
-// bandAdaptiveTopK distributes the budget k over wavelet sub-bands
-// proportionally to each band's |scores| mass, then selects TopK inside each
-// band. Bands whose share rounds to zero still contribute their single
-// largest coefficient when mass is non-zero, and any remainder is filled from
-// the globally best unselected coefficients. Every call runs through the
-// call's scratch (bandMasses, bandSel, bandOut, the shared top-k scratch):
-// the band path is on the share hot path for band-adaptive fleets and must
-// stay allocation-free in steady state. Each top-k call's result is consumed
-// before the next reuses the scratch; the returned slice stays valid until
-// the scratch's next selection.
-func (n *JWINSNode) bandAdaptiveTopK(s *scratch, scores []float64, k int) []int {
-	if n.plan == nil {
-		return sparsify.TopKIndicesWith(&s.topk, scores, k)
-	}
-	bands := n.plan.Bands()
-	s.bandMasses = s.bandMasses[:0]
-	var total float64
-	for _, b := range bands {
-		var m float64
-		for _, v := range scores[b.Offset : b.Offset+b.Len] {
-			m += math.Abs(v)
-		}
-		s.bandMasses = append(s.bandMasses, m)
-		total += m
-	}
-	if total == 0 {
-		return sparsify.TopKIndicesWith(&s.topk, scores, k)
-	}
-	if s.bandSel == nil {
-		s.bandSel = make(map[int]bool, k)
-	}
-	clear(s.bandSel)
-	selected := s.bandSel
-	for bi, b := range bands {
-		kb := int(math.Round(float64(k) * s.bandMasses[bi] / total))
-		if kb == 0 && s.bandMasses[bi] > 0 {
-			kb = 1
-		}
-		if kb > b.Len {
-			kb = b.Len
-		}
-		if kb == 0 {
-			continue
-		}
-		local := sparsify.TopKIndicesWith(&s.topk, scores[b.Offset:b.Offset+b.Len], kb)
-		for _, li := range local {
-			if len(selected) >= k {
-				break
-			}
-			selected[b.Offset+li] = true
-		}
-	}
-	// Fill any remainder from the global ranking.
-	if len(selected) < k {
-		for _, idx := range sparsify.TopKIndicesWith(&s.topk, scores, k+len(selected)) {
-			if len(selected) >= k {
-				break
-			}
-			selected[idx] = true
-		}
-	}
-	s.bandOut = s.bandOut[:0]
-	for idx := range selected {
-		s.bandOut = append(s.bandOut, idx)
-	}
-	sort.Ints(s.bandOut)
-	return s.bandOut
 }

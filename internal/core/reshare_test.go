@@ -62,9 +62,10 @@ func TestJWINSReShareCountsOnce(t *testing.T) {
 	refTwice, refOnce := newRefJWINS(node()), newRefJWINS(node())
 	share(refTwice, x1, x2)
 	share(refOnce, x2)
-	extra := make([]float64, refOnce.coeffDim)
+	extra, dx := make([]float64, refOnce.coeffDim), make([]float64, len(x1))
+	vec.DiffInto(dx, x1, x0)
 	s := acquireScratch()
-	refOnce.forward(s, vec.Diff(x1, x0), extra)
+	refOnce.forward(s, dx, extra)
 	s.release()
 	vec.Sub(refTwice.v, refOnce.v)
 	vec.Sub(refTwice.v, extra)

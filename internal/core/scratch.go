@@ -34,12 +34,6 @@ type scratch struct {
 	enc  codec.EncodeScratch
 	dwt  dwt.Scratch
 	dec  decodeScratch
-
-	// Band-adaptive selection (BandAdaptive only): per-band masses, the
-	// cross-band selection set, and the sorted result.
-	bandMasses []float64
-	bandSel    map[int]bool
-	bandOut    []int
 }
 
 // scratchList is the free list behind acquireScratch, shared by every fleet

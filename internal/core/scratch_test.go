@@ -19,7 +19,7 @@ func poisonScratchList() {
 	defer scratchList.mu.Unlock()
 	for _, s := range scratchList.free {
 		for _, buf := range [][]float64{
-			s.params, s.coeffs, s.delta, s.scores, s.avg, s.newParams, s.bandMasses,
+			s.params, s.coeffs, s.delta, s.scores, s.avg, s.newParams,
 		} {
 			buf = buf[:cap(buf)]
 			for i := range buf {
@@ -36,18 +36,16 @@ func poisonScratchList() {
 // mixedFleet builds pairs of nodes — partners 2i and 2i+1 exchange payloads —
 // that differ in everything a shared working set is sized by: dimension (and
 // so padded length and k), transform (two wavelet plans, the DisableWavelet
-// identity), selection path (flat, band-adaptive), accumulator variant, codec
-// and algorithm (JWINS, both baselines and CHOCO).
+// identity), accumulator variant, codec and algorithm (JWINS, both baselines and CHOCO).
 func mixedFleet(t *testing.T) []Node {
 	t.Helper()
 	ds := tinyDataset(t)
 	opts := TrainOpts{LR: 0.1, LocalSteps: 1}
 	noWavelet := DefaultJWINSConfig()
 	noWavelet.DisableWavelet = true
-	bandNoAcc := DefaultJWINSConfig()
-	bandNoAcc.BandAdaptive = true
-	bandNoAcc.DisableAccumulation = true
-	bandNoAcc.FloatCodec = codec.Raw32{}
+	noAcc := DefaultJWINSConfig()
+	noAcc.DisableAccumulation = true
+	noAcc.FloatCodec = codec.Raw32{}
 	kinds := []struct {
 		dim   int
 		build func(id int, m *stubModel) (Node, error)
@@ -56,7 +54,7 @@ func mixedFleet(t *testing.T) []Node {
 			return NewJWINS(id, m, stubLoader(t, ds), opts, DefaultJWINSConfig(), vec.NewRNG(uint64(500+id)))
 		}},
 		{300, func(id int, m *stubModel) (Node, error) {
-			return NewJWINS(id, m, stubLoader(t, ds), opts, bandNoAcc, vec.NewRNG(uint64(500+id)))
+			return NewJWINS(id, m, stubLoader(t, ds), opts, noAcc, vec.NewRNG(uint64(500+id)))
 		}},
 		{700, func(id int, m *stubModel) (Node, error) {
 			return NewJWINS(id, m, stubLoader(t, ds), opts, noWavelet, vec.NewRNG(uint64(500+id)))

@@ -71,11 +71,7 @@ func (n *refJWINS) Share(round int) ([]byte, codec.ByteBreakdown, error) {
 	n.fullShare = k >= n.coeffDim
 	var sel []int
 	if !n.fullShare {
-		if n.cfg.BandAdaptive {
-			sel = n.bandAdaptiveTopK(s, n.v, k)
-		} else {
-			sel = sparsify.TopKIndicesWith(&s.topk, n.v, k)
-		}
+		sel = sparsify.TopKIndicesWith(&s.topk, n.v, k)
 		for _, idx := range sel {
 			n.shared[idx/64] |= 1 << (idx % 64)
 		}
@@ -189,7 +185,8 @@ func twin(t *testing.T, cfg JWINSConfig, seed uint64, rounds int) twinReport {
 			xa, xb := make([]float64, refs[i].dim), make([]float64, refs[i].dim)
 			nodesA[i].Model().CopyParams(xa)
 			nodesB[i].Model().CopyParams(xb)
-			rep.drift[round] = max(rep.drift[round], maxAbs(vec.Diff(xa, xb))/maxAbs(xa))
+			vec.DiffInto(xb, xa, xb)
+			rep.drift[round] = max(rep.drift[round], maxAbs(xb)/maxAbs(xa))
 		}
 	}
 	return rep
@@ -245,7 +242,6 @@ func TestJWINSLockstepTwin(t *testing.T) {
 	const rounds = 24
 	arms := map[string]func(*JWINSConfig){
 		"flat":          func(*JWINSConfig) {},
-		"band-adaptive": func(c *JWINSConfig) { c.BandAdaptive = true },
 		"no-wavelet":    func(c *JWINSConfig) { c.DisableWavelet = true },
 		"no-accumulate": func(c *JWINSConfig) { c.DisableAccumulation = true },
 		"full-share":    func(c *JWINSConfig) { c.Alphas = FixedAlpha(1) },

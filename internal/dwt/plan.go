@@ -115,10 +115,6 @@ func (p *Plan) CoeffLen() int { return p.padded }
 // Levels returns the number of decomposition levels.
 func (p *Plan) Levels() int { return p.levels }
 
-// Bands returns the coefficient layout. The returned slice is shared; callers
-// must not modify it.
-func (p *Plan) Bands() []Band { return p.bands }
-
 // Wavelet returns the plan's wavelet.
 func (p *Plan) Wavelet() Wavelet { return p.wavelet }
 

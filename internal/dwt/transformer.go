@@ -60,10 +60,6 @@ func (t *Transformer) CoeffLen() int { return t.plan.padded }
 // Levels returns the number of decomposition levels.
 func (t *Transformer) Levels() int { return t.plan.levels }
 
-// Bands returns the coefficient layout. The returned slice is shared; callers
-// must not modify it.
-func (t *Transformer) Bands() []Band { return t.plan.bands }
-
 // Forward computes the multi-level DWT of x into out.
 // len(x) must equal the input length and len(out) must equal CoeffLen.
 func (t *Transformer) Forward(x, out []float64) {

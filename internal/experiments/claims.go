@@ -27,8 +27,10 @@ type claimRow struct {
 type cellRef struct{ row, col string }
 
 // claimRows states the paper's claims (Table I and Figs. 5–8 and 10) at a
-// scale. CHOCO's accuracy is not held against chance: a CHOCO arm that does
-// not learn is what fig6 and fig7 expect.
+// scale, then its remark that JWINS is flexible to faults and to nodes
+// leaving and joining, as ext-faults and ext-asyncchurn measure it. CHOCO's
+// accuracy is not held against chance: a CHOCO arm that does not learn is
+// what fig6, fig7 and the extensions expect.
 func claimRows(scale Scale) []claimRow {
 	var rows []claimRow
 	for _, ds := range WorkloadNames {
@@ -55,12 +57,24 @@ func claimRows(scale Scale) []claimRow {
 		rows = append(rows, claimRow{claim: "beats random sampling at any size", exp: "fig10", dataset: "cifar10",
 			a: cellRef{row, "gain"}, op: "≥", delta: -2, accs: []cellRef{{row, "acc_jwins"}, {row, "acc_random"}}})
 	}
+
+	// Faults and churn: 20% message drops, and stragglers with 20% of the
+	// nodes leaving and rejoining under the async engine.
+	churn := fmt.Sprint(asyncNodes[scale])
+	rows = append(rows,
+		claimRow{claim: "loses less accuracy than CHOCO under message drops", exp: "ext-faults", dataset: "cifar10",
+			a: cellRef{"choco", "lost"}, b: cellRef{"jwins", "lost"}, op: "≥", accs: []cellRef{{"jwins", "acc_clean"}, {"jwins", "acc_drops"}}},
+		claimRow{claim: "beats CHOCO under stragglers and churn", exp: "ext-asyncchurn", dataset: "cifar10",
+			a: cellRef{churn, "acc_jwins_async"}, b: cellRef{churn, "acc_choco_async"}, op: ">", accs: []cellRef{{churn, "acc_jwins_async"}}},
+		claimRow{claim: "similar accuracy under stragglers and churn", exp: "ext-asyncchurn", dataset: "cifar10",
+			a: cellRef{churn, "acc_jwins_async"}, b: cellRef{churn, "acc_jwins_sync"}, op: "≥", delta: -2, accs: []cellRef{{churn, "acc_jwins_async"}, {churn, "acc_jwins_sync"}}})
 	return rows
 }
 
 // claimExps are the experiments whose tables the claim rows read.
 var claimExps = map[string]func(Scale, uint64, Opts) (*Table, error){
 	"table1": table1, "fig5": fig5, "fig6": fig6, "fig7": fig7, "fig8": fig8, "fig10": fig10,
+	"ext-faults": extFaults, "ext-asyncchurn": extAsyncChurn,
 }
 
 // claims scores every claim row over the tables claimExps return at seeds
@@ -90,10 +104,10 @@ func scoreClaims(rows []claimRow, runs []map[string]*Table, seed uint64) *Table 
 	t := &Table{
 		Title: fmt.Sprintf("Paper claims: d = A − B at seeds %d–%d", seed, seed+uint64(len(runs))-1),
 		Columns: []Column{
-			{"claim", "%s", "claim", "%-34s"},
-			{"experiment", "%s", "exp", "%-6s"},
+			{"claim", "%s", "claim", "%-50s"},
+			{"experiment", "%s", "exp", "%-14s"},
 			{"row", "%s", "row", "%-30s"},
-			{"d", "%s", "A − B", "%-28s"},
+			{"d", "%s", "A − B", "%-33s"},
 			{"test", "%s", "test", "%-7s"},
 			{"seeds", "%d", "seeds", "| %5d"},
 			{"met", "%d", "met", "%3d"},

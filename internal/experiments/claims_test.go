@@ -101,7 +101,7 @@ var microClaimRuns = sync.OnceValues(func() ([]map[string]*Table, error) {
 func microClaims(t *testing.T) ([]map[string]*Table, *Table) {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("runs six experiments at two seeds")
+		t.Skip("runs eight experiments at two seeds")
 	}
 	runs, err := microClaimRuns()
 	if err != nil {
@@ -188,6 +188,37 @@ func TestFig10Micro(t *testing.T) {
 	for _, r := range sizes {
 		holdsAtMicro(t, tab, [4]string{"fig10", fmt.Sprint(r[0]), "gain", "≥ -2"})
 	}
+}
+
+// TestExtFaultsMicro: under 20% message drops CHOCO loses at least as many
+// points as JWINS at seeds 42 and 43.
+func TestExtFaultsMicro(t *testing.T) {
+	_, tab := microClaims(t)
+	holdsAtMicro(t, tab, [4]string{"ext-faults", "choco − jwins", "lost", "≥ 0"})
+}
+
+// TestExtAsyncChurnMicro: under stragglers and churn the async JWINS arm
+// completes its iteration budget, stays within 10 points of the clean
+// synchronous run and beats CHOCO at seeds 42 and 43.
+func TestExtAsyncChurnMicro(t *testing.T) {
+	runs, tab := microClaims(t)
+	for i, tabs := range runs {
+		r := tabs["ext-asyncchurn"]
+		rounds := int(num(t, r, 0, "rounds"))
+		if rows := len(r.Curves[0].Series["jwins-async-churn"]); rows != rounds {
+			t.Errorf("seed %d: async JWINS completed %d/%d rows", 42+i, rows, rounds)
+		}
+		if n := len(r.Curves[0].Series); n != 3 {
+			t.Errorf("seed %d: want 3 curves, got %d", 42+i, n)
+		}
+		if sync, async := num(t, r, 0, "acc_jwins_sync"), num(t, r, 0, "acc_jwins_async"); async < sync-10 {
+			t.Errorf("seed %d: async+churn JWINS lost too much accuracy: %.1f%% vs sync %.1f%%", 42+i, async, sync)
+		}
+		if r.CSV() == "" || r.String() == "" {
+			t.Errorf("seed %d: empty renderings", 42+i)
+		}
+	}
+	holdsAtMicro(t, tab, [4]string{"ext-asyncchurn", fmt.Sprint(asyncNodes[Micro]), "acc_jwins_async − acc_choco_async", "> 0"})
 }
 
 // TestClaimsMicro prints the claims table at seeds 42 and 43 (the tests

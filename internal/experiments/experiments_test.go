@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -156,47 +155,6 @@ func TestFig9Micro(t *testing.T) {
 		t.Fatalf("uncompressed metadata share %.2f, expected ~0.5", w)
 	}
 	_ = r.String()
-}
-
-// TestExtReplayMicro: the record → write → read → replay loop must report an
-// exact sequence match at micro scale.
-func TestExtReplayMicro(t *testing.T) {
-	r, err := extReplay(Micro, 42, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell(t, r, 0, "sequence_match") != true {
-		t.Fatalf("replay did not reproduce the recorded schedule:\n%s", r)
-	}
-	if rec, rep := num(t, r, 0, "recorded_bytes"), num(t, r, 0, "replayed_bytes"); rec != rep {
-		t.Fatalf("byte ledgers differ: recorded %.0f, replayed %.0f", rec, rep)
-	}
-	rounds := num(t, r, 0, "rounds")
-	if rec, rep := num(t, r, 0, "rows_recorded"), num(t, r, 0, "rows_replayed"); rec != rounds || rep != rounds {
-		t.Fatalf("rows: recorded %.0f, replayed %.0f, want %.0f", rec, rep, rounds)
-	}
-	if num(t, r, 0, "events") == 0 {
-		t.Fatal("no events recorded")
-	}
-}
-
-// TestExtReplayCSV: ext-replay's CSV carries the sequence-match verdict and
-// the run's size and byte ledgers in the leading columns.
-func TestExtReplayCSV(t *testing.T) {
-	r, err := extReplay(Micro, 42, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.CSV()
-	lines := strings.SplitN(out, "\n", 3)
-	if !strings.HasPrefix(lines[0], "nodes,rounds,events,recorded_bytes,replayed_bytes,") || !strings.Contains(lines[0], "sequence_match") {
-		t.Fatalf("ext-replay CSV header malformed:\n%s", out)
-	}
-	want := fmt.Sprintf("%.0f,%.0f,%.0f,%.0f,%.0f,", num(t, r, 0, "nodes"), num(t, r, 0, "rounds"),
-		num(t, r, 0, "events"), num(t, r, 0, "recorded_bytes"), num(t, r, 0, "replayed_bytes"))
-	if !strings.HasPrefix(lines[1], want) || !strings.Contains(lines[1], ",true,") {
-		t.Fatalf("ext-replay CSV row malformed, want prefix %q and a true sequence_match:\n%s", want, out)
-	}
 }
 
 // TestSpecFromTraceHeaderRejects: replay without fleet metadata must fail

@@ -3,107 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/datasets"
-	"repro/internal/powergossip"
 	"repro/internal/simulation"
-	"repro/internal/topology"
-	"repro/internal/vec"
 )
-
-// extPowerGossip compares JWINS against POWERGOSSIP (the other
-// state-of-the-art compressor the paper cites, which its authors argue
-// performs as well as tuned CHOCO) on the CIFAR-10-like task for the
-// workload's round budget. POWERGOSSIP runs its own per-edge two-phase
-// driver.
-func extPowerGossip(scale Scale, seed uint64, _ Opts) (*Table, error) {
-	w, err := NewWorkload("cifar10", scale, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	jwins, err := Run(RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-
-	root := vec.NewRNG(seed)
-	template := w.NewModel(root.Split())
-	initial := make([]float64, template.ParamCount())
-	template.CopyParams(initial)
-	nodes := make([]*powergossip.Node, w.Nodes)
-	for i := 0; i < w.Nodes; i++ {
-		nodeRNG := root.Split()
-		model := w.NewModel(nodeRNG)
-		model.SetParams(initial)
-		loader := datasets.NewLoader(w.Dataset, w.Parts[i], w.Batch, nodeRNG.Split())
-		nodes[i], err = powergossip.New(i, model, loader, w.Opts.LR, w.Opts.LocalSteps)
-		if err != nil {
-			return nil, err
-		}
-	}
-	g, err := topology.Regular(w.Nodes, w.Degree, vec.NewRNG(seed^0x746f706f))
-	if err != nil {
-		return nil, err
-	}
-	var pgBytes int64
-	for round := 0; round < w.Rounds; round++ {
-		_, bytes := powergossip.RunRound(nodes, g, powergossip.Config{PowerIterations: 2})
-		pgBytes += bytes
-	}
-	var pgAcc float64
-	for _, nd := range nodes {
-		_, a := datasets.Evaluate(w.Dataset, nd.Model(), 32)
-		pgAcc += a / float64(len(nodes))
-	}
-	return &Table{
-		Title: fmt.Sprintf("Extension: JWINS vs POWERGOSSIP (%d rounds, CIFAR-10-like)", w.Rounds),
-		Columns: []Column{
-			{"algo", "%s", "algo", "  %-12s"},
-			{"acc", "%.2f", "accuracy", "%8.1f%%"},
-			{"bytes", "%d", "sent", "%12s"},
-		},
-		Rows:  [][]any{{"jwins", acc(jwins), byteCount(jwins.TotalBytes)}, {"powergossip", pgAcc * 100, byteCount(pgBytes)}},
-		Notes: []string{"powergossip: rank-1 sketches, 2 power iterations"},
-	}, nil
-}
-
-// extAdaptive compares default JWINS against the band-adaptive selection of
-// the paper's future-work section (budget split across wavelet sub-bands by
-// accumulated importance mass) on the CIFAR-10-like workload.
-func extAdaptive(scale Scale, seed uint64, _ Opts) (*Table, error) {
-	w, err := NewWorkload("cifar10", scale, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultJWINSConfig()
-	cfg.BandAdaptive = true
-	arms := []arm{
-		{"jwins default", func(s *RunSpec) {}},
-		{"jwins band-adaptive", func(s *RunSpec) { s.Algo.JWINS = &cfg }},
-	}
-	rs, err := sweep(RunSpec{Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: seed}, arms)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Extension: band-adaptive selection (paper future work), %d rounds", w.Rounds),
-		Columns: []Column{
-			{"variant", "%s", "variant", "  %-20s"},
-			{"acc", "%.2f", "accuracy", "%8.1f%%"},
-			{"final_loss", "%.4f", "loss", "%6.3f"},
-			{"bytes", "%d", "sent", "%12s"},
-		},
-	}
-	for i, a := range arms {
-		t.Rows = append(t.Rows, []any{a.label, acc(rs[i]), rs[i].FinalLoss, byteCount(rs[i].TotalBytes)})
-	}
-	return t, nil
-}
 
 // extFaults measures resilience to message loss — the systems property behind
 // the paper's claim that JWINS (unlike CHOCO) is flexible to lossy links:
-// JWINS and CHOCO, clean and with 20% message drops. Nodes leaving and
-// rejoining is ext-asyncchurn.
+// JWINS and CHOCO, clean and with 20% message drops, and the points each
+// loses to the drops. Nodes leaving and rejoining is ext-asyncchurn.
 func extFaults(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, 0, seed)
 	if err != nil {
@@ -115,6 +21,7 @@ func extFaults(scale Scale, seed uint64, _ Opts) (*Table, error) {
 			{"algo", "%s", "algo", "%-8s"},
 			{"acc_clean", "%.2f", "clean", "%9.1f%%"},
 			{"acc_drops", "%.2f", "20% drops", "%11.1f%%"},
+			{"lost", "%.2f", "lost", "%+8.1f"},
 		},
 	}
 	faults := []arm{
@@ -126,7 +33,7 @@ func extFaults(scale Scale, seed uint64, _ Opts) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", kind, err)
 		}
-		t.Rows = append(t.Rows, []any{string(kind), acc(rs[0]), acc(rs[1])})
+		t.Rows = append(t.Rows, []any{string(kind), acc(rs[0]), acc(rs[1]), acc(rs[0]) - acc(rs[1])})
 	}
 	return t, nil
 }
@@ -136,12 +43,13 @@ func extFaults(scale Scale, seed uint64, _ Opts) (*Table, error) {
 var asyncNodes = map[Scale]int{Micro: 8, Small: 32, Paper: 96}
 
 // extAsyncChurn runs the CIFAR-10-like task (a) synchronously and clean,
-// (b) through the async engine with a lognormal compute/bandwidth straggler
-// tail and 20% churn for JWINS, and (c) the same async setting for CHOCO:
-// the paper's "flexible to nodes leaving and joining" remark under realistic
-// stragglers and real leave/join. The staleness columns are the
-// merged payloads' iteration lag (zero under the barrier except for
-// rejoining nodes merging cached broadcasts).
+// (b) through the async engine's default local barrier with a lognormal
+// compute/bandwidth straggler tail and 20% churn for JWINS, and (c) the same
+// async setting for CHOCO: the paper's "flexible to nodes leaving and
+// joining" remark under stragglers and real leave/join. The staleness
+// columns are the merged payloads' iteration lag, which reads 0 under the
+// barrier: a rejoining node drops what it had buffered and fast-forwards to
+// the emitted-row floor instead of merging behind its neighbours.
 func extAsyncChurn(scale Scale, seed uint64, _ Opts) (*Table, error) {
 	w, err := NewWorkload("cifar10", scale, asyncNodes[scale], seed)
 	if err != nil {

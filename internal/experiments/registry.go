@@ -37,11 +37,8 @@ var Experiments = []Experiment{
 	{"fig8", nil, fig8},
 	{"fig9", nil, fig9},
 	{"fig10", nil, fig10},
-	{"ext-powergossip", nil, extPowerGossip},
-	{"ext-adaptive", nil, extAdaptive},
 	{"ext-faults", nil, extFaults},
 	{"ext-asyncchurn", nil, extAsyncChurn},
-	{"ext-replay", nil, extReplay},
 	{"ext-dyntopo", nil, extDynTopo},
 	{"ext-scale", []string{"eval-sample"}, extScale},
 	{"ext-semiasync", nil, extSemiAsync},

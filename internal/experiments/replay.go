@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 
@@ -120,71 +119,4 @@ func SpecFromTraceHeader(h trace.Header) (RunSpec, error) {
 		}
 	}
 	return spec, nil
-}
-
-// extReplay records one async JWINS run on the CIFAR-10-like workload under
-// stragglers and churn, round-trips the trace through the wire format, and
-// replays it as the authoritative schedule: the replay must reproduce the
-// event sequence and the byte ledger exactly.
-func extReplay(scale Scale, seed uint64, _ Opts) (*Table, error) {
-	w, err := NewWorkload("cifar10", scale, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	spec := RunSpec{
-		Workload: w, Algo: AlgoSpec{Kind: AlgoJWINS}, Seed: seed, Async: true,
-		Het:           simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3, LatencySpread: 0.2},
-		ChurnFraction: 0.2,
-	}
-	h, err := spec.TraceHeader()
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder(h)
-	spec.Recorder = rec
-	recorded, err := Run(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// Round-trip through the wire format before replaying: the parity claim
-	// covers serialization, not just the in-memory recording.
-	var wire bytes.Buffer
-	if err := trace.Write(&wire, rec.Trace()); err != nil {
-		return nil, fmt.Errorf("serialize: %w", err)
-	}
-	decoded, err := trace.Read(&wire)
-	if err != nil {
-		return nil, fmt.Errorf("deserialize: %w", err)
-	}
-	replayed, replayedTrace, err := ReplayTrace(decoded)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	diff := trace.Compare(replayedTrace, rec.Trace())
-	return &Table{
-		Title: fmt.Sprintf("Extension: trace record/replay (%d nodes, %d rounds, CIFAR-10-like, stragglers + 20%% churn)", w.Nodes, w.Rounds),
-		Columns: []Column{
-			{Name: "nodes", CSV: "%d"},
-			{Name: "rounds", CSV: "%d"},
-			{"events", "%d", "events", "  %7d"},
-			{"recorded_bytes", "%d", "rec:bytes", "| %10s"},
-			{"replayed_bytes", "%d", "rep:bytes", "%10s"},
-			{"recorded_acc", "%.2f", "rec:acc", "%7.1f%%"},
-			{"replayed_acc", "%.2f", "rep:acc", "%7.1f%%"},
-			{"rows_recorded", "%d", "rec:rows", "%8d"},
-			{"rows_replayed", "%d", "rep:rows", "%8d"},
-			{"sequence_match", "%v", "match", "| %5v"},
-			{"time_err_max", "%.6f", "time-err", "%9.6fs"},
-			{Head: "unmatched", Text: "%10s"},
-			{"stale_mean", "%.4f", "stale:mean", "| %10.3f"},
-			{"stale_max", "%.0f", "max", "%3.0f"},
-			{"stale_p95", "%.4f", "p95", "%6.3f"},
-		},
-		Rows: [][]any{{w.Nodes, w.Rounds, rec.Len(), byteCount(recorded.TotalBytes), byteCount(replayed.TotalBytes),
-			acc(recorded), acc(replayed), len(recorded.Rounds), len(replayed.Rounds),
-			diff.InSync() && diff.TimeErrMax == 0, diff.TimeErrMax, fmt.Sprintf("%d/%d", diff.OnlyA+diff.OnlyB, diff.Matched),
-			recorded.StaleMean, recorded.StaleMax, recorded.StaleP95}},
-		Notes: []string{"unmatched: replayed and recorded events without a counterpart / matched events; staleness of the recorded run in iterations"},
-	}, nil
 }

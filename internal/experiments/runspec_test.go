@@ -17,7 +17,8 @@ import (
 // with the recording — same events and times, byte ledger, simulated time
 // and rows — under every policy, every topology mode (static, static with
 // epochs, dynamic at the default and at an explicit epoch length), exact and
-// sampled evaluation, on a paper task and on ext-scale's task.
+// sampled evaluation, with stragglers and churn, on a paper task and on
+// ext-scale's task.
 func TestTraceHeaderReplays(t *testing.T) {
 	bounded := simulation.BoundedStalenessPolicy{K: 2, Tau: 1}
 	cases := []struct {
@@ -41,6 +42,8 @@ func TestTraceHeaderReplays(t *testing.T) {
 		{"dynamic-default-epoch-churn", "cifar10", 0, 19, RunSpec{Dynamic: true, ChurnFraction: 0.25}},
 		{"dynamic-explicit-epoch", "cifar10", 0, 19, RunSpec{Dynamic: true, EpochSec: 0.05}},
 		{"sampled-eval", "cifar10", 0, 19, RunSpec{EvalSample: 4, ChurnFraction: 0.25}},
+		{"het-churn", "cifar10", 0, 42, RunSpec{ChurnFraction: 0.2,
+			Het: simulation.Heterogeneity{ComputeSpread: 0.5, BandwidthSpread: 0.3, LatencySpread: 0.2}}},
 		{"extscale-churn", "extscale", 64, 5, RunSpec{EvalSample: 8, ChurnFraction: 0.2,
 			Het: simulation.Heterogeneity{ComputeSpread: 0.3}}},
 		{"extscale-dyntopo", "extscale", 64, 5, RunSpec{EvalSample: 8, Dynamic: true, MixingEvery: 2,

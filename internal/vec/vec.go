@@ -6,7 +6,6 @@ package vec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -44,20 +43,6 @@ func Sub(dst, src []float64) {
 	}
 }
 
-// Scale multiplies every element of x by a.
-func Scale(x []float64, a float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Diff returns a new vector a-b. It panics if lengths differ.
-func Diff(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	DiffInto(out, a, b)
-	return out
-}
-
 // DiffInto computes dst[i] = a[i] - b[i] without allocating. It panics if
 // lengths differ. dst may alias a or b.
 func DiffInto(dst, a, b []float64) {
@@ -66,21 +51,6 @@ func DiffInto(dst, a, b []float64) {
 	for i := range a {
 		dst[i] = a[i] - b[i]
 	}
-}
-
-// Dot returns the inner product of a and b. It panics if lengths differ.
-func Dot(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
 }
 
 // MSE returns the mean squared error between a and b.

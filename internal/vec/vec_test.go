@@ -17,28 +17,11 @@ func TestSub(t *testing.T) {
 	}
 }
 
-func TestDotNormMSE(t *testing.T) {
+func TestMSE(t *testing.T) {
 	a := []float64{3, 4}
-	if got := Dot(a, a); got != 25 {
-		t.Fatalf("Dot = %v, want 25", got)
-	}
-	if got := Norm2(a); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
 	b := []float64{0, 0}
 	if got := MSE(a, b); got != 12.5 {
 		t.Fatalf("MSE = %v, want 12.5", got)
-	}
-}
-
-func TestDiffScale(t *testing.T) {
-	d := Diff([]float64{5, 7}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 4 {
-		t.Fatalf("Diff = %v", d)
-	}
-	Scale(d, 10)
-	if d[0] != 30 || d[1] != 40 {
-		t.Fatalf("Scale = %v", d)
 	}
 }
 
@@ -47,7 +30,7 @@ func TestDiffInto(t *testing.T) {
 	b := []float64{1, 2, 3}
 	dst := []float64{-1, -1, -1}
 	DiffInto(dst, a, b)
-	want := Diff(a, b)
+	want := []float64{4, 5, 6}
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("DiffInto = %v, want %v", dst, want)
@@ -247,7 +230,8 @@ func TestQuickDiffAddInverse(t *testing.T) {
 		for i := range b {
 			b[i] = float64(i) * 0.5
 		}
-		d := Diff(a, b)
+		d := make([]float64, len(a))
+		DiffInto(d, a, b)
 		for i := range d {
 			d[i] += b[i]
 		}
