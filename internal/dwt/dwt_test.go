@@ -1,6 +1,7 @@
 package dwt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -134,36 +135,62 @@ func TestTransformerRoundTrip(t *testing.T) {
 	}
 }
 
+// testBand is one sub-band of the flat coefficient layout.
+type testBand struct {
+	name     string
+	off, len int
+}
+
+// layoutOf derives p's flat layout [cA_L | cD_L | cD_{L-1} | ... | cD_1] by
+// halving the padded length once per level and laying the bands end to end,
+// independently of the closed form detailSlot uses.
+func layoutOf(p *Plan) []testBand {
+	levels := p.Levels()
+	lens := make([]int, levels) // lens[i] = detail length of level i+1
+	cur := p.CoeffLen()
+	for lvl := 1; lvl <= levels; lvl++ {
+		cur /= 2
+		lens[lvl-1] = cur
+	}
+	out := []testBand{{fmt.Sprintf("cA%d", levels), 0, lens[levels-1]}}
+	off := lens[levels-1]
+	for lvl := levels; lvl >= 1; lvl-- {
+		out = append(out, testBand{fmt.Sprintf("cD%d", lvl), off, lens[lvl-1]})
+		off += lens[lvl-1]
+	}
+	return out
+}
+
 func TestTransformerBandsLayout(t *testing.T) {
 	tr, err := NewTransformer(4096, MustByName("sym2"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bands := tr.plan.bands
-	if len(bands) != 5 {
-		t.Fatalf("want 5 bands, got %d", len(bands))
-	}
+	bands := layoutOf(tr.plan)
 	wantNames := []string{"cA4", "cD4", "cD3", "cD2", "cD1"}
+	if len(bands) != len(wantNames) {
+		t.Fatalf("want %d bands, got %d", len(wantNames), len(bands))
+	}
+	// For n = 4096, L=4: cA4 = cD4 = 256, cD3 = 512, cD2 = 1024, cD1 = 2048.
+	wantLens := []int{256, 256, 512, 1024, 2048}
 	total := 0
-	prevEnd := 0
 	for i, b := range bands {
-		if b.Name != wantNames[i] {
-			t.Errorf("band %d name %q, want %q", i, b.Name, wantNames[i])
+		if b.name != wantNames[i] || b.len != wantLens[i] {
+			t.Errorf("band %d is %s of %d, want %s of %d", i, b.name, b.len, wantNames[i], wantLens[i])
 		}
-		if b.Offset != prevEnd {
-			t.Errorf("band %q offset %d, want contiguous %d", b.Name, b.Offset, prevEnd)
-		}
-		prevEnd = b.Offset + b.Len
-		total += b.Len
+		total += b.len
 	}
 	if total != tr.CoeffLen() {
 		t.Fatalf("bands sum %d != CoeffLen %d", total, tr.CoeffLen())
 	}
-	// For n = 4096, L=4: cA4 = cD4 = 256, cD3 = 512, cD2 = 1024, cD1 = 2048.
-	wantLens := []int{256, 256, 512, 1024, 2048}
-	for i, b := range bands {
-		if b.Len != wantLens[i] {
-			t.Errorf("band %q len %d, want %d", b.Name, b.Len, wantLens[i])
+	// The transforms find each detail band where the layout puts it.
+	flat := make([]float64, tr.CoeffLen())
+	for lvl := 1; lvl <= 4; lvl++ {
+		b := bands[4-lvl+1]
+		got := tr.plan.detailSlot(flat, lvl)
+		if len(got) != b.len || &got[0] != &flat[b.off] {
+			t.Errorf("detailSlot(%d) is %d long at offset %d, want %s: %d at %d",
+				lvl, len(got), cap(flat)-cap(got), b.name, b.len, b.off)
 		}
 	}
 }

@@ -7,18 +7,17 @@ import (
 
 // Plan is an immutable, fleet-shareable description of one periodized
 // multi-level DWT: the filter bank (h plus the derived high-pass g), the
-// padding layout, and the flat band table. A Plan carries no mutable state,
+// padding layout, and with it the flat band layout. A Plan carries no mutable state,
 // so any number of goroutines and transforms may use one concurrently;
 // per-call buffers live in Scratch. PlanFor memoizes plans per
 // (dim, wavelet, levels), so a fleet of nodes that share a model shape share
-// one filter bank and band table instead of rebuilding them per node.
+// one filter bank instead of rebuilding them per node.
 type Plan struct {
 	wavelet Wavelet
 	g       []float64 // cached high-pass filter (Wavelet.G allocates)
 	n       int       // original input length
 	padded  int       // padded length (multiple of 2^levels)
 	levels  int
-	bands   []Band
 }
 
 // planKey identifies a memoized plan. Wavelets are compared by name first and
@@ -82,31 +81,13 @@ func newPlan(n int, w Wavelet, levels int) (*Plan, error) {
 	for padded>>uint(levels) < 2 {
 		padded += block
 	}
-	p := &Plan{
+	return &Plan{
 		wavelet: w,
 		g:       w.G(),
 		n:       n,
 		padded:  padded,
 		levels:  levels,
-	}
-	// Flat layout: [cA_L | cD_L | cD_{L-1} | ... | cD_1].
-	lens := make([]int, levels) // lens[i] = detail length of level i+1
-	cur := padded
-	for lvl := 1; lvl <= levels; lvl++ {
-		cur /= 2
-		lens[lvl-1] = cur
-	}
-	off := 0
-	p.bands = append(p.bands, Band{Name: fmt.Sprintf("cA%d", levels), Offset: 0, Len: lens[levels-1]})
-	off += lens[levels-1]
-	for lvl := levels; lvl >= 1; lvl-- {
-		p.bands = append(p.bands, Band{Name: fmt.Sprintf("cD%d", lvl), Offset: off, Len: lens[lvl-1]})
-		off += lens[lvl-1]
-	}
-	if off != padded {
-		return nil, fmt.Errorf("dwt: internal layout error: bands sum to %d, padded %d", off, padded)
-	}
-	return p, nil
+	}, nil
 }
 
 // CoeffLen returns the flat coefficient vector length (the padded length).
@@ -118,11 +99,12 @@ func (p *Plan) Levels() int { return p.levels }
 // Wavelet returns the plan's wavelet.
 func (p *Plan) Wavelet() Wavelet { return p.wavelet }
 
-// detailSlot returns the cD_lvl slice inside a flat coefficient vector.
+// detailSlot returns the cD_lvl slice inside a flat coefficient vector laid
+// out as [cA_L | cD_L | cD_{L-1} | ... | cD_1]. Level lvl's detail band is
+// padded>>lvl long, and the bands before it (cA_L and cD_L down to
+// cD_{lvl+1}) sum to the same length, so it starts there.
 func (p *Plan) detailSlot(flat []float64, lvl int) []float64 {
-	// bands[0] is cA_L; bands[1] is cD_L ... bands[levels] is cD_1.
-	b := p.bands[p.levels-lvl+1]
-	return flat[b.Offset : b.Offset+b.Len]
+	return flat[p.padded>>lvl : p.padded>>(lvl-1)]
 }
 
 // Scratch holds the reusable ping-pong buffers a plan's transforms run in.

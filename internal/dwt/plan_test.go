@@ -20,8 +20,8 @@ func refForward(p *Plan, x []float64) []float64 {
 	curLen := p.CoeffLen()
 	for lvl := 1; lvl <= p.Levels(); lvl++ {
 		half := curLen / 2
-		b := p.bands[p.Levels()-lvl+1]
-		AnalyzePeriodicFilters(cur[:curLen], p.Wavelet().H, g, next[:half], out[b.Offset:b.Offset+b.Len])
+		b := layoutOf(p)[p.Levels()-lvl+1]
+		AnalyzePeriodicFilters(cur[:curLen], p.Wavelet().H, g, next[:half], out[b.off:b.off+b.len])
 		cur, next = next, cur
 		curLen = half
 	}
@@ -39,8 +39,8 @@ func refInverse(p *Plan, coeffs []float64) []float64 {
 	g := p.Wavelet().G()
 	curLen := coarse
 	for lvl := p.Levels(); lvl >= 1; lvl-- {
-		b := p.bands[p.Levels()-lvl+1]
-		SynthesizePeriodicFilters(cur[:curLen], coeffs[b.Offset:b.Offset+b.Len], p.Wavelet().H, g, next[:2*curLen])
+		b := layoutOf(p)[p.Levels()-lvl+1]
+		SynthesizePeriodicFilters(cur[:curLen], coeffs[b.off:b.off+b.len], p.Wavelet().H, g, next[:2*curLen])
 		cur, next = next, cur
 		curLen *= 2
 	}

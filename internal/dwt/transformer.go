@@ -16,17 +16,10 @@ type Transform interface {
 	Inverse(coeffs, out []float64)
 }
 
-// Band describes one sub-band slice inside the flat coefficient vector.
-type Band struct {
-	Name   string // "cA4", "cD4", ..., "cD1"
-	Offset int
-	Len    int
-}
-
 // Transformer is a multi-level periodized DWT bound to a fixed input length.
 // The input is zero-padded once to a multiple of 2^levels so every level sees
 // an even-length signal; the coefficient vector length equals the padded
-// length. The immutable layout (filter bank, padding, band table) lives in a
+// length. The immutable layout (filter bank, padding) lives in a
 // memoized Plan shared across every transformer with the same
 // (dim, wavelet, levels); only the lazily-grown scratch buffers are per
 // instance, which makes a Transformer NOT safe for concurrent use. It is the

@@ -45,7 +45,7 @@
 // simulated-time epochs: the scheduler processes an EventEpoch at each
 // boundary, live nodes push their cached broadcast over every fresh edge
 // (the state sync that keeps barriers deadlock-free across rotations),
-// stale per-edge payload buffers are pruned and pooled, and the new epoch's
+// mailbox entries of severed senders are pruned, and the new epoch's
 // mixing quality (spectral gap, neighbor turnover) lands in the emitted
 // rows. Epoch boundaries are recorded in traces and replayed from them, so
 // rotated runs keep the record→replay byte-parity guarantee.
@@ -55,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -243,18 +244,86 @@ type asyncNode struct {
 	// `iter` was processed while it was still waiting (DeadlinePolicy only);
 	// cleared when the aggregation fires or the node churns.
 	deadlineFired bool
-	// got[j] is the highest iteration for which sender j's payload arrived
-	// or was known dropped — the barrier bookkeeping.
-	got map[int]int
-	// inbox[j][k] buffers sender j's iteration-k payload. The barrier policy
-	// consumes entries <= the aggregated iteration; gossip keeps only the
-	// freshest entry per sender.
-	inbox map[int]map[int][]byte
+	// peers is the mailbox, one entry per sender heard from or waited on
+	// since the last prune, found by a linear scan (at degree 4-6 a scan
+	// beats a hash); keyed by sender since churn and rotation redraw rows.
+	peers []peer
 	// lastPayload/lastIter/lastBD cache the node's most recent broadcast so
 	// a rejoining neighbor can pull current state (see onJoin).
 	lastPayload []byte
 	lastIter    int
 	lastBD      codec.ByteBreakdown
+}
+
+// peer is one sender's mailbox entry: got is the highest iteration whose
+// payload arrived or was known dropped (the barrier bookkeeping), box the
+// payloads buffered, consumed by blocking policies up to the aggregated
+// iteration; gossip keeps only the freshest.
+type peer struct {
+	from, got int
+	box       []boxed
+}
+
+// boxed is one buffered payload and the iteration it belongs to.
+type boxed struct {
+	iter    int
+	payload []byte
+}
+
+// peer returns sender from's mailbox entry. A sender not heard from gets an
+// empty one (got -1), in a slot a prune or rejoin truncated when there is
+// one, whose box capacity it keeps.
+func (st *asyncNode) peer(from int) *peer {
+	for k := range st.peers {
+		if st.peers[k].from == from {
+			return &st.peers[k]
+		}
+	}
+	n := len(st.peers)
+	st.peers = slices.Grow(st.peers, 1)[:n+1]
+	p := &st.peers[n]
+	p.from, p.got, p.box = from, -1, p.box[:0]
+	return p
+}
+
+// keepPeers keeps the entries whose sender passes keep and truncates the rest
+// in place, their payload references cleared and box capacity kept for the
+// senders that take their slots.
+func (st *asyncNode) keepPeers(keep func(from int) bool) {
+	n := 0
+	for k := range st.peers {
+		if keep(st.peers[k].from) {
+			st.peers[n], st.peers[k] = st.peers[k], st.peers[n]
+			n++
+		}
+	}
+	for k := n; k < len(st.peers); k++ {
+		clear(st.peers[k].box)
+	}
+	st.peers = st.peers[:n]
+}
+
+// put buffers payload as iteration iter's, replacing an earlier one.
+func (p *peer) put(iter int, payload []byte) {
+	for k := range p.box {
+		if p.box[k].iter == iter {
+			p.box[k].payload = payload
+			return
+		}
+	}
+	p.box = append(p.box, boxed{iter, payload})
+}
+
+// consume drops the payloads at or below iteration upTo.
+func (p *peer) consume(upTo int) {
+	box := p.box[:0]
+	for _, b := range p.box {
+		if b.iter > upTo {
+			box = append(box, b)
+		}
+	}
+	clear(p.box[len(box):])
+	p.box = box
 }
 
 // trainTask carries one speculatively dispatched train+share computation.
@@ -292,11 +361,13 @@ type asyncRun struct {
 	// epoch; epochSec > 0 enables rotation, and epoch is the index the last
 	// processed EventEpoch advanced to. replayEpochs holds the recorded
 	// rotations not yet scheduled (replay runs schedule them verbatim
-	// instead of deriving boundaries from epochSec).
+	// instead of deriving boundaries from epochSec). nextBase draws the
+	// scheduled boundary's base graph on the pool (nil: no draw yet).
 	topo         *topology.EpochProvider
 	epoch        int
 	epochSec     float64
 	replayEpochs []trace.Event
+	nextBase     *future
 
 	// Mixing instrumentation: the current epoch's spectral gap and neighbor
 	// turnover (reported in every emitted row) plus run-level accumulators.
@@ -313,10 +384,6 @@ type asyncRun struct {
 	liveBuf     []bool               // scratch live mask (see liveMask)
 	slem        topology.SLEMScratch // reused power-iteration buffers
 
-	// boxPool recycles per-sender inbox maps freed when an epoch rotation
-	// severs an edge (or a rejoin resets a node), bounding steady-state
-	// allocation at 1024-node scale.
-	boxPool []map[int][]byte
 	// msgsPool recycles the per-aggregation payload maps. Maps are acquired
 	// on the event loop and released by the pool worker once Aggregate has
 	// consumed them, so the pool is mutex-guarded; map identity never affects
@@ -443,8 +510,9 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		r.pool.telInline = r.tel.poolInline
 	}
 	// Registered before any validation early-return: the pool's workers must
-	// not outlive a failed Run.
+	// not outlive a failed Run, nor close under a graph draw never used.
 	defer r.pool.close()
+	defer func() { r.nextBase.wait() }()
 	tp, ok := e.Topology.(*topology.EpochProvider)
 	if !ok {
 		tp = topology.NewEpochProvider(e.Topology, n, 0)
@@ -486,12 +554,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		r.curGap, r.gapMin = math.NaN(), math.NaN()
 	}
 	for i := range r.nodes {
-		r.nodes[i] = asyncNode{
-			live:     true,
-			got:      make(map[int]int, g.Degree(i)),
-			inbox:    make(map[int]map[int][]byte, g.Degree(i)),
-			lastIter: -1,
-		}
+		r.nodes[i] = asyncNode{live: true, lastIter: -1}
 	}
 	// The per-node churn calendar must exist before the first scheduleTrain:
 	// speculation safety checks it. Event push order stays as before (initial
@@ -542,7 +605,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		r.replayEpochs = r.replay.Epochs()
 		r.pushNextReplayEpoch()
 	} else if r.epochSec > 0 {
-		r.push(Event{Time: r.epochSec, Kind: EventEpoch, Iter: 1})
+		r.pushEpoch(r.epochSec, 1)
 	}
 
 	// The final drain is mandatory on every path out of the loop: in-flight
@@ -743,18 +806,35 @@ func (r *asyncRun) pushNextReplayEpoch() {
 	}
 	ev := r.replayEpochs[0]
 	r.replayEpochs = r.replayEpochs[1:]
-	r.push(Event{Time: ev.Time, Kind: EventEpoch, Iter: ev.Iter})
+	r.pushEpoch(ev.Time, ev.Iter)
+}
+
+// pushEpoch schedules the boundary into epoch e at time t. A base serving
+// graphs alone (SeededDynamic) draws e's graph on the pool meanwhile, a pure
+// function of (seed, e) that onEpoch waits for before querying the provider.
+func (r *asyncRun) pushEpoch(t float64, e int) {
+	r.push(Event{Time: t, Kind: EventEpoch, Iter: e})
+	if gp, ok := r.topo.Base.(interface{ Graph(int) *topology.Graph }); ok && r.epochSec > 0 {
+		r.nextBase = r.pool.submit(nil, -1, func() error {
+			gp.Graph(e)
+			return nil
+		})
+	}
 }
 
 // onEpoch rotates the topology: the provider serves epoch ev.Iter from here
-// on, payload buffers of severed edges are pruned (maps recycled), and every
-// live node pushes its cached broadcast over each fresh edge. That state
+// on (its base graph drawn on the pool since the boundary was scheduled),
+// mailbox entries of severed senders are pruned, and every live node pushes
+// its cached broadcast over each fresh edge. That state
 // sync keeps the local barrier deadlock-free: a node waiting on a brand-new
 // neighbor would otherwise block on an iteration payload that was broadcast
 // before the edge existed. The re-sent payload carries the sender's last
 // iteration, which is at least any iteration a waiting neighbor can be
 // blocked on, so `got` bookkeeping advances and barriers re-fire.
 func (r *asyncRun) onEpoch(ev *Event) error {
+	if err := r.nextBase.wait(); err != nil {
+		return fmt.Errorf("epoch %d graph: %w", ev.Iter, err)
+	}
 	if ev.Iter <= r.epoch {
 		// Defensive: a stale or duplicate boundary (possible only in a
 		// hand-edited replay trace) is a no-op — but it must still consume
@@ -804,30 +884,15 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 		r.epochLagStart = len(r.stale.all)
 	}
 
-	// Re-key the per-edge buffers: payloads from senders that are no longer
+	// Prune the mailboxes: payloads from senders that are no longer
 	// neighbors can never satisfy a barrier and would otherwise accumulate
-	// across rotations (the 384-node memory concern). Inner maps go back to
-	// the pool for reuse by future arrivals. The `got` bookkeeping of a
-	// severed edge is dropped too: if the edge reappears in a later epoch,
+	// across rotations (the 384-node memory concern). The `got` bookkeeping
+	// of a severed edge goes too: if the edge reappears in a later epoch,
 	// the barrier must wait for that boundary's state-sync arrival instead
 	// of firing on stale evidence from a past epoch and aggregating without
 	// the re-appeared neighbor's payload.
 	for i := range r.nodes {
-		st := &r.nodes[i]
-		for j, box := range st.inbox {
-			if !gNew.HasEdge(i, j) {
-				delete(st.inbox, j)
-				for k := range box {
-					delete(box, k)
-				}
-				r.boxPool = append(r.boxPool, box)
-			}
-		}
-		for j := range st.got {
-			if !gNew.HasEdge(i, j) {
-				delete(st.got, j)
-			}
-		}
+		r.nodes[i].keepPeers(func(j int) bool { return gNew.HasEdge(i, j) })
 	}
 
 	// State sync over fresh edges, serialized through each sender's uplink
@@ -856,7 +921,7 @@ func (r *asyncRun) onEpoch(ev *Event) error {
 	if r.replay != nil {
 		r.pushNextReplayEpoch()
 	} else if r.epochSec > 0 && !r.stop && r.queue.Len() > 0 {
-		r.push(Event{Time: float64(r.epoch+1) * r.epochSec, Kind: EventEpoch, Iter: r.epoch + 1})
+		r.pushEpoch(float64(r.epoch+1)*r.epochSec, r.epoch+1)
 	}
 	return nil
 }
@@ -1155,35 +1220,18 @@ func (r *asyncRun) onArrival(ev *Event) error {
 	if !st.live {
 		return nil // the receiver is gone; the message is lost
 	}
-	if prev, ok := st.got[ev.From]; !ok || ev.Iter > prev {
-		st.got[ev.From] = ev.Iter
+	p := st.peer(ev.From)
+	if ev.Iter > p.got {
+		p.got = ev.Iter
 	}
 	if !ev.Dropped {
-		box := st.inbox[ev.From]
-		if box == nil {
-			if n := len(r.boxPool); n > 0 {
-				box = r.boxPool[n-1]
-				r.boxPool = r.boxPool[:n-1]
-			} else {
-				box = make(map[int][]byte, 2)
-			}
-			st.inbox[ev.From] = box
-		}
 		if !r.blocking {
 			// Keep only the freshest payload per sender.
-			stale := false
-			for k := range box {
-				if k > ev.Iter {
-					stale = true
-				} else {
-					delete(box, k)
-				}
-			}
-			if stale {
+			if p.consume(ev.Iter); len(p.box) > 0 {
 				return nil
 			}
 		}
-		box[ev.Iter] = payload
+		p.put(ev.Iter, payload)
 	}
 	if st.waiting {
 		return r.checkReady(j)
@@ -1204,10 +1252,7 @@ func (r *asyncRun) checkReady(i int) error {
 	v := policyView{iter: st.iter, tau: r.curTau, deadline: st.deadlineFired, minGot: math.MaxInt}
 	for _, j := range g.Neighbors(i) {
 		v.live++
-		got, ok := st.got[j]
-		if !ok {
-			got = -1
-		}
+		got := st.peer(j).got
 		if got >= st.iter {
 			v.heard++
 		}
@@ -1237,28 +1282,26 @@ func (r *asyncRun) aggregate(i int) error {
 	// ahead are not stale). The scratch is consumed synchronously below.
 	lags := r.lagScratch[:0]
 	for _, j := range g.Neighbors(i) {
-		box := st.inbox[j]
-		if len(box) == 0 {
+		p := st.peer(j)
+		if len(p.box) == 0 {
 			continue
 		}
 		// Prefer the payload matching this iteration (blocking policies),
 		// falling back to the freshest buffered one (gossip, a bounded or
 		// deadline merge of a straggler, or a fast-forwarded joiner).
-		if p, ok := box[st.iter]; ok && r.blocking {
-			msgs[j] = p
-			lags = append(lags, 0)
-			continue
-		}
-		best := -1
-		for k := range box {
-			if k > best {
+		best := 0
+		for k, b := range p.box {
+			if r.blocking && b.iter == st.iter {
+				best = k
+				break
+			}
+			if b.iter > p.box[best].iter {
 				best = k
 			}
 		}
-		if best >= 0 {
-			msgs[j] = box[best]
-			lags = append(lags, math.Max(0, float64(st.iter-best)))
-		}
+		b := p.box[best]
+		msgs[j] = b.payload
+		lags = append(lags, math.Max(0, float64(st.iter-b.iter)))
 	}
 	// Decode+mix runs on the pool: nothing on the event schedule depends on
 	// its result (the payloads in msgs are immutable, the mixing row w[i] is
@@ -1279,7 +1322,7 @@ func (r *asyncRun) aggregate(i int) error {
 	{
 		live, heard := g.Degree(i), 0
 		for _, j := range g.Neighbors(i) {
-			if got, ok := st.got[j]; ok && got >= st.iter {
+			if st.peer(j).got >= st.iter {
 				heard++
 			}
 		}
@@ -1306,16 +1349,11 @@ func (r *asyncRun) aggregate(i int) error {
 		})
 	}
 	if r.blocking {
-		// Consume everything at or below the aggregated iteration. Emptied
-		// boxes stay keyed in the inbox: the same neighbor refills them next
-		// iteration, so dropping them would just re-allocate one box per edge
-		// per round (epoch rotation prunes boxes of severed edges instead).
-		for _, box := range st.inbox {
-			for k := range box {
-				if k <= st.iter {
-					delete(box, k)
-				}
-			}
+		// Consume everything at or below the aggregated iteration, from every
+		// sender. Emptied boxes stay in the mailbox: the same neighbor refills
+		// them next iteration (epoch rotation prunes severed senders instead).
+		for k := range st.peers {
+			st.peers[k].consume(st.iter)
 		}
 	}
 	r.liveAt[st.iter]--
@@ -1380,18 +1418,9 @@ func (r *asyncRun) onJoin(i int) error {
 	}
 	r.liveAt[st.iter]++
 	// Anything buffered before the departure is stale connectivity. The
-	// bookkeeping maps are cleared in place and inner boxes recycled, not
-	// re-allocated: churn at 1024-node scale must not grow the heap.
-	for k := range st.got {
-		delete(st.got, k)
-	}
-	for j, box := range st.inbox {
-		delete(st.inbox, j)
-		for k := range box {
-			delete(box, k)
-		}
-		r.boxPool = append(r.boxPool, box)
-	}
+	// mailbox is truncated in place, not re-allocated: churn at 1024-node
+	// scale must not grow the heap.
+	st.keepPeers(func(int) bool { return false })
 	r.topo.SetLive(i, true)
 	g, _ := r.graph()
 	for _, m := range g.Neighbors(i) {

@@ -1,6 +1,8 @@
 package simulation
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/topology"
@@ -159,4 +161,69 @@ func TestGenerateChurnShape(t *testing.T) {
 	if got := GenerateChurn(16, 0, 1, 10, 2, 5); got != nil {
 		t.Fatalf("zero fraction should yield nil trace, got %v", got)
 	}
+}
+
+// TestMailboxRules holds a node's sender-keyed mailbox to its rules: every
+// arrival, dropped or not, raises its sender's got; gossip keeps only the
+// freshest payload and refuses a staler one; blocking policies keep every
+// iteration, a re-sent one replacing the earlier payload, until an aggregate
+// consumes all of them at or below its iteration from every sender; a prune
+// or rejoin forgets a sender entirely, got included.
+func TestMailboxRules(t *testing.T) {
+	arrive := func(r *asyncRun, from, iter int, dropped bool) []byte {
+		t.Helper()
+		p := []byte{byte(from), byte(iter)}
+		if err := r.onArrival(&Event{Node: 0, From: from, Iter: iter, Dropped: dropped, payload: p}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	check := func(r *asyncRun, from, got int, iters ...int) {
+		t.Helper()
+		p := r.nodes[0].peer(from)
+		have := make([]int, 0, len(p.box))
+		for _, b := range p.box {
+			have = append(have, b.iter)
+		}
+		sort.Ints(have)
+		if p.got != got || fmt.Sprint(have) != fmt.Sprint(iters) {
+			t.Fatalf("sender %d: got %d, box %v; want got %d, box %v", from, p.got, have, got, iters)
+		}
+	}
+
+	gossip := &asyncRun{nodes: []asyncNode{{live: true}}}
+	arrive(gossip, 1, 3, false)
+	arrive(gossip, 1, 2, false) // staler than what is held: refused
+	check(gossip, 1, 3, 3)
+	arrive(gossip, 1, 5, true) // a drop notice raises got only
+	check(gossip, 1, 5, 3)
+	arrive(gossip, 1, 4, false)
+	check(gossip, 1, 5, 4)
+
+	barrier := &asyncRun{nodes: []asyncNode{{live: true}}, blocking: true}
+	arrive(barrier, 1, 2, false)
+	arrive(barrier, 1, 3, false)
+	resent := arrive(barrier, 1, 2, false) // a state sync re-sends iteration 2
+	arrive(barrier, 2, 1, false)
+	arrive(barrier, 2, 4, false)
+	check(barrier, 1, 3, 2, 3)
+	if p := barrier.nodes[0].peer(1); &p.box[0].payload[0] != &resent[0] && &p.box[1].payload[0] != &resent[0] {
+		t.Fatal("a re-sent iteration did not replace the buffered payload")
+	}
+	st := &barrier.nodes[0]
+	for k := range st.peers {
+		st.peers[k].consume(2) // what an aggregate of iteration 2 does
+	}
+	check(barrier, 1, 3, 3)
+	check(barrier, 2, 4, 4)
+	st.peers[0].consume(3)
+	if len(st.peers) != 2 {
+		t.Fatalf("an emptied box left the mailbox: %d senders, want 2", len(st.peers))
+	}
+
+	st.keepPeers(func(from int) bool { return from != 1 }) // edge 0-1 severed
+	check(barrier, 2, 4, 4)
+	check(barrier, 1, -1)                         // re-created empty: its old got must not count
+	st.keepPeers(func(int) bool { return false }) // rejoin
+	check(barrier, 2, -1)
 }

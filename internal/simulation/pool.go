@@ -26,7 +26,7 @@ import (
 // instead of taking the process down from a worker goroutine.
 type TaskPanicError struct {
 	// Task is the id the task was submitted under: the node for the engines'
-	// per-node tasks, forEach's index.
+	// per-node tasks, forEach's index, -1 for the async engine's graph draw.
 	Task  int
 	Value any    // what the task panicked with
 	Stack []byte // the stack of the panicking goroutine

@@ -15,8 +15,9 @@ package simulation
 //	I4 ledger conservation: the send records sum to the Result's byte
 //	   totals, and every row's model and metadata bytes sum to its total;
 //	I5 causality: every arrival matches an earlier send with the same
-//	   sender, receiver, iteration and drop flag, and every epoch's state
-//	   sync runs both ways over each fresh edge;
+//	   sender, receiver, iteration and drop flag, every epoch's state
+//	   sync runs both ways over each fresh edge, and a barrier joiner's
+//	   first aggregate waits to hear from each node that synced it;
 //	I6 progress: every row is emitted (unless the run stopped at its
 //	   target) within a record budget, each node's aggregate iterations
 //	   strictly increase, and the rows' SimTime and CumTotalBytes never
@@ -240,6 +241,11 @@ var regressionScenarios = []struct {
 	{"parallelism/sync-drops", scenario{Algo: algoJWINS, Codec: "raw32", Nodes: 8, GraphSeed: 9, Rounds: 8, EvalEvery: 4, DropProb: 0.1, FaultSeed: 3}},
 	{"deterministic-trace", scenario{Async: true, Algo: algoJWINS, Codec: "raw32", Nodes: 8, GraphSeed: 9, Rounds: 8, EvalEvery: 8, DropProb: 0.1, FaultSeed: 3,
 		Het: Heterogeneity{ComputeSpread: 0.4, BandwidthSpread: 0.3, LatencySpread: 0.2, Seed: 5}, Churn: churnSpec{0.25, 0.02, 0.2, 0.1, 77}}},
+	// A barrier joiner waits for its neighbours' state sync (I5): fast
+	// trainers and slow links churned briefly, where the mailbox a node held
+	// before it left would let it aggregate before any sync arrives.
+	{"rejoin/barrier-fast-train-slow-sync", scenario{Async: true, Algo: algoJWINS, Codec: "raw32", Nodes: 8, GraphSeed: 9, Rounds: 12, EvalEvery: 12,
+		Het: Heterogeneity{ComputeSpread: 1.0, LatencySpread: 1.0, Seed: 7}, Churn: churnSpec{0.5, 0.01, 0.15, 0.01, 107}}},
 	// Record ≡ replay (I2) and streamed ≡ in-memory (I3) under every policy
 	// and under rotation.
 	{"replay/barrier-churn-drops", scenario{Async: true, Algo: algoJWINS, Codec: "raw32", Nodes: 8, GraphSeed: 9, Rounds: 10, EvalEvery: 10, DropProb: 0.1, FaultSeed: 3,
@@ -768,7 +774,10 @@ func checkScenario(t *testing.T, sc scenario, cov map[string]int) {
 	// I5 causality, and an epoch's state sync runs both ways: its sends
 	// follow the epoch record at its time, and a fresh edge that carries
 	// i's last broadcast to j carries j's to i too whenever j is live and
-	// has sent before.
+	// has sent before. Under the barrier a joiner forgets what it heard
+	// before it left, so its first aggregate follows an arrival, since the
+	// join, from every node that synced it there and is still its live
+	// neighbour (joinWait; a rotation may sever the edge, so it clears).
 	type msg struct {
 		from, to, iter int
 		dropped        bool
@@ -781,12 +790,28 @@ func checkScenario(t *testing.T, sc scenario, cov map[string]int) {
 	for i := range live {
 		live[i] = true
 	}
+	joinWait := map[int]map[int]bool{}
 	for i, ev := range ref.trace {
 		kinds[ev.Kind]++
 		switch ev.Kind {
 		case trace.KindLeave, trace.KindJoin:
 			live[ev.Node] = ev.Kind == trace.KindJoin
+			delete(joinWait, ev.Node)
+			for _, w := range joinWait {
+				delete(w, ev.Node)
+			}
+			if ev.Kind == trace.KindJoin && sc.Async && sc.policyName() == trace.PolicyBarrier {
+				w := map[int]bool{}
+				for _, s := range ref.trace[i+1:] {
+					if s.Kind != trace.KindSend || s.Time != ev.Time {
+						break
+					}
+					w[s.Node] = true
+				}
+				joinWait[ev.Node] = w
+			}
 		case trace.KindEpoch:
+			clear(joinWait)
 			synced := map[[2]int]bool{}
 			for _, s := range ref.trace[i+1:] {
 				if s.Kind != trace.KindSend || s.Time != ev.Time {
@@ -811,7 +836,12 @@ func checkScenario(t *testing.T, sc scenario, cov map[string]int) {
 				t.Fatalf("I5: record %d, an arrival %+v without a send before it", i, ev)
 			}
 			inFlight[k]--
+			delete(joinWait[ev.Node], ev.Peer)
 		case trace.KindAggregate:
+			if w := joinWait[ev.Node]; len(w) > 0 {
+				t.Fatalf("I5: record %d, node %d aggregates iteration %d after its join without hearing from %v", i, ev.Node, ev.Iter, w)
+			}
+			delete(joinWait, ev.Node)
 			// I6: each node's aggregate iterations strictly increase.
 			if last, ok := lastAgg[ev.Node]; ok && ev.Iter <= last {
 				t.Fatalf("I6: record %d, node %d aggregates iteration %d after %d", i, ev.Node, ev.Iter, last)

@@ -12,6 +12,7 @@ package topology
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -21,20 +22,33 @@ import (
 // repeatable, so a graph never depends on query history. The synchronous
 // engine reads it per round (the paper's Figure 7); the async engine reads it
 // per epoch through an EpochProvider, whose queries can repeat and, under
-// trace replay, must regenerate the recorded sequence exactly.
+// trace replay, must regenerate the recorded sequence exactly, and draws the
+// next epoch's graph on a worker while the current epoch runs.
+//
+// Graph is safe for concurrent use: generation runs outside the lock, and the
+// two latest rounds drawn stay cached. Round is not; its weights cache serves
+// one caller at a time (the sync engine).
 type SeededDynamic struct {
 	N, D int
 	Seed uint64
 
-	cachedRound int
-	cachedG     *Graph
-	cachedW     []Weights
+	mu     sync.Mutex
+	recent [2]seededRound // newest first
+
+	wG      *Graph // the graph cachedW weights
+	cachedW []Weights
+}
+
+// seededRound is one cached round of a SeededDynamic.
+type seededRound struct {
+	t int
+	g *Graph
 }
 
 // NewSeededDynamic builds the provider. Parameters are validated on first
 // use (Regular's constraints: n*d even, 2 <= d < n).
 func NewSeededDynamic(n, d int, seed uint64) *SeededDynamic {
-	return &SeededDynamic{N: n, D: d, Seed: seed, cachedRound: -1}
+	return &SeededDynamic{N: n, D: d, Seed: seed}
 }
 
 // Round implements Provider. Mixing weights are built lazily: the
@@ -42,8 +56,8 @@ func NewSeededDynamic(n, d int, seed uint64) *SeededDynamic {
 // subgraph), so rotations skip the full-graph weight pass.
 func (s *SeededDynamic) Round(t int) (*Graph, []Weights) {
 	g := s.Graph(t)
-	if s.cachedW == nil {
-		s.cachedW = MetropolisHastings(g)
+	if s.wG != g {
+		s.wG, s.cachedW = g, MetropolisHastings(g)
 	}
 	return g, s.cachedW
 }
@@ -51,19 +65,38 @@ func (s *SeededDynamic) Round(t int) (*Graph, []Weights) {
 // Graph returns round t's graph without building mixing weights. The
 // per-round RNG is derived by mixing the round index into the base seed
 // through SplitMix64, so neighboring rounds get statistically independent
-// graphs.
+// graphs. Two callers racing on an uncached round both draw it; the first
+// to finish is cached and returned to both.
 func (s *SeededDynamic) Graph(t int) *Graph {
-	if t != s.cachedRound || s.cachedG == nil {
-		st := s.Seed ^ (uint64(t) + 0x65706f6368) // "epoch"
-		rng := vec.NewRNG(vec.SplitMix64(&st))
-		g, err := Regular(s.N, s.D, rng)
-		if err != nil {
-			panic("topology: seeded dynamic generation failed: " + err.Error())
-		}
-		s.cachedG, s.cachedW = g, nil
-		s.cachedRound = t
+	s.mu.Lock()
+	g := s.lookup(t)
+	s.mu.Unlock()
+	if g != nil {
+		return g
 	}
-	return s.cachedG
+	st := s.Seed ^ (uint64(t) + 0x65706f6368) // "epoch"
+	rng := vec.NewRNG(vec.SplitMix64(&st))
+	g, err := Regular(s.N, s.D, rng)
+	if err != nil {
+		panic("topology: seeded dynamic generation failed: " + err.Error())
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.lookup(t); c != nil {
+		return c
+	}
+	s.recent[1], s.recent[0] = s.recent[0], seededRound{t: t, g: g}
+	return g
+}
+
+// lookup returns round t's graph if it is cached; s.mu must be held.
+func (s *SeededDynamic) lookup(t int) *Graph {
+	for _, c := range s.recent {
+		if c.g != nil && c.t == t {
+			return c.g
+		}
+	}
+	return nil
 }
 
 // EpochProvider rotates a base Provider on simulated-time epochs and filters

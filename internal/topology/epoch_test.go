@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,6 +40,38 @@ func TestSeededDynamicRandomAccess(t *testing.T) {
 	}
 	if !g5a.Connected() {
 		t.Fatal("generated graph not connected")
+	}
+}
+
+// TestSeededDynamicConcurrentGraph: goroutines querying overlapping rounds of
+// one provider, as the async engine's prefetch and event loop do, each get
+// exactly the graph a fresh provider draws for that round.
+func TestSeededDynamicConcurrentGraph(t *testing.T) {
+	const rounds, workers = 8, 4
+	want := make([]*Graph, rounds)
+	for r := range want {
+		want[r] = NewSeededDynamic(48, 4, 13).Graph(r)
+	}
+	shared := NewSeededDynamic(48, 4, 13)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			// Each worker sweeps every round twice from its own offset, so
+			// rounds are drawn, cached, evicted and drawn again under contention.
+			for k := 0; k < 2*rounds; k++ {
+				r := (w + k) % rounds
+				if g := shared.Graph(r); !sameAdj(g, want[r]) {
+					errs <- fmt.Errorf("worker %d: round %d differs from a fresh provider's", w, r)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
