@@ -29,7 +29,7 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"fig5", "b3d4f826bf282c51cbbefd1a5c3b92f248738e9a2ac6eda35de04b54108e6133", "f03f7c7e9c66f32e88809e4021ce17ac02cf163cae3577267350e3e00f7c347e"},
 	{"fig6", "f6ec80f2327af47c72b23f20d683bed60fe62918946a68b33ba80c93800da3a7", "800fa8130a3ecaa450e28784853c6b09a28c8f5e026cb24de5b12c6f95bf381e"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig7", "3be6e6d9abadf665dae78c7dec5c7216d53afa4d5ac8e39f629a7f8f11b9bdc7", "a0a94a1dbb2cab6acc9f95fb2b3e745ba5d58fb71d73eb769905ca2ff1b04457"}, // re-recorded, parent 08c45e3: fig7's dynamic arms read the seeded graph sequence topology.NewSeededDynamic gives the async epochs; the static arm is unchanged
-	{"fig8", "d06805653db8adb542fd8b9da85f41b3e9807e6204866337e03fc06933a05a45", "39d897342c43cc9100a695598f40e8eae2004016b4587f87908383c646b68c07"}, // re-recorded, parent 76cc3bd: fig8 prints each arm's bytes and mean α
+	{"fig8", "859eca25ebcc38eae955b7fa1414e09cf7e7f113c807dc05930a055755d256df", "7a9cc10e56aea8f4bbb1b8fda00e5ee9def640c0a5c84dc68b93e3e7b831666f"}, // re-recorded, parent 6e43737: fig8's no-cut-off arm shares the JWINS arm's realised mean α every round, byte-matching it; claims reads that row
 	{"fig9", "32facbb92c519173432ff5acc5535fbf8d77f3de624a19450ae8a543b679c169", "a468b6e16a3e9aae59ada756220efb283f18d4828d1f7c32e4f5b2bc73605cdf"}, // re-recorded, parent e4a1f34: printed through the one Table printer: the same numbers at the same precision, in a header-and-rows table
 	{"fig10", "ec09ad026f3b5b6c8a7f03e781400c80fa1018a9d286125189e5cc86d7b7637d", "fb04265abe4281b0bfa2b0b697c230f4738b79b478fd950783ec24983d00b4f8"},
 	{"ext-faults", "85290f2874d0fc021ec057a5600b5d9aca7618393b5dfa7569e46ab96d5b9abc", "1041b693721a77bd8a19facc4622d69e094af2a44ddf4ea784d1a978abb056fa"},     // re-recorded, parent 5f693d1: ext-faults prints each algorithm's lost points; claims scores ext-faults and ext-asyncchurn and widens its claim, exp and A − B columns
@@ -37,7 +37,7 @@ var outputDigests = []struct{ name, stdout, csv string }{
 	{"ext-dyntopo", "41b4e449a41b487ac555157b6277aab4dc21bee95d773e75d3af75ebad5e3e58", "36a1d3984a80f2c1f94503e89e3683366f69fa10ac44eb783ace14820508285a"},    // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-scale", "5fab467572765ef5d7398263cd29aa316a3da95412f3bc42ef578e5ab732a123", "c57f08b8fba904f508eb08c048a0ce218df068c7834559b346936cc5f1f03fa1"},      // re-recorded, parent 9b085e4: EvalNodes and OfflineProb are gone: ext-scale and ext-dyntopo score a rotating 8-node EvalSample where they capped evaluation at 8 nodes, and ext-faults loses its offline churn column
 	{"ext-semiasync", "c9dec6a131d7392a945020f33fd4d08c00f7f815328f5c15706593066cad8c55", "a0c580738b1d16fd78d0a83789342c5d2a3006b72c9183f0591ebf2d5e8e3b54"},
-	{"claims", "c5385f7ea6163dcb99df0a2d7d7897e3d2ac7369909834a784938d1fb904dff3", "9c3b13c775406db99cf2ab91ed06b33a3aa0b6b89dc81ded581406e6a19b4b89"}, // re-recorded, parent 5f693d1: ext-faults prints each algorithm's lost points; claims scores ext-faults and ext-asyncchurn and widens its claim, exp and A − B columns
+	{"claims", "df4cb874483f04ce343ecbc50d5891d6db4b6d609026fc2bcb1d5be664e72f92", "428b3449fdd6c9108cbbf2ef3139a105f5d2a78c3b5df4365efa5c5b30403270"}, // re-recorded, parent 6e43737: fig8's no-cut-off arm shares the JWINS arm's realised mean α every round, byte-matching it; claims reads that row
 }
 
 var (

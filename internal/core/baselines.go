@@ -120,9 +120,10 @@ func (n *RandomSamplingNode) Share(round int) ([]byte, codec.ByteBreakdown, erro
 	indices := codec.SeededIndices(seed, n.dim, k)
 	s.vals = sparsify.AppendGather(s.vals[:0], s.params, indices)
 	sv := codec.SparseVector{
-		Dim:    n.dim,
-		Seed:   seed,
-		Values: s.vals,
+		Dim:     n.dim,
+		Seed:    seed,
+		Indices: indices, // not encoded in seed mode; what a decode regenerates
+		Values:  s.vals,
 	}
 	return n.encode(s, sv, codec.IndexSeed, n.fc)
 }

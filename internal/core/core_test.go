@@ -28,7 +28,7 @@ func (s *stubModel) EvalBatch(*nn.Tensor, []float64) (float64, int, int) {
 }
 
 // tinyDataset is the minimal dataset needed to build loaders for stub nodes.
-func tinyDataset(t *testing.T) *datasets.Dataset {
+func tinyDataset(t testing.TB) *datasets.Dataset {
 	t.Helper()
 	ds, err := datasets.SyntheticImages(datasets.ImageConfig{
 		Classes: 2, Channels: 1, Height: 4, Width: 4, TrainPerClass: 4, TestPerClass: 2,
@@ -39,7 +39,7 @@ func tinyDataset(t *testing.T) *datasets.Dataset {
 	return ds
 }
 
-func stubLoader(t *testing.T, ds *datasets.Dataset) *datasets.Loader {
+func stubLoader(t testing.TB, ds *datasets.Dataset) *datasets.Loader {
 	t.Helper()
 	return datasets.NewLoader(ds, []int{0, 1, 2, 3}, 2, vec.NewRNG(2))
 }

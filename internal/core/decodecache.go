@@ -7,27 +7,31 @@ import (
 )
 
 // DecodeCache is the fleet-level decoded-payload cache: every payload a
-// sender broadcasts is decoded exactly once, into an immutable
-// codec.SparseVector shared by all recipients, instead of once per
+// sender broadcasts is turned into its vector at most once, into an
+// immutable codec.SparseVector shared by all recipients, instead of once per
 // recipient (a payload broadcast to d neighbors was decoded d times
 // fleet-wide — entropy-decode and inflate dominate the aggregate micro for
 // flate32). An entry holds the float32 values the wire carried, 4 bytes a
 // value; readers widen each one where they multiply it by its weight.
 //
-// The cache keeps one entry per sender: the payload it was last asked for.
-// Acquiring a sender's new payload retires its previous entry, which is
-// recycled at its last release. Recipients run at most a staleness window
-// apart, and under the barrier all of them read a sender's payload before it
-// sends the next, so an older payload is rarely asked for again; when it is,
-// it is simply decoded again.
+// The cache keeps one entry per sender: the payload it was last asked for,
+// or the vector a Share published into the sender's empty slot (publish;
+// the codec round trip is exact). Sync rounds empty the cache, so no sync
+// broadcast is decoded. Acquiring a sender's new payload retires its
+// previous entry, which is recycled at its last release. Recipients run at
+// most a staleness window apart, and under the barrier all of them read a
+// sender's payload before it sends the next, so an older payload is rarely
+// asked for again; when it is, it is simply decoded again.
 //
 // Entries are keyed by the identity of the payload's backing array, not by
 // (sender, iteration): churn and epoch state-sync can legitimately put a
 // different byte slice under a reused key, and identity keying rules out
 // serving a vector the per-node decode path would not have produced for
 // those exact bytes — provided no array a findable entry keys is ever
-// rewritten. The entry retains the payload slice itself, so the GC cannot
-// free its address and hand it to a later payload while the entry lives. The
+// rewritten, published and decoded entries alike (a fault injector must
+// corrupt a copy of a payload). The entry retains the payload slice itself,
+// so the GC cannot free its address and hand it to a later payload while
+// the entry lives. The
 // synchronous engine does reuse payload addresses: it hands each round's
 // payloads back to their senders (PayloadRecycler), whose next Share encodes
 // into the same array. It calls Reset before every hand-back, so no entry a
@@ -39,8 +43,8 @@ import (
 //
 // A DecodeCache is safe for concurrent use: concurrent acquires of the same
 // payload decode it once, with late arrivals waiting on the entry's ready
-// channel. Decoded vectors are refcounted; callers must release every
-// acquired entry once they no longer read its vector.
+// channel. Entries are refcounted; callers must release every acquired
+// entry once they no longer read its vector.
 type DecodeCache struct {
 	mu     sync.Mutex
 	slots  map[int]*cacheEntry
@@ -49,9 +53,9 @@ type DecodeCache struct {
 	misses int64
 }
 
-// cacheEntry is one decoded payload. buf retains the encoded payload (the
-// identity key), sv the decoded vector; both are immutable while the entry
-// is discoverable. refs counts acquirers that have not released yet; dead
+// cacheEntry is one decoded or published payload. buf retains the encoded
+// payload (the identity key), sv its vector; both are immutable while the
+// entry is discoverable. refs counts acquirers that have not released yet; dead
 // marks entries retired from their slot, recycled to the free list at the
 // last release.
 type cacheEntry struct {
@@ -91,6 +95,30 @@ func (c *DecodeCache) acquire(sender int, payload []byte) *cacheEntry {
 	e.err = codec.DecodeSparseInto(&e.sv, payload)
 	close(e.ready)
 	return e
+}
+
+// publish copies sv, what codec.DecodeSparseInto yields for payload, into
+// the sender's slot if it is empty, and otherwise does nothing: a
+// speculative Share can run ahead of the readers of the sender's previous
+// payload. It counts as neither a hit nor a miss.
+func (c *DecodeCache) publish(sender int, payload []byte, sv codec.SparseVector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slots[sender] != nil {
+		return
+	}
+	e := c.newEntryLocked()
+	e.refs, e.buf = 0, payload
+	idx := e.sv.Indices[:0]
+	e.sv = codec.SparseVector{Dim: sv.Dim, Seed: sv.Seed, Values: append(e.sv.Values[:0], sv.Values...)}
+	if sv.Indices != nil {
+		e.sv.Indices = append(idx, sv.Indices...)
+	}
+	close(e.ready)
+	if c.slots == nil {
+		c.slots = make(map[int]*cacheEntry)
+	}
+	c.slots[sender] = e
 }
 
 // release drops one reference; the last release of a retired entry

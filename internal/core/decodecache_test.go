@@ -25,7 +25,7 @@ func testPayload(t *testing.T, dim int, seed float64) []byte {
 	return buf
 }
 
-func decodeRef(t *testing.T, buf []byte) codec.SparseVector {
+func decodeRef(t testing.TB, buf []byte) codec.SparseVector {
 	t.Helper()
 	var sv codec.SparseVector
 	if err := codec.DecodeSparseInto(&sv, buf); err != nil {

@@ -84,13 +84,17 @@ func (b *baseNode) LocalStepCount() int { return b.opts.LocalSteps }
 
 // encode serializes a Share's payload into the buffer last handed back, if
 // any, and drops the node's reference to it: from here on the buffer is the
-// returned payload, owned by whoever delivers it.
+// returned payload, owned by whoever delivers it. sv, with the indices a
+// decode regenerates (seeded ones too), is published to the decode cache.
 func (b *baseNode) encode(s *scratch, sv codec.SparseVector, mode codec.IndexMode, fc codec.FloatCodec) ([]byte, codec.ByteBreakdown, error) {
 	dst := b.spare
 	b.spare = nil
 	buf, bd, err := codec.EncodeSparseInto(dst, &s.enc, sv, mode, fc)
 	if err != nil {
 		return nil, bd, fmt.Errorf("core: encoding share payload: %w", err)
+	}
+	if b.cache != nil {
+		b.cache.publish(b.id, buf, sv)
 	}
 	return buf, bd, nil
 }

@@ -414,9 +414,9 @@ type asyncRun struct {
 	// event could fire before the speculated train-done commits.
 	churnPending [][]float64
 
-	// dcache is the fleet-shared decoded-payload cache: each broadcast
-	// payload is entropy-decoded once, by its first aggregating recipient,
-	// and served by identity to the rest.
+	// dcache is the fleet-shared decoded-payload cache: a sender's first
+	// broadcast is what its Share published, every later one is decoded
+	// once, by its first aggregating recipient, and served by identity.
 	dcache *core.DecodeCache
 
 	// per-iteration training-loss accumulators for row emission; liveAt[k]

@@ -272,10 +272,10 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 		// A synchronous round has no staleness: nobody acquires this round's
-		// payloads again, so the cache never holds more than one round. With
-		// every entry retired and the inboxes refilled next round, nothing
-		// reads the payloads any more: each goes back to its sender, whose
-		// next Share encodes into it.
+		// payloads again, so the cache holds one round (each Share publishes
+		// into an empty slot). With every entry retired and the inboxes
+		// refilled next round, nothing reads the payloads any more: each goes
+		// back to its sender, whose next Share encodes into it.
 		dcache.Reset()
 		recyclePayloads(e.Nodes, payloads)
 

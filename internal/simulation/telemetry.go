@@ -51,10 +51,11 @@ const (
 	// result rows.
 	MetricAggregations = "jwins_engine_aggregations_total"
 	MetricRows         = "jwins_engine_rows_total"
-	// MetricDecodeHits / MetricDecodeMisses count payload decodes served from
-	// the fleet-shared decoded-payload cache vs decoded fresh. Totals depend
-	// on pool interleaving (which recipient reaches a broadcast first), so
-	// they are telemetry only — never part of a determinism comparison.
+	// MetricDecodeHits / MetricDecodeMisses count payload reads served from
+	// the fleet-shared cache (published by the sender or decoded once) vs
+	// decoded fresh; a sync run reads 0 misses. Async totals depend on pool
+	// interleaving (which recipient reaches a broadcast first), so they are
+	// telemetry only — never part of a determinism comparison.
 	MetricDecodeHits   = "jwins_engine_decode_cache_hits_total"
 	MetricDecodeMisses = "jwins_engine_decode_cache_misses_total"
 )
